@@ -937,6 +937,12 @@ class CommitLagResult:
     #: ordered by commit completion.
     commit_timeline: List[Tuple[str, float, float]]
     crashed_processes: List[str] = field(default_factory=list)
+    #: Commit groups the daemons formed (one per receive that completed
+    #: at least one transaction) and the transactions in them, pooled
+    #: over the daemons' ``daemon.group_size`` histograms.
+    groups: int = 0
+    grouped_transactions: int = 0
+    max_group_size: int = 0
     #: Final metrics snapshot (daemon counters, queue-depth gauge,
     #: billing) — the kernel-driven scraper also sampled these into the
     #: registry's time series during the run.
@@ -959,6 +965,10 @@ class CommitLagResult:
     def max_lag(self) -> float:
         return max(self.lags, default=0.0)
 
+    @property
+    def mean_group_size(self) -> float:
+        return self.grouped_transactions / self.groups if self.groups else 0.0
+
     def render(self) -> str:
         table = render_table(
             ("t (s)", "WAL depth", "committed"),
@@ -977,8 +987,9 @@ class CommitLagResult:
         summary = (
             f"{self.committed}/{self.flushes} transactions committed in "
             f"{self.elapsed_seconds:.1f}s; lag mean {self.mean_lag:.1f}s, "
-            f"max {self.max_lag:.1f}s; peak backlog {self.max_queue_depth} "
-            f"messages"
+            f"max {self.max_lag:.1f}s; {self.groups} commit groups, mean "
+            f"size {self.mean_group_size:.1f}, max {self.max_group_size}; "
+            f"peak backlog {self.max_queue_depth} messages"
         )
         if self.crashed_processes:
             summary += f"; crashed: {', '.join(self.crashed_processes)}"
@@ -1003,6 +1014,9 @@ class CommitLagResult:
             ],
             "lag_mean_s": self.mean_lag,
             "lag_max_s": self.max_lag,
+            "groups": self.groups,
+            "group_size_mean": self.mean_group_size,
+            "group_size_max": self.max_group_size,
             "max_queue_depth": self.max_queue_depth,
             "crashed_processes": list(self.crashed_processes),
         }
@@ -1128,6 +1142,11 @@ def commit_lag_experiment(
         default=0.0,
     )
     drain_end = max((committed for _, _, committed in timeline), default=0.0)
+    group_sizes = [
+        hist
+        for hist in account.telemetry.metrics.histograms_named("daemon.group_size")
+        if hist.count
+    ]
     return CommitLagResult(
         clients=clients,
         daemons=daemons,
@@ -1138,6 +1157,11 @@ def commit_lag_experiment(
         commit_timeline=timeline,
         crashed_processes=sorted(
             p.name for p in kernel.processes if p.state.value == "crashed"
+        ),
+        groups=sum(hist.count for hist in group_sizes),
+        grouped_transactions=int(sum(hist.sum for hist in group_sizes)),
+        max_group_size=int(
+            max((hist.percentile(100) for hist in group_sizes), default=0)
         ),
         telemetry=account.telemetry.metrics.snapshot(),
     )

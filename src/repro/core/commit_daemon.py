@@ -1,26 +1,61 @@
 """P3's commit daemon (§4.3.3).
 
-The daemon reads the WAL queue, assembles packets into transactions, and
-— once every packet of a transaction has arrived — commits it:
+The daemon reads the WAL queue and assembles packets into transactions.
+After every receive it commits, as one *group*, every transaction whose
+packets have all arrived — one pipelined pass over the group instead of
+four serial round trips per transaction:
 
 1. Spill any provenance value larger than 1 KB into its own S3 object and
-   rewrite the attribute as a pointer.
-2. Store the provenance in SimpleDB via ``BatchPutAttributes`` (≤ 25
-   items per call).
-3. ``COPY`` each temporary S3 object to its permanent key, stamping the
-   uuid/version metadata as part of the copy (S3 has no rename; the copy
-   costs $0.01 per thousand and moves no client bytes).
-4. ``DELETE`` the temporary objects and the transaction's WAL messages.
+   rewrite the attribute as a pointer (one batch for the group).
+2. Store the group's provenance in SimpleDB: the bundles of all its
+   transactions merge by uuid and fill ``BatchPutAttributes`` calls
+   (≤ 25 items per call per shard domain) *across* transactions, issued
+   as one batch.
+3. ``COPY`` every temporary S3 object of the group to its permanent key
+   in one batch over the daemon's connections, stamping the uuid/version
+   metadata as part of the copy (S3 has no rename; the copy costs $0.01
+   per thousand and moves no client bytes).
+4. ``DELETE`` the temporary objects and the WAL messages of every
+   transaction whose copies all landed, in one batch, and log a
+   :class:`CommitRecord` per transaction.
 
-Packets of incomplete transactions (a client that crashed mid-log) are
-simply never committed; SQS's four-day retention garbage-collects them.
-If the machine running the daemon crashes mid-commit, any other machine
-can run a daemon against the same queue and finish the job — the WAL is
-the authority.  Commits are idempotent: re-running a partially committed
-transaction re-issues the same writes.
+The WAL contract is per transaction and grouping does not weaken it: a
+transaction's provenance is put before any of its data is copied, and
+its WAL messages are deleted only after all of its puts and copies have
+landed.
+
+**Stragglers.**  Under eventual consistency a temporary object may not
+be visible to its COPY yet (§2.3.1: "clients must design appropriate
+mechanisms to detect inconsistencies").  A COPY that finds no source
+fails alone; the rest of the batch lands.  The transactions whose copies
+all landed are deleted and logged at once; the daemon then waits a fixed
+``COPY_RETRY_S`` and re-issues only the copies that did not land, up to
+``COPY_ATTEMPTS`` rounds — a straggler neither holds back its group nor
+buys a second COPY for anything already copied.  The daemon does not
+receive while it waits: new WAL messages are another daemon's work (the
+supervisor grows the pool on exactly this backlog).  Within the group
+the one thing a straggler does hold back is a later version of its own
+path: two flushes of one path copy to the same final key, so the later
+copy is not issued until the earlier has landed and the final object
+ends as the latest version.  A temp object still missing after the last
+round was deleted by another daemon's commit of the same transaction (a
+duplicate delivery) if the final object already carries its uuid and
+version — the transaction is then finished with nothing left to copy;
+otherwise the plan raises :class:`~repro.errors.NoSuchKeyError`.
+
+**Crashes.**  Packets of incomplete transactions (a client that crashed
+mid-log) are simply never committed; SQS's four-day retention
+garbage-collects them.  If the machine running the daemon crashes
+anywhere in a group — the ``p3.mid_commit`` crash point sits between the
+group's puts and its copies — every WAL message of every unfinished
+transaction is still in the queue, and any other machine can run a
+daemon against the same queue and finish the job: the WAL is the
+authority.  Commits are idempotent: re-running a partially committed
+group re-issues the same writes.
 
 The daemon runs in two execution modes over one copy of the commit
-logic (:meth:`CommitDaemon.commit_plan`, an effect-plan generator):
+logic (:meth:`CommitDaemon.commit_plan`, an effect-plan generator; the
+group is whatever is complete when it is called):
 
 - **Phased** (the paper's measurement methodology): :meth:`drain` is
   called after the client finishes; batches run with
@@ -37,8 +72,8 @@ logic (:meth:`CommitDaemon.commit_plan`, an effect-plan generator):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Generator, List, Optional, Sequence, Set
 
 from repro.cloud.account import CloudAccount
 from repro.cloud.network import Request
@@ -49,13 +84,21 @@ from repro.errors import (
     TransactionIncompleteError,
 )
 from repro.obs.tracing import COMMIT_DONE, DAEMON_DEQUEUE, SDB_PUT
-from repro.provenance.records import ProvenanceBundle
+from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
 from repro.sim.compat import run_plan_phased
 from repro.sim.events import Batch, Delay
 
 from repro.core.protocol_base import DomainRouter
 from repro.core.sdb_items import build_routed_requests
 from repro.core.wal_messages import DataManifestEntry, ParsedMessage, parse_message
+
+#: Virtual seconds the daemon waits before re-issuing COPYs whose
+#: temporary object was not visible yet — one mean S3 propagation delay
+#: (a sooner retry more often than not finds the object still out of
+#: sight) — and how many rounds it tries (64 s exceeds any propagation
+#: window).
+COPY_RETRY_S = 4.0
+COPY_ATTEMPTS = 16
 
 
 @dataclass
@@ -70,6 +113,20 @@ class _PendingTransaction:
 
     def complete(self) -> bool:
         return self.total >= 0 and len(self.packets) == self.total
+
+    def records(self) -> List[ProvenanceRecord]:
+        return [
+            record
+            for seq in sorted(self.packets)
+            for record in self.packets[seq].records
+        ]
+
+    def data_entries(self) -> List[DataManifestEntry]:
+        return [
+            entry
+            for seq in sorted(self.packets)
+            for entry in self.packets[seq].data_entries
+        ]
 
 
 @dataclass
@@ -155,6 +212,7 @@ class CommitDaemon:
         self._m_messages = metrics.counter("daemon.messages", daemon=label)
         self._m_commits = metrics.counter("daemon.commits", daemon=label)
         self._m_lag = metrics.histogram("daemon.commit_lag_s", daemon=label)
+        self._m_group_size = metrics.histogram("daemon.group_size", daemon=label)
         metrics.gauge_fn(
             "daemon.pending_txns", lambda: len(self._pending), daemon=label
         )
@@ -261,10 +319,7 @@ class CommitDaemon:
             messages: List[Message] = batch.results[0]
             for message in messages:
                 self._ingest(message)
-            for txn_id in [
-                txn.txn_id for txn in self._pending.values() if txn.complete()
-            ]:
-                yield from self.commit_plan(txn_id)
+            yield from self.commit_plan()
             if not messages:
                 yield Delay(poll_interval)
 
@@ -275,10 +330,7 @@ class CommitDaemon:
         surviving daemon can assemble it without waiting out this
         daemon's visibility timeout.  Effect-plan shaped, like
         :meth:`commit_plan`."""
-        for txn_id in [
-            txn.txn_id for txn in self._pending.values() if txn.complete()
-        ]:
-            yield from self.commit_plan(txn_id)
+        yield from self.commit_plan()
         handbacks: List[Request] = [
             self.account.sqs.change_visibility_request(
                 self.queue_url, receipt, visibility_timeout=0.0
@@ -289,6 +341,7 @@ class CommitDaemon:
         if handbacks:
             yield Batch(handbacks, self.connections)
         self._pending.clear()
+        self._logged_at.clear()
         self.retired = True
 
     def _ingest(self, message: Message) -> None:
@@ -309,22 +362,20 @@ class CommitDaemon:
             self._logged_at[parsed.txn_id] = message.sent_at
 
     def _commit_ready(self) -> None:
-        ready = [txn for txn in self._pending.values() if txn.complete()]
-        for txn in ready:
-            self.commit(txn.txn_id)
+        run_plan_phased(
+            self.account, self.commit_plan(), advance_clock=self.charge_time
+        )
 
     # -- committing ------------------------------------------------------------------
 
     def commit(self, txn_id: str) -> None:
-        """Commit one fully assembled transaction (phased driver)."""
+        """Commit one fully assembled transaction — a group of one
+        (phased driver)."""
         run_plan_phased(
-            self.account, self.commit_plan(txn_id), advance_clock=self.charge_time
+            self.account, self.commit_plan([txn_id]), advance_clock=self.charge_time
         )
 
-    def commit_plan(self, txn_id: str) -> Generator:
-        """The commit of one fully assembled transaction, as an effect
-        plan — the single copy of the commit logic, driven phased by
-        :meth:`commit` and concurrently by :meth:`process`."""
+    def _assembled(self, txn_id: str) -> _PendingTransaction:
         txn = self._pending.get(txn_id)
         if txn is None:
             raise TransactionIncompleteError(f"unknown transaction {txn_id}")
@@ -332,17 +383,28 @@ class CommitDaemon:
             raise TransactionIncompleteError(
                 f"transaction {txn_id} has {len(txn.packets)}/{txn.total} packets"
             )
+        return txn
 
-        records = []
-        entries: List[DataManifestEntry] = []
-        for seq in sorted(txn.packets):
-            packet = txn.packets[seq]
-            records.extend(packet.records)
-            entries.extend(packet.data_entries)
+    def commit_plan(self, txn_ids: Optional[Sequence[str]] = None) -> Generator:
+        """The commit of a group of fully assembled transactions, as an
+        effect plan — the single copy of the commit logic, driven phased
+        by :meth:`commit` / :meth:`drain` and concurrently by
+        :meth:`process` and :meth:`retire_plan`.  The group is
+        ``txn_ids``, or by default every transaction complete right now;
+        an empty group yields nothing."""
+        if txn_ids is None:
+            group = [txn for txn in self._pending.values() if txn.complete()]
+        else:
+            group = [self._assembled(txn_id) for txn_id in txn_ids]
+        if not group:
+            return
+        self._m_group_size.observe(len(group))
 
         # 1 + 2: spill oversized values, then BatchPutAttributes into each
-        # bundle's routed shard domain.
-        bundles = self._bundles_from_records(records)
+        # bundle's routed shard domain, filled across the group.
+        bundles = self._bundles_from_records(
+            [record for txn in group for record in txn.records()]
+        )
         spill_requests, batch_requests, _pairs = build_routed_requests(
             self.router, bundles, self.account, self.bucket
         )
@@ -350,57 +412,137 @@ class CommitDaemon:
             yield Batch(spill_requests, self.connections)
         if batch_requests:
             yield Batch(batch_requests, self.connections)
-            self._tracer.mark_if_traced(txn_id, SDB_PUT, self.account.now)
+            for txn in group:
+                self._tracer.mark_if_traced(txn.txn_id, SDB_PUT, self.account.now)
         self.account.faults.crash_point("p3.mid_commit")
 
-        # 3: COPY temp -> final, stamping the provenance link metadata.
-        # Under eventual consistency the temp object may not be visible to
-        # the copy yet; retry with backoff until it propagates (§2.3.1:
-        # "clients must design appropriate mechanisms to detect
-        # inconsistencies").
-        for entry in entries:
-            metadata = {
-                "prov-uuid": entry.uuid,
-                "version": str(entry.version),
-                "digest": entry.digest,
-            }
-            copy = self.account.s3.copy_request(
-                self.bucket, entry.tmp_key, self.bucket, entry.final_key, metadata
+        # 3 + 4: COPY temp -> final, stamping the provenance link
+        # metadata, then delete and log every transaction whose copies
+        # all landed.  A temp object not visible to its copy yet (eventual
+        # consistency) holds back only its own transaction and the later
+        # versions of its path: after a fixed COPY_RETRY_S wait just the
+        # copies that did not land are re-issued, up to COPY_ATTEMPTS
+        # rounds.
+        uncopied = {txn.txn_id: txn.data_entries() for txn in group}
+        for _attempt in range(COPY_ATTEMPTS):
+            yield from self._copy_round(group, uncopied)
+            yield from self._finish(
+                [txn for txn in group if not uncopied[txn.txn_id]]
             )
-            for attempt in range(32):
-                try:
-                    yield Batch([copy], self.connections)
-                    break
-                except NoSuchKeyError:
-                    yield Delay(2.0)
-            else:  # pragma: no cover - 64 s exceeds any propagation window
+            group = [txn for txn in group if uncopied[txn.txn_id]]
+            if not group:
+                return
+            yield Delay(COPY_RETRY_S)
+
+        # Out of rounds: no propagation window is this long, so the temp
+        # objects are gone — deleted by another daemon's commit of the
+        # same transactions (a duplicate delivery) exactly when each
+        # final object already carries the entry's uuid at its version
+        # or a later one.  Then there is nothing left to copy.
+        entries = [entry for txn in group for entry in uncopied[txn.txn_id]]
+        heads = yield Batch(
+            [
+                self.account.s3.head_request(self.bucket, entry.final_key)
+                for entry in entries
+            ],
+            self.connections,
+        )
+        for entry, head in zip(entries, heads.results):
+            stamped = head.metadata
+            if (
+                stamped.get("prov-uuid") != entry.uuid
+                or int(stamped.get("version", -1)) < entry.version
+            ):
                 raise NoSuchKeyError(
                     f"temp object {entry.tmp_key} never became visible"
                 )
+        yield from self._finish(group)
 
-        # 4: delete temporaries and WAL messages.
-        deletes: List[Request] = [
-            self.account.s3.delete_request(self.bucket, entry.tmp_key)
-            for entry in entries
-        ]
-        deletes.extend(
-            self.account.sqs.delete_request(self.queue_url, receipt)
-            for receipt in txn.receipts
+    def _copy_round(
+        self,
+        group: List[_PendingTransaction],
+        uncopied: Dict[str, List[DataManifestEntry]],
+    ) -> Generator:
+        """One attempt at every COPY of the group that has not landed;
+        those that land leave ``uncopied``.  Two flushes of one path
+        share a final key and must land in log order, so a batch carries
+        at most one copy per final key — the earliest transaction's —
+        and a key whose copy found no source is left alone for the rest
+        of the round: the later versions wait behind the straggler."""
+        unseen: Set[str] = set()
+        while True:
+            claimed = set(unseen)
+            wave = []
+            for txn in group:
+                for entry in uncopied[txn.txn_id]:
+                    if entry.final_key not in claimed:
+                        claimed.add(entry.final_key)
+                        wave.append((txn.txn_id, entry))
+            if not wave:
+                return
+            copied = yield Batch(
+                [self._copy_request(entry) for _, entry in wave], self.connections
+            )
+            for (txn_id, entry), landed in zip(wave, copied.results):
+                if landed:
+                    uncopied[txn_id].remove(entry)
+                else:
+                    unseen.add(entry.final_key)
+
+    def _copy_request(self, entry: DataManifestEntry) -> Request:
+        """The temp -> final COPY of one manifest entry, resolving to
+        whether it landed.  A missing source is that request's result,
+        not a raised :class:`NoSuchKeyError`: the COPY fails alone, like
+        one HTTP 404 among parallel requests, and the rest of its batch
+        still lands."""
+        metadata = {
+            "prov-uuid": entry.uuid,
+            "version": str(entry.version),
+            "digest": entry.digest,
+        }
+        copy = self.account.s3.copy_request(
+            self.bucket, entry.tmp_key, self.bucket, entry.final_key, metadata
         )
+
+        def apply(start: float, finish: float) -> bool:
+            try:
+                copy.apply(start, finish)
+            except NoSuchKeyError:
+                return False
+            return True
+
+        return replace(copy, apply=apply)
+
+    def _finish(self, landed: List[_PendingTransaction]) -> Generator:
+        """Step 4 for transactions whose puts and copies have all landed:
+        delete their temporaries and WAL messages in one batch, then log
+        each commit."""
+        deletes: List[Request] = []
+        for txn in landed:
+            deletes.extend(
+                self.account.s3.delete_request(self.bucket, entry.tmp_key)
+                for entry in txn.data_entries()
+            )
+            deletes.extend(
+                self.account.sqs.delete_request(self.queue_url, receipt)
+                for receipt in txn.receipts
+            )
         if deletes:
             yield Batch(deletes, self.connections)
-
-        del self._pending[txn_id]
-        self._committed_count += 1
-        record = CommitRecord(
-            txn_id=txn_id,
-            logged_at=self._logged_at.get(txn_id, 0.0),
-            committed_at=self.account.now,
-        )
-        self.commit_log.append(record)
-        self._m_commits.inc()
-        self._m_lag.observe(record.lag)
-        self._tracer.mark_if_traced(txn_id, COMMIT_DONE, record.committed_at)
+        for txn in landed:
+            del self._pending[txn.txn_id]
+            self._committed_count += 1
+            record = CommitRecord(
+                txn_id=txn.txn_id,
+                logged_at=self._logged_at.pop(txn.txn_id, 0.0),
+                committed_at=self.account.now,
+            )
+            self.commit_log.append(record)
+            self._m_commits.inc()
+            self._m_lag.observe(record.lag)
+            self._tracer.mark_if_traced(
+                txn.txn_id, COMMIT_DONE, record.committed_at
+            )
 
     @staticmethod
     def _bundles_from_records(records) -> List[ProvenanceBundle]:

@@ -63,7 +63,11 @@ class SupervisorConfig:
     min_daemons: int = 1
     max_daemons: int = 4
     #: WAL messages one daemon is trusted to chew through per tick;
-    #: the pool targets ``ceil(depth / backlog_per_daemon)``.
+    #: the pool targets ``ceil(depth / backlog_per_daemon)``.  With
+    #: group commit a daemon clears a full receive (up to 10 messages)
+    #: in about 2.3 virtual seconds, so 4 a tick is conservative: the
+    #: pool grows while a member is waiting out a straggler's temp
+    #: object rather than only once capacity is short.
     backlog_per_daemon: int = 4
     #: Consecutive quiet ticks before one member retires.
     calm_ticks: int = 3

@@ -4,12 +4,18 @@
 
 import pytest
 
+from repro.backends.parity import store_fingerprint
 from repro.cloud.account import CloudAccount
 from repro.core import PAS3fs, ProtocolP3, UploadMode
-from repro.core.commit_daemon import CommitDaemon
+from repro.core.commit_daemon import COPY_RETRY_S, CommitDaemon
 from repro.core.cleaner_daemon import DEFAULT_MAX_AGE_SECONDS
-from repro.errors import ClientCrashError, TransactionIncompleteError
+from repro.errors import (
+    ClientCrashError,
+    NoSuchKeyError,
+    TransactionIncompleteError,
+)
 from repro.provenance.syscalls import TraceBuilder
+from repro.sim import run_plan_phased
 from repro.workloads.base import MOUNT
 
 
@@ -18,6 +24,16 @@ def _single_file_trace(size=64 * 1024):
     writer = builder.spawn("writer", argv=["writer"], exec_path="/bin/writer")
     builder.read(writer, "/local/input.dat", 1024)
     builder.write_close(writer, f"{MOUNT}out/result.dat", size)
+    builder.exit(writer)
+    return builder.trace
+
+
+def _many_files_trace(files=4, size=8 * 1024):
+    """One writer closing ``files`` files: one P3 transaction each."""
+    builder = TraceBuilder()
+    writer = builder.spawn("writer", argv=["writer"], exec_path="/bin/writer")
+    for index in range(files):
+        builder.write_close(writer, f"{MOUNT}group/f{index}.dat", size)
     builder.exit(writer)
     return builder.trace
 
@@ -88,6 +104,198 @@ class TestCommitDaemonRecovery:
         daemon = protocol.commit_daemon
         with pytest.raises(TransactionIncompleteError):
             daemon.commit("txn-never-logged")
+
+
+class TestGroupCommit:
+    """The daemon commits every transaction complete after a receive as
+    one group; the WAL contract stays per transaction."""
+
+    FILES = 4
+
+    def _logged(self, seed=5):
+        account = CloudAccount(seed=seed)
+        protocol = ProtocolP3(account)
+        PAS3fs(account, protocol).run(_many_files_trace(self.FILES))
+        account.settle(60.0)  # every temp object visible to its COPY
+        return account, protocol
+
+    @staticmethod
+    def _daemon(account, protocol):
+        return CommitDaemon(
+            account=account,
+            queue_url=protocol.queue_url,
+            bucket=protocol.bucket,
+            domain=protocol.domain,
+            router=protocol.router,
+        )
+
+    @staticmethod
+    def _receive_into(daemon, account, protocol):
+        """Deliver the queue's messages to ``daemon`` without committing:
+        a daemon holding a receive it has not acted on yet."""
+        for message in account.sqs.receive_messages(protocol.queue_url):
+            daemon._ingest(message)
+        return daemon.pending_transactions()
+
+    @staticmethod
+    def _settled_fingerprint(account, protocol):
+        account.settle(120.0)
+        return store_fingerprint(account, queue_urls=[protocol.queue_url])
+
+    @staticmethod
+    def _requests(account, service, op):
+        return account.billing.usage[service].requests[op]
+
+    @staticmethod
+    def _hold_invisible(account, protocol, key, seconds):
+        """An unlucky propagation draw for ``key``'s latest write."""
+        register = account.s3._bucket(protocol.bucket)[key]
+        register.history()[-1].visible_at = account.now + seconds
+
+    def test_group_equals_one_at_a_time_with_fewer_batch_puts(self):
+        account, protocol = self._logged()
+        daemon = protocol.commit_daemon
+        daemon.poll_once()
+        assert daemon.committed_count() == self.FILES
+        sizes = account.telemetry.metrics.histograms_named("daemon.group_size")
+        assert [h.summary()["max"] for h in sizes if h.count] == [self.FILES]
+
+        twin_account, twin_protocol = self._logged()
+        twin = twin_protocol.commit_daemon
+        txn_ids = self._receive_into(twin, twin_account, twin_protocol)
+        assert len(txn_ids) == self.FILES
+        for txn_id in txn_ids:
+            twin.commit(txn_id)
+        assert twin.committed_count() == self.FILES
+
+        assert self._requests(
+            account, "simpledb", "BatchPutAttributes"
+        ) < self._requests(twin_account, "simpledb", "BatchPutAttributes")
+        assert self._settled_fingerprint(
+            account, protocol
+        ) == self._settled_fingerprint(twin_account, twin_protocol)
+
+    def test_mid_commit_crash_leaves_the_whole_group_in_the_wal(self):
+        ref_account, ref_protocol = self._logged()
+        ref_protocol.commit_daemon.drain()
+        reference = self._settled_fingerprint(ref_account, ref_protocol)
+
+        account, protocol = self._logged()
+        logged = account.sqs.pending_count(protocol.queue_url)
+        account.faults.arm_crash("p3.mid_commit")
+        with pytest.raises(ClientCrashError):
+            protocol.commit_daemon.poll_once()
+        account.faults.disarm_all()
+        # The group's provenance is put, nothing is copied, and not one
+        # WAL message of any of its transactions is gone.
+        assert account.sqs.pending_count(protocol.queue_url) == logged
+        assert not account.s3.peek_keys(protocol.bucket, "files/")
+
+        account.settle(60.0)  # the dead daemon's lease lapses
+        stats = self._daemon(account, protocol).drain()
+        assert stats.transactions_committed == self.FILES
+        assert self._settled_fingerprint(account, protocol) == reference
+        assert not account.s3.peek_keys(protocol.bucket, "tmp/")
+
+    def test_straggler_holds_back_only_its_own_transaction(self):
+        account, protocol = self._logged()
+        tmp_keys = account.s3.peek_keys(protocol.bucket, "tmp/")
+        assert len(tmp_keys) == self.FILES  # one manifest entry each
+        straggler_key = tmp_keys[1]
+        # An unlucky propagation draw: this temp object stays out of
+        # sight for the first COPY round and the first re-issue.
+        self._hold_invisible(account, protocol, straggler_key, 1.5 * COPY_RETRY_S)
+
+        daemon = protocol.commit_daemon
+        daemon.poll_once()
+        log = daemon.commit_log
+        assert len(log) == self.FILES
+        assert log[-1].txn_id in straggler_key
+        assert all(r.committed_at < log[-1].committed_at for r in log[:-1])
+        # Only the copy that did not land was re-issued.
+        assert self._requests(account, "s3", "COPY") == self.FILES
+        account.settle(120.0)
+        assert not account.s3.peek_keys(protocol.bucket, "tmp/")
+        assert account.sqs.pending_count(protocol.queue_url) == 0
+
+    def test_later_version_of_a_path_waits_behind_a_held_earlier_one(self):
+        account = CloudAccount(seed=5)
+        protocol = ProtocolP3(account)
+        builder = TraceBuilder()
+        writer = builder.spawn("writer", argv=["writer"], exec_path="/bin/writer")
+        builder.write_close(writer, f"{MOUNT}group/same.dat", 8 * 1024)
+        builder.write_close(writer, f"{MOUNT}group/same.dat", 4 * 1024)
+        builder.exit(writer)
+        PAS3fs(account, protocol).run(builder.trace)
+        account.settle(60.0)
+        first_tmp, second_tmp = account.s3.peek_keys(protocol.bucket, "tmp/")
+        self._hold_invisible(account, protocol, first_tmp, 1.5 * COPY_RETRY_S)
+
+        daemon = protocol.commit_daemon
+        daemon.poll_once()
+        # Both flushes copy to one final key: the second version's copy
+        # is not issued until the first has landed, so they commit in
+        # log order and the final object is the latest version.
+        first, second = daemon.commit_log
+        assert first.txn_id in first_tmp and second.txn_id in second_tmp
+        assert first.committed_at <= second.committed_at
+        assert self._requests(account, "s3", "COPY") == 2
+        account.settle(120.0)
+        (final_key,) = account.s3.peek_keys(protocol.bucket, "files/")
+        final = account.s3.peek_latest(protocol.bucket, final_key)
+        assert final.metadata["version"] == "1"
+        assert final.blob.size == 4 * 1024
+
+    def _stalled_then_committed_elsewhere(self):
+        """A stalled daemon holds the group; its lease lapses, another
+        daemon receives the same messages and commits them."""
+        account, protocol = self._logged()
+        stalled = self._daemon(account, protocol)
+        assert len(self._receive_into(stalled, account, protocol)) == self.FILES
+        account.settle(60.0)
+        assert protocol.commit_daemon.drain().transactions_committed == self.FILES
+        return account, protocol, stalled
+
+    def _reference_fingerprint(self):
+        account, protocol = self._logged()
+        protocol.commit_daemon.drain()
+        return self._settled_fingerprint(account, protocol)
+
+    def test_duplicate_delivery_right_after_commit_recopies_idempotently(self):
+        account, protocol, stalled = self._stalled_then_committed_elsewhere()
+        # The stalled daemon wakes up while the temp objects' tombstones
+        # are still propagating: its COPYs find their sources and rewrite
+        # the same final objects.
+        run_plan_phased(account, stalled.commit_plan(), advance_clock=False)
+        assert stalled.committed_count() == self.FILES
+        assert self._settled_fingerprint(account, protocol) == self._reference_fingerprint()
+
+    def test_duplicate_delivery_long_after_commit_finds_it_already_done(self):
+        account, protocol, stalled = self._stalled_then_committed_elsewhere()
+        account.settle(60.0)  # the temp objects are visibly gone
+        copies = self._requests(account, "s3", "COPY")
+        heads = self._requests(account, "s3", "HEAD")
+        # Every COPY round finds no source; the final objects already
+        # carry the group's uuids and versions, so the stale delivery is
+        # finished without copying anything.
+        run_plan_phased(account, stalled.commit_plan(), advance_clock=False)
+        assert stalled.pending_transactions() == []
+        assert stalled.committed_count() == self.FILES
+        assert self._requests(account, "s3", "COPY") == copies
+        assert self._requests(account, "s3", "HEAD") == heads + self.FILES
+        assert self._settled_fingerprint(account, protocol) == self._reference_fingerprint()
+
+    def test_temp_object_that_never_appears_is_an_error(self):
+        account, protocol = self._logged()
+        tmp_keys = account.s3.peek_keys(protocol.bucket, "tmp/")
+        self._hold_invisible(account, protocol, tmp_keys[0], 10_000.0)
+        daemon = protocol.commit_daemon
+        with pytest.raises(NoSuchKeyError):
+            daemon.poll_once()
+        # The others committed; the straggler keeps its WAL message.
+        assert daemon.committed_count() == self.FILES - 1
+        assert len(daemon.pending_transactions()) == 1
+        assert account.sqs.pending_count(protocol.queue_url) == 1
 
 
 class TestCleanerDaemonGC:
@@ -168,11 +376,11 @@ class TestKernelTakeover:
     visibility timeout redelivers them."""
 
     @staticmethod
-    def _logged_account(seed=21):
+    def _logged_account(seed=21, trace=_single_file_trace):
         account = CloudAccount(seed=seed)
         protocol = ProtocolP3(account)
         fs = PAS3fs(account, protocol)
-        fs.run(_single_file_trace())
+        fs.run(trace())
         return account, protocol
 
     @staticmethod
@@ -205,23 +413,30 @@ class TestKernelTakeover:
         states = [kernel.process(f"daemon-{i}").state for i in range(2)]
         return daemons, states
 
-    def test_daemon_b_finishes_daemon_a_transaction_byte_identically(self):
+    @pytest.mark.parametrize(
+        "trace, transactions",
+        [(_single_file_trace, 1), (_many_files_trace, 4)],
+        ids=["one-transaction", "group-of-four"],
+    )
+    def test_daemon_b_finishes_daemon_a_transaction_byte_identically(
+        self, trace, transactions
+    ):
         # Reference: the same client run, no crash, both daemons healthy.
-        ref_account, ref_protocol = self._logged_account()
+        ref_account, ref_protocol = self._logged_account(trace=trace)
         self._run_daemons(ref_account, ref_protocol, crash_first=False)
         reference = _state_snapshot(ref_account, ref_protocol)
 
         # Crash run: daemon A dies mid-commit, daemon B takes over.
-        account, protocol = self._logged_account()
+        account, protocol = self._logged_account(trace=trace)
         daemons, states = self._run_daemons(account, protocol, crash_first=True)
 
         from repro.sim import ProcessState
 
         assert states[0] is ProcessState.CRASHED
         assert states[1] is not ProcessState.CRASHED
-        # B finished A's transaction: one commit, owned by daemon B.
+        # B finished A's whole group: every commit is owned by daemon B.
         assert daemons[0].committed_count() == 0
-        assert daemons[1].committed_count() == 1
+        assert daemons[1].committed_count() == transactions
         assert account.faults.fired("p3.mid_commit")
 
         # The committed state is byte-identical to the uncrashed run —
@@ -286,6 +501,37 @@ class TestCommitLagBookkeeping:
         record = daemon.commit_log[0]
         assert record.committed_at > record.logged_at
         assert record.lag == record.committed_at - record.logged_at
+
+    def test_long_run_keeps_no_per_transaction_state(self):
+        """A daemon that has committed everything it saw holds nothing
+        per transaction — neither packets nor log-completion times."""
+        import random
+
+        from repro.sim import SimKernel
+        from repro.workloads.fleet import make_fleet, protocol_client_process
+
+        account = CloudAccount(seed=4)
+        protocol = ProtocolP3(account, client_id="fleet-shared")
+        kernel = SimKernel(account)
+        fleet = make_fleet(clients=20, files_per_client=10, seed=4)
+        for client in fleet:
+            kernel.spawn(
+                protocol_client_process(
+                    protocol, client, 0.5, random.Random(client.client_id)
+                ),
+                name=client.client_id,
+            )
+        daemon = protocol.commit_daemon
+        kernel.spawn(daemon.process(poll_interval=1.0), name="d", daemon=True)
+        kernel.run()
+        guard = 0
+        while account.sqs.pending_count(protocol.queue_url) > 0 and guard < 200:
+            kernel.run(until=account.now + 5.0)
+            guard += 1
+        kernel.run(until=account.now + 5.0)
+        assert daemon.committed_count() == 200
+        assert daemon._pending == {}
+        assert daemon._logged_at == {}
 
 
 class TestCleanerProcess:

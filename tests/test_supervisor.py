@@ -211,6 +211,7 @@ class TestGracefulRetirement:
         assert daemon.retired
         assert daemon.committed_count() == 0
         assert daemon.pending_transactions() == []
+        assert daemon._logged_at == {}
         assert account.sqs.pending_count(protocol.queue_url) == total
 
         # ChangeMessageVisibility 0: the handed-back message is receivable
