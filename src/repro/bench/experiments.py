@@ -943,6 +943,12 @@ class CommitLagResult:
     groups: int = 0
     grouped_transactions: int = 0
     max_group_size: int = 0
+    #: ``ReceiveMessage`` requests the daemons issued, how many of them
+    #: came back empty, and the widest round (``daemon.receive_fanout``
+    #: histograms, ``daemon.empty_receives`` counters).
+    receives: int = 0
+    empty_receives: int = 0
+    max_fanout: int = 0
     #: Final metrics snapshot (daemon counters, queue-depth gauge,
     #: billing) — the kernel-driven scraper also sampled these into the
     #: registry's time series during the run.
@@ -989,6 +995,8 @@ class CommitLagResult:
             f"{self.elapsed_seconds:.1f}s; lag mean {self.mean_lag:.1f}s, "
             f"max {self.max_lag:.1f}s; {self.groups} commit groups, mean "
             f"size {self.mean_group_size:.1f}, max {self.max_group_size}; "
+            f"{self.receives} receives ({self.empty_receives} empty), "
+            f"fan-out up to {self.max_fanout}; "
             f"peak backlog {self.max_queue_depth} messages"
         )
         if self.crashed_processes:
@@ -1017,6 +1025,9 @@ class CommitLagResult:
             "groups": self.groups,
             "group_size_mean": self.mean_group_size,
             "group_size_max": self.max_group_size,
+            "receives": self.receives,
+            "empty_receives": self.empty_receives,
+            "fanout_max": self.max_fanout,
             "max_queue_depth": self.max_queue_depth,
             "crashed_processes": list(self.crashed_processes),
         }
@@ -1142,9 +1153,13 @@ def commit_lag_experiment(
         default=0.0,
     )
     drain_end = max((committed for _, _, committed in timeline), default=0.0)
+    metrics = account.telemetry.metrics
     group_sizes = [
+        hist for hist in metrics.histograms_named("daemon.group_size") if hist.count
+    ]
+    fanouts = [
         hist
-        for hist in account.telemetry.metrics.histograms_named("daemon.group_size")
+        for hist in metrics.histograms_named("daemon.receive_fanout")
         if hist.count
     ]
     return CommitLagResult(
@@ -1163,7 +1178,13 @@ def commit_lag_experiment(
         max_group_size=int(
             max((hist.percentile(100) for hist in group_sizes), default=0)
         ),
-        telemetry=account.telemetry.metrics.snapshot(),
+        receives=int(sum(hist.sum for hist in fanouts)),
+        empty_receives=sum(
+            counter.value
+            for counter in metrics.counters_named("daemon.empty_receives")
+        ),
+        max_fanout=int(max((hist.percentile(100) for hist in fanouts), default=0)),
+        telemetry=metrics.snapshot(),
     )
 
 

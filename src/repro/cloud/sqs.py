@@ -57,16 +57,31 @@ class _StoredMessage:
     body: str
     sent_at: float
     invisible_until: float = 0.0
-    deleted: bool = False
+    #: Deliveries so far; delivery ``n`` hands out ``<message id>#r<n>``.
     receipt_counter: int = 0
+
+    def handle(self, delivery: int) -> str:
+        return f"{self.message_id}#r{delivery}"
 
 
 @dataclass
 class _Queue:
+    """Only what is still in the queue: a deleted or expired message is
+    dropped with every receipt handle it ever had, so a call costs the
+    live backlog, not the queue's history."""
+
     url: str
-    messages: List[_StoredMessage] = field(default_factory=list)
-    #: receipt handle -> message id (handles invalidate on redelivery).
+    #: message id -> stored message, in send order.
+    messages: Dict[str, _StoredMessage] = field(default_factory=dict)
+    #: receipt handle -> message id; earlier handles of a redelivered
+    #: message stay valid for DeleteMessage until the message goes.
     receipts: Dict[str, str] = field(default_factory=dict)
+
+    def drop(self, message_id: Optional[str]) -> None:
+        stored = self.messages.pop(message_id, None)
+        if stored is not None:
+            for delivery in range(1, stored.receipt_counter + 1):
+                self.receipts.pop(stored.handle(delivery), None)
 
 
 class SQSService:
@@ -133,8 +148,8 @@ class SQSService:
 
         def apply(start: float, finish: float) -> str:
             message_id = f"msg-{next(self._ids)}"
-            queue.messages.append(
-                _StoredMessage(message_id=message_id, body=body, sent_at=finish)
+            queue.messages[message_id] = _StoredMessage(
+                message_id=message_id, body=body, sent_at=finish
             )
             self._billing.record("sqs", "SendMessage", bytes_in=size)
             return message_id
@@ -163,9 +178,7 @@ class SQSService:
         def apply(start: float, finish: float) -> List[Message]:
             self._expire(queue, start)
             available = [
-                m
-                for m in queue.messages
-                if not m.deleted and m.invisible_until <= start
+                m for m in queue.messages.values() if m.invisible_until <= start
             ]
             # Best-effort ordering: approximately FIFO with light shuffling.
             if len(available) > 1 and self._rng.random() < 0.2:
@@ -175,7 +188,7 @@ class SQSService:
             for stored in picked:
                 stored.invisible_until = start + visibility_timeout
                 stored.receipt_counter += 1
-                handle = f"{stored.message_id}#r{stored.receipt_counter}"
+                handle = stored.handle(stored.receipt_counter)
                 queue.receipts[handle] = stored.message_id
                 delivered.append(
                     Message(stored.message_id, handle, stored.body, stored.sent_at)
@@ -187,7 +200,7 @@ class SQSService:
                 ):
                     # At-least-once delivery: hand out a duplicate receipt.
                     stored.receipt_counter += 1
-                    dup_handle = f"{stored.message_id}#r{stored.receipt_counter}"
+                    dup_handle = stored.handle(stored.receipt_counter)
                     queue.receipts[dup_handle] = stored.message_id
                     delivered.append(
                         Message(
@@ -232,14 +245,13 @@ class SQSService:
         queue = self._queue(url)
 
         def apply(start: float, finish: float) -> None:
-            message_id = queue.receipts.get(receipt_handle)
-            if message_id is not None:
-                for stored in queue.messages:
-                    if stored.message_id == message_id and not stored.deleted:
-                        latest = f"{stored.message_id}#r{stored.receipt_counter}"
-                        if receipt_handle == latest and stored.invisible_until > start:
-                            stored.invisible_until = start + visibility_timeout
-                        break
+            stored = queue.messages.get(queue.receipts.get(receipt_handle))
+            if (
+                stored is not None
+                and receipt_handle == stored.handle(stored.receipt_counter)
+                and stored.invisible_until > start
+            ):
+                stored.invisible_until = start + visibility_timeout
             self._billing.record("sqs", "ChangeMessageVisibility")
 
         return Request(
@@ -253,12 +265,7 @@ class SQSService:
         queue = self._queue(url)
 
         def apply(start: float, finish: float) -> None:
-            message_id = queue.receipts.pop(receipt_handle, None)
-            if message_id is not None:
-                for stored in queue.messages:
-                    if stored.message_id == message_id:
-                        stored.deleted = True
-                        break
+            queue.drop(queue.receipts.get(receipt_handle))
             self._billing.record("sqs", "DeleteMessage")
 
         return Request(
@@ -297,9 +304,11 @@ class SQSService:
     @staticmethod
     def _expire(queue: _Queue, now: float) -> None:
         cutoff = now - RETENTION_SECONDS
-        for stored in queue.messages:
-            if not stored.deleted and stored.sent_at < cutoff:
-                stored.deleted = True
+        expired = [
+            m.message_id for m in queue.messages.values() if m.sent_at < cutoff
+        ]
+        for message_id in expired:
+            queue.drop(message_id)
 
     # -- omniscient inspection (tests & daemons' bookkeeping) --------------------
 
@@ -308,4 +317,4 @@ class SQSService:
         queue = self._queue(url)
         if now is not None:
             self._expire(queue, now)
-        return sum(1 for m in queue.messages if not m.deleted)
+        return len(queue.messages)

@@ -1,9 +1,9 @@
 """P3's commit daemon (§4.3.3).
 
 The daemon reads the WAL queue and assembles packets into transactions.
-After every receive it commits, as one *group*, every transaction whose
-packets have all arrived — one pipelined pass over the group instead of
-four serial round trips per transaction:
+After every round of receives it commits, as one *group*, every
+transaction whose packets have all arrived — one pipelined pass over the
+group instead of four serial round trips per transaction:
 
 1. Spill any provenance value larger than 1 KB into its own S3 object and
    rewrite the attribute as a pointer (one batch for the group).
@@ -16,8 +16,10 @@ four serial round trips per transaction:
    metadata as part of the copy (S3 has no rename; the copy costs $0.01
    per thousand and moves no client bytes).
 4. ``DELETE`` the temporary objects and the WAL messages of every
-   transaction whose copies all landed, in one batch, and log a
-   :class:`CommitRecord` per transaction.
+   transaction whose copies all landed and log a :class:`CommitRecord`
+   per transaction, a wave of at most ``connections`` deletes at a
+   time — a transaction is logged one round trip after its own WAL
+   message went, however wide the group.
 
 The WAL contract is per transaction and grouping does not weaken it: a
 transaction's provenance is put before any of its data is copied, and
@@ -33,7 +35,8 @@ all landed are deleted and logged at once; the daemon then waits a fixed
 ``COPY_ATTEMPTS`` rounds — a straggler neither holds back its group nor
 buys a second COPY for anything already copied.  The daemon does not
 receive while it waits: new WAL messages are another daemon's work (the
-supervisor grows the pool on exactly this backlog).  Within the group
+supervisor grows the pool on exactly this backlog), and what piled up
+meanwhile widens this daemon's next round.  Within the group
 the one thing a straggler does hold back is a later version of its own
 path: two flushes of one path copy to the same final key, so the later
 copy is not issued until the earlier has landed and the final object
@@ -68,6 +71,26 @@ group is whatever is complete when it is called):
   domain, so commit lag and WAL backlog become observable over virtual
   time while client elapsed times still exclude daemon time — the same
   accounting, now by construction.
+
+**Receive fan-out (kernel mode).**  One ``ReceiveMessage`` returns at
+most ten messages, so one receive per round would cap the group at ten
+transactions however deep the WAL is.  :meth:`CommitDaemon.process`
+instead issues up to *f* receives a round and sizes *f* to the backlog
+from what it observes, with nothing to configure
+(:meth:`CommitDaemon._next_fanout`): *f* starts at 1; it doubles only
+after a round in which every receive came back full, up to the daemon's
+``connections``; as soon as one did not it drops to the number that were
+full plus one, so an idle daemon issues exactly one billed receive per
+poll; and it stops doubling once a round — receives through commit —
+took more than half the visibility timeout, because a group twice the
+size would outlive its own lease and be redelivered to another daemon
+while still in commit.  What the daemon knows about the backlog is as
+old as its last commit — a quarter of a minute after a group of 160 —
+so the first receive of a round goes alone, and the other *f* − 1 follow
+in one batch over *f* − 1 connections only if it came back full: a round
+into a queue another daemon emptied meanwhile bills one receive, not
+*f*.  The phased :meth:`poll_once` / :meth:`drain` keep one receive per
+poll (the paper's Table 3 operation counts).
 """
 
 from __future__ import annotations
@@ -213,6 +236,10 @@ class CommitDaemon:
         self._m_commits = metrics.counter("daemon.commits", daemon=label)
         self._m_lag = metrics.histogram("daemon.commit_lag_s", daemon=label)
         self._m_group_size = metrics.histogram("daemon.group_size", daemon=label)
+        self._m_fanout = metrics.histogram("daemon.receive_fanout", daemon=label)
+        self._m_empty_receives = metrics.counter(
+            "daemon.empty_receives", daemon=label
+        )
         metrics.gauge_fn(
             "daemon.pending_txns", lambda: len(self._pending), daemon=label
         )
@@ -306,22 +333,54 @@ class CommitDaemon:
     ) -> Generator:
         """The daemon as a long-running kernel process: receive, assemble,
         commit, and sleep ``poll_interval`` virtual seconds whenever the
-        queue comes up empty.  Spawn with ``daemon=True`` — the process
-        never returns; the kernel stops it when the experiment ends."""
+        queue comes up empty.  Each round issues up to ``fanout``
+        receives, sized to the backlog by :meth:`_next_fanout`: one
+        alone, then — if it came back full — the rest in one batch.
+        Spawn with ``daemon=True`` — the process never returns; the
+        kernel stops it when the experiment ends."""
+        fanout = 1
         while True:
             if self._stop_requested:
                 yield from self.retire_plan()
                 return
-            batch = yield Batch(
-                [self._receive_request(max_messages)],
-                connections=1,
-            )
-            messages: List[Message] = batch.results[0]
-            for message in messages:
-                self._ingest(message)
+            receive = self._receive_request(max_messages)
+            leased_at = self.account.now
+            results = (yield Batch([receive], connections=1)).results
+            if fanout > 1 and len(results[0]) >= max_messages:
+                rest = yield Batch([receive] * (fanout - 1), connections=fanout - 1)
+                results = results + rest.results
+            self._m_fanout.observe(len(results))
+            full = received = 0
+            for messages in results:
+                if not messages:
+                    self._m_empty_receives.inc()
+                elif len(messages) >= max_messages:
+                    full += 1
+                received += len(messages)
+                for message in messages:
+                    self._ingest(message)
             yield from self.commit_plan()
-            if not messages:
+            fanout = self._next_fanout(fanout, full, self.account.now - leased_at)
+            if not received:
                 yield Delay(poll_interval)
+
+    def _next_fanout(self, fanout: int, full: int, held_s: float) -> int:
+        """How many receives the next round issues, from what this round
+        saw: ``full`` of its ``fanout`` receives came back full, and
+        ``held_s`` passed from issuing them to the end of their commit.
+
+        A receive that is not full has reached the end of the visible
+        backlog, so the round after asks for what was full plus one —
+        an idle daemon stays at one billed receive per poll.  Only a
+        round whose every receive was full doubles, up to the daemon's
+        connections, and only while the group it bought finished in half
+        its lease: twice the group would otherwise outlive the
+        visibility timeout and be redelivered while still in commit."""
+        if full < fanout:
+            return full + 1
+        if held_s > self.visibility_timeout / 2:
+            return fanout
+        return min(2 * fanout, self.connections)
 
     def retire_plan(self) -> Generator:
         """Graceful retirement: commit every *complete* transaction still
@@ -515,21 +574,38 @@ class CommitDaemon:
 
     def _finish(self, landed: List[_PendingTransaction]) -> Generator:
         """Step 4 for transactions whose puts and copies have all landed:
-        delete their temporaries and WAL messages in one batch, then log
-        each commit."""
+        delete their temporaries and WAL messages, then log each commit
+        — a wave of at most ``connections`` deletes at a time.  A batch's
+        requests apply when it is placed and the daemon resumes when the
+        last of them finishes, so one batch for a group of 160 would
+        empty the WAL several round trips before a single commit was
+        logged; in waves, a transaction is logged one round trip after
+        its own WAL message went, however wide the group."""
+        wave: List[_PendingTransaction] = []
         deletes: List[Request] = []
         for txn in landed:
-            deletes.extend(
+            own = [
                 self.account.s3.delete_request(self.bucket, entry.tmp_key)
                 for entry in txn.data_entries()
-            )
-            deletes.extend(
+            ]
+            own.extend(
                 self.account.sqs.delete_request(self.queue_url, receipt)
                 for receipt in txn.receipts
             )
+            if wave and len(deletes) + len(own) > self.connections:
+                yield from self._finish_wave(wave, deletes)
+                wave, deletes = [], []
+            wave.append(txn)
+            deletes.extend(own)
+        if wave:
+            yield from self._finish_wave(wave, deletes)
+
+    def _finish_wave(
+        self, wave: List[_PendingTransaction], deletes: List[Request]
+    ) -> Generator:
         if deletes:
             yield Batch(deletes, self.connections)
-        for txn in landed:
+        for txn in wave:
             del self._pending[txn.txn_id]
             self._committed_count += 1
             record = CommitRecord(

@@ -189,14 +189,22 @@ class MetricsRegistry:
         """Every histogram registered under ``name``, across all label
         sets — how a supervisor polls the commit-lag distribution over a
         whole daemon pool without knowing each member's label."""
+        return self._named(self._histograms, name)
+
+    def counters_named(self, name: str) -> List[Counter]:
+        """Every counter registered under ``name``, across all label
+        sets."""
+        return self._named(self._counters, name)
+
+    def _named(
+        self, instruments: Dict[Tuple[str, LabelItems], Any], name: str
+    ) -> List:
         if not self.enabled:
             return []
         return [
-            histogram
-            for (hist_name, _items), histogram in sorted(
-                self._histograms.items()
-            )
-            if hist_name == name
+            instrument
+            for (registered, _items), instrument in sorted(instruments.items())
+            if registered == name
         ]
 
     def gauge_fn(self, name: str, fn: Callable[[], float], **labels: Any) -> None:

@@ -63,11 +63,15 @@ class SupervisorConfig:
     min_daemons: int = 1
     max_daemons: int = 4
     #: WAL messages one daemon is trusted to chew through per tick;
-    #: the pool targets ``ceil(depth / backlog_per_daemon)``.  With
-    #: group commit a daemon clears a full receive (up to 10 messages)
-    #: in about 2.3 virtual seconds, so 4 a tick is conservative: the
-    #: pool grows while a member is waiting out a straggler's temp
-    #: object rather than only once capacity is short.
+    #: the pool targets ``ceil(depth / backlog_per_daemon)``.  A daemon
+    #: sizes its receive fan-out to the backlog (1, doubling while every
+    #: receive comes back full, up to its connections and to the group
+    #: it can commit in half a lease), so its capacity is not a constant:
+    #: ten messages commit in about 2.3 virtual seconds, eighty in about
+    #: 8.  4 a tick is far below either — on purpose.  The depth signal
+    #: sizes the pool for the time a member spends *not* receiving, in
+    #: commit or waiting out a straggler's temp object, when only
+    #: another member can pick up new work.
     backlog_per_daemon: int = 4
     #: Consecutive quiet ticks before one member retires.
     calm_ticks: int = 3

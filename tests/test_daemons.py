@@ -384,12 +384,12 @@ class TestKernelTakeover:
         return account, protocol
 
     @staticmethod
-    def _run_daemons(account, protocol, crash_first):
+    def _run_daemons(account, protocol, crash_skip):
         from repro.sim import SimKernel
 
         kernel = SimKernel(account)
-        if crash_first:
-            account.faults.arm_crash("p3.mid_commit")
+        if crash_skip is not None:
+            account.faults.arm_crash("p3.mid_commit", skip=crash_skip)
         daemons = []
         for index in range(2):
             daemon = CommitDaemon(
@@ -414,30 +414,42 @@ class TestKernelTakeover:
         return daemons, states
 
     @pytest.mark.parametrize(
-        "trace, transactions",
-        [(_single_file_trace, 1), (_many_files_trace, 4)],
-        ids=["one-transaction", "group-of-four"],
+        "trace, transactions, crash_skip, held, committed_by_a",
+        [
+            (_single_file_trace, 1, 0, 1, 0),
+            (_many_files_trace, 4, 0, 4, 0),
+            # A WAL 300 deep: both daemons widen in step — groups of 10,
+            # 20 and 40, then fan-out 8 — and reach the crash point in
+            # turn, A first, so A's group of 80 is the seventh hit.
+            (lambda: _many_files_trace(300), 300, 6, 80, 70),
+        ],
+        ids=["one-transaction", "group-of-four", "fan-out-8-group"],
     )
     def test_daemon_b_finishes_daemon_a_transaction_byte_identically(
-        self, trace, transactions
+        self, trace, transactions, crash_skip, held, committed_by_a
     ):
         # Reference: the same client run, no crash, both daemons healthy.
         ref_account, ref_protocol = self._logged_account(trace=trace)
-        self._run_daemons(ref_account, ref_protocol, crash_first=False)
+        self._run_daemons(ref_account, ref_protocol, crash_skip=None)
         reference = _state_snapshot(ref_account, ref_protocol)
 
         # Crash run: daemon A dies mid-commit, daemon B takes over.
         account, protocol = self._logged_account(trace=trace)
-        daemons, states = self._run_daemons(account, protocol, crash_first=True)
+        daemons, states = self._run_daemons(account, protocol, crash_skip)
 
         from repro.sim import ProcessState
 
         assert states[0] is ProcessState.CRASHED
         assert states[1] is not ProcessState.CRASHED
-        # B finished A's whole group: every commit is owned by daemon B.
-        assert daemons[0].committed_count() == 0
-        assert daemons[1].committed_count() == transactions
         assert account.faults.fired("p3.mid_commit")
+        # A died holding its whole group, and every WAL message of that
+        # group was still in the queue: B committed each of them, and
+        # everything else A had not.
+        stranded = daemons[0].pending_transactions()
+        assert len(stranded) == held
+        assert set(stranded) <= {r.txn_id for r in daemons[1].commit_log}
+        assert daemons[0].committed_count() == committed_by_a
+        assert daemons[1].committed_count() == transactions - committed_by_a
 
         # The committed state is byte-identical to the uncrashed run —
         # "any other machine can finish the job", with nothing duplicated
@@ -445,6 +457,211 @@ class TestKernelTakeover:
         assert _state_snapshot(account, protocol) == reference
         assert account.sqs.pending_count(protocol.queue_url) == 0
         assert not account.s3.peek_keys(protocol.bucket, "tmp/")
+
+
+class _RecordingDaemon(CommitDaemon):
+    """Logs each round's (fan-out, full receives) and every receipt
+    handle the daemon was handed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rounds = []
+        self.handles = []
+
+    def _next_fanout(self, fanout, full, held_s):
+        self.rounds.append((fanout, full))
+        return super()._next_fanout(fanout, full, held_s)
+
+    def _ingest(self, message):
+        self.handles.append(message.receipt_handle)
+        super()._ingest(message)
+
+
+class _OneReceiveDaemon(CommitDaemon):
+    """The daemon before the fan-out: one receive a round."""
+
+    def _next_fanout(self, fanout, full, held_s):
+        return 1
+
+
+class TestReceiveFanout:
+    """Kernel mode sizes the round's receive fan-out, and so the commit
+    group, to the backlog it observes."""
+
+    @staticmethod
+    def _preloaded(transactions, seed=5):
+        """A WAL ``transactions`` deep (one message each), every temp
+        object visible, no daemon running yet."""
+        account = CloudAccount(seed=seed)
+        protocol = ProtocolP3(account)
+        PAS3fs(account, protocol).run(_many_files_trace(transactions))
+        account.settle(60.0)
+        assert account.sqs.pending_count(protocol.queue_url) == transactions
+        return account, protocol
+
+    @staticmethod
+    def _spawn(account, protocol, daemons=1, cls=CommitDaemon, **kwargs):
+        from repro.sim import SimKernel
+
+        kernel = SimKernel(account)
+        pool = []
+        for index in range(daemons):
+            daemon = cls(
+                account=account,
+                queue_url=protocol.queue_url,
+                bucket=protocol.bucket,
+                domain=protocol.domain,
+                router=protocol.router,
+                **kwargs,
+            )
+            pool.append(daemon)
+            kernel.spawn(
+                daemon.process(poll_interval=1.0), name=f"d{index}", daemon=True
+            )
+        return kernel, pool
+
+    def _drain(self, account, protocol, transactions, **spawn):
+        kernel, pool = self._spawn(account, protocol, **spawn)
+        guard = 0
+        while sum(d.committed_count() for d in pool) < transactions and guard < 400:
+            kernel.run(until=account.now + 5.0)
+            guard += 1
+        assert sum(d.committed_count() for d in pool) == transactions
+        return pool
+
+    @staticmethod
+    def _requests(account, service, op):
+        return account.billing.usage[service].requests[op]
+
+    def test_deep_wal_commits_in_fewer_batch_puts_and_less_time(self):
+        transactions = 200
+        outcome = {}
+        for cls in (CommitDaemon, _OneReceiveDaemon):
+            account, protocol = self._preloaded(transactions)
+            entries = len(account.s3.peek_keys(protocol.bucket, "tmp/"))
+            started = account.now
+            (daemon,) = self._drain(account, protocol, transactions, cls=cls)
+            assert self._requests(account, "s3", "COPY") == entries
+            assert self._requests(account, "sqs", "DeleteMessage") == transactions
+            elapsed = max(r.committed_at for r in daemon.commit_log) - started
+            batch_puts = self._requests(account, "simpledb", "BatchPutAttributes")
+            account.settle(120.0)
+            fingerprint = store_fingerprint(account, queue_urls=[protocol.queue_url])
+            outcome[cls] = (batch_puts, elapsed, fingerprint)
+        wide, narrow = outcome[CommitDaemon], outcome[_OneReceiveDaemon]
+        assert wide[0] < narrow[0]
+        assert wide[1] < narrow[1]
+        assert wide[2] == narrow[2]
+
+    def test_idle_daemon_issues_one_receive_per_poll(self):
+        account = CloudAccount(seed=5)
+        protocol = ProtocolP3(account)
+        kernel, (daemon,) = self._spawn(account, protocol, cls=_RecordingDaemon)
+        kernel.run(until=account.now + 60.0)
+        polls = len(daemon.rounds)
+        assert polls >= 50
+        assert daemon.rounds == [(1, 0)] * polls
+        # One billed receive per poll (the poll in flight at the horizon
+        # is billed too), each of them empty, each a round of fan-out 1.
+        billed = self._requests(account, "sqs", "ReceiveMessage")
+        assert billed in (polls, polls + 1)
+        metrics = account.telemetry.metrics
+        assert billed == sum(
+            c.value for c in metrics.counters_named("daemon.empty_receives")
+        )
+        assert billed == sum(
+            h.sum for h in metrics.histograms_named("daemon.receive_fanout")
+        )
+
+    def test_fanout_doubles_on_full_rounds_and_shrinks_to_full_plus_one(self):
+        # 55 messages: one full receive, two full, then of four receives
+        # two full, one partial, one empty.  The round after asks for the
+        # two that were full plus one, finds nothing, and the daemon is
+        # back to a single receive per poll.
+        account, protocol = self._preloaded(55)
+        kernel, (daemon,) = self._spawn(account, protocol, cls=_RecordingDaemon)
+        kernel.run(until=account.now + 30.0)
+        assert daemon.committed_count() == 55
+        assert daemon.rounds[:6] == [(1, 1), (2, 2), (4, 2), (3, 0), (1, 0), (1, 0)]
+
+    def test_fanout_never_exceeds_the_daemons_connections(self):
+        account, protocol = self._preloaded(200)
+        (daemon,) = self._drain(
+            account, protocol, 200, cls=_RecordingDaemon, connections=4
+        )
+        assert max(fanout for fanout, _ in daemon.rounds) == 4
+
+    def test_wide_round_into_an_emptied_queue_bills_one_receive(self):
+        # 30 messages: one full receive, two full — and the round of four
+        # that follows finds the queue empty.  Its first receive goes
+        # alone and comes back empty, so the other three are never sent.
+        account, protocol = self._preloaded(30)
+        kernel, (daemon,) = self._spawn(account, protocol, cls=_RecordingDaemon)
+        kernel.run(until=account.now + 30.0)
+        assert daemon.committed_count() == 30
+        assert daemon.rounds[:4] == [(1, 1), (2, 2), (4, 0), (1, 0)]
+        # Every round but the second issued a single receive.
+        billed = self._requests(account, "sqs", "ReceiveMessage")
+        assert billed in (len(daemon.rounds) + 1, len(daemon.rounds) + 2)
+
+    def test_wal_never_runs_a_wave_ahead_of_the_commit_log(self):
+        # A group's deletes go in waves of at most `connections`
+        # requests, each wave's commits logged as it lands: whenever the
+        # kernel is stopped, the messages gone from the WAL but not yet
+        # in a commit log are one wave's at most — here a group of 80
+        # and more is in flight for most of the run.
+        transactions = 200
+        account, protocol = self._preloaded(transactions)
+        kernel, (daemon,) = self._spawn(account, protocol)
+        widest_gap = 0
+        while daemon.committed_count() < transactions:
+            kernel.run(until=account.now + 0.25)
+            gone = transactions - account.sqs.pending_count(protocol.queue_url)
+            widest_gap = max(widest_gap, gone - daemon.committed_count())
+            assert account.now < 400.0
+        assert 0 < widest_gap <= daemon.connections // 2  # two deletes each
+        sizes = account.telemetry.metrics.histograms_named("daemon.group_size")
+        assert max(h.percentile(100) for h in sizes if h.count) >= 80
+
+    @pytest.mark.parametrize(
+        "visibility_timeout, transactions, widest",
+        # The supervisor's lease over a backlog two daemons clear before
+        # either passes fan-out 8; and a lease so short that a round of
+        # 20 already takes over half of it, where only the guard keeps
+        # the fan-out from doubling on to 32 over the 500 queued.
+        [(12.0, 200, 8), (5.0, 500, 2)],
+    )
+    def test_no_group_outlives_its_lease(
+        self, visibility_timeout, transactions, widest
+    ):
+        account, protocol = self._preloaded(transactions)
+        pool = self._drain(
+            account,
+            protocol,
+            transactions,
+            daemons=2,
+            cls=_RecordingDaemon,
+            visibility_timeout=visibility_timeout,
+        )
+        # No message was delivered twice: every handle is a first receipt.
+        handles = [handle for d in pool for handle in d.handles]
+        assert len(handles) == transactions
+        assert all(handle.endswith("#r1") for handle in handles)
+        assert max(fanout for d in pool for fanout, _ in d.rounds) == widest
+
+    def test_same_seed_replays_the_commit_log_bit_for_bit(self):
+        logs = []
+        for _ in range(2):
+            account, protocol = self._preloaded(200)
+            pool = self._drain(account, protocol, 200, daemons=2)
+            logs.append(
+                [
+                    [(r.txn_id, r.logged_at, r.committed_at) for r in d.commit_log]
+                    for d in pool
+                ]
+            )
+        assert logs[0] == logs[1]
+        assert max(len(log) for log in logs[0]) > 10  # groups were wide
 
 
 class TestDrainGuard:

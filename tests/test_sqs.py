@@ -225,3 +225,36 @@ class TestDuplicateDelivery:
             if not messages:
                 break
         assert received == sent
+
+
+class TestBookkeeping:
+    """The queue keeps only what is still in it."""
+
+    def test_deleted_messages_and_their_handles_are_dropped(
+        self, strict_account, queue
+    ):
+        sqs = strict_account.sqs
+        stored = sqs._queue(queue)
+        for cycle in range(2000):
+            sqs.send_message(queue, f"m{cycle}")
+            if cycle % 3 == 0:
+                # A redelivery: the first handle goes stale, and must go
+                # with the message all the same.
+                sqs.receive_messages(queue, visibility_timeout=0.0)
+            (message,) = sqs.receive_messages(queue)
+            sqs.delete_message(queue, message.receipt_handle)
+        assert len(stored.messages) == 0
+        assert stored.receipts == {}
+        assert sqs.pending_count(queue) == 0
+
+    def test_expired_messages_and_their_handles_are_dropped(
+        self, strict_account, queue
+    ):
+        sqs = strict_account.sqs
+        sqs.send_message(queue, "old")
+        sqs.receive_messages(queue)
+        strict_account.clock.advance(RETENTION_SECONDS + 1)
+        assert sqs.receive_messages(queue) == []
+        stored = sqs._queue(queue)
+        assert len(stored.messages) == 0
+        assert stored.receipts == {}
