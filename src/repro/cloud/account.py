@@ -47,7 +47,7 @@ class CloudAccount:
             a temporary directory is used and removed by :meth:`close`;
             given, the data is durable across accounts.
         index_store: SimpleDB's secondary-index substrate — ``"array"``
-            (default; string-id posting arrays and two-tier sorted runs)
+            (default; item ids, postings laid out by cardinality)
             or ``"legacy"`` (the dict-of-sets baseline).  Answers and
             billing are byte-identical either way; the knob exists for
             equivalence tests and memory-comparison sweeps.

@@ -43,6 +43,11 @@ class WriteVersion(Generic[T]):
     committed_at: float
     visible_at: float
     deleted: bool = False
+    #: Response bytes of ``value``: a cache the owning service fills in
+    #: on first use (``None`` = not computed yet), not part of the write.
+    size: Optional[int] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 class PropagationSampler:

@@ -50,10 +50,14 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cloud.billing import BillingMeter
-from repro.cloud.consistency import ConsistencyEngine, VersionedRegister
+from repro.cloud.consistency import (
+    ConsistencyEngine,
+    VersionedRegister,
+    WriteVersion,
+)
 from repro.cloud.network import ParallelScheduler, Request
 from repro.cloud.profiles import ServiceProfile
 from repro.obs.tracing import SDB_VISIBLE
@@ -397,156 +401,210 @@ def _range_slice(
     return start, max(start, stop)
 
 
-class _StringTable:
-    """Interning id table: one uint32 id per distinct string, assigned
-    in first-seen order.  Posting lists store the 4-byte ids instead of
-    8-byte object pointers, and because first-seen order is monotone,
-    fresh items append to the end of their sorted posting runs."""
+def _sorted_index(run: Sequence, key) -> int:
+    """Position of ``key`` in a sorted sequence, or -1."""
+    index = bisect.bisect_left(run, key)
+    return index if index < len(run) and run[index] == key else -1
 
-    __slots__ = ("_ids", "_strings")
+
+class _NameTable:
+    """One domain's item names under dense uint32 ids.
+
+    ``by_id[ident]`` is the name; ids are assigned in first-write order,
+    so a fresh item appends to the end of its sorted posting runs.  The
+    sorted name order (select page order, prefix and ``itemName()``
+    ranges) is a list with each name's id beside it in a parallel
+    ``array('I')``.  That 4-byte slot is the id's only home: ``id_of``
+    is a bisect, where a ``name -> id`` dict would pay a hash slot and a
+    boxed int per item beside the registry already keyed by the same
+    names.  Out-of-order arrivals wait in a small ``name -> id`` dict
+    that is folded in at :data:`_TAIL_MERGE_THRESHOLD` or by the next
+    ordered read (one keyed Timsort over two runs)."""
+
+    __slots__ = ("by_id", "_sorted", "_sorted_ids", "_tail")
 
     def __init__(self) -> None:
-        self._ids: Dict[str, int] = {}
-        self._strings: List[str] = []
+        self.by_id: List[str] = []
+        self._sorted: List[str] = []
+        self._sorted_ids = array("I")
+        self._tail: Dict[str, int] = {}
 
     def __len__(self) -> int:
-        return len(self._strings)
+        return len(self.by_id)
 
-    def intern(self, text: str) -> int:
-        ident = self._ids.get(text)
+    def id_of(self, name: str) -> Optional[int]:
+        ident = self._tail.get(name) if self._tail else None
         if ident is None:
-            ident = len(self._strings)
-            self._ids[text] = ident
-            self._strings.append(text)
+            index = _sorted_index(self._sorted, name)
+            if index >= 0:
+                ident = self._sorted_ids[index]
         return ident
 
-    def id_of(self, text: str) -> Optional[int]:
-        return self._ids.get(text)
+    def intern(self, name: str) -> int:
+        """The id of ``name``, assigning the next one on first sight."""
+        names = self._sorted
+        in_order = not self._tail and (not names or name > names[-1])
+        ident = None if in_order else self.id_of(name)
+        if ident is None:
+            ident = len(self.by_id)
+            self.by_id.append(name)
+            if in_order:
+                names.append(name)
+                self._sorted_ids.append(ident)
+            else:
+                self._tail[name] = ident
+                if len(self._tail) >= _TAIL_MERGE_THRESHOLD:
+                    self._fold_tail()
+        return ident
 
-    def string(self, ident: int) -> str:
-        return self._strings[ident]
+    def _fold_tail(self) -> None:
+        by_id = self.by_id
+        ids = list(self._sorted_ids)
+        ids.extend(self._tail.values())
+        ids.sort(key=by_id.__getitem__)
+        self._sorted_ids = array("I", ids)
+        self._sorted = list(map(by_id.__getitem__, ids))
+        self._tail = {}
 
-    @property
-    def strings(self) -> List[str]:
-        return self._strings
+    def ordered(self) -> List[str]:
+        """Every name in sorted order (folds any tail in first).
+        Callers must treat it as read-only."""
+        if self._tail:
+            self._fold_tail()
+        return self._sorted
+
+    def ordered_ids(self) -> array:
+        """The ids of :meth:`ordered`, position for position."""
+        if self._tail:
+            self._fold_tail()
+        return self._sorted_ids
 
     def memory_bytes(self) -> int:
-        # Containers plus the boxed id ints; the strings themselves are
-        # charged once by the caller (they are shared with the sorted
-        # name run and the registry keys).
-        total = sys.getsizeof(self._ids) + sys.getsizeof(self._strings)
-        total += sum(sys.getsizeof(i) for i in self._ids.values())
+        # Both lists, the id array, the tail with its boxed ids, and
+        # one count of each name string (shared with the registry keys).
+        total = sys.getsizeof(self.by_id) + sys.getsizeof(self._sorted)
+        total += sys.getsizeof(self._sorted_ids) + sys.getsizeof(self._tail)
+        total += sum(sys.getsizeof(i) for i in self._tail.values())
+        total += sum(sys.getsizeof(name) for name in self.by_id)
         return total
 
 
 class _SortedIdRun:
-    """Two-tier sorted run of uint32 string ids with set semantics.
+    """A wide sorted id run with out-of-order arrivals pending.
 
-    The sorted ``main`` run is an ``array('I')``; out-of-order inserts
-    go to a small sorted ``tail`` array that is merged into the main
-    run once it reaches :data:`_TAIL_MERGE_THRESHOLD`.  In-order
-    inserts (ids larger than everything seen — the common case, since
-    ids are assigned in first-write order) append directly to the main
-    run in O(1) and never allocate a tail; membership tests bisect
-    both tiers, so inserts amortize to O(log n) instead of the O(n)
-    element shifts of ``bisect.insort`` into one flat structure."""
-
-    _THRESHOLD = _TAIL_MERGE_THRESHOLD
+    Postings are bare sorted ``array('I')`` buffers; one is wrapped in
+    this only while it is at least :data:`_TAIL_MERGE_THRESHOLD` ids
+    long *and* has ids waiting that arrived out of order.  They sit in
+    a small sorted ``tail`` (an insert shifts at most a threshold of
+    ids instead of the whole run) that one two-run Timsort merges into
+    ``main`` at the threshold, after which the owner keeps a bare
+    array again.  Membership bisects both tiers."""
 
     __slots__ = ("main", "tail")
 
-    def __init__(self) -> None:
-        self.main = array("I")
-        self.tail: Optional[array] = None
+    def __init__(self, main: array) -> None:
+        self.main = main
+        self.tail = array("I")
 
     def __len__(self) -> int:
-        return len(self.main) + (len(self.tail) if self.tail is not None else 0)
+        return len(self.main) + len(self.tail)
 
-    def __iter__(self):
-        # Unordered across tiers — posting consumers build sets.
-        yield from self.main
-        if self.tail is not None:
-            yield from self.tail
-
-    def __contains__(self, ident: int) -> bool:
-        main = self.main
-        index = bisect.bisect_left(main, ident)
-        if index < len(main) and main[index] == ident:
-            return True
-        tail = self.tail
-        if tail is None:
-            return False
-        index = bisect.bisect_left(tail, ident)
-        return index < len(tail) and tail[index] == ident
+    def ids(self) -> array:
+        """Every id, unordered across the tiers."""
+        return self.main + self.tail
 
     def add(self, ident: int) -> bool:
         """Insert ``ident`` if absent; returns True when newly added."""
-        main = self.main
-        tail = self.tail
-        if tail is None and (not main or ident > main[-1]):
-            main.append(ident)
-            return True
-        if ident in self:
+        if _sorted_index(self.main, ident) >= 0 or (
+            _sorted_index(self.tail, ident) >= 0
+        ):
             return False
-        if tail is None:
-            tail = self.tail = array("I")
-        if not tail or ident > tail[-1]:
-            tail.append(ident)
-        else:
-            tail.insert(bisect.bisect_left(tail, ident), ident)
-        if len(tail) >= self._THRESHOLD:
-            self._merge_tail()
+        bisect.insort(self.tail, ident)
         return True
 
-    def discard(self, ident: int) -> bool:
-        """Remove ``ident`` if present; returns True when removed."""
-        main = self.main
-        index = bisect.bisect_left(main, ident)
-        if index < len(main) and main[index] == ident:
-            del main[index]
-            return True
-        tail = self.tail
-        if tail is None:
-            return False
-        index = bisect.bisect_left(tail, ident)
-        if index < len(tail) and tail[index] == ident:
-            del tail[index]
-            if not tail:
-                self.tail = None
-            return True
-        return False
+    def merged(self) -> array:
+        """``main`` with the tail merged in (Timsort sees two sorted
+        runs and gallops through them in C)."""
+        merged = list(self.main)
+        merged.extend(self.tail)
+        merged.sort()
+        return array("I", merged)
 
-    def _merge_tail(self) -> None:
-        tail = self.tail
-        if tail:
-            main = self.main
-            if main and tail[0] < main[-1]:
-                # General merge: Timsort sees two sorted runs and
-                # gallops through them in C.
-                merged = list(main)
-                merged.extend(tail)
-                merged.sort()
-                self.main = array("I", merged)
-            else:
-                main.extend(tail)
-        self.tail = None
 
-    def memory_bytes(self) -> int:
-        total = sys.getsizeof(self.main)
-        if self.tail is not None:
-            total += sys.getsizeof(self.tail)
-        return total
+def _posting_add(values: Dict[str, object], value: str, ident: int) -> int:
+    """Add ``ident`` to the posting of ``value``; returns the posting's
+    new size, or 0 when the id was already there.
+
+    The representation follows the cardinality: one id is stored
+    inline as the int itself, the second distinct id promotes it to a
+    bare sorted ``array('I')``, and only a wide array taking an
+    out-of-order id is wrapped in a :class:`_SortedIdRun`."""
+    posting = values.get(value)
+    if posting is None:
+        values[value] = ident
+        return 1
+    if posting.__class__ is int:
+        if posting == ident:
+            return 0
+        values[value] = array(
+            "I", (posting, ident) if posting < ident else (ident, posting)
+        )
+        return 2
+    if posting.__class__ is array:
+        if ident > posting[-1]:
+            posting.append(ident)
+            return len(posting)
+        index = bisect.bisect_left(posting, ident)
+        if posting[index] == ident:
+            return 0
+        if len(posting) < _TAIL_MERGE_THRESHOLD:
+            posting.insert(index, ident)
+            return len(posting)
+        posting = values[value] = _SortedIdRun(posting)
+    if not posting.add(ident):
+        return 0
+    if len(posting.tail) >= _TAIL_MERGE_THRESHOLD:
+        values[value] = posting.merged()
+    return len(posting)
+
+
+def _posting_discard(values: Dict[str, object], value: str, ident: int) -> int:
+    """Remove ``ident`` from the posting of ``value``; returns the new
+    size, or -1 when the id was not there.  A posting back at one id is
+    demoted to the inline int, an emptied one leaves the dict."""
+    posting = values[value]
+    if posting.__class__ is int:
+        if posting != ident:
+            return -1
+        del values[value]
+        return 0
+    if posting.__class__ is _SortedIdRun:
+        # Deletes are rare: settle the wide run back to a bare array.
+        posting = values[value] = posting.merged()
+    index = _sorted_index(posting, ident)
+    if index < 0:
+        return -1
+    del posting[index]
+    if len(posting) == 1:
+        values[value] = posting[0]
+    return len(posting)
+
+
+def _posting_ids(posting: object) -> Sequence[int]:
+    """The ids of one stored posting, as a sized iterable."""
+    if posting.__class__ is int:
+        return (posting,)
+    return posting if posting.__class__ is array else posting.ids()
 
 
 class _SortedStringRun:
     """Two-tier sorted run of unique strings (callers guarantee
-    uniqueness — the registry guards item names, the per-attribute
-    value dict guards distinct values).  Same shape as
-    :class:`_SortedIdRun`: in-order inserts append to the sorted main
-    list, out-of-order inserts land in a small sorted tail merged at
-    the threshold.  Readers call :meth:`ordered`, which folds any tail
-    in first — reads are rarer than writes at ingest scale, and a fold
-    after ≤ threshold tail inserts is one two-run Timsort merge."""
+    uniqueness — the per-attribute value dict guards distinct values):
+    in-order inserts append to the sorted main list, out-of-order
+    inserts land in a small sorted tail merged at the threshold.
+    Readers call :meth:`ordered`, which folds any tail in first — reads
+    are rarer than writes at ingest scale, and a fold after ≤ threshold
+    tail inserts is one two-run Timsort merge."""
 
     _THRESHOLD = _TAIL_MERGE_THRESHOLD
 
@@ -613,14 +671,10 @@ class _SortedStringRun:
             self._fold_tail()
         return self._main
 
-    def memory_bytes(self, count_strings: bool = False) -> int:
+    def memory_bytes(self) -> int:
         total = sys.getsizeof(self._main)
         if self._tail is not None:
             total += sys.getsizeof(self._tail)
-        if count_strings:
-            total += sum(sys.getsizeof(text) for text in self._main)
-            if self._tail is not None:
-                total += sum(sys.getsizeof(text) for text in self._tail)
         return total
 
 
@@ -646,8 +700,8 @@ class _DomainStateBase:
     pending removal.
 
     Two concrete stores implement the substrate: the array-backed
-    :class:`_ArrayDomainState` (the default — string-id posting arrays
-    and two-tier sorted runs, built for million-item domains) and the
+    :class:`_ArrayDomainState` (the default — item ids, postings laid
+    out by cardinality, built for million-item domains) and the
     dict-of-sets :class:`_LegacyDomainState` it replaced, kept
     selectable (``SimpleDBService(index_store="legacy")``) as the
     equivalence and memory baseline.
@@ -683,42 +737,36 @@ class _DomainStateBase:
 
     # -- shared selectivity bookkeeping --------------------------------------
 
-    def _note_set_resize(self, attribute: str, old: int, new: int) -> None:
-        """Move one value set's histogram entry from bucket(``old``) to
-        bucket(``new``).  Decrements are guarded: a decrement may only
-        consume a positive stored count (an absent bucket is never
-        driven negative — it is left absent), counts are popped at
-        zero, and an inner dict emptied by its last pop is removed from
-        ``set_size_hist`` rather than leaking as ``{}`` forever."""
+    def _note_posting_resize(self, attribute: str, old: int, new: int) -> None:
+        """One value's posting went from ``old`` to ``new`` entries:
+        move the attribute's posting total by the difference and the
+        value's histogram entry from bucket(``old``) to bucket(``new``).
+        Decrements are guarded: one may only consume a positive stored
+        count (an absent entry is never driven negative — it is left
+        absent), counts are popped at zero, and an inner dict emptied
+        by its last pop is removed from ``set_size_hist`` rather than
+        leaking as ``{}`` forever."""
+        total = self.attr_postings.get(attribute, 0) + new - old
+        if total > 0:
+            self.attr_postings[attribute] = total
+        else:
+            self.attr_postings.pop(attribute, None)
+        old_bucket, new_bucket = old.bit_length(), new.bit_length()
+        if old_bucket == new_bucket:
+            return
         hist = self.set_size_hist.get(attribute)
         if hist is None:
-            if not new:
-                return
             hist = self.set_size_hist[attribute] = {}
-        if old > 0:
-            bucket = old.bit_length()
-            remaining = hist.get(bucket, 0) - 1
+        if old_bucket:
+            remaining = hist.get(old_bucket, 0) - 1
             if remaining > 0:
-                hist[bucket] = remaining
+                hist[old_bucket] = remaining
             else:
-                hist.pop(bucket, None)
-        if new > 0:
-            bucket = new.bit_length()
-            hist[bucket] = hist.get(bucket, 0) + 1
+                hist.pop(old_bucket, None)
+        if new_bucket:
+            hist[new_bucket] = hist.get(new_bucket, 0) + 1
         if not hist:
-            self.set_size_hist.pop(attribute, None)
-
-    def _note_posting_added(self, attribute: str) -> None:
-        self.attr_postings[attribute] = self.attr_postings.get(attribute, 0) + 1
-
-    def _note_posting_removed(self, attribute: str) -> None:
-        remaining = self.attr_postings.get(attribute, 0) - 1
-        if remaining > 0:
-            self.attr_postings[attribute] = remaining
-        else:
-            # Guarded like the histogram: the count is popped at zero
-            # and an unmatched decrement can never store a negative.
-            self.attr_postings.pop(attribute, None)
+            del self.set_size_hist[attribute]
 
     def recount_stats(
         self,
@@ -731,7 +779,7 @@ class _DomainStateBase:
         hist: Dict[str, Dict[int, int]] = {}
         for attribute, values in self.by_attr.items():
             for members in values.values():
-                size = len(members)
+                size = 1 if members.__class__ is int else len(members)
                 if not size:
                     continue
                 postings[attribute] = postings.get(attribute, 0) + size
@@ -751,10 +799,6 @@ class _DomainStateBase:
             if queued is None or visible_at > queued:
                 self.pending_unindex[key] = visible_at
 
-    def note_item(self, name: str) -> None:
-        if name not in self.registry:
-            self.add_name(name)
-
     # -- interface the planner and service code against ----------------------
 
     def add_name(self, name: str) -> None:
@@ -771,7 +815,26 @@ class _DomainStateBase:
         order, prefix and ``itemName()`` ranges read off it)."""
         raise NotImplementedError
 
-    def names_with(self, attribute: str, value: str) -> Set[str]:
+    # The index reads below return *candidate keys*: collections the
+    # planner only intersects, unions and measures, and hands back to
+    # ``names_of`` once, at the end.  Here a key is the item name
+    # itself; the array store's keys are its uint32 ids.  Collections
+    # may be live index structures — callers never mutate them.
+
+    def keys_of(self, names: Sequence[str]) -> Collection:
+        """Candidate keys of the given item names (``itemName() =``
+        and ``IN`` leaves)."""
+        return set(names)
+
+    def names_of(self, keys: Collection) -> List[str]:
+        """Item names of a candidate set, in page order."""
+        return sorted(keys)
+
+    def _keys_at(self, start: int, stop: int) -> Collection:
+        """Keys of positions ``[start, stop)`` of the sorted name order."""
+        return self.ordered_names()[start:stop]
+
+    def names_with(self, attribute: str, value: str) -> Collection:
         raise NotImplementedError
 
     def count_with(self, attribute: str, value: str) -> int:
@@ -816,16 +879,12 @@ class _DomainStateBase:
         )
         return stop - start
 
-    def names_with_prefix(self, prefix: str) -> List[str]:
+    def names_with_prefix(self, prefix: str) -> Collection:
         names = self.ordered_names()
-        start = bisect.bisect_left(names, prefix)
-        out: List[str] = []
-        for index in range(start, len(names)):
-            name = names[index]
-            if not name.startswith(prefix):
-                break
-            out.append(name)
-        return out
+        start = stop = bisect.bisect_left(names, prefix)
+        while stop < len(names) and names[stop].startswith(prefix):
+            stop += 1
+        return self._keys_at(start, stop)
 
     def names_in_name_range(
         self,
@@ -834,17 +893,18 @@ class _DomainStateBase:
         incl_low: bool,
         incl_high: bool,
         limit: Optional[int] = None,
-    ) -> Optional[List[str]]:
-        """Item names inside a lexicographic ``itemName()`` range, read
+    ) -> Optional[Collection]:
+        """Items inside a lexicographic ``itemName()`` range, read
         off the sorted name order — or ``None`` when the range spans
         more than ``limit`` names (the planner's wide-range bailout: a
         candidate walk over most of the domain is no faster than the
         scan it replaces)."""
-        names = self.ordered_names()
-        start, stop = _range_slice(names, low, high, incl_low, incl_high)
+        start, stop = _range_slice(
+            self.ordered_names(), low, high, incl_low, incl_high
+        )
         if limit is not None and stop - start > limit:
             return None
-        return names[start:stop]
+        return self._keys_at(start, stop)
 
     def names_in_value_range(
         self,
@@ -854,7 +914,7 @@ class _DomainStateBase:
         incl_low: bool,
         incl_high: bool,
         limit: Optional[int] = None,
-    ) -> Optional[Set[str]]:
+    ) -> Optional[Collection]:
         raise NotImplementedError
 
     def memory_bytes(self) -> int:
@@ -864,49 +924,51 @@ class _DomainStateBase:
 class _ArrayDomainState(_DomainStateBase):
     """The array-backed index substrate (the default store).
 
-    Item names are interned once into a :class:`_StringTable`; every
-    posting list is a :class:`_SortedIdRun` of 4-byte ids instead of a
-    ``set`` of string pointers; the sorted name order and each
-    attribute's sorted distinct values are :class:`_SortedStringRun`
-    two-tier runs.  Inserts amortize to O(log n) (O(1) for in-order
-    arrivals) where the legacy store paid an O(n) ``bisect.insort``
-    list shift, and per-posting memory drops from a hash-set slot to
-    4 bytes — the difference that makes million-item domains fit."""
+    Item names live once in a :class:`_NameTable` (dense uint32 ids,
+    the sorted name order with each id beside it), and a posting's
+    layout follows its cardinality: a value held by one item stores
+    that id inline in ``by_attr[attribute][value]``, the second
+    distinct id promotes it to a bare sorted ``array('I')``
+    (:func:`_posting_add`), and pruning back to one id demotes it
+    (:func:`_posting_discard`) — a high-cardinality attribute, where
+    nearly every value is a singleton, pays a dict slot and an int per
+    value instead of two objects.  Candidate keys are the ids: reads
+    hand the planner ints and id arrays, and ``names_of`` maps the
+    surviving set to names once.  Each attribute's sorted distinct
+    values are a :class:`_SortedStringRun`."""
 
-    __slots__ = ("strings", "names", "by_attr", "sorted_values")
+    __slots__ = ("names", "by_attr", "sorted_values")
 
     def __init__(self) -> None:
         super().__init__()
-        #: The domain's item-name id table (ids in first-write order).
-        self.strings = _StringTable()
-        #: Every item name ever written, sorted (two-tier run).
-        self.names = _SortedStringRun()
-        #: attribute -> value -> sorted id run of item names.
-        self.by_attr: Dict[str, Dict[str, _SortedIdRun]] = {}
+        #: The domain's item names: ids, and the sorted order.
+        self.names = _NameTable()
+        #: attribute -> value -> posting (inline id, id array, or a
+        #: wide run with a pending tail).
+        self.by_attr: Dict[str, Dict[str, object]] = {}
         #: attribute -> its distinct values, sorted (two-tier runs).
         self.sorted_values: Dict[str, _SortedStringRun] = {}
 
     def add_name(self, name: str) -> None:
-        self.names.add(name)
+        self.names.intern(name)
 
     def note_pairs(self, name: str, pairs: Sequence[Tuple[str, str]]) -> None:
-        ident: Optional[int] = None
+        ident = self.names.intern(name)
+        by_attr = self.by_attr
+        pending = self.pending_unindex
         for attribute, value in pairs:
-            values = self.by_attr.setdefault(attribute, {})
-            run = values.get(value)
-            if run is None:
-                run = values[value] = _SortedIdRun()
-                self.sorted_values.setdefault(
-                    attribute, _SortedStringRun()
-                ).add(value)
-            if ident is None:
-                ident = self.strings.intern(name)
-            before = len(run)
-            if run.add(ident):
-                self._note_posting_added(attribute)
-                self._note_set_resize(attribute, before, before + 1)
-            # A re-put beats any queued removal: the pair is live again.
-            self.pending_unindex.pop((attribute, value, name), None)
+            values = by_attr.get(attribute)
+            if values is None:
+                values = by_attr[attribute] = {}
+                self.sorted_values[attribute] = _SortedStringRun()
+            size = _posting_add(values, value, ident)
+            if size:
+                if size == 1:
+                    self.sorted_values[attribute].add(value)
+                self._note_posting_resize(attribute, size - 1, size)
+            if pending:
+                # A re-put beats any queued removal: the pair is live again.
+                pending.pop((attribute, value, name), None)
 
     def prune_unindexed(self, now: float) -> int:
         """Apply every queued removal whose delete is fully visible at
@@ -920,47 +982,44 @@ class _ArrayDomainState(_DomainStateBase):
             del self.pending_unindex[key]
             attribute, value, name = key
             values = self.by_attr.get(attribute)
-            if not values:
+            ident = self.names.id_of(name)
+            if not values or value not in values or ident is None:
                 continue
-            run = values.get(value)
-            if run is None:
-                continue
-            ident = self.strings.id_of(name)
-            if ident is not None and run.discard(ident):
-                after = len(run)
-                self._note_posting_removed(attribute)
-                self._note_set_resize(attribute, after + 1, after)
-            if not run:
-                del values[value]
-                ordered = self.sorted_values.get(attribute)
-                if ordered is not None:
-                    ordered.discard(value)
+            size = _posting_discard(values, value, ident)
+            if size >= 0:
+                self._note_posting_resize(attribute, size + 1, size)
+            if not size:
+                self.sorted_values[attribute].discard(value)
                 if not values:
                     # Last value gone: drop the attribute's (now empty)
                     # containers instead of leaking them.
                     del self.by_attr[attribute]
-                    self.sorted_values.pop(attribute, None)
+                    del self.sorted_values[attribute]
         return len(fired)
 
     def ordered_names(self) -> List[str]:
         return self.names.ordered()
 
-    def names_with(self, attribute: str, value: str) -> Set[str]:
-        values = self.by_attr.get(attribute)
-        if not values:
-            return set()
-        run = values.get(value)
-        if run is None:
-            return set()
-        string = self.strings.string
-        return {string(ident) for ident in run}
+    def keys_of(self, names: Sequence[str]) -> Collection:
+        idents = set(map(self.names.id_of, names))
+        idents.discard(None)
+        return idents
+
+    def names_of(self, keys: Collection) -> List[str]:
+        return sorted(map(self.names.by_id.__getitem__, keys))
+
+    def _keys_at(self, start: int, stop: int) -> Collection:
+        return self.names.ordered_ids()[start:stop]
+
+    def names_with(self, attribute: str, value: str) -> Collection:
+        posting = self.by_attr.get(attribute, {}).get(value)
+        return () if posting is None else _posting_ids(posting)
 
     def count_with(self, attribute: str, value: str) -> int:
-        values = self.by_attr.get(attribute)
-        if not values:
+        posting = self.by_attr.get(attribute, {}).get(value)
+        if posting is None:
             return 0
-        run = values.get(value)
-        return len(run) if run is not None else 0
+        return 1 if posting.__class__ is int else len(posting)
 
     def distinct_value_count(self, attribute: str) -> int:
         return len(self.by_attr.get(attribute, {}))
@@ -977,45 +1036,45 @@ class _ArrayDomainState(_DomainStateBase):
         incl_low: bool,
         incl_high: bool,
         limit: Optional[int] = None,
-    ) -> Optional[Set[str]]:
-        """Union of the posting runs for every indexed value of
+    ) -> Optional[Collection]:
+        """Union of the postings of every indexed value of
         ``attribute`` inside the lexicographic range — or ``None`` when
         the range spans more than ``limit`` distinct values *or* the
-        accumulated union exceeds ``limit`` names (a low-cardinality
+        accumulated union exceeds ``limit`` items (a low-cardinality
         attribute can cover most of the domain in a handful of values;
-        the bailout is about candidate-walk cost, which is names, not
+        the bailout is about candidate-walk cost, which is items, not
         values)."""
         values = self.by_attr.get(attribute)
         if not values:
-            return set()
+            return ()
         ordered = self.ordered_values(attribute)
         start, stop = _range_slice(ordered, low, high, incl_low, incl_high)
         if limit is not None and stop - start > limit:
             return None
-        string = self.strings.string
-        out: Set[str] = set()
+        out: Set[int] = set()
         for value in ordered[start:stop]:
-            run = values.get(value)
-            if run:
-                out.update(string(ident) for ident in run)
-                if limit is not None and len(out) > limit:
-                    return None
+            out.update(_posting_ids(values[value]))
+            if limit is not None and len(out) > limit:
+                return None
         return out
 
     def memory_bytes(self) -> int:
-        """Index footprint: container overhead, the posting arrays, the
-        boxed id ints, one count of each distinct string (name strings
-        via the sorted run, attribute/value strings via their dict
-        keys), the pending-unindex tuples, and the selectivity stats
-        with their inner dicts."""
-        total = self.strings.memory_bytes()
-        total += self.names.memory_bytes(count_strings=True)
+        """Index footprint: container overhead, every posting in the
+        form it is stored in (an inline id is priced as its boxed int,
+        an id array with its allocated slack), the name table with its
+        id slots, one count of each distinct string (names via the
+        table, attribute/value strings via their dict keys), the
+        pending-unindex tuples, and the selectivity stats with their
+        inner dicts."""
+        total = self.names.memory_bytes()
         total += sys.getsizeof(self.by_attr)
         for attribute, values in self.by_attr.items():
             total += sys.getsizeof(attribute) + sys.getsizeof(values)
-            for value, run in values.items():
-                total += sys.getsizeof(value) + sys.getsizeof(run)
-                total += run.memory_bytes()
+            for value, posting in values.items():
+                total += sys.getsizeof(value) + sys.getsizeof(posting)
+                if posting.__class__ is _SortedIdRun:
+                    total += sys.getsizeof(posting.main)
+                    total += sys.getsizeof(posting.tail)
         total += sys.getsizeof(self.sorted_values)
         for run in self.sorted_values.values():
             total += sys.getsizeof(run) + run.memory_bytes()
@@ -1059,8 +1118,7 @@ class _LegacyDomainState(_DomainStateBase):
             if name not in names:
                 before = len(names)
                 names.add(name)
-                self._note_posting_added(attribute)
-                self._note_set_resize(attribute, before, before + 1)
+                self._note_posting_resize(attribute, before, before + 1)
             # A re-put beats any queued removal: the pair is live again.
             self.pending_unindex.pop((attribute, value, name), None)
 
@@ -1084,8 +1142,7 @@ class _LegacyDomainState(_DomainStateBase):
             if name in names:
                 before = len(names)
                 names.discard(name)
-                self._note_posting_removed(attribute)
-                self._note_set_resize(attribute, before, before - 1)
+                self._note_posting_resize(attribute, before, before - 1)
             if not names:
                 del values[value]
                 ordered = self.sorted_values.get(attribute, [])
@@ -1230,21 +1287,26 @@ _RANGE_BOUNDS = {
 }
 
 
+def _as_set(keys: Collection) -> Set:
+    return keys if keys.__class__ is set else set(keys)
+
+
 def _plan_candidates(
     condition: _Condition, state: _DomainState
-) -> Optional[Set[str]]:
+) -> Optional[Collection]:
     """Extract an index-usable candidate set from a condition tree.
 
     Returns ``None`` when no index applies (the caller scans), otherwise
-    a superset of the item names that can match.  Rules:
+    the candidate keys (see :class:`_DomainStateBase`) of a superset of
+    the items that can match.  Rules:
 
     - ``attr = 'v'`` / ``attr IN (...)`` — hash-index lookups,
     - ``attr < / <= / > / >= 'v'`` and ``attr BETWEEN 'a' AND 'b'`` —
       binary-searched ranges over the attribute's sorted distinct
-      values, unioning the hash-index name sets of the values in range,
+      values, unioning the postings of the values in range,
     - ``itemName()`` comparisons — the sorted-name structure (``LIKE
       'prefix%'`` and the ordered comparisons become binary-searched
-      ranges),
+      slices of it),
     - ``a AND b`` — intersect when both sides are indexable, else use
       whichever side is (the unindexed side is enforced by verification),
     - ``a OR b`` — union, but only when *both* sides are indexable,
@@ -1258,42 +1320,13 @@ def _plan_candidates(
                 return right
             if right is None:
                 return left
-            return left & right
+            return _as_set(left).intersection(right)
         if left is None or right is None:
             return None
-        return left | right
+        return _as_set(left).union(right)
     if not isinstance(condition, _Comparison):
         return None
-    if condition.op == "=":
-        if condition.attribute == "itemName()":
-            return {condition.values[0]}
-        return set(state.names_with(condition.attribute, condition.values[0]))
-    if condition.op == "in":
-        if condition.attribute == "itemName()":
-            return set(condition.values)
-        out: Set[str] = set()
-        for value in condition.values:
-            out |= state.names_with(condition.attribute, value)
-        return out
-    if condition.op == "like" and condition.attribute == "itemName()":
-        prefix = condition.like_prefix()
-        if prefix is None:
-            return None
-        return set(state.names_with_prefix(prefix))
-    if condition.op in _RANGE_BOUNDS:
-        low, high, incl_low, incl_high = _RANGE_BOUNDS[condition.op](
-            condition.values
-        )
-        limit = _range_plan_limit(state)
-        if condition.attribute == "itemName()":
-            names = state.names_in_name_range(
-                low, high, incl_low, incl_high, limit=limit
-            )
-            return None if names is None else set(names)
-        return state.names_in_value_range(
-            condition.attribute, low, high, incl_low, incl_high, limit=limit
-        )
-    return None
+    return _materialize_leaf(condition, state, _range_plan_limit(state))
 
 
 # --------------------------------------------------------------------------
@@ -1399,7 +1432,7 @@ class _CostPlan:
     """One chain's planning outcome: the candidate set (``None`` =
     scan), the root estimate, and the explain payload."""
 
-    candidates: Optional[Set[str]]
+    candidates: Optional[Collection]
     estimate: Optional[int]
     #: True when the tree was indexable but the estimate priced the
     #: candidate walk at or above the scan threshold.
@@ -1413,43 +1446,41 @@ class _CostPlan:
 
 def _materialize_leaf(
     condition: _Comparison, state: _DomainState, limit: int
-) -> Optional[Set[str]]:
-    """Materialize one comparison's candidate set (same index reads as
-    the fixed planner's leaves), bailing past ``limit`` names."""
+) -> Optional[Collection]:
+    """One comparison's candidate keys, read off the indexes — or
+    ``None`` when no index serves it or a range passes ``limit``."""
+    attribute, values = condition.attribute, condition.values
     if condition.op == "=":
-        if condition.attribute == "itemName()":
-            return {condition.values[0]}
-        return set(state.names_with(condition.attribute, condition.values[0]))
+        if attribute == "itemName()":
+            return state.keys_of(values[:1])
+        return state.names_with(attribute, values[0])
     if condition.op == "in":
-        if condition.attribute == "itemName()":
-            return set(condition.values)
-        out: Set[str] = set()
-        for value in condition.values:
-            out |= state.names_with(condition.attribute, value)
+        if attribute == "itemName()":
+            return state.keys_of(values)
+        out: Set = set()
+        for value in values:
+            out.update(state.names_with(attribute, value))
         return out
-    if condition.op == "like" and condition.attribute == "itemName()":
+    if condition.op == "like" and attribute == "itemName()":
         prefix = condition.like_prefix()
         if prefix is None:
             return None
-        return set(state.names_with_prefix(prefix))
+        return state.names_with_prefix(prefix)
     if condition.op in _RANGE_BOUNDS:
-        low, high, incl_low, incl_high = _RANGE_BOUNDS[condition.op](
-            condition.values
-        )
-        if condition.attribute == "itemName()":
-            names = state.names_in_name_range(
+        low, high, incl_low, incl_high = _RANGE_BOUNDS[condition.op](values)
+        if attribute == "itemName()":
+            return state.names_in_name_range(
                 low, high, incl_low, incl_high, limit=limit
             )
-            return None if names is None else set(names)
         return state.names_in_value_range(
-            condition.attribute, low, high, incl_low, incl_high, limit=limit
+            attribute, low, high, incl_low, incl_high, limit=limit
         )
     return None
 
 
 def _cost_materialize(
     condition: _Condition, state: _DomainState, threshold: int, plan: _CostPlan
-) -> Optional[Set[str]]:
+) -> Optional[Collection]:
     """Materialize a candidate set under the cost model.
 
     ``AND`` nodes are flattened and walked cheapest-estimate-first: the
@@ -1472,7 +1503,7 @@ def _cost_materialize(
              if est is not None),
             key=lambda pair: pair[0],
         )
-        current: Optional[Set[str]] = None
+        current: Optional[Collection] = None
         for est, index in indexable:
             side = sides[index][1]
             if current is None:
@@ -1488,7 +1519,7 @@ def _cost_materialize(
                 continue
             candidates = _cost_materialize(side, state, threshold, plan)
             if candidates is not None:
-                current &= candidates
+                current = _as_set(current).intersection(candidates)
         return current
     if isinstance(condition, _BoolOp):
         left = _cost_materialize(condition.left, state, threshold, plan)
@@ -1497,7 +1528,7 @@ def _cost_materialize(
         right = _cost_materialize(condition.right, state, threshold, plan)
         if right is None:
             return None
-        return left | right
+        return _as_set(left).union(right)
     assert isinstance(condition, _Comparison)
     candidates = _materialize_leaf(condition, state, threshold)
     plan.nodes.append({
@@ -1622,11 +1653,25 @@ def _pairs_size(pairs: Sequence[Tuple[str, str]]) -> int:
     return sum(len(a.encode()) + len(v.encode()) for a, v in pairs)
 
 
+def _attributes_size(version: WriteVersion[ItemAttributes]) -> int:
+    """Response bytes of one stored version's attributes, computed on
+    first use and kept on the version (stored values are never mutated:
+    every write stores a fresh dict and readers are handed copies)."""
+    size = version.size
+    if size is None:
+        size = version.size = sum(
+            len(a) + sum(map(len, vals)) for a, vals in version.value.items()
+        )
+    return size
+
+
 @dataclass
 class _SelectSnapshot:
-    """One live chain's materialized match list plus its GC clock."""
+    """One live chain's materialized match list, each row's response
+    size beside it, plus its GC clock."""
 
     matches: List[Tuple[str, ItemAttributes]]
+    sizes: List[int]
     last_used_at: float
 
 
@@ -1655,8 +1700,8 @@ class SimpleDBService:
                 f"(use one of {INDEX_STORE_NAMES})"
             )
         #: Which per-domain index substrate new domains get: ``"array"``
-        #: (the default — string-id posting arrays, two-tier sorted
-        #: runs) or ``"legacy"`` (the dict-of-sets baseline).  Both
+        #: (the default — item ids, postings laid out by cardinality)
+        #: or ``"legacy"`` (the dict-of-sets baseline).  Both
         #: answer byte-identically; the knob exists for the equivalence
         #: battery and the memory-comparison sweeps.
         self.index_store = index_store
@@ -1869,10 +1914,11 @@ class SimpleDBService:
         state = self._domain(domain)
 
         def apply(start: float, finish: float) -> ItemAttributes:
-            attributes = self._observe(state.registry, item, start)
-            size = sum(
-                len(a) + sum(len(v) for v in vals) for a, vals in attributes.items()
-            )
+            version = self._observe(state.registry, item, start)
+            if version is None:
+                size, attributes = 0, {}
+            else:
+                size, attributes = _attributes_size(version), version.value
             self._billing.record("simpledb", "GetAttributes", bytes_out=size)
             return {a: list(vals) for a, vals in attributes.items()}
 
@@ -1911,12 +1957,12 @@ class SimpleDBService:
                 self.select_stats.note_chain(prepared.domain)
             snapshot_id: Optional[int] = None
             if next_token:
-                snapshot_id, offset, matches = self._resume_select(
+                snapshot_id, offset, matches, sizes = self._resume_select(
                     next_token, state, condition, start
                 )
             else:
                 offset = 0
-                matches = self._match_rows(state, condition, start)
+                matches, sizes = self._match_rows(state, condition, start)
             page = matches[offset : offset + SELECT_PAGE_ITEMS]
             done = offset + SELECT_PAGE_ITEMS >= len(matches)
             if done:
@@ -1928,14 +1974,10 @@ class SimpleDBService:
                     self._snapshot_seq += 1
                     snapshot_id = self._snapshot_seq
                     self._select_snapshots[snapshot_id] = _SelectSnapshot(
-                        matches=matches, last_used_at=start
+                        matches=matches, sizes=sizes, last_used_at=start
                     )
                 token = f"snap-{snapshot_id}:{offset + SELECT_PAGE_ITEMS}"
-            size = sum(
-                len(n)
-                + sum(len(a) + sum(len(v) for v in vals) for a, vals in attrs.items())
-                for n, attrs in page
-            )
+            size = sum(sizes[offset : offset + SELECT_PAGE_ITEMS])
             self._billing.record("simpledb", "Select", bytes_out=size)
             return SelectPage(rows=page, next_token=token)
 
@@ -2041,8 +2083,10 @@ class SimpleDBService:
             (sys.intern(attribute), sys.intern(value))
             for attribute, value in pairs
         ]
-        state.note_item(name)
-        register = state.registry.setdefault(name, VersionedRegister())
+        register = state.registry.get(name)
+        if register is None:
+            state.add_name(name)
+            register = state.registry.setdefault(name, VersionedRegister())
         latest = register.read_latest_committed(committed_at)
         current: ItemAttributes = {}
         if latest is not None and not latest.deleted and latest.value:
@@ -2074,9 +2118,10 @@ class SimpleDBService:
         condition: Optional[_Condition],
         start: float,
         count_stats: bool = True,
-    ) -> List[Tuple[str, ItemAttributes]]:
+    ) -> Tuple[List[Tuple[str, ItemAttributes]], List[int]]:
         """Materialize a select chain's full match list, in item-name
-        order, as observed at time ``start``.
+        order, as observed at time ``start``, and each row's response
+        size (what a page bills for it).
 
         The planner narrows the walk to index candidates when it can;
         either way every surviving name goes through the same
@@ -2089,7 +2134,7 @@ class SimpleDBService:
         # changes answers (candidates are verified either way); it keeps
         # range and equality candidate sets from accreting dead values.
         self.select_stats.unindexed_pruned += state.prune_unindexed(start)
-        candidates: Optional[Set[str]] = None
+        candidates: Optional[Collection] = None
         if condition is None:
             if count_stats:
                 self.select_stats.unconditional += 1
@@ -2115,18 +2160,23 @@ class SimpleDBService:
         elif count_stats:
             self.select_stats.scanned += 1
         names: Sequence[str] = (
-            state.ordered_names() if candidates is None else sorted(candidates)
+            state.ordered_names()
+            if candidates is None
+            else state.names_of(candidates)
         )
         matches: List[Tuple[str, ItemAttributes]] = []
+        sizes: List[int] = []
         for name in names:
-            attributes = self._observe(state.registry, name, start)
-            if not attributes:
+            version = self._observe(state.registry, name, start)
+            if version is None:
                 continue
+            attributes = version.value
             if condition is None or condition.matches(name, attributes):
                 matches.append(
                     (name, {a: list(v) for a, v in attributes.items()})
                 )
-        return matches
+                sizes.append(len(name) + _attributes_size(version))
+        return matches, sizes
 
     def _resume_select(
         self,
@@ -2134,18 +2184,18 @@ class SimpleDBService:
         state: _DomainState,
         condition: Optional[_Condition],
         start: float,
-    ) -> Tuple[Optional[int], int, List[Tuple[str, ItemAttributes]]]:
+    ) -> Tuple[Optional[int], int, List[Tuple[str, ItemAttributes]], List[int]]:
         """Resolve a continuation token to (snapshot id, offset, match
-        list).  Legacy bare-offset tokens (pre-snapshot clients) re-match
-        the domain at this page's observation time, as the old engine
-        did; so do tokens of snapshots that no longer exist — whether
-        the TTL collected an abandoned chain or a client replays a token
-        from a chain that already completed (the snapshot is popped at
-        the final page; distinguishing the two would mean remembering
-        every completed chain forever, the very leak the GC removes).
-        Either way the chain degrades to legacy per-page semantics
-        instead of failing.  Tokens naming a snapshot that was *never
-        issued* are rejected."""
+        list, row sizes).  Legacy bare-offset tokens (pre-snapshot
+        clients) re-match the domain at this page's observation time, as
+        the old engine did; so do tokens of snapshots that are gone —
+        whether the TTL collected an abandoned chain or a client replays
+        a token from a chain that already completed (the snapshot is
+        popped at the final page; distinguishing the two would mean
+        remembering every completed chain forever, the very leak the GC
+        removes).  Either way the chain degrades to legacy per-page
+        semantics instead of failing.  Tokens naming a snapshot that was
+        *never issued* are rejected."""
         if token.startswith("snap-"):
             head, _, offset_text = token[len("snap-"):].partition(":")
             try:
@@ -2167,11 +2217,11 @@ class SimpleDBService:
                 # from the recorded offset, exactly the legacy-token
                 # behaviour.
                 self.select_stats.expired_token_rematches += 1
-                return None, offset, self._match_rows(
+                return (None, offset) + self._match_rows(
                     state, condition, start, count_stats=False
                 )
             snapshot.last_used_at = start
-            return snapshot_id, offset, snapshot.matches
+            return snapshot_id, offset, snapshot.matches, snapshot.sizes
         try:
             offset = int(token)
         except ValueError:
@@ -2179,7 +2229,7 @@ class SimpleDBService:
                 f"malformed select token {token!r}"
             ) from None
         self.select_stats.legacy_tokens += 1
-        return None, offset, self._match_rows(
+        return (None, offset) + self._match_rows(
             state, condition, start, count_stats=False
         )
 
@@ -2202,14 +2252,17 @@ class SimpleDBService:
         registry: Dict[str, VersionedRegister[ItemAttributes]],
         name: str,
         at: float,
-    ) -> ItemAttributes:
+    ) -> Optional[WriteVersion[ItemAttributes]]:
+        """The version of ``name`` observable at ``at`` when it holds
+        attributes — ``None`` for an absent, not yet visible or deleted
+        item."""
         register = registry.get(name)
         if register is None:
-            return {}
+            return None
         version = register.read(at, self._consistency.model)
-        if version is None or version.deleted or version.value is None:
-            return {}
-        return version.value
+        if version is None or version.deleted or not version.value:
+            return None
+        return version
 
     # -- planner diagnostics -----------------------------------------------------
 

@@ -135,8 +135,14 @@ class ProvenanceFrontend:
                     self._reply(200, handled)
 
         self._server = HTTPServer((self._host, self._port), Handler)
+        # ``shutdown()`` waits out one poll of the serve loop: the
+        # default half second would be most of a short-lived server's
+        # life (a selector wake-up every 20 ms costs nothing measurable).
         self._thread = threading.Thread(
-            target=self._server.serve_forever, name="repro-http", daemon=True
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": 0.02},
+            name="repro-http",
+            daemon=True,
         )
         self._thread.start()
         return self.address

@@ -1,12 +1,17 @@
 """The array-backed index substrate: units, equivalence, accounting.
 
-Four layers of coverage for the memory-lean store:
+Five layers of coverage for the memory-lean store:
 
-- unit tests of the two-tier sorted runs (``_SortedIdRun``,
-  ``_SortedStringRun``) and the interning ``_StringTable``, including
-  the tail-merge boundaries: empty tail, single-run in-order appends,
-  the merge exactly at the threshold, reverse-order inserts, and a
-  seeded fuzz against a plain sorted-set reference;
+- unit tests of the substrate: the ``_NameTable`` (ids in first-write
+  order, the sorted order with each id beside it, the out-of-order
+  tail), the posting layout that follows cardinality (inline id ->
+  bare sorted ``array('I')`` -> a wide ``_SortedIdRun`` with a pending
+  tail, and back), and the ``_SortedStringRun`` of distinct values —
+  including the tail-merge boundaries and seeded fuzzes against plain
+  set references;
+- one test per branch of the id-space candidate algebra (``=``, ``IN``,
+  ``itemName()`` leaves, prefix and range slices, AND/OR) against the
+  string-set answer of the legacy store;
 - an equivalence battery replaying the select-fuzz seeds on two
   accounts that differ only in ``index_store`` and asserting
   fingerprints (rows, select ops, billed bytes) byte-identical,
@@ -16,24 +21,36 @@ Four layers of coverage for the memory-lean store:
   incremental selectivity stats (``attr_postings``, ``set_size_hist``)
   equal a from-scratch recount — no negative counts, no leaked
   histogram buckets, no empty inner containers;
-- memory-gauge tests: the fixed ``index_memory_bytes`` accounting
-  pinned against a ``tracemalloc``-measured build, gauge monotonicity
-  as a domain grows, and array strictly below legacy on equal data.
+- memory-gauge tests: ``index_memory_bytes`` pinned against a
+  ``tracemalloc``-measured build (a mixed and a singleton-heavy
+  domain), gauge monotonicity as a domain grows and across an
+  inline -> run -> inline round trip, and array strictly below legacy
+  on equal data.
 """
 
 import random
+import sys
 import tracemalloc
+from array import array
 
 import pytest
 
+import repro.cloud.simpledb as simpledb
 from repro.cloud.account import CloudAccount
 from repro.cloud.consistency import ConsistencyModel
 from repro.cloud.simpledb import (
+    SELECT_PAGE_ITEMS,
     _ArrayDomainState,
     _LegacyDomainState,
+    _NameTable,
     _SortedIdRun,
     _SortedStringRun,
-    _StringTable,
+    _plan_candidates,
+    _plan_candidates_cost,
+    _posting_add,
+    _posting_discard,
+    _posting_ids,
+    parse_select,
 )
 from test_select_fuzz import (
     TREE_COUNT,
@@ -48,84 +65,175 @@ from test_select_fuzz import (
 # Substrate units
 # --------------------------------------------------------------------------
 
-class TestStringTable:
+class TestNameTable:
     def test_ids_assigned_in_first_seen_order(self):
-        table = _StringTable()
+        table = _NameTable()
         assert table.intern("b") == 0
         assert table.intern("a") == 1
         assert table.intern("b") == 0  # idempotent
-        assert table.string(0) == "b"
-        assert table.string(1) == "a"
+        assert table.by_id == ["b", "a"]
         assert table.id_of("a") == 1
         assert table.id_of("missing") is None
         assert len(table) == 2
 
+    def test_in_order_names_never_wait_in_the_tail(self):
+        table = _NameTable()
+        names = [f"n{i:05d}" for i in range(1000)]
+        for name in names:
+            table.intern(name)
+        assert not table._tail
+        assert table.ordered() == names
+        assert list(table.ordered_ids()) == list(range(1000))
 
-class TestSortedIdRun:
-    def test_in_order_appends_never_allocate_a_tail(self):
-        run = _SortedIdRun()
+    def test_ordered_read_folds_the_tail_and_keeps_ids_beside_names(self):
+        table = _NameTable()
+        for name in ("m", "z", "a", "k"):  # a, k arrive out of order
+            table.intern(name)
+        assert set(table._tail) == {"a", "k"}
+        assert table.id_of("k") == 3  # found while still in the tail
+        assert table.ordered() == ["a", "k", "m", "z"]
+        assert list(table.ordered_ids()) == [2, 3, 0, 1]
+        assert not table._tail  # compacted by the read
+        assert table.id_of("k") == 3
+
+    def test_tail_folds_at_the_threshold_without_a_read(self):
+        table = _NameTable()
+        table.intern("zzzz")
+        threshold = simpledb._TAIL_MERGE_THRESHOLD
+        for i in range(threshold - 1):
+            table.intern(f"a{i:06d}")
+        assert len(table._tail) == threshold - 1
+        table.intern("a999999")
+        assert not table._tail
+        assert table._sorted == sorted(table.by_id)
+        assert [table.by_id[i] for i in table._sorted_ids] == table._sorted
+
+    def test_fuzz_against_dict_reference(self):
+        rng = random.Random(99)
+        table = _NameTable()
+        reference = {}
+        for step in range(6000):
+            name = f"s{rng.randrange(2500):05d}"
+            ident = table.intern(name)
+            assert ident == reference.setdefault(name, len(reference))
+            if step % 1500 == 1499:
+                assert table.ordered() == sorted(reference)
+        for name, ident in reference.items():
+            assert table.id_of(name) == ident
+            assert table.by_id[ident] == name
+        assert [table.by_id[i] for i in table.ordered_ids()] == sorted(reference)
+
+
+def _ids(values, value="v"):
+    return sorted(_posting_ids(values[value]))
+
+
+class TestPostingLayout:
+    """``by_attr[attribute][value]`` through :func:`_posting_add` /
+    :func:`_posting_discard`: the layout follows the cardinality."""
+
+    def test_first_id_is_stored_inline(self):
+        values = {}
+        assert _posting_add(values, "v", 7) == 1
+        assert values["v"] == 7 and values["v"].__class__ is int
+        assert _posting_add(values, "v", 7) == 0  # set semantics
+        assert _posting_discard(values, "v", 9) == -1
+        assert _posting_discard(values, "v", 7) == 0
+        assert "v" not in values  # an emptied posting leaves the dict
+
+    @pytest.mark.parametrize("first,second", [(3, 8), (8, 3)])
+    def test_second_distinct_id_promotes_to_an_exact_sorted_array(
+        self, first, second
+    ):
+        values = {}
+        _posting_add(values, "v", first)
+        assert _posting_add(values, "v", second) == 2
+        posting = values["v"]
+        assert posting.__class__ is array and list(posting) == [3, 8]
+        # Allocated for exactly two ids: no append slack.
+        assert sys.getsizeof(posting) == sys.getsizeof(array("I", (3, 8)))
+        assert _posting_add(values, "v", first) == 0
+
+    def test_pruning_back_to_one_id_demotes_to_inline(self):
+        values = {}
+        for ident in (5, 6, 9):
+            _posting_add(values, "v", ident)
+        assert _posting_discard(values, "v", 6) == 2
+        assert _posting_discard(values, "v", 4) == -1
+        assert _posting_discard(values, "v", 5) == 1
+        assert values["v"] == 9 and values["v"].__class__ is int
+
+    def test_in_order_appends_stay_one_bare_array(self):
+        values = {}
         for ident in range(5000):
-            assert run.add(ident)
-        assert run.tail is None
-        assert list(run.main) == list(range(5000))
-        assert len(run) == 5000
+            assert _posting_add(values, "v", ident) == ident + 1
+        assert values["v"].__class__ is array
+        assert list(values["v"]) == list(range(5000))
 
-    def test_empty_and_single_element(self):
-        run = _SortedIdRun()
-        assert len(run) == 0
-        assert list(run) == []
-        assert 7 not in run
-        assert not run.discard(7)
-        assert run.add(7)
-        assert 7 in run
-        assert len(run) == 1
-        assert not run.add(7)  # set semantics
-        assert len(run) == 1
+    def test_out_of_order_into_a_short_array_inserts_in_place(self):
+        values = {}
+        for ident in range(300, 0, -1):  # every insert is out of order
+            assert _posting_add(values, "v", ident)
+        assert values["v"].__class__ is array
+        assert list(values["v"]) == list(range(1, 301))
 
-    def test_out_of_order_goes_to_tail_and_merges_at_threshold(self):
-        run = _SortedIdRun()
-        run.add(10_000_000)  # main = [10M]; everything below is out of order
-        threshold = _SortedIdRun._THRESHOLD
-        for ident in range(threshold - 1):
-            run.add(ident)
-        assert run.tail is not None
-        assert len(run.tail) == threshold - 1
-        run.add(threshold - 1)  # tail reaches the threshold: merge fires
-        assert run.tail is None
-        assert list(run.main) == list(range(threshold)) + [10_000_000]
+    def test_out_of_order_into_a_wide_array_waits_in_a_tail(self):
+        threshold = simpledb._TAIL_MERGE_THRESHOLD
+        base = 10_000_000
+        values = {"v": array("I", range(base, base + threshold))}
+        assert _posting_add(values, "v", 5) == threshold + 1
+        run = values["v"]
+        assert run.__class__ is _SortedIdRun and list(run.tail) == [5]
+        assert _posting_add(values, "v", 5) == 0  # found in the tail
+        assert _posting_add(values, "v", base + 1) == 0  # found in main
+        # In-order ids join the tail too while one is pending.
+        assert _posting_add(values, "v", base + threshold) == threshold + 2
+        assert values["v"] is run
+        for ident in range(6, 6 + threshold - 3):
+            _posting_add(values, "v", ident)
+        assert values["v"] is run and len(run.tail) == threshold - 1
+        _posting_add(values, "v", 1)  # the tail reaches the threshold
+        merged = values["v"]
+        assert merged.__class__ is array
+        assert list(merged) == sorted(merged) and len(merged) == 2 * threshold
 
-    def test_reverse_order_inserts_stay_sorted(self):
-        run = _SortedIdRun()
-        for ident in range(300, 0, -1):
-            assert run.add(ident)
-        assert sorted(run) == list(range(1, 301))
-        assert all(ident in run for ident in range(1, 301))
+    def test_discard_settles_a_wide_run_back_to_a_bare_array(self):
+        threshold = simpledb._TAIL_MERGE_THRESHOLD
+        values = {"v": array("I", range(100, 100 + threshold))}
+        _posting_add(values, "v", 50)
+        assert values["v"].__class__ is _SortedIdRun
+        assert sorted(_posting_ids(values["v"]))[:2] == [50, 100]
+        assert _posting_discard(values, "v", 50) == threshold
+        assert values["v"].__class__ is array
+        assert list(values["v"]) == list(range(100, 100 + threshold))
 
-    def test_discard_from_both_tiers(self):
-        run = _SortedIdRun()
-        run.add(100)
-        run.add(200)
-        run.add(50)  # tail
-        assert run.discard(200)  # from main
-        assert run.discard(50)   # from tail (tail becomes None)
-        assert run.tail is None
-        assert not run.discard(999)
-        assert sorted(run) == [100]
-
-    def test_fuzz_against_set_reference(self):
+    def test_fuzz_against_set_reference(self, monkeypatch):
+        # A small threshold so the 20k operations cross every layout.
+        monkeypatch.setattr(simpledb, "_TAIL_MERGE_THRESHOLD", 64)
         rng = random.Random(4242)
-        run = _SortedIdRun()
+        values = {}
         reference = set()
+        layouts = set()
         for _ in range(20_000):
             ident = rng.randrange(3000)
-            if rng.random() < 0.3:
-                assert run.discard(ident) == (ident in reference)
+            if rng.random() < 0.3 + 0.4 * (len(reference) > 400):
+                expected = len(reference) - 1 if ident in reference else -1
+                got = (
+                    _posting_discard(values, "v", ident)
+                    if "v" in values else -1
+                )
+                assert got == expected
                 reference.discard(ident)
             else:
-                assert run.add(ident) == (ident not in reference)
+                expected = 0 if ident in reference else len(reference) + 1
+                assert _posting_add(values, "v", ident) == expected
                 reference.add(ident)
-        assert sorted(run) == sorted(reference)
-        assert list(run.main) == sorted(run.main)
+            if reference:
+                layouts.add(values["v"].__class__)
+                assert _ids(values) == sorted(reference)
+            else:
+                assert "v" not in values
+        assert layouts == {int, array, _SortedIdRun}
 
 
 class TestSortedStringRun:
@@ -180,6 +288,176 @@ class TestSortedStringRun:
                 run.add(name)
                 reference.add(name)
         assert run.ordered() == sorted(reference)
+
+
+# --------------------------------------------------------------------------
+# Candidate algebra in id space == the string-set answer
+# --------------------------------------------------------------------------
+
+def _algebra_states():
+    """The same 40 items in both stores.  ``solo`` is unique per item
+    (inline postings), ``pair`` is shared by two items (two-id arrays),
+    ``kind`` by ten, and two items hold a second ``kind`` value."""
+    states = (_ArrayDomainState(), _LegacyDomainState())
+    for state in states:
+        for i in (17, 3, 29, 8):  # out-of-order arrivals: ids != rank
+            state.add_name(f"it{i:03d}")
+        for i in range(40):
+            name = f"it{i:03d}"
+            if i not in (17, 3, 29, 8):
+                state.add_name(name)
+            pairs = [
+                ("solo", f"s{i:03d}"),
+                ("pair", f"p{i // 2:03d}"),
+                ("kind", f"k{i % 4}"),
+            ]
+            if i in (5, 6):
+                pairs.append(("kind", "k9"))
+            state.note_pairs(name, pairs)
+    return states
+
+
+_ALGEBRA_CASES = {
+    # leaves
+    "eq_inline": "solo = 's007'",
+    "eq_array": "pair = 'p003'",
+    "eq_missing_value": "solo = 'nope'",
+    "eq_missing_attribute": "ghost = 'x'",
+    "in_inline_and_array": "kind in ('k9', 'k1', 'nope')",
+    "in_all_inline": "solo in ('s001', 's030', 's001')",
+    "name_eq_known": "itemName() = 'it017'",
+    "name_eq_unknown": "itemName() = 'it999'",
+    "name_in_dups_and_unknown": "itemName() in ('it003', 'it003', 'zz', 'it029')",
+    "name_prefix": "itemName() like 'it01%'",
+    "name_prefix_none": "itemName() like 'zz%'",
+    "name_range_slice": "itemName() between 'it004' and 'it011'",
+    "name_open_range": "itemName() >= 'it036'",
+    "value_range_inline": "solo between 's010' and 's015'",
+    "value_range_arrays": "pair < 'p003'",
+    "value_range_empty": "solo > 's999'",
+    # boolean nodes over every pairing of leaf collection types
+    "and_tuple_array": "solo = 's006' and kind = 'k2'",
+    "and_array_array": "pair = 'p003' and kind = 'k2'",
+    "and_slice_set": "itemName() between 'it000' and 'it009' "
+                     "and solo between 's005' and 's020'",
+    "and_set_keys": "kind in ('k9', 'k0') and itemName() in ('it005', 'it004')",
+    "and_one_side_unindexable": "kind != 'k1' and pair = 'p002'",
+    "and_disjoint": "solo = 's001' and solo = 's002'",
+    "or_tuple_array": "solo = 's001' or pair = 'p010'",
+    "or_slice_keys": "itemName() like 'it00%' or itemName() = 'it039'",
+    "or_unindexable": "solo = 's001' or kind != 'k0'",
+    "nested": "(pair = 'p001' or pair = 'p002') and "
+              "(kind = 'k2' or itemName() >= 'it004')",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ALGEBRA_CASES))
+def test_id_space_algebra_matches_string_sets(case):
+    array_state, legacy_state = _algebra_states()
+    _, condition = parse_select(
+        "select * from d where " + _ALGEBRA_CASES[case]
+    )
+    names = {}
+    for state in (array_state, legacy_state):
+        fixed = _plan_candidates(condition, state)
+        cost = _plan_candidates_cost(condition, state).candidates
+        names[state.__class__] = tuple(
+            None if keys is None else state.names_of(keys)
+            for keys in (fixed, cost)
+        )
+    answer = names[_LegacyDomainState]
+    for listed in answer:
+        # Page order, no duplicates, only names the domain has seen
+        # (the legacy store keeps unknown ``itemName()`` literals as
+        # candidates; verification drops them either way).
+        assert listed is None or listed == sorted(set(listed))
+    known = set(legacy_state.ordered_names())
+    assert names[_ArrayDomainState] == tuple(
+        None if listed is None else [n for n in listed if n in known]
+        for listed in answer
+    )
+
+
+def test_value_range_limit_bails_out_in_id_space_too():
+    array_state, legacy_state = _algebra_states()
+    for state in (array_state, legacy_state):
+        # Too many distinct values, then too many items under few values.
+        assert state.names_in_value_range(
+            "solo", "s000", "s030", True, True, limit=10
+        ) is None
+        assert state.names_in_value_range(
+            "kind", "k0", "k1", True, True, limit=10
+        ) is None
+        assert len(state.names_in_value_range(
+            "kind", "k0", "k1", True, True, limit=20
+        )) == 20
+        assert state.names_in_name_range(
+            "it000", "it020", True, True, limit=10
+        ) is None
+
+
+def test_wide_run_with_a_tail_reads_like_any_posting(monkeypatch):
+    monkeypatch.setattr(simpledb, "_TAIL_MERGE_THRESHOLD", 8)
+    array_state, legacy_state = _ArrayDomainState(), _LegacyDomainState()
+    for state in (array_state, legacy_state):
+        for i in range(12):
+            state.add_name(f"w{i:02d}")
+        for i in range(2, 12):
+            state.note_pairs(f"w{i:02d}", [("kind", "wide")])
+        state.note_pairs("w00", [("kind", "wide")])  # out of order
+    assert array_state.by_attr["kind"]["wide"].__class__ is _SortedIdRun
+    assert array_state.count_with("kind", "wide") == 11
+    assert array_state.recount_stats() == legacy_state.recount_stats()
+    for text in ("kind = 'wide'", "kind >= 'w'", "kind in ('wide', 'x')"):
+        _, condition = parse_select("select * from d where " + text)
+        assert array_state.names_of(
+            _plan_candidates(condition, array_state)
+        ) == legacy_state.names_of(_plan_candidates(condition, legacy_state))
+
+
+def test_pages_tokens_and_bills_identical_across_stores_and_scan():
+    """A three-page chain: every page's rows, next-token and billed
+    bytes agree between the array store, the legacy store and the
+    ``use_indexes=False`` scan."""
+    pages = {}
+    for label, store, use_indexes in (
+        ("array", "array", True),
+        ("legacy", "legacy", True),
+        ("scan", "array", False),
+    ):
+        account = CloudAccount(
+            consistency=ConsistencyModel.STRICT, seed=5, index_store=store
+        )
+        sdb = account.simpledb
+        sdb.create_domain("d")
+        items = [
+            (f"pg{i:05d}", [("half", f"h{i % 2}"), ("seq", f"{i:05d}")])
+            for i in range(2 * SELECT_PAGE_ITEMS + 700)
+        ]
+        for start in range(0, len(items), 25):
+            sdb.batch_put("d", items[start : start + 25])
+        sdb.use_indexes = use_indexes
+        seen = []
+        for expression in (
+            "select * from d where itemName() between 'pg00100' and 'pg02999'",
+            "select * from d where seq >= '00050' and half = 'h1'",
+        ):
+            token = ""
+            while True:
+                before = account.billing.bytes_received()
+                page = account.scheduler.execute_one(
+                    sdb.select_request(expression, token)
+                )
+                seen.append((
+                    repr(page.rows), page.next_token,
+                    account.billing.bytes_received() - before,
+                ))
+                if page.complete:
+                    break
+                token = page.next_token
+        pages[label] = seen
+    assert len(pages["array"]) == 5  # 3 pages + 2 pages
+    assert pages["array"] == pages["legacy"] == pages["scan"]
 
 
 # --------------------------------------------------------------------------
@@ -377,35 +655,53 @@ def test_stats_survive_delete_prune_reput_interleavings(store, seed):
 # Memory accounting
 # --------------------------------------------------------------------------
 
-def _populate_bare_state(state, items):
+def _populate_bare_state(state, items, singletons=False):
     """Feed a bare (service-less) domain state; keeps only interned,
     retained references so a tracemalloc delta matches what the gauge
-    prices."""
+    prices.  ``singletons`` shapes the domain like the repo benchmark's:
+    two attributes with one unique value per item (every posting
+    inline) beside one low-cardinality attribute."""
     for i in range(items):
         name = f"memprobe-{i:06d}"
         state.add_name(name)
-        state.note_pairs(
-            name,
-            (
+        if singletons:
+            pairs = (
+                ("mp_kind", f"k{i % 7}"),
+                ("mp_mtime", f"{1_000_000 + i:09d}"),
+                ("mp_input", f"in-{i:07d}"),
+            )
+        else:
+            pairs = (
                 ("mp_kind", f"k{i % 7}"),
                 ("mp_step", f"s{i % 97:04d}"),
                 ("mp_blob", f"b{i:06d}"),
-            ),
-        )
+            )
+        state.note_pairs(name, pairs)
+
+
+#: gauge / tracemalloc band per store.  ``getsizeof`` and the allocator
+#: disagree on slack (over-allocated lists, pymalloc rounding), but an
+#: accounting hole cannot hide inside the band; the array store's is
+#: the tighter one because the repo benchmark's ``space_per_user_byte``
+#: reads its gauge.
+_GAUGE_BANDS = {_ArrayDomainState: (0.6, 1.5), _LegacyDomainState: (0.45, 1.8)}
 
 
 @pytest.mark.parametrize("cls", [_ArrayDomainState, _LegacyDomainState])
-def test_memory_gauge_tracks_tracemalloc(cls):
-    """The fixed accounting must land within a tolerance band of a
-    tracemalloc-measured build of a known domain.  The old gauge missed
-    the inner histogram dicts, the pending-unindex tuples, and (for the
-    legacy store) priced sets without their elements — at 1M items that
-    undercount would poison bytes-per-item, so pin it here."""
+@pytest.mark.parametrize("items,singletons", [(3000, False), (5000, True)])
+def test_memory_gauge_tracks_tracemalloc(cls, items, singletons):
+    """The accounting must land within a tolerance band of a
+    tracemalloc-measured build of a known domain — a mixed one and a
+    singleton-heavy one, where the gauge prices inline ids and the name
+    table's id slots.  The old gauge missed the inner histogram dicts,
+    the pending-unindex tuples, and (for the legacy store) priced sets
+    without their elements — at 1M items that undercount would poison
+    bytes-per-item, so pin it here."""
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
         state = cls()
-        _populate_bare_state(state, 3000)
+        _populate_bare_state(state, items, singletons)
         # Park some pending-unindex entries so their tuples are priced.
         for i in range(50):
             state.schedule_unindex(
@@ -417,10 +713,8 @@ def test_memory_gauge_tracks_tracemalloc(cls):
     measured = after - before
     gauge = state.memory_bytes()
     assert measured > 0
-    # Generous band: getsizeof and the allocator disagree on slack
-    # (over-allocated lists, pymalloc rounding), but an accounting hole
-    # the size of the old undercount cannot hide inside it.
-    assert 0.45 * measured < gauge < 1.8 * measured, (
+    low, high = _GAUGE_BANDS[cls]
+    assert low * measured < gauge < high * measured, (
         f"{cls.__name__}: gauge {gauge} vs tracemalloc {measured}"
     )
 
@@ -443,6 +737,49 @@ def test_memory_gauge_monotone_as_domain_grows():
         grown = sdb.index_memory_bytes()
         assert grown > last, f"checkpoint {checkpoint}"
         last = grown
+
+
+def test_inline_to_run_to_inline_round_trip():
+    """One value held by one item, then two, then one again: the
+    posting is promoted and demoted, and the counters, the estimate
+    probe, ``selectivity()`` and the gauge follow it both ways."""
+    account = CloudAccount(consistency=ConsistencyModel.STRICT, seed=13)
+    sdb = account.simpledb
+    sdb.create_domain("d")
+    state = sdb._domains["d"]
+
+    def check(cardinality, layout):
+        assert state.by_attr["tag"]["x"].__class__ is layout
+        assert state.count_with("tag", "x") == cardinality
+        assert sdb.index_cardinality("d", "tag", "x") == cardinality
+        assert (state.attr_postings, state.set_size_hist) == (
+            state.recount_stats()
+        )
+        selectivity = sdb.selectivity("d", "tag")
+        assert selectivity.distinct_values == 1
+        assert selectivity.postings == cardinality
+        assert selectivity.set_size_histogram == {
+            cardinality.bit_length(): 1
+        }
+        return sdb.index_memory_bytes()
+
+    sdb.put_attributes("d", "first", [("tag", "x"), ("own", "1")])
+    sdb.put_attributes("d", "second", [("own", "2")])
+    inline = check(1, int)
+    sdb.put_attributes("d", "second", [("tag", "x")])
+    run = check(2, array)
+    assert run > inline
+    sdb.delete_attributes("d", "first", [("tag", "x")])
+    queued = check(2, array)  # not pruned before the delete is visible
+    assert queued > run
+    account.settle(120.0)
+    rows = sdb.select("select * from d where tag = 'x'")
+    assert [name for name, _ in rows] == ["second"]
+    assert sdb.select_stats.unindexed_pruned == 1
+    # Down again (the emptied pending dict keeps its table, so not
+    # all the way to the first reading).
+    assert inline <= check(1, int) < queued
+    assert state.by_attr["tag"]["x"] == state.names.id_of("second")
 
 
 def test_array_store_beats_legacy_on_equal_data():
