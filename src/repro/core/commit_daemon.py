@@ -29,35 +29,42 @@ landed.
 **Stragglers.**  Under eventual consistency a temporary object may not
 be visible to its COPY yet (§2.3.1: "clients must design appropriate
 mechanisms to detect inconsistencies").  A COPY that finds no source
-fails alone; the rest of the batch lands.  The transactions whose copies
-all landed are deleted and logged at once; the daemon then waits a fixed
-``COPY_RETRY_S`` and re-issues only the copies that did not land, up to
-``COPY_ATTEMPTS`` rounds — a straggler neither holds back its group nor
-buys a second COPY for anything already copied.  The daemon does not
-receive while it waits: new WAL messages are another daemon's work (the
-supervisor grows the pool on exactly this backlog), and what piled up
-meanwhile widens this daemon's next round.  Within the group
-the one thing a straggler does hold back is a later version of its own
-path: two flushes of one path copy to the same final key, so the later
-copy is not issued until the earlier has landed and the final object
+fails alone; the rest of the batch lands, and the transactions whose
+copies all landed are deleted and logged at once.  The others are
+*held*: put, their missing copies due again ``COPY_RETRY_S`` after the
+failed ones came back, up to ``COPY_ATTEMPTS`` tries — a straggler
+neither holds back its group nor buys a second COPY for anything already
+copied.  One commit round (:meth:`CommitDaemon._commit_round`) puts the
+fresh group, tries the copies of the fresh and the due held transactions
+and finishes what landed; the drivers differ only between rounds.
+:meth:`CommitDaemon.process` goes straight back to ``ReceiveMessage``
+(idle, it sleeps no longer than to the next due-time), so what is logged
+while a straggler waits is committed ahead of it; the phased drivers and
+:meth:`CommitDaemon.retire_plan` sleep to the next due-time and run
+another round until nothing is held.  The one thing a straggler does
+hold back is a later version of its own path, in this daemon: two
+flushes of one path copy to the same final key, a round walks the held
+set in log order, and a key whose earliest holder is not due or found no
+source is left alone — so the later copy, even one received rounds
+later, is not issued until the earlier has landed and the final object
 ends as the latest version.  A temp object still missing after the last
-round was deleted by another daemon's commit of the same transaction (a
+try was deleted by another daemon's commit of the same transaction (a
 duplicate delivery) if the final object already carries its uuid and
 version — the transaction is then finished with nothing left to copy;
-otherwise the plan raises :class:`~repro.errors.NoSuchKeyError`.
+otherwise the round raises :class:`~repro.errors.NoSuchKeyError`.
 
 **Crashes.**  Packets of incomplete transactions (a client that crashed
 mid-log) are simply never committed; SQS's four-day retention
 garbage-collects them.  If the machine running the daemon crashes
 anywhere in a group — the ``p3.mid_commit`` crash point sits between the
 group's puts and its copies — every WAL message of every unfinished
-transaction is still in the queue, and any other machine can run a
-daemon against the same queue and finish the job: the WAL is the
-authority.  Commits are idempotent: re-running a partially committed
+transaction, held ones included, is still in the queue, and any other
+machine can run a daemon against the same queue and finish the job: the
+WAL is the authority.  Commits are idempotent: re-running a partially committed
 group re-issues the same writes.
 
 The daemon runs in two execution modes over one copy of the commit
-logic (:meth:`CommitDaemon.commit_plan`, an effect-plan generator; the
+logic (:meth:`CommitDaemon._commit_round`, an effect-plan generator; the
 group is whatever is complete when it is called):
 
 - **Phased** (the paper's measurement methodology): :meth:`drain` is
@@ -133,6 +140,11 @@ class _PendingTransaction:
     #: seq -> (parsed message, receipt handles seen for that seq).
     packets: Dict[int, ParsedMessage] = field(default_factory=dict)
     receipts: List[str] = field(default_factory=list)
+    #: Once held (provenance put): the manifest entries whose COPY has
+    #: not landed, the rounds that tried, the virtual time of the next.
+    uncopied: List[DataManifestEntry] = field(default_factory=list)
+    attempts: int = 0
+    due: float = 0.0
 
     def complete(self) -> bool:
         return self.total >= 0 and len(self.packets) == self.total
@@ -219,6 +231,8 @@ class CommitDaemon:
         #: True once a graceful retirement completed.
         self.retired = False
         self._pending: Dict[str, _PendingTransaction] = {}
+        #: The transactions of ``_pending`` put but not finished, in log order.
+        self._held: Dict[str, _PendingTransaction] = {}
         self._committed_count = 0
         #: txn id -> virtual send time of its latest WAL packet seen
         #: (log completion).
@@ -332,12 +346,12 @@ class CommitDaemon:
         self, poll_interval: float = 1.0, max_messages: int = 10
     ) -> Generator:
         """The daemon as a long-running kernel process: receive, assemble,
-        commit, and sleep ``poll_interval`` virtual seconds whenever the
-        queue comes up empty.  Each round issues up to ``fanout``
-        receives, sized to the backlog by :meth:`_next_fanout`: one
-        alone, then — if it came back full — the rest in one batch.
-        Spawn with ``daemon=True`` — the process never returns; the
-        kernel stops it when the experiment ends."""
+        run one commit round, and whenever the queue comes up empty sleep
+        ``poll_interval`` virtual seconds, or less if a held retry is due
+        sooner.  Each round issues up to ``fanout`` receives, sized to
+        the backlog by :meth:`_next_fanout`: one alone, then — if it came
+        back full — the rest in one batch.  Spawn with ``daemon=True`` —
+        the process never returns; the kernel stops it at the end."""
         fanout = 1
         while True:
             if self._stop_requested:
@@ -359,10 +373,10 @@ class CommitDaemon:
                 received += len(messages)
                 for message in messages:
                     self._ingest(message)
-            yield from self.commit_plan()
+            yield from self._commit_round()
             fanout = self._next_fanout(fanout, full, self.account.now - leased_at)
             if not received:
-                yield Delay(poll_interval)
+                yield Delay(min(poll_interval, self._until_due()))
 
     def _next_fanout(self, fanout: int, full: int, held_s: float) -> int:
         """How many receives the next round issues, from what this round
@@ -384,11 +398,11 @@ class CommitDaemon:
 
     def retire_plan(self) -> Generator:
         """Graceful retirement: commit every *complete* transaction still
-        pending, then hand each *incomplete* transaction's WAL messages
-        straight back to the queue (``ChangeMessageVisibility 0``) so a
-        surviving daemon can assemble it without waiting out this
-        daemon's visibility timeout.  Effect-plan shaped, like
-        :meth:`commit_plan`."""
+        pending, waiting out the held ones, then hand each *incomplete*
+        transaction's WAL messages straight back to the queue
+        (``ChangeMessageVisibility 0``) so a surviving daemon can
+        assemble it without waiting out this daemon's visibility
+        timeout.  Effect-plan shaped, like :meth:`commit_plan`."""
         yield from self.commit_plan()
         handbacks: List[Request] = [
             self.account.sqs.change_visibility_request(
@@ -446,59 +460,76 @@ class CommitDaemon:
 
     def commit_plan(self, txn_ids: Optional[Sequence[str]] = None) -> Generator:
         """The commit of a group of fully assembled transactions, as an
-        effect plan — the single copy of the commit logic, driven phased
-        by :meth:`commit` / :meth:`drain` and concurrently by
-        :meth:`process` and :meth:`retire_plan`.  The group is
-        ``txn_ids``, or by default every transaction complete right now;
-        an empty group yields nothing."""
+        effect plan that returns with nothing held — driven phased by
+        :meth:`commit` / :meth:`drain` and concurrently by
+        :meth:`retire_plan`.  The group is ``txn_ids``, or by default
+        every transaction complete right now; with no group and nothing
+        held it yields nothing."""
+        yield from self._commit_round(txn_ids)
+        while self._held:
+            yield Delay(self._until_due())
+            yield from self._commit_round([])
+
+    def _until_due(self) -> float:
+        """Virtual seconds to the earliest retry of a held transaction."""
+        due = min((txn.due for txn in self._held.values()), default=float("inf"))
+        return max(0.0, due - self.account.now)
+
+    def _commit_round(self, txn_ids: Optional[Sequence[str]] = None) -> Generator:
+        """One pass of the commit logic, the single copy of it: put the
+        group's provenance, try every COPY of the group and of the held
+        transactions that are due, delete and log whatever landed.  The
+        rest stays held; what happens until it is due is the caller's."""
         if txn_ids is None:
             group = [txn for txn in self._pending.values() if txn.complete()]
         else:
             group = [self._assembled(txn_id) for txn_id in txn_ids]
-        if not group:
-            return
-        self._m_group_size.observe(len(group))
-
-        # 1 + 2: spill oversized values, then BatchPutAttributes into each
-        # bundle's routed shard domain, filled across the group.
-        bundles = self._bundles_from_records(
-            [record for txn in group for record in txn.records()]
-        )
-        spill_requests, batch_requests, _pairs = build_routed_requests(
-            self.router, bundles, self.account, self.bucket
-        )
-        if spill_requests:
-            yield Batch(spill_requests, self.connections)
-        if batch_requests:
-            yield Batch(batch_requests, self.connections)
-            for txn in group:
-                self._tracer.mark_if_traced(txn.txn_id, SDB_PUT, self.account.now)
-        self.account.faults.crash_point("p3.mid_commit")
+        # A held transaction redelivered to this daemon after its lease
+        # lapsed is already put, and its copies have their own schedule.
+        fresh = [txn for txn in group if txn.txn_id not in self._held]
+        if fresh:
+            self._m_group_size.observe(len(fresh))
+            # 1 + 2: spill oversized values, then BatchPutAttributes into
+            # each bundle's routed shard domain, filled across the group.
+            bundles = self._bundles_from_records(
+                [record for txn in fresh for record in txn.records()]
+            )
+            spill_requests, batch_requests, _pairs = build_routed_requests(
+                self.router, bundles, self.account, self.bucket
+            )
+            if spill_requests:
+                yield Batch(spill_requests, self.connections)
+            if batch_requests:
+                yield Batch(batch_requests, self.connections)
+                for txn in fresh:
+                    self._tracer.mark_if_traced(txn.txn_id, SDB_PUT, self.account.now)
+            self.account.faults.crash_point("p3.mid_commit")
+            for txn in fresh:
+                txn.uncopied = txn.data_entries()
+                self._held[txn.txn_id] = txn
 
         # 3 + 4: COPY temp -> final, stamping the provenance link
         # metadata, then delete and log every transaction whose copies
-        # all landed.  A temp object not visible to its copy yet (eventual
-        # consistency) holds back only its own transaction and the later
-        # versions of its path: after a fixed COPY_RETRY_S wait just the
-        # copies that did not land are re-issued, up to COPY_ATTEMPTS
-        # rounds.
-        uncopied = {txn.txn_id: txn.data_entries() for txn in group}
-        for _attempt in range(COPY_ATTEMPTS):
-            yield from self._copy_round(group, uncopied)
-            yield from self._finish(
-                [txn for txn in group if not uncopied[txn.txn_id]]
-            )
-            group = [txn for txn in group if uncopied[txn.txn_id]]
-            if not group:
-                return
-            yield Delay(COPY_RETRY_S)
+        # all landed.  A temp object not visible yet holds back only its
+        # own transaction and the later versions of its path; it is due
+        # again COPY_RETRY_S after the copies, not the deletes, came back.
+        now = self.account.now
+        due = [txn for txn in self._held.values() if txn.due <= now]
+        yield from self._copy_round(now)
+        for txn in due:
+            txn.attempts += 1
+            txn.due = self.account.now + COPY_RETRY_S
+        yield from self._finish([txn for txn in due if not txn.uncopied])
 
         # Out of rounds: no propagation window is this long, so the temp
         # objects are gone — deleted by another daemon's commit of the
         # same transactions (a duplicate delivery) exactly when each
         # final object already carries the entry's uuid at its version
         # or a later one.  Then there is nothing left to copy.
-        entries = [entry for txn in group for entry in uncopied[txn.txn_id]]
+        gone = [txn for txn in due if txn.uncopied and txn.attempts >= COPY_ATTEMPTS]
+        if not gone:
+            return
+        entries = [entry for txn in gone for entry in txn.uncopied]
         heads = yield Batch(
             [
                 self.account.s3.head_request(self.bucket, entry.final_key)
@@ -515,36 +546,34 @@ class CommitDaemon:
                 raise NoSuchKeyError(
                     f"temp object {entry.tmp_key} never became visible"
                 )
-        yield from self._finish(group)
+        yield from self._finish(gone)
 
-    def _copy_round(
-        self,
-        group: List[_PendingTransaction],
-        uncopied: Dict[str, List[DataManifestEntry]],
-    ) -> Generator:
-        """One attempt at every COPY of the group that has not landed;
-        those that land leave ``uncopied``.  Two flushes of one path
-        share a final key and must land in log order, so a batch carries
-        at most one copy per final key — the earliest transaction's —
-        and a key whose copy found no source is left alone for the rest
-        of the round: the later versions wait behind the straggler."""
+    def _copy_round(self, now: float) -> Generator:
+        """One attempt at every COPY still missing of the held
+        transactions due at ``now``; those that land leave ``uncopied``.
+        Two flushes of one path share a final key and must land in log
+        order, so a batch carries at most one copy per final key — its
+        earliest holder's, due or not — and a key whose copy found no
+        source is left alone for the rest of the round: the later
+        versions wait behind the straggler."""
         unseen: Set[str] = set()
         while True:
             claimed = set(unseen)
             wave = []
-            for txn in group:
-                for entry in uncopied[txn.txn_id]:
+            for txn in self._held.values():
+                for entry in txn.uncopied:
                     if entry.final_key not in claimed:
                         claimed.add(entry.final_key)
-                        wave.append((txn.txn_id, entry))
+                        if txn.due <= now:
+                            wave.append((txn, entry))
             if not wave:
                 return
             copied = yield Batch(
                 [self._copy_request(entry) for _, entry in wave], self.connections
             )
-            for (txn_id, entry), landed in zip(wave, copied.results):
+            for (txn, entry), landed in zip(wave, copied.results):
                 if landed:
-                    uncopied[txn_id].remove(entry)
+                    txn.uncopied.remove(entry)
                 else:
                     unseen.add(entry.final_key)
 
@@ -607,6 +636,7 @@ class CommitDaemon:
             yield Batch(deletes, self.connections)
         for txn in wave:
             del self._pending[txn.txn_id]
+            del self._held[txn.txn_id]
             self._committed_count += 1
             record = CommitRecord(
                 txn_id=txn.txn_id,

@@ -69,9 +69,9 @@ class SupervisorConfig:
     #: it can commit in half a lease), so its capacity is not a constant:
     #: ten messages commit in about 2.3 virtual seconds, eighty in about
     #: 8.  4 a tick is far below either — on purpose.  The depth signal
-    #: sizes the pool for the time a member spends *not* receiving, in
-    #: commit or waiting out a straggler's temp object, when only
-    #: another member can pick up new work.
+    #: sizes the pool for the time a member spends *not* receiving — in
+    #: a commit round; a straggler's temp object no longer stops it —
+    #: when only another member can pick up new work.
     backlog_per_daemon: int = 4
     #: Consecutive quiet ticks before one member retires.
     calm_ticks: int = 3
