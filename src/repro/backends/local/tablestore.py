@@ -37,9 +37,11 @@ from repro.cloud.consistency import (
 from repro.cloud.network import ParallelScheduler
 from repro.cloud.profiles import ServiceProfile
 from repro.cloud.simpledb import (
-    ItemAttributes,
+    PackedAttributes,
     SimpleDBService,
     _DomainStateBase,
+    _pack,
+    _unpack,
 )
 
 _SCHEMA = """
@@ -64,10 +66,11 @@ def ensure_schema(conn: sqlite3.Connection) -> None:
     conn.executescript(_SCHEMA)
 
 
-def _decode_attrs(text: Optional[str]) -> Optional[ItemAttributes]:
+def _decode_attrs(text: Optional[str]) -> Optional[PackedAttributes]:
+    """A row's dict-of-lists JSON, packed as the service stores it."""
     if text is None:
         return None
-    return json.loads(text)
+    return _pack(json.loads(text))
 
 
 class SqliteRegister:
@@ -90,12 +93,13 @@ class SqliteRegister:
     # -- writes ---------------------------------------------------------------
 
     def write(
-        self, value: ItemAttributes, committed_at: float, visible_at: float
+        self, value: PackedAttributes, committed_at: float, visible_at: float
     ) -> None:
+        attrs = json.dumps(_unpack(value))
         self._conn.execute(
             "INSERT INTO sdb_versions(domain, item, committed_at, visible_at,"
             " deleted, attrs) VALUES (?, ?, ?, ?, 0, ?)",
-            (self._domain, self._item, committed_at, visible_at, json.dumps(value)),
+            (self._domain, self._item, committed_at, visible_at, attrs),
         )
 
     def delete(self, committed_at: float, visible_at: float) -> None:
@@ -117,7 +121,7 @@ class SqliteRegister:
 
     def read(
         self, at: float, model: ConsistencyModel
-    ) -> Optional[WriteVersion[ItemAttributes]]:
+    ) -> Optional[WriteVersion[PackedAttributes]]:
         column = "committed_at" if model is ConsistencyModel.STRICT else "visible_at"
         row = self._best_row(column, at)
         if row is None:
@@ -132,10 +136,10 @@ class SqliteRegister:
 
     def read_latest_committed(
         self, at: float
-    ) -> Optional[WriteVersion[ItemAttributes]]:
+    ) -> Optional[WriteVersion[PackedAttributes]]:
         return self.read(at, ConsistencyModel.STRICT)
 
-    def history(self) -> List[WriteVersion[ItemAttributes]]:
+    def history(self) -> List[WriteVersion[PackedAttributes]]:
         rows = self._conn.execute(
             "SELECT attrs, committed_at, visible_at, deleted FROM sdb_versions"
             " WHERE domain = ? AND item = ? ORDER BY committed_at, seq",
@@ -258,10 +262,8 @@ class LocalSimpleDBService(SimpleDBService):
             if item not in seen:
                 seen.add(item)
                 state.add_name(item)
-            attrs = _decode_attrs(attrs_text) or {}
-            state.note_pairs(
-                item, [(a, v) for a, values in attrs.items() for v in values]
-            )
+            texts = iter(_decode_attrs(attrs_text))
+            state.note_pairs(item, list(zip(texts, texts)))
 
     # -- omniscient inspection ------------------------------------------------
 

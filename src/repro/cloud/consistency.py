@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Any, Generic, List, Optional, TypeVar
+from typing import Generic, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -34,7 +34,7 @@ class ConsistencyModel(enum.Enum):
     STRICT = "strict"
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteVersion(Generic[T]):
     """One committed write: the value, when it committed, when it is
     visible everywhere, and whether it is a deletion tombstone."""
@@ -70,10 +70,14 @@ class PropagationSampler:
 
 
 class VersionedRegister(Generic[T]):
-    """Write history of one key under last-writer-wins semantics."""
+    """Write history of one key under last-writer-wins semantics — an
+    immutable tuple each write replaces (one register per stored key:
+    no instance dict, no list over-allocation)."""
+
+    __slots__ = ("_history",)
 
     def __init__(self) -> None:
-        self._history: List[WriteVersion[T]] = []
+        self._history: Tuple[WriteVersion[T], ...] = ()
 
     def write(self, value: T, committed_at: float, visible_at: float) -> None:
         """Record a write; history is kept sorted by commit time."""
@@ -84,12 +88,13 @@ class VersionedRegister(Generic[T]):
         self._insert(WriteVersion(None, committed_at, visible_at, deleted=True))
 
     def _insert(self, version: WriteVersion[T]) -> None:
-        self._history.append(version)
+        history = self._history + (version,)
         # Writes usually arrive in commit order; keep the invariant cheap.
-        if len(self._history) > 1 and (
-            self._history[-1].committed_at < self._history[-2].committed_at
+        if len(history) > 1 and (
+            history[-1].committed_at < history[-2].committed_at
         ):
-            self._history.sort(key=lambda v: v.committed_at)
+            history = tuple(sorted(history, key=lambda v: v.committed_at))
+        self._history = history
 
     def read(self, at: float, model: ConsistencyModel) -> Optional[WriteVersion[T]]:
         """Latest observable version at time ``at``, or ``None`` if no

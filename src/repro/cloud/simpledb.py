@@ -92,6 +92,24 @@ ItemPut = Tuple[str, Sequence[Tuple[str, str]]]
 #: Materialized item attributes: attribute -> list of values.
 ItemAttributes = Dict[str, List[str]]
 
+#: One stored version's attributes, flat: ``(name, value, name, value,
+#: ...)``, grouped by attribute in first-put order, values in put order
+#: — one tuple per version instead of a dict plus a list per attribute.
+PackedAttributes = Tuple[str, ...]
+
+
+def _pack(attributes: ItemAttributes) -> PackedAttributes:
+    return tuple(t for a, vs in attributes.items() for v in vs for t in (a, v))
+
+
+def _unpack(packed: PackedAttributes) -> ItemAttributes:
+    """A fresh dict of fresh lists: what the API hands callers."""
+    attributes: ItemAttributes = {}
+    texts = iter(packed)
+    for attribute, value in zip(texts, texts):
+        attributes.setdefault(attribute, []).append(value)
+    return attributes
+
 
 # --------------------------------------------------------------------------
 # Select expression AST + parser
@@ -100,7 +118,7 @@ ItemAttributes = Dict[str, List[str]]
 class _Condition:
     """Base class for parsed WHERE conditions."""
 
-    def matches(self, item_name: str, attributes: ItemAttributes) -> bool:
+    def matches(self, item_name: str, packed: PackedAttributes) -> bool:
         raise NotImplementedError
 
 
@@ -127,11 +145,12 @@ class _Comparison(_Condition):
             )
             self._like_re = re.compile(regex)
 
-    def matches(self, item_name: str, attributes: ItemAttributes) -> bool:
+    def matches(self, item_name: str, packed: PackedAttributes) -> bool:
         if self.attribute == "itemName()":
             candidates = [item_name]
         else:
-            candidates = attributes.get(self.attribute, [])
+            texts = iter(packed)
+            candidates = [v for a, v in zip(texts, texts) if a == self.attribute]
         if self.op == "=":
             return any(v == self.values[0] for v in candidates)
         if self.op == "!=":
@@ -177,13 +196,13 @@ class _BoolOp(_Condition):
     left: _Condition
     right: _Condition
 
-    def matches(self, item_name: str, attributes: ItemAttributes) -> bool:
+    def matches(self, item_name: str, packed: PackedAttributes) -> bool:
         if self.op == "and":
-            return self.left.matches(item_name, attributes) and self.right.matches(
-                item_name, attributes
+            return self.left.matches(item_name, packed) and self.right.matches(
+                item_name, packed
             )
-        return self.left.matches(item_name, attributes) or self.right.matches(
-            item_name, attributes
+        return self.left.matches(item_name, packed) or self.right.matches(
+            item_name, packed
         )
 
 
@@ -715,7 +734,7 @@ class _DomainStateBase:
     )
 
     def __init__(self) -> None:
-        self.registry: Dict[str, VersionedRegister[ItemAttributes]] = {}
+        self.registry: Dict[str, VersionedRegister[PackedAttributes]] = {}
         #: (attribute, value, item name) -> virtual time at which the
         #: entry may be pruned (the deleting write's visibility time).
         self.pending_unindex: Dict[Tuple[str, str, str], float] = {}
@@ -1653,14 +1672,16 @@ def _pairs_size(pairs: Sequence[Tuple[str, str]]) -> int:
     return sum(len(a.encode()) + len(v.encode()) for a, v in pairs)
 
 
-def _attributes_size(version: WriteVersion[ItemAttributes]) -> int:
+def _attributes_size(version: WriteVersion[PackedAttributes]) -> int:
     """Response bytes of one stored version's attributes, computed on
-    first use and kept on the version (stored values are never mutated:
-    every write stores a fresh dict and readers are handed copies)."""
+    first use and kept on the version (stored values are immutable
+    tuples).  An attribute's name counts once, however many values it
+    holds; a name occurs in one group of the packed tuple only."""
     size = version.size
     if size is None:
-        size = version.size = sum(
-            len(a) + sum(map(len, vals)) for a, vals in version.value.items()
+        packed = version.value
+        size = version.size = sum(map(len, set(packed[::2]))) + sum(
+            map(len, packed[1::2])
         )
     return size
 
@@ -1734,8 +1755,11 @@ class SimpleDBService:
                 "sdb.select.and_sides_skipped",
                 lambda: stats.and_sides_skipped,
             )
+            # Not the bound method: that would make a cycle with ``self``.
+            domains = self._domains
             metrics.gauge_fn(
-                "sdb.index.memory_bytes", self.index_memory_bytes
+                "sdb.index.memory_bytes",
+                lambda: sum(state.memory_bytes() for state in domains.values()),
             )
         #: Snapshot id -> the chain's materialized match list; created at
         #: a chain's first page, dropped at its last — or expired by
@@ -1869,7 +1893,7 @@ class SimpleDBService:
                 latest = register.read_latest_committed(finish)
                 current: ItemAttributes = {}
                 if latest is not None and not latest.deleted and latest.value:
-                    current = {a: list(v) for a, v in latest.value.items()}
+                    current = _unpack(latest.value)
                 visible = self._consistency.visibility_for(finish)
                 removed: List[Tuple[str, str]] = []
                 # Truthiness, not an is-None check, so an empty spec
@@ -1894,7 +1918,7 @@ class SimpleDBService:
                             if not values:
                                 current.pop(attr, None)
                 if current:
-                    register.write(current, finish, visible)
+                    register.write(_pack(current), finish, visible)
                 else:
                     register.delete(finish, visible)
                 state.schedule_unindex(item, removed, visible)
@@ -1916,11 +1940,11 @@ class SimpleDBService:
         def apply(start: float, finish: float) -> ItemAttributes:
             version = self._observe(state.registry, item, start)
             if version is None:
-                size, attributes = 0, {}
+                size, packed = 0, ()
             else:
-                size, attributes = _attributes_size(version), version.value
+                size, packed = _attributes_size(version), version.value
             self._billing.record("simpledb", "GetAttributes", bytes_out=size)
-            return {a: list(vals) for a, vals in attributes.items()}
+            return _unpack(packed)
 
         return Request(
             profile=self._profile,
@@ -2090,7 +2114,7 @@ class SimpleDBService:
         latest = register.read_latest_committed(committed_at)
         current: ItemAttributes = {}
         if latest is not None and not latest.deleted and latest.value:
-            current = {a: list(v) for a, v in latest.value.items()}
+            current = _unpack(latest.value)
         if replace:
             for attribute, _ in pairs:
                 current.pop(attribute, None)
@@ -2106,7 +2130,7 @@ class SimpleDBService:
         # a superset of what any observation time can see).
         state.note_pairs(name, pairs)
         visible = self._consistency.visibility_for(committed_at)
-        register.write(current, committed_at, visible)
+        register.write(_pack(current), committed_at, visible)
         if self._telemetry is not None:
             # O(1) dict probe: only items pre-registered as trace aliases
             # (P3 txn items) land a mark; bulk workloads pay nothing.
@@ -2170,11 +2194,9 @@ class SimpleDBService:
             version = self._observe(state.registry, name, start)
             if version is None:
                 continue
-            attributes = version.value
-            if condition is None or condition.matches(name, attributes):
-                matches.append(
-                    (name, {a: list(v) for a, v in attributes.items()})
-                )
+            packed = version.value
+            if condition is None or condition.matches(name, packed):
+                matches.append((name, _unpack(packed)))
                 sizes.append(len(name) + _attributes_size(version))
         return matches, sizes
 
@@ -2249,10 +2271,10 @@ class SimpleDBService:
 
     def _observe(
         self,
-        registry: Dict[str, VersionedRegister[ItemAttributes]],
+        registry: Dict[str, VersionedRegister[PackedAttributes]],
         name: str,
         at: float,
-    ) -> Optional[WriteVersion[ItemAttributes]]:
+    ) -> Optional[WriteVersion[PackedAttributes]]:
         """The version of ``name`` observable at ``at`` when it holds
         attributes — ``None`` for an absent, not yet visible or deleted
         item."""
@@ -2351,7 +2373,7 @@ class SimpleDBService:
         version = register.read_latest_committed(float("inf"))
         if version is None or version.deleted or version.value is None:
             return {}
-        return {a: list(v) for a, v in version.value.items()}
+        return _unpack(version.value)
 
     def peek_item_names(self, domain: str) -> List[str]:
         """All item names with visible-eventually state (tests only)."""

@@ -92,8 +92,11 @@ class IngestGateway:
         self.connections = connections
         self.cache = cache if cache is not None else LRUCache()
         self.stats = GatewayStats()
+        #: Flushes waiting for the next window; mutated only in place.
+        self._pending: List[Tuple[str, FlushWork]] = []
         # Telemetry: stats struct and cache feed the registry as callback
-        # gauges under this gateway's instance label.
+        # gauges under this gateway's instance label — closures over the
+        # state, not bound methods, which would make a cycle with ``self``.
         telemetry = account.telemetry
         self._tracer = telemetry.tracer
         label = f"gateway-{telemetry.instance_id('gateway')}"
@@ -112,12 +115,11 @@ class IngestGateway:
             lambda: stats.sdb_batches_saved,
             gateway=label,
         )
-        metrics.gauge_fn("gateway.pending", self.pending_count, gateway=label)
+        metrics.gauge_fn("gateway.pending", self._pending.__len__, gateway=label)
         self.cache.bind_metrics(metrics, cache=label)
         account.s3.create_bucket(bucket)
         for domain in self.router.domains:
             account.simpledb.create_domain(domain)
-        self._pending: List[Tuple[str, FlushWork]] = []
         #: True while the kernel process is mid-window (the window has
         #: been claimed from ``_pending`` but its batch has not shipped).
         self._flushing = False
@@ -159,8 +161,8 @@ class IngestGateway:
         concurrently by :meth:`process`."""
         if not self._pending:
             return 0
-        window = self._pending
-        self._pending = []
+        window = self._pending[:]
+        self._pending.clear()
         self.stats.windows += 1
 
         shipped = False
@@ -182,7 +184,7 @@ class IngestGateway:
                 # is re-issued — harmless, because SimpleDB re-puts are
                 # set-semantics idempotent and the S3 objects re-upload
                 # byte-identical content.
-                self._pending = window + self._pending
+                self._pending[:0] = window
 
         if self._tracer.enabled:
             coalesced_at = (

@@ -15,8 +15,10 @@ lag derived from ``wal.logged -> commit.done`` spans equals the commit
 daemons' own ``CommitRecord`` bookkeeping exactly, float for float.
 """
 
+import gc
 import json
 import random
+import weakref
 
 from repro.cloud.account import CloudAccount
 from repro.core import ProtocolP3
@@ -39,6 +41,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.query.engine import SimpleDBQueryEngine
+from repro.service import IngestGateway
 from repro.sim import Delay, SimKernel
 from repro.workloads.base import MOUNT
 from repro.workloads.fleet import (
@@ -494,3 +497,23 @@ class TestTelemetryHub:
         assert Telemetry.coerce(None).enabled
         assert Telemetry.coerce(True).enabled
         assert not Telemetry.coerce(False).enabled
+
+    def test_closed_account_is_freed_without_the_cycle_collector(self):
+        """Callback gauges close over state, not their owners: a bound
+        method in the registry would tie the service (or gateway) and
+        the telemetry hub into a cycle that only ``gc.collect()`` frees,
+        so a run that builds many accounts would hold every old one."""
+        gc.collect()
+        gc.disable()
+        try:
+            account = CloudAccount(telemetry=True)
+            gateway = IngestGateway(account)
+            domain = gateway.router.domains[0]
+            account.simpledb.put_attributes(domain, "i", [("a", "v")])
+            assert account.telemetry.metrics.snapshot()
+            refs = [weakref.ref(account.simpledb), weakref.ref(gateway)]
+            account.close()
+            del account, gateway
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()

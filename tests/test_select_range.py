@@ -16,7 +16,7 @@ footgun explicitly (``'10' < '2'``).
 import pytest
 
 import repro.cloud.simpledb as sdb_module
-from repro.cloud.simpledb import parse_select
+from repro.cloud.simpledb import _pack, parse_select
 from repro.errors import QuerysyntaxError
 
 
@@ -152,10 +152,10 @@ class TestRangeEquivalence:
         _, condition = parse_select(
             "select * from d where v between 'b' and 'd'"
         )
-        assert condition.matches("i", {"v": ["b"]})
-        assert condition.matches("i", {"v": ["d"]})
-        assert not condition.matches("i", {"v": ["a"]})
-        assert not condition.matches("i", {"v": ["e"]})
+        assert condition.matches("i", _pack({"v": ["b"]}))
+        assert condition.matches("i", _pack({"v": ["d"]}))
+        assert not condition.matches("i", _pack({"v": ["a"]}))
+        assert not condition.matches("i", _pack({"v": ["e"]}))
 
     def test_between_requires_and(self):
         with pytest.raises(QuerysyntaxError):

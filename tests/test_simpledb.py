@@ -6,6 +6,7 @@ from repro.cloud.simpledb import (
     ATTRIBUTE_LIMIT_BYTES,
     BATCH_PUT_LIMIT,
     SELECT_PAGE_ITEMS,
+    _pack,
     parse_select,
 )
 from repro.errors import (
@@ -79,48 +80,48 @@ class TestSelectParser:
 
     def test_equality(self):
         _, cond = parse_select("select * from d where name = 'foo'")
-        assert cond.matches("i", {"name": ["foo"]})
-        assert not cond.matches("i", {"name": ["bar"]})
+        assert cond.matches("i", _pack({"name": ["foo"]}))
+        assert not cond.matches("i", _pack({"name": ["bar"]}))
 
     def test_quoted_escape(self):
         _, cond = parse_select("select * from d where name = 'it''s'")
-        assert cond.matches("i", {"name": ["it's"]})
+        assert cond.matches("i", _pack({"name": ["it's"]}))
 
     def test_and_or_precedence(self):
         _, cond = parse_select(
             "select * from d where type = 'file' and name = 'a' or name = 'b'"
         )
-        assert cond.matches("i", {"name": ["b"]})
-        assert cond.matches("i", {"type": ["file"], "name": ["a"]})
-        assert not cond.matches("i", {"type": ["proc"], "name": ["a"]})
+        assert cond.matches("i", _pack({"name": ["b"]}))
+        assert cond.matches("i", _pack({"type": ["file"], "name": ["a"]}))
+        assert not cond.matches("i", _pack({"type": ["proc"], "name": ["a"]}))
 
     def test_parentheses(self):
         _, cond = parse_select(
             "select * from d where type = 'file' and (name = 'a' or name = 'b')"
         )
-        assert not cond.matches("i", {"name": ["b"]})
-        assert cond.matches("i", {"type": ["file"], "name": ["b"]})
+        assert not cond.matches("i", _pack({"name": ["b"]}))
+        assert cond.matches("i", _pack({"type": ["file"], "name": ["b"]}))
 
     def test_like_prefix(self):
         _, cond = parse_select("select * from d where itemName() like 'uuid1_%'")
-        assert cond.matches("uuid1_2", {})
-        assert not cond.matches("uuid2_2", {})
+        assert cond.matches("uuid1_2", _pack({}))
+        assert not cond.matches("uuid2_2", _pack({}))
 
     def test_in_list(self):
         _, cond = parse_select("select * from d where input in ('a_1', 'b_2')")
-        assert cond.matches("i", {"input": ["b_2"]})
-        assert not cond.matches("i", {"input": ["c_3"]})
+        assert cond.matches("i", _pack({"input": ["b_2"]}))
+        assert not cond.matches("i", _pack({"input": ["c_3"]}))
 
     def test_not_equal(self):
         _, cond = parse_select("select * from d where type != 'file'")
-        assert cond.matches("i", {"type": ["proc"]})
-        assert not cond.matches("i", {"type": ["file"]})
+        assert cond.matches("i", _pack({"type": ["proc"]}))
+        assert not cond.matches("i", _pack({"type": ["file"]}))
         # Absent attribute: no value differs, so no match (SimpleDB).
-        assert not cond.matches("i", {})
+        assert not cond.matches("i", _pack({}))
 
     def test_multi_valued_any_semantics(self):
         _, cond = parse_select("select * from d where input = 'x_1'")
-        assert cond.matches("i", {"input": ["a_0", "x_1"]})
+        assert cond.matches("i", _pack({"input": ["a_0", "x_1"]}))
 
     def test_syntax_errors(self):
         for bad in (

@@ -10,7 +10,12 @@ billed bytes — to the ``use_indexes=False`` full-scan fallback.
 import pytest
 
 import repro.cloud.simpledb as sdb_module
-from repro.cloud.simpledb import SelectPage, parse_select, prepare_select
+from repro.cloud.simpledb import (
+    SelectPage,
+    _pack,
+    parse_select,
+    prepare_select,
+)
 from repro.errors import InvalidRequestError
 
 
@@ -97,8 +102,8 @@ class TestPlannerEquivalence:
     def test_like_patterns_precompiled(self):
         _, condition = parse_select("select * from d where name like 'a%b%c'")
         assert condition._like_re is not None
-        assert condition.matches("i", {"name": ["aXbYc"]})
-        assert not condition.matches("i", {"name": ["aXbY"]})
+        assert condition.matches("i", _pack({"name": ["aXbYc"]}))
+        assert not condition.matches("i", _pack({"name": ["aXbY"]}))
 
     def test_parse_cache_shares_conditions(self):
         first = parse_select("select * from d where name = 'shared'")
