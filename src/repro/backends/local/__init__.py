@@ -40,9 +40,11 @@ __all__ = [
 
 
 def _connect(path: Path) -> sqlite3.Connection:
-    # Autocommit (isolation_level=None): every service-level apply() is
-    # already atomic under the virtual clock, and the HTTP front end
-    # serves requests from a worker thread, hence check_same_thread=False.
+    # Autocommit (isolation_level=None), so the services open their own
+    # transactions: each write request's apply() is one BEGIN … COMMIT
+    # (see transaction.atomic) on the rollback journal and the default
+    # synchronous.  The HTTP front end serves requests from a worker
+    # thread, hence check_same_thread=False.
     return sqlite3.connect(str(path), isolation_level=None, check_same_thread=False)
 
 

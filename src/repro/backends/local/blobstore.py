@@ -64,9 +64,12 @@ class FsObjectRegister:
         return len(self._version_metas()) + 1
 
     def _write_meta(self, seq: int, meta: Dict[str, object]) -> None:
+        # Written aside, then renamed into place: a version's sidecar is
+        # whole or absent, never torn (``v-*.tmp`` is no version).
         self._dir.mkdir(parents=True, exist_ok=True)
-        path = self._dir / f"v-{seq:08d}.json"
-        path.write_text(json.dumps(meta), encoding="utf-8")
+        staged = self._dir / f"v-{seq:08d}.tmp"
+        staged.write_text(json.dumps(meta), encoding="utf-8")
+        os.replace(staged, staged.with_suffix(".json"))
 
     def write(
         self, record: S3ObjectRecord, committed_at: float, visible_at: float

@@ -10,6 +10,9 @@ four-day retention window use the same virtual-clock timestamps, and
 ``ChangeMessageVisibility`` applies the same expired-lease no-op rule.
 The differential matrix holds the two backends to byte-identical
 deliveries under identical workloads.
+
+Every request is one sqlite transaction: a send's counter bump and
+insert, a receive's leases and receipts, land together or not at all.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import sqlite3
 from typing import List, Optional
 
+from repro.backends.local.transaction import atomic
 from repro.cloud.billing import BillingMeter
 from repro.cloud.network import ParallelScheduler, Request
 from repro.cloud.profiles import ServiceProfile
@@ -60,7 +64,15 @@ CREATE TABLE IF NOT EXISTS sqs_counters (
 
 
 def ensure_schema(conn: sqlite3.Connection) -> None:
-    conn.executescript(_SCHEMA)
+    conn.executescript(f"BEGIN;{_SCHEMA}COMMIT;")
+
+
+def _live_count(conn: sqlite3.Connection, url: str) -> int:
+    (count,) = conn.execute(
+        "SELECT COUNT(*) FROM sqs_messages WHERE queue = ? AND deleted = 0",
+        (url,),
+    ).fetchone()
+    return count
 
 
 class LocalSQSService(SQSService):
@@ -100,7 +112,7 @@ class LocalSQSService(SQSService):
         if self._telemetry is not None:
             self._telemetry.metrics.gauge_fn(
                 "sqs.queue_depth",
-                lambda url=url: self.pending_count(url),
+                lambda conn=self._conn, url=url: _live_count(conn, url),
                 queue=name,
             )
 
@@ -163,12 +175,12 @@ class LocalSQSService(SQSService):
             self._billing.record("sqs", "SendMessage", bytes_in=size)
             return message_id
 
-        return Request(
+        return atomic(self._conn, Request(
             profile=self._profile,
             apply=apply,
             payload_bytes=size,
             label=f"sqs.Send {url}",
-        )
+        ))
 
     def receive_request(
         self,
@@ -228,12 +240,12 @@ class LocalSQSService(SQSService):
             self._billing.record("sqs", "ReceiveMessage", bytes_out=size)
             return delivered
 
-        return Request(
+        return atomic(self._conn, Request(
             profile=self._profile,
             apply=apply,
             read_only=True,
             label=f"sqs.Receive {url}",
-        )
+        ))
 
     def change_visibility_request(
         self,
@@ -273,11 +285,11 @@ class LocalSQSService(SQSService):
                         )
             self._billing.record("sqs", "ChangeMessageVisibility")
 
-        return Request(
+        return atomic(self._conn, Request(
             profile=self._profile,
             apply=apply,
             label=f"sqs.ChangeVisibility {url}",
-        )
+        ))
 
     def delete_request(self, url: str, receipt_handle: str) -> Request:
         self._require_queue(url)
@@ -299,11 +311,11 @@ class LocalSQSService(SQSService):
                 )
             self._billing.record("sqs", "DeleteMessage")
 
-        return Request(
+        return atomic(self._conn, Request(
             profile=self._profile,
             apply=apply,
             label=f"sqs.Delete {url}",
-        )
+        ))
 
     # -- internals -------------------------------------------------------------
 
@@ -320,11 +332,7 @@ class LocalSQSService(SQSService):
         self._require_queue(url)
         if now is not None:
             self._expire_stored(url, now)
-        (count,) = self._conn.execute(
-            "SELECT COUNT(*) FROM sqs_messages WHERE queue = ? AND deleted = 0",
-            (url,),
-        ).fetchone()
-        return count
+        return _live_count(self._conn, url)
 
     def pending_bodies(self, url: str) -> List[str]:
         self._require_queue(url)

@@ -1,8 +1,11 @@
 """Sqlite-backed SimpleDB: the local attribute-table backend.
 
 The authoritative store is a sqlite database: one row per committed
-item version (``sdb_versions``), carrying the attribute bag as JSON
-plus the version's commit and visibility timestamps.  Reads — gets,
+item version (``sdb_versions``), carrying the version's packed
+attribute tuple as compact JSON (``["name","value",...]``) plus its
+commit and visibility timestamps.  Each write request the service
+applies is one sqlite transaction (see
+:mod:`repro.backends.local.transaction`).  Reads — gets,
 selects, peeks — round-trip through SQL; nothing item-level survives
 only in process memory.
 
@@ -28,21 +31,16 @@ import json
 import sqlite3
 from typing import Iterator, List, Optional, Tuple
 
+from repro.backends.local.transaction import atomic
 from repro.cloud.billing import BillingMeter
 from repro.cloud.consistency import (
     ConsistencyEngine,
     ConsistencyModel,
     WriteVersion,
 )
-from repro.cloud.network import ParallelScheduler
+from repro.cloud.network import ParallelScheduler, Request
 from repro.cloud.profiles import ServiceProfile
-from repro.cloud.simpledb import (
-    PackedAttributes,
-    SimpleDBService,
-    _DomainStateBase,
-    _pack,
-    _unpack,
-)
+from repro.cloud.simpledb import PackedAttributes, SimpleDBService, _DomainStateBase
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS sdb_domains (
@@ -63,14 +61,14 @@ CREATE INDEX IF NOT EXISTS sdb_versions_read
 
 
 def ensure_schema(conn: sqlite3.Connection) -> None:
-    conn.executescript(_SCHEMA)
+    conn.executescript(f"BEGIN;{_SCHEMA}COMMIT;")
 
 
 def _decode_attrs(text: Optional[str]) -> Optional[PackedAttributes]:
-    """A row's dict-of-lists JSON, packed as the service stores it."""
+    """A row's JSON array, as the packed tuple the service stores."""
     if text is None:
         return None
-    return _pack(json.loads(text))
+    return tuple(json.loads(text))
 
 
 class SqliteRegister:
@@ -95,7 +93,7 @@ class SqliteRegister:
     def write(
         self, value: PackedAttributes, committed_at: float, visible_at: float
     ) -> None:
-        attrs = json.dumps(_unpack(value))
+        attrs = json.dumps(value, separators=(",", ":"))
         self._conn.execute(
             "INSERT INTO sdb_versions(domain, item, committed_at, visible_at,"
             " deleted, attrs) VALUES (?, ?, ?, ?, 0, ?)",
@@ -262,8 +260,19 @@ class LocalSimpleDBService(SimpleDBService):
             if item not in seen:
                 seen.add(item)
                 state.add_name(item)
-            texts = iter(_decode_attrs(attrs_text))
+            texts = iter(json.loads(attrs_text))
             state.note_pairs(item, list(zip(texts, texts)))
+
+    # -- writes: one sqlite transaction per request ---------------------------
+
+    def batch_put_request(self, *args, **kwargs) -> Request:
+        return atomic(self._conn, super().batch_put_request(*args, **kwargs))
+
+    def put_request(self, *args, **kwargs) -> Request:
+        return atomic(self._conn, super().put_request(*args, **kwargs))
+
+    def delete_request(self, *args, **kwargs) -> Request:
+        return atomic(self._conn, super().delete_request(*args, **kwargs))
 
     # -- omniscient inspection ------------------------------------------------
 

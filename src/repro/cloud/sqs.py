@@ -116,12 +116,12 @@ class SQSService:
         """Create a queue; returns its URL (idempotent)."""
         url = f"sqs://queues/{name}"
         if url not in self._queues:
-            self._queues[url] = _Queue(url=url)
+            queue = self._queues[url] = _Queue(url=url)
             if self._telemetry is not None:
+                # Closes over the queue, not the service, so the telemetry
+                # hub and the service form no cycle.
                 self._telemetry.metrics.gauge_fn(
-                    "sqs.queue_depth",
-                    lambda url=url: self.pending_count(url),
-                    queue=name,
+                    "sqs.queue_depth", lambda: len(queue.messages), queue=name
                 )
         return url
 

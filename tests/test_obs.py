@@ -20,6 +20,8 @@ import json
 import random
 import weakref
 
+import pytest
+
 from repro.cloud.account import CloudAccount
 from repro.core import ProtocolP3
 from repro.core.commit_daemon import CommitDaemon
@@ -498,7 +500,8 @@ class TestTelemetryHub:
         assert Telemetry.coerce(True).enabled
         assert not Telemetry.coerce(False).enabled
 
-    def test_closed_account_is_freed_without_the_cycle_collector(self):
+    @pytest.mark.parametrize("backend", ["sim", "local"])
+    def test_closed_account_is_freed_without_the_cycle_collector(self, backend):
         """Callback gauges close over state, not their owners: a bound
         method in the registry would tie the service (or gateway) and
         the telemetry hub into a cycle that only ``gc.collect()`` frees,
@@ -506,14 +509,21 @@ class TestTelemetryHub:
         gc.collect()
         gc.disable()
         try:
-            account = CloudAccount(telemetry=True)
+            account = CloudAccount(telemetry=True, backend=backend)
             gateway = IngestGateway(account)
             domain = gateway.router.domains[0]
             account.simpledb.put_attributes(domain, "i", [("a", "v")])
-            assert account.telemetry.metrics.snapshot()
-            refs = [weakref.ref(account.simpledb), weakref.ref(gateway)]
+            url = account.sqs.create_queue("wal")
+            account.sqs.send_message(url, "m")
+            snapshot = account.telemetry.metrics.snapshot()
+            assert any("sqs.queue_depth" in key for key in snapshot)
+            refs = [
+                weakref.ref(account.simpledb),
+                weakref.ref(account.sqs),
+                weakref.ref(gateway),
+            ]
             account.close()
             del account, gateway
-            assert [ref() for ref in refs] == [None, None]
+            assert [ref() for ref in refs] == [None, None, None]
         finally:
             gc.enable()

@@ -2,10 +2,11 @@
 
 Every stored version keeps its attributes as one flat ``(name, value,
 name, value, ...)`` tuple; dicts of lists are built only at the API
-boundary (select rows, GetAttributes, ``peek_item``) and in the local
-backend's JSON rows.  These tests pin that the layout is invisible from
-outside — the same rows, value order, response bytes and on-disk text as
-a plain dict-of-lists model — and that it is as small as it was made to
+boundary (select rows, GetAttributes, ``peek_item``).  The local
+backend stores the same tuple, as a compact JSON array per row.  These
+tests pin that the layout is invisible from outside — the same rows,
+value order and response bytes as a plain dict-of-lists model, and the
+packed model's text on disk — and that it is as small as it was made to
 be.
 """
 
@@ -77,7 +78,7 @@ def test_seeded_writes_match_a_dict_of_lists_model(backend, tmp_path):
     """Seeded put / ``replace=True`` put / delete-``(attr, value)`` /
     re-put sequences: every read equals the model — value order
     included — and bills the model's bytes; on local, the row on disk is
-    the model's JSON."""
+    the compact JSON of the packed model."""
     account = CloudAccount(
         consistency=ConsistencyModel.STRICT,
         seed=11,
@@ -117,7 +118,7 @@ def test_seeded_writes_match_a_dict_of_lists_model(backend, tmp_path):
                 _apply_put(model, item, pairs, replace)
             if backend == "local" and item in model:
                 assert _stored_attrs_text(sdb, "d", item) == json.dumps(
-                    model[item]
+                    _pack(model[item]), separators=(",", ":")
                 )
             before = usage.bytes_out
             got = sdb.get_attributes("d", item)
