@@ -9,25 +9,24 @@ from repro.bench.experiments import fig3_microbenchmark
 from repro.bench.reporting import write_bench_json
 
 
-def test_fig3_microbenchmark(once, benchmark):
+def test_fig3_microbenchmark(once, benchmark, golden):
     result = once(benchmark, fig3_microbenchmark)
     print("\n" + result.render())
-    write_bench_json(
-        "fig3_microbenchmark",
-        {
-            env_name: {
-                config: {
-                    "elapsed_seconds": r.elapsed_seconds,
-                    "operations": r.operations,
-                    "bytes_transmitted": r.bytes_transmitted,
-                    "cost_usd": r.cost_usd,
-                }
-                for config, r in per_config.items()
+    results = {
+        env_name: {
+            config: {
+                "elapsed_seconds": r.elapsed_seconds,
+                "operations": r.operations,
+                "bytes_transmitted": r.bytes_transmitted,
+                "cost_usd": r.cost_usd,
             }
-            for env_name, per_config in result.results.items()
-        },
-        telemetry=result.telemetry,
-    )
+            for config, r in per_config.items()
+        }
+        for env_name, per_config in result.results.items()
+    }
+    write_bench_json("fig3_microbenchmark", results, telemetry=result.telemetry)
+    # Every number of both environments, to the last bit.
+    golden("fig3_microbenchmark", results)
 
     for env_name, per_config in result.results.items():
         base = per_config["s3fs"]

@@ -12,12 +12,14 @@ from repro.bench.experiments import multitenant_scaling
 from repro.bench.reporting import write_bench_json
 
 
-def test_multitenant_shard_scaling(once, benchmark):
+def test_multitenant_shard_scaling(once, benchmark, golden):
     result = once(benchmark, multitenant_scaling)
     print("\n" + result.render())
     print("results json:", write_bench_json(
         "multitenant_scaling", result.as_json(), telemetry=result.telemetry
     ))
+    # Every point's numbers, to the last bit.
+    golden("multitenant_scaling", result.as_json())
 
     throughputs = [point.throughput for point in result.points]
     # Fixed fleet, 1 -> 4 shards: total commit throughput improves

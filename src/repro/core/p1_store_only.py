@@ -31,7 +31,6 @@ from typing import Dict, Generator, List
 from repro.cloud.blob import Blob
 from repro.cloud.network import Request
 from repro.errors import NoSuchKeyError
-from repro.provenance.records import ProvenanceBundle
 from repro.provenance.serialization import encode_records
 from repro.sim.events import Batch, Delay
 
@@ -39,8 +38,9 @@ from repro.core.protocol_base import (
     FlushWork,
     StorageProtocol,
     UploadMode,
-    data_key,
+    bundles_with_coupling,
     provenance_object_key,
+    tolerate_missing,
 )
 
 
@@ -61,80 +61,32 @@ class ProtocolP1(StorageProtocol):
         #: authoritative append below.
         self._prov_content: Dict[str, str] = {}
 
-    def flush(self, work: FlushWork) -> None:
-        prov_requests = self._provenance_requests(work)
-        data_requests = self._data_requests(work) if work.include_data else []
-        self.charge_prov_cpu(len(prov_requests))
-
-        if self.mode is UploadMode.PARALLEL:
-            # Throughput configuration: everything in one batch.  The
-            # paper notes this violates multi-object causal ordering.
-            self._dispatch(prov_requests + data_requests)
-            self.account.faults.crash_point("p1.after_prov_put")
-        else:
-            # Careful configuration: ancestors' provenance strictly before
-            # the primary's data (ancestor data goes with provenance).
-            ancestor_data = [
-                self.account.s3.put_request(
-                    self.bucket,
-                    data_key(intent.path),
-                    intent.blob,
-                    self.data_metadata(intent),
-                )
-                for intent in work.ancestor_data
-            ]
-            self.account.scheduler.execute_batch(ancestor_data, self.connections)
-            for request in prov_requests:
-                self.account.scheduler.execute_one(request)
-            self.account.faults.crash_point("p1.after_prov_put")
-            if work.include_data:
-                self.account.scheduler.execute_batch(
-                    self._primary_data_request(work), self.connections
-                )
-        self._mark_provenance_stored(work.bundles)
-        if work.include_data:
-            self._mark_data_stored(work.primary)
-            for intent in work.ancestor_data:
-                self._mark_data_stored(intent)
-        self.account.faults.crash_point("p1.after_data_put")
-
     def flush_plan(self, work: FlushWork) -> Generator:
-        """One flush as an effect plan, for clients running as kernel
-        processes.  Identical request construction and crash-point
-        placement to :meth:`flush`; the serial marshalling CPU becomes a
-        delay in the client's own time domain."""
+        """P1's flush as an effect plan; the serial marshalling CPU is a
+        delay before the first request."""
         prov_requests = self._provenance_requests(work)
-        data_requests = self._data_requests(work) if work.include_data else []
+        data_requests = self._data_requests(work)
         cost = self.prov_cpu_cost(len(prov_requests))
         if cost > 0:
             yield Delay(cost)
 
         if self.mode is UploadMode.PARALLEL:
+            # Throughput configuration: everything in one batch.  The
+            # paper notes this violates multi-object causal ordering.
             if prov_requests or data_requests:
                 yield Batch(prov_requests + data_requests, self.connections)
             self.account.faults.crash_point("p1.after_prov_put")
         else:
-            ancestor_data = [
-                self.account.s3.put_request(
-                    self.bucket,
-                    data_key(intent.path),
-                    intent.blob,
-                    self.data_metadata(intent),
-                )
-                for intent in work.ancestor_data
-            ]
-            if ancestor_data:
-                yield Batch(ancestor_data, self.connections)
+            # Careful configuration: ancestors' provenance strictly before
+            # the primary's data (ancestor data goes with provenance).
+            if data_requests[1:]:
+                yield Batch(data_requests[1:], self.connections)
             for request in prov_requests:
                 yield Batch([request], connections=1)
             self.account.faults.crash_point("p1.after_prov_put")
-            if work.include_data:
-                yield Batch(self._primary_data_request(work), self.connections)
-        self._mark_provenance_stored(work.bundles)
-        if work.include_data:
-            self._mark_data_stored(work.primary)
-            for intent in work.ancestor_data:
-                self._mark_data_stored(intent)
+            if data_requests:
+                yield Batch(data_requests[:1], self.connections)
+        self._mark_flushed(work)
         self.account.faults.crash_point("p1.after_data_put")
 
     # -- request construction -------------------------------------------------
@@ -142,28 +94,17 @@ class ProtocolP1(StorageProtocol):
     def _provenance_requests(self, work: FlushWork) -> List[Request]:
         """One append (GET + PUT, or just PUT the first time) per bundle."""
         requests: List[Request] = []
-        for bundle in work.bundles:
-            records = list(bundle.records)
-            if bundle.uuid == work.primary.uuid:
-                records.extend(self.coupling_records(work.primary))
-            encoded = encode_records(records)
+        for bundle in bundles_with_coupling(work):
+            encoded = encode_records(bundle.records)
             key = provenance_object_key(bundle.uuid)
             if self._prov_object_written.get(bundle.uuid):
                 # Appending requires reading the existing object back.
                 # Under eventual consistency the read may 404 (our own
                 # recent PUT not yet visible); the client falls back to
                 # its cached copy — the request is still timed and billed.
-                get = self.account.s3.get_request(self.bucket, key)
-                original_apply = get.apply
-
-                def tolerant_apply(start, finish, _apply=original_apply):
-                    try:
-                        return _apply(start, finish)
-                    except NoSuchKeyError:
-                        return None
-
-                get.apply = tolerant_apply
-                requests.append(get)
+                requests.append(
+                    tolerate_missing(self.account.s3.get_request(self.bucket, key))
+                )
                 content = self._prov_content.get(bundle.uuid, "") + encoded
             else:
                 content = encoded
@@ -171,30 +112,6 @@ class ProtocolP1(StorageProtocol):
             self._prov_object_written[bundle.uuid] = True
             requests.append(
                 self.account.s3.put_request(self.bucket, key, Blob.from_text(content))
-            )
-        return requests
-
-    def _primary_data_request(self, work: FlushWork) -> List[Request]:
-        intent = work.primary
-        return [
-            self.account.s3.put_request(
-                self.bucket,
-                data_key(intent.path),
-                intent.blob,
-                self.data_metadata(intent),
-            )
-        ]
-
-    def _data_requests(self, work: FlushWork) -> List[Request]:
-        requests = self._primary_data_request(work)
-        for intent in work.ancestor_data:
-            requests.append(
-                self.account.s3.put_request(
-                    self.bucket,
-                    data_key(intent.path),
-                    intent.blob,
-                    self.data_metadata(intent),
-                )
             )
         return requests
 

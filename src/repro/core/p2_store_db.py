@@ -19,9 +19,8 @@ non-atomic requests.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, Optional
 
-from repro.cloud.network import Request
 from repro.sim.events import Batch, Delay
 
 from repro.core.protocol_base import (
@@ -31,7 +30,6 @@ from repro.core.protocol_base import (
     StorageProtocol,
     UploadMode,
     bundles_with_coupling,
-    data_key,
 )
 from repro.core.sdb_items import build_routed_requests
 
@@ -59,51 +57,22 @@ class ProtocolP2(StorageProtocol):
         for shard in self.router.domains:
             self.account.simpledb.create_domain(shard)
 
-    def flush(self, work: FlushWork) -> None:
-        bundles = bundles_with_coupling(work)
-        spill_requests, batch_requests, item_pairs = build_routed_requests(
-            self.router, bundles, self.account, self.bucket
-        )
-        data_requests = self._data_requests(work) if work.include_data else []
-        self.charge_prov_cpu(len(spill_requests) + len(batch_requests))
-        self.charge_prov_items(item_pairs)
-
-        if self.mode is UploadMode.PARALLEL:
-            self._dispatch(spill_requests + batch_requests + data_requests)
-            self.account.faults.crash_point("p2.after_prov_put")
-        else:
-            ancestor_requests = data_requests[1:]
-            self.account.scheduler.execute_batch(ancestor_requests, self.connections)
-            self.account.scheduler.execute_batch(
-                spill_requests, self.connections
-            )
-            for request in batch_requests:
-                self.account.scheduler.execute_one(request)
-            self.account.faults.crash_point("p2.after_prov_put")
-            self.account.scheduler.execute_batch(data_requests[:1], self.connections)
-
-        self._mark_provenance_stored(work.bundles)
-        if work.include_data:
-            self._mark_data_stored(work.primary)
-            for intent in work.ancestor_data:
-                self._mark_data_stored(intent)
-        self.account.faults.crash_point("p2.after_data_put")
-
     def flush_plan(self, work: FlushWork) -> Generator:
-        """One flush as an effect plan, for clients running as kernel
-        processes.  Identical request construction and crash-point
-        placement to :meth:`flush`; the serial marshalling CPU (per
-        request and per attribute-value pair) becomes delays in the
-        client's own time domain."""
+        """P2's flush as an effect plan.  The serial marshalling CPU is two
+        delays, per request and then per attribute-value pair: the clock
+        adds them one at a time, and the recorded Figure 3 numbers depend
+        on that rounding."""
         bundles = bundles_with_coupling(work)
         spill_requests, batch_requests, item_pairs = build_routed_requests(
             self.router, bundles, self.account, self.bucket
         )
-        data_requests = self._data_requests(work) if work.include_data else []
-        cost = self.prov_cpu_cost(len(spill_requests) + len(batch_requests))
-        cost += self.prov_items_cost(item_pairs)
-        if cost > 0:
-            yield Delay(cost)
+        data_requests = self._data_requests(work)
+        for cost in (
+            self.prov_cpu_cost(len(spill_requests) + len(batch_requests)),
+            self.prov_items_cost(item_pairs),
+        ):
+            if cost > 0:
+                yield Delay(cost)
 
         if self.mode is UploadMode.PARALLEL:
             requests = spill_requests + batch_requests + data_requests
@@ -111,41 +80,15 @@ class ProtocolP2(StorageProtocol):
                 yield Batch(requests, self.connections)
             self.account.faults.crash_point("p2.after_prov_put")
         else:
-            ancestor_requests = data_requests[1:]
-            if ancestor_requests:
-                yield Batch(ancestor_requests, self.connections)
+            if data_requests[1:]:
+                yield Batch(data_requests[1:], self.connections)
             if spill_requests:
                 yield Batch(spill_requests, self.connections)
             for request in batch_requests:
                 yield Batch([request], connections=1)
             self.account.faults.crash_point("p2.after_prov_put")
-            if data_requests[:1]:
+            if data_requests:
                 yield Batch(data_requests[:1], self.connections)
 
-        self._mark_provenance_stored(work.bundles)
-        if work.include_data:
-            self._mark_data_stored(work.primary)
-            for intent in work.ancestor_data:
-                self._mark_data_stored(intent)
+        self._mark_flushed(work)
         self.account.faults.crash_point("p2.after_data_put")
-
-    def _data_requests(self, work: FlushWork) -> List[Request]:
-        """Primary data PUT first, then any unrecorded ancestor data."""
-        requests = [
-            self.account.s3.put_request(
-                self.bucket,
-                data_key(work.primary.path),
-                work.primary.blob,
-                self.data_metadata(work.primary),
-            )
-        ]
-        for intent in work.ancestor_data:
-            requests.append(
-                self.account.s3.put_request(
-                    self.bucket,
-                    data_key(intent.path),
-                    intent.blob,
-                    self.data_metadata(intent),
-                )
-            )
-        return requests

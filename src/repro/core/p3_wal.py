@@ -41,6 +41,7 @@ from repro.core.protocol_base import (
     FlushWork,
     StorageProtocol,
     UploadMode,
+    bundles_with_coupling,
     data_key,
     temp_key,
 )
@@ -52,7 +53,6 @@ class _PreparedFlush:
     """The requests one flush will issue, before any is executed."""
 
     txn_id: str
-    intents: List[FlushIntent] = field(default_factory=list)
     entries: List[DataManifestEntry] = field(default_factory=list)
     temp_puts: List[Request] = field(default_factory=list)
     send_requests: List[Request] = field(default_factory=list)
@@ -93,8 +93,7 @@ class ProtocolP3(StorageProtocol):
 
     def _prepare_flush(self, work: FlushWork) -> _PreparedFlush:
         """Allocate a transaction id and build every request the flush
-        will issue — shared by the phased :meth:`flush` and the kernel
-        :meth:`flush_plan`, so both execute identical traffic."""
+        will issue."""
         txn_id = f"txn-{next(self._txn_ids):08d}"
 
         # Data manifest: the primary object plus unrecorded ancestor data,
@@ -126,11 +125,11 @@ class ProtocolP3(StorageProtocol):
                 )
             )
 
-        records = []
-        for bundle in work.bundles:
-            records.extend(bundle.records)
-            if bundle.uuid == work.primary.uuid:
-                records.extend(self.coupling_records(work.primary))
+        records = [
+            record
+            for bundle in bundles_with_coupling(work)
+            for record in bundle.records
+        ]
         messages = build_messages(txn_id, entries, records)
         send_requests = [
             self.account.sqs.send_request(self.queue_url, body) for body in messages
@@ -156,54 +155,16 @@ class ProtocolP3(StorageProtocol):
 
         return _PreparedFlush(
             txn_id=txn_id,
-            intents=intents,
             entries=entries,
             temp_puts=temp_puts,
             send_requests=send_requests,
         )
 
-    def flush(self, work: FlushWork) -> None:
-        prepared = self._prepare_flush(work)
-        self.charge_prov_cpu(len(prepared.send_requests))
-        tracer = self.account.telemetry.tracer
-
-        if self.mode is UploadMode.PARALLEL:
-            # Packets can go in parallel: order does not matter once
-            # everything is in the WAL (§4.3.3).
-            result = self._dispatch(prepared.temp_puts + prepared.send_requests)
-            if tracer.enabled and result is not None and prepared.send_requests:
-                # Log completion = the latest WAL packet's finish — the
-                # same instant SQS stamps as sent_at, so this mark and
-                # the daemon's ``logged_at`` agree exactly.
-                tracer.mark(
-                    prepared.txn_id,
-                    WAL_LOGGED,
-                    max(result.request_finish_times[len(prepared.temp_puts):]),
-                )
-        else:
-            self.account.scheduler.execute_batch(
-                prepared.temp_puts, self.connections
-            )
-            for index, request in enumerate(prepared.send_requests):
-                if index > 0:
-                    self.account.faults.crash_point("p3.mid_log")
-                self.account.scheduler.execute_one(request)
-            if tracer.enabled and prepared.send_requests:
-                # execute_one advanced the clock to the last send's finish.
-                tracer.mark(prepared.txn_id, WAL_LOGGED, self.account.now)
-        self.account.faults.crash_point("p3.after_log")
-
-        # Once logged, the transaction is guaranteed to commit eventually.
-        self._mark_provenance_stored(work.bundles)
-        for intent in prepared.intents:
-            self._mark_data_stored(intent)
-
     def flush_plan(self, work: FlushWork) -> Generator:
-        """One flush as an effect plan, for clients running as kernel
-        processes.  Identical request construction to :meth:`flush`; the
-        serial marshalling CPU becomes a delay in the client's own time
-        domain, and in causal mode each WAL packet is its own activation
-        so crashes (timed or crash-point) can land mid-log."""
+        """The log phase as an effect plan; the serial marshalling CPU is
+        a delay before the first request, and in causal mode each WAL
+        packet is its own activation so crashes (timed or crash-point)
+        can land mid-log."""
         prepared = self._prepare_flush(work)
         tracer = self.account.telemetry.tracer
         cost = self.prov_cpu_cost(len(prepared.send_requests))
@@ -211,10 +172,16 @@ class ProtocolP3(StorageProtocol):
             yield Delay(cost)
 
         if self.mode is UploadMode.PARALLEL:
+            # Packets can go in parallel: order does not matter once
+            # everything is in the WAL (§4.3.3).
             result = yield Batch(
                 prepared.temp_puts + prepared.send_requests, self.connections
             )
-            if tracer.enabled and prepared.send_requests:
+            if tracer.enabled and result is not None and prepared.send_requests:
+                # Log completion = the latest WAL packet's finish — the
+                # same instant SQS stamps as sent_at, so this mark and
+                # the daemon's ``logged_at`` agree exactly.  A driver that
+                # only collects the requests sends back no result.
                 tracer.mark(
                     prepared.txn_id,
                     WAL_LOGGED,
@@ -231,9 +198,8 @@ class ProtocolP3(StorageProtocol):
                 tracer.mark(prepared.txn_id, WAL_LOGGED, last.finished_at)
         self.account.faults.crash_point("p3.after_log")
 
-        self._mark_provenance_stored(work.bundles)
-        for intent in prepared.intents:
-            self._mark_data_stored(intent)
+        # Once logged, the transaction is guaranteed to commit eventually.
+        self._mark_flushed(work)
 
     def finalize(self) -> None:
         """Drain the WAL: run the commit daemon until the queue is empty

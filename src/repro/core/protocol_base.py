@@ -21,13 +21,16 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from repro.cloud.account import CloudAccount
 from repro.cloud.blob import Blob
+from repro.cloud.network import Request
+from repro.errors import NoSuchKeyError
 from repro.provenance.graph import NodeRef
 from repro.provenance.pass_collector import DeleteIntent, FlushIntent
 from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
+from repro.sim.compat import run_plan_phased
 
 #: Default bucket for data, temporaries, and provenance spill objects.
 DATA_BUCKET = "pass-data"
@@ -142,10 +145,25 @@ def data_object_metadata(intent: FlushIntent) -> Dict[str, str]:
     }
 
 
+def tolerate_missing(request: Request) -> Request:
+    """Make ``request`` resolve to ``None`` instead of raising
+    :class:`NoSuchKeyError`; the request is still timed and billed (a 404
+    costs a round trip)."""
+    original = request.apply
+
+    def apply(start: float, finish: float):
+        try:
+            return original(start, finish)
+        except NoSuchKeyError:
+            return None
+
+    request.apply = apply
+    return request
+
+
 def bundles_with_coupling(work: FlushWork) -> List[ProvenanceBundle]:
     """Append the coupling records to the primary object's bundle —
-    shared by P2's flush and the ingest gateway, which store the same
-    scheme."""
+    shared by every protocol's flush and the ingest gateway."""
     out: List[ProvenanceBundle] = []
     for bundle in work.bundles:
         if bundle.uuid == work.primary.uuid:
@@ -163,7 +181,9 @@ def bundles_with_coupling(work: FlushWork) -> List[ProvenanceBundle]:
 class StorageProtocol(ABC):
     """Interface all three protocols implement.
 
-    Subclasses override :meth:`flush`; reading and deleting data follow
+    Subclasses implement :meth:`flush_plan`, the protocol's one flush as
+    an effect plan; :meth:`flush` drives it on the shared clock, and
+    kernel processes ``yield from`` it.  Reading and deleting data follow
     identical S3 paths in all protocols and live here.
     """
 
@@ -190,46 +210,25 @@ class StorageProtocol(ABC):
         self._stored_provenance: Dict[str, Set[int]] = {}
         #: object uuid -> latest data version persisted.
         self._stored_data: Dict[str, int] = {}
-        #: When not None, requests are collected here instead of executed
-        #: (the microbenchmark's "upload everything in parallel" mode).
-        self._deferred: Optional[List] = None
 
     # -- interface ----------------------------------------------------------
 
     @abstractmethod
+    def flush_plan(self, work: FlushWork) -> Generator:
+        """Persist the primary object's data and all pending provenance,
+        as an effect plan: serial client CPU is a
+        :class:`~repro.sim.events.Delay`, cloud traffic a
+        :class:`~repro.sim.events.Batch`."""
+
     def flush(self, work: FlushWork) -> None:
-        """Persist the primary object's data and all pending provenance."""
-
-    # -- deferred execution (microbenchmark tool) ------------------------------
-
-    def begin_deferred(self) -> None:
-        """Start collecting requests instead of executing them.  Client-side
-        CPU costs are still charged; the caller executes the collected
-        requests in one large parallel batch via :meth:`end_deferred`."""
-        self._deferred = []
-
-    def end_deferred(self) -> List:
-        """Stop collecting; return the accumulated requests."""
-        requests = self._deferred or []
-        self._deferred = None
-        return requests
-
-    def _dispatch(self, requests: List):
-        """Execute a request batch now, or stash it when deferred.
-        Returns the batch result, or ``None`` when deferred."""
-        if not requests:
-            return None
-        if self._deferred is not None:
-            self._deferred.extend(requests)
-            return None
-        return self.account.scheduler.execute_batch(requests, self.connections)
+        """Run :meth:`flush_plan` to completion on the shared clock."""
+        run_plan_phased(self.account, self.flush_plan(work))
 
     def prov_cpu_cost(self, request_count: int) -> float:
         """Serial client-side CPU seconds for preparing ``request_count``
         provenance requests (PASS record extraction, DPAPI marshalling,
-        serialization).  Phased callers advance the shared clock by this;
-        kernel processes yield it as a :class:`~repro.sim.events.Delay`
-        in their own time domain."""
+        serialization).  Flush plans yield it as a
+        :class:`~repro.sim.events.Delay`."""
         if request_count <= 0:
             return 0.0
         env = self.account.profile.environment
@@ -242,18 +241,6 @@ class StorageProtocol(ABC):
             return 0.0
         env = self.account.profile.environment
         return item_count * env.prov_cpu_per_item_s * env.cpu_factor
-
-    def charge_prov_cpu(self, request_count: int) -> None:
-        """Advance the shared clock by :meth:`prov_cpu_cost` (phased)."""
-        cost = self.prov_cpu_cost(request_count)
-        if cost > 0:
-            self.account.clock.advance(cost)
-
-    def charge_prov_items(self, item_count: int) -> None:
-        """Advance the shared clock by :meth:`prov_items_cost` (phased)."""
-        cost = self.prov_items_cost(item_count)
-        if cost > 0:
-            self.account.clock.advance(cost)
 
     def finalize(self) -> None:
         """Drain any asynchronous work (P3's commit daemon); default no-op."""
@@ -284,13 +271,28 @@ class StorageProtocol(ABC):
     def _mark_data_stored(self, intent: FlushIntent) -> None:
         self._stored_data[intent.uuid] = intent.ref.version
 
-    # -- shared helpers ----------------------------------------------------------
+    def _mark_flushed(self, work: FlushWork) -> None:
+        """Record a completed flush: its provenance, and its data when the
+        flush carried any."""
+        self._mark_provenance_stored(work.bundles)
+        if work.include_data:
+            self._mark_data_stored(work.primary)
+            for intent in work.ancestor_data:
+                self._mark_data_stored(intent)
 
-    @staticmethod
-    def coupling_records(intent: FlushIntent) -> List[ProvenanceRecord]:
-        """See the module-level :func:`coupling_records`."""
-        return coupling_records(intent)
+    # -- request construction -------------------------------------------------
 
-    def data_metadata(self, intent: FlushIntent) -> Dict[str, str]:
-        """See the module-level :func:`data_object_metadata`."""
-        return data_object_metadata(intent)
+    def _data_requests(self, work: FlushWork) -> List[Request]:
+        """Primary data PUT first, then any unrecorded ancestor data; none
+        when the flush carries no data."""
+        if not work.include_data:
+            return []
+        return [
+            self.account.s3.put_request(
+                self.bucket,
+                data_key(intent.path),
+                intent.blob,
+                data_object_metadata(intent),
+            )
+            for intent in [work.primary, *work.ancestor_data]
+        ]

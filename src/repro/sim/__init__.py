@@ -10,14 +10,19 @@ processes that ``yield`` effects (:class:`~repro.sim.events.Delay`,
 clock — commit lag, WAL backlog, and mid-commit takeover become
 observable.
 
-Two drivers execute the same effect plans:
+Every protocol flush, daemon step and gateway window is written once, as
+an effect plan, and two drivers execute it:
 
 - :class:`~repro.sim.kernel.SimKernel` — concurrent: each process has
   its own time domain; the kernel interleaves activations in virtual
   time,
-- :func:`~repro.sim.compat.run_plan_phased` — the compatibility mode:
-  one plan runs to completion with the pre-kernel call-and-advance
-  semantics, reproducing the existing experiments' numbers exactly.
+- :func:`~repro.sim.compat.run_plan_phased` — phased: one plan runs to
+  completion on the shared clock.  The synchronous methods
+  (``StorageProtocol.flush``, ``CommitDaemon.commit``,
+  ``IngestGateway.flush_pending``) are this driver over their plans.
+
+The Figure 3 microbenchmark walks flush plans a third way: it only
+collects their requests into one upload batch.
 """
 
 from repro.sim.compat import run_plan_phased

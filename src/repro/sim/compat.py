@@ -1,13 +1,12 @@
-"""The phased compatibility driver.
+"""The phased driver.
 
-Runs one effect plan to completion with the pre-kernel call-and-advance
-semantics: ``Delay`` advances the shared clock directly, ``Batch``
-executes through the scheduler with the caller's ``advance_clock``
-policy.  Methods that predate the kernel (``CommitDaemon.commit``,
-``IngestGateway.flush_pending``) are thin wrappers over their plan plus
-this driver, which is what guarantees the compatibility mode reproduces
-the phased experiments' numbers exactly — there is only one copy of the
-logic.
+Runs one effect plan to completion with call-and-advance semantics:
+``Delay`` advances the shared clock directly, ``Batch`` executes through
+the scheduler with the caller's ``advance_clock`` policy.  Every
+synchronous entry point — ``StorageProtocol.flush``,
+``CommitDaemon.commit``, ``CleanerDaemon.clean``,
+``IngestGateway.flush_pending`` — is its plan run through this driver,
+so the phased experiments and the kernel execute the same code.
 """
 
 from __future__ import annotations

@@ -6,13 +6,10 @@ the scheduler directly.  The same generator can then be driven two ways:
 - by :class:`~repro.sim.kernel.SimKernel`, which interleaves many
   processes on the virtual clock (the concurrent execution model), or
 - by :func:`~repro.sim.compat.run_plan_phased`, which executes one plan
-  to completion with the pre-kernel call-and-advance semantics (the
-  compatibility mode).
+  to completion with call-and-advance semantics (the phased mode).
 
-Effects deliberately mirror what the phased code already did — a
-``Delay`` is a ``clock.advance``, a ``Batch`` is a
-``scheduler.execute_batch`` — so refactoring a phased method into a plan
-is mechanical and provably equivalent.
+Under the phased driver a ``Delay`` is a ``clock.advance`` and a
+``Batch`` is a ``scheduler.execute_batch``.
 """
 
 from __future__ import annotations

@@ -489,49 +489,3 @@ def reader_process(
             query_counter.inc()
             yield Delay(interval_s * rng.uniform(0.5, 1.5))
 
-
-def run_fleet_compat_kernel(
-    account: CloudAccount,
-    gateway,
-    fleet: List[FleetClient],
-    seed: int = 0,
-) -> FleetRunResult:
-    """Compatibility mode: the exact :func:`run_fleet` round-robin drive
-    loop, executed as a single process on the simulation kernel.  Same
-    seeded shuffle, same windows, same requests — the equivalence
-    regression test holds this to byte-identical numbers against the
-    phased driver."""
-    kernel = SimKernel(account)
-    stopwatch = account.stopwatch()
-    ops_before = account.billing.operation_count()
-    bytes_before = account.billing.bytes_transmitted()
-    cost_before = account.billing.cost()
-
-    def rounds() -> Generator:
-        rng = random.Random(seed)
-        cursors: Dict[str, int] = {client.client_id: 0 for client in fleet}
-        by_id = {client.client_id: client for client in fleet}
-        while True:
-            live = [
-                cid for cid, cursor in cursors.items()
-                if cursor < len(by_id[cid].works)
-            ]
-            if not live:
-                break
-            rng.shuffle(live)
-            for cid in live:
-                gateway.submit(cid, by_id[cid].works[cursors[cid]])
-                cursors[cid] += 1
-            yield from gateway.flush_plan()
-
-    kernel.spawn(rounds(), name="fleet-compat")
-    kernel.run()
-
-    return FleetRunResult(
-        clients=len(fleet),
-        flushes=sum(len(client.works) for client in fleet),
-        elapsed_seconds=stopwatch.elapsed(),
-        operations=account.billing.operation_count() - ops_before,
-        bytes_transmitted=account.billing.bytes_transmitted() - bytes_before,
-        cost_usd=account.billing.cost() - cost_before,
-    )

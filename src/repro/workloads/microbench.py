@@ -17,17 +17,24 @@ version.  All requests go out in one large parallel batch — the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.cloud.account import CloudAccount
 from repro.cloud.consistency import ConsistencyModel
+from repro.cloud.network import Request
 from repro.cloud.profiles import SimulationProfile
 from repro.core.p1_store_only import ProtocolP1
 from repro.core.p2_store_db import ProtocolP2
 from repro.core.p3_wal import ProtocolP3
 from repro.core.pas3fs import stage_inputs
-from repro.core.protocol_base import FlushWork, UploadMode, data_key
+from repro.core.protocol_base import (
+    FlushWork,
+    UploadMode,
+    data_key,
+    tolerate_missing,
+)
 from repro.provenance.pass_collector import FlushIntent, PassCollector
+from repro.sim.events import Delay
 from repro.workloads.base import MOUNT, Workload
 
 PROTOCOL_NAMES = ("s3fs", "p1", "p2", "p3")
@@ -108,41 +115,6 @@ def run_microbenchmark(
     )
 
 
-def run_microbenchmark_kernel(
-    workload: Workload,
-    configuration: str,
-    profile: SimulationProfile = SimulationProfile(),
-    connections: int = 150,
-    seed: int = 0,
-    account: Optional[CloudAccount] = None,
-) -> MicrobenchResult:
-    """Compatibility-mode kernel run of the microbenchmark: the capture
-    and request-build path is shared with :func:`run_microbenchmark`;
-    the upload executes as a single client process on the simulation
-    kernel.  The equivalence regression test holds this to byte-identical
-    numbers against the phased driver."""
-    from repro.sim import Batch, SimKernel
-
-    account, works = _prepare_run(workload, configuration, profile, seed, account)
-    stopwatch = account.stopwatch()
-    requests = _upload_requests(account, works, configuration, connections)
-
-    kernel = SimKernel(account)
-
-    def uploader():
-        yield Batch(requests, connections)
-
-    kernel.spawn(uploader(), name=f"microbench-{configuration}")
-    kernel.run()
-    return MicrobenchResult(
-        configuration=configuration,
-        elapsed_seconds=stopwatch.elapsed(),
-        operations=account.billing.operation_count(),
-        bytes_transmitted=account.billing.bytes_transmitted(),
-        cost_usd=account.billing.cost(),
-    )
-
-
 def _prepare_run(
     workload: Workload,
     configuration: str,
@@ -173,9 +145,10 @@ def _upload_requests(
     """Build the configuration's full upload batch (serial client CPU is
     charged here, as the protocols do while marshalling); HEADs of
     not-yet-existing keys are wrapped to tolerate the expected 404 — the
-    request still costs time and money."""
+    request still costs time and money.  For a protocol, every HEAD goes
+    ahead of every flush request."""
+    requests: List[Request] = []
     if configuration == "s3fs":
-        requests = []
         for work in works:
             if not work.include_data:
                 continue
@@ -191,8 +164,7 @@ def _upload_requests(
         protocol = protocol_cls(
             account, mode=UploadMode.PARALLEL, connections=connections
         )
-        protocol.begin_deferred()
-        requests = []
+        flushed: List[Request] = []
         for work in works:
             if work.include_data:
                 requests.append(
@@ -200,21 +172,21 @@ def _upload_requests(
                         protocol.bucket, data_key(work.primary.path)
                     )
                 )
-            protocol.flush(work)
-        requests.extend(protocol.end_deferred())
-    return [_tolerate_missing(request) for request in requests]
+            _collect_plan(account, protocol.flush_plan(work), flushed)
+        requests.extend(flushed)
+    return [tolerate_missing(request) for request in requests]
 
 
-def _tolerate_missing(request):
-    from repro.errors import NoSuchKeyError
-
-    original = request.apply
-
-    def apply(start: float, finish: float):
-        try:
-            return original(start, finish)
-        except NoSuchKeyError:
-            return None
-
-    request.apply = apply
-    return request
+def _collect_plan(
+    account: CloudAccount, plan: Generator, requests: List[Request]
+) -> None:
+    """Drive a flush plan without executing its traffic: each ``Delay``
+    advances the clock (the serial marshalling CPU is still paid), each
+    ``Batch``'s requests are appended to ``requests`` for the one big
+    upload batch, and the plan is sent back ``None`` — no result exists
+    yet, so the plan records nothing that depends on one."""
+    for effect in plan:
+        if isinstance(effect, Delay):
+            account.clock.advance(effect.seconds)
+        else:
+            requests.extend(effect.requests)

@@ -1,218 +1,208 @@
-"""Equivalence regression tests: the kernel's compatibility mode must
-reproduce the pre-kernel phased driver's numbers byte for byte.
+"""The two drivers of an effect plan agree byte for byte.
 
-The compatibility mode is a single client process on the kernel, daemons
-drained at the end — the same effect plans, the other driver.  If these
-tests fail, the refactor changed the physics, not just the execution
-model."""
+Every protocol flush and gateway window is one plan.  The phased driver
+(``protocol.flush``, ``run_fleet``) and a one-process ``SimKernel`` must
+leave the same clock, bill and store; if these tests fail, a driver
+changed the physics, not just the execution model.  The Figure 3 tool's
+upload batch is held to the same numbers on both drivers by
+``TestMicrobenchmarkEquivalence``; its request collector is pinned by the
+golden results under ``benchmarks/`` and by ``TestMicrobenchCollector``."""
+
+import random
 
 import pytest
 
+from repro.backends.parity import store_fingerprint
 from repro.cloud.account import CloudAccount
-from repro.core import PAS3fs, ProtocolP3, UploadMode
+from repro.cloud.profiles import SimulationProfile
+from repro.core import ProtocolP1, ProtocolP2, ProtocolP3, UploadMode
+from repro.core.protocol_base import FlushWork
+from repro.obs.tracing import CLIENT_EMIT, WAL_LOGGED
+from repro.provenance.pass_collector import FlushIntent, PassCollector
 from repro.provenance.syscalls import TraceBuilder
 from repro.service import IngestGateway, ShardRouter
 from repro.sim import Delay, SimKernel, run_plan_phased
 from repro.sim.events import Batch
 from repro.workloads import make_blast_workload
 from repro.workloads.base import MOUNT
-from repro.workloads.fleet import (
-    make_fleet,
-    run_fleet,
-    run_fleet_compat_kernel,
-)
+from repro.workloads.fleet import make_fleet, run_fleet
 from repro.workloads.microbench import (
+    MicrobenchResult,
+    _prepare_run,
+    _upload_requests,
     run_microbenchmark,
-    run_microbenchmark_kernel,
 )
+
+PROTOCOLS = {"p1": ProtocolP1, "p2": ProtocolP2, "p3": ProtocolP3}
+
+
+def _capture_works():
+    """The flush works a PAS3fs run of a small writer would issue,
+    collected without executing any cloud traffic."""
+    builder = TraceBuilder()
+    proc = builder.spawn("writer", argv=["writer"], exec_path="/bin/writer")
+    builder.read(proc, "/local/in.dat", 2048)
+    for index in range(3):
+        builder.write_close(proc, f"{MOUNT}eq/f{index}.dat", 48 * 1024)
+    builder.exit(proc)
+
+    collector = PassCollector()
+    works = []
+    for event in builder.trace:
+        for intent in collector.feed(event):
+            if isinstance(intent, FlushIntent) and intent.path.startswith(MOUNT):
+                works.append(
+                    FlushWork(
+                        primary=intent,
+                        bundles=collector.pop_pending_closure(intent.uuid),
+                    )
+                )
+    return works
+
+
+def _snapshot(account, domains, bucket):
+    """Every stored item and object, value order included."""
+    items = {
+        (domain, name): account.simpledb.peek_item(domain, name)
+        for domain in domains
+        for name in account.simpledb.peek_item_names(domain)
+    }
+    objects = {
+        key: (record.blob.digest, tuple(sorted(record.metadata.items())))
+        for key in account.s3.peek_keys(bucket)
+        for record in [account.s3.peek_latest(bucket, key)]
+    }
+    return repr((items, objects)), store_fingerprint(account)
+
+
+def _bill(account):
+    billing = account.billing
+    return (
+        billing.operation_count(),
+        billing.bytes_transmitted(),
+        billing.cost(),
+    )
+
+
+def _run_alone(account, plan):
+    """Run ``plan`` as the only process on a fresh kernel."""
+    kernel = SimKernel(account)
+    kernel.spawn(plan, name="driver")
+    kernel.run()
+
+
+def _protocol_run(protocol_name, mode, on_kernel):
+    account = CloudAccount(seed=5)
+    protocol = PROTOCOLS[protocol_name](account, mode=mode)
+    works = _capture_works()
+    if on_kernel:
+
+        def client():
+            for work in works:
+                yield from protocol.flush_plan(work)
+
+        _run_alone(account, client())
+    else:
+        for work in works:
+            protocol.flush(work)
+    # Client elapsed time excludes P3's commit daemon, drained after.
+    elapsed = account.now
+    protocol.finalize()
+    domains = protocol.router.domains if hasattr(protocol, "router") else ()
+    return elapsed, _bill(account), _snapshot(account, domains, protocol.bucket)
+
+
+def _fleet_rounds(gateway, fleet, seed):
+    """``run_fleet``'s seeded round-robin loop, as one plan."""
+    rng = random.Random(seed)
+    queues = {client.client_id: list(client.works) for client in fleet}
+    while True:
+        live = [cid for cid, queue in queues.items() if queue]
+        if not live:
+            return
+        rng.shuffle(live)
+        for cid in live:
+            gateway.submit(cid, queues[cid].pop(0))
+        yield from gateway.flush_plan()
+
+
+def _gateway_run(shards, on_kernel):
+    account = CloudAccount(seed=0)
+    gateway = IngestGateway(account, ShardRouter(shards=shards))
+    fleet = make_fleet(clients=8, files_per_client=3, extra_attributes=16, seed=0)
+    if on_kernel:
+        _run_alone(account, _fleet_rounds(gateway, fleet, seed=0))
+    else:
+        run_fleet(account, gateway, fleet, seed=0)
+    stats = gateway.stats
+    return (
+        account.now,
+        _bill(account),
+        (stats.windows, stats.sdb_batches, stats.sdb_batches_saved),
+        _snapshot(account, gateway.router.domains, gateway.bucket),
+    )
+
+
+DRIVER_CASES = [
+    pytest.param(_protocol_run, (protocol, mode), id=f"{protocol}-{mode.value}")
+    for protocol in PROTOCOLS
+    for mode in (UploadMode.PARALLEL, UploadMode.CAUSAL)
+] + [
+    pytest.param(_gateway_run, (shards,), id=f"gateway-{shards}-shards")
+    for shards in (1, 2)
+]
+
+
+@pytest.mark.parametrize("run, args", DRIVER_CASES)
+def test_phased_and_kernel_drivers_agree(run, args):
+    """Same plans, two drivers: equal clock, operations, bytes, cost,
+    gateway batching and stored state."""
+    phased = run(*args, on_kernel=False)
+    kernel = run(*args, on_kernel=True)
+    assert kernel == phased
 
 
 class TestMicrobenchmarkEquivalence:
-    """Satellite: the Figure 3 microbenchmark is identical under the
-    kernel's compatibility mode."""
+    """The Figure 3 tool's one upload batch gives identical numbers on the
+    phased scheduler and as a ``Batch`` on a one-process kernel."""
 
     @pytest.mark.parametrize("configuration", ["s3fs", "p1", "p2", "p3"])
     def test_fig3_numbers_identical(self, configuration):
         workload = make_blast_workload(jobs=2, queries_per_job=30)
         phased = run_microbenchmark(workload, configuration, seed=0)
-        kernel = run_microbenchmark_kernel(workload, configuration, seed=0)
+
+        connections = 150
+        account, works = _prepare_run(
+            workload, configuration, SimulationProfile(), 0, None
+        )
+        stopwatch = account.stopwatch()
+        requests = _upload_requests(account, works, configuration, connections)
+
+        def uploader():
+            yield Batch(requests, connections)
+
+        _run_alone(account, uploader())
+        kernel = MicrobenchResult(
+            configuration=configuration,
+            elapsed_seconds=stopwatch.elapsed(),
+            operations=account.billing.operation_count(),
+            bytes_transmitted=account.billing.bytes_transmitted(),
+            cost_usd=account.billing.cost(),
+        )
         assert kernel == phased  # every field, including elapsed seconds
 
 
-class TestMultitenantEquivalence:
-    """Satellite: the multitenant scaling benchmark's fleet drive loop is
-    identical under the kernel's compatibility mode."""
+class TestMicrobenchCollector:
+    """The Figure 3 tool walks flush plans only to collect their
+    requests, so no plan may see a batch result that does not exist."""
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_fleet_numbers_identical(self, shards):
-        def drive(runner):
-            account = CloudAccount(seed=0)
-            gateway = IngestGateway(account, ShardRouter(shards=shards))
-            fleet = make_fleet(
-                clients=8, files_per_client=3, extra_attributes=16, seed=0
-            )
-            result = runner(account, gateway, fleet, seed=0)
-            return result, gateway.stats
-
-        phased, phased_stats = drive(run_fleet)
-        compat, compat_stats = drive(run_fleet_compat_kernel)
-        assert compat == phased
-        assert compat_stats.windows == phased_stats.windows
-        assert compat_stats.sdb_batches == phased_stats.sdb_batches
-        assert compat_stats.sdb_batches_saved == phased_stats.sdb_batches_saved
-
-
-class TestP3FlushEquivalence:
-    """flush_plan on the kernel issues identical traffic to the phased
-    flush: elapsed time, operations, bytes, and committed state."""
-
-    @staticmethod
-    def _trace():
-        builder = TraceBuilder()
-        proc = builder.spawn("writer", argv=["writer"], exec_path="/bin/writer")
-        builder.read(proc, "/local/in.dat", 2048)
-        for index in range(3):
-            builder.write_close(proc, f"{MOUNT}eq/f{index}.dat", 48 * 1024)
-        builder.exit(proc)
-        return builder.trace
-
-    @staticmethod
-    def _capture_works(account):
-        """Collect the flush works a PAS3fs run would issue, without
-        executing any cloud traffic."""
-        from repro.core.protocol_base import FlushWork
-        from repro.provenance.pass_collector import FlushIntent, PassCollector
-
-        collector = PassCollector()
-        works = []
-        for event in TestP3FlushEquivalence._trace():
-            for intent in collector.feed(event):
-                if isinstance(intent, FlushIntent) and intent.path.startswith(MOUNT):
-                    works.append(
-                        FlushWork(
-                            primary=intent,
-                            bundles=collector.pop_pending_closure(intent.uuid),
-                        )
-                    )
-        return works
-
-    def _snapshot(self, account, protocol):
-        domain_items = {
-            name: account.simpledb.peek_item(protocol.domain, name)
-            for name in account.simpledb.peek_item_names(protocol.domain)
-        }
-        keys = account.s3.peek_keys(protocol.bucket)
-        objects = {
-            key: (
-                record.blob.digest,
-                tuple(sorted(record.metadata.items())),
-            )
-            for key in keys
-            for record in [account.s3.peek_latest(protocol.bucket, key)]
-        }
-        return repr((domain_items, objects))
-
-    def test_flush_plan_matches_phased_flush(self):
-        # Phased: flush() per work, daemon drained afterwards.
-        phased_account = CloudAccount(seed=5)
-        phased_p3 = ProtocolP3(phased_account, mode=UploadMode.PARALLEL)
-        for work in self._capture_works(phased_account):
-            phased_p3.flush(work)
-        phased_elapsed = phased_account.now
-        phased_p3.finalize()
-
-        # Kernel compatibility mode: one client process over flush_plan,
-        # daemon drained afterwards.
-        kernel_account = CloudAccount(seed=5)
-        kernel_p3 = ProtocolP3(kernel_account, mode=UploadMode.PARALLEL)
-        kernel = SimKernel(kernel_account)
-
-        def client():
-            for work in self._capture_works(kernel_account):
-                yield from kernel_p3.flush_plan(work)
-
-        kernel.spawn(client(), name="client")
-        kernel.run()
-        kernel_elapsed = kernel_account.now
-        kernel_p3.finalize()
-
-        assert kernel_elapsed == phased_elapsed
-        assert (
-            kernel_account.billing.operation_count()
-            == phased_account.billing.operation_count()
-        )
-        assert (
-            kernel_account.billing.bytes_transmitted()
-            == phased_account.billing.bytes_transmitted()
-        )
-        assert self._snapshot(kernel_account, kernel_p3) == self._snapshot(
-            phased_account, phased_p3
-        )
-
-
-class TestP1P2FlushEquivalence:
-    """P1/P2 flushes ported to effect plans (the mixed-protocol fleet
-    prerequisite) issue identical traffic to the phased flush in both
-    upload modes: elapsed time, operations, bytes, committed state."""
-
-    @pytest.mark.parametrize("protocol_name", ["p1", "p2"])
-    @pytest.mark.parametrize(
-        "mode", [UploadMode.PARALLEL, UploadMode.CAUSAL]
-    )
-    def test_flush_plan_matches_phased_flush(self, protocol_name, mode):
-        from repro.core import ProtocolP1, ProtocolP2
-
-        protocol_cls = {"p1": ProtocolP1, "p2": ProtocolP2}[protocol_name]
-        capture = TestP3FlushEquivalence._capture_works
-
-        def snapshot(account, protocol):
-            objects = {
-                key: (
-                    record.blob.digest,
-                    tuple(sorted(record.metadata.items())),
-                )
-                for key in account.s3.peek_keys(protocol.bucket)
-                for record in [account.s3.peek_latest(protocol.bucket, key)]
-            }
-            items = {}
-            if hasattr(protocol, "domain"):
-                items = {
-                    name: account.simpledb.peek_item(protocol.domain, name)
-                    for name in account.simpledb.peek_item_names(
-                        protocol.domain
-                    )
-                }
-            return repr((items, objects))
-
-        phased_account = CloudAccount(seed=5)
-        phased = protocol_cls(phased_account, mode=mode)
-        for work in capture(phased_account):
-            phased.flush(work)
-        phased_elapsed = phased_account.now
-
-        kernel_account = CloudAccount(seed=5)
-        kernel_protocol = protocol_cls(kernel_account, mode=mode)
-        kernel = SimKernel(kernel_account)
-
-        def client():
-            for work in capture(kernel_account):
-                yield from kernel_protocol.flush_plan(work)
-
-        kernel.spawn(client(), name="client")
-        kernel.run()
-
-        assert kernel_account.now == phased_elapsed
-        assert (
-            kernel_account.billing.operation_count()
-            == phased_account.billing.operation_count()
-        )
-        assert (
-            kernel_account.billing.bytes_transmitted()
-            == phased_account.billing.bytes_transmitted()
-        )
-        assert snapshot(kernel_account, kernel_protocol) == snapshot(
-            phased_account, phased
-        )
+    def test_p3_collection_marks_no_wal_logged(self):
+        account = CloudAccount(seed=0)
+        workload = make_blast_workload(jobs=2, queries_per_job=30)
+        run_microbenchmark(workload, "p3", seed=0, account=account)
+        traces = account.telemetry.tracer.traces()
+        assert any(CLIENT_EMIT in trace.first for trace in traces)
+        assert not any(WAL_LOGGED in trace.first for trace in traces)
 
 
 class TestPhasedPlanDriver:
