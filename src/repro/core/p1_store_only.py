@@ -39,6 +39,7 @@ from repro.core.protocol_base import (
     StorageProtocol,
     UploadMode,
     bundles_with_coupling,
+    prov_cpu_cost,
     provenance_object_key,
     tolerate_missing,
 )
@@ -66,7 +67,7 @@ class ProtocolP1(StorageProtocol):
         delay before the first request."""
         prov_requests = self._provenance_requests(work)
         data_requests = self._data_requests(work)
-        cost = self.prov_cpu_cost(len(prov_requests))
+        cost = prov_cpu_cost(self.account, len(prov_requests))
         if cost > 0:
             yield Delay(cost)
 

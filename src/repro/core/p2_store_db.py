@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.sim.events import Batch, Delay
+from repro.sim.events import Batch
 
 from repro.core.protocol_base import (
     PROVENANCE_DOMAIN,
@@ -30,6 +30,7 @@ from repro.core.protocol_base import (
     StorageProtocol,
     UploadMode,
     bundles_with_coupling,
+    marshal_plan,
 )
 from repro.core.sdb_items import build_routed_requests
 
@@ -58,21 +59,17 @@ class ProtocolP2(StorageProtocol):
             self.account.simpledb.create_domain(shard)
 
     def flush_plan(self, work: FlushWork) -> Generator:
-        """P2's flush as an effect plan.  The serial marshalling CPU is two
-        delays, per request and then per attribute-value pair: the clock
-        adds them one at a time, and the recorded Figure 3 numbers depend
-        on that rounding."""
+        """P2's flush as an effect plan.  The serial marshalling CPU is
+        :func:`~repro.core.protocol_base.marshal_plan`'s two delays, per
+        provenance request and then per attribute-value pair."""
         bundles = bundles_with_coupling(work)
         spill_requests, batch_requests, item_pairs = build_routed_requests(
             self.router, bundles, self.account, self.bucket
         )
         data_requests = self._data_requests(work)
-        for cost in (
-            self.prov_cpu_cost(len(spill_requests) + len(batch_requests)),
-            self.prov_items_cost(item_pairs),
-        ):
-            if cost > 0:
-                yield Delay(cost)
+        yield from marshal_plan(
+            self.account, len(spill_requests) + len(batch_requests), item_pairs
+        )
 
         if self.mode is UploadMode.PARALLEL:
             requests = spill_requests + batch_requests + data_requests

@@ -43,6 +43,7 @@ from repro.core.protocol_base import (
     UploadMode,
     bundles_with_coupling,
     data_key,
+    prov_cpu_cost,
     temp_key,
 )
 from repro.core.wal_messages import DataManifestEntry, build_messages
@@ -167,7 +168,7 @@ class ProtocolP3(StorageProtocol):
         can land mid-log."""
         prepared = self._prepare_flush(work)
         tracer = self.account.telemetry.tracer
-        cost = self.prov_cpu_cost(len(prepared.send_requests))
+        cost = prov_cpu_cost(self.account, len(prepared.send_requests))
         if cost > 0:
             yield Delay(cost)
 

@@ -31,6 +31,7 @@ from repro.provenance.graph import NodeRef
 from repro.provenance.pass_collector import DeleteIntent, FlushIntent
 from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
 from repro.sim.compat import run_plan_phased
+from repro.sim.events import Delay
 
 #: Default bucket for data, temporaries, and provenance spill objects.
 DATA_BUCKET = "pass-data"
@@ -161,6 +162,42 @@ def tolerate_missing(request: Request) -> Request:
     return request
 
 
+def prov_cpu_cost(account: CloudAccount, request_count: int) -> float:
+    """Serial client-side CPU seconds for preparing ``request_count``
+    provenance requests (PASS record extraction, DPAPI marshalling,
+    serialization).  Data PUTs carry no provenance and cost nothing
+    here."""
+    if request_count <= 0:
+        return 0.0
+    env = account.profile.environment
+    return request_count * env.prov_cpu_per_request_s * env.cpu_factor
+
+
+def prov_items_cost(account: CloudAccount, item_count: int) -> float:
+    """Serial client-side CPU seconds for marshalling ``item_count``
+    attribute-value pairs into SimpleDB requests."""
+    if item_count <= 0:
+        return 0.0
+    env = account.profile.environment
+    return item_count * env.prov_cpu_per_item_s * env.cpu_factor
+
+
+def marshal_plan(
+    account: CloudAccount, request_count: int, item_pairs: int
+) -> Generator:
+    """The serial CPU of marshalling ``request_count`` SimpleDB-scheme
+    provenance requests (spills and BatchPuts) holding ``item_pairs``
+    attribute-value pairs, as two delays: per request, then per pair.
+    The clock adds them one at a time, and the recorded Figure 3
+    numbers depend on that rounding."""
+    for cost in (
+        prov_cpu_cost(account, request_count),
+        prov_items_cost(account, item_pairs),
+    ):
+        if cost > 0:
+            yield Delay(cost)
+
+
 def bundles_with_coupling(work: FlushWork) -> List[ProvenanceBundle]:
     """Append the coupling records to the primary object's bundle —
     shared by every protocol's flush and the ingest gateway."""
@@ -223,24 +260,6 @@ class StorageProtocol(ABC):
     def flush(self, work: FlushWork) -> None:
         """Run :meth:`flush_plan` to completion on the shared clock."""
         run_plan_phased(self.account, self.flush_plan(work))
-
-    def prov_cpu_cost(self, request_count: int) -> float:
-        """Serial client-side CPU seconds for preparing ``request_count``
-        provenance requests (PASS record extraction, DPAPI marshalling,
-        serialization).  Flush plans yield it as a
-        :class:`~repro.sim.events.Delay`."""
-        if request_count <= 0:
-            return 0.0
-        env = self.account.profile.environment
-        return request_count * env.prov_cpu_per_request_s * env.cpu_factor
-
-    def prov_items_cost(self, item_count: int) -> float:
-        """Serial client-side CPU seconds for marshalling ``item_count``
-        attribute-value pairs into SimpleDB requests."""
-        if item_count <= 0:
-            return 0.0
-        env = self.account.profile.environment
-        return item_count * env.prov_cpu_per_item_s * env.cpu_factor
 
     def finalize(self) -> None:
         """Drain any asynchronous work (P3's commit daemon); default no-op."""

@@ -10,10 +10,21 @@ The gateway sits between many clients and the cloud:
   yet (the gateway's batching window),
 - :meth:`flush_pending` coalesces the window across clients — provenance
   bundles merge by uuid, route to their shard domain, and fill 25-item
-  batches *across* clients; data and spill objects ride in the same
-  parallel batch — and issues everything through one
-  :class:`~repro.cloud.network.ParallelScheduler` batch, so the
-  round-trip latency is paid once per window instead of once per client.
+  batches *across* clients — so the round-trip latency is paid once per
+  window instead of once per client.
+
+A window's timeline, the same under the phased driver and the kernel:
+
+1. The data PUTs leave as the window opens, in one uncharged
+   :class:`~repro.sim.events.Batch` on the connections the provenance
+   batch does not need.  They carry no provenance, so there is nothing
+   to marshal for them.
+2. While they fly, the gateway marshals the provenance, charged as P2
+   charges it (:func:`~repro.core.protocol_base.marshal_plan`: per spill
+   or BatchPut request, then per attribute-value pair).
+3. The spills and BatchPuts go in one charged batch.
+4. If the data is still in flight, the gateway waits for it: the window
+   ends at ``max(data finish, marshalling + provenance finish)``.
 
 Storage scheme is P2's (§4.3.2): data objects in S3 with uuid/version
 metadata, one SimpleDB item per object version, >1 KB values spilled to
@@ -24,7 +35,7 @@ shards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Generator, List, Optional, Set, Tuple
 
 from repro.cloud.account import CloudAccount
@@ -43,6 +54,7 @@ from repro.core.protocol_base import (
     bundles_with_coupling,
     data_key,
     data_object_metadata,
+    marshal_plan,
 )
 from repro.core.sdb_items import build_routed_requests
 from repro.service.cache import CachedQueryEngine, LRUCache
@@ -121,7 +133,7 @@ class IngestGateway:
         for domain in self.router.domains:
             account.simpledb.create_domain(domain)
         #: True while the kernel process is mid-window (the window has
-        #: been claimed from ``_pending`` but its batch has not shipped).
+        #: been claimed from ``_pending`` but has not ended).
         self._flushing = False
         #: Coalescing window of the kernel process, virtual seconds.
         #: :meth:`process` re-reads it every loop, so a supervisor can
@@ -158,48 +170,67 @@ class IngestGateway:
     def flush_plan(self) -> Generator:
         """One window flush as an effect plan — the single copy of the
         coalescing logic, driven phased by :meth:`flush_pending` and
-        concurrently by :meth:`process`."""
+        concurrently by :meth:`process`.
+
+        The data PUTs go first, uncharged; the provenance is marshalled
+        and put while they fly, and the plan ends when both are done.  A
+        kill before the data batch resumes hands the window back as it
+        was; a kill after it hands the flushes back without their data,
+        so the retry re-puts provenance only and no data PUT is sent
+        twice."""
         if not self._pending:
             return 0
         window = self._pending[:]
         self._pending.clear()
         self.stats.windows += 1
 
-        shipped = False
+        data_shipped = shipped = False
         try:
-            requests, item_pairs, batch_count, data_count, spill_count = (
+            spill_requests, batch_requests, data_requests, item_pairs = (
                 self._build_window(window)
             )
-            cost = self._marshalling_cost(len(requests), item_pairs)
-            if cost > 0:
-                yield Delay(cost)
-            result = yield Batch(requests, self.connections)
+            prov_requests = spill_requests + batch_requests
+            data = None
+            if data_requests:
+                data = yield Batch(
+                    data_requests,
+                    max(1, self.connections - len(prov_requests)),
+                    charge=False,
+                )
+                data_shipped = True
+                self.stats.data_puts += len(data_requests)
+            yield from marshal_plan(self.account, len(prov_requests), item_pairs)
+            if prov_requests:
+                yield Batch(prov_requests, self.connections)
             shipped = True
         finally:
             if not shipped:
                 # Killed mid-window: the gateway object is the durable
                 # intake log, so hand the claimed flushes back for the
-                # next incarnation.  If the kill landed *after* the batch
-                # applied but before this generator resumed, the window
+                # next incarnation.  If the kill landed after a batch
+                # applied but before this generator resumed, that batch
                 # is re-issued — harmless, because SimpleDB re-puts are
                 # set-semantics idempotent and the S3 objects re-upload
                 # byte-identical content.
+                if data_shipped:
+                    window = [
+                        (client_id, replace(work, include_data=False))
+                        for client_id, work in window
+                    ]
                 self._pending[:0] = window
 
+        self.stats.item_pairs += item_pairs
+        self.stats.sdb_batches += len(batch_requests)
+        self.stats.spill_puts += len(spill_requests)
+        self.cache.note_write()
+        if data is not None and data.finished_at > self.account.now:
+            yield Delay(data.finished_at - self.account.now)
         if self._tracer.enabled:
-            coalesced_at = (
-                result.finished_at if result is not None else self.account.now
-            )
             for _client_id, work in window:
                 self._tracer.mark_if_traced(
-                    work.primary.uuid, GATEWAY_COALESCE, coalesced_at
+                    work.primary.uuid, GATEWAY_COALESCE, self.account.now
                 )
-        self.stats.item_pairs += item_pairs
-        self.stats.sdb_batches += batch_count
-        self.stats.data_puts += data_count
-        self.stats.spill_puts += spill_count
-        self.cache.note_write()
-        return len(requests)
+        return len(prov_requests) + len(data_requests)
 
     def process(self, window_s: float = 0.25) -> Generator:
         """The gateway as a kernel process: windows become *time-based*.
@@ -231,7 +262,7 @@ class IngestGateway:
     @property
     def busy(self) -> bool:
         """Whether undelivered work remains: submissions waiting for the
-        next window, or a window claimed but not yet shipped.  Kernel
+        next window, or a window claimed but not yet ended.  Kernel
         experiments drain by running until this clears."""
         return self._flushing or bool(self._pending)
 
@@ -253,11 +284,11 @@ class IngestGateway:
 
     def _build_window(
         self, window: List[Tuple[str, FlushWork]]
-    ) -> Tuple[List[Request], int, int, int, int]:
+    ) -> Tuple[List[Request], List[Request], List[Request], int]:
         """Coalesce one window into its requests: provenance bundles merge
         by uuid, route to their shard domain, and fill 25-item batches
-        across clients; data and spill objects ride in the same batch.
-        Returns (requests, item pairs, batch puts, data puts, spills)."""
+        across clients.  Returns (spills, batch puts, data puts, item
+        pairs)."""
         bundles: List[ProvenanceBundle] = []
         data_requests: List[Request] = []
         for _client_id, work in window:
@@ -279,14 +310,7 @@ class IngestGateway:
         spill_requests, batch_requests, item_pairs = build_routed_requests(
             self.router, merged, self.account, self.bucket
         )
-        requests = spill_requests + batch_requests + data_requests
-        return (
-            requests,
-            item_pairs,
-            len(batch_requests),
-            len(data_requests),
-            len(spill_requests),
-        )
+        return spill_requests, batch_requests, data_requests, item_pairs
 
     def _unbatched_calls(self, bundles: List[ProvenanceBundle]) -> int:
         """BatchPutAttributes calls one flush's (already enriched)
@@ -297,12 +321,3 @@ class IngestGateway:
             versions = sum(len(bundle.by_version()) for bundle in group)
             calls += (versions + 24) // 25
         return calls
-
-    def _marshalling_cost(self, request_count: int, item_pairs: int) -> float:
-        """Serial gateway-side CPU seconds for preparing the window's
-        requests — same accounting the client protocols charge."""
-        env = self.account.profile.environment
-        return (
-            request_count * env.prov_cpu_per_request_s
-            + item_pairs * env.prov_cpu_per_item_s
-        ) * env.cpu_factor

@@ -49,6 +49,15 @@ from repro.service.gateway import IngestGateway
 #: index's xref set) — their values parse into NodeRefs on ingest.
 XREF_ATTRIBUTES = ("input",)
 
+#: Largest request body the front end reads.  A larger declared
+#: ``Content-Length`` is refused with 413 before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a connection may stall mid-request before it is dropped.  The
+#: server handles one request at a time, so without a limit one stalled
+#: client would block every other.
+REQUEST_TIMEOUT_S = 10.0
+
 
 def _jsonable(value):
     """Recursively convert engine answers into JSON-encodable data."""
@@ -91,6 +100,8 @@ class ProvenanceFrontend:
         frontend = self
 
         class Handler(BaseHTTPRequestHandler):
+            timeout = REQUEST_TIMEOUT_S
+
             def log_message(self, format, *args):  # noqa: A002 - stdlib name
                 pass  # silence per-request stderr chatter
 
@@ -114,12 +125,28 @@ class ProvenanceFrontend:
                     self._reply(200, handled)
 
             def do_POST(self):
-                length = int(self.headers.get("Content-Length") or 0)
+                try:
+                    length = int(self.headers.get("Content-Length") or 0)
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    self._reply(400, {
+                        "error": "Content-Length must be a non-negative integer"
+                    })
+                    return
+                if length > MAX_BODY_BYTES:
+                    self._reply(
+                        413, {"error": f"body over {MAX_BODY_BYTES} bytes"}
+                    )
+                    return
                 raw = self.rfile.read(length) if length else b""
                 try:
                     body = json.loads(raw.decode("utf-8")) if raw else {}
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # bad UTF-8 or bad JSON
                     self._reply(400, {"error": f"invalid JSON body: {exc}"})
+                    return
+                if not isinstance(body, dict):
+                    self._reply(400, {"error": "JSON body must be an object"})
                     return
                 try:
                     handled = frontend._handle_post(self.path, body)

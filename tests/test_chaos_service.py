@@ -14,11 +14,12 @@ import random
 
 import pytest
 
+from repro.backends.parity import store_fingerprint
 from repro.cloud.account import CloudAccount
 from repro.core import ProtocolP3
 from repro.core.commit_daemon import CommitDaemon
 from repro.service import IngestGateway, ShardRouter
-from repro.sim import ProcessState, SimKernel
+from repro.sim import Batch, Delay, ProcessState, SimKernel
 from repro.workloads.base import MOUNT
 from repro.workloads.fleet import (
     FLEET_PROGRAM,
@@ -108,7 +109,7 @@ class TestGatewayKillRespawn:
 
         def arm(account, router, gateway):
             account.faults.schedule.crash_every(
-                "gateway", every_s=2.0, start_at=1.0, times=2
+                "gateway", every_s=1.2, start_at=0.9, times=2
             )
             # The respawn resumes the *same* gateway object — it is the
             # durable intake log; only the process incarnation died.
@@ -122,15 +123,30 @@ class TestGatewayKillRespawn:
 
         # The chaos genuinely happened: two kills, two respawns.
         recurring = account.faults.schedule.recurring[0]
-        assert recurring.fired_at == [1.0, 3.0]
+        assert recurring.fired_at == [0.9, 2.1]
         assert account.faults.schedule.respawns["gateway"].respawns == 2
         crashes = account.telemetry.events.of_kind("fault.crash")
         assert [event["target"] for event in crashes] == ["gateway"] * 2
+        # Both kills landed inside a window, after its data batch: the
+        # killed incarnation's provenance batch was placed before the
+        # kill and due after it.
+        slices = account.telemetry.events.of_kind("proc.slice")
+        for crash in crashes:
+            assert any(
+                piece["name"] == "gateway"
+                and piece["incarnation"] == crash["incarnation"]
+                and piece["start"] < crash.t < piece.t
+                for piece in slices
+            )
 
         # Every submitted flush shipped exactly once: no batch lost with
-        # a killed window, none double-applied by a re-issued one.
+        # a killed window, no data PUT sent twice by a re-issued one.
         assert result.flushes == clean_result.flushes == 18
-        assert gateway.stats.flushes == 18
+        assert gateway.stats.flushes == gateway.stats.data_puts == 18
+        assert (
+            account.billing.snapshot()["s3"]["PUT"]
+            == clean_account.billing.snapshot()["s3"]["PUT"]
+        )
         assert not gateway.busy
         assert _service_snapshot(
             account, router, gateway.bucket
@@ -154,9 +170,49 @@ class TestGatewayKillRespawn:
         # The claimed window is back in the intake log, nothing shipped.
         assert gateway.pending_count() == 2
         assert gateway.stats.sdb_batches == 0
+        assert gateway.stats.data_puts == 0
         flushed = gateway.flush_pending()
         assert flushed > 0
         assert gateway.pending_count() == 0
+
+    def test_kill_after_the_data_batch_hands_back_provenance_only(self):
+        def run(kill):
+            account = CloudAccount(seed=2)
+            gateway = IngestGateway(account)
+            for client in make_fleet(clients=4, files_per_client=1, seed=2):
+                gateway.submit(client.client_id, client.works[0])
+            if kill:
+                # Place the data batch and resume the plan into its
+                # marshalling delay, then kill it there, before the
+                # provenance batch.
+                plan = gateway.flush_plan()
+                data = next(plan)
+                assert isinstance(data, Batch) and not data.charge
+                placed = account.scheduler.execute_batch(
+                    data.requests, data.connections, advance_clock=False
+                )
+                assert isinstance(plan.send(placed), Delay)
+                plan.close()
+                handed_back = [work for _client, work in gateway._pending]
+                assert len(handed_back) == 4
+                assert not any(work.include_data for work in handed_back)
+            gateway.flush_pending()
+            account.settle(120.0)
+            return account, gateway
+
+        clean_account, clean_gateway = run(kill=False)
+        account, gateway = run(kill=True)
+
+        # The retry re-put provenance only: one data PUT per flush, and
+        # the same requests billed and the same store as the clean run.
+        assert gateway.stats.data_puts == gateway.stats.flushes == 4
+        assert account.billing.snapshot() == clean_account.billing.snapshot()
+        assert store_fingerprint(account) == store_fingerprint(clean_account)
+        assert _service_snapshot(
+            account, gateway.router, gateway.bucket
+        ) == _service_snapshot(
+            clean_account, clean_gateway.router, clean_gateway.bucket
+        )
 
 
 class TestSingleShardDegradation:

@@ -8,14 +8,17 @@ select.  Parametrized over both backends — the HTTP surface is the same
 thin marshalling layer either way.
 """
 
+import http.client
 import json
+import socket
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.cloud.account import CloudAccount
-from repro.service import ProvenanceFrontend
+from repro.service import ProvenanceFrontend, http_frontend
+from repro.service.http_frontend import MAX_BODY_BYTES
 
 
 def _post(base, path, payload):
@@ -214,3 +217,65 @@ class TestErrorHandling:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("payload", [["c0"], None])
+    def test_json_body_that_is_not_an_object_is_400(self, frontend, payload):
+        front, base = frontend
+        status, body = self._status(base, "/v1/ingest", payload)
+        assert status == 400
+        assert "object" in body["error"]
+
+
+def _raw_post(address, headers):
+    """POST /v1/ingest with hand-set headers and no body; returns the
+    status and the decoded reply."""
+    connection = http.client.HTTPConnection(*address, timeout=5)
+    try:
+        connection.putrequest("POST", "/v1/ingest")
+        for name, value in headers.items():
+            connection.putheader(name, value)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestInputLimits:
+    def test_body_over_the_cap_is_413_without_reading_it(self, frontend):
+        front, base = frontend
+        # No body follows the headers: a server that tried to read the
+        # declared length would wait for it until the client times out.
+        status, body = _raw_post(
+            front.address, {"Content-Length": str(MAX_BODY_BYTES + 1)}
+        )
+        assert status == 413
+        assert front.gateway.pending_count() == 0
+
+    @pytest.mark.parametrize("length", ["ten", "-1"])
+    def test_bad_content_length_is_400(self, frontend, length):
+        front, base = frontend
+        status, body = _raw_post(front.address, {"Content-Length": length})
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_stalled_client_does_not_block_the_server(self, monkeypatch):
+        monkeypatch.setattr(http_frontend, "REQUEST_TIMEOUT_S", 0.2)
+        front = ProvenanceFrontend(account=CloudAccount(seed=11))
+        host, port = front.start()
+        try:
+            with socket.create_connection((host, port), timeout=5) as stalled:
+                # Declares 100 bytes, sends one, then goes quiet.
+                stalled.sendall(
+                    b"POST /v1/ingest HTTP/1.0\r\nContent-Length: 100\r\n\r\n{"
+                )
+                # The server answers one request at a time: the next
+                # client is served once the stalled one is dropped.
+                with urllib.request.urlopen(
+                    f"http://{host}:{port}/healthz", timeout=5
+                ) as response:
+                    assert json.loads(response.read())["status"] == "ok"
+                assert stalled.recv(1024) == b""
+        finally:
+            front.stop()
+            front.account.close()

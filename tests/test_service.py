@@ -1,16 +1,19 @@
 """The multi-tenant service tier: shard routing, the ingest gateway,
 the query cache, and the client-fleet simulator."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cloud.account import CloudAccount
 from repro.core import PAS3fs, ProtocolP2, ProtocolP3
-from repro.core.protocol_base import PROVENANCE_DOMAIN, DomainRouter
+from repro.core.protocol_base import PROVENANCE_DOMAIN, DomainRouter, UploadMode
 from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
 from repro.provenance.graph import NodeRef
 from repro.provenance.syscalls import TraceBuilder
 from repro.query.engine import ShardedSimpleDBQueryEngine, SimpleDBQueryEngine
 from repro.service import IngestGateway, LRUCache, ShardRouter
+from repro.sim import Batch, Delay, run_plan_phased
 from repro.workloads.base import MOUNT
 from repro.workloads.fleet import FLEET_PROGRAM, make_fleet, run_fleet
 
@@ -92,6 +95,97 @@ class TestIngestGateway:
         before = account.billing.operation_count()
         assert gateway.flush_pending() == 0
         assert account.billing.operation_count() == before
+
+
+def _recorded(plan, log):
+    """Pass ``plan``'s effects through, logging each with what was sent
+    back for it."""
+    value = None
+    while True:
+        try:
+            effect = plan.send(value)
+        except StopIteration as stop:
+            return stop.value
+        value = yield effect
+        log.append((effect, value))
+
+
+def _window_timeline():
+    """One 64-client window on 4 shards, driven phased: the virtual time
+    it opened, its effects with their results, and the account."""
+    account = CloudAccount(seed=0)
+    gateway = IngestGateway(account, ShardRouter(shards=4))
+    fleet = make_fleet(
+        clients=64, files_per_client=1, extra_attributes=24, seed=0
+    )
+    for client in fleet:
+        gateway.submit(client.client_id, client.works[0])
+    opened = account.now
+    log = []
+    run_plan_phased(account, _recorded(gateway.flush_plan(), log))
+    return opened, log, account
+
+
+class TestGatewayWindowTimeline:
+    """The data PUTs leave as a window opens and fly while the
+    provenance is marshalled; only provenance requests are charged."""
+
+    def test_one_flush_window_charges_what_p2_charges(self):
+        work = _small_fleet(clients=1, files_per_client=1)[0].works[0]
+        delays = {}
+        for name in ("gateway", "p2"):
+            account = CloudAccount(seed=1)
+            if name == "gateway":
+                gateway = IngestGateway(account)
+                gateway.submit("c0", work)
+                plan = gateway.flush_plan()
+            else:
+                plan = ProtocolP2(account, mode=UploadMode.PARALLEL).flush_plan(
+                    work
+                )
+            log = []
+            run_plan_phased(account, _recorded(plan, log))
+            # The marshalling charge: every delay before the first
+            # charged batch.
+            delays[name] = []
+            for effect, _result in log:
+                if isinstance(effect, Batch) and effect.charge:
+                    break
+                if isinstance(effect, Delay):
+                    delays[name].append(effect.seconds)
+        assert len(delays["p2"]) == 2
+        assert delays["gateway"] == delays["p2"]
+
+    def test_data_puts_commit_before_marshalling_ends(self):
+        opened, log, _account = _window_timeline()
+        (data_batch, data), (first, _), (second, _) = log[:3]
+        assert isinstance(data_batch, Batch) and not data_batch.charge
+        assert len(data_batch.requests) == 64
+        assert isinstance(first, Delay) and isinstance(second, Delay)
+        assert data.started_at == opened
+        assert data.finished_at < opened + first.seconds + second.seconds
+
+    def test_window_ends_when_data_and_provenance_are_both_done(self):
+        opened, log, account = _window_timeline()
+        data, provenance = [
+            result for effect, result in log if isinstance(effect, Batch)
+        ]
+        marshal = log[1][0].seconds + log[2][0].seconds
+        assert provenance.started_at == pytest.approx(opened + marshal)
+        assert account.now == pytest.approx(
+            max(data.finished_at, provenance.finished_at)
+        )
+
+    def test_window_without_provenance_waits_for_its_data(self):
+        account = CloudAccount(seed=0)
+        gateway = IngestGateway(account)
+        work = _small_fleet(clients=1, files_per_client=1)[0].works[0]
+        gateway.submit("c0", replace(work, bundles=[]))
+        log = []
+        run_plan_phased(account, _recorded(gateway.flush_plan(), log))
+        (data_batch, data), (wait, _) = log
+        assert not data_batch.charge and isinstance(wait, Delay)
+        assert account.now == pytest.approx(data.finished_at)
 
 
 class TestFleetDeterminism:
