@@ -5,9 +5,9 @@ The tentpole acceptance criteria, asserted on every sweep point:
 - rows and billed bytes byte-identical between the Bloom-routed engine
   and the full-fan-out baseline (a Bloom decision may skip a shard,
   never change an answer),
-- rows, ``Select`` operations, and billed bytes identical across the
-  cost planner, the legacy fixed-bailout planner, and the index-off
-  scan (planning moves Python cost, never billing),
+- rows, ``Select`` operations, and billed bytes identical between the
+  cost planner and the index-off scan (planning moves Python cost,
+  never billing),
 - attribute-rooted Q3/Q4 lookups contact strictly fewer shards than
   full fan-out at two or more swept shard counts (Q4's leaf frontier is
   provably absent everywhere, so its chunks collapse to zero selects).
@@ -54,8 +54,8 @@ def test_planner_fanout(once, benchmark):
             assert cell.identical, (point.shards, point.children, cell.query)
             assert cell.rows > 0, (point.shards, point.children, cell.query)
             assert cell.bloom_selects <= cell.naive_selects
-        # Planner axis: rows, Select ops, and bytes identical across
-        # cost / fixed / scan.
+        # Planner axis: rows, Select ops, and bytes identical between
+        # cost and scan.
         assert point.billing_identical, (point.shards, point.children)
 
     # The headline: Q4's attribute-rooted lookups issue strictly fewer

@@ -83,16 +83,12 @@ def build_backend(
     seed: int,
     telemetry=None,
     root: Optional[str] = None,
-    index_store: str = "array",
 ) -> BackendServices:
     """Construct one backend's S3/SimpleDB/SQS service triple.
 
     ``root`` is the storage directory for on-disk backends; when omitted
     a temporary directory is created and removed again by ``close()``.
     ``"sim"`` ignores ``root`` and its ``close`` is a no-op.
-    ``index_store`` picks the SimpleDB secondary-index substrate
-    (``"array"``, the default, or ``"legacy"``); answers are
-    byte-identical either way.
     """
     if name == "sim":
         from repro.cloud.s3 import S3Service
@@ -109,7 +105,6 @@ def build_backend(
                 billing,
                 sdb_engine,
                 telemetry=telemetry,
-                index_store=index_store,
             ),
             sqs=SQSService(
                 scheduler,
@@ -132,6 +127,5 @@ def build_backend(
             seed=seed,
             telemetry=telemetry,
             root=root,
-            index_store=index_store,
         )
     raise ValueError(f"unknown backend {name!r} (one of {BACKEND_NAMES})")

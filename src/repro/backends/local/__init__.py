@@ -57,7 +57,6 @@ def build_local_services(
     seed: int,
     telemetry=None,
     root: Optional[str] = None,
-    index_store: str = "array",
 ):
     from repro.backends import BackendServices, _engines
 
@@ -86,7 +85,6 @@ def build_local_services(
             billing,
             sdb_engine,
             telemetry=telemetry,
-            index_store=index_store,
             conn=tables_conn,
         ),
         sqs=LocalSQSService(

@@ -40,7 +40,7 @@ from repro.cloud.consistency import (
 )
 from repro.cloud.network import ParallelScheduler, Request
 from repro.cloud.profiles import ServiceProfile
-from repro.cloud.simpledb import PackedAttributes, SimpleDBService, _DomainStateBase
+from repro.cloud.simpledb import PackedAttributes, SimpleDBService, _DomainState
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS sdb_domains (
@@ -212,7 +212,6 @@ class LocalSimpleDBService(SimpleDBService):
         consistency: Optional[ConsistencyEngine] = None,
         use_indexes: bool = True,
         telemetry=None,
-        index_store: str = "array",
         *,
         conn: sqlite3.Connection,
     ):
@@ -225,7 +224,6 @@ class LocalSimpleDBService(SimpleDBService):
             consistency,
             use_indexes=use_indexes,
             telemetry=telemetry,
-            index_store=index_store,
         )
         # Reopening an existing database: resurrect its domains (and
         # rebuild their derived in-memory indexes from the stored rows).
@@ -235,7 +233,7 @@ class LocalSimpleDBService(SimpleDBService):
     def create_domain(self, domain: str) -> None:
         if domain in self._domains:
             return
-        state = self._new_domain_state()
+        state = _DomainState()
         state.registry = SqliteRegistry(self._conn, domain)
         self._domains[domain] = state
         self._conn.execute(
@@ -243,7 +241,7 @@ class LocalSimpleDBService(SimpleDBService):
         )
         self._rebuild_indexes(domain, state)
 
-    def _rebuild_indexes(self, domain: str, state: _DomainStateBase) -> None:
+    def _rebuild_indexes(self, domain: str, state: _DomainState) -> None:
         """Replay the stored versions into the derived secondary indexes.
 
         The rebuilt index over-approximates — it records every pair any

@@ -1226,12 +1226,8 @@ class SelectScalingCell:
 class SelectScalingPoint:
     items: int
     cells: List[SelectScalingCell]
-    #: ``sdb.index.memory_bytes`` of the built domain (the array-backed
-    #: store the account runs on).
+    #: ``sdb.index.memory_bytes`` of the built domain.
     index_memory_bytes: int = 0
-    #: The same items replayed into the legacy dict-of-sets substrate —
-    #: the memory baseline the array store is charted against.
-    legacy_index_memory_bytes: int = 0
 
     def cell(self, query: str) -> SelectScalingCell:
         for cell in self.cells:
@@ -1242,12 +1238,6 @@ class SelectScalingPoint:
     @property
     def memory_bytes_per_item(self) -> float:
         return self.index_memory_bytes / self.items if self.items else 0.0
-
-    @property
-    def legacy_memory_bytes_per_item(self) -> float:
-        return (
-            self.legacy_index_memory_bytes / self.items if self.items else 0.0
-        )
 
 
 @dataclass
@@ -1289,8 +1279,6 @@ class SelectScalingResult:
                 point.items,
                 point.index_memory_bytes,
                 f"{point.memory_bytes_per_item:.1f}",
-                point.legacy_index_memory_bytes,
-                f"{point.legacy_memory_bytes_per_item:.1f}",
             )
             for point in self.points
             if point.index_memory_bytes
@@ -1298,12 +1286,9 @@ class SelectScalingResult:
         if not memory_rows:
             return table
         return table + "\n" + render_table(
-            (
-                "Items", "Array (B)", "Array B/item",
-                "Legacy (B)", "Legacy B/item",
-            ),
+            ("Items", "Index (B)", "B/item"),
             memory_rows,
-            title="Index memory: array-backed store vs legacy dict-of-sets",
+            title="Index memory",
         )
 
     def as_json(self) -> Dict[str, object]:
@@ -1314,12 +1299,6 @@ class SelectScalingResult:
                     "items": point.items,
                     "index_memory_bytes": point.index_memory_bytes,
                     "memory_bytes_per_item": point.memory_bytes_per_item,
-                    "legacy_index_memory_bytes": (
-                        point.legacy_index_memory_bytes
-                    ),
-                    "legacy_memory_bytes_per_item": (
-                        point.legacy_memory_bytes_per_item
-                    ),
                     "cells": [
                         {
                             "query": cell.query,
@@ -1408,24 +1387,7 @@ def _sweep_select_modes(
         account.scheduler.execute_batch(requests, 40)
         account.settle(120.0)
 
-        # Memory series: the live (array-backed) index footprint, and
-        # the same pairs replayed into a bare legacy dict-of-sets state
-        # as the baseline.  The replay interns pairs exactly as
-        # ``_merge_item`` does, so both substrates share string objects
-        # and the gap charted is structural, not interning luck.
-        from repro.cloud.simpledb import _LegacyDomainState
-        import sys as _sys
-
         index_memory = sdb.index_memory_bytes()
-        legacy_state = _LegacyDomainState()
-        for name, pairs in items:
-            legacy_state.add_name(name)
-            legacy_state.note_pairs(
-                name,
-                [(_sys.intern(a), _sys.intern(v)) for a, v in pairs],
-            )
-        legacy_memory = legacy_state.memory_bytes()
-        del legacy_state
 
         cells: List[SelectScalingCell] = []
         for query_name, expression in query_builder("bench"):
@@ -1493,7 +1455,6 @@ def _sweep_select_modes(
                 items=count,
                 cells=cells,
                 index_memory_bytes=index_memory,
-                legacy_index_memory_bytes=legacy_memory,
             )
         )
     return SelectScalingResult(
@@ -1638,7 +1599,7 @@ class PlannerFanoutCell:
 class PlannerModeCell:
     """One planner mode's cost for the same Q4 on the same store."""
 
-    planner: str  # "cost" | "fixed" | "scan"
+    planner: str  # "cost" | "scan"
     rows: int
     ops: int
     bytes_moved: int
@@ -1654,7 +1615,7 @@ class PlannerFanoutPoint:
     items: int
     cells: List[PlannerFanoutCell]
     planner_modes: List[PlannerModeCell]
-    #: Rows, Select ops, and billed bytes identical across the three
+    #: Rows, Select ops, and billed bytes identical across the two
     #: planner modes (the byte-identity acceptance criterion).
     billing_identical: bool
 
@@ -1722,7 +1683,7 @@ class PlannerFanoutResult:
                 "Bytes", "Wall (ms)", "Billing identical",
             ),
             mode_rows,
-            title="Q4 by planner mode (cost vs fixed-bailout vs scan)",
+            title="Q4 by planner mode (cost vs scan)",
         )
         return fanout + "\n\n" + modes
 
@@ -1844,10 +1805,10 @@ def planner_fanout(
       byte-identical; the Bloom engine must issue strictly fewer
       attribute-rooted select chains wherever a probed frontier is
       provably absent from some shard (Q4's leaf frontier always is).
-    - **Planner axis** — the same Q4 under the cost planner, the legacy
-      fixed-bailout planner, and the index-off scan.  Rows, ``Select``
-      operations, and billed bytes must be identical across all three:
-      planning moves Python cost, never answers or billing.
+    - **Planner axis** — the same Q4 under the cost planner and the
+      index-off scan.  Rows, ``Select`` operations, and billed bytes
+      must be identical across both: planning moves Python cost, never
+      answers or billing.
     """
     points: List[PlannerFanoutPoint] = []
     account = None
@@ -1922,12 +1883,8 @@ def planner_fanout(
 
             modes: List[PlannerModeCell] = []
             fingerprints = []
-            for planner in ("cost", "fixed", "scan"):
-                if planner == "scan":
-                    sdb.use_indexes = False
-                else:
-                    sdb.use_indexes = True
-                    sdb.planner = planner
+            for planner in ("cost", "scan"):
+                sdb.use_indexes = planner == "cost"
                 ops_before = account.billing.snapshot()["simpledb"].get(
                     "Select", 0
                 )
@@ -1960,7 +1917,6 @@ def planner_fanout(
                     )
                 )
             sdb.use_indexes = True
-            sdb.planner = "cost"
 
             points.append(
                 PlannerFanoutPoint(
@@ -1970,7 +1926,7 @@ def planner_fanout(
                     cells=cells,
                     planner_modes=modes,
                     billing_identical=(
-                        fingerprints[0] == fingerprints[1] == fingerprints[2]
+                        fingerprints[0] == fingerprints[1]
                     ),
                 )
             )

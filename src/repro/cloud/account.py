@@ -46,11 +46,6 @@ class CloudAccount:
         backend_root: storage directory for on-disk backends.  Omitted,
             a temporary directory is used and removed by :meth:`close`;
             given, the data is durable across accounts.
-        index_store: SimpleDB's secondary-index substrate — ``"array"``
-            (default; item ids, postings laid out by cardinality)
-            or ``"legacy"`` (the dict-of-sets baseline).  Answers and
-            billing are byte-identical either way; the knob exists for
-            equivalence tests and memory-comparison sweeps.
     """
 
     def __init__(
@@ -63,7 +58,6 @@ class CloudAccount:
         telemetry=None,
         backend: str = "sim",
         backend_root: Optional[str] = None,
-        index_store: str = "array",
     ):
         self.profile = profile
         self.clock = VirtualClock()
@@ -82,7 +76,6 @@ class CloudAccount:
             seed=seed,
             telemetry=self.telemetry,
             root=backend_root,
-            index_store=index_store,
         )
         self.backend = self._backend.name
         self.backend_root = self._backend.root

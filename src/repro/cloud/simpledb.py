@@ -39,7 +39,7 @@ served page by page, instead of re-matching the whole domain per page.
 This makes a chain a *snapshot-consistent cursor* — a deliberate
 semantic choice: writes whose visibility window elapses mid-chain no
 longer surface in later pages (the pre-snapshot engine re-matched per
-page and could; legacy numeric offset tokens keep that behaviour).
+page and could; a token whose snapshot the TTL collected still does).
 """
 
 from __future__ import annotations
@@ -85,6 +85,9 @@ SELECT_PAGE_ITEMS = 1200
 #: chains — a crashed client mid-pagination, a query engine that stopped
 #: following tokens — would otherwise pin their match sets forever.
 SELECT_SNAPSHOT_TTL_SECONDS = 300.0
+
+#: A select continuation token: ``snap-<snapshot id>:<row offset>``.
+_SNAPSHOT_TOKEN = re.compile(r"snap-([0-9]+):([0-9]+)")
 
 #: One item: (item name, [(attribute, value), ...]).
 ItemPut = Tuple[str, Sequence[Tuple[str, str]]]
@@ -697,9 +700,9 @@ class _SortedStringRun:
         return total
 
 
-class _DomainStateBase:
+class _DomainState:
     """One domain's item registry, secondary indexes, and selectivity
-    bookkeeping — the storage-agnostic half.
+    bookkeeping.
 
     The indexes are *over-approximations* maintained on every write: they
     record every attribute-value pair an item has ever held (``replace``
@@ -718,12 +721,16 @@ class _DomainStateBase:
     row the scan still finds.  A re-put of the same pair cancels the
     pending removal.
 
-    Two concrete stores implement the substrate: the array-backed
-    :class:`_ArrayDomainState` (the default — item ids, postings laid
-    out by cardinality, built for million-item domains) and the
-    dict-of-sets :class:`_LegacyDomainState` it replaced, kept
-    selectable (``SimpleDBService(index_store="legacy")``) as the
-    equivalence and memory baseline.
+    Item names live once in a :class:`_NameTable` (dense uint32 ids,
+    the sorted name order with each id beside it), and a posting's
+    layout follows its cardinality: a value held by one item stores
+    that id inline in ``by_attr[attribute][value]``, the second
+    distinct id promotes it to a bare sorted ``array('I')``
+    (:func:`_posting_add`), and pruning back to one id demotes it
+    (:func:`_posting_discard`) — a high-cardinality attribute, where
+    nearly every value is a singleton, pays a dict slot and an int per
+    value instead of two objects.  Each attribute's sorted distinct
+    values are a :class:`_SortedStringRun`.
     """
 
     __slots__ = (
@@ -731,6 +738,9 @@ class _DomainStateBase:
         "pending_unindex",
         "attr_postings",
         "set_size_hist",
+        "names",
+        "by_attr",
+        "sorted_values",
     )
 
     def __init__(self) -> None:
@@ -753,8 +763,15 @@ class _DomainStateBase:
         #: when empty, so the histogram never leaks dead buckets and a
         #: stored count is always positive.
         self.set_size_hist: Dict[str, Dict[int, int]] = {}
+        #: The domain's item names: ids, and the sorted order.
+        self.names = _NameTable()
+        #: attribute -> value -> posting (inline id, id array, or a
+        #: wide run with a pending tail).
+        self.by_attr: Dict[str, Dict[str, object]] = {}
+        #: attribute -> its distinct values, sorted (two-tier runs).
+        self.sorted_values: Dict[str, _SortedStringRun] = {}
 
-    # -- shared selectivity bookkeeping --------------------------------------
+    # -- selectivity bookkeeping ---------------------------------------------
 
     def _note_posting_resize(self, attribute: str, old: int, new: int) -> None:
         """One value's posting went from ``old`` to ``new`` entries:
@@ -807,6 +824,8 @@ class _DomainStateBase:
                 inner[bucket] = inner.get(bucket, 0) + 1
         return postings, hist
 
+    # -- writes --------------------------------------------------------------
+
     def schedule_unindex(
         self, name: str, pairs: Sequence[Tuple[str, str]], visible_at: float
     ) -> None:
@@ -817,156 +836,6 @@ class _DomainStateBase:
             queued = self.pending_unindex.get(key)
             if queued is None or visible_at > queued:
                 self.pending_unindex[key] = visible_at
-
-    # -- interface the planner and service code against ----------------------
-
-    def add_name(self, name: str) -> None:
-        raise NotImplementedError
-
-    def note_pairs(self, name: str, pairs: Sequence[Tuple[str, str]]) -> None:
-        raise NotImplementedError
-
-    def prune_unindexed(self, now: float) -> int:
-        raise NotImplementedError
-
-    def ordered_names(self) -> List[str]:
-        """Every item name ever written, in sorted order (select page
-        order, prefix and ``itemName()`` ranges read off it)."""
-        raise NotImplementedError
-
-    # The index reads below return *candidate keys*: collections the
-    # planner only intersects, unions and measures, and hands back to
-    # ``names_of`` once, at the end.  Here a key is the item name
-    # itself; the array store's keys are its uint32 ids.  Collections
-    # may be live index structures — callers never mutate them.
-
-    def keys_of(self, names: Sequence[str]) -> Collection:
-        """Candidate keys of the given item names (``itemName() =``
-        and ``IN`` leaves)."""
-        return set(names)
-
-    def names_of(self, keys: Collection) -> List[str]:
-        """Item names of a candidate set, in page order."""
-        return sorted(keys)
-
-    def _keys_at(self, start: int, stop: int) -> Collection:
-        """Keys of positions ``[start, stop)`` of the sorted name order."""
-        return self.ordered_names()[start:stop]
-
-    def names_with(self, attribute: str, value: str) -> Collection:
-        raise NotImplementedError
-
-    def count_with(self, attribute: str, value: str) -> int:
-        """O(len-read) posting count for one ``attribute = value`` pair
-        — the cost model's estimate probe, no set materialization."""
-        raise NotImplementedError
-
-    def distinct_value_count(self, attribute: str) -> int:
-        raise NotImplementedError
-
-    def ordered_values(self, attribute: str) -> List[str]:
-        raise NotImplementedError
-
-    def count_values_in_range(
-        self,
-        attribute: str,
-        low: Optional[str],
-        high: Optional[str],
-        incl_low: bool,
-        incl_high: bool,
-    ) -> int:
-        start, stop = _range_slice(
-            self.ordered_values(attribute), low, high, incl_low, incl_high
-        )
-        return stop - start
-
-    def count_names_with_prefix(self, prefix: str) -> int:
-        names = self.ordered_names()
-        start = bisect.bisect_left(names, prefix)
-        stop = bisect.bisect_right(names, prefix + "\U0010ffff")
-        return max(0, stop - start)
-
-    def count_names_in_range(
-        self,
-        low: Optional[str],
-        high: Optional[str],
-        incl_low: bool,
-        incl_high: bool,
-    ) -> int:
-        start, stop = _range_slice(
-            self.ordered_names(), low, high, incl_low, incl_high
-        )
-        return stop - start
-
-    def names_with_prefix(self, prefix: str) -> Collection:
-        names = self.ordered_names()
-        start = stop = bisect.bisect_left(names, prefix)
-        while stop < len(names) and names[stop].startswith(prefix):
-            stop += 1
-        return self._keys_at(start, stop)
-
-    def names_in_name_range(
-        self,
-        low: Optional[str],
-        high: Optional[str],
-        incl_low: bool,
-        incl_high: bool,
-        limit: Optional[int] = None,
-    ) -> Optional[Collection]:
-        """Items inside a lexicographic ``itemName()`` range, read
-        off the sorted name order — or ``None`` when the range spans
-        more than ``limit`` names (the planner's wide-range bailout: a
-        candidate walk over most of the domain is no faster than the
-        scan it replaces)."""
-        start, stop = _range_slice(
-            self.ordered_names(), low, high, incl_low, incl_high
-        )
-        if limit is not None and stop - start > limit:
-            return None
-        return self._keys_at(start, stop)
-
-    def names_in_value_range(
-        self,
-        attribute: str,
-        low: Optional[str],
-        high: Optional[str],
-        incl_low: bool,
-        incl_high: bool,
-        limit: Optional[int] = None,
-    ) -> Optional[Collection]:
-        raise NotImplementedError
-
-    def memory_bytes(self) -> int:
-        raise NotImplementedError
-
-
-class _ArrayDomainState(_DomainStateBase):
-    """The array-backed index substrate (the default store).
-
-    Item names live once in a :class:`_NameTable` (dense uint32 ids,
-    the sorted name order with each id beside it), and a posting's
-    layout follows its cardinality: a value held by one item stores
-    that id inline in ``by_attr[attribute][value]``, the second
-    distinct id promotes it to a bare sorted ``array('I')``
-    (:func:`_posting_add`), and pruning back to one id demotes it
-    (:func:`_posting_discard`) — a high-cardinality attribute, where
-    nearly every value is a singleton, pays a dict slot and an int per
-    value instead of two objects.  Candidate keys are the ids: reads
-    hand the planner ints and id arrays, and ``names_of`` maps the
-    surviving set to names once.  Each attribute's sorted distinct
-    values are a :class:`_SortedStringRun`."""
-
-    __slots__ = ("names", "by_attr", "sorted_values")
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: The domain's item names: ids, and the sorted order.
-        self.names = _NameTable()
-        #: attribute -> value -> posting (inline id, id array, or a
-        #: wide run with a pending tail).
-        self.by_attr: Dict[str, Dict[str, object]] = {}
-        #: attribute -> its distinct values, sorted (two-tier runs).
-        self.sorted_values: Dict[str, _SortedStringRun] = {}
 
     def add_name(self, name: str) -> None:
         self.names.intern(name)
@@ -1016,18 +885,32 @@ class _ArrayDomainState(_DomainStateBase):
                     del self.sorted_values[attribute]
         return len(fired)
 
+    # -- reads the planner codes against --------------------------------------
+
     def ordered_names(self) -> List[str]:
+        """Every item name ever written, in sorted order (select page
+        order, prefix and ``itemName()`` ranges read off it)."""
         return self.names.ordered()
 
+    # The index reads below return *candidate keys*: item ids (ints, id
+    # arrays, id slices) the planner only intersects, unions and
+    # measures, and hands back to ``names_of`` once, at the end.
+    # Collections may be live index structures — callers never mutate
+    # them.
+
     def keys_of(self, names: Sequence[str]) -> Collection:
+        """Candidate keys of the given item names (``itemName() =``
+        and ``IN`` leaves); names the domain never saw are dropped."""
         idents = set(map(self.names.id_of, names))
         idents.discard(None)
         return idents
 
     def names_of(self, keys: Collection) -> List[str]:
+        """Item names of a candidate set, in page order."""
         return sorted(map(self.names.by_id.__getitem__, keys))
 
     def _keys_at(self, start: int, stop: int) -> Collection:
+        """Keys of positions ``[start, stop)`` of the sorted name order."""
         return self.names.ordered_ids()[start:stop]
 
     def names_with(self, attribute: str, value: str) -> Collection:
@@ -1035,6 +918,9 @@ class _ArrayDomainState(_DomainStateBase):
         return () if posting is None else _posting_ids(posting)
 
     def count_with(self, attribute: str, value: str) -> int:
+        """O(len-read) posting count for one ``attribute = value``
+        pair — the cost model's estimate probe, no set
+        materialization."""
         posting = self.by_attr.get(attribute, {}).get(value)
         if posting is None:
             return 0
@@ -1047,6 +933,64 @@ class _ArrayDomainState(_DomainStateBase):
         run = self.sorted_values.get(attribute)
         return run.ordered() if run is not None else []
 
+    def count_values_in_range(
+        self,
+        attribute: str,
+        low: Optional[str],
+        high: Optional[str],
+        incl_low: bool,
+        incl_high: bool,
+    ) -> int:
+        start, stop = _range_slice(
+            self.ordered_values(attribute), low, high, incl_low, incl_high
+        )
+        return stop - start
+
+    def count_names_with_prefix(self, prefix: str) -> int:
+        names = self.ordered_names()
+        start = bisect.bisect_left(names, prefix)
+        stop = bisect.bisect_right(names, prefix + "\U0010ffff")
+        return max(0, stop - start)
+
+    def count_names_in_range(
+        self,
+        low: Optional[str],
+        high: Optional[str],
+        incl_low: bool,
+        incl_high: bool,
+    ) -> int:
+        start, stop = _range_slice(
+            self.ordered_names(), low, high, incl_low, incl_high
+        )
+        return stop - start
+
+    def names_with_prefix(self, prefix: str) -> Collection:
+        names = self.ordered_names()
+        start = stop = bisect.bisect_left(names, prefix)
+        while stop < len(names) and names[stop].startswith(prefix):
+            stop += 1
+        return self._keys_at(start, stop)
+
+    def names_in_name_range(
+        self,
+        low: Optional[str],
+        high: Optional[str],
+        incl_low: bool,
+        incl_high: bool,
+        limit: int,
+    ) -> Optional[Collection]:
+        """Items inside a lexicographic ``itemName()`` range, read
+        off the sorted name order — or ``None`` when the range spans
+        more than ``limit`` names (the planner's wide-range bailout: a
+        candidate walk over most of the domain is no faster than the
+        scan it replaces)."""
+        start, stop = _range_slice(
+            self.ordered_names(), low, high, incl_low, incl_high
+        )
+        if stop - start > limit:
+            return None
+        return self._keys_at(start, stop)
+
     def names_in_value_range(
         self,
         attribute: str,
@@ -1054,7 +998,7 @@ class _ArrayDomainState(_DomainStateBase):
         high: Optional[str],
         incl_low: bool,
         incl_high: bool,
-        limit: Optional[int] = None,
+        limit: int,
     ) -> Optional[Collection]:
         """Union of the postings of every indexed value of
         ``attribute`` inside the lexicographic range — or ``None`` when
@@ -1068,12 +1012,12 @@ class _ArrayDomainState(_DomainStateBase):
             return ()
         ordered = self.ordered_values(attribute)
         start, stop = _range_slice(ordered, low, high, incl_low, incl_high)
-        if limit is not None and stop - start > limit:
+        if stop - start > limit:
             return None
         out: Set[int] = set()
         for value in ordered[start:stop]:
             out.update(_posting_ids(values[value]))
-            if limit is not None and len(out) > limit:
+            if len(out) > limit:
                 return None
         return out
 
@@ -1097,146 +1041,6 @@ class _ArrayDomainState(_DomainStateBase):
         total += sys.getsizeof(self.sorted_values)
         for run in self.sorted_values.values():
             total += sys.getsizeof(run) + run.memory_bytes()
-        total += _pending_unindex_bytes(self.pending_unindex)
-        total += _stats_bytes(self.attr_postings, self.set_size_hist)
-        return total
-
-
-class _LegacyDomainState(_DomainStateBase):
-    """The dict-of-sets/``bisect.insort`` substrate the array store
-    replaced — kept runnable (``index_store="legacy"``) as the
-    byte-identity baseline for the equivalence battery and the memory
-    comparison the scaling sweep charts.  O(n) list shifts per
-    first-sighting insert; hash-set slots per posting."""
-
-    __slots__ = ("names", "by_attr", "sorted_values")
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: Every item name ever written, kept sorted incrementally
-        #: (``bisect.insort`` on first insert).
-        self.names: List[str] = []
-        #: attribute -> value -> set of item names that ever held it.
-        self.by_attr: Dict[str, Dict[str, Set[str]]] = {}
-        #: attribute -> its distinct values in sorted order
-        #: (``bisect.insort`` on first sighting).
-        self.sorted_values: Dict[str, List[str]] = {}
-
-    def add_name(self, name: str) -> None:
-        bisect.insort(self.names, name)
-
-    def note_pairs(self, name: str, pairs: Sequence[Tuple[str, str]]) -> None:
-        for attribute, value in pairs:
-            values = self.by_attr.setdefault(attribute, {})
-            if value not in values:
-                values[value] = set()
-                bisect.insort(
-                    self.sorted_values.setdefault(attribute, []), value
-                )
-            names = values[value]
-            if name not in names:
-                before = len(names)
-                names.add(name)
-                self._note_posting_resize(attribute, before, before + 1)
-            # A re-put beats any queued removal: the pair is live again.
-            self.pending_unindex.pop((attribute, value, name), None)
-
-    def prune_unindexed(self, now: float) -> int:
-        """Apply every queued removal whose delete is fully visible at
-        ``now``.  Returns how many entries were pruned."""
-        if not self.pending_unindex:
-            return 0
-        fired = [
-            key for key, at in self.pending_unindex.items() if at <= now
-        ]
-        for key in fired:
-            del self.pending_unindex[key]
-            attribute, value, name = key
-            values = self.by_attr.get(attribute)
-            if not values:
-                continue
-            names = values.get(value)
-            if names is None:
-                continue
-            if name in names:
-                before = len(names)
-                names.discard(name)
-                self._note_posting_resize(attribute, before, before - 1)
-            if not names:
-                del values[value]
-                ordered = self.sorted_values.get(attribute, [])
-                index = bisect.bisect_left(ordered, value)
-                if index < len(ordered) and ordered[index] == value:
-                    ordered.pop(index)
-                if not values:
-                    del self.by_attr[attribute]
-                    self.sorted_values.pop(attribute, None)
-        return len(fired)
-
-    def ordered_names(self) -> List[str]:
-        return self.names
-
-    def names_with(self, attribute: str, value: str) -> Set[str]:
-        values = self.by_attr.get(attribute)
-        if not values:
-            return set()
-        return values.get(value, set())
-
-    def count_with(self, attribute: str, value: str) -> int:
-        values = self.by_attr.get(attribute)
-        if not values:
-            return 0
-        return len(values.get(value, ()))
-
-    def distinct_value_count(self, attribute: str) -> int:
-        return len(self.by_attr.get(attribute, {}))
-
-    def ordered_values(self, attribute: str) -> List[str]:
-        return self.sorted_values.get(attribute, [])
-
-    def names_in_value_range(
-        self,
-        attribute: str,
-        low: Optional[str],
-        high: Optional[str],
-        incl_low: bool,
-        incl_high: bool,
-        limit: Optional[int] = None,
-    ) -> Optional[Set[str]]:
-        values = self.by_attr.get(attribute)
-        if not values:
-            return set()
-        ordered = self.sorted_values.get(attribute, [])
-        start, stop = _range_slice(ordered, low, high, incl_low, incl_high)
-        if limit is not None and stop - start > limit:
-            return None
-        out: Set[str] = set()
-        for value in ordered[start:stop]:
-            names = values.get(value)
-            if names:
-                out |= names
-                if limit is not None and len(out) > limit:
-                    return None
-        return out
-
-    def memory_bytes(self) -> int:
-        """Index footprint of the legacy structures, with the same
-        accounting contract as the array store: container overhead
-        (set/list sizes include their pointer tables), one count of
-        each distinct string, pending-unindex tuples, and the
-        selectivity stats with their inner dicts."""
-        total = sys.getsizeof(self.names)
-        total += sum(sys.getsizeof(name) for name in self.names)
-        total += sys.getsizeof(self.by_attr)
-        for attribute, values in self.by_attr.items():
-            total += sys.getsizeof(attribute) + sys.getsizeof(values)
-            for value, names in values.items():
-                total += sys.getsizeof(value) + sys.getsizeof(names)
-        total += sys.getsizeof(self.sorted_values)
-        total += sum(
-            sys.getsizeof(ordered)
-            for ordered in self.sorted_values.values()
-        )
         total += _pending_unindex_bytes(self.pending_unindex)
         total += _stats_bytes(self.attr_postings, self.set_size_hist)
         return total
@@ -1268,33 +1072,6 @@ def _stats_bytes(
     return total
 
 
-#: Default store alias (backends subclassing the service type-annotate
-#: against it).
-_DomainState = _ArrayDomainState
-
-#: ``index_store=`` names accepted by :class:`SimpleDBService`.
-INDEX_STORE_NAMES = ("array", "legacy")
-
-_INDEX_STORES = {
-    "array": _ArrayDomainState,
-    "legacy": _LegacyDomainState,
-}
-
-
-def _range_plan_limit(state: "_DomainState") -> int:
-    """The widest range (in distinct values / item names) the planner
-    will materialize as a candidate set.  A half-open range like
-    ``version >= '0000'`` can span nearly every value in the domain;
-    walking all of it through the index is no faster than the scan it
-    replaces, so past a quarter of the domain the range is treated as
-    unindexable.  Under ``AND`` this is what makes intersections cheap:
-    the narrow side alone narrows the query and verification enforces
-    the wide side — sound even for multi-valued attributes, where
-    true interval-merging would not be (two *different* values can
-    satisfy ``a >= x AND a < y``)."""
-    return max(64, len(state.names) // 4)
-
-
 #: op -> (low, high, incl_low, incl_high) extracted from the condition's
 #: value list; ``None`` bounds are unbounded.
 _RANGE_BOUNDS = {
@@ -1308,44 +1085,6 @@ _RANGE_BOUNDS = {
 
 def _as_set(keys: Collection) -> Set:
     return keys if keys.__class__ is set else set(keys)
-
-
-def _plan_candidates(
-    condition: _Condition, state: _DomainState
-) -> Optional[Collection]:
-    """Extract an index-usable candidate set from a condition tree.
-
-    Returns ``None`` when no index applies (the caller scans), otherwise
-    the candidate keys (see :class:`_DomainStateBase`) of a superset of
-    the items that can match.  Rules:
-
-    - ``attr = 'v'`` / ``attr IN (...)`` — hash-index lookups,
-    - ``attr < / <= / > / >= 'v'`` and ``attr BETWEEN 'a' AND 'b'`` —
-      binary-searched ranges over the attribute's sorted distinct
-      values, unioning the postings of the values in range,
-    - ``itemName()`` comparisons — the sorted-name structure (``LIKE
-      'prefix%'`` and the ordered comparisons become binary-searched
-      slices of it),
-    - ``a AND b`` — intersect when both sides are indexable, else use
-      whichever side is (the unindexed side is enforced by verification),
-    - ``a OR b`` — union, but only when *both* sides are indexable,
-    - ``!=`` and non-prefix ``LIKE`` — never indexable.
-    """
-    if isinstance(condition, _BoolOp):
-        left = _plan_candidates(condition.left, state)
-        right = _plan_candidates(condition.right, state)
-        if condition.op == "and":
-            if left is None:
-                return right
-            if right is None:
-                return left
-            return _as_set(left).intersection(right)
-        if left is None or right is None:
-            return None
-        return _as_set(left).union(right)
-    if not isinstance(condition, _Comparison):
-        return None
-    return _materialize_leaf(condition, state, _range_plan_limit(state))
 
 
 # --------------------------------------------------------------------------
@@ -1508,7 +1247,7 @@ def _cost_materialize(
     running set (``<= max(64, 2 * |current|)``) — a wide side costs more
     to materialize than the rows it would remove, and verification
     enforces it anyway.  ``OR`` unions both sides (both must be
-    indexable, as in the fixed planner).  Every set returned is a
+    indexable).  Every set returned is a
     superset of the true matches, so the decision only moves cost,
     never answers."""
     if isinstance(condition, _BoolOp) and condition.op == "and":
@@ -1565,12 +1304,10 @@ def _plan_candidates_cost(
     """The cost-based planner: estimate first, then decide.
 
     An unindexable tree scans, as before.  An indexable tree whose root
-    estimate reaches :func:`_cost_scan_threshold` *also* scans — this is
-    the estimated-cost decision that replaces the fixed quarter-domain
-    range bailout (:func:`_range_plan_limit`, kept for the ``"fixed"``
-    planner mode): the same half-open range is indexed in a domain
-    where it is selective and scanned in one where it is not, instead
-    of cutting over at a hard-coded fraction either way."""
+    estimate reaches :func:`_cost_scan_threshold` *also* scans: the same
+    half-open range is indexed in a domain where it is selective and
+    scanned in one where it is not, instead of cutting over at a
+    hard-coded fraction either way."""
     threshold = _cost_scan_threshold(state)
     estimate = _estimate_candidates(condition, state)
     if estimate is None:
@@ -1619,8 +1356,6 @@ class SelectEngineStats:
     scanned: int = 0
     #: Chains with no WHERE clause (``select * from d`` — always a scan).
     unconditional: int = 0
-    #: Pages resumed from a legacy numeric offset token (re-matched).
-    legacy_tokens: int = 0
     #: Snapshots garbage-collected after the TTL elapsed untouched.
     snapshots_expired: int = 0
     #: Pages that resumed an *expired* snapshot token by re-matching the
@@ -1633,8 +1368,7 @@ class SelectEngineStats:
     #: Index entries removed after a DeleteAttributes fully propagated.
     unindexed_pruned: int = 0
     #: Chains the cost model sent to scan because the estimated
-    #: candidate walk priced at or above the scan threshold (the
-    #: decision that replaced the fixed quarter-domain bailout).
+    #: candidate walk priced at or above the scan threshold.
     cost_bailouts: int = 0
     #: AND conjuncts the cost model left to verification instead of
     #: intersecting (their estimate outweighed the running set).
@@ -1709,35 +1443,16 @@ class SimpleDBService:
         consistency: Optional[ConsistencyEngine] = None,
         use_indexes: bool = True,
         telemetry=None,
-        index_store: str = "array",
     ):
         self._scheduler = scheduler
         self._profile = profile
         self._billing = billing
         self._consistency = consistency or ConsistencyEngine()
-        if index_store not in _INDEX_STORES:
-            raise ValueError(
-                f"unknown index_store {index_store!r} "
-                f"(use one of {INDEX_STORE_NAMES})"
-            )
-        #: Which per-domain index substrate new domains get: ``"array"``
-        #: (the default — item ids, postings laid out by cardinality)
-        #: or ``"legacy"`` (the dict-of-sets baseline).  Both
-        #: answer byte-identically; the knob exists for the equivalence
-        #: battery and the memory-comparison sweeps.
-        self.index_store = index_store
-        self._domains: Dict[str, _DomainStateBase] = {}
+        self._domains: Dict[str, _DomainState] = {}
         #: When false the planner is bypassed and every select chain
         #: scans — the regression baseline.  Indexes are maintained
         #: either way, so the flag can be toggled mid-run.
         self.use_indexes = use_indexes
-        #: Which planner decides the index-vs-scan cut: ``"cost"`` (the
-        #: default) estimates each tree's candidate walk from the
-        #: selectivity statistics; ``"fixed"`` is the legacy heuristic
-        #: planner with its quarter-domain range bailout.  Candidate
-        #: sets are supersets under either, so the mode can be toggled
-        #: mid-run without changing any answer.
-        self.planner = "cost"
         self.select_stats = SelectEngineStats()
         self._telemetry = telemetry
         if telemetry is not None:
@@ -1771,16 +1486,12 @@ class SimpleDBService:
     def profile(self) -> ServiceProfile:
         return self._profile
 
-    def _new_domain_state(self) -> _DomainStateBase:
-        """A fresh per-domain state of the configured store kind."""
-        return _INDEX_STORES[self.index_store]()
-
     def create_domain(self, domain: str) -> None:
         """Create a domain (idempotent, free)."""
         if domain not in self._domains:
-            self._domains[domain] = self._new_domain_state()
+            self._domains[domain] = _DomainState()
 
-    def _domain(self, domain: str) -> _DomainStateBase:
+    def _domain(self, domain: str) -> _DomainState:
         try:
             return self._domains[domain]
         except KeyError:
@@ -2151,7 +1862,7 @@ class SimpleDBService:
         either way every surviving name goes through the same
         ``_observe`` + condition verification, so the indexed and scan
         paths return byte-identical rows.  ``count_stats`` is false for
-        legacy-token re-matches, which are continuation pages of a chain
+        expired-token re-matches, which are continuation pages of a chain
         already counted."""
         # Apply any DeleteAttributes un-indexing whose propagation window
         # has fully elapsed by this observation time.  Pruning never
@@ -2163,20 +1874,12 @@ class SimpleDBService:
             if count_stats:
                 self.select_stats.unconditional += 1
         elif self.use_indexes:
-            if self.planner == "fixed":
-                candidates = _plan_candidates(condition, state)
-            elif self.planner == "cost":
-                plan = _plan_candidates_cost(condition, state)
-                candidates = plan.candidates
-                if count_stats:
-                    self.select_stats.and_sides_skipped += plan.sides_skipped
-                    if plan.bailed_out:
-                        self.select_stats.cost_bailouts += 1
-            else:
-                raise InvalidRequestError(
-                    f"unknown planner {self.planner!r} (use 'cost' or 'fixed')"
-                )
+            plan = _plan_candidates_cost(condition, state)
+            candidates = plan.candidates
             if count_stats:
+                self.select_stats.and_sides_skipped += plan.sides_skipped
+                if plan.bailed_out:
+                    self.select_stats.cost_bailouts += 1
                 if candidates is None:
                     self.select_stats.scanned += 1
                 else:
@@ -2207,53 +1910,33 @@ class SimpleDBService:
         condition: Optional[_Condition],
         start: float,
     ) -> Tuple[Optional[int], int, List[Tuple[str, ItemAttributes]], List[int]]:
-        """Resolve a continuation token to (snapshot id, offset, match
-        list, row sizes).  Legacy bare-offset tokens (pre-snapshot
-        clients) re-match the domain at this page's observation time, as
-        the old engine did; so do tokens of snapshots that are gone —
-        whether the TTL collected an abandoned chain or a client replays
-        a token from a chain that already completed (the snapshot is
-        popped at the final page; distinguishing the two would mean
-        remembering every completed chain forever, the very leak the GC
-        removes).  Either way the chain degrades to legacy per-page
-        semantics instead of failing.  Tokens naming a snapshot that was
-        *never issued* are rejected."""
-        if token.startswith("snap-"):
-            head, _, offset_text = token[len("snap-"):].partition(":")
-            try:
-                snapshot_id = int(head)
-                offset = int(offset_text)
-            except ValueError:
+        """Resolve a ``snap-<id>:<offset>`` continuation token (both
+        parts ASCII digits) to (snapshot id, offset, match list, row
+        sizes).  A token whose snapshot is gone — the TTL collected an
+        abandoned chain, or a client replays a token from a chain that
+        already completed (the snapshot is popped at the final page;
+        distinguishing the two would mean remembering every completed
+        chain forever, the very leak the GC removes) — re-matches the
+        domain at this page's observation time and continues from the
+        offset, degrading to per-page semantics instead of failing.
+        Malformed tokens and tokens naming a snapshot that was *never
+        issued* are rejected."""
+        parsed = _SNAPSHOT_TOKEN.fullmatch(token)
+        if parsed is None:
+            raise InvalidRequestError(f"malformed select token {token!r}")
+        snapshot_id, offset = int(parsed[1]), int(parsed[2])
+        snapshot = self._select_snapshots.get(snapshot_id)
+        if snapshot is None:
+            if not 1 <= snapshot_id <= self._snapshot_seq:
                 raise InvalidRequestError(
-                    f"malformed select token {token!r}"
-                ) from None
-            snapshot = self._select_snapshots.get(snapshot_id)
-            if snapshot is None:
-                if not 1 <= snapshot_id <= self._snapshot_seq:
-                    raise InvalidRequestError(
-                        f"select token {token!r} was never issued"
-                    )
-                # The snapshot was garbage-collected (abandoned past the
-                # TTL, then resumed after all).  Fall back cleanly:
-                # re-match at this page's observation time and continue
-                # from the recorded offset, exactly the legacy-token
-                # behaviour.
-                self.select_stats.expired_token_rematches += 1
-                return (None, offset) + self._match_rows(
-                    state, condition, start, count_stats=False
+                    f"select token {token!r} was never issued"
                 )
-            snapshot.last_used_at = start
-            return snapshot_id, offset, snapshot.matches, snapshot.sizes
-        try:
-            offset = int(token)
-        except ValueError:
-            raise InvalidRequestError(
-                f"malformed select token {token!r}"
-            ) from None
-        self.select_stats.legacy_tokens += 1
-        return (None, offset) + self._match_rows(
-            state, condition, start, count_stats=False
-        )
+            self.select_stats.expired_token_rematches += 1
+            return (None, offset) + self._match_rows(
+                state, condition, start, count_stats=False
+            )
+        snapshot.last_used_at = start
+        return snapshot_id, offset, snapshot.matches, snapshot.sizes
 
     def _expire_snapshots(self, now: float) -> None:
         """Drop snapshots untouched for the TTL — virtual-time GC of
@@ -2309,7 +1992,7 @@ class SimpleDBService:
         condition = prepared.condition
         out: Dict[str, object] = {
             "domain": prepared.domain,
-            "planner": self.planner if self.use_indexes else "scan",
+            "planner": "cost" if self.use_indexes else "scan",
             "domain_items": len(state.names),
             "scan_threshold": _cost_scan_threshold(state),
         }
@@ -2318,13 +2001,6 @@ class SimpleDBService:
             return out
         if not self.use_indexes:
             out["decision"] = "scan"
-            return out
-        if self.planner == "fixed":
-            candidates = _plan_candidates(condition, state)
-            out["decision"] = "scan" if candidates is None else "index"
-            out["candidates"] = (
-                None if candidates is None else len(candidates)
-            )
             return out
         plan = _plan_candidates_cost(condition, state)
         out["decision"] = "scan" if plan.candidates is None else "index"

@@ -2,8 +2,8 @@
 
 Four layers, bottom up: the write-time selectivity statistics the cost
 model reads (incremental, delete-aware); the planner decisions
-themselves — where the cost model diverges from the legacy fixed
-quarter-domain bailout without changing a single row, cheapest-first
+themselves — a range indexed where a quarter-domain cutoff would have
+scanned, without changing a single row against the scan, cheapest-first
 ``AND`` ordering with verify-only skips, and the ``explain()`` plan
 dump; the per-shard Bloom filters (no false negatives ever, false
 positives harmless even when forced); and the riders — attribute
@@ -18,7 +18,6 @@ import pytest
 
 from repro.cloud.account import CloudAccount
 from repro.cloud.consistency import ConsistencyModel
-from repro.errors import InvalidRequestError
 from repro.query.engine import ShardedSimpleDBQueryEngine, SimpleDBQueryEngine
 from repro.service import IngestGateway, ShardRouter
 from repro.service.bloom import BloomFilter, ShardBloomIndex
@@ -41,7 +40,7 @@ def _seed_small(sdb):
 
 
 def _seed_wide(sdb, count=2000):
-    """A domain wide enough for the planners to disagree: ``v`` is
+    """A domain wide enough for the index-vs-scan cut to matter: ``v`` is
     unique per item (mean set size 1.0), ``u = 'rare'`` marks three."""
     sdb.create_domain("w")
     rare = {1: "0001", 500: "0500", 1500: "1500"}
@@ -94,29 +93,25 @@ class TestSelectivityStats:
 
 class TestCostPlanner:
     def test_cost_indexes_where_fixed_planner_bails(self):
-        """The estimated-cost decision replacing the quarter-domain
-        bailout: a range spanning 600 of 2000 distinct values is past
-        the fixed planner's limit (500) but well under the cost
-        threshold (1000) — cost indexes it, fixed scans it, rows and
-        billing stay byte-identical."""
+        """A range spanning 600 of 2000 distinct values is past a
+        quarter-domain cutoff (500) but well under the cost threshold
+        (1000): the cost planner indexes it, and its rows match the
+        scan's."""
         account = _account()
         sdb = account.simpledb
         _seed_wide(sdb)
         expression = "select * from w where v between '0000' and '0599'"
 
-        sdb.planner = "cost"
-        before = (sdb.select_stats.indexed, sdb.select_stats.scanned)
+        indexed = sdb.select_stats.indexed
         cost_rows = sdb.select(expression)
-        assert sdb.select_stats.indexed == before[0] + 1
+        assert sdb.select_stats.indexed == indexed + 1
+        assert sdb.explain(expression)["decision"] == "index"
 
-        sdb.planner = "fixed"
-        before = (sdb.select_stats.indexed, sdb.select_stats.scanned)
-        fixed_rows = sdb.select(expression)
-        assert sdb.select_stats.scanned == before[1] + 1
-
-        assert repr(cost_rows) == repr(fixed_rows)
+        sdb.use_indexes = False
+        scanned_rows = sdb.select(expression)
+        sdb.use_indexes = True
+        assert repr(cost_rows) == repr(scanned_rows)
         assert len(cost_rows) == 600
-        sdb.planner = "cost"
 
     def test_cost_bails_out_on_scan_sized_estimates(self):
         """A range spanning 1500 of 2000 values prices at or above the
@@ -186,12 +181,6 @@ class TestCostPlanner:
             "unconditional-scan"
         )
 
-        sdb.planner = "fixed"
-        fixed = sdb.explain("select * from d where tag = 'a'")
-        assert fixed["planner"] == "fixed"
-        assert fixed["decision"] == "index"
-        assert fixed["candidates"] == 4
-
         sdb.use_indexes = False
         assert sdb.explain("select * from d where tag = 'a'") == {
             "domain": "d",
@@ -201,14 +190,6 @@ class TestCostPlanner:
             "decision": "scan",
         }
         sdb.use_indexes = True
-        sdb.planner = "cost"
-
-    def test_unknown_planner_is_rejected(self):
-        sdb = _account().simpledb
-        _seed_small(sdb)
-        sdb.planner = "bogus"
-        with pytest.raises(InvalidRequestError):
-            sdb.select("select * from d where tag = 'a'")
 
     def test_explain_moves_no_stats_and_bills_nothing(self):
         account = _account()

@@ -4,8 +4,7 @@ The acceptance contract for the indexed select engine: over provenance
 produced by the paper's own pipelines — the Figure 3 Blast microbenchmark
 and the multi-tenant fleet — Q1–Q4 answers, row ordering, and billed
 request/byte counts are byte-identical between the indexed planner and
-the ``use_indexes=False`` scan fallback, and between the array and
-the legacy index store.
+the ``use_indexes=False`` scan fallback.
 """
 
 from repro.cloud.account import CloudAccount
@@ -60,26 +59,6 @@ def test_fig3_queries_identical_indexed_vs_scan():
     # The planner really ran: the selective Q2–Q4 chains were indexed.
     assert account.simpledb.select_stats.indexed > 0
     assert account.simpledb.select_stats.scanned > 0  # the scan pass
-
-
-def test_fig3_queries_identical_across_index_stores():
-    """The array store's candidates are ids, the legacy store's are
-    names: the Figure 3 pipeline's Q1–Q4 answers, select count and
-    bytes must not know the difference."""
-    fingerprints = {}
-    for store in ("array", "legacy"):
-        account = CloudAccount(seed=7, index_store=store)
-        workload = make_blast_workload(jobs=3, queries_per_job=40)
-        run_microbenchmark(workload, "p2", account=account)
-        account.settle(120.0)
-        fingerprints[store] = _query_fingerprint(
-            account,
-            SimpleDBQueryEngine(account),
-            "/mnt/s3/blast/job-000/raw.hits",
-            "blastall",
-        )
-        assert account.simpledb.select_stats.indexed > 0
-    assert fingerprints["array"] == fingerprints["legacy"]
 
 
 def test_multitenant_sharded_queries_identical_indexed_vs_scan():

@@ -5,11 +5,11 @@ condition trees, so every failure replays bit-for-bit from its seed.
 Each tree mixes every shape the grammar allows (``=``, ``!=``, ``IN``,
 ``LIKE``, the ordered comparisons, ``BETWEEN``, AND/OR with parens; the
 grammar has no NOT — ``!=`` is its negation form) over a seeded
-provenance-shaped store, and every planner must agree: the cost-based
-planner, the legacy fixed-bailout planner, and the ``use_indexes=False``
-scan must return rows, row order, and billing byte-identical on every
-tree, in every battery (strict, mid-propagation eventual consistency,
-and with deletes interleaved).
+provenance-shaped store, and the cost-based planner must agree with the
+``use_indexes=False`` scan — rows, row order, and billing byte-identical
+on every tree, in every battery (strict, mid-propagation eventual
+consistency, and with deletes interleaved).  The same batteries are
+replayed against digests frozen in ``tests/golden/select_fuzz.json``.
 """
 
 import random
@@ -102,51 +102,21 @@ def _random_tree(rng, depth):
     return f"{left} {op} {right}"
 
 
-def _fingerprint(account, sdb, expression):
-    ops_before = account.billing.snapshot()["simpledb"].get("Select", 0)
+def _fingerprint(account, sdb, expression, frozen=False):
+    """One select chain's (rows, Select ops, billed bytes); tolerant of
+    an account that has billed no SimpleDB operation yet (a reopened
+    store serves its first request from resurrected state)."""
+    ops_before = account.billing.snapshot().get("simpledb", {}).get("Select", 0)
     bytes_before = account.billing.bytes_received()
-    rows = sdb.select(expression)
+    if frozen:
+        rows = _select_frozen(account, sdb, expression)
+    else:
+        rows = sdb.select(expression)
     return (
         repr(rows),
         account.billing.snapshot()["simpledb"]["Select"] - ops_before,
         account.billing.bytes_received() - bytes_before,
     )
-
-
-def _run_battery(account, seed, settle_between=0.0):
-    rng = random.Random(seed)
-    sdb = account.simpledb
-    _seed_store(sdb, rng)
-    indexed_chains = scanned_chains = 0
-    for index in range(TREE_COUNT):
-        expression = "select * from d where " + _random_tree(
-            rng, rng.randrange(4)
-        )
-        if settle_between and index % 20 == 0:
-            account.settle(settle_between)
-        sdb.use_indexes = True
-        sdb.planner = "cost"
-        before = (sdb.select_stats.indexed, sdb.select_stats.scanned)
-        cost = _fingerprint(account, sdb, expression)
-        indexed_chains += sdb.select_stats.indexed - before[0]
-        scanned_chains += sdb.select_stats.scanned - before[1]
-        sdb.planner = "fixed"
-        fixed = _fingerprint(account, sdb, expression)
-        sdb.use_indexes = False
-        scanned = _fingerprint(account, sdb, expression)
-        sdb.use_indexes = True
-        sdb.planner = "cost"
-        assert cost == scanned, f"seed={seed} tree #{index}: {expression}"
-        assert fixed == scanned, f"seed={seed} tree #{index}: {expression}"
-    return indexed_chains, scanned_chains
-
-
-def test_fuzz_trees_strict_consistency():
-    account = CloudAccount(consistency=ConsistencyModel.STRICT, seed=97)
-    indexed, scanned = _run_battery(account, seed=97)
-    # The generator actually exercises both planner outcomes.
-    assert indexed > 50
-    assert scanned > 10
 
 
 def _select_frozen(account, sdb, expression):
@@ -168,57 +138,64 @@ def _select_frozen(account, sdb, expression):
         token = page.next_token
 
 
-def test_fuzz_trees_under_eventual_consistency():
-    """The same battery while writes are still propagating: every tree
-    must agree whatever visibility subset the store is in."""
-    account = CloudAccount(seed=131)
-    rng = random.Random(131)
+def checked_fingerprint(account, expression, frozen=False):
+    """One tree's indexed fingerprint, asserted equal to the
+    ``use_indexes=False`` scan's — the one oracle."""
+    sdb = account.simpledb
+    sdb.use_indexes = True
+    indexed = _fingerprint(account, sdb, expression, frozen)
+    sdb.use_indexes = False
+    scanned = _fingerprint(account, sdb, expression, frozen)
+    sdb.use_indexes = True
+    assert indexed == scanned, expression
+    return indexed
+
+
+def replay_battery(account, seed, deletes=False, settle=0.0, frozen=False):
+    """Seed the store from ``seed`` and run :data:`TREE_COUNT` random
+    trees, each checked against the scan; returns the indexed
+    fingerprints.  ``deletes`` sprinkles DeleteAttributes between trees
+    (pruning interleaves with planning); ``settle`` advances the clock
+    every 20 trees, so with ``frozen`` selects the trees run
+    mid-propagation."""
+    rng = random.Random(seed)
     sdb = account.simpledb
     _seed_store(sdb, rng)
+    out = []
     for index in range(TREE_COUNT):
         expression = "select * from d where " + _random_tree(
             rng, rng.randrange(4)
         )
-        if index % 20 == 0:
-            account.settle(1.5)
-        sdb.use_indexes = True
-        sdb.planner = "cost"
-        cost = repr(_select_frozen(account, sdb, expression))
-        sdb.planner = "fixed"
-        fixed = repr(_select_frozen(account, sdb, expression))
-        sdb.use_indexes = False
-        scanned = repr(_select_frozen(account, sdb, expression))
-        sdb.use_indexes = True
-        sdb.planner = "cost"
-        assert cost == scanned, f"tree #{index}: {expression}"
-        assert fixed == scanned, f"tree #{index}: {expression}"
+        if settle and index % 20 == 0:
+            account.settle(settle)
+        if deletes and index % 25 == 10:
+            victim = f"u{rng.randrange(20):03d}_{rng.randrange(3)}"
+            spec = rng.choice(
+                [None, ["tag"], [("version", f"{rng.randrange(3):03d}")]]
+            )
+            sdb.delete_attributes("d", victim, spec)
+        out.append(checked_fingerprint(account, expression, frozen))
+    return out
+
+
+def test_fuzz_trees_strict_consistency():
+    account = CloudAccount(consistency=ConsistencyModel.STRICT, seed=97)
+    replay_battery(account, seed=97)
+    # The generator actually exercises both planner outcomes (every
+    # tree's scan leg adds one scanned chain; the rest are the planner's).
+    stats = account.simpledb.select_stats
+    assert stats.indexed > 50
+    assert stats.scanned - TREE_COUNT > 10
+
+
+def test_fuzz_trees_under_eventual_consistency():
+    """The same battery while writes are still propagating: every tree
+    must agree whatever visibility subset the store is in."""
+    replay_battery(CloudAccount(seed=131), seed=131, settle=1.5, frozen=True)
 
 
 def test_fuzz_trees_second_seed_with_deletes():
     """A different seed, with a sprinkle of DeleteAttributes between
     trees so pruning interleaves with planning."""
     account = CloudAccount(consistency=ConsistencyModel.STRICT, seed=7)
-    rng = random.Random(7)
-    sdb = account.simpledb
-    _seed_store(sdb, rng)
-    for index in range(TREE_COUNT):
-        expression = "select * from d where " + _random_tree(
-            rng, rng.randrange(4)
-        )
-        if index % 25 == 10:
-            victim = f"u{rng.randrange(20):03d}_{rng.randrange(3)}"
-            spec = rng.choice(
-                [None, ["tag"], [("version", f"{rng.randrange(3):03d}")]]
-            )
-            sdb.delete_attributes("d", victim, spec)
-        sdb.use_indexes = True
-        sdb.planner = "cost"
-        cost = _fingerprint(account, sdb, expression)
-        sdb.planner = "fixed"
-        fixed = _fingerprint(account, sdb, expression)
-        sdb.use_indexes = False
-        scanned = _fingerprint(account, sdb, expression)
-        sdb.use_indexes = True
-        sdb.planner = "cost"
-        assert cost == scanned, f"tree #{index}: {expression}"
-        assert fixed == scanned, f"tree #{index}: {expression}"
+    replay_battery(account, seed=7, deletes=True)

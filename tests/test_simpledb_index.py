@@ -224,33 +224,41 @@ class TestSnapshotPagination:
         assert rest.complete
         assert [n for n, _ in page.rows + rest.rows] == [f"i{n}" for n in range(5)]
 
-    def test_legacy_numeric_token_still_resumes(self, strict_account, monkeypatch):
+    def test_expired_or_malformed_tokens_rejected(
+        self, strict_account, monkeypatch
+    ):
         self._tiny_pages(monkeypatch)
         sdb = strict_account.simpledb
         sdb.create_domain("d")
         sdb.batch_put("d", [(f"i{n}", [("a", "v")]) for n in range(5)])
+        # A live chain: snapshot 1 exists, so every rejection below is
+        # the token's form, not a missing snapshot.
         page: SelectPage = strict_account.scheduler.execute_one(
-            sdb.select_request("select * from d", "3")
+            sdb.select_request("select * from d")
         )
-        assert [n for n, _ in page.rows] == ["i3", "i4"]
-        assert sdb.select_stats.legacy_tokens == 1
-
-    def test_expired_or_malformed_tokens_rejected(self, strict_account):
-        sdb = strict_account.simpledb
-        sdb.create_domain("d")
-        sdb.put_attributes("d", "i", [("a", "v")])
-        with pytest.raises(InvalidRequestError):
-            strict_account.scheduler.execute_one(
-                sdb.select_request("select * from d", "snap-999:3")
-            )
-        with pytest.raises(InvalidRequestError):
-            strict_account.scheduler.execute_one(
-                sdb.select_request("select * from d", "snap-x:y")
-            )
-        with pytest.raises(InvalidRequestError):
-            strict_account.scheduler.execute_one(
-                sdb.select_request("select * from d", "bogus")
-            )
+        assert page.next_token == "snap-1:3"
+        for token in (
+            "snap-999:3",  # never issued
+            "snap-x:y",
+            "bogus",
+            "3",  # bare numeric offsets are not tokens
+            "-4",
+            "snap-1:-2",  # offsets are ASCII digits only
+            "snap-1:+1",
+            "snap-1: 2",
+            "snap-1:\u0663",
+            "snap-+1:3",
+        ):
+            with pytest.raises(InvalidRequestError):
+                strict_account.scheduler.execute_one(
+                    sdb.select_request("select * from d", token)
+                )
+        rest: SelectPage = strict_account.scheduler.execute_one(
+            sdb.select_request("select * from d", page.next_token)
+        )
+        assert [n for n, _ in page.rows + rest.rows] == [
+            f"i{n}" for n in range(5)
+        ]
 
 
 class TestSnapshotGC:
@@ -312,8 +320,8 @@ class TestSnapshotGC:
         )
         # The snapshot is gone, but the token was genuinely issued: the
         # page re-matches at its own observation time and the chain
-        # completes with no rows lost — a clean degradation to the
-        # legacy per-page semantics, not an error.
+        # completes with no rows lost — a clean degradation to
+        # per-page semantics, not an error.
         rows = list(first_rows)
         token = page.next_token
         while token:
