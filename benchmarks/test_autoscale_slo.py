@@ -17,9 +17,6 @@ supervisor control plane) — and pins the headline:
 - every crashes run still ends with Q1-Q4 answers and query billing
   byte-identical to the same-mode steady run, and the whole sweep
   (telemetry included) replays bit-for-bit from the seed.
-
-``REPRO_AUTOSCALE_FLEETS`` (comma-separated fleet sizes) overrides the
-swept fleets for CI smoke runs.
 """
 
 import json
@@ -32,18 +29,22 @@ from repro.bench.experiments import (
 )
 from repro.bench.reporting import write_bench_json
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 SLO_P99_S = 30.0
+#: sha256 of the sweep's sorted-key telemetry section, less the
+#: interpreter gauges (``conftest.INTERPRETER_GAUGES``).
+TELEMETRY_SHA256 = (
+    "2d17ca1e0c07d470c06c9631b83540a462ebf17938cddd72b9797046ca10f19b"
+)
 
 
-def _fleet_sizes():
-    raw = os.environ.get("REPRO_AUTOSCALE_FLEETS", "")
-    if raw:
-        return tuple(int(part) for part in raw.split(",") if part)
-    return (2, 4)
+def _golden_chaos():
+    with open(os.path.join(GOLDEN_DIR, "chaos_slo.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
-def test_autoscale_slo_sweep(once, benchmark):
-    fleets = _fleet_sizes()
+def test_autoscale_slo_sweep(once, benchmark, golden, telemetry_digest):
+    fleets = (2, 4)
     result = once(
         benchmark,
         autoscale_slo_experiment,
@@ -60,6 +61,11 @@ def test_autoscale_slo_sweep(once, benchmark):
             "autoscale_slo", result.as_json(), telemetry=result.telemetry
         ),
     )
+
+    # Frozen: every point and headline byte for byte, every run's final
+    # metrics snapshot by digest.
+    golden("autoscale_slo", result.as_json())
+    assert telemetry_digest(result.telemetry) == TELEMETRY_SHA256
 
     points = {(p.clients, p.mode, p.schedule): p for p in result.points}
     assert len(points) == len(fleets) * len(AUTOSCALE_MODES) * len(
@@ -89,20 +95,17 @@ def test_autoscale_slo_sweep(once, benchmark):
         )
         assert (clients, "crashes") in result.filled_cells
 
-    # Cross-check against the committed chaos bench: its SLO table calls
+    # Cross-check against the chaos sweep's golden: its SLO table calls
     # the same (fleet, crashes) cells unreachable for every static count.
-    chaos_path = os.path.join("bench-results", "BENCH_chaos_slo.json")
-    if os.path.exists(chaos_path):
-        with open(chaos_path, encoding="utf-8") as handle:
-            chaos = json.load(handle)
-        null_crash_fleets = {
-            row["clients"]
-            for row in chaos["results"]["daemons_for_slo"]
-            if row["schedule"] == "crashes" and row["daemons"] is None
-        }
-        for clients in fleets:
-            if clients in null_crash_fleets:
-                assert (clients, "crashes") in result.filled_cells
+    chaos = _golden_chaos()
+    null_crash_fleets = {
+        row["clients"]
+        for row in chaos["daemons_for_slo"]
+        if row["schedule"] == "crashes" and row["daemons"] is None
+    }
+    assert null_crash_fleets
+    for clients in null_crash_fleets:
+        assert (clients, "crashes") in result.filled_cells
 
     # Scale-down economy: in every filled cell the supervisor spent
     # fewer provisioned daemon-seconds than the largest static pool and
@@ -142,3 +145,25 @@ def test_autoscale_slo_sweep(once, benchmark):
     )
     assert replay.as_json() == result.as_json()
     assert replay.telemetry == result.telemetry
+
+
+def test_static_cells_are_the_chaos_configuration():
+    """Every golden ``static-N`` point equals the golden chaos point at
+    ``daemons=N`` (same fleet, same schedule) on every field the two
+    points share: a static pool is the chaos sweep's run."""
+    with open(
+        os.path.join(GOLDEN_DIR, "autoscale_slo.json"), encoding="utf-8"
+    ) as fh:
+        autoscale = json.load(fh)
+    chaos = {
+        (p["clients"], p["daemons"], p["schedule"]): p
+        for p in _golden_chaos()["points"]
+    }
+    static = [p for p in autoscale["points"] if p["mode"].startswith("static-")]
+    assert len(static) == 8
+    for point in static:
+        daemons = int(point["mode"].split("-", 1)[1])
+        twin = chaos[(point["clients"], daemons, point["schedule"])]
+        shared = point.keys() & twin.keys()
+        assert len(shared) >= 12
+        assert {k: point[k] for k in shared} == {k: twin[k] for k in shared}

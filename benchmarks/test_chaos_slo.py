@@ -20,9 +20,14 @@ from repro.bench.experiments import CHAOS_SCHEDULES, chaos_slo_experiment
 from repro.bench.reporting import write_bench_json
 
 SLO_P99_S = 30.0
+#: sha256 of the sweep's sorted-key telemetry section, less the
+#: interpreter gauges (``conftest.INTERPRETER_GAUGES``).
+TELEMETRY_SHA256 = (
+    "7b7b1ab8564f56fd915792f74b86193bf74ff76a77ee2c9ef1a459e9ae63f3ad"
+)
 
 
-def test_chaos_slo_sweep(once, benchmark):
+def test_chaos_slo_sweep(once, benchmark, golden, telemetry_digest):
     result = once(
         benchmark,
         chaos_slo_experiment,
@@ -39,6 +44,11 @@ def test_chaos_slo_sweep(once, benchmark):
             "chaos_slo", result.as_json(), telemetry=result.telemetry
         ),
     )
+
+    # Frozen: every point, the SLO table and the invariant byte for
+    # byte, and every run's final metrics snapshot by digest.
+    golden("chaos_slo", result.as_json())
+    assert telemetry_digest(result.telemetry) == TELEMETRY_SHA256
 
     points = {
         (p.clients, p.daemons, p.schedule): p for p in result.points

@@ -12,8 +12,14 @@ second daemon visibly shortens the drain.
 from repro.bench.experiments import commit_lag_experiment
 from repro.bench.reporting import write_bench_json
 
+#: sha256 of the run's sorted-key telemetry section, less the
+#: interpreter gauges (``conftest.INTERPRETER_GAUGES``).
+TELEMETRY_SHA256 = (
+    "b63817f048ffe7fe0e5032d6b62651a647f1ad523dd3e7cd811ba5de89971c26"
+)
 
-def test_commit_lag_over_virtual_time(once, benchmark):
+
+def test_commit_lag_over_virtual_time(once, benchmark, golden, telemetry_digest):
     result = once(
         benchmark,
         commit_lag_experiment,
@@ -29,6 +35,11 @@ def test_commit_lag_over_virtual_time(once, benchmark):
             "commit_lag", result.as_json(), telemetry=result.telemetry
         ),
     )
+
+    # Frozen: samples, commit timeline and histograms byte for byte,
+    # the final metrics snapshot by digest.
+    golden("commit_lag", result.as_json())
+    assert telemetry_digest(result.telemetry) == TELEMETRY_SHA256
 
     # ≥ 2 concurrent clients and ≥ 1 in-loop daemon actually ran.
     assert result.clients >= 2

@@ -16,84 +16,45 @@ runs that sentence as a *schedule*, not a single staged crash:
    from the queue.  The dead daemon's received-but-undeleted messages
    reappear after SQS's visibility timeout; re-issued writes are
    set-semantics no-ops.
-3. The same fleet runs again with no faults at all, and the Q1 answers
-   (every provenance row in the store) are compared byte for byte.
+3. The same fleet runs again with no faults at all, and the settled
+   stores' Q1-Q4 answers (and the billing of running them) are compared
+   byte for byte.
 
 See docs/faults.md for every crash point and schedule knob.
 
 Run:  PYTHONPATH=src python examples/chaos_recovery.py
 """
 
-import random
-
 from repro.cloud.account import CloudAccount
-from repro.core import ProtocolP3
-from repro.core.commit_daemon import CommitDaemon
-from repro.sim import SimKernel
-from repro.workloads.fleet import make_fleet, protocol_client_process
+from repro.workloads.fleet import RESPAWN_DELAY_S, P3FleetRun, make_fleet
 
 CLIENTS = 2
 FILES_PER_CLIENT = 3
 CRASH_EVERY_S = 15.0
-RESPAWN_DELAY_S = 2.0
 
 
 def run_fleet(chaos: bool):
-    """One fleet run; returns (Q1 rows, crash/respawn counts)."""
+    """One fleet run, drained and fingerprinted."""
     account = CloudAccount(seed=0)
-    protocol = ProtocolP3(account, client_id="fleet-shared")
+    crash = None
+    if chaos:
+        # ``P3FleetRun``'s static pool respawns ``pool-0`` after every kill.
+        crash = account.faults.schedule.crash_every(
+            "pool-0", every_s=CRASH_EVERY_S, start_at=5.0
+        )
     fleet = make_fleet(
         clients=CLIENTS, files_per_client=FILES_PER_CLIENT,
         file_bytes=16 * 1024, extra_attributes=8, seed=0,
     )
-    kernel = SimKernel(account)
-    daemons = []
-
-    def fresh_daemon():
-        daemon = CommitDaemon(
-            account=account,
-            queue_url=protocol.queue_url,
-            bucket=protocol.bucket,
-            domain=protocol.domain,
-            router=protocol.router,
-        )
-        daemons.append(daemon)
-        return daemon.process(poll_interval=1.0)
-
-    kernel.spawn(fresh_daemon(), name="daemon-0", daemon=True)
-
-    crash = None
-    if chaos:
-        crash = account.faults.schedule.crash_every(
-            "daemon-0", every_s=CRASH_EVERY_S, start_at=5.0
-        )
-        account.faults.schedule.respawn(
-            "daemon-0", fresh_daemon, delay_s=RESPAWN_DELAY_S
-        )
-
-    master = random.Random(0)
-    for client in fleet:
-        rng = random.Random(master.randrange(1 << 30))
-        kernel.spawn(
-            protocol_client_process(protocol, client, 2.0, rng),
-            name=client.client_id,
-        )
-
-    kernel.run()  # clients to completion
-    while account.sqs.pending_count(protocol.queue_url) > 0:
-        kernel.run(until=account.now + 5.0)
-    kernel.run(until=account.now + 2.0)  # commit bookkeeping beat
-    account.settle(120.0)  # let eventual consistency quiesce
-
-    rows = account.simpledb.select(f"select * from {protocol.domain}")
-    committed = sum(d.committed_count() for d in daemons)
+    run = P3FleetRun(account, fleet, daemons=1, readers=0, seed=0)
+    run.drain()
+    outcome = run.settled_fingerprint()
     return {
-        "rows": rows,
-        "committed": committed,
-        "flushes": CLIENTS * FILES_PER_CLIENT,
-        "incarnations": len(daemons),
+        "outcome": outcome,
+        "committed": run.committed,
+        "flushes": run.flushes,
+        "incarnations": len(run.daemons),
         "crashes": len(crash.fired_at) if crash else 0,
-        "elapsed": account.now,
     }
 
 
@@ -102,10 +63,10 @@ def main() -> None:
     steady = run_fleet(chaos=False)
     print(
         f"committed {steady['committed']}/{steady['flushes']} transactions, "
-        f"1 daemon incarnation, {len(steady['rows'])} provenance rows"
+        f"{steady['incarnations']} daemon incarnation"
     )
 
-    print(f"\n=== run 2: kill daemon-0 every {CRASH_EVERY_S:.0f}s, "
+    print(f"\n=== run 2: kill pool-0 every {CRASH_EVERY_S:.0f}s, "
           f"respawn a fresh daemon {RESPAWN_DELAY_S:.0f}s later ===")
     chaos = run_fleet(chaos=True)
     print(
@@ -115,16 +76,19 @@ def main() -> None:
     )
 
     print("\n=== the recovery invariant ===")
-    identical = repr(steady["rows"]) == repr(chaos["rows"])
-    print(f"Q1 answers byte-identical to the uncrashed run: {identical}")
+    before, after = steady["outcome"], chaos["outcome"]
+    identical = (
+        before.answers == after.answers
+        and before.query_billing == after.query_billing
+    )
+    print(
+        "Q1-Q4 answers and their billing byte-identical to the uncrashed "
+        f"run: {identical}"
+    )
     if not identical:
         raise SystemExit("recovery invariant violated!")
-    print("\nsample rows (same bytes in both runs):")
-    for name, attributes in chaos["rows"][:3]:
-        flat = ", ".join(
-            f"{a}={vals[0][:24]}" for a, vals in sorted(attributes.items())[:3]
-        )
-        print(f"  {name}: {flat}")
+    print(f"store fingerprint, no faults: {before.store_fingerprint[:16]}")
+    print(f"store fingerprint, chaos:     {after.store_fingerprint[:16]}")
     print(
         "\nThe WAL queue, not any daemon's memory, is the authority: "
         "every kill landed between or inside commits, SQS redelivered "

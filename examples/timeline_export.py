@@ -9,93 +9,58 @@ daemon-crash schedule and exports the whole run as Chrome trace-event
 JSON — load the output at https://ui.perfetto.dev (or
 ``chrome://tracing``) and read it like a flight recorder:
 
-* one lane per process *incarnation* — the killed ``daemon-0`` and its
-  respawned ``daemon-0#1`` sit side by side;
+* one lane per process *incarnation* — the killed ``pool-0`` and its
+  respawned ``pool-0#1`` sit side by side;
 * the ``faults`` lane carries full-height markers at every kill,
   respawn, and degradation edge;
 * each transaction is an async span from client emit to visibility,
   with ticks at ``wal.logged``, ``daemon.dequeue``, ``commit.done``, …;
 * counter tracks chart queue depth, commits, and billing over time.
 
-The run is deterministic, so the committed artifacts
+The run is deterministic, so the artifacts
 (``bench-results/TRACE_chaos_crash_respawn.json`` and the JSONL event
 log next to it) regenerate byte-identically from the same seed.
 
 Run:  PYTHONPATH=src python examples/timeline_export.py
 """
 
-import random
+import os
 
 from repro.cloud.account import CloudAccount
-from repro.core import ProtocolP3
-from repro.core.commit_daemon import CommitDaemon
 from repro.obs import write_chrome_trace
-from repro.sim import SimKernel
-from repro.workloads.fleet import make_fleet, protocol_client_process, FleetWatch
+from repro.workloads.fleet import P3FleetRun, make_fleet
 
 SEED = 0
 CLIENTS = 2
 FILES_PER_CLIENT = 3
 CRASH_EVERY_S = 15.0
-RESPAWN_DELAY_S = 2.0
 TRACE_PATH = "bench-results/TRACE_chaos_crash_respawn.json"
 EVENTS_PATH = "bench-results/EVENTS_chaos_crash_respawn.jsonl"
 
 
 def main() -> None:
     account = CloudAccount(seed=SEED)
-    protocol = ProtocolP3(account, client_id="fleet-shared")
+    # ``P3FleetRun``'s static pool respawns ``pool-0`` after every kill.
+    account.faults.schedule.crash_every(
+        "pool-0", every_s=CRASH_EVERY_S, start_at=8.0
+    )
     fleet = make_fleet(
         clients=CLIENTS, files_per_client=FILES_PER_CLIENT,
         file_bytes=16 * 1024, extra_attributes=8, seed=SEED,
     )
-    kernel = SimKernel(account)
-    kernel.scrape_every(5.0)
-    watch = FleetWatch()
-    daemons = []
+    run = P3FleetRun(account, fleet, daemons=1, readers=0, seed=SEED)
+    run.drain()
 
-    def fresh_daemon():
-        daemon = CommitDaemon(
-            account=account,
-            queue_url=protocol.queue_url,
-            bucket=protocol.bucket,
-            domain=protocol.domain,
-            router=protocol.router,
-        )
-        daemons.append(daemon)
-        return daemon.process(poll_interval=1.0)
-
-    kernel.spawn(fresh_daemon(), name="daemon-0", daemon=True)
-    account.faults.schedule.crash_every(
-        "daemon-0", every_s=CRASH_EVERY_S, start_at=8.0
-    )
-    account.faults.schedule.respawn(
-        "daemon-0", fresh_daemon, delay_s=RESPAWN_DELAY_S
-    )
-
-    master = random.Random(SEED)
-    for client in fleet:
-        rng = random.Random(master.randrange(1 << 30))
-        kernel.spawn(
-            protocol_client_process(protocol, client, 2.0, rng, watch),
-            name=client.client_id,
-        )
-
-    kernel.run()  # clients to completion (daemons keep polling)
-    while account.sqs.pending_count(protocol.queue_url) > 0:
-        kernel.run(until=account.now + 5.0)
-    kernel.run(until=account.now + 2.0)  # let commit bookkeeping settle
-
-    committed = sum(d.committed_count() for d in daemons)
     crashes = account.telemetry.events.of_kind("fault.crash")
     respawns = account.telemetry.events.of_kind("fault.respawn")
     lags = dict(account.telemetry.tracer.commit_lags())
 
+    os.makedirs(os.path.dirname(TRACE_PATH), exist_ok=True)
     trace_path = write_chrome_trace(account.telemetry, TRACE_PATH)
     events_path = account.telemetry.events.write_jsonl(EVENTS_PATH)
 
-    print(f"committed {committed} transactions across {len(daemons)} "
-          f"daemon incarnation(s)")
+    print(f"committed {run.committed} transactions across "
+          f"{len(run.daemons)} daemon incarnation(s)")
     print(f"chaos: {len(crashes)} kills, {len(respawns)} respawns")
     for event in crashes:
         print(f"  t={event.t:8.3f}s  fault.crash    "

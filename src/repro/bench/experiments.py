@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.account import CloudAccount
@@ -21,7 +21,6 @@ from repro.cloud.profiles import (
     LOCAL_ENV,
     SEP09,
     UML_ENV,
-    PeriodProfile,
     SimulationProfile,
 )
 from repro.core import (
@@ -39,11 +38,8 @@ from repro.core.properties import (
     check_causal_ordering,
     check_data_coupling,
     check_efficient_query,
-    check_persistence,
 )
-from repro.core.wal_messages import parse_message
 from repro.errors import ClientCrashError
-from repro.provenance.graph import NodeRef
 from repro.provenance.serialization import chunk_encoded, encode_records
 from repro.provenance.syscalls import TraceBuilder
 from repro.query.engine import (
@@ -56,11 +52,14 @@ from repro.service.sharding import ShardRouter
 from repro.workloads import (
     make_blast_workload,
     make_challenge_workload,
+    make_fleet,
     make_linux_compile_records,
     make_nightly_workload,
+    run_fleet,
     run_microbenchmark,
 )
 from repro.workloads.base import MOUNT, Workload
+from repro.workloads.fleet import FLEET_PROGRAM, FleetOutcome, P3FleetRun
 from repro.workloads.microbench import MicrobenchResult
 
 from repro.bench.reporting import render_series, render_table
@@ -846,7 +845,6 @@ def multitenant_scaling(
     """
     from repro.query.engine import ShardedSimpleDBQueryEngine
     from repro.service import IngestGateway, ShardRouter
-    from repro.workloads.fleet import FLEET_PROGRAM, make_fleet, run_fleet
 
     target_path = f"{MOUNT}fleet/c0000/f000.dat"
     points: List[MultiTenantPoint] = []
@@ -1013,10 +1011,7 @@ class CommitLagResult:
             "flushes": self.flushes,
             "committed": self.committed,
             "elapsed_seconds": self.elapsed_seconds,
-            "samples": [
-                {"t": s.t, "queue_depth": s.queue_depth, "committed": s.committed}
-                for s in self.samples
-            ],
+            "samples": [asdict(s) for s in self.samples],
             "commit_timeline": [
                 {"txn": txn, "logged_at": logged, "committed_at": committed}
                 for txn, logged, committed in self.commit_timeline
@@ -1034,18 +1029,15 @@ class CommitLagResult:
         }
 
 
+#: Seconds between the commit-lag monitor's WAL-depth samples.
+COMMIT_LAG_SAMPLE_S = 2.0
+
+
 def commit_lag_experiment(
     clients: int = 4,
     files_per_client: int = 5,
     daemons: int = 1,
     seed: int = 0,
-    think_s: float = 2.0,
-    poll_interval: float = 1.0,
-    sample_interval: float = 2.0,
-    extra_attributes: int = 24,
-    file_bytes: int = 32 * 1024,
-    crash_at: Optional[Sequence[Tuple[str, float]]] = None,
-    drain_horizon_s: float = 900.0,
 ) -> CommitLagResult:
     """The kernel's headline experiment: concurrent fleet clients log P3
     transactions into one shared WAL queue while ``daemons`` commit
@@ -1057,122 +1049,53 @@ def commit_lag_experiment(
     drain order.  Here the backlog curve is real: it grows while clients
     outpace the daemons and decays as the daemons catch up, and every
     committed transaction's lag (log completion to commit completion) is
-    measured on the virtual clock.
-
-    ``crash_at`` arms timed crashes — e.g. ``[("c0001", 12.0)]`` kills
-    client 1 at t=12s mid-run, ``[("daemon-0", 30.0)]`` kills a daemon so
-    a surviving one takes over its redelivered messages.  Deterministic:
-    the same arguments and seed replay bit for bit.
+    measured on the virtual clock.  Deterministic: the same arguments
+    and seed replay bit for bit.
     """
-    import random as _random
-
-    from repro.core.commit_daemon import CommitDaemon
-    from repro.sim import Delay, SimKernel
-    from repro.workloads.fleet import make_fleet
-
     account = CloudAccount(seed=seed)
-    protocol = ProtocolP3(account, client_id="fleet-shared")
-    fleet = make_fleet(
-        clients=clients,
-        files_per_client=files_per_client,
-        file_bytes=file_bytes,
-        extra_attributes=extra_attributes,
-        seed=seed,
-    )
-    for target, at in crash_at or []:
-        account.faults.arm_timed_crash(target, at)
-
-    kernel = SimKernel(account)
-
-    def client_proc(client, rng):
-        for work in client.works:
-            yield from protocol.flush_plan(work)
-            yield Delay(think_s * rng.uniform(0.5, 1.5))
-
-    master = _random.Random(seed)
-    for client in fleet:
-        rng = _random.Random(master.randrange(1 << 30))
-        kernel.spawn(client_proc(client, rng), name=client.client_id)
-
-    daemon_objs: List[CommitDaemon] = []
-    for index in range(daemons):
-        daemon = CommitDaemon(
-            account=account,
-            queue_url=protocol.queue_url,
-            bucket=protocol.bucket,
-            domain=protocol.domain,
-            router=protocol.router,
-        )
-        daemon_objs.append(daemon)
-        kernel.spawn(
-            daemon.process(poll_interval=poll_interval),
-            name=f"daemon-{index}",
-            daemon=True,
-        )
-
+    fleet = make_fleet(clients=clients, files_per_client=files_per_client, seed=seed)
+    run = P3FleetRun(account, fleet, daemons=daemons, readers=0, seed=seed)
+    queue_url = run.protocol.queue_url
     samples: List[CommitLagSample] = []
 
     def sample(now: float) -> None:
         samples.append(
             CommitLagSample(
                 t=round(now, 6),
-                queue_depth=account.sqs.pending_count(protocol.queue_url),
-                committed=sum(d.committed_count() for d in daemon_objs),
+                queue_depth=account.sqs.pending_count(queue_url),
+                committed=sum(d.committed_count() for d in run.daemons),
             )
         )
 
-    kernel.every(sample_interval, sample, name="monitor")
-    kernel.scrape_every(sample_interval)
-
-    kernel.run()  # clients to completion (or their timed crashes)
-    # Let the daemons drain the backlog; the horizon bounds runs where a
-    # mid-log crash left an incomplete transaction that can never commit.
-    horizon = account.now + drain_horizon_s
-    while (
-        account.sqs.pending_count(protocol.queue_url) > 0
-        and account.now < horizon
-    ):
-        kernel.run(until=min(account.now + 5 * poll_interval, horizon))
-    # One more beat so daemons finish commit bookkeeping cut mid-step and
-    # the monitor records the settled state.
-    kernel.run(until=account.now + max(poll_interval, sample_interval))
+    run.kernel.every(COMMIT_LAG_SAMPLE_S, sample, name="monitor")
+    run.drain()
 
     timeline = sorted(
         (
             (record.txn_id, record.logged_at, record.committed_at)
-            for daemon in daemon_objs
-            for record in daemon.commit_log
+            for record in run.commit_records
         ),
         key=lambda row: (row[2], row[0]),
     )
-    # Elapsed is when the work actually ended — the last commit or the
-    # last client activity — not the drain loop's quantized horizon.
-    client_end = max(
-        (p.domain.finished_at
-         for p in kernel.processes
-         if not p.daemon and p.domain.finished_at >= 0),
-        default=0.0,
-    )
-    drain_end = max((committed for _, _, committed in timeline), default=0.0)
     metrics = account.telemetry.metrics
     group_sizes = [
         hist for hist in metrics.histograms_named("daemon.group_size") if hist.count
     ]
     fanouts = [
-        hist
-        for hist in metrics.histograms_named("daemon.receive_fanout")
-        if hist.count
+        hist for hist in metrics.histograms_named("daemon.receive_fanout") if hist.count
     ]
     return CommitLagResult(
         clients=clients,
         daemons=daemons,
-        flushes=sum(len(client.works) for client in fleet),
-        committed=sum(d.committed_count() for d in daemon_objs),
-        elapsed_seconds=max(client_end, drain_end),
+        flushes=run.flushes,
+        committed=run.committed,
+        # When the work actually ended — the last commit or the last
+        # client activity — not the drain loop's quantized horizon.
+        elapsed_seconds=max(run.clients_done_at, run.last_commit),
         samples=samples,
         commit_timeline=timeline,
         crashed_processes=sorted(
-            p.name for p in kernel.processes if p.state.value == "crashed"
+            p.name for p in run.kernel.processes if p.state.value == "crashed"
         ),
         groups=sum(hist.count for hist in group_sizes),
         grouped_transactions=int(sum(hist.sum for hist in group_sizes)),
@@ -1952,34 +1875,18 @@ def _percentile(values: Sequence[float], fraction: float) -> float:
     return ordered[min(len(ordered), max(1, rank)) - 1]
 
 
-def _durable_commits(
-    account: CloudAccount, queue_url: str, flushes: int, daemon_objs: Sequence
-) -> Tuple[int, int]:
-    """``(committed, recommits)`` of a fleet run whose every flush logged
-    one whole transaction, from durable facts rather than the daemons'
-    counters (a kill between a delete wave's placement and the daemon's
-    resume loses the count, not the commit; a lapsed lease counts one
-    commit twice).  A flushed transaction is committed when none of its
-    WAL messages remains in the queue, visible or leased — the
-    final-object and provenance half is the sweep's recovery
-    fingerprint — and commit-log entries beyond the distinct
-    transactions are recommits."""
-    queued = {
-        parse_message(body).txn_id for body in account.sqs.pending_bodies(queue_url)
-    }
-    logged = [r.txn_id for daemon in daemon_objs for r in daemon.commit_log]
-    return flushes - len(queued), len(logged) - len(set(logged))
-
-
 @dataclass
-class ChaosSLOPoint:
-    """One (fleet size, daemon count, schedule) chaos run's measurements."""
+class FleetPoint:
+    """What every chaos-family fleet run measures (the
+    :class:`~repro.workloads.fleet.P3FleetRun` it drained)."""
 
     clients: int
-    daemons: int
     schedule: str
     flushes: int
     committed: int
+    #: Commit-log entries beyond the distinct transactions (a lapsed
+    #: lease delivered one transaction to two daemons).
+    recommits: int
     elapsed_seconds: float
     #: Last client finish to last commit — how long the WAL backlog
     #: outlived the writers.
@@ -1990,39 +1897,59 @@ class ChaosSLOPoint:
     #: Recurring-crash kills and schedule-driven respawns that happened.
     crashes_fired: int
     respawns: int
+
+
+def _fleet_point_fields(run: P3FleetRun, recurring) -> Dict[str, object]:
+    """The :class:`FleetPoint` fields of a settled run; ``recurring`` is
+    the schedule's recurring crash (None: no crashes)."""
+    lags = run.lags
+    return dict(
+        flushes=run.flushes,
+        committed=run.committed,
+        recommits=run.recommits,
+        elapsed_seconds=max(run.clients_done_at, run.last_commit),
+        drain_seconds=max(0.0, run.last_commit - run.clients_done_at),
+        lag_mean_s=sum(lags) / len(lags) if lags else 0.0,
+        lag_p99_s=_percentile(lags, 0.99),
+        lag_max_s=max(lags, default=0.0),
+        crashes_fired=len(recurring.fired_at) if recurring else 0,
+        respawns=sum(
+            policy.respawns
+            for policy in run.account.faults.schedule.respawns.values()
+        ),
+    )
+
+
+def _recovery_identical(outcomes: Dict[Tuple, FleetOutcome]) -> bool:
+    """The chaos recovery invariant over a sweep keyed ``(..., schedule)``:
+    every ``crashes`` run ends with Q1-Q4 answers and query billing
+    byte-identical to the ``steady`` run of the same cell."""
+    for key, crashed in outcomes.items():
+        steady = outcomes.get(key[:-1] + ("steady",))
+        if key[-1] == "crashes" and steady is not None and (
+            steady.answers != crashed.answers
+            or steady.query_billing != crashed.query_billing
+        ):
+            return False
+    return True
+
+
+@dataclass
+class ChaosSLOPoint(FleetPoint):
+    """One (fleet size, daemon count, schedule) chaos run's measurements."""
+
+    daemons: int
     #: Query-side readers' read-your-writes observations.
     reader_samples: int
     reader_stale_peak: int
     reader_final_stale: int
-    #: Commit-log entries beyond the distinct transactions (a lapsed
-    #: lease delivered one transaction to two daemons).
-    recommits: int = 0
     #: p99 commit lag re-derived from record-lifecycle traces
     #: (``wal.logged`` -> ``commit.done`` spans) instead of the daemons'
     #: commit-log bookkeeping — the two derivations are independent.
-    lag_p99_trace_s: float = 0.0
+    lag_p99_trace_s: float
     #: Per-transaction trace-derived lags match the commit-log lags
     #: exactly (same txn set, same float values).
-    trace_lags_match: bool = True
-
-
-@dataclass
-class ChaosRunOutcome:
-    """A chaos run's point plus the settled store's query fingerprint
-    (used by the recovery-invariant comparison)."""
-
-    point: ChaosSLOPoint
-    #: repr() of the settled Q1 rows and Q2/Q3/Q4 answers.
-    answers: Tuple[str, str, str, str]
-    #: (operations, bytes) billed by running Q1-Q4 against the settled
-    #: store — identical stores bill identically.
-    query_billing: Tuple[int, int]
-    #: Final metrics-registry snapshot for the run (after the Q1-Q4
-    #: fingerprint queries billed).
-    telemetry: Dict[str, object] = field(default_factory=dict)
-    #: Canonical digest of the settled store (domains + buckets + queue
-    #: depth); identical across backends that ran the same workload.
-    store_fingerprint: str = ""
+    trace_lags_match: bool
 
 
 @dataclass
@@ -2091,35 +2018,9 @@ class ChaosSLOResult:
         return {
             "slo_p99_s": self.slo_p99_s,
             "recovery_identical": self.recovery_identical,
-            "points": [
-                {
-                    "clients": p.clients,
-                    "daemons": p.daemons,
-                    "schedule": p.schedule,
-                    "flushes": p.flushes,
-                    "committed": p.committed,
-                    "elapsed_seconds": p.elapsed_seconds,
-                    "drain_seconds": p.drain_seconds,
-                    "lag_mean_s": p.lag_mean_s,
-                    "lag_p99_s": p.lag_p99_s,
-                    "lag_max_s": p.lag_max_s,
-                    "crashes_fired": p.crashes_fired,
-                    "respawns": p.respawns,
-                    "reader_samples": p.reader_samples,
-                    "reader_stale_peak": p.reader_stale_peak,
-                    "reader_final_stale": p.reader_final_stale,
-                    "recommits": p.recommits,
-                    "lag_p99_trace_s": p.lag_p99_trace_s,
-                    "trace_lags_match": p.trace_lags_match,
-                }
-                for p in self.points
-            ],
+            "points": [asdict(p) for p in self.points],
             "daemons_for_slo": [
-                {
-                    "clients": clients,
-                    "schedule": schedule,
-                    "daemons": daemons,
-                }
+                {"clients": clients, "schedule": schedule, "daemons": daemons}
                 for (clients, schedule), daemons in sorted(
                     self.daemons_for_slo.items()
                 )
@@ -2130,6 +2031,29 @@ class ChaosSLOResult:
 #: The named fault schedules the chaos sweep understands.
 CHAOS_SCHEDULES = ("steady", "crashes", "degraded")
 
+#: The chaos fleet's file size and metadata records per file version.
+CHAOS_FLEET = dict(file_bytes=16 * 1024, extra_attributes=8)
+#: ``crashes`` kills ``pool-0`` every 20 s from t=10 s on.
+CRASHES = dict(every_s=20.0, start_at=10.0)
+#: ``degraded`` is the window [8 s, 40 s): every request pays 0.25 s
+#: more and SQS delivers duplicates at a 0.25 rate.
+DEGRADED = dict(t1=8.0, t2=40.0, add_latency_s=0.25, duplicate_delivery_rate=0.25)
+
+
+def _chaos_fleet(clients, files_per_client, daemons, schedule, seed, backend="sim"):
+    """Arm ``schedule``, then build, drain and fingerprint one chaos
+    fleet; returns ``(run, outcome, recurring crash or None)``."""
+    account = CloudAccount(seed=seed, backend=backend)
+    recurring = None
+    if schedule == "crashes":
+        recurring = account.faults.schedule.crash_every("pool-0", **CRASHES)
+    elif schedule == "degraded":
+        account.faults.schedule.degrade(**DEGRADED)
+    fleet = make_fleet(clients, files_per_client, seed=seed, **CHAOS_FLEET)
+    run = P3FleetRun(account, fleet, daemons=daemons, seed=seed)
+    run.drain()
+    return run, run.settled_fingerprint(), recurring
+
 
 def chaos_fleet_run(
     clients: int = 4,
@@ -2137,237 +2061,56 @@ def chaos_fleet_run(
     daemons: int = 1,
     schedule: str = "steady",
     seed: int = 0,
-    think_s: float = 2.0,
-    poll_interval: float = 1.0,
-    extra_attributes: int = 8,
-    file_bytes: int = 16 * 1024,
-    readers: int = 1,
-    reader_interval_s: float = 6.0,
-    crash_every_s: float = 20.0,
-    crash_start_at: float = 10.0,
-    respawn_delay_s: float = 2.0,
-    degrade_t1: float = 8.0,
-    degrade_t2: float = 40.0,
-    degrade_add_latency_s: float = 0.25,
-    degrade_duplicate_rate: float = 0.25,
-    drain_horizon_s: float = 1800.0,
     backend: str = "sim",
-) -> ChaosRunOutcome:
+) -> Tuple[ChaosSLOPoint, FleetOutcome]:
     """One chaos run: a P3 fleet on the kernel under a named fault
-    schedule, with concurrent Q1/Q3 readers, drained to quiescence and
-    fingerprinted.
+    schedule, with a concurrent Q1/Q3 reader, drained to quiescence and
+    fingerprinted.  Returns the run's point and its settled outcome.
 
     Schedules:
 
     - ``steady`` — no faults (the baseline the invariant compares to).
-    - ``crashes`` — the commit daemon ``daemon-0`` is killed every
-      ``crash_every_s`` seconds and respawned ``respawn_delay_s`` later
-      as a *fresh* :class:`~repro.core.commit_daemon.CommitDaemon`
-      resuming from the SQS queue mid-run; SQS redelivers whatever the
-      dead incarnation had received but not deleted.
-    - ``degraded`` — a network-degradation window over
-      [``degrade_t1``, ``degrade_t2``): every request pays
-      ``degrade_add_latency_s`` extra and SQS delivers duplicates at
-      ``degrade_duplicate_rate`` until the window closes and the
-      baseline is restored.
+    - ``crashes`` — the commit daemon ``pool-0`` is killed on the
+      :data:`CRASHES` cadence and respawned two seconds later as a
+      *fresh* :class:`~repro.core.commit_daemon.CommitDaemon` resuming
+      from the SQS queue mid-run; SQS redelivers whatever the dead
+      incarnation had received but not deleted.
+    - ``degraded`` — the :data:`DEGRADED` network-degradation window:
+      every request pays extra latency and SQS delivers duplicates
+      until the window closes and the baseline is restored.
 
     Deterministic per (arguments, seed); the recovery invariant is that
     the ``crashes`` run's settled store answers Q1-Q4 byte-identically
     to the ``steady`` run's.
     """
-    import random as _random
-
-    from repro.core.commit_daemon import CommitDaemon
-    from repro.sim import SimKernel
-    from repro.workloads.fleet import (
-        FLEET_PROGRAM,
-        FleetWatch,
-        ReaderSample,
-        make_fleet,
-        protocol_client_process,
-        reader_process,
-    )
-
     if schedule not in CHAOS_SCHEDULES:
         raise ValueError(
             f"unknown chaos schedule {schedule!r} (one of {CHAOS_SCHEDULES})"
         )
-
-    account = CloudAccount(seed=seed, backend=backend)
-    protocol = ProtocolP3(account, client_id="fleet-shared")
-    fleet = make_fleet(
-        clients=clients,
-        files_per_client=files_per_client,
-        file_bytes=file_bytes,
-        extra_attributes=extra_attributes,
-        seed=seed,
+    run, outcome, recurring = _chaos_fleet(
+        clients, files_per_client, daemons, schedule, seed, backend
     )
-    kernel = SimKernel(account)
-    kernel.scrape_every(5.0)
-    watch = FleetWatch()
-
-    daemon_objs: List = []
-
-    def fresh_daemon_process():
-        daemon = CommitDaemon(
-            account=account,
-            queue_url=protocol.queue_url,
-            bucket=protocol.bucket,
-            domain=protocol.domain,
-            router=protocol.router,
-        )
-        daemon_objs.append(daemon)
-        return daemon.process(poll_interval=poll_interval)
-
-    for index in range(daemons):
-        kernel.spawn(
-            fresh_daemon_process(), name=f"daemon-{index}", daemon=True
-        )
-
-    recurring = None
-    if schedule == "crashes":
-        recurring = account.faults.schedule.crash_every(
-            "daemon-0", every_s=crash_every_s, start_at=crash_start_at
-        )
-        account.faults.schedule.respawn(
-            "daemon-0", fresh_daemon_process, delay_s=respawn_delay_s
-        )
-    elif schedule == "degraded":
-        account.faults.schedule.degrade(
-            degrade_t1,
-            degrade_t2,
-            add_latency_s=degrade_add_latency_s,
-            duplicate_delivery_rate=degrade_duplicate_rate,
-        )
-
-    master = _random.Random(seed)
-    for client in fleet:
-        rng = _random.Random(master.randrange(1 << 30))
-        kernel.spawn(
-            protocol_client_process(protocol, client, think_s, rng, watch),
-            name=client.client_id,
-        )
-
-    samples: List[ReaderSample] = []
-    reader_rng = _random.Random(master.randrange(1 << 30))
-    for index in range(readers):
-        kernel.spawn(
-            reader_process(
-                account,
-                protocol.router.domains,
-                FLEET_PROGRAM,
-                watch,
-                samples,
-                interval_s=reader_interval_s,
-                queries=("q1", "q3"),
-                rng=_random.Random(reader_rng.randrange(1 << 30)),
-                label=f"reader-{index}",
-            ),
-            name=f"reader-{index}",
-            daemon=True,
-        )
-
-    kernel.run()  # clients to completion
-    clients_done_at = account.now
-    horizon = account.now + drain_horizon_s
-    while (
-        account.sqs.pending_count(protocol.queue_url) > 0
-        and account.now < horizon
-    ):
-        kernel.run(until=min(account.now + 5 * poll_interval, horizon))
-    # One more beat so daemons finish commit bookkeeping cut mid-step
-    # (the drain loop exits the moment the queue empties, which can be
-    # mid-activation — before commit_log is stamped).
-    kernel.run(until=account.now + 2 * poll_interval)
-    # Let eventual consistency settle, then give the readers one final
-    # beat over the settled store (their last samples should see
-    # everything the fleet flushed).
-    account.settle(120.0)
-    kernel.run(until=account.now + 2 * reader_interval_s)
-
-    lags = [
-        record.committed_at - record.logged_at
-        for daemon in daemon_objs
-        for record in daemon.commit_log
-    ]
-    # Re-derive the same lags from record-lifecycle traces.  Both sides
+    # Re-derive the commit lags from record-lifecycle traces.  Both sides
     # keep the *first* commit per transaction (SQS duplicate delivery can
     # commit a txn twice; the trace's ``commit.done`` records the earliest
     # time), so the comparison is per-txn minimum against per-txn span.
-    legacy_by_txn: Dict[str, float] = {}
-    for daemon in daemon_objs:
-        for record in daemon.commit_log:
-            lag = record.committed_at - record.logged_at
-            previous = legacy_by_txn.get(record.txn_id)
-            if previous is None or lag < previous:
-                legacy_by_txn[record.txn_id] = lag
-    trace_by_txn = dict(account.telemetry.tracer.commit_lags())
-    trace_lags_match = legacy_by_txn == trace_by_txn
-    flushes = sum(len(client.works) for client in fleet)
-    committed, recommits = _durable_commits(
-        account, protocol.queue_url, flushes, daemon_objs
-    )
-    last_commit = max(
-        (record.committed_at for d in daemon_objs for record in d.commit_log),
-        default=clients_done_at,
-    )
-    q1_samples = [s for s in samples if s.query == "q1"]
+    first_lags: Dict[str, float] = {}
+    for record, lag in zip(run.commit_records, run.lags):
+        first_lags[record.txn_id] = min(lag, first_lags.get(record.txn_id, lag))
+    trace_lags = dict(run.account.telemetry.tracer.commit_lags())
+    q1_samples = [s for s in run.samples if s.query == "q1"]
     point = ChaosSLOPoint(
         clients=clients,
         daemons=daemons,
         schedule=schedule,
-        flushes=flushes,
-        committed=committed,
-        recommits=recommits,
-        elapsed_seconds=max(clients_done_at, last_commit),
-        drain_seconds=max(0.0, last_commit - clients_done_at),
-        lag_mean_s=sum(lags) / len(lags) if lags else 0.0,
-        lag_p99_s=_percentile(lags, 0.99),
-        lag_max_s=max(lags, default=0.0),
-        crashes_fired=len(recurring.fired_at) if recurring else 0,
-        respawns=sum(
-            policy.respawns
-            for policy in account.faults.schedule.respawns.values()
-        ),
-        reader_samples=len(samples),
+        **_fleet_point_fields(run, recurring),
+        reader_samples=len(run.samples),
         reader_stale_peak=max((s.stale for s in q1_samples), default=0),
         reader_final_stale=q1_samples[-1].stale if q1_samples else 0,
-        lag_p99_trace_s=_percentile(list(trace_by_txn.values()), 0.99),
-        trace_lags_match=trace_lags_match,
+        lag_p99_trace_s=_percentile(list(trace_lags.values()), 0.99),
+        trace_lags_match=first_lags == trace_lags,
     )
-
-    # Fingerprint the settled store: raw Q1 rows plus the engine's
-    # Q2/Q3/Q4, with the operations/bytes those queries billed.
-    engine = SimpleDBQueryEngine(
-        account, domain=protocol.domain, bucket=protocol.bucket
-    )
-    target_path = f"{MOUNT}fleet/c0000/f000.dat"
-    q1_rows = account.simpledb.select(f"select * from {protocol.domain}")
-    ops_before = account.billing.operation_count()
-    bytes_before = (
-        account.billing.bytes_received() + account.billing.bytes_transmitted()
-    )
-    q2, _ = engine.q2_object_provenance(target_path)
-    q3, _ = engine.q3_direct_outputs(FLEET_PROGRAM)
-    q4, _ = engine.q4_all_descendants(FLEET_PROGRAM)
-    query_billing = (
-        account.billing.operation_count() - ops_before,
-        account.billing.bytes_received()
-        + account.billing.bytes_transmitted()
-        - bytes_before,
-    )
-    from repro.backends.parity import store_fingerprint
-
-    fingerprint = store_fingerprint(account, queue_urls=[protocol.queue_url])
-    outcome = ChaosRunOutcome(
-        point=point,
-        answers=(repr(q1_rows), repr(q2), repr(q3), repr(q4)),
-        query_billing=query_billing,
-        telemetry=account.telemetry.metrics.snapshot(),
-        store_fingerprint=fingerprint,
-    )
-    account.close()
-    return outcome
+    return point, outcome
 
 
 def chaos_slo_experiment(
@@ -2376,7 +2119,6 @@ def chaos_slo_experiment(
     schedules: Sequence[str] = CHAOS_SCHEDULES,
     slo_p99_s: float = 30.0,
     seed: int = 0,
-    **run_kwargs,
 ) -> ChaosSLOResult:
     """The chaos sweep: daemon count x fleet size x fault schedule.
 
@@ -2392,109 +2134,73 @@ def chaos_slo_experiment(
       byte-identical to the ``steady`` run: the WAL, not any daemon's
       memory, is the authority.
     """
-    points: List[ChaosSLOPoint] = []
-    outcomes: Dict[Tuple[int, int, str], ChaosRunOutcome] = {}
-    telemetry: Dict[str, Dict[str, object]] = {}
-    for clients in fleet_sizes:
-        for daemons in daemon_counts:
-            for schedule in schedules:
-                outcome = chaos_fleet_run(
-                    clients=clients,
-                    daemons=daemons,
-                    schedule=schedule,
-                    seed=seed,
-                    **run_kwargs,
-                )
-                outcomes[(clients, daemons, schedule)] = outcome
-                points.append(outcome.point)
-                telemetry[f"c{clients}-d{daemons}-{schedule}"] = (
-                    outcome.telemetry
-                )
+    runs = {
+        (clients, daemons, schedule): chaos_fleet_run(
+            clients=clients, daemons=daemons, schedule=schedule, seed=seed
+        )
+        for clients in fleet_sizes
+        for daemons in daemon_counts
+        for schedule in schedules
+    }
+    points = {key: point for key, (point, _) in runs.items()}
+    outcomes = {key: outcome for key, (_, outcome) in runs.items()}
 
-    daemons_for_slo: Dict[Tuple[int, str], Optional[int]] = {}
-    for clients in fleet_sizes:
-        for schedule in schedules:
-            enough = [
+    daemons_for_slo = {
+        (clients, schedule): next(
+            (
                 daemons
                 for daemons in sorted(daemon_counts)
-                if outcomes[(clients, daemons, schedule)].point.lag_p99_s
+                if points[(clients, daemons, schedule)].lag_p99_s
                 <= slo_p99_s
-            ]
-            daemons_for_slo[(clients, schedule)] = (
-                enough[0] if enough else None
-            )
-
-    recovery_identical = True
-    if "steady" in schedules and "crashes" in schedules:
-        for clients in fleet_sizes:
-            for daemons in daemon_counts:
-                steady = outcomes[(clients, daemons, "steady")]
-                crashed = outcomes[(clients, daemons, "crashes")]
-                if (
-                    steady.answers != crashed.answers
-                    or steady.query_billing != crashed.query_billing
-                ):
-                    recovery_identical = False
-
+            ),
+            None,
+        )
+        for clients in fleet_sizes
+        for schedule in schedules
+    }
     return ChaosSLOResult(
-        points=points,
+        points=list(points.values()),
         slo_p99_s=slo_p99_s,
         daemons_for_slo=daemons_for_slo,
-        recovery_identical=recovery_identical,
-        telemetry=telemetry,
+        recovery_identical=_recovery_identical(outcomes),
+        telemetry={
+            f"c{clients}-d{daemons}-{schedule}": outcome.telemetry
+            for (clients, daemons, schedule), outcome in outcomes.items()
+        },
     )
 
 
 #: The fleet-sizing modes the autoscale sweep compares.  ``static-N``
-#: pins N commit daemons for the whole run (the BENCH_chaos_slo
-#: configuration); ``auto`` runs the supervisor control plane.
+#: pins N commit daemons for the whole run — the chaos sweep's
+#: configuration at ``daemons=N``; ``auto`` runs the supervisor control
+#: plane.
 AUTOSCALE_MODES = ("static-1", "static-2", "auto")
 
 #: Schedules the autoscale sweep runs (the chaos ``degraded`` axis is
 #: covered by BENCH_chaos_slo; the autoscaler targets the crash tail).
 AUTOSCALE_SCHEDULES = ("steady", "crashes")
 
+#: Files each client of the autoscale fleet closes.
+AUTOSCALE_FILES_PER_CLIENT = 3
+
 
 @dataclass
-class AutoscalePoint:
+class AutoscalePoint(FleetPoint):
     """One (fleet size, mode, schedule) autoscale run's measurements."""
 
-    clients: int
     mode: str
-    schedule: str
-    flushes: int
-    committed: int
-    elapsed_seconds: float
-    drain_seconds: float
-    lag_mean_s: float
-    lag_p99_s: float
-    lag_max_s: float
     #: Read-staleness SLO axis: p99 of the Q1 readers'
     #: :attr:`~repro.workloads.fleet.ReaderSample.stale` observations.
     stale_p99: float
-    crashes_fired: int
-    respawns: int
     #: Provisioned daemon time: Σ over every ``pool-*`` incarnation of
     #: (finish − first activation) — the fleet-cost axis the autoscaler
     #: must beat by scaling down when load subsides.
     daemon_seconds: float
     pool_peak: int
     pool_end: int
-    scale_ups: int = 0
-    scale_downs: int = 0
-    window_adjusts: int = 0
-    #: Commit-log entries beyond the distinct transactions.
-    recommits: int = 0
-
-
-@dataclass
-class AutoscaleRunOutcome:
-    """An autoscale run's point plus the settled store's fingerprint."""
-
-    point: AutoscalePoint
-    answers: Tuple[str, str, str, str]
-    query_billing: Tuple[int, int]
-    telemetry: Dict[str, object] = field(default_factory=dict)
+    scale_ups: int
+    scale_downs: int
+    window_adjusts: int
 
 
 @dataclass
@@ -2575,29 +2281,8 @@ class AutoscaleSLOResult:
             "recovery_identical": self.recovery_identical,
             "points": [
                 {
-                    "clients": p.clients,
-                    "mode": p.mode,
-                    "schedule": p.schedule,
-                    "flushes": p.flushes,
-                    "committed": p.committed,
-                    "elapsed_seconds": p.elapsed_seconds,
-                    "drain_seconds": p.drain_seconds,
-                    "lag_mean_s": p.lag_mean_s,
-                    "lag_p99_s": p.lag_p99_s,
-                    "lag_max_s": p.lag_max_s,
-                    "stale_p99": p.stale_p99,
-                    "crashes_fired": p.crashes_fired,
-                    "respawns": p.respawns,
-                    "daemon_seconds": p.daemon_seconds,
-                    "pool_peak": p.pool_peak,
-                    "pool_end": p.pool_end,
-                    "scale_ups": p.scale_ups,
-                    "scale_downs": p.scale_downs,
-                    "window_adjusts": p.window_adjusts,
-                    "recommits": p.recommits,
-                    "slo_met": self.slo_met[
-                        (p.clients, p.schedule, p.mode)
-                    ],
+                    **asdict(p),
+                    "slo_met": self.slo_met[(p.clients, p.schedule, p.mode)],
                 }
                 for p in self.points
             ],
@@ -2613,50 +2298,24 @@ class AutoscaleSLOResult:
 
 def autoscale_fleet_run(
     clients: int = 4,
-    files_per_client: int = 3,
     mode: str = "auto",
     schedule: str = "crashes",
     seed: int = 0,
-    think_s: float = 2.0,
-    poll_interval: float = 1.0,
-    extra_attributes: int = 8,
-    file_bytes: int = 16 * 1024,
-    readers: int = 1,
-    reader_interval_s: float = 6.0,
-    crash_every_s: float = 20.0,
-    crash_start_at: float = 10.0,
-    respawn_delay_s: float = 2.0,
-    drain_horizon_s: float = 1800.0,
-    supervisor_config=None,
-) -> AutoscaleRunOutcome:
+) -> Tuple[AutoscalePoint, FleetOutcome]:
     """One autoscale run: the chaos fleet of :func:`chaos_fleet_run`,
     with the commit-daemon pool sized either statically (``static-N``)
     or by the :class:`~repro.service.supervisor.Supervisor` control
-    plane (``auto``).
+    plane (``auto``).  Returns the run's point and its settled outcome.
 
     Both modes name their daemons ``pool-0..``, and the ``crashes``
     schedule kills ``pool-0`` on the same cadence — the only difference
-    is the control plane.  The static pool reproduces BENCH_chaos_slo's
-    configuration: stock 30 s visibility timeout and a flat respawn
+    is the control plane.  ``static-N`` *is* the chaos sweep's run at
+    ``daemons=N``: stock 30 s visibility timeout and a flat respawn
     delay.  The supervised pool receives with a tight visibility lease,
     respawns with exponential backoff, and grows/shrinks with the WAL —
     which is exactly what removes the stranded-message tail that makes
     every static count miss the p99 SLO under crashes.
     """
-    import random as _random
-
-    from repro.core.commit_daemon import CommitDaemon
-    from repro.service.supervisor import Supervisor, SupervisorConfig
-    from repro.sim import SimKernel
-    from repro.workloads.fleet import (
-        FLEET_PROGRAM,
-        FleetWatch,
-        ReaderSample,
-        make_fleet,
-        protocol_client_process,
-        reader_process,
-    )
-
     if schedule not in AUTOSCALE_SCHEDULES:
         raise ValueError(
             f"unknown autoscale schedule {schedule!r} "
@@ -2664,201 +2323,34 @@ def autoscale_fleet_run(
         )
     if mode != "auto" and not mode.startswith("static-"):
         raise ValueError(f"unknown autoscale mode {mode!r}")
-
-    account = CloudAccount(seed=seed)
-    protocol = ProtocolP3(account, client_id="fleet-shared")
-    fleet = make_fleet(
-        clients=clients,
-        files_per_client=files_per_client,
-        file_bytes=file_bytes,
-        extra_attributes=extra_attributes,
-        seed=seed,
+    static_count = None if mode == "auto" else int(mode.split("-", 1)[1])
+    run, outcome, recurring = _chaos_fleet(
+        clients, AUTOSCALE_FILES_PER_CLIENT, static_count, schedule, seed
     )
-    kernel = SimKernel(account)
-    kernel.scrape_every(5.0)
-    watch = FleetWatch()
-
-    daemon_objs: List = []
-    supervisor: Optional[Supervisor] = None
-
-    def fresh_daemon() -> CommitDaemon:
-        daemon = CommitDaemon(
-            account=account,
-            queue_url=protocol.queue_url,
-            bucket=protocol.bucket,
-            domain=protocol.domain,
-            router=protocol.router,
-        )
-        daemon_objs.append(daemon)
-        return daemon
-
-    if mode == "auto":
-        config = (
-            supervisor_config
-            if supervisor_config is not None
-            else SupervisorConfig(poll_interval_s=poll_interval)
-        )
-        supervisor = Supervisor(
-            account,
-            kernel,
-            fresh_daemon,
-            protocol.queue_url,
-            config=config,
-        )
-        supervisor.start()
-        kernel.spawn(supervisor.process(), name="supervisor", daemon=True)
-    else:
-        static_count = int(mode.split("-", 1)[1])
-        if static_count < 1:
-            raise ValueError(f"static mode needs >= 1 daemon (got {mode})")
-        for index in range(static_count):
-            kernel.spawn(
-                fresh_daemon().process(poll_interval=poll_interval),
-                name=f"pool-{index}",
-                daemon=True,
-            )
-        account.faults.schedule.respawn(
-            "pool-0",
-            lambda: fresh_daemon().process(poll_interval=poll_interval),
-            delay_s=respawn_delay_s,
-        )
-
-    recurring = None
-    if schedule == "crashes":
-        recurring = account.faults.schedule.crash_every(
-            "pool-0", every_s=crash_every_s, start_at=crash_start_at
-        )
-
-    master = _random.Random(seed)
-    for client in fleet:
-        rng = _random.Random(master.randrange(1 << 30))
-        kernel.spawn(
-            protocol_client_process(protocol, client, think_s, rng, watch),
-            name=client.client_id,
-        )
-
-    samples: List[ReaderSample] = []
-    reader_rng = _random.Random(master.randrange(1 << 30))
-    for index in range(readers):
-        kernel.spawn(
-            reader_process(
-                account,
-                protocol.router.domains,
-                FLEET_PROGRAM,
-                watch,
-                samples,
-                interval_s=reader_interval_s,
-                queries=("q1", "q3"),
-                rng=_random.Random(reader_rng.randrange(1 << 30)),
-                label=f"reader-{index}",
-            ),
-            name=f"reader-{index}",
-            daemon=True,
-        )
-
-    kernel.run()  # clients to completion
-    clients_done_at = account.now
-    horizon = account.now + drain_horizon_s
-    while (
-        account.sqs.pending_count(protocol.queue_url) > 0
-        and account.now < horizon
-    ):
-        kernel.run(until=min(account.now + 5 * poll_interval, horizon))
-    kernel.run(until=account.now + 2 * poll_interval)
-    # Daemon-seconds are measured at drain end, before the settle below
-    # inflates every surviving member's provisioned time equally.
-    daemon_seconds = 0.0
-    pool_incarnations = 0
-    for process in kernel.processes:
-        if not process.name.startswith("pool-"):
-            continue
-        domain = process.domain
-        if domain.started_at < 0:
-            continue
-        pool_incarnations += 1
-        finished = (
-            domain.finished_at if domain.finished_at >= 0 else account.now
-        )
-        daemon_seconds += finished - domain.started_at
-    account.settle(120.0)
-    kernel.run(until=account.now + 2 * reader_interval_s)
-
-    lags = [
-        record.committed_at - record.logged_at
-        for daemon in daemon_objs
-        for record in daemon.commit_log
-    ]
-    flushes = sum(len(client.works) for client in fleet)
-    committed, recommits = _durable_commits(
-        account, protocol.queue_url, flushes, daemon_objs
-    )
-    last_commit = max(
-        (record.committed_at for d in daemon_objs for record in d.commit_log),
-        default=clients_done_at,
-    )
-    q1_samples = [s for s in samples if s.query == "q1"]
-    events = account.telemetry.events
-    if mode == "auto":
-        pool_end = len(supervisor.pool)
+    events = run.account.telemetry.events
+    if run.supervisor is not None:
+        pool_end = len(run.supervisor.pool)
         pool_peak = max(
-            [len(supervisor.pool)]
-            + [
-                int(event["pool"])
-                for event in events.of_kind("supervisor.scale_up")
-            ]
+            [pool_end]
+            + [int(event["pool"]) for event in events.of_kind("supervisor.scale_up")]
         )
     else:
-        pool_end = pool_peak = int(mode.split("-", 1)[1])
+        pool_end = pool_peak = static_count
+    q1_samples = [s for s in run.samples if s.query == "q1"]
     point = AutoscalePoint(
         clients=clients,
         mode=mode,
         schedule=schedule,
-        flushes=flushes,
-        committed=committed,
-        recommits=recommits,
-        elapsed_seconds=max(clients_done_at, last_commit),
-        drain_seconds=max(0.0, last_commit - clients_done_at),
-        lag_mean_s=sum(lags) / len(lags) if lags else 0.0,
-        lag_p99_s=_percentile(lags, 0.99),
-        lag_max_s=max(lags, default=0.0),
+        **_fleet_point_fields(run, recurring),
         stale_p99=_percentile([float(s.stale) for s in q1_samples], 0.99),
-        crashes_fired=len(recurring.fired_at) if recurring else 0,
-        respawns=sum(
-            policy.respawns
-            for policy in account.faults.schedule.respawns.values()
-        ),
-        daemon_seconds=daemon_seconds,
+        daemon_seconds=run.daemon_seconds,
         pool_peak=pool_peak,
         pool_end=pool_end,
         scale_ups=len(events.of_kind("supervisor.scale_up")),
         scale_downs=len(events.of_kind("supervisor.scale_down")),
         window_adjusts=len(events.of_kind("supervisor.window_adjust")),
     )
-
-    engine = SimpleDBQueryEngine(
-        account, domain=protocol.domain, bucket=protocol.bucket
-    )
-    target_path = f"{MOUNT}fleet/c0000/f000.dat"
-    q1_rows = account.simpledb.select(f"select * from {protocol.domain}")
-    ops_before = account.billing.operation_count()
-    bytes_before = (
-        account.billing.bytes_received() + account.billing.bytes_transmitted()
-    )
-    q2, _ = engine.q2_object_provenance(target_path)
-    q3, _ = engine.q3_direct_outputs(FLEET_PROGRAM)
-    q4, _ = engine.q4_all_descendants(FLEET_PROGRAM)
-    query_billing = (
-        account.billing.operation_count() - ops_before,
-        account.billing.bytes_received()
-        + account.billing.bytes_transmitted()
-        - bytes_before,
-    )
-    return AutoscaleRunOutcome(
-        point=point,
-        answers=(repr(q1_rows), repr(q2), repr(q3), repr(q4)),
-        query_billing=query_billing,
-        telemetry=account.telemetry.metrics.snapshot(),
-    )
+    return point, outcome
 
 
 def autoscale_slo_experiment(
@@ -2867,7 +2359,6 @@ def autoscale_slo_experiment(
     schedules: Sequence[str] = AUTOSCALE_SCHEDULES,
     slo_p99_s: float = 30.0,
     seed: int = 0,
-    **run_kwargs,
 ) -> AutoscaleSLOResult:
     """The autoscale sweep: fleet size x sizing mode x fault schedule.
 
@@ -2882,28 +2373,20 @@ def autoscale_slo_experiment(
       with Q1-Q4 answers and query billing byte-identical to the
       same-mode ``steady`` run.
     """
-    points: List[AutoscalePoint] = []
-    outcomes: Dict[Tuple[int, str, str], AutoscaleRunOutcome] = {}
-    telemetry: Dict[str, Dict[str, object]] = {}
-    for clients in fleet_sizes:
-        for mode in modes:
-            for schedule in schedules:
-                outcome = autoscale_fleet_run(
-                    clients=clients,
-                    mode=mode,
-                    schedule=schedule,
-                    seed=seed,
-                    **run_kwargs,
-                )
-                outcomes[(clients, mode, schedule)] = outcome
-                points.append(outcome.point)
-                telemetry[f"c{clients}-{mode}-{schedule}"] = (
-                    outcome.telemetry
-                )
+    runs = {
+        (clients, mode, schedule): autoscale_fleet_run(
+            clients=clients, mode=mode, schedule=schedule, seed=seed
+        )
+        for clients in fleet_sizes
+        for mode in modes
+        for schedule in schedules
+    }
+    points = {key: point for key, (point, _) in runs.items()}
+    outcomes = {key: outcome for key, (_, outcome) in runs.items()}
 
     slo_met = {
         (p.clients, p.schedule, p.mode): p.lag_p99_s <= slo_p99_s
-        for p in points
+        for p in points.values()
     }
     static_modes = [m for m in modes if m.startswith("static-")]
     filled_cells: List[Tuple[int, str]] = []
@@ -2917,34 +2400,25 @@ def autoscale_slo_experiment(
                 if statics_fail and slo_met[(clients, schedule, "auto")]:
                     filled_cells.append((clients, schedule))
                 max_static = max(
-                    outcomes[(clients, m, schedule)].point.daemon_seconds
+                    points[(clients, m, schedule)].daemon_seconds
                     for m in static_modes
                 )
                 auto_cheaper[(clients, schedule)] = (
-                    outcomes[(clients, "auto", schedule)].point.daemon_seconds
+                    points[(clients, "auto", schedule)].daemon_seconds
                     < max_static
                 )
 
-    recovery_identical = True
-    if "steady" in schedules and "crashes" in schedules:
-        for clients in fleet_sizes:
-            for mode in modes:
-                steady = outcomes[(clients, mode, "steady")]
-                crashed = outcomes[(clients, mode, "crashes")]
-                if (
-                    steady.answers != crashed.answers
-                    or steady.query_billing != crashed.query_billing
-                ):
-                    recovery_identical = False
-
     return AutoscaleSLOResult(
-        points=points,
+        points=list(points.values()),
         slo_p99_s=slo_p99_s,
         slo_met=slo_met,
         filled_cells=filled_cells,
         auto_cheaper=auto_cheaper,
-        recovery_identical=recovery_identical,
-        telemetry=telemetry,
+        recovery_identical=_recovery_identical(outcomes),
+        telemetry={
+            f"c{clients}-{mode}-{schedule}": outcome.telemetry
+            for (clients, mode, schedule), outcome in outcomes.items()
+        },
     )
 
 

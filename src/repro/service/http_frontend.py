@@ -140,6 +140,14 @@ class ProvenanceFrontend:
                     )
                     return
                 raw = self.rfile.read(length) if length else b""
+                if len(raw) < length:
+                    # The client closed its side before sending the
+                    # declared body: a prefix is not the request.
+                    self._reply(400, {
+                        "error": f"body shorter than Content-Length "
+                        f"({len(raw)} of {length} bytes)"
+                    })
+                    return
                 try:
                     body = json.loads(raw.decode("utf-8")) if raw else {}
                 except ValueError as exc:  # bad UTF-8 or bad JSON

@@ -20,19 +20,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Set
+from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
-from repro.cloud.account import CloudAccount
+from repro.cloud.account import CloudAccount  # first: repro.backends imports it back
+from repro.backends.parity import store_fingerprint
 from repro.cloud.blob import Blob
 from repro.cloud.simpledb import prepare_select
 from repro.obs.tracing import READ_FIRST
 from repro.provenance.graph import NodeRef
 from repro.provenance.pass_collector import FlushIntent
 from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
-from repro.query.engine import IN_CHUNK
+from repro.query.engine import IN_CHUNK, SimpleDBQueryEngine
 from repro.sim import Batch, Delay, SimKernel
 
+from repro.core.commit_daemon import CommitDaemon
+from repro.core.p3_wal import ProtocolP3
 from repro.core.protocol_base import FlushWork
+from repro.core.wal_messages import parse_message
 from repro.workloads.base import MOUNT
 
 #: The program name every fleet worker runs under (the Q3/Q4 target).
@@ -489,3 +493,202 @@ def reader_process(
             query_counter.inc()
             yield Delay(interval_s * rng.uniform(0.5, 1.5))
 
+
+# --------------------------------------------------------------------------
+# P3 fleet runs: clients, a commit-daemon pool and readers
+# --------------------------------------------------------------------------
+
+#: Client think time and reader query interval (±50 % seeded jitter
+#: each), the daemons' poll interval, the flat respawn delay of a static
+#: pool's ``pool-0``, and the drain bound (only a transaction that can
+#: never commit reaches it).
+THINK_S = 2.0
+READER_INTERVAL_S = 6.0
+POLL_INTERVAL_S = 1.0
+RESPAWN_DELAY_S = 2.0
+DRAIN_HORIZON_S = 1800.0
+
+
+@dataclass
+class FleetOutcome:
+    """A settled fleet run's fingerprint: what
+    :meth:`P3FleetRun.settled_fingerprint` returns."""
+
+    #: repr() of the settled Q1 rows and Q2/Q3/Q4 answers.
+    answers: Tuple[str, str, str, str]
+    #: (operations, bytes) billed by running Q1-Q4 against the settled
+    #: store — identical stores bill identically.
+    query_billing: Tuple[int, int]
+    #: Final metrics-registry snapshot, after the Q1-Q4 queries billed.
+    telemetry: Dict[str, object]
+    #: :func:`store_fingerprint` of the settled store.
+    store_fingerprint: str
+
+
+class P3FleetRun:
+    """One P3 fleet on the simulation kernel: ``fleet``'s clients log
+    transactions into the shared WAL queue while a commit-daemon pool
+    drains it and ``readers`` run Q1/Q3 against the filling store.
+
+    The pool is ``daemons`` static :class:`CommitDaemon` processes named
+    ``pool-<i>`` (``pool-0`` respawns after a kill) or, with
+    ``daemons=None``, the pool of a
+    :class:`~repro.service.supervisor.Supervisor`.  Fault schedules are
+    the caller's, armed on ``account.faults``.  Client and reader RNGs
+    come from one master RNG seeded with ``seed``: a run replays bit for
+    bit.
+    """
+
+    def __init__(
+        self,
+        account: CloudAccount,
+        fleet: List[FleetClient],
+        daemons: Optional[int] = 1,
+        readers: int = 1,
+        seed: int = 0,
+    ):
+        self.account = account
+        self.fleet = fleet
+        self.protocol = protocol = ProtocolP3(account, client_id="fleet-shared")
+        self.kernel = kernel = SimKernel(account)
+        kernel.scrape_every(5.0)
+        #: Every daemon object the pool ran, respawns included.
+        self.daemons: List[CommitDaemon] = []
+        self.samples: List[ReaderSample] = []
+        self.supervisor = None
+        if daemons is None:
+            # Imported here so that importing this module does not load
+            # the service tier (gateway, HTTP frontend) for static pools.
+            from repro.service.supervisor import Supervisor, SupervisorConfig
+
+            self.supervisor = Supervisor(
+                account, kernel, self._fresh_daemon, protocol.queue_url,
+                config=SupervisorConfig(poll_interval_s=POLL_INTERVAL_S),
+            )
+            self.supervisor.start()
+            kernel.spawn(self.supervisor.process(), name="supervisor", daemon=True)
+        elif daemons < 1:
+            raise ValueError(f"a static pool needs >= 1 daemon (got {daemons})")
+        else:
+            for index in range(daemons):
+                kernel.spawn(self._daemon_process(), name=f"pool-{index}", daemon=True)
+            account.faults.schedule.respawn(
+                "pool-0", self._daemon_process, delay_s=RESPAWN_DELAY_S
+            )
+
+        watch = FleetWatch()
+        master = random.Random(seed)
+        for client in fleet:
+            rng = random.Random(master.randrange(1 << 30))
+            kernel.spawn(
+                protocol_client_process(protocol, client, THINK_S, rng, watch),
+                name=client.client_id,
+            )
+        reader_rng = random.Random(master.randrange(1 << 30))
+        for index in range(readers):
+            kernel.spawn(
+                reader_process(
+                    account, protocol.router.domains, FLEET_PROGRAM, watch,
+                    self.samples, interval_s=READER_INTERVAL_S,
+                    rng=random.Random(reader_rng.randrange(1 << 30)),
+                    label=f"reader-{index}",
+                ),
+                name=f"reader-{index}",
+                daemon=True,
+            )
+
+    def _fresh_daemon(self) -> CommitDaemon:
+        protocol = self.protocol
+        daemon = CommitDaemon(
+            account=self.account,
+            queue_url=protocol.queue_url,
+            bucket=protocol.bucket,
+            domain=protocol.domain,
+            router=protocol.router,
+        )
+        self.daemons.append(daemon)
+        return daemon
+
+    def _daemon_process(self) -> Generator:
+        return self._fresh_daemon().process(poll_interval=POLL_INTERVAL_S)
+
+    def drain(self) -> None:
+        """Run the clients to completion and the pool until the WAL is
+        empty, plus one beat so daemons finish commit bookkeeping cut
+        mid-step; then record what the run committed."""
+        account, kernel = self.account, self.kernel
+        queue_url = self.protocol.queue_url
+        kernel.run()
+        self.clients_done_at = account.now
+        horizon = account.now + DRAIN_HORIZON_S
+        while account.sqs.pending_count(queue_url) > 0 and account.now < horizon:
+            kernel.run(until=min(account.now + 5 * POLL_INTERVAL_S, horizon))
+        kernel.run(until=account.now + 2 * POLL_INTERVAL_S)
+
+        self.commit_records = [r for d in self.daemons for r in d.commit_log]
+        self.flushes = sum(len(client.works) for client in self.fleet)
+        # From durable facts, not the daemons' counters (a kill between a
+        # delete wave and the daemon's resume loses the count, not the
+        # commit): a transaction is committed when none of its WAL
+        # messages is left, visible or leased, and commit records beyond
+        # the distinct transactions are recommits (a lapsed lease).
+        queued = {
+            parse_message(body).txn_id
+            for body in account.sqs.pending_bodies(queue_url)
+        }
+        self.committed = self.flushes - len(queued)
+        txns = [record.txn_id for record in self.commit_records]
+        self.recommits = len(txns) - len(set(txns))
+        # Σ over pool incarnations of (finish − first activation), taken
+        # before a settle inflates every surviving member's time equally.
+        self.daemon_seconds = 0.0
+        for process in kernel.processes:
+            started, finished = process.domain.started_at, process.domain.finished_at
+            if process.name.startswith("pool-") and started >= 0:
+                self.daemon_seconds += (
+                    finished if finished >= 0 else account.now
+                ) - started
+
+    @property
+    def lags(self) -> List[float]:
+        """Commit lag (log completion to commit completion) per record."""
+        return [r.committed_at - r.logged_at for r in self.commit_records]
+
+    @property
+    def last_commit(self) -> float:
+        return max(
+            (r.committed_at for r in self.commit_records),
+            default=self.clients_done_at,
+        )
+
+    def settled_fingerprint(self) -> FleetOutcome:
+        """Settle the store, give the readers a final beat over it, and
+        fingerprint it: the raw Q1 rows, the engine's Q2/Q3/Q4, what
+        those queries billed, and :func:`store_fingerprint`.  Closes the
+        account."""
+        account, protocol, billing = self.account, self.protocol, self.account.billing
+        account.settle(120.0)
+        self.kernel.run(until=account.now + 2 * READER_INTERVAL_S)
+
+        engine = SimpleDBQueryEngine(
+            account, domain=protocol.domain, bucket=protocol.bucket
+        )
+        q1_rows = account.simpledb.select(f"select * from {protocol.domain}")
+        ops_before = billing.operation_count()
+        bytes_before = billing.bytes_received() + billing.bytes_transmitted()
+        q2, _ = engine.q2_object_provenance(f"{MOUNT}fleet/c0000/f000.dat")
+        q3, _ = engine.q3_direct_outputs(FLEET_PROGRAM)
+        q4, _ = engine.q4_all_descendants(FLEET_PROGRAM)
+        query_billing = (
+            billing.operation_count() - ops_before,
+            billing.bytes_received() + billing.bytes_transmitted() - bytes_before,
+        )
+        fingerprint = store_fingerprint(account, queue_urls=[protocol.queue_url])
+        outcome = FleetOutcome(
+            answers=(repr(q1_rows), repr(q2), repr(q3), repr(q4)),
+            query_billing=query_billing,
+            telemetry=account.telemetry.metrics.snapshot(),
+            store_fingerprint=fingerprint,
+        )
+        account.close()
+        return outcome

@@ -172,12 +172,12 @@ def test_chaos_run_is_byte_identical(schedule):
         )
         for backend in ("sim", "local")
     }
-    sim, local = outcomes["sim"], outcomes["local"]
+    (sim_point, sim), (local_point, local) = outcomes["sim"], outcomes["local"]
     assert sim.answers == local.answers
     assert sim.query_billing == local.query_billing
     assert sim.store_fingerprint
     assert sim.store_fingerprint == local.store_fingerprint
-    assert sim.point == local.point
+    assert sim_point == local_point
 
 
 # -- the local backend is really on disk ----------------------------------------

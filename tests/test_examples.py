@@ -1,0 +1,36 @@
+"""Smoke runs of the chaos-family examples: each ``main()`` runs to the
+end in a fresh working directory and prints what it promises."""
+
+import importlib.util
+import os
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
+
+
+def _run_example(name, monkeypatch, tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(EXAMPLES, f"{name}.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.chdir(tmp_path)
+    module.main()
+    return capsys.readouterr().out
+
+
+def test_chaos_recovery_invariant_holds(monkeypatch, tmp_path, capsys):
+    out = _run_example("chaos_recovery", monkeypatch, tmp_path, capsys)
+    assert "committed 6/6 transactions, 1 daemon incarnation" in out
+    assert "scheduled kills" in out
+    assert "byte-identical to the uncrashed run: True" in out
+
+
+def test_timeline_export_writes_both_artifacts(monkeypatch, tmp_path, capsys):
+    out = _run_example("timeline_export", monkeypatch, tmp_path, capsys)
+    assert "chaos: 3 kills, 3 respawns" in out
+    assert "pool-0#1" in out
+    for artifact in ("TRACE_chaos_crash_respawn.json",
+                     "EVENTS_chaos_crash_respawn.jsonl"):
+        path = tmp_path / "bench-results" / artifact
+        assert path.stat().st_size > 0
+

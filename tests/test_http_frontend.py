@@ -259,6 +259,30 @@ class TestInputLimits:
         assert status == 400
         assert "Content-Length" in body["error"]
 
+    def test_body_shorter_than_content_length_is_400(self, frontend):
+        front, base = frontend
+        body = json.dumps({
+            "client_id": "c0",
+            "path": "/mnt/pass/a",
+            "uuid": "u-1",
+            "attributes": {"type": ["file"]},
+        }).encode("utf-8")
+        with socket.create_connection(front.address, timeout=5) as client:
+            # A valid request body, declared 40 bytes too long, then EOF.
+            client.sendall(
+                b"POST /v1/ingest HTTP/1.0\r\n"
+                + f"Content-Length: {len(body) + 40}\r\n\r\n".encode()
+                + body
+            )
+            client.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := client.recv(4096):
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert "Content-Length" in json.loads(payload)["error"]
+        assert front.gateway.pending_count() == 0
+
     def test_stalled_client_does_not_block_the_server(self, monkeypatch):
         monkeypatch.setattr(http_frontend, "REQUEST_TIMEOUT_S", 0.2)
         front = ProvenanceFrontend(account=CloudAccount(seed=11))
