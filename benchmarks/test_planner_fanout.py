@@ -33,7 +33,43 @@ def _programs():
     return int(os.environ.get("REPRO_PLANNER_FANOUT_PROGRAMS", "18"))
 
 
-def test_planner_fanout(once, benchmark):
+def _deterministic(result):
+    """Every field of the sweep that replays bit for bit: the wall
+    times are host clock and are left out."""
+    return [
+        {
+            "shards": point.shards,
+            "children": point.children,
+            "items": point.items,
+            "cells": [
+                {
+                    "query": cell.query,
+                    "rows": cell.rows,
+                    "naive_selects": cell.naive_selects,
+                    "bloom_selects": cell.bloom_selects,
+                    "bloom_skipped": cell.bloom_skipped,
+                    "naive_ops": cell.naive_ops,
+                    "bloom_ops": cell.bloom_ops,
+                    "identical": cell.identical,
+                }
+                for cell in point.cells
+            ],
+            "planner_modes": [
+                {
+                    "planner": mode.planner,
+                    "rows": mode.rows,
+                    "ops": mode.ops,
+                    "bytes": mode.bytes_moved,
+                }
+                for mode in point.planner_modes
+            ],
+            "billing_identical": point.billing_identical,
+        }
+        for point in result.points
+    ]
+
+
+def test_planner_fanout(once, benchmark, golden):
     result = once(
         benchmark,
         planner_fanout,
@@ -47,6 +83,9 @@ def test_planner_fanout(once, benchmark):
             "planner_fanout", result.as_json(), telemetry=result.telemetry
         ),
     )
+
+    if (_shard_counts(), _programs()) == ((1, 2, 4), 18):
+        golden("planner_fanout", _deterministic(result))
 
     for point in result.points:
         # Routing axis: same rows, same billed bytes, never more chains.

@@ -7,6 +7,8 @@ parallelism helps S3's independent GETs but cannot help SimpleDB Q1's
 next-token chain.
 """
 
+from dataclasses import asdict
+
 from repro.bench.experiments import table5_queries
 
 
@@ -17,9 +19,12 @@ def _by(result, query, backend):
     raise AssertionError(f"missing row {query}/{backend}")
 
 
-def test_table5_queries(once, benchmark):
+def test_table5_queries(once, benchmark, golden):
     result = once(benchmark, table5_queries, scale=0.5)
     print("\n" + result.render())
+    # Every row frozen: sequential/parallel seconds, MB and operations
+    # per query and backend, to the last bit.
+    golden("table5_queries", [asdict(row) for row in result.rows])
 
     # Q1: SimpleDB beats the S3 scan by an order of magnitude.
     q1_s3 = _by(result, "Q1", "s3")

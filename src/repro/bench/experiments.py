@@ -45,7 +45,6 @@ from repro.provenance.syscalls import TraceBuilder
 from repro.query.engine import (
     QueryStats,
     S3QueryEngine,
-    ShardedSimpleDBQueryEngine,
     SimpleDBQueryEngine,
 )
 from repro.service.sharding import ShardRouter
@@ -843,7 +842,6 @@ def multitenant_scaling(
     the single-domain path, and a repeated Q2 hits the service cache
     with zero cloud operations.
     """
-    from repro.query.engine import ShardedSimpleDBQueryEngine
     from repro.service import IngestGateway, ShardRouter
 
     target_path = f"{MOUNT}fleet/c0000/f000.dat"
@@ -876,7 +874,7 @@ def multitenant_scaling(
             )
         )
 
-        engine = ShardedSimpleDBQueryEngine(account, router)
+        engine = SimpleDBQueryEngine(account, router=router)
         q2, _ = engine.q2_object_provenance(target_path)
         q3, _ = engine.q3_direct_outputs(FLEET_PROGRAM)
         q4, _ = engine.q4_all_descendants(FLEET_PROGRAM)
@@ -1743,9 +1741,11 @@ def planner_fanout(
             items = _planner_fanout_items(programs, files, children)
             _load_routed_domain(account, router, items)
 
-            bloom_engine = ShardedSimpleDBQueryEngine(account, router)
-            naive_engine = ShardedSimpleDBQueryEngine(
-                account, router, bloom_routing=False
+            bloom_engine = SimpleDBQueryEngine(account, router=router)
+            # A router that wrote nothing has no Bloom filters, so it
+            # prunes nothing: the full-fan-out reference.
+            naive_engine = SimpleDBQueryEngine(
+                account, router=ShardRouter(shards=shards)
             )
             target = "prog-000"
             queries = {

@@ -30,7 +30,6 @@ from typing import Dict, Generator, List
 
 from repro.cloud.blob import Blob
 from repro.cloud.network import Request
-from repro.errors import NoSuchKeyError
 from repro.provenance.serialization import encode_records
 from repro.sim.events import Batch, Delay
 
@@ -115,13 +114,3 @@ class ProtocolP1(StorageProtocol):
                 self.account.s3.put_request(self.bucket, key, Blob.from_text(content))
             )
         return requests
-
-    # -- provenance access (query layer) ----------------------------------------
-
-    def fetch_provenance_text(self, uuid: str) -> str:
-        """GET a provenance object's full content (used by queries)."""
-        try:
-            blob, _ = self.account.s3.get(self.bucket, provenance_object_key(uuid))
-        except NoSuchKeyError:
-            return ""
-        return blob.text() if blob.data is not None else ""

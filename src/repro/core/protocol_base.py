@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.cloud.account import CloudAccount
 from repro.cloud.blob import Blob
@@ -49,7 +49,9 @@ class DomainRouter:
     over N domains by stable hash — SimpleDB's ingest ceiling is
     per-domain (§5's domain-limit discussion), so routing is the scaling
     unit.  Protocols, the commit daemon, and the query engines all accept
-    a router so the storage scheme stays consistent end to end.
+    a router so the storage scheme stays consistent end to end: writes
+    ask it where an item goes, and queries ask it which domains they
+    must visit (``domains_for_names`` / ``domains_for_values``).
     """
 
     def __init__(self, domain: str = PROVENANCE_DOMAIN):
@@ -63,6 +65,21 @@ class DomainRouter:
     def domain_for(self, uuid: str) -> str:
         """Domain holding the provenance items of ``uuid``."""
         return self._domain
+
+    def domains_for_names(
+        self, names: Sequence[str]
+    ) -> List[Tuple[str, List[str]]]:
+        """Item names grouped by the domain that owns them, in first-touch
+        order.  A group comes back empty when the router can prove its
+        domain holds none of those names; the base router never can."""
+        return [(self._domain, list(names))]
+
+    def domains_for_values(
+        self, attribute: str, values: Sequence[str]
+    ) -> Sequence[str]:
+        """Domains that might hold an item whose ``attribute`` equals any
+        of ``values``: every domain the router cannot rule out."""
+        return self.domains
 
     def group_by_domain(
         self, bundles: List[ProvenanceBundle]

@@ -275,20 +275,6 @@ class ProvenanceGraph:
                     stack.append(nxt)
         return seen
 
-    def _reaches(self, start: NodeRef, goal: NodeRef) -> bool:
-        """Whether ``goal`` is reachable from ``start`` along out-edges."""
-        stack = [start]
-        seen = {start}
-        while stack:
-            current = stack.pop()
-            for edge in self._out.get(current, ()):
-                if edge.dst == goal:
-                    return True
-                if edge.dst not in seen:
-                    seen.add(edge.dst)
-                    stack.append(edge.dst)
-        return False
-
     # -- analytics --------------------------------------------------------------
 
     def max_depth(self, include_versions: bool = True) -> int:

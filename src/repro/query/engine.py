@@ -13,6 +13,9 @@ Two engines implement them against the two storage schemes:
 - :class:`SimpleDBQueryEngine` (P2/P3): server-side ``Select`` with
   indexed attributes; Q1 pages sequentially through next-tokens (which is
   why it cannot be parallelized), Q3/Q4 are selective index lookups.
+  Each query is written once, as an effect plan
+  (:class:`SimpleDBQueryPlans`), which the engine runs synchronously and
+  a kernel process (the fleet's readers) runs with ``yield from``.
 
 Every query returns its answer plus :class:`QueryStats` — elapsed virtual
 seconds, bytes transferred, and operation count — the three columns of
@@ -22,24 +25,33 @@ the paper's Table 5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.cloud.account import CloudAccount
-from repro.cloud.simpledb import PreparedSelect, prepare_select
+from repro.cloud.simpledb import PreparedSelect, SelectPage, prepare_select
 from repro.errors import NoSuchKeyError
 from repro.provenance.graph import NodeRef
 from repro.provenance.serialization import decode_records
+from repro.sim import Batch, run_plan_phased
 
-from repro.core.protocol_base import data_key, provenance_object_key
+from repro.core.protocol_base import (
+    PROVENANCE_DOMAIN,
+    DomainRouter,
+    data_key,
+    provenance_object_key,
+)
 from repro.core.sdb_items import OVERFLOW_ATTRIBUTE, is_spill_pointer, spill_pointer_key
 from repro.query.ancestry import ProvenanceIndex
 
-#: Default chunk size for ``IN (...)`` value lists in SimpleDB selects
-#: (shared with the fleet's query-side readers so their Q3/Q4-shaped
-#: traffic matches the engine's request profile).  Per-engine override:
-#: the ``in_chunk`` constructor argument, so benchmarks can sweep the
-#: chunking without touching module state.
+#: Values per ``IN (...)`` list in the itemName- and attribute-rooted
+#: selects (Q2's version range, Q3/Q4's reference lookups).  Every
+#: query, synchronous or kernel-driven, runs the same plans, so this one
+#: constant fixes the read traffic everywhere; Table 5 and the
+#: planner-fanout goldens pin it.
 IN_CHUNK = 20
+
+#: Connections shared by a ``parallel`` query's independent first pages.
+PARALLEL_CONNECTIONS = 8
 
 
 @dataclass
@@ -57,14 +69,14 @@ class QueryStats:
 
 @dataclass
 class ShardFanoutStats:
-    """How an engine's chunked selects were routed across domains.
+    """How a query's chunked selects were routed across domains.
 
     The routing contract the regression tests pin: chunks rooted at
     ``itemName()`` values go to exactly the shard owning those names
     (``single_shard_chunks``); attribute-rooted chunks cannot be routed
     — the matching items may live in any shard — so they fan out to
-    every domain (``fanned_out_selects`` counts each chunk x domain
-    chain)."""
+    every domain the router cannot rule out (``fanned_out_selects``
+    counts each chunk x domain chain)."""
 
     #: itemName-rooted IN chunks, each routed to exactly one domain.
     single_shard_chunks: int = 0
@@ -216,27 +228,284 @@ class S3QueryEngine:
         return outputs
 
 
-class SimpleDBQueryEngine:
-    """Queries against P2/P3's SimpleDB items."""
+
+
+class SimpleDBQueryPlans:
+    """Q1–Q4 against P2/P3's SimpleDB items, as effect plans.
+
+    Each ``*_plan`` method is a generator that yields one
+    :class:`~repro.sim.Batch` per round trip and returns the query's
+    answer: a batch per select page, one batch for the ``parallel`` first
+    pages of independent chains, and a one-request batch for Q2's HEAD
+    and for every spill-pointer GET.  :class:`SimpleDBQueryEngine` runs a
+    plan synchronously with :func:`~repro.sim.run_plan_phased`; a kernel
+    process runs the same plan with ``yield from``.  A one-request batch
+    on one connection places the request and moves the clock exactly as
+    a sequential call does, so both drivers time and bill a query alike.
+
+    The router owns the routing: ``router.domains`` for Q1,
+    ``domains_for_names`` for itemName-rooted chunks (Q2's version
+    range) and ``domains_for_values`` for attribute-rooted ones (Q3/Q4).
+    The plans only count what it decided in :attr:`fanout`; they register
+    no telemetry, so a kernel reader can build them freely.
+    """
+
+    def __init__(
+        self, account: CloudAccount, router: DomainRouter, bucket: str = "pass-data"
+    ):
+        self.account = account
+        self.router = router
+        self.bucket = bucket
+        self.fanout = ShardFanoutStats()
+
+    # -- round trips ---------------------------------------------------------
+
+    def _chains_plan(
+        self, selects: Sequence[PreparedSelect], parallel: bool = False
+    ) -> Generator:
+        """Run independent select chains to completion, concatenating
+        their rows in chain order.  A chain's pages are sequential (each
+        next-token comes from the page before); with ``parallel`` the
+        chains' first pages go out together as one batch."""
+        select_request = self.account.simpledb.select_request
+        for prepared in selects:
+            self.fanout.note_select(prepared.domain)
+        pages: List[Optional[SelectPage]] = [None] * len(selects)
+        if parallel and selects:
+            batch = yield Batch(
+                [select_request(prepared) for prepared in selects],
+                PARALLEL_CONNECTIONS,
+            )
+            pages = batch.results
+        rows: List[Tuple[str, Dict[str, List[str]]]] = []
+        for prepared, page in zip(selects, pages):
+            token = ""
+            while True:
+                if page is None:
+                    batch = yield Batch(
+                        [select_request(prepared, token)], connections=1
+                    )
+                    page = batch.results[0]
+                rows.extend(page.rows)
+                if page.complete:
+                    break
+                token, page = page.next_token, None
+        return rows
+
+    def _head_uuid_plan(self, path: str) -> Generator:
+        """HEAD the data object; returns its provenance uuid ('' if none)."""
+        batch = yield Batch(
+            [self.account.s3.head_request(self.bucket, data_key(path))],
+            connections=1,
+        )
+        return batch.results[0].metadata.get("prov-uuid", "")
+
+    def _spill_plan(self, pointer: str) -> Generator:
+        """GET one spilled value back from S3; returns the blob, or None
+        when the object is gone."""
+        try:
+            batch = yield Batch(
+                [self.account.s3.get_request(self.bucket, spill_pointer_key(pointer))],
+                connections=1,
+            )
+        except NoSuchKeyError:
+            return None
+        blob, _metadata = batch.results[0]
+        return blob
+
+    def _resolve_plan(self, attributes: Dict[str, List[str]]) -> Generator:
+        """Fetch spilled values / overflow records back from S3."""
+        resolved: Dict[str, List[str]] = {}
+        for attribute, values in attributes.items():
+            if attribute == OVERFLOW_ATTRIBUTE:
+                for value in values:
+                    if not is_spill_pointer(value):
+                        continue
+                    blob = yield from self._spill_plan(value)
+                    if blob is not None and blob.data is not None:
+                        for record in decode_records(blob.text()):
+                            resolved.setdefault(record.attribute, []).append(
+                                record.value_text()
+                            )
+                continue
+            out = []
+            for value in values:
+                if is_spill_pointer(value):
+                    blob = yield from self._spill_plan(value)
+                    if blob is not None and blob.data is not None:
+                        value = blob.text()
+                out.append(value)
+            resolved.setdefault(attribute, []).extend(out)
+        return resolved
+
+    def _merged_plan(self, rows) -> Generator:
+        """Every row's resolved attributes merged into one map."""
+        merged: Dict[str, List[str]] = {}
+        for _name, attributes in rows:
+            resolved = yield from self._resolve_plan(attributes)
+            for attribute, values in resolved.items():
+                merged.setdefault(attribute, []).extend(values)
+        return merged
+
+    # -- routed lookups ------------------------------------------------------
+
+    def _domains_for_values(
+        self, attribute: str, values: Sequence[str]
+    ) -> Sequence[str]:
+        kept = self.router.domains_for_values(attribute, values)
+        self.fanout.bloom_skipped_selects += len(self.router.domains) - len(kept)
+        return kept
+
+    def _names_plan(self, names: Sequence[str], parallel: bool) -> Generator:
+        """All visible items with the given names, fetched as chunked
+        ``itemName() IN (...)`` selects.  Unlike attribute-rooted lookups
+        these chunks are routable: each goes to the one domain owning its
+        names, and a group the router proves absent costs nothing."""
+        selects: List[PreparedSelect] = []
+        for domain, group in self.router.domains_for_names(names):
+            if not group:
+                self.fanout.bloom_skipped_chunks += 1
+                continue
+            for start in range(0, len(group), IN_CHUNK):
+                chunk = group[start : start + IN_CHUNK]
+                selects.append(prepare_select(
+                    "select * from {} where itemName() in ({})".format(
+                        domain, ", ".join(f"'{name}'" for name in chunk)
+                    )
+                ))
+        self.fanout.single_shard_chunks += len(selects)
+        return (yield from self._chains_plan(selects, parallel))
+
+    def _procs_plan(self, program: str) -> Generator:
+        """The process items running ``program``."""
+        rows = yield from self._chains_plan([
+            prepare_select(
+                f"select * from {domain} where name = '{program}' and type = 'proc'"
+            )
+            for domain in self._domains_for_values("name", (program,))
+        ])
+        return [NodeRef.parse(name) for name, _ in rows]
+
+    def _referencing_plan(
+        self, attribute: str, targets: Sequence[NodeRef], parallel: bool
+    ) -> Generator:
+        """All items whose ``attribute`` references any of ``targets``,
+        as chunked ``IN`` selects.  The referencing items may live in any
+        domain, so each chunk fans out to every domain the router cannot
+        rule out for the chunk's values."""
+        selects: List[PreparedSelect] = []
+        for start in range(0, len(targets), IN_CHUNK):
+            chunk = [str(ref) for ref in targets[start : start + IN_CHUNK]]
+            for domain in self._domains_for_values(attribute, chunk):
+                selects.append(prepare_select(
+                    "select * from {} where {} in ({})".format(
+                        domain, attribute, ", ".join(f"'{value}'" for value in chunk)
+                    )
+                ))
+        self.fanout.fanned_out_selects += len(selects)
+        return (yield from self._chains_plan(selects, parallel))
+
+    # -- the four queries ----------------------------------------------------
+
+    def q1_plan(self, parallel: bool = False) -> Generator:
+        """Q1: ``SELECT *`` paged to completion in every domain.  A
+        next-token chain is sequential, so ``parallel`` only overlaps the
+        chains of different domains (§5.3 reports no parallel number for
+        SimpleDB Q1)."""
+        rows = yield from self._chains_plan(
+            [prepare_select(f"select * from {domain}") for domain in self.router.domains],
+            parallel,
+        )
+        index = ProvenanceIndex()
+        for name, attributes in rows:
+            try:
+                ref = NodeRef.parse(name)
+            except ValueError:
+                continue
+            index.ingest_attribute_map(ref, (yield from self._resolve_plan(attributes)))
+        return index
+
+    def q2_plan(self, path: str) -> Generator:
+        """Q2: HEAD the object for its uuid, then :meth:`q2_uuid_plan`."""
+        uuid = yield from self._head_uuid_plan(path)
+        return (yield from self.q2_uuid_plan(uuid))
+
+    def q2_uuid_plan(self, uuid: str) -> Generator:
+        """Every version's provenance of the object ``uuid``: one
+        ``itemName() like`` select in the domain that owns the uuid."""
+        if not uuid:
+            return {}
+        rows = yield from self._chains_plan([prepare_select(
+            "select * from {} where itemName() like '{}_%'".format(
+                self.router.domain_for(uuid), uuid
+            )
+        )])
+        return (yield from self._merged_plan(rows))
+
+    def q2_version_range_plan(
+        self, path: str, first_version: int, last_version: int, parallel: bool = False
+    ) -> Generator:
+        """Q2 bounded by version: HEAD the object for its uuid, then
+        fetch exactly the items ``uuid_first .. uuid_last`` through
+        itemName-rooted IN chunks.  Explicit names rather than an
+        item-name range because versions in item names are not
+        zero-padded (``uuid_10`` sorts before ``uuid_2``)."""
+        uuid = yield from self._head_uuid_plan(path)
+        if not uuid or last_version < first_version:
+            return {}
+        names = [
+            str(NodeRef(uuid, version))
+            for version in range(first_version, last_version + 1)
+        ]
+        rows = yield from self._names_plan(names, parallel)
+        return (yield from self._merged_plan(rows))
+
+    def q3_plan(self, program: str, parallel: bool = False) -> Generator:
+        """Q3: select the program's process items, then the file items
+        referencing them — two indexed lookups."""
+        procs = yield from self._procs_plan(program)
+        rows = yield from self._referencing_plan("input", procs, parallel)
+        return sorted({
+            NodeRef.parse(name)
+            for name, attributes in rows
+            if "file" in attributes.get("type", [])
+        })
+
+    def q4_plan(self, program: str, parallel: bool = False) -> Generator:
+        """Q4: repeat Q3's reference lookup until the full descendant
+        closure is found (§5.3)."""
+        frontier = yield from self._procs_plan(program)
+        seen: Set[NodeRef] = set()
+        while frontier:
+            rows = yield from self._referencing_plan("input", frontier, parallel)
+            next_frontier: List[NodeRef] = []
+            for name, _attributes in rows:
+                ref = NodeRef.parse(name)
+                if ref not in seen:
+                    seen.add(ref)
+                    next_frontier.append(ref)
+            frontier = next_frontier
+        return sorted(seen)
+
+
+class SimpleDBQueryEngine(SimpleDBQueryPlans):
+    """Queries against P2/P3's SimpleDB items: each query's plan run to
+    completion on the shared clock and metered as a Table 5 row.
+
+    Pass ``domain`` for the paper's one-domain layout, or the ``router``
+    of a sharded deployment (it then owns every routing decision).
+    """
 
     def __init__(
         self,
         account: CloudAccount,
-        domain: str = "pass-prov",
+        domain: str = PROVENANCE_DOMAIN,
         bucket: str = "pass-data",
-        parallel_connections: int = 8,
-        in_chunk: int = IN_CHUNK,
+        router: Optional[DomainRouter] = None,
     ):
-        if in_chunk < 1:
-            raise ValueError("in_chunk must be >= 1")
-        self.account = account
-        self.domain = domain
-        self.bucket = bucket
-        self.parallel_connections = parallel_connections
-        #: Values per ``IN (...)`` chunk — tunable per engine so the
-        #: planner-fanout bench can sweep it.
-        self.in_chunk = in_chunk
-        self.fanout = ShardFanoutStats()
+        super().__init__(
+            account, router if router is not None else DomainRouter(domain), bucket
+        )
         # Telemetry: routing counters as callback gauges, labelled per
         # engine instance (an experiment often builds several engines).
         telemetry = account.telemetry
@@ -258,225 +527,20 @@ class SimpleDBQueryEngine:
             engine=label,
         )
 
-    # -- domain routing (overridden by the sharded engine) ---------------------
-
-    def _domains(self) -> Sequence[str]:
-        """Every domain holding provenance items, in stable order."""
-        return (self.domain,)
-
-    def _domain_for_uuid(self, uuid: str) -> str:
-        """The single domain holding the items of one object's uuid."""
-        return self.domain
-
-    def _domains_for_names(
-        self, names: Sequence[str]
-    ) -> List[Tuple[str, List[str]]]:
-        """Group item names by the domain that owns them, preserving
-        order within each group.  The base engine has one domain; the
-        sharded engine routes each name to its owning shard via the
-        router's uuid hash."""
-        return [(self.domain, list(names))]
-
-    def _domains_for_values(
-        self, attribute: str, values: Sequence[str]
-    ) -> Sequence[str]:
-        """Domains that might hold an item with ``attribute`` equal to
-        any of ``values``.  The base engine has one domain and no way
-        to rule it out; the sharded engine consults the router's
-        per-shard Bloom filters and skips shards that provably cannot
-        match (counting the skips in ``fanout.bloom_skipped_selects``).
-        """
-        del attribute, values
-        return self._domains()
-
-    # -- internals ------------------------------------------------------------
-
-    def _rows_to_index(self, rows) -> ProvenanceIndex:
-        index = ProvenanceIndex()
-        for name, attributes in rows:
-            try:
-                ref = NodeRef.parse(name)
-            except ValueError:
-                continue
-            index.ingest_attribute_map(ref, self._resolve(attributes))
-        return index
-
-    def _resolve(self, attributes: Dict[str, List[str]]) -> Dict[str, List[str]]:
-        """Fetch spilled values / overflow records back from S3."""
-        resolved: Dict[str, List[str]] = {}
-        for attribute, values in attributes.items():
-            if attribute == OVERFLOW_ATTRIBUTE:
-                for value in values:
-                    if not is_spill_pointer(value):
-                        continue
-                    try:
-                        blob, _ = self.account.s3.get(
-                            self.bucket, spill_pointer_key(value)
-                        )
-                    except NoSuchKeyError:
-                        continue
-                    if blob.data is not None:
-                        for record in decode_records(blob.text()):
-                            resolved.setdefault(record.attribute, []).append(
-                                record.value_text()
-                            )
-                continue
-            out = []
-            for value in values:
-                if is_spill_pointer(value):
-                    try:
-                        blob, _ = self.account.s3.get(
-                            self.bucket, spill_pointer_key(value)
-                        )
-                        out.append(
-                            blob.text() if blob.data is not None else value
-                        )
-                    except NoSuchKeyError:
-                        out.append(value)
-                else:
-                    out.append(value)
-            resolved.setdefault(attribute, []).extend(out)
-        return resolved
-
-    def _paged_rows(
-        self, prepared: PreparedSelect
-    ) -> List[Tuple[str, Dict[str, List[str]]]]:
-        """One select chain run to completion: the single parsed/planned
-        :class:`PreparedSelect` is reused across every next-token page
-        instead of re-parsing the expression per page."""
-        self.fanout.note_select(prepared.domain)
-        return self.account.simpledb.select(prepared)
-
-    def _run_select_chains(
-        self, selects: Sequence[PreparedSelect], parallel: bool
-    ) -> List[Tuple[str, Dict[str, List[str]]]]:
-        """Run independent select chains to completion, concatenating
-        their rows in chain order.  With ``parallel`` the first pages go
-        out in one batch and each chain's continuation pages advance
-        sequentially (next-tokens cannot be parallelized within a
-        chain)."""
-        rows: List[Tuple[str, Dict[str, List[str]]]] = []
-        if parallel:
-            for prepared in selects:
-                self.fanout.note_select(prepared.domain)
-            requests = [
-                self.account.simpledb.select_request(prepared)
-                for prepared in selects
-            ]
-            batch = self.account.scheduler.execute_batch(
-                requests, self.parallel_connections
-            )
-            for expr_index, page in enumerate(batch.results):
-                rows.extend(page.rows)
-                token = page.next_token
-                while token:
-                    next_page = self.account.scheduler.execute_one(
-                        self.account.simpledb.select_request(
-                            selects[expr_index], token
-                        )
-                    )
-                    rows.extend(next_page.rows)
-                    token = next_page.next_token
-        else:
-            for prepared in selects:
-                rows.extend(self._paged_rows(prepared))
-        return rows
-
-    def _select_by_names(
-        self, names: Sequence[str], parallel: bool = False
-    ) -> List[Tuple[str, Dict[str, List[str]]]]:
-        """All visible items with the given names, fetched as chunked
-        ``itemName() IN (...)`` selects.  Unlike attribute-rooted
-        lookups these chunks are *routable*: each chunk's names all hash
-        to one known domain, so on a sharded deployment it contacts
-        exactly the owning shard instead of fanning out."""
-        selects: List[PreparedSelect] = []
-        for domain, group in self._domains_for_names(names):
-            for start in range(0, len(group), self.in_chunk):
-                chunk = group[start : start + self.in_chunk]
-                selects.append(
-                    prepare_select(
-                        "select * from {} where itemName() in ({})".format(
-                            domain, ", ".join(f"'{name}'" for name in chunk)
-                        )
-                    )
-                )
-        self.fanout.single_shard_chunks += len(selects)
-        return self._run_select_chains(selects, parallel)
-
-    def _select_procs_named(self, program: str) -> List[NodeRef]:
-        refs: List[NodeRef] = []
-        for domain in self._domains_for_values("name", (program,)):
-            rows = self._paged_rows(prepare_select(
-                f"select * from {domain} where name = '{program}' and type = 'proc'"
-            ))
-            refs.extend(NodeRef.parse(name) for name, _ in rows)
-        return refs
-
-    def _select_referencing(
-        self, attribute: str, targets: Sequence[NodeRef], parallel: bool
-    ) -> List[Tuple[str, Dict[str, List[str]]]]:
-        """All items whose ``attribute`` references any of ``targets``,
-        issued as chunked ``IN`` selects (parallelizable — each chunk is
-        independent, unlike Q1's next-token chain).  With a sharded
-        router the referencing items may live in any domain, so each
-        chunk fans out — to every shard whose Bloom filter admits one of
-        the chunk's values (``_domains_for_values``; the base engine and
-        a bloom-disabled sharded engine fan to all).  Each chunk's
-        expression is prepared once and reused for its whole
-        continuation chain."""
-        chunks = [
-            [str(ref) for ref in targets[i : i + self.in_chunk]]
-            for i in range(0, len(targets), self.in_chunk)
-        ]
-        selects = [
-            prepare_select(
-                "select * from {} where {} in ({})".format(
-                    domain,
-                    attribute,
-                    ", ".join(f"'{value}'" for value in chunk),
-                )
-            )
-            for chunk in chunks
-            for domain in self._domains_for_values(attribute, chunk)
-        ]
-        self.fanout.fanned_out_selects += len(selects)
-        return self._run_select_chains(selects, parallel)
-
-    # -- the four queries ------------------------------------------------------------
+    def _run(self, plan: Generator) -> Tuple[object, QueryStats]:
+        window = _Measured(self.account)
+        answer = run_plan_phased(self.account, plan)
+        return answer, window.stats()
 
     def q1_all_provenance(
         self, parallel: bool = False
     ) -> Tuple[ProvenanceIndex, QueryStats]:
-        """Q1: ``SELECT *`` paged to completion.  The next-token chain is
-        inherently sequential, so ``parallel`` changes nothing (§5.3
-        reports no parallel number for SimpleDB Q1)."""
-        del parallel
-        window = _Measured(self.account)
-        rows: List[Tuple[str, Dict[str, List[str]]]] = []
-        for domain in self._domains():
-            rows.extend(self._paged_rows(prepare_select(f"select * from {domain}")))
-        index = self._rows_to_index(rows)
-        return index, window.stats()
+        return self._run(self.q1_plan(parallel))
 
     def q2_object_provenance(
         self, path: str
     ) -> Tuple[Dict[str, List[str]], QueryStats]:
-        """Q2: HEAD the object for its uuid, then select its items."""
-        window = _Measured(self.account)
-        head = self.account.s3.head(self.bucket, data_key(path))
-        uuid = head.metadata.get("prov-uuid", "")
-        merged: Dict[str, List[str]] = {}
-        if uuid:
-            rows = self._paged_rows(prepare_select(
-                "select * from {} where itemName() like '{}_%'".format(
-                    self._domain_for_uuid(uuid), uuid
-                )
-            ))
-            for _name, attributes in rows:
-                for attribute, values in self._resolve(attributes).items():
-                    merged.setdefault(attribute, []).extend(values)
-        return merged, window.stats()
+        return self._run(self.q2_plan(path))
 
     def q2_version_range(
         self,
@@ -485,197 +549,26 @@ class SimpleDBQueryEngine:
         last_version: int,
         parallel: bool = False,
     ) -> Tuple[Dict[str, List[str]], QueryStats]:
-        """Q2 bounded by version: the provenance of one object's
-        versions ``first_version..last_version`` (inclusive) — the
-        version-bounded ancestry lookups the paper's queries are shaped
-        like.  HEAD the data object for its uuid, then fetch exactly the
-        items ``uuid_first .. uuid_last`` through itemName-rooted IN
-        chunks.  Explicit names rather than an item-name range because
-        versions in item names are not zero-padded (``uuid_10`` sorts
-        before ``uuid_2``); on a sharded deployment every chunk routes
-        to the one shard owning the uuid."""
-        window = _Measured(self.account)
-        head = self.account.s3.head(self.bucket, data_key(path))
-        uuid = head.metadata.get("prov-uuid", "")
-        merged: Dict[str, List[str]] = {}
-        if uuid and last_version >= first_version:
-            names = [
-                str(NodeRef(uuid, version))
-                for version in range(first_version, last_version + 1)
-            ]
-            for _name, attributes in self._select_by_names(names, parallel):
-                for attribute, values in self._resolve(attributes).items():
-                    merged.setdefault(attribute, []).extend(values)
-        return merged, window.stats()
+        return self._run(
+            self.q2_version_range_plan(path, first_version, last_version, parallel)
+        )
 
     def q3_direct_outputs(
         self, program: str, parallel: bool = False
     ) -> Tuple[List[NodeRef], QueryStats]:
-        """Q3: select the program's process items, then select the file
-        items referencing them — two indexed lookups."""
-        window = _Measured(self.account)
-        procs = self._select_procs_named(program)
-        outputs: Set[NodeRef] = set()
-        if procs:
-            for name, attributes in self._select_referencing(
-                "input", procs, parallel
-            ):
-                if "file" in attributes.get("type", []):
-                    outputs.add(NodeRef.parse(name))
-        return sorted(outputs), window.stats()
+        return self._run(self.q3_plan(program, parallel))
 
     def q4_all_descendants(
         self, program: str, parallel: bool = False
     ) -> Tuple[List[NodeRef], QueryStats]:
-        """Q4: repeat Q3's reference lookup recursively until the full
-        descendant closure is found (§5.3)."""
-        window = _Measured(self.account)
-        frontier = self._select_procs_named(program)
-        seen: Set[NodeRef] = set()
-        results: Set[NodeRef] = set()
-        while frontier:
-            rows = self._select_referencing("input", frontier, parallel)
-            next_frontier: List[NodeRef] = []
-            for name, _attributes in rows:
-                ref = NodeRef.parse(name)
-                if ref in seen:
-                    continue
-                seen.add(ref)
-                results.add(ref)
-                next_frontier.append(ref)
-            frontier = next_frontier
-        return sorted(results), window.stats()
-
-
-class ShardedSimpleDBQueryEngine(SimpleDBQueryEngine):
-    """Q1–Q4 over provenance spread across N shard domains.
-
-    Fan-out/merge on top of the single-domain engine: Q2 routes straight
-    to the one shard holding the object's items (the stable uuid hash
-    makes that lookup local), Q3/Q4's reference lookups fan out to every
-    shard, and Q1 pages each shard's next-token chain — chains of
-    *different* shards are independent, so unlike the single-domain case
-    Q1 can run them in parallel.  The routing is *index-aware* for
-    itemName-rooted chunks: a ``itemName() IN (...)`` chunk's names all
-    hash to a known shard, so `_select_by_names` contacts exactly the
-    owning shard instead of fanning the chunk to every domain
-    (``fanout.single_shard_chunks`` vs ``fanout.fanned_out_selects``).
-    Answers are byte-identical to the single-domain engine over the same
-    store: routing moves items between domains but never changes them.
-
-    With ``bloom_routing`` (the default) attribute-rooted lookups are
-    pruned through the router's per-shard Bloom filters: a chunk is only
-    sent to shards whose filter admits at least one of its values, and
-    itemName-rooted chunks are dropped whole when no name in them can
-    exist.  Sound when ingest went through the routed write pipeline
-    (every production path); a filter false positive costs one select
-    chain that returns no rows — never a wrong answer, because every
-    issued select still verifies its rows.  Pass ``bloom_routing=False``
-    for the full-fan-out baseline (also the safe mode for stores
-    populated behind the router's back).
-    """
-
-    def __init__(
-        self,
-        account: CloudAccount,
-        router,
-        bucket: str = "pass-data",
-        parallel_connections: int = 8,
-        in_chunk: int = IN_CHUNK,
-        bloom_routing: bool = True,
-    ):
-        super().__init__(
-            account,
-            domain=router.domains[0],
-            bucket=bucket,
-            parallel_connections=parallel_connections,
-            in_chunk=in_chunk,
-        )
-        self.router = router
-        self.bloom_routing = bloom_routing
-
-    def _bloom(self):
-        if not self.bloom_routing:
-            return None
-        return getattr(self.router, "bloom", None)
-
-    def _domains(self) -> Sequence[str]:
-        return self.router.domains
-
-    def _domain_for_uuid(self, uuid: str) -> str:
-        return self.router.domain_for(uuid)
-
-    def _domains_for_names(
-        self, names: Sequence[str]
-    ) -> List[Tuple[str, List[str]]]:
-        """Route each ``uuid_version`` item name to its owning shard via
-        the router's stable uuid hash — the index-aware fan-out: a chunk
-        of names never needs to visit a shard that cannot hold them.
-        With Bloom routing a whole group is dropped when the owning
-        shard's filter rules out every name in it (a version-range probe
-        past an object's last version costs nothing at all)."""
-        grouped: Dict[str, List[str]] = {}
-        for name in names:
-            uuid = name.rpartition("_")[0] or name
-            grouped.setdefault(self.router.domain_for(uuid), []).append(name)
-        bloom = self._bloom()
-        if bloom is None:
-            return list(grouped.items())
-        kept: List[Tuple[str, List[str]]] = []
-        for domain, group in grouped.items():
-            if bloom.might_contain_any_name(domain, group):
-                kept.append((domain, group))
-            else:
-                self.fanout.bloom_skipped_chunks += 1
-        return kept
-
-    def _domains_for_values(
-        self, attribute: str, values: Sequence[str]
-    ) -> Sequence[str]:
-        """Every shard whose Bloom filter admits at least one of the
-        values — the attribute-rooted pruning that shrinks Q3/Q4's
-        chunk x domain fan-out."""
-        bloom = self._bloom()
-        if bloom is None:
-            return self._domains()
-        kept = [
-            domain
-            for domain in self.router.domains
-            if bloom.might_contain_any_value(domain, attribute, values)
-        ]
-        self.fanout.bloom_skipped_selects += len(self.router.domains) - len(
-            kept
-        )
-        return kept
-
-    def q1_all_provenance(
-        self, parallel: bool = False
-    ) -> Tuple[ProvenanceIndex, QueryStats]:
-        """Q1 with cross-shard parallelism: the per-domain next-token
-        chains stay sequential, but the first page of every shard goes
-        out in one batch and each chain advances independently."""
-        if not parallel or len(self._domains()) == 1:
-            return super().q1_all_provenance(parallel=False)
-        window = _Measured(self.account)
-        selects = [
-            prepare_select(f"select * from {domain}") for domain in self._domains()
-        ]
-        rows = self._run_select_chains(selects, parallel=True)
-        return self._rows_to_index(rows), window.stats()
+        return self._run(self.q4_plan(program, parallel))
 
 
 def query_engine_for(protocol_name: str, account: CloudAccount, **kwargs):
     """Engine matching a protocol's provenance backend (P1 → S3;
-    P2/P3 → SimpleDB).  Pass ``router=`` to get the shard-aware engine
-    for a multi-domain deployment."""
+    P2/P3 → SimpleDB, over ``domain=`` or a sharded ``router=``)."""
     if protocol_name == "p1":
         return S3QueryEngine(account, **kwargs)
     if protocol_name in ("p2", "p3"):
-        router = kwargs.pop("router", None)
-        if router is not None and len(router.domains) > 1:
-            kwargs.pop("domain", None)  # the router owns domain selection
-            return ShardedSimpleDBQueryEngine(account, router, **kwargs)
-        if router is not None:
-            kwargs.setdefault("domain", router.domains[0])
         return SimpleDBQueryEngine(account, **kwargs)
     raise ValueError(f"no query backend for protocol {protocol_name!r}")

@@ -11,18 +11,22 @@ keeps a :class:`BloomFilter` over every item name and attribute-value
 pair written to it, maintained at ingest through
 ``DomainRouter.note_indexed_items`` (called by ``build_routed_requests``,
 the one write pipeline shared by the gateway, P2's flush, and the commit
-daemon).  At query time the sharded engine asks
-:class:`ShardBloomIndex` which domains *might* hold a value and skips
-the rest.
+daemon).  At query time the router asks :class:`ShardBloomIndex` which
+domains *might* hold a value and the query skips the rest.
 
 Soundness is one-directional, and that is the contract:
 
-- **No false negatives.**  Every routed write inserts before it
-  executes, inserts are never removed (deletes leave the filter alone —
-  like the SimpleDB secondary indexes, the filter over-approximates
-  what any observation time can see), and a domain the index has never
-  been told about answers "might match".  A pruned shard therefore
-  provably holds no matching item.
+- **No false negatives for what this index saw.**  Every routed write
+  inserts before it executes and inserts are never removed (deletes
+  leave the filter alone — like the SimpleDB secondary indexes, the
+  filter over-approximates what any observation time can see).  A
+  filter exists only once its router has written to the domain, and a
+  domain without one answers "might match".  So a router over a store
+  it did not fill — a reopened root, a second gateway over the same
+  account — prunes nothing it never wrote.  The filters live in process
+  memory: a domain that this router *and* another writer both filled
+  can still be pruned wrongly, because its filter knows only this
+  router's writes.
 - **False positives cost a wasted select chain, never a wrong answer.**
   A filter hit only means the shard is contacted; the select itself
   still verifies every row.
@@ -118,23 +122,19 @@ class BloomFilter:
 class ShardBloomIndex:
     """Per-domain Bloom filters over item names and attribute values.
 
-    One filter per shard domain, created eagerly for every domain the
-    router can produce — an untouched domain's empty filter correctly
-    answers "cannot match" for everything, so empty shards are pruned
-    too.  Domains this index has never heard of answer "might match"
-    (no pruning), which keeps lookups conservative when a query engine
-    is pointed at a store populated outside the routed write pipeline.
+    A domain's filter is created by the first write noted for it.  A
+    domain without a filter answers "might match" (no pruning): an empty
+    filter would answer "cannot match", which is only true of a domain
+    known to be empty, and the index cannot know that of a domain it
+    never wrote.
     """
 
     def __init__(
-        self,
-        domains: Sequence[str],
-        size_bits: int = DEFAULT_SIZE_BITS,
-        hashes: int = DEFAULT_HASHES,
+        self, size_bits: int = DEFAULT_SIZE_BITS, hashes: int = DEFAULT_HASHES
     ):
-        self._filters: Dict[str, BloomFilter] = {
-            domain: BloomFilter(size_bits, hashes) for domain in domains
-        }
+        self.size_bits = size_bits
+        self.hashes = hashes
+        self._filters: Dict[str, BloomFilter] = {}
 
     def filter_for(self, domain: str) -> BloomFilter:
         """The domain's filter (diagnostics; KeyError for unknown)."""
@@ -151,7 +151,7 @@ class ShardBloomIndex:
         strings a select would match against."""
         bloom = self._filters.get(domain)
         if bloom is None:
-            bloom = self._filters[domain] = BloomFilter()
+            bloom = self._filters[domain] = BloomFilter(self.size_bits, self.hashes)
         for name, pairs in items:
             bloom.add(_NAME_TAG + name)
             for attribute, value in pairs:

@@ -43,7 +43,7 @@ from repro.cloud.network import Request
 from repro.obs.tracing import CLIENT_EMIT, GATEWAY_COALESCE
 from repro.provenance.graph import NodeRef
 from repro.provenance.records import ProvenanceBundle, merge_bundles
-from repro.query.engine import query_engine_for
+from repro.query.engine import SimpleDBQueryEngine
 from repro.sim.compat import run_plan_phased
 from repro.sim.events import Batch, Delay
 
@@ -268,15 +268,12 @@ class IngestGateway:
 
     # -- query side -----------------------------------------------------------
 
-    def query_engine(self, parallel_connections: int = 8) -> CachedQueryEngine:
-        """A cached, shard-aware query engine over the gateway's store.
-        Shares the gateway's cache, so ingest invalidates reads."""
-        engine = query_engine_for(
-            "p2",
-            self.account,
-            router=self.router,
-            bucket=self.bucket,
-            parallel_connections=parallel_connections,
+    def query_engine(self) -> CachedQueryEngine:
+        """A cached query engine over the gateway's store, routed by the
+        gateway's router.  Shares the gateway's cache, so ingest
+        invalidates reads."""
+        engine = SimpleDBQueryEngine(
+            self.account, router=self.router, bucket=self.bucket
         )
         return CachedQueryEngine(engine, cache=self.cache)
 

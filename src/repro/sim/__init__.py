@@ -10,8 +10,8 @@ processes that ``yield`` effects (:class:`~repro.sim.events.Delay`,
 clock — commit lag, WAL backlog, and mid-commit takeover become
 observable.
 
-Every protocol flush, daemon step and gateway window is written once, as
-an effect plan, and two drivers execute it:
+Every protocol flush, daemon step, gateway window and SimpleDB query is
+written once, as an effect plan, and two drivers execute it:
 
 - :class:`~repro.sim.kernel.SimKernel` — concurrent: each process has
   its own time domain; the kernel interleaves activations in virtual
@@ -19,7 +19,8 @@ an effect plan, and two drivers execute it:
 - :func:`~repro.sim.compat.run_plan_phased` — phased: one plan runs to
   completion on the shared clock.  The synchronous methods
   (``StorageProtocol.flush``, ``CommitDaemon.commit``,
-  ``IngestGateway.flush_pending``) are this driver over their plans.
+  ``IngestGateway.flush_pending``, ``SimpleDBQueryEngine``'s Q1–Q4) are
+  this driver over their plans.
 
 The Figure 3 microbenchmark walks flush plans a third way: it only
 collects their requests into one upload batch.

@@ -25,17 +25,17 @@ from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 from repro.cloud.account import CloudAccount  # first: repro.backends imports it back
 from repro.backends.parity import store_fingerprint
 from repro.cloud.blob import Blob
-from repro.cloud.simpledb import prepare_select
+from repro.cloud.simpledb import prepare_select  # noqa: F401 - perf/tracing.py wraps it here
 from repro.obs.tracing import READ_FIRST
 from repro.provenance.graph import NodeRef
 from repro.provenance.pass_collector import FlushIntent
 from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
-from repro.query.engine import IN_CHUNK, SimpleDBQueryEngine
-from repro.sim import Batch, Delay, SimKernel
+from repro.query.engine import SimpleDBQueryEngine, SimpleDBQueryPlans
+from repro.sim import Delay, SimKernel
 
 from repro.core.commit_daemon import CommitDaemon
 from repro.core.p3_wal import ProtocolP3
-from repro.core.protocol_base import FlushWork
+from repro.core.protocol_base import DomainRouter, FlushWork
 from repro.core.wal_messages import parse_message
 from repro.workloads.base import MOUNT
 
@@ -321,100 +321,6 @@ class ReaderSample:
         return max(0, self.flushed - self.visible)
 
 
-def _select_plan(account: CloudAccount, expression: str) -> Generator:
-    """One select chain as an effect plan: each page is a Batch, tokens
-    follow sequentially.  Returns the accumulated rows."""
-    prepared = prepare_select(expression)
-    rows: List = []
-    token = ""
-    while True:
-        batch = yield Batch(
-            [account.simpledb.select_request(prepared, token)], connections=1
-        )
-        page = batch.results[0]
-        rows.extend(page.rows)
-        if page.complete:
-            return rows
-        token = page.next_token
-
-
-def _reader_q1(account: CloudAccount, domains: Sequence[str]) -> Generator:
-    rows: List = []
-    for domain in domains:
-        rows.extend((yield from _select_plan(
-            account, f"select * from {domain}"
-        )))
-    return rows
-
-
-def _reader_q2(
-    account: CloudAccount, domains: Sequence[str], uuid: str
-) -> Generator:
-    rows: List = []
-    for domain in domains:
-        rows.extend((yield from _select_plan(
-            account,
-            f"select * from {domain} where itemName() like '{uuid}_%'",
-        )))
-    return rows
-
-
-def _reader_q3(
-    account: CloudAccount, domains: Sequence[str], program: str
-) -> Generator:
-    procs = []
-    for domain in domains:
-        rows = yield from _select_plan(
-            account,
-            f"select * from {domain} "
-            f"where name = '{program}' and type = 'proc'",
-        )
-        procs.extend(name for name, _ in rows)
-    outputs: List = []
-    for chunk_start in range(0, len(procs), IN_CHUNK):
-        chunk = procs[chunk_start : chunk_start + IN_CHUNK]
-        quoted = ", ".join(f"'{name}'" for name in chunk)
-        for domain in domains:
-            rows = yield from _select_plan(
-                account,
-                f"select * from {domain} where input in ({quoted})",
-            )
-            outputs.extend(
-                name for name, attrs in rows if "file" in attrs.get("type", [])
-            )
-    return sorted(set(outputs))
-
-
-def _reader_q4(
-    account: CloudAccount, domains: Sequence[str], program: str
-) -> Generator:
-    frontier = []
-    for domain in domains:
-        rows = yield from _select_plan(
-            account,
-            f"select * from {domain} "
-            f"where name = '{program}' and type = 'proc'",
-        )
-        frontier.extend(name for name, _ in rows)
-    seen: Set[str] = set()
-    while frontier:
-        next_frontier: List[str] = []
-        for chunk_start in range(0, len(frontier), IN_CHUNK):
-            chunk = frontier[chunk_start : chunk_start + IN_CHUNK]
-            quoted = ", ".join(f"'{name}'" for name in chunk)
-            for domain in domains:
-                rows = yield from _select_plan(
-                    account,
-                    f"select * from {domain} where input in ({quoted})",
-                )
-                for name, _attrs in rows:
-                    if name not in seen:
-                        seen.add(name)
-                        next_frontier.append(name)
-        frontier = next_frontier
-    return sorted(seen)
-
-
 def reader_process(
     account: CloudAccount,
     domains: Sequence[str],
@@ -427,15 +333,33 @@ def reader_process(
     rng: Optional[random.Random] = None,
     label: str = "reader",
 ) -> Generator:
-    """A query-side kernel process: round-robin Q1-Q4 shapes against the
-    provenance domains while clients are still writing them.
+    """A query-side kernel process: round-robin Q1-Q4 against the
+    provenance domain while clients are still writing it.
 
-    Each query appends a :class:`ReaderSample`; Q1 samples additionally
-    score read-your-writes staleness against ``watch``.  Spawn with
-    ``daemon=True`` — readers poll forever; the experiment's run horizon
-    stops them.  Deterministic when ``rng`` is seeded (jitters the
-    inter-query think time the way clients jitter theirs).
+    Each query is the query engine's own plan
+    (:class:`~repro.query.engine.SimpleDBQueryPlans`), run with
+    ``yield from``: the reader issues exactly the requests the
+    synchronous engine would.  ``domains`` is the store's one provenance
+    domain, as a sequence.  Q2 reads ``target_uuid``, or the first uuid
+    the fleet logged.  Each query appends a :class:`ReaderSample`; Q1
+    samples additionally score read-your-writes staleness against
+    ``watch``.  Spawn with ``daemon=True`` — readers poll forever; the
+    experiment's run horizon stops them.  Deterministic when ``rng`` is
+    seeded (jitters the inter-query think time the way clients jitter
+    theirs).
     """
+    if len(domains) != 1:
+        raise ValueError(f"a reader queries one provenance domain (got {domains!r})")
+    plans = SimpleDBQueryPlans(account, DomainRouter(domains[0]))
+    shapes = {
+        "q1": lambda: plans.q1_plan(),
+        "q2": lambda: plans.q2_uuid_plan(target_uuid or min(watch.flushed, default="")),
+        "q3": lambda: plans.q3_plan(program),
+        "q4": lambda: plans.q4_plan(program),
+    }
+    unknown = [kind for kind in queries if kind not in shapes]
+    if unknown:
+        raise ValueError(f"unknown reader queries {unknown!r}")
     rng = rng if rng is not None else random.Random(0)
     tracer = account.telemetry.tracer
     staleness_gauge = account.telemetry.metrics.gauge(
@@ -451,18 +375,12 @@ def reader_process(
             # multi-page query must not mask staleness of the writes
             # the store had already acknowledged when the query began.
             flushed_set = set(watch.flushed)
+            answer = yield from shapes[kind]()
+            sample = ReaderSample(t=round(started, 6), query=kind, rows=len(answer))
             if kind == "q1":
-                rows = yield from _reader_q1(account, domains)
-                visible_uuids = {
-                    NodeRef.parse(name).uuid
-                    for name, _ in rows
-                }
-                visible = len(flushed_set & visible_uuids)
-                sample = ReaderSample(
-                    t=round(started, 6), query=kind, rows=len(rows),
-                    flushed=len(flushed_set), visible=visible,
-                )
-                samples.append(sample)
+                visible_uuids = {ref.uuid for ref in answer.refs()}
+                sample.flushed = len(flushed_set)
+                sample.visible = len(flushed_set & visible_uuids)
                 if tracer.enabled:
                     # First observation of each traced uuid closes its
                     # record lifecycle; staleness then falls out as the
@@ -471,25 +389,7 @@ def reader_process(
                     for uuid in sorted(visible_uuids):
                         tracer.mark_first(uuid, READ_FIRST, observed_at)
                 staleness_gauge.set(sample.stale)
-            elif kind == "q2":
-                uuid = target_uuid or (sorted(watch.flushed)[0]
-                                       if watch.flushed else "")
-                rows = (yield from _reader_q2(account, domains, uuid)) if uuid else []
-                samples.append(ReaderSample(
-                    t=round(started, 6), query=kind, rows=len(rows),
-                ))
-            elif kind == "q3":
-                outputs = yield from _reader_q3(account, domains, program)
-                samples.append(ReaderSample(
-                    t=round(started, 6), query=kind, rows=len(outputs),
-                ))
-            elif kind == "q4":
-                closure = yield from _reader_q4(account, domains, program)
-                samples.append(ReaderSample(
-                    t=round(started, 6), query=kind, rows=len(closure),
-                ))
-            else:
-                raise ValueError(f"unknown reader query {kind!r}")
+            samples.append(sample)
             query_counter.inc()
             yield Delay(interval_s * rng.uniform(0.5, 1.5))
 
@@ -664,10 +564,12 @@ class P3FleetRun:
     def settled_fingerprint(self) -> FleetOutcome:
         """Settle the store, give the readers a final beat over it, and
         fingerprint it: the raw Q1 rows, the engine's Q2/Q3/Q4, what
-        those queries billed, and :func:`store_fingerprint`.  Closes the
-        account."""
+        those queries billed, and :func:`store_fingerprint`.  Raises
+        AssertionError if a reader query started after the settle
+        answered differently from the engine.  Closes the account."""
         account, protocol, billing = self.account, self.protocol, self.account.billing
         account.settle(120.0)
+        settled_at = account.now
         self.kernel.run(until=account.now + 2 * READER_INTERVAL_S)
 
         engine = SimpleDBQueryEngine(
@@ -683,6 +585,15 @@ class P3FleetRun:
             billing.operation_count() - ops_before,
             billing.bytes_received() + billing.bytes_transmitted() - bytes_before,
         )
+        # The readers run the engine's plans: over the settled store their
+        # answers must be the engine's, to the row.
+        expected = {"q1": len(q1_rows), "q3": len(q3)}
+        for sample in self.samples:
+            if sample.t >= settled_at and sample.rows != expected[sample.query]:
+                raise AssertionError(
+                    f"reader {sample.query} at t={sample.t} saw {sample.rows} "
+                    f"rows over the settled store, the engine {expected[sample.query]}"
+                )
         fingerprint = store_fingerprint(account, queue_urls=[protocol.queue_url])
         outcome = FleetOutcome(
             answers=(repr(q1_rows), repr(q2), repr(q3), repr(q4)),

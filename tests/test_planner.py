@@ -18,7 +18,7 @@ import pytest
 
 from repro.cloud.account import CloudAccount
 from repro.cloud.consistency import ConsistencyModel
-from repro.query.engine import ShardedSimpleDBQueryEngine, SimpleDBQueryEngine
+from repro.query.engine import SimpleDBQueryEngine
 from repro.service import IngestGateway, ShardRouter
 from repro.service.bloom import BloomFilter, ShardBloomIndex
 from repro.workloads.fleet import FLEET_PROGRAM, make_fleet, run_fleet
@@ -229,15 +229,16 @@ class TestBloomFilter:
             BloomFilter(hashes=0)
 
     def test_shard_index_separates_domains_and_token_kinds(self):
-        index = ShardBloomIndex(["s0", "s1"])
+        index = ShardBloomIndex()
         index.note_items("s0", [("x_0", [("type", "file")])])
+        index.note_items("s1", [("y_0", [("type", "proc")])])
         assert index.might_contain_name("s0", "x_0")
         assert not index.might_contain_name("s1", "x_0")
         assert index.might_contain_value("s0", "type", "file")
         assert not index.might_contain_value("s1", "type", "file")
         # A name token never answers for a value probe (tag separation).
         assert not index.might_contain_value("s0", "x_0", "")
-        # Unknown domains stay conservative: might match.
+        # Domains this index never wrote stay conservative: might match.
         assert index.might_contain_name("elsewhere", "x_0")
         assert index.might_contain_any_value("elsewhere", "a", ["v"])
         assert index.memory_bytes() > 0
@@ -248,7 +249,8 @@ class TestBloomFilter:
         return byte-identical rows to full fan-out, because every
         contacted shard re-verifies through the select itself."""
         account = CloudAccount(seed=5)
-        router = ShardRouter(shards=3, bloom_size_bits=8, bloom_hashes=1)
+        router = ShardRouter(shards=3)
+        router.bloom = ShardBloomIndex(size_bits=8, hashes=1)
         gateway = IngestGateway(account, router)
         run_fleet(
             account,
@@ -258,8 +260,9 @@ class TestBloomFilter:
         )
         account.settle(120.0)
         assert router.bloom.filter_for(router.domains[0]).fill_ratio() > 0.5
-        tiny = ShardedSimpleDBQueryEngine(account, router)
-        naive = ShardedSimpleDBQueryEngine(account, router, bloom_routing=False)
+        tiny = SimpleDBQueryEngine(account, router=router)
+        # A router that wrote nothing prunes nothing: full fan-out.
+        naive = SimpleDBQueryEngine(account, router=ShardRouter(shards=3))
         t4, _ = tiny.q4_all_descendants(FLEET_PROGRAM)
         n4, _ = naive.q4_all_descendants(FLEET_PROGRAM)
         assert repr(t4) == repr(n4)
@@ -296,36 +299,3 @@ class TestRiders:
             if key.startswith("sdb.index.memory_bytes")
         ]
         assert values and values[0] > 0
-
-    def test_in_chunk_is_tunable_per_engine(self):
-        account = CloudAccount(seed=5)
-        router = ShardRouter(shards=2)
-        gateway = IngestGateway(account, router)
-        run_fleet(
-            account,
-            gateway,
-            make_fleet(clients=5, files_per_client=3, seed=5),
-            seed=5,
-        )
-        account.settle(120.0)
-        small = ShardedSimpleDBQueryEngine(account, router, in_chunk=2)
-        wide = ShardedSimpleDBQueryEngine(account, router)
-        assert wide.in_chunk == 20
-        s4, _ = small.q4_all_descendants(FLEET_PROGRAM)
-        w4, _ = wide.q4_all_descendants(FLEET_PROGRAM)
-        assert repr(s4) == repr(w4)
-        assert len(s4) > 2
-        # Smaller chunks, more selects — same bytes of answer.
-        issued_small = (
-            small.fanout.fanned_out_selects
-            + small.fanout.single_shard_chunks
-        )
-        issued_wide = (
-            wide.fanout.fanned_out_selects + wide.fanout.single_shard_chunks
-        )
-        assert issued_small > issued_wide
-
-    def test_in_chunk_validation(self):
-        account = _account()
-        with pytest.raises(ValueError):
-            SimpleDBQueryEngine(account, in_chunk=0)

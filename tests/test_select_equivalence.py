@@ -8,7 +8,7 @@ the ``use_indexes=False`` scan fallback.
 """
 
 from repro.cloud.account import CloudAccount
-from repro.query.engine import ShardedSimpleDBQueryEngine, SimpleDBQueryEngine
+from repro.query.engine import SimpleDBQueryEngine
 from repro.service import IngestGateway, ShardRouter
 from repro.workloads import make_blast_workload, run_microbenchmark
 from repro.workloads.fleet import FLEET_PROGRAM, make_fleet, run_fleet
@@ -68,7 +68,7 @@ def test_multitenant_sharded_queries_identical_indexed_vs_scan():
     fleet = make_fleet(clients=8, files_per_client=3, seed=3)
     run_fleet(account, gateway, fleet, seed=3)
     account.settle(120.0)
-    engine = ShardedSimpleDBQueryEngine(account, router)
+    engine = SimpleDBQueryEngine(account, router=router)
     target = "/mnt/s3/fleet/c0000/f000.dat"
 
     account.simpledb.use_indexes = True

@@ -11,7 +11,7 @@ from repro.core.protocol_base import PROVENANCE_DOMAIN, DomainRouter, UploadMode
 from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
 from repro.provenance.graph import NodeRef
 from repro.provenance.syscalls import TraceBuilder
-from repro.query.engine import ShardedSimpleDBQueryEngine, SimpleDBQueryEngine
+from repro.query.engine import SimpleDBQueryEngine
 from repro.service import IngestGateway, LRUCache, ShardRouter
 from repro.sim import Batch, Delay, run_plan_phased
 from repro.workloads.base import MOUNT
@@ -196,7 +196,7 @@ class TestFleetDeterminism:
         fleet = make_fleet(clients=6, files_per_client=3, seed=seed)
         result = run_fleet(account, gateway, fleet, seed=seed)
         account.settle(60.0)
-        engine = ShardedSimpleDBQueryEngine(account, router)
+        engine = SimpleDBQueryEngine(account, router=router)
         q2, _ = engine.q2_object_provenance(fleet[0].works[0].primary.path)
         q3, _ = engine.q3_direct_outputs(FLEET_PROGRAM)
         q4, _ = engine.q4_all_descendants(FLEET_PROGRAM)
@@ -372,10 +372,7 @@ class TestRoutedProtocols:
         fs.run(_pipeline_trace())
         fs.finalize()
         account.settle(120.0)
-        if router is not None and len(router.domains) > 1:
-            engine = ShardedSimpleDBQueryEngine(account, router)
-        else:
-            engine = SimpleDBQueryEngine(account)
+        engine = SimpleDBQueryEngine(account, router=router)
         q2, _ = engine.q2_object_provenance(f"{MOUNT}pipe/stage2.out")
         q4, _ = engine.q4_all_descendants("generate")
         return repr((q2, q4))

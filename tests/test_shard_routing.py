@@ -14,8 +14,10 @@ fan-to-every-shard engine, Bloom pruning included.
 
 from typing import Dict, List, Sequence, Tuple
 
+import pytest
+
 from repro.cloud.account import CloudAccount
-from repro.query.engine import ShardedSimpleDBQueryEngine
+from repro.query.engine import SimpleDBQueryEngine
 from repro.service import IngestGateway, ShardRouter
 from repro.workloads.fleet import FLEET_PROGRAM, make_fleet, run_fleet
 
@@ -42,18 +44,26 @@ def _chains_delta(account, before) -> Dict[str, int]:
     }
 
 
-class _NaiveFanoutEngine(ShardedSimpleDBQueryEngine):
+class _NaiveFanoutRouter(ShardRouter):
     """The pre-routing behaviour: every itemName chunk to every shard."""
 
-    def _domains_for_names(
+    def domains_for_names(
         self, names: Sequence[str]
     ) -> List[Tuple[str, List[str]]]:
-        return [(domain, list(names)) for domain in self._domains()]
+        return [(domain, list(names)) for domain in self.domains]
+
+
+def _full_fanout(account, router) -> SimpleDBQueryEngine:
+    """The full-fan-out reference: a router that wrote nothing has no
+    Bloom filters, so it prunes no shard."""
+    return SimpleDBQueryEngine(
+        account, router=ShardRouter(router.base_domain, router.shards)
+    )
 
 
 def test_itemname_rooted_chunks_hit_exactly_one_shard():
     account, router = _fixture()
-    engine = ShardedSimpleDBQueryEngine(account, router)
+    engine = SimpleDBQueryEngine(account, router=router)
     before = dict(account.simpledb.select_stats.chains_by_domain)
     answer, _ = engine.q2_version_range(TARGET, 0, 3)
     assert answer  # the target's provenance is really there
@@ -66,7 +76,7 @@ def test_itemname_rooted_chunks_hit_exactly_one_shard():
 
 def test_non_rooted_queries_still_fan_out():
     account, router = _fixture()
-    engine = ShardedSimpleDBQueryEngine(account, router, bloom_routing=False)
+    engine = _full_fanout(account, router)
     before = dict(account.simpledb.select_stats.chains_by_domain)
     q3, _ = engine.q3_direct_outputs(FLEET_PROGRAM)
     assert q3
@@ -85,8 +95,8 @@ def test_bloom_routing_matches_naive_fanout_answers():
     filters admit every shard — the fan-out only shrinks when a probed
     value is provably absent, which the next test pins.)"""
     account, router = _fixture()
-    bloom = ShardedSimpleDBQueryEngine(account, router)
-    naive = ShardedSimpleDBQueryEngine(account, router, bloom_routing=False)
+    bloom = SimpleDBQueryEngine(account, router=router)
+    naive = _full_fanout(account, router)
     b3, _ = bloom.q3_direct_outputs(FLEET_PROGRAM)
     n3, _ = naive.q3_direct_outputs(FLEET_PROGRAM)
     assert repr(b3) == repr(n3)
@@ -102,7 +112,7 @@ def test_bloom_routing_prunes_absent_values_to_zero_selects():
     from the Bloom filters (no select chains started anywhere), and an
     itemName chunk past the object's last version is dropped whole."""
     account, router = _fixture()
-    engine = ShardedSimpleDBQueryEngine(account, router)
+    engine = SimpleDBQueryEngine(account, router=router)
     before = dict(account.simpledb.select_stats.chains_by_domain)
     q3, _ = engine.q3_direct_outputs("no-such-program")
     assert q3 == []
@@ -118,8 +128,10 @@ def test_bloom_routing_prunes_absent_values_to_zero_selects():
 
 def test_routed_answers_byte_identical_to_naive_fanout():
     account, router = _fixture()
-    routed = ShardedSimpleDBQueryEngine(account, router)
-    naive = _NaiveFanoutEngine(account, router)
+    routed = SimpleDBQueryEngine(account, router=router)
+    naive = SimpleDBQueryEngine(
+        account, router=_NaiveFanoutRouter(shards=len(router.domains))
+    )
 
     routed_answer, _ = routed.q2_version_range(TARGET, 0, 3)
     before = dict(account.simpledb.select_stats.chains_by_domain)
@@ -134,7 +146,7 @@ def test_version_range_covers_q2_on_single_version_objects():
     """A range spanning every version of the object returns exactly the
     full Q2 answer (merged attributes, same order)."""
     account, router = _fixture()
-    engine = ShardedSimpleDBQueryEngine(account, router)
+    engine = SimpleDBQueryEngine(account, router=router)
     full, _ = engine.q2_object_provenance(TARGET)
     ranged, _ = engine.q2_version_range(TARGET, 0, 3)
     assert repr(ranged) == repr(full)
@@ -147,8 +159,109 @@ def test_single_shard_router_degenerates_cleanly():
     fleet = make_fleet(clients=3, files_per_client=2, seed=5)
     run_fleet(account, gateway, fleet, seed=5)
     account.settle(120.0)
-    engine = ShardedSimpleDBQueryEngine(account, router)
+    engine = SimpleDBQueryEngine(account, router=router)
     ranged, _ = engine.q2_version_range(TARGET, 0, 3)
     full, _ = engine.q2_object_provenance(TARGET)
     assert repr(ranged) == repr(full)
     assert engine.fanout.single_shard_chunks >= 1
+
+
+# -- Bloom routing across restarts and writers -------------------------------
+#
+# A router's Bloom filters live in its process and know only its own
+# writes.  A shard the router never wrote has no filter and is never
+# pruned, so a fresh router over a store it did not fill — a reopened
+# local root, a second router over the same account — fans out and
+# answers right.  A shard that a router wrote *after* another writer
+# filled it is pruned on that router's writes alone: still wrong.
+
+def _open(backend, root, seed=5):
+    if backend == "local":
+        return CloudAccount(seed=seed, backend="local", backend_root=str(root))
+    return CloudAccount(seed=seed)
+
+
+def _write(account, router, clients, seed=5):
+    run_fleet(account, IngestGateway(account, router), clients, seed=seed)
+    account.settle(120.0)
+
+
+def _answers(account, router, fleet):
+    """Q3, Q4 and every fleet file's version-range Q2 through ``router``."""
+    engine = SimpleDBQueryEngine(account, router=router)
+    q3, _ = engine.q3_direct_outputs(FLEET_PROGRAM)
+    q4, _ = engine.q4_all_descendants(FLEET_PROGRAM)
+    q2 = [
+        engine.q2_version_range(path, 0, 3)[0]
+        for client in fleet
+        for path in client.file_paths()
+    ]
+    return q3, q4, q2
+
+
+def _assert_full_fanout_answers(account, router, fleet):
+    routed = _answers(account, router, fleet)
+    full = _answers(account, ShardRouter(router.base_domain, router.shards), fleet)
+    assert repr(routed) == repr(full)
+    q3, _q4, q2 = routed
+    assert len(q3) == sum(len(client.works) for client in fleet)
+    assert all(q2)
+
+
+@pytest.mark.parametrize("backend", ["sim", "local"])
+@pytest.mark.parametrize("shards", [1, 2])
+def test_second_router_over_a_filled_store_fans_out(backend, shards, tmp_path):
+    fleet = make_fleet(clients=4, files_per_client=2, seed=5)
+    account = _open(backend, tmp_path)
+    _write(account, ShardRouter(shards=shards), fleet)
+    _assert_full_fanout_answers(account, ShardRouter(shards=shards), fleet)
+    account.close()
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_router_over_a_reopened_store_fans_out(shards, tmp_path):
+    fleet = make_fleet(clients=4, files_per_client=2, seed=5)
+    account = _open("local", tmp_path)
+    _write(account, ShardRouter(shards=shards), fleet)
+    account.close()
+    reopened = _open("local", tmp_path)
+    reopened.settle(120.0)
+    _assert_full_fanout_answers(reopened, ShardRouter(shards=shards), fleet)
+    reopened.close()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: a router's filters know only its own writes",
+)
+@pytest.mark.parametrize("shards", [1, 2])
+def test_reopen_then_write_through_the_new_router(shards, tmp_path):
+    fleet = make_fleet(clients=6, files_per_client=2, seed=5)
+    account = _open("local", tmp_path)
+    _write(account, ShardRouter(shards=shards), fleet[:4])
+    account.close()
+    reopened = _open("local", tmp_path)
+    router = ShardRouter(shards=shards)
+    _write(reopened, router, fleet[4:])
+    try:
+        _assert_full_fanout_answers(reopened, router, fleet)
+    finally:
+        reopened.close()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: a router's filters know only its own writes",
+)
+@pytest.mark.parametrize("backend", ["sim", "local"])
+@pytest.mark.parametrize("shards", [1, 2])
+def test_two_writers_over_one_store(backend, shards, tmp_path):
+    fleet = make_fleet(clients=6, files_per_client=2, seed=5)
+    account = _open(backend, tmp_path)
+    _write(account, ShardRouter(shards=shards), fleet[:3])
+    second = ShardRouter(shards=shards)
+    _write(account, second, fleet[3:])
+    try:
+        _assert_full_fanout_answers(account, second, fleet)
+    finally:
+        account.close()
