@@ -34,7 +34,7 @@ SLO_P99_S = 30.0
 #: sha256 of the sweep's sorted-key telemetry section, less the
 #: interpreter gauges (``conftest.INTERPRETER_GAUGES``).
 TELEMETRY_SHA256 = (
-    "2d17ca1e0c07d470c06c9631b83540a462ebf17938cddd72b9797046ca10f19b"
+    "5c19cec320d62811d225ef9aec0d4836de1ebbd69cae1221cf2745df52a9617f"
 )
 
 

@@ -23,7 +23,7 @@ SLO_P99_S = 30.0
 #: sha256 of the sweep's sorted-key telemetry section, less the
 #: interpreter gauges (``conftest.INTERPRETER_GAUGES``).
 TELEMETRY_SHA256 = (
-    "7b7b1ab8564f56fd915792f74b86193bf74ff76a77ee2c9ef1a459e9ae63f3ad"
+    "b5a210519e4f16fec93fa3b31e98d7fe01a4a17f27b24a66d9b1637343802a32"
 )
 
 

@@ -147,15 +147,6 @@ class SqliteRegister:
             WriteVersion(_decode_attrs(a), c, v, bool(d)) for a, c, v, d in rows
         ]
 
-    def ever_written(self) -> bool:
-        return (
-            self._conn.execute(
-                "SELECT 1 FROM sdb_versions WHERE domain = ? AND item = ? LIMIT 1",
-                (self._domain, self._item),
-            ).fetchone()
-            is not None
-        )
-
 
 class SqliteRegistry:
     """The dict-of-registers view one domain's service code sees,

@@ -1493,27 +1493,22 @@ def range_query(
 
 
 # ==========================================================================
-# Cost planner + Bloom shard routing — the planner_fanout experiment
+# Cost planner over sharded fan-out — the planner_fanout experiment
 # ==========================================================================
 
 @dataclass
 class PlannerFanoutCell:
-    """One query's routing cost, Bloom-routed vs full fan-out."""
+    """One query's cost through the sharded engine."""
 
     query: str
     rows: int
-    #: Attribute-rooted chunk x domain select chains actually issued.
-    naive_selects: int
-    bloom_selects: int
-    #: chunk x domain chains the Bloom filters proved unnecessary.
-    bloom_skipped: int
+    #: Attribute-rooted chunk x domain select chains issued: every chunk
+    #: visits every shard.
+    selects: int
     #: Billed ``Select`` operations (all select chains incl. pages).
-    naive_ops: int
-    bloom_ops: int
-    naive_wall_s: float
-    bloom_wall_s: float
-    #: Rows and billed bytes byte-identical between the two routings.
-    identical: bool
+    ops: int
+    bytes_moved: int
+    wall_s: float
 
 
 @dataclass
@@ -1540,20 +1535,12 @@ class PlannerFanoutPoint:
     #: planner modes (the byte-identity acceptance criterion).
     billing_identical: bool
 
-    def cell(self, query: str) -> PlannerFanoutCell:
-        for cell in self.cells:
-            if cell.query == query:
-                return cell
-        raise KeyError(query)
-
 
 @dataclass
 class PlannerFanoutResult:
     points: List[PlannerFanoutPoint]
     repeats: int
-    title: str = (
-        "Planner fan-out: Bloom shard pruning + cost planner vs baselines"
-    )
+    title: str = "Planner fan-out: sharded Q3/Q4 and the cost planner vs scan"
     telemetry: Dict[str, object] = field(default_factory=dict)
 
     def render(self) -> str:
@@ -1566,19 +1553,16 @@ class PlannerFanoutResult:
                         point.children,
                         cell.query,
                         cell.rows,
-                        cell.naive_selects,
-                        cell.bloom_selects,
-                        cell.bloom_skipped,
-                        f"{1e3 * cell.naive_wall_s:.2f}",
-                        f"{1e3 * cell.bloom_wall_s:.2f}",
-                        "yes" if cell.identical else "NO",
+                        cell.selects,
+                        cell.ops,
+                        cell.bytes_moved,
+                        f"{1e3 * cell.wall_s:.2f}",
                     )
                 )
         fanout = render_table(
             (
-                "Shards", "Children", "Query", "Rows", "Naive sel",
-                "Bloom sel", "Skipped", "Naive (ms)", "Bloom (ms)",
-                "Identical",
+                "Shards", "Children", "Query", "Rows", "Fan-out sel",
+                "Select ops", "Bytes", "Wall (ms)",
             ),
             rows,
             title=self.title,
@@ -1620,14 +1604,10 @@ class PlannerFanoutResult:
                         {
                             "query": cell.query,
                             "rows": cell.rows,
-                            "naive_selects": cell.naive_selects,
-                            "bloom_selects": cell.bloom_selects,
-                            "bloom_skipped": cell.bloom_skipped,
-                            "naive_ops": cell.naive_ops,
-                            "bloom_ops": cell.bloom_ops,
-                            "naive_wall_s": cell.naive_wall_s,
-                            "bloom_wall_s": cell.bloom_wall_s,
-                            "identical": cell.identical,
+                            "selects": cell.selects,
+                            "ops": cell.ops,
+                            "bytes": cell.bytes_moved,
+                            "wall_s": cell.wall_s,
                         }
                         for cell in point.cells
                     ],
@@ -1655,8 +1635,7 @@ def _planner_fanout_items(
     program's proc item outputs ``files`` first-generation files, each
     of which derives ``children`` second-generation files.  The
     second-generation leaves are derived from nothing further, so Q4's
-    last frontier probes values no shard ever ingested — the case Bloom
-    routing collapses to zero selects."""
+    last frontier probes values no shard holds and finds nothing."""
     items: List[Tuple[str, List[Tuple[str, str]]]] = []
     for p in range(programs):
         proc = f"proc{p:03d}_0"
@@ -1674,8 +1653,8 @@ def _planner_fanout_items(
 
 def _load_routed_domain(account, router, items) -> None:
     """Populate the shard domains the way the routed write pipeline
-    does: group items by the owning shard (uuid hash) and feed the
-    router's Bloom index alongside each batch put."""
+    does: group items by the owning shard (uuid hash), then batch-put
+    each group into its domain."""
     grouped: Dict[str, List[Tuple[str, List[Tuple[str, str]]]]] = {}
     for name, pairs in items:
         uuid = name.rpartition("_")[0] or name
@@ -1684,7 +1663,6 @@ def _load_routed_domain(account, router, items) -> None:
         account.simpledb.create_domain(domain)
     requests = []
     for domain, group in grouped.items():
-        router.note_indexed_items(domain, group)
         requests.extend(
             account.simpledb.batch_put_request(domain, group[i : i + 25])
             for i in range(0, len(group), 25)
@@ -1708,6 +1686,22 @@ def _timed_best(fn: Callable[[], object], repeats: int):
     return out, best
 
 
+def _metered_query(account, engine, run: Callable[[], object]):
+    """Run one query once: its answer, and the fan-out select chains,
+    billed ``Select`` operations and bytes it cost."""
+    billing = account.billing
+    selects = engine.fanout.fanned_out_selects
+    ops = billing.snapshot()["simpledb"].get("Select", 0)
+    moved = billing.bytes_received() + billing.bytes_transmitted()
+    answer = run()
+    return (
+        answer,
+        engine.fanout.fanned_out_selects - selects,
+        billing.snapshot()["simpledb"]["Select"] - ops,
+        billing.bytes_received() + billing.bytes_transmitted() - moved,
+    )
+
+
 def planner_fanout(
     shard_counts: Sequence[int] = (1, 2, 4),
     children_counts: Sequence[int] = (2, 6),
@@ -1716,119 +1710,54 @@ def planner_fanout(
     repeats: int = 3,
     seed: int = 0,
 ) -> PlannerFanoutResult:
-    """The cost-planner + Bloom-routing experiment: attribute-rooted
-    Q3/Q4 over provenance trees spread across N shards.
+    """The cost-planner experiment: attribute-rooted Q3/Q4 over
+    provenance trees spread across N shards.
 
-    Two baselines against the production configuration:
-
-    - **Routing axis** — the same queries through a Bloom-routed engine
-      and a full-fan-out engine.  Rows and billed bytes must be
-      byte-identical; the Bloom engine must issue strictly fewer
-      attribute-rooted select chains wherever a probed frontier is
-      provably absent from some shard (Q4's leaf frontier always is).
-    - **Planner axis** — the same Q4 under the cost planner and the
-      index-off scan.  Rows, ``Select`` operations, and billed bytes
-      must be identical across both: planning moves Python cost, never
-      answers or billing.
+    Routing is the uuid hash alone, which cannot place a value lookup,
+    so every attribute-rooted chunk visits every shard: a cell's select
+    chains grow with the shard count while its rows and bytes do not.
+    The planner axis runs the same Q4 under the cost planner and the
+    index-off scan; rows, ``Select`` operations, and billed bytes must
+    be identical across both — planning moves Python cost, never
+    answers or billing.
     """
     points: List[PlannerFanoutPoint] = []
     account = None
+    target = "prog-000"
     for shards in shard_counts:
         for children in children_counts:
             account = CloudAccount(seed=seed)
-            sdb = account.simpledb
             router = ShardRouter(shards=shards)
             items = _planner_fanout_items(programs, files, children)
             _load_routed_domain(account, router, items)
-
-            bloom_engine = SimpleDBQueryEngine(account, router=router)
-            # A router that wrote nothing has no Bloom filters, so it
-            # prunes nothing: the full-fan-out reference.
-            naive_engine = SimpleDBQueryEngine(
-                account, router=ShardRouter(shards=shards)
-            )
-            target = "prog-000"
+            engine = SimpleDBQueryEngine(account, router=router)
             queries = {
-                "q3": lambda engine: engine.q3_direct_outputs(target)[0],
-                "q4": lambda engine: engine.q4_all_descendants(target)[0],
+                "q3": lambda: engine.q3_direct_outputs(target)[0],
+                "q4": lambda: engine.q4_all_descendants(target)[0],
             }
             cells: List[PlannerFanoutCell] = []
             for query_name, run in queries.items():
-                per_engine = {}
-                for mode, engine in (
-                    ("naive", naive_engine), ("bloom", bloom_engine)
-                ):
-                    fanned_before = engine.fanout.fanned_out_selects
-                    skipped_before = engine.fanout.bloom_skipped_selects
-                    ops_before = account.billing.snapshot()["simpledb"].get(
-                        "Select", 0
-                    )
-                    bytes_before = (
-                        account.billing.bytes_received()
-                        + account.billing.bytes_transmitted()
-                    )
-                    answer = run(engine)
-                    per_engine[mode] = {
-                        "rows": answer,
-                        "selects": (
-                            engine.fanout.fanned_out_selects - fanned_before
-                        ),
-                        "skipped": (
-                            engine.fanout.bloom_skipped_selects
-                            - skipped_before
-                        ),
-                        "ops": account.billing.snapshot()["simpledb"]["Select"]
-                        - ops_before,
-                        "bytes": account.billing.bytes_received()
-                        + account.billing.bytes_transmitted()
-                        - bytes_before,
-                    }
-                    _, wall = _timed_best(lambda: run(engine), repeats)
-                    per_engine[mode]["wall"] = wall
-                naive, bloom = per_engine["naive"], per_engine["bloom"]
+                answer, selects, ops, moved = _metered_query(account, engine, run)
+                _, wall = _timed_best(run, repeats)
                 cells.append(
                     PlannerFanoutCell(
                         query=query_name,
-                        rows=len(bloom["rows"]),
-                        naive_selects=naive["selects"],
-                        bloom_selects=bloom["selects"],
-                        bloom_skipped=bloom["skipped"],
-                        naive_ops=naive["ops"],
-                        bloom_ops=bloom["ops"],
-                        naive_wall_s=naive["wall"],
-                        bloom_wall_s=bloom["wall"],
-                        identical=(
-                            repr(naive["rows"]) == repr(bloom["rows"])
-                            and naive["bytes"] == bloom["bytes"]
-                        ),
+                        rows=len(answer),
+                        selects=selects,
+                        ops=ops,
+                        bytes_moved=moved,
+                        wall_s=wall,
                     )
                 )
 
             modes: List[PlannerModeCell] = []
             fingerprints = []
             for planner in ("cost", "scan"):
-                sdb.use_indexes = planner == "cost"
-                ops_before = account.billing.snapshot()["simpledb"].get(
-                    "Select", 0
+                account.simpledb.use_indexes = planner == "cost"
+                answer, _, ops, moved = _metered_query(
+                    account, engine, queries["q4"]
                 )
-                bytes_before = (
-                    account.billing.bytes_received()
-                    + account.billing.bytes_transmitted()
-                )
-                answer = bloom_engine.q4_all_descendants(target)[0]
-                ops = (
-                    account.billing.snapshot()["simpledb"]["Select"]
-                    - ops_before
-                )
-                moved = (
-                    account.billing.bytes_received()
-                    + account.billing.bytes_transmitted()
-                    - bytes_before
-                )
-                _, wall = _timed_best(
-                    lambda: bloom_engine.q4_all_descendants(target)[0],
-                    repeats,
-                )
+                _, wall = _timed_best(queries["q4"], repeats)
                 fingerprints.append((repr(answer), ops, moved))
                 modes.append(
                     PlannerModeCell(
@@ -1839,7 +1768,7 @@ def planner_fanout(
                         wall_s=wall,
                     )
                 )
-            sdb.use_indexes = True
+            account.simpledb.use_indexes = True
 
             points.append(
                 PlannerFanoutPoint(

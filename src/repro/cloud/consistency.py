@@ -120,9 +120,6 @@ class VersionedRegister(Generic[T]):
         """All writes in commit order (for property checkers)."""
         return sorted(self._history, key=lambda v: v.committed_at)
 
-    def ever_written(self) -> bool:
-        return bool(self._history)
-
 
 @dataclass
 class ConsistencyEngine:

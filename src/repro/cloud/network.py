@@ -263,11 +263,3 @@ class ParallelScheduler:
             heapq.heappush(pool, done)
             end = max(end, done)
         return end
-
-
-def effective_bandwidth(
-    profile: ServiceProfile, env: EnvironmentProfile, active_connections: int = 1
-) -> float:
-    """Best-case bytes/second for one transfer (NIC- or stream-capped)."""
-    del active_connections  # transfers serialize through the NIC instead
-    return max(1.0, min(profile.per_connection_bw, env.nic_bw))

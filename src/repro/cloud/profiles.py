@@ -233,10 +233,6 @@ class SimulationProfile:
         """Return a copy of this profile running in a different environment."""
         return replace(self, environment=env)
 
-    def with_period(self, period: PeriodProfile) -> "SimulationProfile":
-        """Return a copy of this profile measured in a different period."""
-        return replace(self, period=period)
-
 
 ENVIRONMENTS = {"ec2": EC2_ENV, "uml": UML_ENV, "local": LOCAL_ENV}
 PERIODS = {"sep09": SEP09, "dec09": DEC09}

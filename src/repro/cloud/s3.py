@@ -347,8 +347,3 @@ class S3Service:
             if version is not None and not version.deleted:
                 result.append(key)
         return sorted(result)
-
-    def ever_existed(self, bucket: str, key: str) -> bool:
-        """Whether any write (including later-deleted) hit this key."""
-        register = self._buckets.get(bucket, {}).get(key)
-        return register is not None and register.ever_written()

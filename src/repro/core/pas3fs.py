@@ -71,10 +71,6 @@ class RunResult:
     def mb_transmitted(self) -> float:
         return self.bytes_transmitted / (1024.0 * 1024.0)
 
-    @property
-    def mb_received(self) -> float:
-        return self.bytes_received / (1024.0 * 1024.0)
-
 
 def stage_inputs(
     account: CloudAccount,

@@ -50,8 +50,10 @@ class DomainRouter:
     per-domain (§5's domain-limit discussion), so routing is the scaling
     unit.  Protocols, the commit daemon, and the query engines all accept
     a router so the storage scheme stays consistent end to end: writes
-    ask it where an item goes, and queries ask it which domains they
-    must visit (``domains_for_names`` / ``domains_for_values``).
+    and item-name reads ask :meth:`domain_for` where an item lives, and
+    attribute-rooted reads visit every one of :attr:`domains`.  Routing
+    is a pure function of the uuid: a router holds no state about what
+    was written, so every router of one layout answers alike.
     """
 
     def __init__(self, domain: str = PROVENANCE_DOMAIN):
@@ -69,17 +71,13 @@ class DomainRouter:
     def domains_for_names(
         self, names: Sequence[str]
     ) -> List[Tuple[str, List[str]]]:
-        """Item names grouped by the domain that owns them, in first-touch
-        order.  A group comes back empty when the router can prove its
-        domain holds none of those names; the base router never can."""
-        return [(self._domain, list(names))]
-
-    def domains_for_values(
-        self, attribute: str, values: Sequence[str]
-    ) -> Sequence[str]:
-        """Domains that might hold an item whose ``attribute`` equals any
-        of ``values``: every domain the router cannot rule out."""
-        return self.domains
+        """``uuid_version`` item names grouped by the domain owning their
+        uuid, in first-touch order; no group is empty."""
+        grouped: Dict[str, List[str]] = {}
+        for name in names:
+            uuid = name.rpartition("_")[0] or name
+            grouped.setdefault(self.domain_for(uuid), []).append(name)
+        return list(grouped.items())
 
     def group_by_domain(
         self, bundles: List[ProvenanceBundle]
@@ -95,11 +93,11 @@ class DomainRouter:
         self, domain: str, items: List[Tuple[str, List[Tuple[str, str]]]]
     ) -> None:
         """Write-path hook: the built SimpleDB items about to be put to
-        ``domain``.  ``build_routed_requests`` calls this for every
-        routed write (gateway, P2 flush, commit daemon), so a router
-        that maintains per-shard routing state — the ShardRouter's
-        Bloom filters — sees every item regardless of which tier wrote
-        it.  The base router keeps no such state: no-op."""
+        ``domain``.  ``build_routed_requests`` calls it once per shard
+        group on every routed write (gateway, P2 flush, commit daemon).
+        Routing needs nothing from it, so it does nothing; it stays as
+        the one place every tier's items pass, where the ``perf/``
+        tracer counts items and attribute pairs per shard."""
 
 
 class UploadMode(enum.Enum):

@@ -118,11 +118,8 @@ def build_routed_requests(
             for batch in plan.batches()
         )
         item_pairs += sum(len(pairs) for _, pairs in plan.items)
-        # Feed the router's per-shard routing state (the ShardRouter's
-        # Bloom filters) *before* the writes execute: an insert for a
-        # write that later crashes is a harmless false positive, while
-        # the reverse order could miss a committed item — a false
-        # negative the pruning contract forbids.
+        # The router's write-path hook: a no-op that every tier's items
+        # pass through, once per shard group (perf/ counts them here).
         router.note_indexed_items(shard, plan.items)
     return spill_requests, batch_requests, item_pairs
 

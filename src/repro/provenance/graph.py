@@ -81,9 +81,6 @@ class ProvenanceNode:
     #: Monotonic creation index, used for the fast acyclicity check.
     creation_index: int = 0
 
-    def add_attribute(self, key: str, value: str) -> None:
-        self.attributes.setdefault(key, []).append(value)
-
 
 @dataclass(frozen=True)
 class Edge:

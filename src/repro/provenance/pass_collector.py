@@ -139,9 +139,6 @@ class PassCollector:
         """The not-yet-flushed records for one object, if any."""
         return self._pending.get(uuid)
 
-    def pending_uuids(self) -> List[str]:
-        return sorted(self._pending)
-
     def pop_pending_closure(self, uuid: str) -> List[ProvenanceBundle]:
         """Remove and return the pending bundles of ``uuid`` and every
         pending ancestor it references, ordered ancestors-first.
@@ -314,17 +311,3 @@ class PassCollector:
             self._record(ProvenanceRecord(ref, "unlinked", "true"))
         self._file_sizes.pop(event.path, None)
         return [DeleteIntent(event.path, uuid)]
-
-    # -- statistics ------------------------------------------------------------------
-
-    def total_pending_bytes(self) -> int:
-        return sum(bundle.wire_size() for bundle in self._pending.values())
-
-    def all_records(self) -> List[ProvenanceRecord]:
-        """Every record still pending, ancestors unordered (used by the
-        microbenchmark tool, which captures provenance offline and then
-        replays the upload per protocol)."""
-        records: List[ProvenanceRecord] = []
-        for uuid in sorted(self._pending):
-            records.extend(self._pending[uuid].records)
-        return records

@@ -87,9 +87,6 @@ class ProvenanceBundle:
         """Total encoded bytes of the bundle."""
         return sum(record.wire_size() for record in self.records)
 
-    def is_empty(self) -> bool:
-        return not self.records
-
     def __len__(self) -> int:
         return len(self.records)
 

@@ -137,9 +137,6 @@ class VersionManager:
         state.written = True
         state.writer = process_uuid
 
-    def process_has_written(self, process_uuid: str) -> bool:
-        return self._state(process_uuid).written
-
     def version_count(self, uuid: str) -> int:
         """Number of versions created so far (current version + 1)."""
         if uuid not in self._objects:

@@ -75,8 +75,8 @@ class ShardFanoutStats:
     ``itemName()`` values go to exactly the shard owning those names
     (``single_shard_chunks``); attribute-rooted chunks cannot be routed
     — the matching items may live in any shard — so they fan out to
-    every domain the router cannot rule out (``fanned_out_selects``
-    counts each chunk x domain chain)."""
+    every domain (``fanned_out_selects`` counts each chunk x domain
+    chain)."""
 
     #: itemName-rooted IN chunks, each routed to exactly one domain.
     single_shard_chunks: int = 0
@@ -84,12 +84,6 @@ class ShardFanoutStats:
     fanned_out_selects: int = 0
     #: Select chains this engine started, per domain.
     selects_by_domain: Dict[str, int] = field(default_factory=dict)
-    #: chunk x domain selects *not* issued because the shard's Bloom
-    #: filter proved the shard cannot match (the fan-out win).
-    bloom_skipped_selects: int = 0
-    #: itemName-rooted chunks dropped whole: no name in the chunk can
-    #: exist in its owning shard.
-    bloom_skipped_chunks: int = 0
 
     def note_select(self, domain: str) -> None:
         self.selects_by_domain[domain] = (
@@ -243,9 +237,10 @@ class SimpleDBQueryPlans:
     on one connection places the request and moves the clock exactly as
     a sequential call does, so both drivers time and bill a query alike.
 
-    The router owns the routing: ``router.domains`` for Q1,
+    The router owns the routing: ``domain_for`` for Q2,
     ``domains_for_names`` for itemName-rooted chunks (Q2's version
-    range) and ``domains_for_values`` for attribute-rooted ones (Q3/Q4).
+    range), and ``router.domains`` for Q1 and the attribute-rooted
+    lookups of Q3/Q4.
     The plans only count what it decided in :attr:`fanout`; they register
     no telemetry, so a kernel reader can build them freely.
     """
@@ -349,23 +344,13 @@ class SimpleDBQueryPlans:
 
     # -- routed lookups ------------------------------------------------------
 
-    def _domains_for_values(
-        self, attribute: str, values: Sequence[str]
-    ) -> Sequence[str]:
-        kept = self.router.domains_for_values(attribute, values)
-        self.fanout.bloom_skipped_selects += len(self.router.domains) - len(kept)
-        return kept
-
     def _names_plan(self, names: Sequence[str], parallel: bool) -> Generator:
         """All visible items with the given names, fetched as chunked
         ``itemName() IN (...)`` selects.  Unlike attribute-rooted lookups
         these chunks are routable: each goes to the one domain owning its
-        names, and a group the router proves absent costs nothing."""
+        names."""
         selects: List[PreparedSelect] = []
         for domain, group in self.router.domains_for_names(names):
-            if not group:
-                self.fanout.bloom_skipped_chunks += 1
-                continue
             for start in range(0, len(group), IN_CHUNK):
                 chunk = group[start : start + IN_CHUNK]
                 selects.append(prepare_select(
@@ -382,7 +367,7 @@ class SimpleDBQueryPlans:
             prepare_select(
                 f"select * from {domain} where name = '{program}' and type = 'proc'"
             )
-            for domain in self._domains_for_values("name", (program,))
+            for domain in self.router.domains
         ])
         return [NodeRef.parse(name) for name, _ in rows]
 
@@ -391,12 +376,11 @@ class SimpleDBQueryPlans:
     ) -> Generator:
         """All items whose ``attribute`` references any of ``targets``,
         as chunked ``IN`` selects.  The referencing items may live in any
-        domain, so each chunk fans out to every domain the router cannot
-        rule out for the chunk's values."""
+        domain, so each chunk fans out to every domain."""
         selects: List[PreparedSelect] = []
         for start in range(0, len(targets), IN_CHUNK):
             chunk = [str(ref) for ref in targets[start : start + IN_CHUNK]]
-            for domain in self._domains_for_values(attribute, chunk):
+            for domain in self.router.domains:
                 selects.append(prepare_select(
                     "select * from {} where {} in ({})".format(
                         domain, attribute, ", ".join(f"'{value}'" for value in chunk)
@@ -519,11 +503,6 @@ class SimpleDBQueryEngine(SimpleDBQueryPlans):
         telemetry.metrics.gauge_fn(
             "query.fanned_out_selects",
             lambda: fanout.fanned_out_selects,
-            engine=label,
-        )
-        telemetry.metrics.gauge_fn(
-            "query.bloom_skipped_selects",
-            lambda: fanout.bloom_skipped_selects,
             engine=label,
         )
 

@@ -7,7 +7,9 @@ and the simulated cloud:
 
 - :mod:`repro.service.sharding` — :class:`ShardRouter`: stable-hash
   routing of provenance items across N SimpleDB domains (the per-domain
-  ingest ceiling of §5 is the resource being multiplied),
+  ingest ceiling of §5 is the resource being multiplied); routing is a
+  pure function of the uuid, so a restart or a second writer never hides
+  an item from a read,
 - :mod:`repro.service.gateway` — :class:`IngestGateway`: accepts
   :class:`~repro.core.protocol_base.FlushWork` from many concurrent
   clients and coalesces their ``BatchPutAttributes`` and S3 uploads
@@ -28,7 +30,6 @@ The client-fleet simulator that drives this tier lives in
 :mod:`repro.bench.experiments` (``multitenant_scaling``).
 """
 
-from repro.service.bloom import BloomFilter, ShardBloomIndex
 from repro.service.cache import CachedQueryEngine, CacheStats, LRUCache
 from repro.service.gateway import GatewayStats, IngestGateway
 from repro.service.http_frontend import ProvenanceFrontend
@@ -36,14 +37,12 @@ from repro.service.sharding import ShardRouter
 from repro.service.supervisor import Supervisor, SupervisorConfig
 
 __all__ = [
-    "BloomFilter",
     "CacheStats",
     "CachedQueryEngine",
     "GatewayStats",
     "IngestGateway",
     "LRUCache",
     "ProvenanceFrontend",
-    "ShardBloomIndex",
     "ShardRouter",
     "Supervisor",
     "SupervisorConfig",

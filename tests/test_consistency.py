@@ -35,7 +35,7 @@ class TestVersionedRegister:
     def test_read_before_any_write(self):
         register = VersionedRegister()
         assert register.read(10.0, ConsistencyModel.EVENTUAL) is None
-        assert not register.ever_written()
+        assert register.history() == []
 
     def test_strict_read_sees_commit_immediately(self):
         register = VersionedRegister()

@@ -17,7 +17,7 @@ import urllib.request
 import pytest
 
 from repro.cloud.account import CloudAccount
-from repro.service import ProvenanceFrontend, http_frontend
+from repro.service import ProvenanceFrontend, ShardRouter, http_frontend
 from repro.service.http_frontend import MAX_BODY_BYTES
 
 
@@ -300,6 +300,62 @@ class TestInputLimits:
                 ) as response:
                     assert json.loads(response.read())["status"] == "ok"
                 assert stalled.recv(1024) == b""
+        finally:
+            front.stop()
+            front.account.close()
+
+
+class TestShardedRestart:
+    """A sharded local deployment restarted and written again answers
+    Q3/Q4 over HTTP with every file, old and new: the restarted router
+    routes by uuid hash alone, so it keeps no state a restart loses."""
+
+    @staticmethod
+    def _serve(root):
+        front = ProvenanceFrontend(
+            CloudAccount(seed=11, backend="local", backend_root=str(root)),
+            router=ShardRouter(shards=2),
+        )
+        host, port = front.start()
+        return front, f"http://{host}:{port}"
+
+    @staticmethod
+    def _ingest_run(base, proc, files):
+        """One ``blastall`` process ``proc`` and the files it wrote."""
+        _post(base, "/v1/ingest", {
+            "client_id": "c0",
+            "path": f"/mnt/pass/{proc}",
+            "uuid": proc,
+            "attributes": {"type": ["proc"], "name": ["blastall"]},
+        })
+        for uuid in files:
+            _post(base, "/v1/ingest", {
+                "client_id": "c0",
+                "path": f"/mnt/pass/{uuid}.out",
+                "uuid": uuid,
+                "data": uuid,
+                "attributes": {"type": ["file"], "input": [f"{proc}_0"]},
+            })
+        _post(base, "/v1/flush", {})
+        _post(base, "/v1/settle", {"seconds": 120.0})
+
+    def test_reopen_then_ingest_answers_every_file(self, tmp_path):
+        before = [f"old-{i}" for i in range(4)]
+        after = [f"new-{i}" for i in range(4)]
+        front, base = self._serve(tmp_path)
+        self._ingest_run(base, "proc-old", before)
+        front.stop()
+        front.account.close()
+
+        front, base = self._serve(tmp_path)
+        try:
+            self._ingest_run(base, "proc-new", after)
+            every_file = sorted(f"{uuid}_0" for uuid in before + after)
+            for query in ("q3", "q4"):
+                answer = _post(
+                    base, "/v1/query", {"query": query, "arg": "blastall"}
+                )["answer"]
+                assert answer == every_file, query
         finally:
             front.stop()
             front.account.close()

@@ -1,27 +1,18 @@
 """Unit tests for the cost-based select planner and its substrate.
 
-Four layers, bottom up: the write-time selectivity statistics the cost
-model reads (incremental, delete-aware); the planner decisions
+Three layers, bottom up: the write-time selectivity statistics the
+cost model reads (incremental, delete-aware); the planner decisions
 themselves — a range indexed where a quarter-domain cutoff would have
 scanned, without changing a single row against the scan, cheapest-first
 ``AND`` ordering with verify-only skips, and the ``explain()`` plan
-dump; the per-shard Bloom filters (no false negatives ever, false
-positives harmless even when forced); and the riders — attribute
-interning, the index-memory gauge, and the per-engine ``IN`` chunk
-tunable.
+dump; and the riders — attribute interning and the index-memory gauge.
 """
 
 import random
 import sys
 
-import pytest
-
 from repro.cloud.account import CloudAccount
 from repro.cloud.consistency import ConsistencyModel
-from repro.query.engine import SimpleDBQueryEngine
-from repro.service import IngestGateway, ShardRouter
-from repro.service.bloom import BloomFilter, ShardBloomIndex
-from repro.workloads.fleet import FLEET_PROGRAM, make_fleet, run_fleet
 
 
 def _account(seed=11):
@@ -202,72 +193,6 @@ class TestCostPlanner:
         assert (
             account.billing.snapshot()["simpledb"].get("Select", 0) == billed
         )
-
-
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        bloom = BloomFilter(size_bits=2048, hashes=4)
-        tokens = [f"tok-{i}" for i in range(400)]
-        for token in tokens:
-            bloom.add(token)
-        assert all(token in bloom for token in tokens)
-        assert bloom.count == 400
-
-    def test_deterministic_across_instances(self):
-        a, b = BloomFilter(size_bits=1024), BloomFilter(size_bits=1024)
-        for token in ("x", "y", "z"):
-            a.add(token)
-            b.add(token)
-        assert a.to_bytes() == b.to_bytes()
-        b.add("w")
-        assert a.to_bytes() != b.to_bytes()
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            BloomFilter(size_bits=4)
-        with pytest.raises(ValueError):
-            BloomFilter(hashes=0)
-
-    def test_shard_index_separates_domains_and_token_kinds(self):
-        index = ShardBloomIndex()
-        index.note_items("s0", [("x_0", [("type", "file")])])
-        index.note_items("s1", [("y_0", [("type", "proc")])])
-        assert index.might_contain_name("s0", "x_0")
-        assert not index.might_contain_name("s1", "x_0")
-        assert index.might_contain_value("s0", "type", "file")
-        assert not index.might_contain_value("s1", "type", "file")
-        # A name token never answers for a value probe (tag separation).
-        assert not index.might_contain_value("s0", "x_0", "")
-        # Domains this index never wrote stay conservative: might match.
-        assert index.might_contain_name("elsewhere", "x_0")
-        assert index.might_contain_any_value("elsewhere", "a", ["v"])
-        assert index.memory_bytes() > 0
-
-    def test_forced_false_positives_never_change_answers(self):
-        """Tiny saturated filters (8 bits for a whole fleet) answer
-        "might match" for nearly everything — the engine must still
-        return byte-identical rows to full fan-out, because every
-        contacted shard re-verifies through the select itself."""
-        account = CloudAccount(seed=5)
-        router = ShardRouter(shards=3)
-        router.bloom = ShardBloomIndex(size_bits=8, hashes=1)
-        gateway = IngestGateway(account, router)
-        run_fleet(
-            account,
-            gateway,
-            make_fleet(clients=4, files_per_client=2, seed=5),
-            seed=5,
-        )
-        account.settle(120.0)
-        assert router.bloom.filter_for(router.domains[0]).fill_ratio() > 0.5
-        tiny = SimpleDBQueryEngine(account, router=router)
-        # A router that wrote nothing prunes nothing: full fan-out.
-        naive = SimpleDBQueryEngine(account, router=ShardRouter(shards=3))
-        t4, _ = tiny.q4_all_descendants(FLEET_PROGRAM)
-        n4, _ = naive.q4_all_descendants(FLEET_PROGRAM)
-        assert repr(t4) == repr(n4)
-        t3, _ = tiny.q3_direct_outputs("no-such-program")
-        assert t3 == []
 
 
 class TestRiders:

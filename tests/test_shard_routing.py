@@ -1,15 +1,13 @@
-"""Index-aware shard fan-out: itemName-rooted chunks hit one shard.
+"""Shard routing: itemName-rooted chunks hit one shard, the rest fan out.
 
 The routing contract on the multitenant fixture: a chunked
 ``itemName() IN (...)`` select's names all hash to a known shard, so
 the sharded engine contacts exactly that shard (asserted through the
 service's per-domain chain counters, not just the engine's own stats);
-attribute-rooted lookups fan out — to every shard without Bloom
-routing, and to every shard whose ingest-maintained Bloom filter
-admits the probed values with it (a probe for values no shard ever
-ingested issues zero selects); and routing never changes answers — the
-routed engine returns byte-identical results to a naive
-fan-to-every-shard engine, Bloom pruning included.
+attribute-rooted lookups visit every shard; and routing never changes
+answers — the routed engine returns byte-identical results to a naive
+fan-to-every-shard engine.  Routing is the uuid hash alone, so a router
+answers the same after a restart or beside a second writer.
 """
 
 from typing import Dict, List, Sequence, Tuple
@@ -17,6 +15,9 @@ from typing import Dict, List, Sequence, Tuple
 import pytest
 
 from repro.cloud.account import CloudAccount
+from repro.core.sdb_items import build_item_plan, build_routed_requests
+from repro.provenance.graph import NodeRef
+from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
 from repro.query.engine import SimpleDBQueryEngine
 from repro.service import IngestGateway, ShardRouter
 from repro.workloads.fleet import FLEET_PROGRAM, make_fleet, run_fleet
@@ -53,14 +54,6 @@ class _NaiveFanoutRouter(ShardRouter):
         return [(domain, list(names)) for domain in self.domains]
 
 
-def _full_fanout(account, router) -> SimpleDBQueryEngine:
-    """The full-fan-out reference: a router that wrote nothing has no
-    Bloom filters, so it prunes no shard."""
-    return SimpleDBQueryEngine(
-        account, router=ShardRouter(router.base_domain, router.shards)
-    )
-
-
 def test_itemname_rooted_chunks_hit_exactly_one_shard():
     account, router = _fixture()
     engine = SimpleDBQueryEngine(account, router=router)
@@ -75,55 +68,26 @@ def test_itemname_rooted_chunks_hit_exactly_one_shard():
 
 
 def test_non_rooted_queries_still_fan_out():
+    """Q3's proc lookup and reference lookup visit every shard, and the
+    router that wrote the store answers Q3/Q4 byte for byte like a fresh
+    router of the same layout, select for select."""
     account, router = _fixture()
-    engine = _full_fanout(account, router)
+    engine = SimpleDBQueryEngine(account, router=router)
     before = dict(account.simpledb.select_stats.chains_by_domain)
     q3, _ = engine.q3_direct_outputs(FLEET_PROGRAM)
     assert q3
     delta = _chains_delta(account, before)
-    # Without Bloom routing the proc lookup and the reference lookup
-    # both visit every shard — the pre-pruning baseline.
     assert sorted(delta) == sorted(router.domains)
     assert engine.fanout.fanned_out_selects >= len(router.domains)
-    assert engine.fanout.bloom_skipped_selects == 0
+    q4, _ = engine.q4_all_descendants(FLEET_PROGRAM)
 
-
-def test_bloom_routing_matches_naive_fanout_answers():
-    """The Bloom-routed engine returns byte-identical Q3/Q4 answers to
-    the full fan-out engine and never issues *more* selects.  (On fleet
-    data every shard genuinely holds ``input`` references, so the
-    filters admit every shard — the fan-out only shrinks when a probed
-    value is provably absent, which the next test pins.)"""
-    account, router = _fixture()
-    bloom = SimpleDBQueryEngine(account, router=router)
-    naive = _full_fanout(account, router)
-    b3, _ = bloom.q3_direct_outputs(FLEET_PROGRAM)
-    n3, _ = naive.q3_direct_outputs(FLEET_PROGRAM)
-    assert repr(b3) == repr(n3)
-    b4, _ = bloom.q4_all_descendants(FLEET_PROGRAM)
-    n4, _ = naive.q4_all_descendants(FLEET_PROGRAM)
-    assert repr(b4) == repr(n4)
-    assert bloom.fanout.fanned_out_selects <= naive.fanout.fanned_out_selects
-
-
-def test_bloom_routing_prunes_absent_values_to_zero_selects():
-    """A lookup for values no shard ever ingested contacts no shard at
-    all: the proc lookup for an unknown program is answered entirely
-    from the Bloom filters (no select chains started anywhere), and an
-    itemName chunk past the object's last version is dropped whole."""
-    account, router = _fixture()
-    engine = SimpleDBQueryEngine(account, router=router)
-    before = dict(account.simpledb.select_stats.chains_by_domain)
-    q3, _ = engine.q3_direct_outputs("no-such-program")
-    assert q3 == []
-    assert _chains_delta(account, before) == {}
-    assert engine.fanout.bloom_skipped_selects == len(router.domains)
-
-    ranged, _ = engine.q2_version_range(TARGET, 50, 60)
-    assert ranged == {}
-    assert engine.fanout.bloom_skipped_chunks >= 1
-    # ...and the pruned paths cost nothing on the service either.
-    assert _chains_delta(account, before) == {}
+    fresh = SimpleDBQueryEngine(
+        account, router=ShardRouter(router.base_domain, router.shards)
+    )
+    f3, _ = fresh.q3_direct_outputs(FLEET_PROGRAM)
+    f4, _ = fresh.q4_all_descendants(FLEET_PROGRAM)
+    assert repr((q3, q4)) == repr((f3, f4))
+    assert fresh.fanout.fanned_out_selects == engine.fanout.fanned_out_selects
 
 
 def test_routed_answers_byte_identical_to_naive_fanout():
@@ -166,14 +130,49 @@ def test_single_shard_router_degenerates_cleanly():
     assert engine.fanout.single_shard_chunks >= 1
 
 
-# -- Bloom routing across restarts and writers -------------------------------
+class _RecordingRouter(ShardRouter):
+    """Records every write-path hook call instead of ignoring it."""
+
+    def __init__(self, shards):
+        super().__init__(shards=shards)
+        self.noted = []
+
+    def note_indexed_items(self, domain, items):
+        self.noted.append((domain, items))
+
+
+def test_build_routed_requests_notes_each_shard_group():
+    """The write path hands the router each shard group's built items,
+    once per group, in group order: the hook ``perf/``'s tracer counts
+    ingest items and pairs per shard by."""
+    account = CloudAccount(seed=5)
+    router = _RecordingRouter(shards=3)
+    for domain in router.domains:
+        account.simpledb.create_domain(domain)
+    bundles = []
+    for i in range(12):
+        ref = NodeRef(f"u{i:02d}", 0)
+        bundle = ProvenanceBundle(uuid=ref.uuid)
+        bundle.add(ProvenanceRecord(ref, "type", "file"))
+        bundle.add(ProvenanceRecord(ref, "name", f"f{i}"))
+        bundles.append(bundle)
+    _, _, pairs = build_routed_requests(router, bundles, account, "pass-data")
+    expected = [
+        (domain, build_item_plan(group, account.s3, "pass-data").items)
+        for domain, group in router.group_by_domain(bundles)
+    ]
+    assert len(expected) == len(router.domains)  # every shard got a group
+    assert router.noted == expected
+    assert pairs == sum(len(p) for _, items in expected for _, p in items)
+
+
+# -- Routing across restarts and writers ------------------------------------
 #
-# A router's Bloom filters live in its process and know only its own
-# writes.  A shard the router never wrote has no filter and is never
-# pruned, so a fresh router over a store it did not fill — a reopened
-# local root, a second router over the same account — fans out and
-# answers right.  A shard that a router wrote *after* another writer
-# filled it is pruned on that router's writes alone: still wrong.
+# Routing is a pure function of the uuid: a router keeps no record of
+# what it wrote.  So a router over a store it did not fill — a reopened
+# local root, a second router over the same account — and a router
+# that writes after another writer filled the store all reach every
+# item, and answer exactly as a fresh router of the same layout does.
 
 def _open(backend, root, seed=5):
     if backend == "local":
@@ -230,10 +229,6 @@ def test_router_over_a_reopened_store_fans_out(shards, tmp_path):
     reopened.close()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: a router's filters know only its own writes",
-)
 @pytest.mark.parametrize("shards", [1, 2])
 def test_reopen_then_write_through_the_new_router(shards, tmp_path):
     fleet = make_fleet(clients=6, files_per_client=2, seed=5)
@@ -249,10 +244,6 @@ def test_reopen_then_write_through_the_new_router(shards, tmp_path):
         reopened.close()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: a router's filters know only its own writes",
-)
 @pytest.mark.parametrize("backend", ["sim", "local"])
 @pytest.mark.parametrize("shards", [1, 2])
 def test_two_writers_over_one_store(backend, shards, tmp_path):
