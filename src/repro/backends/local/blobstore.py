@@ -14,32 +14,19 @@ LIST pagination, billing — is inherited unchanged from
 Version resolution reloads the on-disk history into the shared
 :class:`~repro.cloud.consistency.VersionedRegister` and asks it, so
 stale-read semantics are byte-identical to the simulated backend.
-
-Streaming is the one genuinely new capability: ``put_stream`` pipes a
-file object into a staged payload (incremental SHA-1, chunked writes)
-and commits it through the same scheduler/billing path as ``put``;
-``get_stream`` copies a version's payload out in chunks without ever
-materializing it in memory.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 from urllib.parse import quote, unquote
 
 from repro.cloud.blob import Blob
 from repro.cloud.consistency import VersionedRegister
-from repro.cloud.network import Request
-from repro.cloud.s3 import METADATA_LIMIT_BYTES, S3ObjectRecord, S3Service
-from repro.errors import LimitExceededError, NoSuchKeyError
-
-#: Chunk size for streaming puts and gets.
-STREAM_CHUNK_BYTES = 64 * 1024
-
+from repro.cloud.s3 import S3ObjectRecord, S3Service
 
 def _quote(part: str) -> str:
     return quote(part, safe="")
@@ -79,11 +66,7 @@ class FsObjectRegister:
         has_data = blob.data is not None
         if has_data:
             self._dir.mkdir(parents=True, exist_ok=True)
-            bin_path = self._dir / f"v-{seq:08d}.bin"
-            with open(bin_path, "wb") as handle:
-                data = blob.data
-                for start in range(0, len(data), STREAM_CHUNK_BYTES):
-                    handle.write(data[start : start + STREAM_CHUNK_BYTES])
+            (self._dir / f"v-{seq:08d}.bin").write_bytes(blob.data)
         self._write_meta(
             seq,
             {
@@ -94,33 +77,6 @@ class FsObjectRegister:
                 "digest": blob.digest,
                 "has_data": has_data,
                 "metadata": dict(record.metadata),
-            },
-        )
-
-    def write_staged(
-        self,
-        staged: Path,
-        size: int,
-        digest: str,
-        metadata: Dict[str, str],
-        committed_at: float,
-        visible_at: float,
-    ) -> None:
-        """Commit a payload already streamed to ``staged`` as the next
-        version (rename into place — no second copy of the bytes)."""
-        seq = self._next_seq()
-        self._dir.mkdir(parents=True, exist_ok=True)
-        os.replace(staged, self._dir / f"v-{seq:08d}.bin")
-        self._write_meta(
-            seq,
-            {
-                "committed_at": committed_at,
-                "visible_at": visible_at,
-                "deleted": False,
-                "size": size,
-                "digest": digest,
-                "has_data": True,
-                "metadata": dict(metadata),
             },
         )
 
@@ -167,32 +123,6 @@ class FsObjectRegister:
 
     def ever_written(self) -> bool:
         return bool(self._version_metas())
-
-    def resolve_payload(self, at: float, model) -> Tuple[Dict[str, object], Path]:
-        """The visible version's metadata and payload path, for
-        streaming reads.  Raises like a GET on absence."""
-        metas = self._version_metas()
-        best = None
-        best_path: Optional[Path] = None
-        for meta_path in metas:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            from repro.cloud.consistency import ConsistencyModel
-
-            stamp = (
-                meta["committed_at"]
-                if model is ConsistencyModel.STRICT
-                else meta["visible_at"]
-            )
-            if stamp <= at and (
-                best is None or meta["committed_at"] >= best["committed_at"]
-            ):
-                best = meta
-                best_path = meta_path
-        if best is None or best["deleted"]:
-            raise NoSuchKeyError(f"no visible version at t={at:.2f}")
-        if not best.get("has_data"):
-            raise ValueError("synthetic blob has no real bytes to stream")
-        return best, best_path.with_suffix(".bin")
 
 
 class FsBucket:
@@ -271,111 +201,12 @@ class FsBucketMap:
 
 
 class LocalS3Service(S3Service):
-    """S3 over the filesystem: same API, real files, plus streaming."""
+    """S3 over the filesystem: same API, real files."""
 
     def __init__(self, scheduler, profile, billing, consistency=None, *, root: Path):
         super().__init__(scheduler, profile, billing, consistency)
         self._root = Path(root)
         self._buckets = FsBucketMap(self._root)
-
-    # -- streaming ------------------------------------------------------------
-
-    def put_stream(
-        self,
-        bucket: str,
-        key: str,
-        reader: BinaryIO,
-        metadata: Optional[Dict[str, str]] = None,
-        chunk_bytes: int = STREAM_CHUNK_BYTES,
-    ) -> Blob:
-        """Stream a PUT: the payload is copied from ``reader`` in
-        chunks (incremental SHA-1, never fully in memory), staged next
-        to the object, and committed through the scheduler with the
-        same pricing and visibility draw as :meth:`put`.  Returns a
-        size+digest :class:`Blob` describing what was stored."""
-        metadata = dict(metadata or {})
-        if sum(len(k) + len(v) for k, v in metadata.items()) > METADATA_LIMIT_BYTES:
-            raise LimitExceededError(
-                f"metadata for {key!r} exceeds {METADATA_LIMIT_BYTES} bytes"
-            )
-        objects = self._bucket(bucket)
-        register = objects.setdefault(key)
-        staged = register._dir.parent / f".staged-{_quote(key)}"
-        register._dir.parent.mkdir(parents=True, exist_ok=True)
-        digest = hashlib.sha1()
-        size = 0
-        with open(staged, "wb") as handle:
-            while True:
-                chunk = reader.read(chunk_bytes)
-                if not chunk:
-                    break
-                digest.update(chunk)
-                size += len(chunk)
-                handle.write(chunk)
-        blob = Blob(size=size, digest=digest.hexdigest())
-
-        def apply(start: float, finish: float) -> None:
-            visible = self._consistency.visibility_for(finish)
-            register.write_staged(
-                staged, size, blob.digest, metadata, finish, visible
-            )
-            self._billing.record("s3", "PUT", bytes_in=size)
-
-        self._scheduler.execute_one(
-            Request(
-                profile=self._profile,
-                apply=apply,
-                payload_bytes=size,
-                label=f"s3.PUT(stream) {bucket}/{key}",
-            )
-        )
-        return blob
-
-    def get_stream(
-        self,
-        bucket: str,
-        key: str,
-        writer: BinaryIO,
-        chunk_bytes: int = STREAM_CHUNK_BYTES,
-    ) -> Tuple[int, Dict[str, str]]:
-        """Stream a GET: the visible version's payload is copied into
-        ``writer`` in chunks.  Returns ``(size, metadata)``; billed and
-        priced exactly like :meth:`get`."""
-        objects = self._bucket(bucket)
-        size_hint = self._size_hint(objects, key)
-
-        def apply(start: float, finish: float) -> Tuple[int, Dict[str, str]]:
-            register = objects.get(key)
-            if register is None:
-                self._billing.record("s3", "GET")
-                raise NoSuchKeyError(f"no such key {key!r}")
-            try:
-                meta, payload = register.resolve_payload(
-                    start, self._consistency.model
-                )
-            except NoSuchKeyError:
-                self._billing.record("s3", "GET")
-                raise
-            copied = 0
-            with open(payload, "rb") as handle:
-                while True:
-                    chunk = handle.read(chunk_bytes)
-                    if not chunk:
-                        break
-                    writer.write(chunk)
-                    copied += len(chunk)
-            self._billing.record("s3", "GET", bytes_out=copied)
-            return copied, dict(meta["metadata"])
-
-        return self._scheduler.execute_one(
-            Request(
-                profile=self._profile,
-                apply=apply,
-                response_bytes=size_hint,
-                read_only=True,
-                label=f"s3.GET(stream) {bucket}/{key}",
-            )
-        )
 
     # -- omniscient inspection ------------------------------------------------
 

@@ -9,6 +9,8 @@ produce identical numbers unless the seed changes.
 
 from __future__ import annotations
 
+import math
+
 
 class VirtualClock:
     """A monotonically non-decreasing simulated clock, in seconds.
@@ -32,9 +34,13 @@ class VirtualClock:
         return self._now
 
     def advance(self, dt: float) -> float:
-        """Advance the clock by ``dt`` seconds and return the new time."""
-        if dt < 0:
-            raise ValueError(f"cannot advance clock by negative dt={dt}")
+        """Advance the clock by ``dt`` seconds and return the new time.
+        ``dt`` must be finite and non-negative: a NaN or infinite step
+        would leave the clock at a time no read can be visible at."""
+        if not 0 <= dt < math.inf:
+            raise ValueError(
+                f"can only advance clock by a finite dt >= 0 (got dt={dt})"
+            )
         self._now += dt
         return self._now
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.cloud.billing import BillingMeter
 from repro.cloud.network import ParallelScheduler, Request
@@ -56,36 +56,89 @@ class _StoredMessage:
     message_id: str
     body: str
     sent_at: float
-    invisible_until: float = 0.0
-    #: Deliveries so far; delivery ``n`` hands out ``<message id>#r<n>``.
+    invisible_until: float
+    #: Deliveries so far; delivery ``n`` handed out ``_handle(id, n)``.
     receipt_counter: int = 0
 
-    def handle(self, delivery: int) -> str:
-        return f"{self.message_id}#r{delivery}"
+
+def _handle(message_id: str, delivery: int) -> str:
+    return f"{message_id}#r{delivery}"
 
 
-@dataclass
 class _Queue:
-    """Only what is still in the queue: a deleted or expired message is
-    dropped with every receipt handle it ever had, so a call costs the
-    live backlog, not the queue's history."""
+    """One in-memory queue, holding only what is still in it: a deleted
+    or expired message is dropped with every receipt handle it ever had,
+    so a call costs the live backlog, not the queue's history."""
 
-    url: str
-    #: message id -> stored message, in send order.
-    messages: Dict[str, _StoredMessage] = field(default_factory=dict)
-    #: receipt handle -> message id; earlier handles of a redelivered
-    #: message stay valid for DeleteMessage until the message goes.
-    receipts: Dict[str, str] = field(default_factory=dict)
+    def __init__(self, name: str):
+        self.name = name
+        #: message id -> stored message, in send order.
+        self.messages: Dict[str, _StoredMessage] = {}
+        #: receipt handle -> message id; earlier handles of a redelivered
+        #: message stay valid for DeleteMessage until the message goes.
+        self.receipts: Dict[str, str] = {}
 
-    def drop(self, message_id: Optional[str]) -> None:
-        stored = self.messages.pop(message_id, None)
-        if stored is not None:
-            for delivery in range(1, stored.receipt_counter + 1):
-                self.receipts.pop(stored.handle(delivery), None)
+    def __len__(self) -> int:
+        return len(self.messages)
+
+    def add(self, message_id: str, body: str, sent_at: float) -> None:
+        self.messages[message_id] = _StoredMessage(message_id, body, sent_at, sent_at)
+
+    def available(self, now: float) -> List[_StoredMessage]:
+        return [m for m in self.messages.values() if m.invisible_until <= now]
+
+    def lease(self, stored: _StoredMessage, handle: str, until: float) -> None:
+        stored.invisible_until = until
+        stored.receipt_counter += 1
+        self.receipts[handle] = stored.message_id
+
+    def holder(self, handle: str) -> Optional[_StoredMessage]:
+        return self.messages.get(self.receipts.get(handle))
+
+    def hide(self, stored: _StoredMessage, until: float) -> None:
+        stored.invisible_until = until
+
+    def delete(self, stored: _StoredMessage) -> None:
+        del self.messages[stored.message_id]
+        for delivery in range(1, stored.receipt_counter + 1):
+            self.receipts.pop(_handle(stored.message_id, delivery), None)
+
+    def expire(self, cutoff: float) -> None:
+        for stored in [m for m in self.messages.values() if m.sent_at < cutoff]:
+            self.delete(stored)
+
+    def bodies(self) -> List[str]:
+        return [m.body for m in self.messages.values()]
+
+
+class _MemoryQueues:
+    """The default queue store: every queue in process memory."""
+
+    def __init__(self):
+        self._queues: Dict[str, _Queue] = {}
+        self._ids = itertools.count(1)
+
+    def create(self, url: str, name: str) -> _Queue:
+        queue = self._queues[url] = _Queue(name)
+        return queue
+
+    def get(self, url: str) -> Optional[_Queue]:
+        return self._queues.get(url)
+
+    def stored(self) -> List[Tuple[str, _Queue]]:
+        return [(queue.name, queue) for queue in self._queues.values()]
+
+    def next_id(self) -> int:
+        return next(self._ids)
 
 
 class SQSService:
-    """In-process SQS stand-in."""
+    """SQS: every request's semantics, over a queue store.
+
+    The store only holds data (:class:`_MemoryQueues` by default; the
+    local backend passes a sqlite one).  Validation, billing, the seeded
+    reordering and duplicate draws, receipt handles, the lease rule and
+    retention all live here, so every store delivers alike."""
 
     service_name = "sqs"
 
@@ -97,16 +150,19 @@ class SQSService:
         seed: int = 0,
         duplicate_delivery_rate: float = 0.0,
         telemetry=None,
+        store=None,
     ):
         self._scheduler = scheduler
         self._profile = profile
         self._billing = billing
         self._rng = random.Random(seed)
-        self._queues: Dict[str, _Queue] = {}
-        self._ids = itertools.count(1)
+        self._store = store if store is not None else _MemoryQueues()
         self._telemetry = telemetry
         #: Probability a received message is delivered twice (fault knob).
         self.duplicate_delivery_rate = duplicate_delivery_rate
+        # A reopened store's queues get their gauges back.
+        for name, queue in self._store.stored():
+            self._gauge(name, queue)
 
     @property
     def profile(self) -> ServiceProfile:
@@ -115,21 +171,23 @@ class SQSService:
     def create_queue(self, name: str) -> str:
         """Create a queue; returns its URL (idempotent)."""
         url = f"sqs://queues/{name}"
-        if url not in self._queues:
-            queue = self._queues[url] = _Queue(url=url)
-            if self._telemetry is not None:
-                # Closes over the queue, not the service, so the telemetry
-                # hub and the service form no cycle.
-                self._telemetry.metrics.gauge_fn(
-                    "sqs.queue_depth", lambda: len(queue.messages), queue=name
-                )
+        if self._store.get(url) is None:
+            self._gauge(name, self._store.create(url, name))
         return url
 
-    def _queue(self, url: str) -> _Queue:
-        try:
-            return self._queues[url]
-        except KeyError:
-            raise NoSuchQueueError(f"queue {url!r} does not exist") from None
+    def _gauge(self, name: str, queue) -> None:
+        if self._telemetry is not None:
+            # Closes over the stored queue, not the service, so the
+            # telemetry hub and the service form no cycle.
+            self._telemetry.metrics.gauge_fn(
+                "sqs.queue_depth", lambda: len(queue), queue=name
+            )
+
+    def _queue(self, url: str):
+        queue = self._store.get(url)
+        if queue is None:
+            raise NoSuchQueueError(f"queue {url!r} does not exist")
+        return queue
 
     # -- request builders ----------------------------------------------------
 
@@ -147,15 +205,10 @@ class SQSService:
         size = len(encoded)
 
         def apply(start: float, finish: float) -> str:
-            message_id = f"msg-{next(self._ids)}"
+            message_id = f"msg-{self._store.next_id()}"
             # Receivable only once the send has returned: the kernel
             # applies a batch when it is placed, ``finish`` seconds early.
-            queue.messages[message_id] = _StoredMessage(
-                message_id=message_id,
-                body=body,
-                sent_at=finish,
-                invisible_until=finish,
-            )
+            queue.add(message_id, body, finish)
             self._billing.record("sqs", "SendMessage", bytes_in=size)
             return message_id
 
@@ -181,37 +234,30 @@ class SQSService:
         queue = self._queue(url)
 
         def apply(start: float, finish: float) -> List[Message]:
-            self._expire(queue, start)
-            available = [
-                m for m in queue.messages.values() if m.invisible_until <= start
-            ]
+            queue.expire(start - RETENTION_SECONDS)
+            available = queue.available(start)
             # Best-effort ordering: approximately FIFO with light shuffling.
             if len(available) > 1 and self._rng.random() < 0.2:
                 self._rng.shuffle(available)
-            picked = available[:max_messages]
             delivered: List[Message] = []
-            for stored in picked:
-                stored.invisible_until = start + visibility_timeout
-                stored.receipt_counter += 1
-                handle = stored.handle(stored.receipt_counter)
-                queue.receipts[handle] = stored.message_id
+
+            def deliver(stored, delivery: int) -> None:
+                handle = _handle(stored.message_id, delivery)
+                queue.lease(stored, handle, start + visibility_timeout)
                 delivered.append(
                     Message(stored.message_id, handle, stored.body, stored.sent_at)
                 )
+
+            for stored in available[:max_messages]:
+                delivery = stored.receipt_counter + 1
+                deliver(stored, delivery)
                 if (
                     self.duplicate_delivery_rate > 0
                     and self._rng.random() < self.duplicate_delivery_rate
                     and len(delivered) < max_messages
                 ):
                     # At-least-once delivery: hand out a duplicate receipt.
-                    stored.receipt_counter += 1
-                    dup_handle = stored.handle(stored.receipt_counter)
-                    queue.receipts[dup_handle] = stored.message_id
-                    delivered.append(
-                        Message(
-                            stored.message_id, dup_handle, stored.body, stored.sent_at
-                        )
-                    )
+                    deliver(stored, delivery + 1)
             size = sum(len(m.body.encode()) for m in delivered)
             self._billing.record("sqs", "ReceiveMessage", bytes_out=size)
             return delivered
@@ -250,13 +296,13 @@ class SQSService:
         queue = self._queue(url)
 
         def apply(start: float, finish: float) -> None:
-            stored = queue.messages.get(queue.receipts.get(receipt_handle))
+            stored = queue.holder(receipt_handle)
             if (
                 stored is not None
-                and receipt_handle == stored.handle(stored.receipt_counter)
+                and receipt_handle == _handle(stored.message_id, stored.receipt_counter)
                 and stored.invisible_until > start
             ):
-                stored.invisible_until = start + visibility_timeout
+                queue.hide(stored, start + visibility_timeout)
             self._billing.record("sqs", "ChangeMessageVisibility")
 
         return Request(
@@ -270,7 +316,9 @@ class SQSService:
         queue = self._queue(url)
 
         def apply(start: float, finish: float) -> None:
-            queue.drop(queue.receipts.get(receipt_handle))
+            stored = queue.holder(receipt_handle)
+            if stored is not None:
+                queue.delete(stored)
             self._billing.record("sqs", "DeleteMessage")
 
         return Request(
@@ -304,27 +352,16 @@ class SQSService:
             self.change_visibility_request(url, receipt_handle, visibility_timeout)
         )
 
-    # -- internals --------------------------------------------------------------
-
-    @staticmethod
-    def _expire(queue: _Queue, now: float) -> None:
-        cutoff = now - RETENTION_SECONDS
-        expired = [
-            m.message_id for m in queue.messages.values() if m.sent_at < cutoff
-        ]
-        for message_id in expired:
-            queue.drop(message_id)
-
     # -- omniscient inspection (tests & daemons' bookkeeping) --------------------
 
     def pending_count(self, url: str, now: Optional[float] = None) -> int:
         """Number of undeleted, unexpired messages (tests/monitoring)."""
         queue = self._queue(url)
         if now is not None:
-            self._expire(queue, now)
-        return len(queue.messages)
+            queue.expire(now - RETENTION_SECONDS)
+        return len(queue)
 
     def pending_bodies(self, url: str) -> List[str]:
         """Bodies of the undeleted messages, visible or leased, in send
         order (tests/monitoring)."""
-        return [m.body for m in self._queue(url).messages.values()]
+        return self._queue(url).bodies()

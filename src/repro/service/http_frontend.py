@@ -18,8 +18,9 @@ Endpoints
   "version", "data", "attributes": {attr: [values]}}``; buffered into
   the gateway's batching window.
 - ``POST /v1/flush`` — coalesce and issue the pending window.
-- ``POST /v1/settle`` — advance the virtual clock (``{"seconds": s}``)
-  so eventually-consistent writes become visible to queries.
+- ``POST /v1/settle`` — advance the virtual clock (``{"seconds": s}``,
+  finite and non-negative) so eventually-consistent writes become
+  visible to queries.
 - ``POST /v1/query`` — ``{"query": "q1"|"q2"|"q3"|"q4", "arg": ...}``.
 - ``POST /v1/select`` — ``{"expression": "select * from ..."}``.
 - ``GET  /v1/stats`` — gateway/billing counters.
@@ -233,10 +234,21 @@ class ProvenanceFrontend:
     def _ingest(self, body: Dict) -> Dict:
         client_id = str(body["client_id"])
         uuid = str(body["uuid"])
-        version = int(body.get("version", 0))
-        ref = NodeRef(uuid, version)
+        version = body.get("version", 0)
+        if isinstance(version, bool) or not isinstance(version, (int, str)):
+            raise ValueError(f"version must be an integer (got {version!r})")
+        ref = NodeRef(uuid, int(version))
+        attributes = body.get("attributes", {})
+        if not isinstance(attributes, dict) or not all(
+            isinstance(values, list)
+            and all(isinstance(v, (str, int, float)) for v in values)
+            for values in attributes.values()
+        ):
+            raise ValueError(
+                "attributes must map each name to a list of strings or numbers"
+            )
         records: List[ProvenanceRecord] = []
-        for attribute, values in dict(body.get("attributes", {})).items():
+        for attribute, values in attributes.items():
             for value in values:
                 if attribute in XREF_ATTRIBUTES:
                     records.append(

@@ -24,7 +24,7 @@ import random
 
 import pytest
 
-from repro.backends.parity import s3_fingerprint, store_fingerprint
+from repro.backends.parity import store_fingerprint
 from repro.bench.experiments import (
     CONFIGURATIONS,
     _workload_by_name,
@@ -215,27 +215,3 @@ def test_local_rows_and_files_actually_persist():
     import shutil
 
     shutil.rmtree(root)
-
-
-def test_streaming_put_get_round_trip():
-    """The local S3's streaming API: chunked upload and download of a
-    payload that never sits in one Python bytes object on the way in."""
-    import io
-
-    account = CloudAccount(seed=9, backend="local")
-    account.s3.create_bucket("b")
-    payload = bytes(range(256)) * 1024  # 256 KiB, multiple chunks
-    blob = account.s3.put_stream(
-        "b", "stream.bin", io.BytesIO(payload), {"kind": "stream"},
-        chunk_bytes=16 * 1024,
-    )
-    assert blob.size == len(payload)
-    account.settle(120.0)
-    sink = io.BytesIO()
-    size, metadata = account.s3.get_stream("b", "stream.bin", sink)
-    assert sink.getvalue() == payload
-    assert size == len(payload)
-    assert metadata == {"kind": "stream"}
-    # The streamed object fingerprints like any other object.
-    assert s3_fingerprint(account.s3, ["b"])
-    account.close()

@@ -32,6 +32,14 @@ class TestVirtualClock:
         with pytest.raises(ValueError):
             clock.advance(-0.1)
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_advance_rejected_and_clock_unchanged(self, dt):
+        clock = VirtualClock(start=5.0)
+        with pytest.raises(ValueError):
+            clock.advance(dt)
+        assert clock.now == 5.0
+        assert clock.advance(1.0) == 6.0
+
     def test_advance_to(self):
         clock = VirtualClock()
         clock.advance_to(10.0)

@@ -225,6 +225,29 @@ class TestErrorHandling:
         assert status == 400
         assert "object" in body["error"]
 
+    @pytest.mark.parametrize(
+        "malformed",
+        [{"attributes": {"a": 5}}, {"attributes": {"a": "xyz"}}, {"version": [1]}],
+        ids=["values-a-number", "values-a-string", "version-a-list"],
+    )
+    def test_malformed_ingest_is_400_and_submits_nothing(self, frontend, malformed):
+        front, base = frontend
+        payload = {"client_id": "c0", "path": "/mnt/pass/a", "uuid": "u-1"}
+        status, body = self._status(base, "/v1/ingest", {**payload, **malformed})
+        assert status == 400
+        assert "ValueError" in body["error"]
+        assert _get(base, "/v1/stats")["pending"] == 0
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_non_finite_settle_is_400_and_leaves_the_clock(self, frontend, seconds):
+        front, base = frontend
+        before = _get(base, "/healthz")["virtual_now"]
+        status, body = self._status(base, "/v1/settle", {"seconds": seconds})
+        assert status == 400
+        assert _get(base, "/healthz")["virtual_now"] == before
+        settled = _post(base, "/v1/settle", {"seconds": 1.0})
+        assert settled["virtual_now"] == before + 1.0
+
 
 def _raw_post(address, headers):
     """POST /v1/ingest with hand-set headers and no body; returns the

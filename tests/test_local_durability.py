@@ -188,7 +188,10 @@ def test_batch_put_and_receive_are_one_transaction_each(tmp_path):
         statements = _traced(sdb._conn, lambda: sdb.batch_put("d", _ITEMS))
         _assert_one_transaction(statements, writes=25)
         url = sqs.create_queue("wal")
-        for n in range(10):
+        statements = _traced(sqs._conn, lambda: sqs.send_message(url, "m0"))
+        # The message-id counter, then the message.
+        _assert_one_transaction(statements, writes=2)
+        for n in range(1, 10):
             sqs.send_message(url, f"m{n}")
         account.settle(1.0)
         received = []
@@ -198,6 +201,14 @@ def test_batch_put_and_receive_are_one_transaction_each(tmp_path):
         assert len(received) == 10
         # The retention sweep, then a lease and a receipt per message.
         _assert_one_transaction(statements, writes=1 + 2 * 10)
+        first, second = (m.receipt_handle for m in received[:2])
+        statements = _traced(
+            sqs._conn, lambda: sqs.change_visibility(url, first, 60.0)
+        )
+        _assert_one_transaction(statements, writes=1)
+        statements = _traced(sqs._conn, lambda: sqs.delete_message(url, second))
+        _assert_one_transaction(statements, writes=1)
+        assert sqs.pending_count(url) == 9
     finally:
         account.close()
 

@@ -1,7 +1,14 @@
-"""Tests for the simulated SQS service."""
+"""Tests for the SQS service, on the in-memory queue store and (the
+``...Local`` classes) on the local backend's sqlite one.
+``TestBookkeeping`` inspects the in-memory store and stays sim-only."""
+
+import hashlib
+import random
 
 import pytest
 
+from repro.cloud.account import CloudAccount
+from repro.cloud.consistency import ConsistencyModel
 from repro.cloud.sqs import MESSAGE_LIMIT_BYTES, RETENTION_SECONDS
 from repro.errors import InvalidRequestError, LimitExceededError, NoSuchQueueError
 
@@ -258,3 +265,107 @@ class TestBookkeeping:
         stored = sqs._queue(queue)
         assert len(stored.messages) == 0
         assert stored.receipts == {}
+
+
+# -- the same tests on the local backend's sqlite queue store ---------------
+
+
+class _OnLocal:
+    """Runs the inherited tests against ``backend="local"``, whose
+    ``SQSService`` works over a sqlite queue store."""
+
+    @pytest.fixture
+    def strict_account(self):
+        account = CloudAccount(
+            consistency=ConsistencyModel.STRICT, seed=1234, backend="local"
+        )
+        yield account
+        account.close()
+
+
+class TestSendReceiveLocal(_OnLocal, TestSendReceive):
+    pass
+
+
+class TestVisibilityTimeoutLocal(_OnLocal, TestVisibilityTimeout):
+    pass
+
+
+class TestChangeVisibilityLocal(_OnLocal, TestChangeVisibility):
+    pass
+
+
+class TestRetentionLocal(_OnLocal, TestRetention):
+    pass
+
+
+class TestDuplicateDeliveryLocal(_OnLocal, TestDuplicateDelivery):
+    pass
+
+
+# -- one seeded script, digested on each backend -----------------------------
+
+#: sha256 of :func:`_script_transcript`, the same on every backend.
+SCRIPT_DIGEST = "255c93ba3a9822c9fac30ccbb51a0537acef2c1b1f921f79dcf78c9f109e3d34"
+
+
+def _script_transcript(backend):
+    """About 400 seeded operations over two queues with duplicate
+    delivery on: sends, receives at visibility 0/5/30 s, change-visibility
+    and deletes on held (sometimes stale) handles, clock steps, and one
+    jump to just short of the retention window.  Returns everything a
+    consumer could observe: deliveries, depths, bodies, bill and clock."""
+    account = CloudAccount(seed=7, backend=backend)
+    try:
+        sqs, clock = account.sqs, account.clock
+        sqs.duplicate_delivery_rate = 0.25
+        urls = [sqs.create_queue("wal"), sqs.create_queue("side")]
+        rng = random.Random(33)
+        held, log = [], []
+        for step in range(400):
+            url = rng.choice(urls)
+            roll = rng.random()
+            if step == 200:
+                clock.advance(RETENTION_SECONDS - 90.0)
+            if roll < 0.3:
+                body = f"{step}:" + "x" * rng.randrange(40)
+                log.append(("send", url, sqs.send_message(url, body)))
+            elif roll < 0.7:
+                delivered = sqs.receive_messages(
+                    url, rng.randint(1, 10), rng.choice((0.0, 5.0, 30.0))
+                )
+                log.append(("recv", url, [
+                    (m.message_id, m.receipt_handle, m.body, m.sent_at)
+                    for m in delivered
+                ]))
+                held.extend((url, m.receipt_handle) for m in delivered)
+            elif roll < 0.82 and held:
+                # Half the time the newest handle: often a lease a
+                # zero-second receive has already let lapse.
+                target, handle = held[-1] if rng.random() < 0.5 else rng.choice(held)
+                sqs.change_visibility(target, handle, rng.choice((0.0, 10.0, 60.0)))
+            elif roll < 0.93 and held:
+                target, handle = held.pop(rng.randrange(len(held)))
+                sqs.delete_message(target, handle)
+            else:
+                clock.advance(rng.choice((1.0, 4.0, 12.0, 45.0)))
+            if step % 25 == 24:
+                log.append(("depth", [
+                    (sqs.pending_count(u), sqs.pending_count(u, now=clock.now))
+                    for u in urls
+                ]))
+        log.append(("bodies", [sqs.pending_bodies(u) for u in urls]))
+        log.append(("bill", account.billing.snapshot(), account.billing.cost()))
+        log.append(("bytes", account.billing.bytes_transmitted("sqs"),
+                    account.billing.bytes_received("sqs")))
+        log.append(("clock", clock.now))
+        return log
+    finally:
+        account.close()
+
+
+@pytest.mark.parametrize("backend", ["sim", "local"])
+def test_seeded_script_digest(backend):
+    transcript = _script_transcript(backend)
+    digest = hashlib.sha256(repr(transcript).encode("utf-8")).hexdigest()
+    assert digest == SCRIPT_DIGEST
