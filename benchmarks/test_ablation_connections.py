@@ -8,9 +8,10 @@ concurrent connections."
 from repro.bench.experiments import ablation_connection_sweep
 
 
-def test_ablation_connection_sweep(once, benchmark):
+def test_ablation_connection_sweep(once, benchmark, golden):
     result = once(benchmark, ablation_connection_sweep)
     print("\n" + result.render())
+    golden("ablation_connection_sweep", result.series)
 
     def speedup(service, low, high):
         points = dict(result.series[service])

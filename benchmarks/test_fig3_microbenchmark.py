@@ -3,15 +3,22 @@
 Paper: the overheads over plain S3fs are 32.6 % (P3, the lowest) to
 78.9 % (P2, the highest), with P1 dominating (beating) P2; the UML run
 preserves the relative pattern.
+
+Table 3 reports the same EC2 runs by bytes and operations.  Paper: data
+overheads are negligible (< 0.5 %) while operation overheads are large
+(100-270 %), because every protocol at least doubles its work writing
+provenance alongside data; P1 issues the most requests.
 """
 
-from repro.bench.experiments import fig3_microbenchmark
+from repro.bench.experiments import Table3Result, fig3_microbenchmark
 from repro.bench.reporting import write_bench_json
 
 
 def test_fig3_microbenchmark(once, benchmark, golden):
     result = once(benchmark, fig3_microbenchmark)
     print("\n" + result.render())
+    table3 = Table3Result(result.results["ec2"])
+    print("\n" + table3.render())
     results = {
         env_name: {
             config: {
@@ -45,3 +52,14 @@ def test_fig3_microbenchmark(once, benchmark, golden):
                 per_config[config].bytes_transmitted / base.bytes_transmitted - 1.0
             )
             assert extra < 0.02, (env_name, config, extra)
+
+    # Table 3: data overhead stays tiny; operation overhead is large.
+    base = table3.results["s3fs"]
+    for config in ("p1", "p2", "p3"):
+        r = table3.results[config]
+        data_overhead = r.bytes_transmitted / base.bytes_transmitted - 1.0
+        ops_overhead = r.operations / base.operations - 1.0
+        assert data_overhead < 0.02, (config, data_overhead)
+        assert ops_overhead > 0.5, (config, ops_overhead)
+    # P1 (per-object appends) issues the most requests of the three.
+    assert table3.results["p1"].operations >= table3.results["p3"].operations

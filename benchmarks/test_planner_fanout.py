@@ -30,39 +30,6 @@ def _programs():
     return int(os.environ.get("REPRO_PLANNER_FANOUT_PROGRAMS", "18"))
 
 
-def _deterministic(result):
-    """Every field of the sweep that replays bit for bit: the wall
-    times are host clock and are left out."""
-    return [
-        {
-            "shards": point.shards,
-            "children": point.children,
-            "items": point.items,
-            "cells": [
-                {
-                    "query": cell.query,
-                    "rows": cell.rows,
-                    "selects": cell.selects,
-                    "ops": cell.ops,
-                    "bytes": cell.bytes_moved,
-                }
-                for cell in point.cells
-            ],
-            "planner_modes": [
-                {
-                    "planner": mode.planner,
-                    "rows": mode.rows,
-                    "ops": mode.ops,
-                    "bytes": mode.bytes_moved,
-                }
-                for mode in point.planner_modes
-            ],
-            "billing_identical": point.billing_identical,
-        }
-        for point in result.points
-    ]
-
-
 def test_planner_fanout(once, benchmark, golden):
     result = once(
         benchmark,
@@ -79,7 +46,7 @@ def test_planner_fanout(once, benchmark, golden):
     )
 
     if (_shard_counts(), _programs()) == ((1, 2, 4), 18):
-        golden("planner_fanout", _deterministic(result))
+        golden("planner_fanout", result.as_json()["points"])
 
     for point in result.points:
         for cell in point.cells:

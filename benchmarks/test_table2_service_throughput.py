@@ -9,9 +9,13 @@ slowest; S3 sits in between.
 from repro.bench.experiments import table2_service_throughput
 
 
-def test_table2_service_throughput(once, benchmark):
+def test_table2_service_throughput(once, benchmark, golden):
     result = once(benchmark, table2_service_throughput)
     print("\n" + result.render())
+    golden(
+        "table2_service_throughput",
+        {"seconds": result.seconds, "operations": result.operations},
+    )
 
     s3 = result.seconds["s3"]
     sdb = result.seconds["simpledb"]

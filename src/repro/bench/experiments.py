@@ -4,6 +4,12 @@ Each function runs the experiment against the simulated cloud and returns
 structured results; ``render()`` helpers produce the paper-shaped text.
 The ``benchmarks/`` pytest files call these and print the renderings, so
 ``pytest benchmarks/ --benchmark-only`` regenerates every number.
+
+Every number here is a function of the seed alone: times are virtual
+seconds, and the select sweeps count the items each planner mode walks
+instead of timing it.  Each measurement is made once.  Table 3 has no
+function of its own: it is Figure 3's EC2 runs (:class:`Table3Result`
+over ``fig3_microbenchmark(...).results["ec2"]``).
 """
 
 from __future__ import annotations
@@ -222,6 +228,52 @@ class Table2Result:
         )
 
 
+def _uploader(records, seed: int) -> Callable[[str, int], Tuple[float, int]]:
+    """Table 2's upload of one provenance stream, per service: S3 one
+    object per node, SimpleDB one item per node-version in 25-item
+    batches, SQS 8 KB chunks.  The returned ``upload(service,
+    connections)`` pushes it from a fresh account over that many
+    connections and returns (virtual seconds, requests)."""
+    by_uuid: Dict[str, list] = defaultdict(list)
+    items: Dict[str, list] = defaultdict(list)
+    for record in records:
+        by_uuid[record.subject.uuid].append(record)
+        items[str(record.subject)].append((record.attribute, record.value_text()))
+    objects = [
+        (f"prov/{uuid}", Blob.from_text(encode_records(records_)))
+        for uuid, records_ in by_uuid.items()
+    ]
+    item_list = list(items.items())
+    batches = [item_list[i : i + 25] for i in range(0, len(item_list), 25)]
+    chunks = chunk_encoded(records, 8192)
+
+    def s3_requests(account):
+        account.s3.create_bucket("bench")
+        return [account.s3.put_request("bench", key, blob) for key, blob in objects]
+
+    def simpledb_requests(account):
+        account.simpledb.create_domain("bench")
+        return [
+            account.simpledb.batch_put_request("bench", batch) for batch in batches
+        ]
+
+    def sqs_requests(account):
+        url = account.sqs.create_queue("bench")
+        return [account.sqs.send_request(url, chunk) for chunk in chunks]
+
+    builders = {
+        "s3": s3_requests, "simpledb": simpledb_requests, "sqs": sqs_requests,
+    }
+
+    def upload(service: str, connections: int) -> Tuple[float, int]:
+        account = CloudAccount(seed=seed)
+        requests = builders[service](account)
+        makespan = account.scheduler.execute_batch(requests, connections).makespan
+        return makespan, len(requests)
+
+    return upload
+
+
 def table2_service_throughput(
     target_bytes: int = 50 * 1024 * 1024,
     connections_s3: int = 150,
@@ -229,59 +281,28 @@ def table2_service_throughput(
     connections_sqs: int = 150,
     seed: int = 42,
 ) -> Table2Result:
-    """Reproduce Table 2: push the same provenance stream to S3 (one
-    object per node), SimpleDB (one item per node-version, 25-item
-    batches), and SQS (8 KB chunks), each at its best connection count."""
-    records = make_linux_compile_records(target_bytes=target_bytes, seed=seed)
-
-    by_uuid: Dict[str, list] = defaultdict(list)
-    for record in records:
-        by_uuid[record.subject.uuid].append(record)
-
-    seconds: Dict[str, float] = {}
-    operations: Dict[str, int] = {}
-
-    account = CloudAccount(seed=seed)
-    account.s3.create_bucket("bench")
-    requests = [
-        account.s3.put_request(
-            "bench", f"prov/{uuid}", Blob.from_text(encode_records(records_))
+    """Reproduce Table 2: push the same provenance stream to S3,
+    SimpleDB and SQS (see :func:`_uploader`), each at its best
+    connection count."""
+    upload = _uploader(
+        make_linux_compile_records(target_bytes=target_bytes, seed=seed), seed
+    )
+    runs = {
+        service: upload(service, connections)
+        for service, connections in (
+            ("s3", connections_s3),
+            ("simpledb", connections_sdb),
+            ("sqs", connections_sqs),
         )
-        for uuid, records_ in by_uuid.items()
-    ]
-    seconds["s3"] = account.scheduler.execute_batch(requests, connections_s3).makespan
-    operations["s3"] = len(requests)
-
-    account = CloudAccount(seed=seed)
-    account.simpledb.create_domain("bench")
-    items: Dict[str, list] = defaultdict(list)
-    for record in records:
-        items[str(record.subject)].append((record.attribute, record.value_text()))
-    item_list = list(items.items())
-    requests = [
-        account.simpledb.batch_put_request("bench", item_list[i : i + 25])
-        for i in range(0, len(item_list), 25)
-    ]
-    seconds["simpledb"] = account.scheduler.execute_batch(
-        requests, connections_sdb
-    ).makespan
-    operations["simpledb"] = len(requests)
-
-    account = CloudAccount(seed=seed)
-    url = account.sqs.create_queue("bench")
-    requests = [
-        account.sqs.send_request(url, chunk) for chunk in chunk_encoded(records, 8192)
-    ]
-    seconds["sqs"] = account.scheduler.execute_batch(
-        requests, connections_sqs
-    ).makespan
-    operations["sqs"] = len(requests)
-
-    return Table2Result(seconds=seconds, operations=operations)
+    }
+    return Table2Result(
+        seconds={service: run[0] for service, run in runs.items()},
+        operations={service: run[1] for service, run in runs.items()},
+    )
 
 
 # ==========================================================================
-# Figure 3 + Table 3 — the microbenchmark
+# Figure 3 + Table 3 — the microbenchmark (Table 3 reads Figure 3's EC2 runs)
 # ==========================================================================
 
 @dataclass
@@ -365,6 +386,10 @@ def fig3_microbenchmark(
 
 @dataclass
 class Table3Result:
+    """Table 3: bytes and operations per protocol for the microbenchmark
+    (commit daemon excluded, as in the paper), read off Figure 3's EC2
+    results."""
+
     results: Dict[str, MicrobenchResult]
     paper_mb: Dict[str, float] = field(
         default_factory=lambda: {
@@ -409,17 +434,6 @@ class Table3Result:
             rows,
             title="Table 3: data-transfer and operation overheads (microbenchmark)",
         )
-
-
-def table3_overheads(scale: float = 1.0, seed: int = 0) -> Table3Result:
-    """Reproduce Table 3: bytes and operations per protocol for the
-    microbenchmark (commit daemon excluded, as in the paper)."""
-    workload = _workload_by_name("blast", scale)
-    results = {
-        config: run_microbenchmark(workload, config, seed=seed)
-        for config in CONFIGURATIONS
-    }
-    return Table3Result(results=results)
 
 
 # ==========================================================================
@@ -694,46 +708,13 @@ def ablation_connection_sweep(
 ) -> ConnectionSweepResult:
     """§5.1's prose finding as an experiment: S3 and SQS keep scaling to
     150 connections; SimpleDB stops improving around 40."""
-    records = make_linux_compile_records(target_bytes=target_bytes, seed=seed)
-    by_uuid: Dict[str, list] = defaultdict(list)
-    for record in records:
-        by_uuid[record.subject.uuid].append(record)
-    items: Dict[str, list] = defaultdict(list)
-    for record in records:
-        items[str(record.subject)].append((record.attribute, record.value_text()))
-    item_list = list(items.items())
-    chunks = chunk_encoded(records, 8192)
-
+    upload = _uploader(
+        make_linux_compile_records(target_bytes=target_bytes, seed=seed), seed
+    )
     series: Dict[str, List[Tuple[int, float]]] = {"s3": [], "simpledb": [], "sqs": []}
     for connections in connection_counts:
-        account = CloudAccount(seed=seed)
-        account.s3.create_bucket("bench")
-        requests = [
-            account.s3.put_request(
-                "bench", f"prov/{u}", Blob.from_text(encode_records(rs))
-            )
-            for u, rs in by_uuid.items()
-        ]
-        series["s3"].append(
-            (connections, account.scheduler.execute_batch(requests, connections).makespan)
-        )
-
-        account = CloudAccount(seed=seed)
-        account.simpledb.create_domain("bench")
-        requests = [
-            account.simpledb.batch_put_request("bench", item_list[i : i + 25])
-            for i in range(0, len(item_list), 25)
-        ]
-        series["simpledb"].append(
-            (connections, account.scheduler.execute_batch(requests, connections).makespan)
-        )
-
-        account = CloudAccount(seed=seed)
-        url = account.sqs.create_queue("bench")
-        requests = [account.sqs.send_request(url, chunk) for chunk in chunks]
-        series["sqs"].append(
-            (connections, account.scheduler.execute_batch(requests, connections).makespan)
-        )
+        for service, points in series.items():
+            points.append((connections, upload(service, connections)[0]))
     return ConnectionSweepResult(series=series)
 
 
@@ -1121,11 +1102,12 @@ class SelectScalingCell:
     query: str
     expression: str
     rows: int
-    #: Best-of-``repeats`` real wall-clock seconds for one full select
-    #: chain (``time.perf_counter``, not virtual time — the simulator's
-    #: own Python cost is exactly what the index removes).
-    indexed_wall_s: float
-    scan_wall_s: float
+    #: Items the planner walks for one select
+    #: (:meth:`SimpleDBService.explain`): its index candidates, or the
+    #: whole domain when it decides to scan.
+    indexed_work: int
+    #: Items the ``use_indexes=False`` scan walks: the whole domain.
+    scan_work: int
     #: Simulated request count for one chain (identical in both modes).
     requests: int
     bytes_out: int
@@ -1138,9 +1120,9 @@ class SelectScalingCell:
 
     @property
     def speedup(self) -> float:
-        if self.indexed_wall_s <= 0:
+        if self.indexed_work <= 0:
             return float("inf")
-        return self.scan_wall_s / self.indexed_wall_s
+        return self.scan_work / self.indexed_work
 
 
 @dataclass
@@ -1164,7 +1146,6 @@ class SelectScalingPoint:
 @dataclass
 class SelectScalingResult:
     points: List[SelectScalingPoint]
-    repeats: int
     title: str = "Select scaling: indexed engine vs full-scan fallback"
     #: Final metrics snapshot of the largest domain's account (select
     #: planner counters and billing gauges).
@@ -1179,8 +1160,8 @@ class SelectScalingResult:
                         point.items,
                         cell.query,
                         cell.rows,
-                        f"{1e3 * cell.indexed_wall_s:.2f}",
-                        f"{1e3 * cell.scan_wall_s:.2f}",
+                        cell.indexed_work,
+                        cell.scan_work,
                         f"{cell.speedup:.1f}x",
                         cell.requests,
                         "yes" if cell.used_index else "scan",
@@ -1189,7 +1170,7 @@ class SelectScalingResult:
                 )
         table = render_table(
             (
-                "Items", "Query", "Rows", "Idx (ms)", "Scan (ms)",
+                "Items", "Query", "Rows", "Idx work", "Scan work",
                 "Speedup", "Reqs", "Indexed", "Identical",
             ),
             rows,
@@ -1214,7 +1195,6 @@ class SelectScalingResult:
 
     def as_json(self) -> Dict[str, object]:
         return {
-            "repeats": self.repeats,
             "points": [
                 {
                     "items": point.items,
@@ -1225,8 +1205,8 @@ class SelectScalingResult:
                             "query": cell.query,
                             "expression": cell.expression,
                             "rows": cell.rows,
-                            "indexed_wall_s": cell.indexed_wall_s,
-                            "scan_wall_s": cell.scan_wall_s,
+                            "indexed_work": cell.indexed_work,
+                            "scan_work": cell.scan_work,
                             "speedup": cell.speedup,
                             "requests": cell.requests,
                             "bytes_out": cell.bytes_out,
@@ -1281,20 +1261,31 @@ def _select_scaling_queries(domain: str) -> List[Tuple[str, str]]:
     ]
 
 
+def _metered(account, run: Callable[[], object]):
+    """Run one query once: its answer, and the billed ``Select``
+    operations and bytes it cost."""
+    billing = account.billing
+    ops = billing.snapshot()["simpledb"].get("Select", 0)
+    moved = billing.bytes_received() + billing.bytes_transmitted()
+    answer = run()
+    return (
+        answer,
+        billing.snapshot()["simpledb"]["Select"] - ops,
+        billing.bytes_received() + billing.bytes_transmitted() - moved,
+    )
+
+
 def _sweep_select_modes(
     domain_sizes: Sequence[int],
-    repeats: int,
     seed: int,
     item_builder: Callable[[int], List[Tuple[str, List[Tuple[str, str]]]]],
     query_builder: Callable[[str], List[Tuple[str, str]]],
     title: str = "Select scaling: indexed engine vs full-scan fallback",
 ) -> SelectScalingResult:
-    """Shared sweep harness for the indexed-vs-scan perf experiments:
-    build a domain of each size, run each query in both modes, time the
-    chains in real wall-clock, and check byte-identity of rows and
-    billing."""
-    import time
-
+    """Shared sweep harness for the indexed-vs-scan experiments: build a
+    domain of each size, run each query once in both modes, check
+    byte-identity of rows and billing, and count the items each mode
+    walks from the planner's own plan."""
     points: List[SelectScalingPoint] = []
     for count in domain_sizes:
         account = CloudAccount(seed=seed)
@@ -1312,62 +1303,30 @@ def _sweep_select_modes(
 
         cells: List[SelectScalingCell] = []
         for query_name, expression in query_builder("bench"):
-            per_mode: Dict[bool, Tuple[list, float, int, int]] = {}
-            indexed_chains_before = sdb.select_stats.indexed
+            plan = sdb.explain(expression)
+            used_index = plan["decision"] == "index"
+            per_mode = {}
             for use_indexes in (True, False):
                 sdb.use_indexes = use_indexes
-                best = float("inf")
-                rows: list = []
-                ops_before = account.billing.snapshot()["simpledb"].get(
-                    "Select", 0
+                per_mode[use_indexes] = _metered(
+                    account, lambda: sdb.select(expression)
                 )
-                bytes_before = (
-                    account.billing.bytes_received()
-                    + account.billing.bytes_transmitted()
-                )
-                first = True
-                for _ in range(repeats):
-                    # Real host time on purpose: the index removes the
-                    # simulator's own Python cost.  wallclock-ok
-                    t0 = time.perf_counter()  # wallclock-ok
-                    rows = sdb.select(expression)
-                    best = min(best, time.perf_counter() - t0)  # wallclock-ok
-                    if first:
-                        first = False
-                        ops = (
-                            account.billing.snapshot()["simpledb"]["Select"]
-                            - ops_before
-                        )
-                        moved = (
-                            account.billing.bytes_received()
-                            + account.billing.bytes_transmitted()
-                            - bytes_before
-                        )
-                if use_indexes:
-                    used_index = (
-                        sdb.select_stats.indexed - indexed_chains_before
-                        == repeats
-                    )
-                per_mode[use_indexes] = (rows, best, ops, moved)
             sdb.use_indexes = True
+            rows, ops, moved = per_mode[True]
 
-            indexed_rows, indexed_wall, indexed_ops, indexed_bytes = per_mode[True]
-            scan_rows, scan_wall, scan_ops, scan_bytes = per_mode[False]
-            identical = (
-                repr(indexed_rows) == repr(scan_rows)
-                and indexed_ops == scan_ops
-                and indexed_bytes == scan_bytes
-            )
             cells.append(
                 SelectScalingCell(
                     query=query_name,
                     expression=expression,
-                    rows=len(indexed_rows),
-                    indexed_wall_s=indexed_wall,
-                    scan_wall_s=scan_wall,
-                    requests=indexed_ops,
-                    bytes_out=indexed_bytes,
-                    identical=identical,
+                    rows=len(rows),
+                    indexed_work=(
+                        plan["candidates"] if used_index else plan["domain_items"]
+                    ),
+                    scan_work=plan["domain_items"],
+                    requests=ops,
+                    bytes_out=moved,
+                    # Rows, row order, requests and bytes.
+                    identical=repr(per_mode[True]) == repr(per_mode[False]),
                     used_index=used_index,
                 )
             )
@@ -1380,7 +1339,6 @@ def _sweep_select_modes(
         )
     return SelectScalingResult(
         points=points,
-        repeats=repeats,
         title=title,
         telemetry=account.telemetry.metrics.snapshot(),
     )
@@ -1388,23 +1346,21 @@ def _sweep_select_modes(
 
 def select_scaling(
     domain_sizes: Sequence[int] = (1_000, 10_000, 100_000),
-    repeats: int = 3,
     seed: int = 0,
 ) -> SelectScalingResult:
-    """The indexed select engine's perf experiment: the same queries
-    against growing domains, timed in *real* wall-clock, with the planner
-    on (``use_indexes=True``) and off (scan fallback).
+    """The indexed select engine's experiment: the same queries against
+    growing domains, with the planner on (``use_indexes=True``) and off
+    (scan fallback), counting the items each mode walks.
 
-    Expected shape: equality/prefix/IN selects cost O(matches) indexed
-    and O(domain) scanned, so the speedup grows linearly with domain
-    size (≥5x is the acceptance floor at 100k items); the ``!=`` control
+    Expected shape: equality/prefix/IN selects walk O(matches) indexed
+    and O(domain) scanned, so the work ratio grows linearly with domain
+    size (≥5x is the acceptance floor from 2k items); the ``!=`` control
     falls back to scan in both modes and stays at parity.  Rows, row
     order, simulated request counts, and billed bytes must be identical
     between the two modes at every size.
     """
     return _sweep_select_modes(
-        domain_sizes, repeats, seed, _select_scaling_items,
-        _select_scaling_queries,
+        domain_sizes, seed, _select_scaling_items, _select_scaling_queries
     )
 
 
@@ -1469,22 +1425,21 @@ def _range_query_queries(domain: str) -> List[Tuple[str, str]]:
 
 def range_query(
     domain_sizes: Sequence[int] = (1_000, 10_000, 60_000),
-    repeats: int = 3,
     seed: int = 0,
 ) -> SelectScalingResult:
-    """Range-predicate perf experiment: version-range and time-window
-    queries over growing stores, indexed vs the scan fallback.
+    """Range-predicate experiment: version-range and time-window queries
+    over growing stores, indexed vs the scan fallback.
 
     Expected shape: the windows match a fixed number of rows at every
-    domain size, so the indexed wall-clock stays flat (O(matches) via
-    the sorted-value ranges) while the scan grows linearly — sublinear
-    growth, ≥5x speedup from 10k items up.  The OR-with-``!=`` control
-    scans in both modes and stays at parity.  Rows, row order, request
-    counts, and billed bytes identical between modes at every size.
+    domain size, so the indexed work stays flat (O(matches) via the
+    sorted-value ranges) while the scan grows linearly — sublinear
+    growth, a ≥5x work ratio from 10k items up.  The OR-with-``!=``
+    control scans in both modes and stays at parity.  Rows, row order,
+    request counts, and billed bytes identical between modes at every
+    size.
     """
     return _sweep_select_modes(
         domain_sizes,
-        repeats,
         seed,
         _range_query_items,
         _range_query_queries,
@@ -1508,7 +1463,6 @@ class PlannerFanoutCell:
     #: Billed ``Select`` operations (all select chains incl. pages).
     ops: int
     bytes_moved: int
-    wall_s: float
 
 
 @dataclass
@@ -1519,7 +1473,6 @@ class PlannerModeCell:
     rows: int
     ops: int
     bytes_moved: int
-    wall_s: float
 
 
 @dataclass
@@ -1539,7 +1492,6 @@ class PlannerFanoutPoint:
 @dataclass
 class PlannerFanoutResult:
     points: List[PlannerFanoutPoint]
-    repeats: int
     title: str = "Planner fan-out: sharded Q3/Q4 and the cost planner vs scan"
     telemetry: Dict[str, object] = field(default_factory=dict)
 
@@ -1556,13 +1508,12 @@ class PlannerFanoutResult:
                         cell.selects,
                         cell.ops,
                         cell.bytes_moved,
-                        f"{1e3 * cell.wall_s:.2f}",
                     )
                 )
         fanout = render_table(
             (
                 "Shards", "Children", "Query", "Rows", "Fan-out sel",
-                "Select ops", "Bytes", "Wall (ms)",
+                "Select ops", "Bytes",
             ),
             rows,
             title=self.title,
@@ -1578,14 +1529,13 @@ class PlannerFanoutResult:
                         mode.rows,
                         mode.ops,
                         mode.bytes_moved,
-                        f"{1e3 * mode.wall_s:.2f}",
                         "yes" if point.billing_identical else "NO",
                     )
                 )
         modes = render_table(
             (
                 "Shards", "Children", "Planner", "Rows", "Select ops",
-                "Bytes", "Wall (ms)", "Billing identical",
+                "Bytes", "Billing identical",
             ),
             mode_rows,
             title="Q4 by planner mode (cost vs scan)",
@@ -1594,7 +1544,6 @@ class PlannerFanoutResult:
 
     def as_json(self) -> Dict[str, object]:
         return {
-            "repeats": self.repeats,
             "points": [
                 {
                     "shards": point.shards,
@@ -1607,7 +1556,6 @@ class PlannerFanoutResult:
                             "selects": cell.selects,
                             "ops": cell.ops,
                             "bytes": cell.bytes_moved,
-                            "wall_s": cell.wall_s,
                         }
                         for cell in point.cells
                     ],
@@ -1617,7 +1565,6 @@ class PlannerFanoutResult:
                             "rows": mode.rows,
                             "ops": mode.ops,
                             "bytes": mode.bytes_moved,
-                            "wall_s": mode.wall_s,
                         }
                         for mode in point.planner_modes
                     ],
@@ -1671,43 +1618,11 @@ def _load_routed_domain(account, router, items) -> None:
     account.settle(120.0)
 
 
-def _timed_best(fn: Callable[[], object], repeats: int):
-    """Best-of-``repeats`` real wall clock for one query (host time on
-    purpose: the routing and planning remove the simulator's own Python
-    cost, which is the quantity under test)."""
-    import time
-
-    best = float("inf")
-    out = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()  # wallclock-ok
-        out = fn()
-        best = min(best, time.perf_counter() - t0)  # wallclock-ok
-    return out, best
-
-
-def _metered_query(account, engine, run: Callable[[], object]):
-    """Run one query once: its answer, and the fan-out select chains,
-    billed ``Select`` operations and bytes it cost."""
-    billing = account.billing
-    selects = engine.fanout.fanned_out_selects
-    ops = billing.snapshot()["simpledb"].get("Select", 0)
-    moved = billing.bytes_received() + billing.bytes_transmitted()
-    answer = run()
-    return (
-        answer,
-        engine.fanout.fanned_out_selects - selects,
-        billing.snapshot()["simpledb"]["Select"] - ops,
-        billing.bytes_received() + billing.bytes_transmitted() - moved,
-    )
-
-
 def planner_fanout(
     shard_counts: Sequence[int] = (1, 2, 4),
     children_counts: Sequence[int] = (2, 6),
     programs: int = 18,
     files: int = 6,
-    repeats: int = 3,
     seed: int = 0,
 ) -> PlannerFanoutResult:
     """The cost-planner experiment: attribute-rooted Q3/Q4 over
@@ -1737,16 +1652,15 @@ def planner_fanout(
             }
             cells: List[PlannerFanoutCell] = []
             for query_name, run in queries.items():
-                answer, selects, ops, moved = _metered_query(account, engine, run)
-                _, wall = _timed_best(run, repeats)
+                selects = engine.fanout.fanned_out_selects
+                answer, ops, moved = _metered(account, run)
                 cells.append(
                     PlannerFanoutCell(
                         query=query_name,
                         rows=len(answer),
-                        selects=selects,
+                        selects=engine.fanout.fanned_out_selects - selects,
                         ops=ops,
                         bytes_moved=moved,
-                        wall_s=wall,
                     )
                 )
 
@@ -1754,10 +1668,7 @@ def planner_fanout(
             fingerprints = []
             for planner in ("cost", "scan"):
                 account.simpledb.use_indexes = planner == "cost"
-                answer, _, ops, moved = _metered_query(
-                    account, engine, queries["q4"]
-                )
-                _, wall = _timed_best(queries["q4"], repeats)
+                answer, ops, moved = _metered(account, queries["q4"])
                 fingerprints.append((repr(answer), ops, moved))
                 modes.append(
                     PlannerModeCell(
@@ -1765,7 +1676,6 @@ def planner_fanout(
                         rows=len(answer),
                         ops=ops,
                         bytes_moved=moved,
-                        wall_s=wall,
                     )
                 )
             account.simpledb.use_indexes = True
@@ -1784,7 +1694,6 @@ def planner_fanout(
             )
     return PlannerFanoutResult(
         points=points,
-        repeats=repeats,
         telemetry=(
             account.telemetry.metrics.snapshot() if account is not None else {}
         ),
@@ -2382,134 +2291,3 @@ def ablation_chunk_size(
         makespan = account.scheduler.execute_batch(requests, connections).makespan
         points.append((chunk_bytes, makespan, len(chunks)))
     return ChunkSweepResult(points=points)
-
-
-@dataclass
-class BackendParityPoint:
-    """One configuration's sim-vs-local comparison."""
-
-    configuration: str
-    #: The simulator's predicted elapsed virtual time (identical on
-    #: both backends by construction — asserted below).
-    predicted_virtual_s: float
-    #: Host wall-clock seconds the replay took on each backend.
-    sim_wall_s: float
-    local_wall_s: float
-    operations: int
-    bytes_transmitted: int
-    cost_usd: float
-    #: Whether the two backends' MicrobenchResults were equal.
-    results_match: bool
-    #: Whether the two settled stores fingerprinted identically.
-    fingerprints_match: bool
-    store_fingerprint: str
-
-
-@dataclass
-class BackendParityResult:
-    """The backend-parity experiment: predictions vs sqlite reality."""
-
-    points: List[BackendParityPoint]
-    backend_root: str = ""
-
-    @property
-    def all_match(self) -> bool:
-        return all(p.results_match and p.fingerprints_match for p in self.points)
-
-    def render(self) -> str:
-        rows = [
-            (
-                p.configuration,
-                f"{p.predicted_virtual_s:.1f}",
-                f"{p.sim_wall_s:.3f}",
-                f"{p.local_wall_s:.3f}",
-                p.operations,
-                "yes" if p.results_match and p.fingerprints_match else "NO",
-            )
-            for p in self.points
-        ]
-        return render_table(
-            (
-                "Config",
-                "Predicted (virtual s)",
-                "Sim wall (s)",
-                "Local wall (s)",
-                "Ops",
-                "Parity",
-            ),
-            rows,
-            title="Backend parity: simulated predictions vs sqlite reality",
-        )
-
-    def as_json(self) -> Dict[str, Dict[str, object]]:
-        return {
-            p.configuration: {
-                "predicted_virtual_s": p.predicted_virtual_s,
-                "sim_wall_s": p.sim_wall_s,
-                "local_wall_s": p.local_wall_s,
-                "operations": p.operations,
-                "bytes_transmitted": p.bytes_transmitted,
-                "cost_usd": p.cost_usd,
-                "results_match": p.results_match,
-                "fingerprints_match": p.fingerprints_match,
-                "store_fingerprint": p.store_fingerprint,
-            }
-            for p in self.points
-        }
-
-
-def backend_parity(
-    scale: float = 0.1,
-    seed: int = 0,
-    configurations: Sequence[str] = CONFIGURATIONS,
-) -> BackendParityResult:
-    """The Blast replay per configuration on both backends, comparing
-    the simulator's cost/latency *predictions* (virtual seconds,
-    operation counts, dollars — identical on both backends by
-    construction) against the *measured* host wall clock of real sqlite
-    and filesystem storage.
-
-    The virtual-time results must be byte-identical; the wall-clock
-    columns are the honest physical difference between the in-memory
-    and on-disk substrates.  Wall-clock numbers are measurement of the
-    harness itself and never feed back into any simulated quantity.
-    """
-    import time
-
-    from repro.backends.parity import store_fingerprint
-
-    workload = _workload_by_name("blast", scale)
-    profile = SimulationProfile()
-    points: List[BackendParityPoint] = []
-    last_root = ""
-    for config in configurations:
-        outcomes = {}
-        for backend in ("sim", "local"):
-            account = CloudAccount(profile=profile, seed=seed, backend=backend)
-            t0 = time.perf_counter()  # wallclock-ok
-            result = run_microbenchmark(
-                workload, config, profile=profile, seed=seed, account=account
-            )
-            wall = time.perf_counter() - t0  # wallclock-ok
-            account.settle(120.0)
-            outcomes[backend] = (result, store_fingerprint(account), wall)
-            if backend == "local":
-                last_root = account.backend_root or ""
-            account.close()
-        (sim_res, sim_fp, sim_wall) = outcomes["sim"]
-        (loc_res, loc_fp, loc_wall) = outcomes["local"]
-        points.append(
-            BackendParityPoint(
-                configuration=config,
-                predicted_virtual_s=sim_res.elapsed_seconds,
-                sim_wall_s=sim_wall,
-                local_wall_s=loc_wall,
-                operations=sim_res.operations,
-                bytes_transmitted=sim_res.bytes_transmitted,
-                cost_usd=sim_res.cost_usd,
-                results_match=sim_res == loc_res,
-                fingerprints_match=sim_fp == loc_fp,
-                store_fingerprint=sim_fp,
-            )
-        )
-    return BackendParityResult(points=points, backend_root=last_root)

@@ -28,12 +28,10 @@ from repro.cloud.account import CloudAccount
 from repro.errors import NoSuchKeyError
 from repro.provenance.graph import NodeRef
 from repro.provenance.serialization import decode_records
+from repro.query.ancestry import XREF_ATTRIBUTES
 
 from repro.core import sdb_items
 from repro.core.protocol_base import data_key, provenance_object_key
-
-#: Attributes whose values reference other nodes.
-XREF_ATTRIBUTES = frozenset({"input", "forkparent", "exec", "version-of"})
 
 
 class CouplingStatus(enum.Enum):

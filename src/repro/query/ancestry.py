@@ -15,7 +15,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.provenance.graph import NodeRef
 from repro.provenance.records import ProvenanceRecord
 
-#: Attributes whose values are node references (dependency edges).
+#: Attributes whose values are node references (dependency edges).  The
+#: coupling checks and the HTTP ingest's validation use this same set.
 XREF_ATTRIBUTES = frozenset({"input", "forkparent", "exec", "version-of"})
 
 

@@ -44,11 +44,8 @@ from repro.provenance.graph import NodeRef
 from repro.provenance.pass_collector import FlushIntent
 from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
 from repro.core.protocol_base import DomainRouter, FlushWork
+from repro.query.ancestry import XREF_ATTRIBUTES
 from repro.service.gateway import IngestGateway
-
-#: Attributes whose values are node references (mirrors the ancestry
-#: index's xref set) — their values parse into NodeRefs on ingest.
-XREF_ATTRIBUTES = ("input",)
 
 #: Largest request body the front end reads.  A larger declared
 #: ``Content-Length`` is refused with 413 before any of the body is read.

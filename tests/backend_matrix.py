@@ -6,7 +6,8 @@ and asserts the outcomes byte-identical: answer rows and their order,
 query billing, and canonical store fingerprints.  The batteries are the
 repo's heaviest existing workloads:
 
-- the fig3 Blast replay, every configuration, EC2 and UML environments,
+- the fig3 Blast replay, every configuration, EC2 and UML environments
+  (defined in ``test_fig3_backends.py``, whose EC2 cases tier-1 runs),
 - the seeded select-fuzz battery (the full 220-tree run; set
   ``REPRO_BACKEND_FUZZ_SEEDS=all`` for all three batteries including the
   mid-propagation and delete-interleaved ones),
@@ -25,17 +26,14 @@ import random
 import pytest
 
 from repro.backends.parity import store_fingerprint
-from repro.bench.experiments import (
-    CONFIGURATIONS,
-    _workload_by_name,
-    chaos_fleet_run,
-)
+from repro.bench.experiments import chaos_fleet_run
 from repro.cloud.account import CloudAccount
 from repro.cloud.blob import Blob
 from repro.cloud.consistency import ConsistencyModel
-from repro.cloud.profiles import EC2_ENV, UML_ENV, SimulationProfile
-from repro.workloads.microbench import run_microbenchmark
 
+# Defined with the tier-1 suite, which runs its EC2 cases; collected
+# here under this module's ``backend`` mark, so the matrix runs all eight.
+from test_fig3_backends import test_fig3_config_is_byte_identical  # noqa: F401
 from test_select_fuzz import (
     TREE_COUNT,
     _fingerprint,
@@ -46,35 +44,7 @@ from test_select_fuzz import (
 
 pytestmark = pytest.mark.backend
 
-SCALE = float(os.environ.get("REPRO_BACKEND_SCALE", "0.1"))
 FUZZ_ALL = os.environ.get("REPRO_BACKEND_FUZZ_SEEDS", "") == "all"
-
-ENVIRONMENTS = {"ec2": EC2_ENV, "uml": UML_ENV}
-
-
-# -- fig3: the Blast replay, every configuration --------------------------------
-
-
-@pytest.mark.parametrize("env_name", sorted(ENVIRONMENTS))
-@pytest.mark.parametrize("config", CONFIGURATIONS)
-def test_fig3_config_is_byte_identical(env_name, config):
-    workload = _workload_by_name("blast", SCALE)
-    profile = SimulationProfile().with_environment(ENVIRONMENTS[env_name])
-    outcomes = {}
-    for backend in ("sim", "local"):
-        account = CloudAccount(profile=profile, seed=0, backend=backend)
-        result = run_microbenchmark(
-            workload, config, profile=profile, seed=0, account=account
-        )
-        account.settle(120.0)
-        q1_rows = []
-        for domain in sorted(account.simpledb._domains):
-            q1_rows.append(
-                (domain, repr(account.simpledb.select(f"select * from {domain}")))
-            )
-        outcomes[backend] = (result, q1_rows, store_fingerprint(account))
-        account.close()
-    assert outcomes["sim"] == outcomes["local"]
 
 
 # -- the select-fuzz batteries ---------------------------------------------------

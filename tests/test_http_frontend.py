@@ -17,6 +17,7 @@ import urllib.request
 import pytest
 
 from repro.cloud.account import CloudAccount
+from repro.query.ancestry import XREF_ATTRIBUTES
 from repro.service import ProvenanceFrontend, ShardRouter, http_frontend
 from repro.service.http_frontend import MAX_BODY_BYTES
 
@@ -227,8 +228,12 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "malformed",
-        [{"attributes": {"a": 5}}, {"attributes": {"a": "xyz"}}, {"version": [1]}],
-        ids=["values-a-number", "values-a-string", "version-a-list"],
+        [{"attributes": {"a": 5}}, {"attributes": {"a": "xyz"}}, {"version": [1]}]
+        # Every attribute the ancestry index reads as an edge must parse
+        # as a node reference, not only ``input``.
+        + [{"attributes": {name: ["garbage"]}} for name in sorted(XREF_ATTRIBUTES)],
+        ids=["values-a-number", "values-a-string", "version-a-list"]
+        + [f"{name}-not-a-node-ref" for name in sorted(XREF_ATTRIBUTES)],
     )
     def test_malformed_ingest_is_400_and_submits_nothing(self, frontend, malformed):
         front, base = frontend

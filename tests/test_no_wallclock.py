@@ -4,14 +4,9 @@ Every number the suite reports must be a pure function of the seed, so
 ``src/repro/`` code may only see time through the account's
 :class:`~repro.cloud.clock.VirtualClock`.  This test greps the tree for
 host-clock reads (``time.time``, ``time.monotonic``,
-``time.perf_counter``, ``datetime.now``, …) and fails on any hit.
-
-The one sanctioned exception is real wall-clock *measurement of the
-simulator itself* (the select-scaling benchmarks time how fast the
-Python select path runs on the host — that is the quantity under test).
-Such lines carry a ``wallclock-ok`` marker comment and are skipped; the
-test also pins the exemption count so new markers are a conscious
-review decision, not drift.
+``time.perf_counter``, ``datetime.now``, …) and fails on any hit.  There
+is no exemption: host-clock measurement of the simulator itself belongs
+to ``perf/``, outside ``src/``.
 """
 
 import pathlib
@@ -26,40 +21,16 @@ FORBIDDEN = re.compile(
     r"datetime\.now\(|datetime\.utcnow\(|datetime\.today\("
 )
 
-MARKER = "wallclock-ok"
-
-
-def _source_lines():
-    for path in sorted(SRC.rglob("*.py")):
-        for lineno, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), 1
-        ):
-            yield path, lineno, line
-
 
 def test_no_wallclock_reads_in_simulator_source():
     violations = [
         f"{path.relative_to(SRC.parent.parent)}:{lineno}: {line.strip()}"
-        for path, lineno, line in _source_lines()
-        if MARKER not in line and FORBIDDEN.search(line)
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1
+        )
+        if FORBIDDEN.search(line)
     ]
-    assert not violations, (
-        "host-clock use in src/repro/ (mark deliberate measurement "
-        "lines with 'wallclock-ok'):\n" + "\n".join(violations)
+    assert not violations, "host-clock use in src/repro/:\n" + "\n".join(
+        violations
     )
-
-
-def test_wallclock_exemptions_are_pinned():
-    exempt = [
-        (str(path.relative_to(SRC.parent.parent)), lineno)
-        for path, lineno, line in _source_lines()
-        if MARKER in line and FORBIDDEN.search(line)
-    ]
-    # Only the bench harnesses may time the host: select-scaling and
-    # planner-fanout measure the simulator's own Python cost, and
-    # backend-parity measures the real storage substrate — in each case
-    # the wall clock is the quantity under test (two marked lines each).
-    assert {path for path, _ in exempt} <= {
-        "src/repro/bench/experiments.py"
-    }, exempt
-    assert len(exempt) == 6, exempt
