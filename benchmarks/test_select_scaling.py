@@ -16,9 +16,10 @@ the swept domain sizes — CI's perf-smoke job runs a small sweep on every
 push; the default sweep ends at 100k items, and the ≥5x work-ratio
 floor holds from 2k items up.  The opt-in nightly job sets
 ``100000,1000000`` to push the sweep to a million items, where the index
-store's ``memory_bytes_per_item`` series must chart strictly below
-:data:`LEGACY_BYTES_PER_ITEM_100K`, the recorded figure of the
-dict-of-sets store it replaced.
+store's ``memory_bytes_per_item`` series must chart below 0.85x of
+:data:`ARRAY_BYTES_PER_ITEM_100K`, the recorded figure of the
+value-dict layout the sorted value tables replaced (itself strictly
+below :data:`LEGACY_BYTES_PER_ITEM_100K`, the dict-of-sets store's).
 """
 
 import os
@@ -31,6 +32,12 @@ from repro.bench.reporting import write_bench_json
 #: dict-of-sets index store was deleted (the same items replayed into
 #: it; the array store read 222.6 B/item on that run).
 LEGACY_BYTES_PER_ITEM_100K = 516.8
+
+#: ``memory_bytes_per_item`` of the 100k point with a ``value ->
+#: posting`` dict per attribute and a separate sorted run of its values,
+#: before one sorted value table per attribute replaced both (CPython
+#: 3.11; the value tables read 160.1 B/item on the same items).
+ARRAY_BYTES_PER_ITEM_100K = 222.6
 
 #: Queries whose speedup the acceptance criterion floors at >= 5x.
 _INDEXED_QUERIES = ("equality", "prefix", "in", "conjunction")
@@ -98,12 +105,13 @@ def test_select_scaling(once, benchmark, golden):
             assert cell.speedup >= 5.0, (query, cell.speedup)
 
     # The memory series is charted at every size; from 100k items up the
-    # index store must sit strictly below the dict-of-sets store's
+    # index store must sit below 0.85x of the value-dict layout's
     # recorded bytes per item (the 1M nightly sweeps the full gap).
+    ceiling = 0.85 * ARRAY_BYTES_PER_ITEM_100K
     for point in result.points:
         assert point.index_memory_bytes > 0
         if point.items >= 100_000:
-            assert point.memory_bytes_per_item < LEGACY_BYTES_PER_ITEM_100K, (
+            assert point.memory_bytes_per_item < ceiling, (
                 point.items,
                 point.memory_bytes_per_item,
             )

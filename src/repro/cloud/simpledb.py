@@ -23,11 +23,12 @@ needs several sequential round-trips on SimpleDB.
 
 Select execution is *indexed*, like the real service: every
 ``put``/``batch_put``/``delete`` incrementally maintains per-domain
-secondary indexes (attribute-value → item names, the sorted item-name
-order, and a bisect-maintained sorted list of each attribute's distinct
-values serving the ordered comparisons), and a small planner extracts
-index-usable predicates from the parsed WHERE tree.  The indexes
-over-approximate — they record every value an item has *ever* held,
+secondary indexes (the sorted item-name order, and per attribute one
+sorted table of its distinct values with each value's item ids beside
+it, which serves equality and the ordered comparisons alike), and a
+small planner extracts index-usable predicates from the parsed WHERE
+tree.  The indexes over-approximate — they record every value an item
+has *ever* held,
 except that an explicit ``DeleteAttributes`` un-indexes the deleted
 pairs once the deletion has fully propagated (``replace`` puts never
 un-index) — so each candidate is still verified through the same
@@ -50,6 +51,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cloud.billing import BillingMeter
@@ -388,13 +390,19 @@ def prepare_select(expression: str) -> PreparedSelect:
 # Per-domain state: the registry plus incrementally maintained indexes
 # --------------------------------------------------------------------------
 
-#: Tail size at which a two-tier run folds its mutable tail into the
-#: sorted main run.  Small enough that an out-of-order ``insort`` into
-#: the tail stays cheap, large enough that merges amortize; in-order
-#: arrivals (the common provenance pattern — item names and interned
-#: ids are both assigned in increasing order) bypass the tail entirely
-#: and append straight to the main run.
+#: Tail size at which a two-tier run folds its pending tail into the
+#: sorted main run.  Small enough that an out-of-order insert into the
+#: tail stays cheap, large enough that merges amortize; a sorted table
+#: also waits for an eighth of its main run, so its folds re-lay O(n)
+#: keys in total however the keys arrive.  In-order arrivals (the
+#: common provenance pattern — item names and interned ids are both
+#: assigned in increasing order) bypass the tail entirely and append
+#: straight to the main run.
 _TAIL_MERGE_THRESHOLD = 2048
+
+#: A value-table slot at or above this holds ``_WIDE | i`` and points
+#: at ``wide[i]``; below it, the slot is the value's one item id.
+_WIDE = 1 << 31
 
 
 def _range_slice(
@@ -429,86 +437,123 @@ def _sorted_index(run: Sequence, key) -> int:
     return index if index < len(run) and run[index] == key else -1
 
 
-class _NameTable:
+class _SortedTable:
+    """Sorted unique strings, each with a uint32 slot beside it.
+
+    ``keys`` is a sorted list and ``slots`` a parallel ``array('I')``:
+    a slot costs 4 bytes and is found by one bisect.  A key that sorts
+    after the main run appends to both.  Any other new key waits in a
+    small ``key -> slot`` tail dict (disjoint from the main run), folded
+    in once it holds :data:`_TAIL_MERGE_THRESHOLD` keys or an eighth of
+    the main run, or by the next ordered read."""
+
+    __slots__ = ("keys", "slots", "tail")
+
+    def __init__(self) -> None:
+        self.keys: List[str] = []
+        self.slots = array("I")
+        self.tail: Dict[str, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.keys) + len(self.tail)
+
+    def slot_of(self, key: str) -> Optional[int]:
+        slot = self.tail.get(key) if self.tail else None
+        if slot is None:
+            index = _sorted_index(self.keys, key)
+            if index >= 0:
+                slot = self.slots[index]
+        return slot
+
+    def put(self, key: str, slot: int) -> None:
+        """Add ``key``, which the table does not hold, with ``slot``."""
+        keys = self.keys
+        if not keys or key > keys[-1]:
+            keys.append(key)
+            self.slots.append(slot)
+            return
+        self.tail[key] = slot
+        if len(self.tail) >= max(_TAIL_MERGE_THRESHOLD, len(keys) >> 3):
+            self._fold_tail()
+
+    def _fold_tail(self) -> None:
+        """Splice the sorted tail into the main run: one bisect per
+        tail key, and slice copies of the main run between them."""
+        keys, slots = self.keys, self.slots
+        merged_keys: List[str] = []
+        merged_slots = array("I")
+        done = 0
+        for key, slot in sorted(self.tail.items()):
+            at = bisect.bisect_left(keys, key, done)
+            merged_keys += keys[done:at]
+            merged_keys.append(key)
+            merged_slots += slots[done:at]
+            merged_slots.append(slot)
+            done = at
+        merged_keys += keys[done:]
+        merged_slots += slots[done:]
+        self.keys, self.slots, self.tail = merged_keys, merged_slots, {}
+
+    def ordered(self) -> List[str]:
+        """Every key in sorted order (folds any tail in first).
+        Callers must treat it as read-only."""
+        if self.tail:
+            self._fold_tail()
+        return self.keys
+
+    def ordered_slots(self) -> array:
+        """The slots of :meth:`ordered`, position for position."""
+        if self.tail:
+            self._fold_tail()
+        return self.slots
+
+    def memory_bytes(self) -> int:
+        # The table, both runs, and the tail with its boxed slots; the
+        # owner prices the key strings, since it knows where they live.
+        total = sys.getsizeof(self) + sys.getsizeof(self.keys)
+        total += sys.getsizeof(self.slots) + sys.getsizeof(self.tail)
+        return total + sum(map(sys.getsizeof, self.tail.values()))
+
+
+class _NameTable(_SortedTable):
     """One domain's item names under dense uint32 ids.
 
     ``by_id[ident]`` is the name; ids are assigned in first-write order,
     so a fresh item appends to the end of its sorted posting runs.  The
     sorted name order (select page order, prefix and ``itemName()``
-    ranges) is a list with each name's id beside it in a parallel
-    ``array('I')``.  That 4-byte slot is the id's only home: ``id_of``
-    is a bisect, where a ``name -> id`` dict would pay a hash slot and a
-    boxed int per item beside the registry already keyed by the same
-    names.  Out-of-order arrivals wait in a small ``name -> id`` dict
-    that is folded in at :data:`_TAIL_MERGE_THRESHOLD` or by the next
-    ordered read (one keyed Timsort over two runs)."""
+    ranges) is the table's keys, with each name's id in the slot beside
+    it.  That 4-byte slot is the id's only home: ``id_of`` is a bisect,
+    where a ``name -> id`` dict would pay a hash slot and a boxed int
+    per item beside the registry already keyed by the same names."""
 
-    __slots__ = ("by_id", "_sorted", "_sorted_ids", "_tail")
+    __slots__ = ("by_id",)
 
     def __init__(self) -> None:
+        super().__init__()
         self.by_id: List[str] = []
-        self._sorted: List[str] = []
-        self._sorted_ids = array("I")
-        self._tail: Dict[str, int] = {}
 
-    def __len__(self) -> int:
-        return len(self.by_id)
-
-    def id_of(self, name: str) -> Optional[int]:
-        ident = self._tail.get(name) if self._tail else None
-        if ident is None:
-            index = _sorted_index(self._sorted, name)
-            if index >= 0:
-                ident = self._sorted_ids[index]
-        return ident
+    id_of = _SortedTable.slot_of
 
     def intern(self, name: str) -> int:
         """The id of ``name``, assigning the next one on first sight."""
-        names = self._sorted
-        in_order = not self._tail and (not names or name > names[-1])
-        ident = None if in_order else self.id_of(name)
+        keys = self.keys
+        if keys and name == keys[-1]:
+            return self.slots[-1]  # the newest item, written again
+        if keys and name < keys[-1]:
+            ident = self.slot_of(name)
+        else:
+            ident = self.tail.get(name) if self.tail else None
         if ident is None:
             ident = len(self.by_id)
             self.by_id.append(name)
-            if in_order:
-                names.append(name)
-                self._sorted_ids.append(ident)
-            else:
-                self._tail[name] = ident
-                if len(self._tail) >= _TAIL_MERGE_THRESHOLD:
-                    self._fold_tail()
+            self.put(name, ident)
         return ident
 
-    def _fold_tail(self) -> None:
-        by_id = self.by_id
-        ids = list(self._sorted_ids)
-        ids.extend(self._tail.values())
-        ids.sort(key=by_id.__getitem__)
-        self._sorted_ids = array("I", ids)
-        self._sorted = list(map(by_id.__getitem__, ids))
-        self._tail = {}
-
-    def ordered(self) -> List[str]:
-        """Every name in sorted order (folds any tail in first).
-        Callers must treat it as read-only."""
-        if self._tail:
-            self._fold_tail()
-        return self._sorted
-
-    def ordered_ids(self) -> array:
-        """The ids of :meth:`ordered`, position for position."""
-        if self._tail:
-            self._fold_tail()
-        return self._sorted_ids
-
     def memory_bytes(self) -> int:
-        # Both lists, the id array, the tail with its boxed ids, and
-        # one count of each name string (shared with the registry keys).
-        total = sys.getsizeof(self.by_id) + sys.getsizeof(self._sorted)
-        total += sys.getsizeof(self._sorted_ids) + sys.getsizeof(self._tail)
-        total += sum(sys.getsizeof(i) for i in self._tail.values())
-        total += sum(sys.getsizeof(name) for name in self.by_id)
-        return total
+        # The id -> name list and one count of each name string (shared
+        # with the registry keys).
+        total = super().memory_bytes() + sys.getsizeof(self.by_id)
+        return total + sum(map(sys.getsizeof, self.by_id))
 
 
 class _SortedIdRun:
@@ -553,150 +598,157 @@ class _SortedIdRun:
         return array("I", merged)
 
 
-def _posting_add(values: Dict[str, object], value: str, ident: int) -> int:
-    """Add ``ident`` to the posting of ``value``; returns the posting's
-    new size, or 0 when the id was already there.
+class _ValueTable(_SortedTable):
+    """One attribute's index: its distinct values, sorted, with each
+    value's posting in the 4-byte slot beside it.
 
-    The representation follows the cardinality: one id is stored
-    inline as the int itself, the second distinct id promotes it to a
-    bare sorted ``array('I')``, and only a wide array taking an
-    out-of-order id is wrapped in a :class:`_SortedIdRun`."""
-    posting = values.get(value)
-    if posting is None:
-        values[value] = ident
-        return 1
-    if posting.__class__ is int:
-        if posting == ident:
-            return 0
-        values[value] = array(
-            "I", (posting, ident) if posting < ident else (ident, posting)
-        )
-        return 2
-    if posting.__class__ is array:
-        if ident > posting[-1]:
-            posting.append(ident)
-            return len(posting)
-        index = bisect.bisect_left(posting, ident)
-        if posting[index] == ident:
-            return 0
-        if len(posting) < _TAIL_MERGE_THRESHOLD:
-            posting.insert(index, ident)
-            return len(posting)
-        posting = values[value] = _SortedIdRun(posting)
-    if not posting.add(ident):
-        return 0
-    if len(posting.tail) >= _TAIL_MERGE_THRESHOLD:
-        values[value] = posting.merged()
-    return len(posting)
+    The posting follows its cardinality.  A value held by one item
+    keeps that id in its slot.  The second distinct id promotes it to a
+    sorted ``array('I')`` parked in ``wide[i]``, and the slot becomes
+    ``_WIDE | i``.  Fresh items append to the array in O(1) because ids
+    increase; an out-of-order id is inserted in place while the array
+    is shorter than :data:`_TAIL_MERGE_THRESHOLD`, and past that the
+    array is wrapped in a :class:`_SortedIdRun` until its tail is
+    merged back.  Pruning walks the other way: a posting back at one id
+    returns to its slot and frees its ``wide`` entry (reused by the
+    next promotion), and an emptied posting takes its value out of the
+    table."""
 
-
-def _posting_discard(values: Dict[str, object], value: str, ident: int) -> int:
-    """Remove ``ident`` from the posting of ``value``; returns the new
-    size, or -1 when the id was not there.  A posting back at one id is
-    demoted to the inline int, an emptied one leaves the dict."""
-    posting = values[value]
-    if posting.__class__ is int:
-        if posting != ident:
-            return -1
-        del values[value]
-        return 0
-    if posting.__class__ is _SortedIdRun:
-        # Deletes are rare: settle the wide run back to a bare array.
-        posting = values[value] = posting.merged()
-    index = _sorted_index(posting, ident)
-    if index < 0:
-        return -1
-    del posting[index]
-    if len(posting) == 1:
-        values[value] = posting[0]
-    return len(posting)
-
-
-def _posting_ids(posting: object) -> Sequence[int]:
-    """The ids of one stored posting, as a sized iterable."""
-    if posting.__class__ is int:
-        return (posting,)
-    return posting if posting.__class__ is array else posting.ids()
-
-
-class _SortedStringRun:
-    """Two-tier sorted run of unique strings (callers guarantee
-    uniqueness — the per-attribute value dict guards distinct values):
-    in-order inserts append to the sorted main list, out-of-order
-    inserts land in a small sorted tail merged at the threshold.
-    Readers call :meth:`ordered`, which folds any tail in first — reads
-    are rarer than writes at ingest scale, and a fold after ≤ threshold
-    tail inserts is one two-run Timsort merge."""
-
-    _THRESHOLD = _TAIL_MERGE_THRESHOLD
-
-    __slots__ = ("_main", "_tail")
+    __slots__ = ("wide", "free")
 
     def __init__(self) -> None:
-        self._main: List[str] = []
-        self._tail: Optional[List[str]] = None
+        super().__init__()
+        #: id arrays and wide runs; ``None`` where freed.
+        self.wide: List[object] = []
+        #: indices of the freed ``wide`` entries.
+        self.free: List[int] = []
 
-    def __len__(self) -> int:
-        return len(self._main) + (len(self._tail) if self._tail is not None else 0)
+    def slot_ids(self, slot: int) -> Sequence[int]:
+        """The ids of one slot's posting, as a sized iterable."""
+        if slot < _WIDE:
+            return (slot,)
+        posting = self.wide[slot ^ _WIDE]
+        return posting if posting.__class__ is array else posting.ids()
 
-    def __iter__(self):
-        return iter(self.ordered())
+    def slot_count(self, slot: int) -> int:
+        return 1 if slot < _WIDE else len(self.wide[slot ^ _WIDE])
 
-    def add(self, text: str) -> None:
-        main = self._main
-        tail = self._tail
-        if tail is None:
-            if not main or text > main[-1]:
-                main.append(text)
-                return
-            tail = self._tail = []
-        if not tail or text > tail[-1]:
-            tail.append(text)
+    def add(self, value: str, ident: int) -> int:
+        """Add ``ident`` to the posting of ``value``; returns the
+        posting's new size, or 0 when the id was already there.  One
+        tail probe and at most one bisect; a new value that sorts after
+        the main run appends without a bisect."""
+        tail = self.tail
+        slot = tail.get(value) if tail else None
+        index = -1
+        if slot is None:
+            keys = self.keys
+            if not keys or value > keys[-1]:
+                keys.append(value)
+                self.slots.append(ident)
+                return 1
+            index = bisect.bisect_left(keys, value)
+            if keys[index] != value:
+                self.put(value, ident)
+                return 1
+            slot = self.slots[index]
+        if slot >= _WIDE:
+            posting = self.wide[slot ^ _WIDE]
+            if posting.__class__ is array and ident > posting[-1]:
+                posting.append(ident)
+                return len(posting)
+            return self._insert_wide(slot ^ _WIDE, ident)
+        if slot == ident:
+            return 0
+        slot = self._park(
+            array("I", (slot, ident) if slot < ident else (ident, slot))
+        )
+        if index < 0:
+            tail[value] = slot
         else:
-            bisect.insort(tail, text)
-        if len(tail) >= self._THRESHOLD:
-            self._fold_tail()
-        return
+            self.slots[index] = slot
+        return 2
 
-    def discard(self, text: str) -> bool:
-        main = self._main
-        index = bisect.bisect_left(main, text)
-        if index < len(main) and main[index] == text:
-            del main[index]
-            return True
-        tail = self._tail
-        if tail is None:
-            return False
-        index = bisect.bisect_left(tail, text)
-        if index < len(tail) and tail[index] == text:
-            del tail[index]
-            if not tail:
-                self._tail = None
-            return True
-        return False
+    def _insert_wide(self, i: int, ident: int) -> int:
+        """:meth:`add` for an id that does not append to its array."""
+        wide = self.wide
+        posting = wide[i]
+        if posting.__class__ is array:
+            index = bisect.bisect_left(posting, ident)
+            if posting[index] == ident:
+                return 0
+            if len(posting) < _TAIL_MERGE_THRESHOLD:
+                posting.insert(index, ident)
+                return len(posting)
+            posting = wide[i] = _SortedIdRun(posting)
+        if not posting.add(ident):
+            return 0
+        if len(posting.tail) >= _TAIL_MERGE_THRESHOLD:
+            wide[i] = posting.merged()
+        return len(posting)
 
-    def _fold_tail(self) -> None:
-        tail = self._tail
-        if tail:
-            main = self._main
-            if main and tail[0] < main[-1]:
-                main.extend(tail)
-                main.sort()
+    def _park(self, posting: array) -> int:
+        """Store a promoted posting in ``wide``; returns its slot."""
+        if self.free:
+            i = self.free.pop()
+            self.wide[i] = posting
+        else:
+            i = len(self.wide)
+            self.wide.append(posting)
+        return _WIDE | i
+
+    def discard(self, value: str, ident: int) -> int:
+        """Remove ``ident`` from the posting of ``value``; returns the
+        new size, or -1 when the id was not there."""
+        tail = self.tail
+        slot = tail.get(value) if tail else None
+        index = -1
+        if slot is None:
+            index = _sorted_index(self.keys, value)
+            if index < 0:
+                return -1
+            slot = self.slots[index]
+        if slot < _WIDE:
+            if slot != ident:
+                return -1
+            if index < 0:
+                del tail[value]
             else:
-                main.extend(tail)
-        self._tail = None
-
-    def ordered(self) -> List[str]:
-        """The fully merged sorted list (folds any tail in first).
-        Callers must treat it as read-only."""
-        if self._tail is not None:
-            self._fold_tail()
-        return self._main
+                del self.keys[index]
+                del self.slots[index]
+            return 0
+        i = slot ^ _WIDE
+        posting = self.wide[i]
+        if posting.__class__ is _SortedIdRun:
+            # Deletes are rare: settle the wide run back to a bare array.
+            posting = self.wide[i] = posting.merged()
+        at = _sorted_index(posting, ident)
+        if at < 0:
+            return -1
+        del posting[at]
+        if len(posting) > 1:
+            return len(posting)
+        self.wide[i] = None
+        self.free.append(i)
+        if index < 0:
+            tail[value] = posting[0]
+        else:
+            self.slots[index] = posting[0]
+        return 1
 
     def memory_bytes(self) -> int:
-        total = sys.getsizeof(self._main)
-        if self._tail is not None:
-            total += sys.getsizeof(self._tail)
+        # One count of each value string, and every wide posting in the
+        # form it is stored in, allocated slack included.
+        total = super().memory_bytes()
+        total += sum(map(sys.getsizeof, self.keys))
+        total += sum(map(sys.getsizeof, self.tail))
+        total += sys.getsizeof(self.wide) + sys.getsizeof(self.free)
+        total += sum(map(sys.getsizeof, self.free))
+        for posting in self.wide:
+            if posting.__class__ is _SortedIdRun:
+                total += sys.getsizeof(posting.main) + sys.getsizeof(posting.tail)
+            if posting is not None:
+                total += sys.getsizeof(posting)
         return total
 
 
@@ -722,15 +774,13 @@ class _DomainState:
     pending removal.
 
     Item names live once in a :class:`_NameTable` (dense uint32 ids,
-    the sorted name order with each id beside it), and a posting's
-    layout follows its cardinality: a value held by one item stores
-    that id inline in ``by_attr[attribute][value]``, the second
-    distinct id promotes it to a bare sorted ``array('I')``
-    (:func:`_posting_add`), and pruning back to one id demotes it
-    (:func:`_posting_discard`) — a high-cardinality attribute, where
-    nearly every value is a singleton, pays a dict slot and an int per
-    value instead of two objects.  Each attribute's sorted distinct
-    values are a :class:`_SortedStringRun`.
+    the sorted name order with each id beside it), and each attribute's
+    index is one :class:`_ValueTable` of the same shape: its distinct
+    values, sorted, with each value's posting in the 4-byte slot beside
+    it — the item id itself while one item holds the value, else a
+    pointer to an id array.  A high-cardinality attribute, where nearly
+    every value is a singleton, pays a list slot and 4 bytes per value,
+    and the sorted order range reads walk is the table itself.
     """
 
     __slots__ = (
@@ -739,8 +789,7 @@ class _DomainState:
         "attr_postings",
         "set_size_hist",
         "names",
-        "by_attr",
-        "sorted_values",
+        "tables",
     )
 
     def __init__(self) -> None:
@@ -765,11 +814,8 @@ class _DomainState:
         self.set_size_hist: Dict[str, Dict[int, int]] = {}
         #: The domain's item names: ids, and the sorted order.
         self.names = _NameTable()
-        #: attribute -> value -> posting (inline id, id array, or a
-        #: wide run with a pending tail).
-        self.by_attr: Dict[str, Dict[str, object]] = {}
-        #: attribute -> its distinct values, sorted (two-tier runs).
-        self.sorted_values: Dict[str, _SortedStringRun] = {}
+        #: attribute -> its values, sorted, each beside its posting.
+        self.tables: Dict[str, _ValueTable] = {}
 
     # -- selectivity bookkeeping ---------------------------------------------
 
@@ -813,11 +859,9 @@ class _DomainState:
         select interleavings."""
         postings: Dict[str, int] = {}
         hist: Dict[str, Dict[int, int]] = {}
-        for attribute, values in self.by_attr.items():
-            for members in values.values():
-                size = 1 if members.__class__ is int else len(members)
-                if not size:
-                    continue
+        for attribute, table in self.tables.items():
+            for slot in chain(table.slots, table.tail.values()):
+                size = table.slot_count(slot)
                 postings[attribute] = postings.get(attribute, 0) + size
                 inner = hist.setdefault(attribute, {})
                 bucket = size.bit_length()
@@ -842,17 +886,14 @@ class _DomainState:
 
     def note_pairs(self, name: str, pairs: Sequence[Tuple[str, str]]) -> None:
         ident = self.names.intern(name)
-        by_attr = self.by_attr
+        tables = self.tables
         pending = self.pending_unindex
         for attribute, value in pairs:
-            values = by_attr.get(attribute)
-            if values is None:
-                values = by_attr[attribute] = {}
-                self.sorted_values[attribute] = _SortedStringRun()
-            size = _posting_add(values, value, ident)
+            table = tables.get(attribute)
+            if table is None:
+                table = tables[attribute] = _ValueTable()
+            size = table.add(value, ident)
             if size:
-                if size == 1:
-                    self.sorted_values[attribute].add(value)
                 self._note_posting_resize(attribute, size - 1, size)
             if pending:
                 # A re-put beats any queued removal: the pair is live again.
@@ -869,20 +910,17 @@ class _DomainState:
         for key in fired:
             del self.pending_unindex[key]
             attribute, value, name = key
-            values = self.by_attr.get(attribute)
+            table = self.tables.get(attribute)
             ident = self.names.id_of(name)
-            if not values or value not in values or ident is None:
+            if table is None or ident is None:
                 continue
-            size = _posting_discard(values, value, ident)
+            size = table.discard(value, ident)
             if size >= 0:
                 self._note_posting_resize(attribute, size + 1, size)
-            if not size:
-                self.sorted_values[attribute].discard(value)
-                if not values:
-                    # Last value gone: drop the attribute's (now empty)
-                    # containers instead of leaking them.
-                    del self.by_attr[attribute]
-                    del self.sorted_values[attribute]
+            if not size and not table:
+                # Last value gone: drop the attribute's (now empty)
+                # table instead of leaking it.
+                del self.tables[attribute]
         return len(fired)
 
     # -- reads the planner codes against --------------------------------------
@@ -911,27 +949,28 @@ class _DomainState:
 
     def _keys_at(self, start: int, stop: int) -> Collection:
         """Keys of positions ``[start, stop)`` of the sorted name order."""
-        return self.names.ordered_ids()[start:stop]
+        return self.names.ordered_slots()[start:stop]
 
     def names_with(self, attribute: str, value: str) -> Collection:
-        posting = self.by_attr.get(attribute, {}).get(value)
-        return () if posting is None else _posting_ids(posting)
+        table = self.tables.get(attribute)
+        slot = None if table is None else table.slot_of(value)
+        return () if slot is None else table.slot_ids(slot)
 
     def count_with(self, attribute: str, value: str) -> int:
         """O(len-read) posting count for one ``attribute = value``
         pair — the cost model's estimate probe, no set
         materialization."""
-        posting = self.by_attr.get(attribute, {}).get(value)
-        if posting is None:
-            return 0
-        return 1 if posting.__class__ is int else len(posting)
+        table = self.tables.get(attribute)
+        slot = None if table is None else table.slot_of(value)
+        return 0 if slot is None else table.slot_count(slot)
 
     def distinct_value_count(self, attribute: str) -> int:
-        return len(self.by_attr.get(attribute, {}))
+        table = self.tables.get(attribute)
+        return 0 if table is None else len(table)
 
     def ordered_values(self, attribute: str) -> List[str]:
-        run = self.sorted_values.get(attribute)
-        return run.ordered() if run is not None else []
+        table = self.tables.get(attribute)
+        return [] if table is None else table.ordered()
 
     def count_values_in_range(
         self,
@@ -1007,40 +1046,34 @@ class _DomainState:
         attribute can cover most of the domain in a handful of values;
         the bailout is about candidate-walk cost, which is items, not
         values)."""
-        values = self.by_attr.get(attribute)
-        if not values:
+        table = self.tables.get(attribute)
+        if table is None:
             return ()
-        ordered = self.ordered_values(attribute)
-        start, stop = _range_slice(ordered, low, high, incl_low, incl_high)
+        start, stop = _range_slice(
+            table.ordered(), low, high, incl_low, incl_high
+        )
         if stop - start > limit:
             return None
         out: Set[int] = set()
-        for value in ordered[start:stop]:
-            out.update(_posting_ids(values[value]))
-            if len(out) > limit:
-                return None
-        return out
+        for slot in table.slots[start:stop]:
+            if slot < _WIDE:
+                out.add(slot)
+            else:
+                out.update(table.slot_ids(slot))
+                if len(out) > limit:
+                    return None
+        # Single ids after an array can still carry the union past it.
+        return out if len(out) <= limit else None
 
     def memory_bytes(self) -> int:
-        """Index footprint: container overhead, every posting in the
-        form it is stored in (an inline id is priced as its boxed int,
-        an id array with its allocated slack), the name table with its
-        id slots, one count of each distinct string (names via the
-        table, attribute/value strings via their dict keys), the
-        pending-unindex tuples, and the selectivity stats with their
-        inner dicts."""
-        total = self.names.memory_bytes()
-        total += sys.getsizeof(self.by_attr)
-        for attribute, values in self.by_attr.items():
-            total += sys.getsizeof(attribute) + sys.getsizeof(values)
-            for value, posting in values.items():
-                total += sys.getsizeof(value) + sys.getsizeof(posting)
-                if posting.__class__ is _SortedIdRun:
-                    total += sys.getsizeof(posting.main)
-                    total += sys.getsizeof(posting.tail)
-        total += sys.getsizeof(self.sorted_values)
-        for run in self.sorted_values.values():
-            total += sys.getsizeof(run) + run.memory_bytes()
+        """Index footprint: the name table and each attribute's value
+        table (both runs with their 4-byte slots, any pending tail, and
+        every id array with its allocated slack), one count of each
+        distinct string, the pending-unindex tuples, and the
+        selectivity stats with their inner dicts."""
+        total = self.names.memory_bytes() + sys.getsizeof(self.tables)
+        for attribute, table in self.tables.items():
+            total += sys.getsizeof(attribute) + table.memory_bytes()
         total += _pending_unindex_bytes(self.pending_unindex)
         total += _stats_bytes(self.attr_postings, self.set_size_hist)
         return total
@@ -1810,10 +1843,10 @@ class SimpleDBService:
     ) -> None:
         # Intern attribute names and values: provenance traffic repeats
         # the same small vocabulary (type/name/input/...) across millions
-        # of items, and the registry, hash indexes, and sorted-value
-        # lists all hold references to the same pair strings — one
-        # canonical object per distinct string instead of one copy per
-        # write (``index_memory_bytes`` gauges the footprint).
+        # of items, and the registry and the value tables hold
+        # references to the same pair strings — one canonical object per
+        # distinct string instead of one copy per write
+        # (``index_memory_bytes`` gauges the footprint).
         pairs = [
             (sys.intern(attribute), sys.intern(value))
             for attribute, value in pairs

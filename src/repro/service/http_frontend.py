@@ -114,7 +114,7 @@ class ProvenanceFrontend:
             def do_GET(self):
                 try:
                     handled = frontend._handle_get(self.path)
-                except Exception as exc:  # pragma: no cover - defensive
+                except Exception as exc:
                     self._reply(500, {"error": str(exc)})
                     return
                 if handled is None:
@@ -159,7 +159,7 @@ class ProvenanceFrontend:
                 except (KeyError, ValueError, CloudServiceError) as exc:
                     self._reply(400, {"error": f"{type(exc).__name__}: {exc}"})
                     return
-                except Exception as exc:  # pragma: no cover - defensive
+                except Exception as exc:
                     self._reply(500, {"error": str(exc)})
                     return
                 if handled is None:

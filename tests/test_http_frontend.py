@@ -11,6 +11,7 @@ thin marshalling layer either way.
 import http.client
 import json
 import socket
+import sqlite3
 import urllib.error
 import urllib.request
 
@@ -252,6 +253,44 @@ class TestErrorHandling:
         assert _get(base, "/healthz")["virtual_now"] == before
         settled = _post(base, "/v1/settle", {"seconds": 1.0})
         assert settled["virtual_now"] == before + 1.0
+
+
+class TestServerErrors:
+    """A fault the handlers do not anticipate becomes a 500 JSON reply
+    naming it, and the server keeps answering."""
+
+    @staticmethod
+    def _error(call):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            call()
+        assert excinfo.value.headers["Content-Type"] == "application/json"
+        return excinfo.value.code, json.loads(excinfo.value.read())
+
+    def test_os_error_under_a_get_is_500(self, frontend, monkeypatch):
+        front, base = frontend
+
+        def full_disk():
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(front.gateway.stats, "summary", full_disk)
+        status, body = self._error(lambda: _get(base, "/v1/stats"))
+        assert status == 500
+        assert "No space left on device" in body["error"]
+        assert _get(base, "/healthz")["status"] == "ok"
+
+    def test_sqlite_error_under_a_post_is_500(self, frontend, monkeypatch):
+        front, base = frontend
+
+        def locked(expression):
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(front.account.simpledb, "select", locked)
+        status, body = self._error(lambda: _post(
+            base, "/v1/select", {"expression": "select * from provenance"}
+        ))
+        assert status == 500
+        assert body["error"] == "database is locked"
+        assert _get(base, "/healthz")["status"] == "ok"
 
 
 def _raw_post(address, headers):

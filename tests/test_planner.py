@@ -205,10 +205,10 @@ class TestRiders:
         value = "-".join(["val", "0042"])
         sdb.put_attributes("d", "x_0", [(attribute, value)])
         state = sdb._domains["d"]
-        stored_attr = next(a for a in state.by_attr if a == attribute)
+        stored_attr = next(a for a in state.tables if a == attribute)
         assert stored_attr is sys.intern(attribute)
         stored_value = next(
-            v for v in state.by_attr[stored_attr] if v == value
+            v for v in state.tables[stored_attr].ordered() if v == value
         )
         assert stored_value is sys.intern(value)
 
