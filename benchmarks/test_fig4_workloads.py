@@ -13,9 +13,27 @@ to keep wall time sensible.
 from repro.bench.experiments import fig4_workloads
 
 
-def test_fig4_workloads(once, benchmark):
+def _cells(result):
+    """Every cell's client elapsed time, operations and overhead, keyed
+    ``period/environment/workload`` then configuration."""
+    return {
+        "/".join(key): {
+            config: {
+                "elapsed_seconds": cell.result.elapsed_seconds,
+                "operations": cell.result.operations,
+                "overhead": cell.overhead,
+            }
+            for config, cell in per_config.items()
+        }
+        for key, per_config in result.cells.items()
+    }
+
+
+def test_fig4_workloads(once, benchmark, golden):
     result = once(benchmark, fig4_workloads, scale=0.4)
     print("\n" + result.render())
+    # All 36 protocol cells and their s3fs bases, to the last bit.
+    golden("fig4_workloads", _cells(result))
     below, total = result.overhead_summary()
     print(f"\noverheads < 10%: {below} of {total} (paper: 29 of 36)")
 

@@ -8,9 +8,10 @@ for P2/P3 only.
 from repro.bench.experiments import table1_properties
 
 
-def test_table1_properties(once, benchmark):
+def test_table1_properties(once, benchmark, golden):
     result = once(benchmark, table1_properties)
     print("\n" + result.render())
+    golden("table1_properties", result.matrix.rows)
 
     matrix = result.matrix
     assert matrix.get("p1", "provenance-data-coupling") is False

@@ -14,9 +14,11 @@ asserted at the cent resolution the paper's Table 4 prints.
 from repro.bench.experiments import table4_cost
 
 
-def test_table4_cost(once, benchmark):
+def test_table4_cost(once, benchmark, golden):
     result = once(benchmark, table4_cost)
     print("\n" + result.render())
+    # Every bill, to the last bit.
+    golden("table4_cost", result.costs)
 
     for workload, per_config in result.costs.items():
         # P3 is the most expensive configuration (SQS log + SimpleDB).

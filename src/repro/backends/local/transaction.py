@@ -7,7 +7,10 @@ part-way through would leave part of the request on disk.  Wrapping a
 :class:`~repro.cloud.network.Request`'s ``apply`` in one explicit
 ``BEGIN … COMMIT`` makes the request all or nothing on disk: a raise
 rolls it back, and a process killed mid-apply leaves a hot rollback
-journal that the next open of the database undoes.
+journal that the next open of the database undoes.  sqlite rolls back
+by itself on some errors (a full disk, an I/O error, out of memory), so
+the wrapper rolls back only a transaction that is still open, and the
+request fails with sqlite's own error.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ def atomic(conn: sqlite3.Connection, request: Request) -> Request:
         try:
             result = apply(start, finish)
         except BaseException:
-            conn.execute("ROLLBACK")
+            if conn.in_transaction:
+                conn.execute("ROLLBACK")
             raise
         conn.execute("COMMIT")
         return result

@@ -62,10 +62,9 @@ class TimeDomain:
     records what *this* process's timeline looked like — when it first
     ran, how much virtual time it spent executing charged work (busy)
     versus sleeping between activations (idle), and when it finished.
-    This is the generalisation of the pre-kernel ``advance_clock=False``
-    daemon accounting: the paper excludes commit-daemon time from client
-    elapsed times, and under the kernel that falls out naturally because
-    the daemon's busy time accrues to its own domain, not the client's.
+    The paper excludes commit-daemon time from client elapsed times;
+    under the kernel that falls out naturally because the daemon's busy
+    time accrues to its own domain, not the client's.
     """
 
     def __init__(self, name: str):

@@ -306,9 +306,6 @@ class FaultSchedule:
         self.windows.append(window)
         return window
 
-    def empty(self) -> bool:
-        return not (self.recurring or self.respawns or self.windows)
-
 
 @dataclass
 class FaultPlan:

@@ -18,9 +18,11 @@ Each request consumes up to three resources:
   overheads), and why SimpleDB stops scaling with connections while S3
   and SQS keep going.
 
-A batch's makespan is charged to the virtual clock; daemon work can be
-scheduled with ``advance_clock=False`` (billed and applied, but excluded
-from elapsed time, matching the paper's commit-daemon accounting).
+A batch's makespan is charged to the virtual clock unless it is
+scheduled with ``advance_clock=False`` (billed and applied, the clock
+left alone): the simulation kernel schedules every batch that way and
+moves the clock itself, and untimed setup such as staged inputs uses it
+too.
 """
 
 from __future__ import annotations

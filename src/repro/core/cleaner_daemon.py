@@ -19,7 +19,6 @@ from typing import Generator, List, Optional
 from repro.cloud.account import CloudAccount
 from repro.cloud.network import Request
 from repro.errors import NoSuchKeyError
-from repro.sim.compat import run_plan_phased
 from repro.sim.events import Batch, Delay
 
 #: Age after which an orphaned temporary is collected (matches SQS's
@@ -36,29 +35,21 @@ class CleanerDaemon:
         bucket: str,
         max_age_seconds: float = DEFAULT_MAX_AGE_SECONDS,
         connections: int = 32,
-        charge_time: bool = False,
     ):
         self.account = account
         self.bucket = bucket
         self.max_age_seconds = max_age_seconds
         self.connections = connections
-        self.charge_time = charge_time
-        #: Cumulative temporaries removed (the kernel process's counter).
+        #: Cumulative temporaries removed over every pass.
         self.removed_total = 0
         #: The first LIST page request (marker "") reused across passes —
         #: every poll starts with the same listing; continuation markers
         #: vary per pass and are built fresh.
         self._first_list: Optional[Request] = None
 
-    def clean(self) -> int:
-        """One cleaning pass (phased driver); returns temporaries removed."""
-        return run_plan_phased(
-            self.account, self.clean_plan(), advance_clock=self.charge_time
-        )
-
     def clean_plan(self) -> Generator:
         """One cleaning pass as an effect plan — list the ``tmp/`` prefix,
-        HEAD each object, delete the stale ones."""
+        HEAD each object, delete the stale ones; returns how many went."""
         now = self.account.now
         keys: List[str] = []
         marker = ""

@@ -36,11 +36,11 @@ failed ones came back, up to ``COPY_ATTEMPTS`` tries — a straggler
 neither holds back its group nor buys a second COPY for anything already
 copied.  One commit round (:meth:`CommitDaemon._commit_round`) puts the
 fresh group, tries the copies of the fresh and the due held transactions
-and finishes what landed; the drivers differ only between rounds.
-:meth:`CommitDaemon.process` goes straight back to ``ReceiveMessage``
-(idle, it sleeps no longer than to the next due-time), so what is logged
-while a straggler waits is committed ahead of it; the phased drivers and
-:meth:`CommitDaemon.retire_plan` sleep to the next due-time and run
+and finishes what landed.  :meth:`CommitDaemon.process` goes straight
+back to ``ReceiveMessage`` (idle, it sleeps no longer than to the next
+due-time), so what is logged while a straggler waits is committed ahead
+of it; :meth:`CommitDaemon.commit_plan` (and so
+:meth:`CommitDaemon.retire_plan`) sleeps to the next due-time and runs
 another round until nothing is held.  The one thing a straggler does
 hold back is a later version of its own path, in this daemon: two
 flushes of one path copy to the same final key, a round walks the held
@@ -63,23 +63,20 @@ machine can run a daemon against the same queue and finish the job: the
 WAL is the authority.  Commits are idempotent: re-running a partially committed
 group re-issues the same writes.
 
-The daemon runs in two execution modes over one copy of the commit
-logic (:meth:`CommitDaemon._commit_round`, an effect-plan generator; the
-group is whatever is complete when it is called):
+**One loop.**  The daemon is :meth:`CommitDaemon.process`, a
+long-running process on the simulation kernel that polls SQS on an
+interval, concurrently with the clients that feed the queue in a
+fleet.  In a paper replay it runs after they finish:
+``ProtocolP3.finalize`` drives the same loop with ``run_plan_phased``
+through :meth:`CommitDaemon.until_idle`, stopped at its first round
+that receives nothing while nothing is held.  On the kernel its work
+charges its own time domain, and a replay runs it after the client's
+elapsed time was taken, so client elapsed times exclude daemon time
+("the elapsed times we present do not include the commit daemon times
+as it operates asynchronously") while the bill, and the account clock
+that EC2 instance-hours read, include it.
 
-- **Phased** (the paper's measurement methodology): :meth:`drain` is
-  called after the client finishes; batches run with
-  ``advance_clock=False`` — billed and counted but excluded from the
-  client's elapsed time ("the elapsed times we present do not include
-  the commit daemon times as it operates asynchronously").
-- **Kernel** (:meth:`process`): the daemon is a long-running process on
-  the simulation kernel, polling SQS on an interval concurrently with
-  the clients that feed the queue.  Its work charges its own time
-  domain, so commit lag and WAL backlog become observable over virtual
-  time while client elapsed times still exclude daemon time — the same
-  accounting, now by construction.
-
-**Receive fan-out (kernel mode).**  One ``ReceiveMessage`` returns at
+**Receive fan-out.**  One ``ReceiveMessage`` returns at
 most ten messages, so one receive per round would cap the group at ten
 transactions however deep the WAL is.  :meth:`CommitDaemon.process`
 instead issues up to *f* receives a round and sizes *f* to the backlog
@@ -96,8 +93,7 @@ old as its last commit — a quarter of a minute after a group of 160 —
 so the first receive of a round goes alone, and the other *f* − 1 follow
 in one batch over *f* − 1 connections only if it came back full: a round
 into a queue another daemon emptied meanwhile bills one receive, not
-*f*.  The phased :meth:`poll_once` / :meth:`drain` keep one receive per
-poll (the paper's Table 3 operation counts).
+*f*.
 """
 
 from __future__ import annotations
@@ -109,13 +105,12 @@ from repro.cloud.account import CloudAccount
 from repro.cloud.network import Request
 from repro.cloud.sqs import DEFAULT_VISIBILITY_TIMEOUT, Message
 from repro.errors import (
-    DrainExhaustedError,
+    CloudServiceError,
     NoSuchKeyError,
     TransactionIncompleteError,
 )
 from repro.obs.tracing import COMMIT_DONE, DAEMON_DEQUEUE, SDB_PUT
 from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
-from repro.sim.compat import run_plan_phased
 from repro.sim.events import Batch, Delay
 
 from repro.core.protocol_base import DomainRouter
@@ -165,15 +160,6 @@ class _PendingTransaction:
 
 
 @dataclass
-class CommitStats:
-    """What a drain accomplished."""
-
-    transactions_committed: int = 0
-    transactions_pending: int = 0
-    messages_processed: int = 0
-
-
-@dataclass
 class CommitRecord:
     """One committed transaction's timeline."""
 
@@ -200,7 +186,6 @@ class CommitDaemon:
         bucket: str,
         domain: str,
         connections: int = 32,
-        charge_time: bool = False,
         router: Optional[DomainRouter] = None,
         visibility_timeout: Optional[float] = None,
     ):
@@ -212,9 +197,6 @@ class CommitDaemon:
         self.router = router if router is not None else DomainRouter(domain)
         self.domain = domain
         self.connections = connections
-        #: When true, daemon requests advance the clock (used by tests
-        #: that reason about wall-clock visibility).
-        self.charge_time = charge_time
         #: Visibility timeout this daemon's receives ask for.  Defaults
         #: to the SQS default; a supervisor running the daemon under a
         #: respawn policy shortens it (the control plane guarantees a
@@ -230,6 +212,9 @@ class CommitDaemon:
         self._stop_requested = False
         #: True once a graceful retirement completed.
         self.retired = False
+        #: Whether :meth:`process`'s last round received nothing while
+        #: nothing was held: the visible WAL backlog is committed.
+        self.idle = False
         self._pending: Dict[str, _PendingTransaction] = {}
         #: The transactions of ``_pending`` put but not finished, in log order.
         self._held: Dict[str, _PendingTransaction] = {}
@@ -284,63 +269,7 @@ class CommitDaemon:
         hands incomplete ones back to the WAL, and returns."""
         self._stop_requested = True
 
-    # -- scheduling that respects the async accounting ------------------------
-
-    def _run(self, requests: List[Request]) -> List:
-        if not requests:
-            return []
-        batch = self.account.scheduler.execute_batch(
-            requests, self.connections, advance_clock=self.charge_time
-        )
-        return batch.results
-
     # -- queue consumption -------------------------------------------------------
-
-    def poll_once(self) -> int:
-        """Receive one batch of messages; commit any transactions they
-        complete.  Returns the number of messages received."""
-        messages: List[Message] = self._run([self._receive_request(10)])[0]
-        for message in messages:
-            self._ingest(message)
-        self._commit_ready()
-        return len(messages)
-
-    def drain(self, max_polls: int = 100000) -> CommitStats:
-        """Poll until the queue yields nothing and no complete transaction
-        remains uncommitted.  Incomplete transactions are left pending.
-
-        Raises :class:`~repro.errors.DrainExhaustedError` if the queue is
-        still yielding messages after ``max_polls`` polls — exhausting the
-        budget silently would leave a live backlog behind an apparently
-        successful drain."""
-        stats = CommitStats()
-        empty_polls = 0
-        drained = False
-        for _ in range(max_polls):
-            received = self.poll_once()
-            stats.messages_processed += received
-            if received == 0:
-                empty_polls += 1
-                if empty_polls >= 2:
-                    drained = True
-                    break
-            else:
-                empty_polls = 0
-        if not drained:
-            # The poll budget ran out before two consecutive empty polls
-            # confirmed quiescence.  Only raise if messages genuinely
-            # remain — a queue that emptied on the very last poll is a
-            # successful drain, not an exhaustion.
-            backlog = self.account.sqs.pending_count(self.queue_url)
-            if backlog > 0:
-                raise DrainExhaustedError(
-                    f"drain exhausted {max_polls} polls with the WAL queue "
-                    f"still holding {backlog} messages "
-                    f"({len(self._pending)} transactions pending)"
-                )
-        stats.transactions_committed = self._committed_count
-        stats.transactions_pending = len(self._pending)
-        return stats
 
     def process(
         self, poll_interval: float = 1.0, max_messages: int = 10
@@ -375,8 +304,36 @@ class CommitDaemon:
                     self._ingest(message)
             yield from self._commit_round()
             fanout = self._next_fanout(fanout, full, self.account.now - leased_at)
+            self.idle = not received and not self._held
             if not received:
                 yield Delay(min(poll_interval, self._until_due()))
+
+    def until_idle(self) -> Generator:
+        """:meth:`process` as an effect plan that returns at the end of
+        its first idle round: every visible WAL message was received and
+        every transaction it completed is committed.  Incomplete
+        transactions stay pending and their messages leased.  This is the
+        drain ``ProtocolP3.finalize`` runs.  A daemon asked to stop
+        retires and returns instead.  It needs no poll budget: a held
+        transaction finishes or raises within ``COPY_ATTEMPTS`` tries,
+        and a leased message comes back at most once per visibility
+        timeout until SQS's retention drops it, so a round that receives
+        nothing while nothing is held comes."""
+        self.idle = False
+        loop = self.process()
+        try:
+            effect = next(loop)
+            while not self.idle:
+                try:
+                    value = yield effect
+                except CloudServiceError as error:
+                    effect = loop.throw(error)
+                else:
+                    effect = loop.send(value)
+        except StopIteration as stop:
+            return stop.value
+        finally:
+            loop.close()
 
     def _next_fanout(self, fanout: int, full: int, held_s: float) -> int:
         """How many receives the next round issues, from what this round
@@ -434,19 +391,7 @@ class CommitDaemon:
         if latest is None or message.sent_at > latest:
             self._logged_at[parsed.txn_id] = message.sent_at
 
-    def _commit_ready(self) -> None:
-        run_plan_phased(
-            self.account, self.commit_plan(), advance_clock=self.charge_time
-        )
-
     # -- committing ------------------------------------------------------------------
-
-    def commit(self, txn_id: str) -> None:
-        """Commit one fully assembled transaction — a group of one
-        (phased driver)."""
-        run_plan_phased(
-            self.account, self.commit_plan([txn_id]), advance_clock=self.charge_time
-        )
 
     def _assembled(self, txn_id: str) -> _PendingTransaction:
         txn = self._pending.get(txn_id)
@@ -460,9 +405,9 @@ class CommitDaemon:
 
     def commit_plan(self, txn_ids: Optional[Sequence[str]] = None) -> Generator:
         """The commit of a group of fully assembled transactions, as an
-        effect plan that returns with nothing held — driven phased by
-        :meth:`commit` / :meth:`drain` and concurrently by
-        :meth:`retire_plan`.  The group is ``txn_ids``, or by default
+        effect plan that returns with nothing held — run by
+        :meth:`retire_plan`, and by itself on a kernel to commit one
+        group outside the receive loop.  The group is ``txn_ids``, or by default
         every transaction complete right now; with no group and nothing
         held it yields nothing."""
         yield from self._commit_round(txn_ids)

@@ -31,6 +31,7 @@ from repro.cloud.network import Request
 from repro.obs.tracing import CLIENT_EMIT, WAL_LOGGED
 from repro.provenance.graph import NodeRef
 from repro.provenance.pass_collector import FlushIntent
+from repro.sim.compat import run_plan_phased
 from repro.sim.events import Batch, Delay
 
 from repro.core.commit_daemon import CommitDaemon
@@ -203,11 +204,12 @@ class ProtocolP3(StorageProtocol):
         self._mark_flushed(work)
 
     def finalize(self) -> None:
-        """Drain the WAL: run the commit daemon until the queue is empty
-        (asynchronous in the paper — the scheduler does not charge this
-        work to the client's elapsed time)."""
-        self.commit_daemon.drain()
+        """Drain the WAL: run the commit daemon's loop until a round
+        receives nothing while nothing is held.  The daemon is
+        asynchronous in the paper: its time passes after the client's
+        elapsed time was taken."""
+        run_plan_phased(self.account, self.commit_daemon.until_idle())
 
     def run_cleaner(self) -> int:
-        """Run the cleaner daemon once; returns temp objects removed."""
-        return self.cleaner_daemon.clean()
+        """Run one cleaning pass; returns temp objects removed."""
+        return run_plan_phased(self.account, self.cleaner_daemon.clean_plan())

@@ -98,9 +98,3 @@ class CausalOrderingViolationError(ProtocolError):
 class TransactionIncompleteError(ProtocolError):
     """The commit daemon was asked to force-commit an incomplete
     transaction."""
-
-
-class DrainExhaustedError(ProtocolError):
-    """``CommitDaemon.drain`` hit its poll budget with messages still
-    flowing — the queue kept yielding past ``max_polls``, so returning
-    would silently leave committed-looking state behind a live backlog."""

@@ -223,10 +223,6 @@ class ProvenanceGraph:
     def nodes(self) -> Iterator[ProvenanceNode]:
         return iter(self._nodes.values())
 
-    def edges(self) -> Iterator[Edge]:
-        for edges in self._out.values():
-            yield from edges
-
     def out_edges(self, ref: NodeRef) -> List[Edge]:
         """Dependencies of ``ref`` (its direct ancestors)."""
         if ref not in self._nodes:

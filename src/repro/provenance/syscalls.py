@@ -10,7 +10,7 @@ pure compute intervals (which the evaluation charges as application time).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,6 @@ class SyscallTrace:
 
     def append(self, event: Event) -> None:
         self.events.append(event)
-
-    def extend(self, events: Iterable[Event]) -> None:
-        self.events.extend(events)
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)

@@ -67,9 +67,6 @@ class VersionManager:
         """Current version ref of an object (version 0 if untouched)."""
         return NodeRef(uuid, self._state(uuid).version)
 
-    def exists(self, uuid: str) -> bool:
-        return uuid in self._objects
-
     def on_read(self, reader_uuid: str, target_uuid: str) -> VersionDecision:
         """A process (``reader_uuid``) reads ``target_uuid``.
 

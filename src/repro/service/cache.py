@@ -49,10 +49,6 @@ class LRUCache:
         #: never be returned — they just age out of the LRU.
         self._generation = 0
 
-    @property
-    def generation(self) -> int:
-        return self._generation
-
     def note_write(self) -> None:
         """Invalidate everything: subsequent lookups key a new generation.
 

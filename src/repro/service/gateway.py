@@ -165,7 +165,7 @@ class IngestGateway:
     def flush_pending(self) -> int:
         """Coalesce and issue the window (phased driver); returns the
         request count."""
-        return run_plan_phased(self.account, self.flush_plan(), advance_clock=True)
+        return run_plan_phased(self.account, self.flush_plan())
 
     def flush_plan(self) -> Generator:
         """One window flush as an effect plan — the single copy of the

@@ -1,14 +1,11 @@
 """The discrete-event simulation kernel.
 
-The pre-kernel execution model was *phased*: a client ran to completion
-(each request batch advancing the shared clock), then the commit daemon
-was hand-pumped via ``drain()``.  The kernel replaces that with an event
-loop over scheduled process activations: clients, commit/cleaner
-daemons, ingest gateways, and monitors all run as generator-based
-processes that ``yield`` effects (:class:`~repro.sim.events.Delay`,
-:class:`~repro.sim.events.Batch`) and genuinely overlap on the virtual
-clock — commit lag, WAL backlog, and mid-commit takeover become
-observable.
+The kernel is an event loop over scheduled process activations:
+clients, commit/cleaner daemons, ingest gateways, and monitors all run
+as generator-based processes that ``yield`` effects
+(:class:`~repro.sim.events.Delay`, :class:`~repro.sim.events.Batch`)
+and genuinely overlap on the virtual clock — commit lag, WAL backlog,
+and mid-commit takeover become observable.
 
 Every protocol flush, daemon step, gateway window and SimpleDB query is
 written once, as an effect plan, and two drivers execute it:
@@ -18,9 +15,10 @@ written once, as an effect plan, and two drivers execute it:
   time,
 - :func:`~repro.sim.compat.run_plan_phased` — phased: one plan runs to
   completion on the shared clock.  The synchronous methods
-  (``StorageProtocol.flush``, ``CommitDaemon.commit``,
-  ``IngestGateway.flush_pending``, ``SimpleDBQueryEngine``'s Q1–Q4) are
-  this driver over their plans.
+  (``StorageProtocol.flush``, ``IngestGateway.flush_pending``,
+  ``SimpleDBQueryEngine``'s Q1–Q4) are this driver over their plans,
+  and ``ProtocolP3.finalize`` / ``run_cleaner`` run the daemons' plans
+  through it.
 
 The Figure 3 microbenchmark walks flush plans a third way: it only
 collects their requests into one upload batch.

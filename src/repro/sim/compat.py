@@ -1,12 +1,13 @@
 """The phased driver.
 
 Runs one effect plan to completion with call-and-advance semantics:
-``Delay`` advances the shared clock directly, ``Batch`` executes through
-the scheduler with the caller's ``advance_clock`` policy.  Every
-synchronous entry point — ``StorageProtocol.flush``,
-``CommitDaemon.commit``, ``CleanerDaemon.clean``,
-``IngestGateway.flush_pending`` — is its plan run through this driver,
-so the phased experiments and the kernel execute the same code.
+``Delay`` advances the shared clock directly, and ``Batch`` executes
+through the scheduler, advancing the clock when it is charged.  The
+synchronous entry points — ``StorageProtocol.flush``,
+``IngestGateway.flush_pending``, ``SimpleDBQueryEngine``'s queries, and
+``ProtocolP3.finalize`` / ``run_cleaner`` over the daemons'
+``until_idle`` / ``clean_plan`` — are their plans run through this
+driver, so the phased experiments and the kernel execute the same code.
 """
 
 from __future__ import annotations
@@ -19,11 +20,7 @@ from repro.errors import CloudServiceError
 from repro.sim.events import Batch, Delay
 
 
-def run_plan_phased(
-    account: CloudAccount,
-    plan: Generator,
-    advance_clock: bool = True,
-) -> Any:
+def run_plan_phased(account: CloudAccount, plan: Generator) -> Any:
     """Drive ``plan`` synchronously; returns the generator's return value.
 
     Args:
@@ -33,10 +30,7 @@ def run_plan_phased(
             errors raised while executing a batch are thrown back into
             the plan at the yield point (so retry loops written around
             ``yield Batch(...)`` work identically under both drivers).
-        advance_clock: whether batches advance the shared clock — the
-            pre-kernel accounting knob (clients pass True; daemons whose
-            time the paper excludes pass False).  Delays always advance
-            the clock, matching the pre-kernel code they replace.
+            A batch advances the clock only if it is charged.
     """
     value: Any = None
     exc: Optional[BaseException] = None
@@ -53,7 +47,7 @@ def run_plan_phased(
                 value = account.scheduler.execute_batch(
                     effect.requests,
                     effect.connections,
-                    advance_clock=advance_clock and effect.charge,
+                    advance_clock=effect.charge,
                 )
             except CloudServiceError as error:
                 exc = error

@@ -6,7 +6,10 @@ the scheduler directly.  The same generator can then be driven two ways:
 - by :class:`~repro.sim.kernel.SimKernel`, which interleaves many
   processes on the virtual clock (the concurrent execution model), or
 - by :func:`~repro.sim.compat.run_plan_phased`, which executes one plan
-  to completion with call-and-advance semantics (the phased mode).
+  to completion with call-and-advance semantics (the phased mode): the
+  synchronous client flush, the gateway's ``flush_pending``, the query
+  engine, and P3's ``finalize`` / ``run_cleaner`` over the daemons'
+  plans.
 
 Under the phased driver a ``Delay`` is a ``clock.advance`` and a
 ``Batch`` is a ``scheduler.execute_batch``.
@@ -27,9 +30,8 @@ class Delay:
 
     Under the kernel the process is rescheduled at ``now + seconds`` and
     the time is accounted as idle in its time domain.  Under the phased
-    driver the shared clock advances by ``seconds`` (the pre-kernel
-    behaviour of serial client-side work such as marshalling CPU or the
-    commit daemon's propagation backoff).
+    driver the shared clock advances by ``seconds`` (serial client-side
+    work such as marshalling CPU).
     """
 
     seconds: float
@@ -51,11 +53,9 @@ class Batch:
             timeline.  Under the kernel a charged batch resumes the
             process at the batch's finish time (busy time in its domain);
             an uncharged batch resumes it immediately — work applied and
-            billed, but free for the issuing process, which is how the
-            legacy ``advance_clock=False`` daemon accounting maps onto a
-            per-process time domain.  The phased driver instead maps
-            ``charge`` onto its own ``advance_clock`` policy (see
-            :func:`~repro.sim.compat.run_plan_phased`).
+            billed, but free for the issuing process.  The phased driver
+            advances the shared clock by a batch only if it is charged
+            (see :func:`~repro.sim.compat.run_plan_phased`).
     """
 
     requests: List["Request"]

@@ -27,10 +27,3 @@ class Workload:
     trace: SyscallTrace
     staged_inputs: Dict[str, int] = field(default_factory=dict)
     description: str = ""
-
-    def summary(self) -> str:
-        return (
-            f"{self.name}: {len(self.trace)} events, "
-            f"{self.trace.total_compute_seconds():.0f}s compute, "
-            f"{self.trace.total_bytes_written() / (1024 * 1024):.0f} MB written"
-        )

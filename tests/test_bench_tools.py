@@ -1,8 +1,11 @@
 """Bench plumbing: single-sample aggregation and BENCH_*.json output."""
 
+import importlib.util
 import json
 import math
 import os
+
+import pytest
 
 from repro.bench.harness import Aggregate, aggregate, repeat_with_seeds
 from repro.bench.reporting import BENCH_DIR_ENV, write_bench_json
@@ -68,3 +71,47 @@ class TestWriteBenchJson:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
         assert payload["results"]["obj"].startswith("<object object")
+
+
+def _benchmarks_conftest():
+    path = os.path.join(
+        os.path.dirname(__file__), os.pardir, "benchmarks", "conftest.py"
+    )
+    spec = importlib.util.spec_from_file_location("benchmarks_conftest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGoldenDrift:
+    def test_one_leaf_change_names_its_path_old_and_new(
+        self, tmp_path, monkeypatch
+    ):
+        conftest = _benchmarks_conftest()
+        monkeypatch.setattr(conftest, "GOLDEN_DIR", str(tmp_path))
+        frozen = {"blast": {"p3": 0.5, "s3fs": 0.25}, "ops": [1, 2]}
+        (tmp_path / "unit.json").write_text(
+            json.dumps(frozen, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        conftest.assert_golden("unit", frozen)
+        moved = {"blast": {"p3": 0.625, "s3fs": 0.25}, "ops": [1, 2]}
+        with pytest.raises(AssertionError) as failure:
+            conftest.assert_golden("unit", moved)
+        message = str(failure.value)
+        assert "in 1 place(s)" in message
+        assert message.endswith("$.blast.p3: 0.5 -> 0.625")
+
+    def test_lists_at_most_the_first_twenty_paths(self, tmp_path, monkeypatch):
+        conftest = _benchmarks_conftest()
+        monkeypatch.setattr(conftest, "GOLDEN_DIR", str(tmp_path))
+        frozen = {f"k{i:02d}": i + 1 for i in range(25)}
+        (tmp_path / "wide.json").write_text(
+            json.dumps(frozen, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        with pytest.raises(AssertionError) as failure:
+            conftest.assert_golden("wide", {key: -v for key, v in frozen.items()})
+        lines = str(failure.value).splitlines()
+        assert "in 25 place(s)" in lines[0]
+        assert lines[1] == "$.k00: 1 -> -1"
+        assert lines[20] == "$.k19: 20 -> -20"
+        assert lines[21:] == ["... and 5 more"]

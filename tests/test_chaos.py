@@ -15,7 +15,7 @@ import pytest
 from repro.cloud.account import CloudAccount
 from repro.core import PAS3fs, ProtocolP1, ProtocolP2, ProtocolP3
 from repro.core.commit_daemon import CommitDaemon
-from repro.errors import DrainExhaustedError
+from repro.errors import ClientCrashError
 from repro.provenance.syscalls import TraceBuilder
 from repro.sim import Delay, ProcessState, SimKernel
 from repro.workloads.base import MOUNT
@@ -26,6 +26,8 @@ from repro.workloads.fleet import (
     protocol_client_process,
     reader_process,
 )
+
+from daemon_drive import drain
 
 
 def _state_snapshot(account, protocol) -> str:
@@ -164,8 +166,8 @@ class TestDegradationWindows:
         assert observed[10.0] == pytest.approx(baseline)
 
 
-class TestRespawnAfterDrainExhaustion:
-    def test_fresh_daemon_finishes_after_exhausted_drain(self):
+class TestRespawnAfterMidBacklogCrash:
+    def test_fresh_daemon_finishes_after_a_mid_backlog_crash(self):
         account = CloudAccount(seed=9)
         protocol = ProtocolP3(account)
         fs = PAS3fs(account, protocol)
@@ -178,13 +180,16 @@ class TestRespawnAfterDrainExhaustion:
         total = account.sqs.pending_count(protocol.queue_url)
         assert total > 10
 
-        # The first daemon's poll budget runs out mid-backlog and it
-        # fails loudly — the operational signal to bring up another.
-        with pytest.raises(DrainExhaustedError):
-            protocol.commit_daemon.drain(max_polls=1)
+        # The first daemon commits its first group and dies in the
+        # middle of its second, with the backlog only part committed.
+        account.faults.arm_crash("p3.mid_commit", skip=1)
+        with pytest.raises(ClientCrashError):
+            protocol.finalize()
+        account.faults.disarm_all()
         first_committed = protocol.commit_daemon.committed_count()
+        assert 0 < first_committed < 15
 
-        # The messages the dead drain received are invisible until the
+        # The messages the dead daemon received are invisible until the
         # visibility timeout lapses; SQS then redelivers them to anyone.
         account.settle(35.0)
 
@@ -195,9 +200,9 @@ class TestRespawnAfterDrainExhaustion:
             domain=protocol.domain,
             router=protocol.router,
         )
-        stats = fresh.drain()
-        assert first_committed + stats.transactions_committed == 15
-        assert stats.transactions_pending == 0
+        committed, pending = drain(fresh)
+        assert first_committed + committed == 15
+        assert pending == 0
         assert account.sqs.pending_count(protocol.queue_url) == 0
         assert not account.s3.peek_keys(protocol.bucket, "tmp/")
 
@@ -214,7 +219,7 @@ class TestDuplicateDeliveryIdempotence:
             builder.write_close(writer, f"{MOUNT}dup/f{index}.dat", 8192)
         builder.exit(writer)
         fs.run(builder.trace)
-        protocol.commit_daemon.drain()
+        protocol.finalize()
         assert protocol.commit_daemon.committed_count() == 4
         account.settle(120.0)
         return _state_snapshot(account, protocol)

@@ -20,6 +20,8 @@ from repro.provenance.syscalls import TraceBuilder
 from repro.sim import run_plan_phased
 from repro.workloads.base import MOUNT
 
+from daemon_drive import drain
+
 
 def _single_file_trace(size=64 * 1024):
     builder = TraceBuilder()
@@ -69,7 +71,7 @@ class TestCommitDaemonRecovery:
         # the temp->final COPY.
         account.faults.arm_crash("p3.mid_commit")
         with pytest.raises(ClientCrashError):
-            protocol.commit_daemon.drain()
+            protocol.finalize()
         assert not account.s3.list_keys(protocol.bucket, "files/mnt/s3/out/")
 
         # Any other machine can run a fresh daemon against the same
@@ -83,9 +85,7 @@ class TestCommitDaemonRecovery:
             bucket=protocol.bucket,
             domain=protocol.domain,
         )
-        stats = second.drain()
-        assert stats.transactions_committed == 1
-        assert stats.transactions_pending == 0
+        assert drain(second) == (1, 0)  # committed, pending
         account.settle(60.0)  # let the COPY/DELETEs become list-visible
 
         # Data reached its final key; temporaries and WAL are gone.
@@ -105,7 +105,7 @@ class TestCommitDaemonRecovery:
         protocol = ProtocolP3(account)
         daemon = protocol.commit_daemon
         with pytest.raises(TransactionIncompleteError):
-            daemon.commit("txn-never-logged")
+            run_plan_phased(account, daemon.commit_plan(["txn-never-logged"]))
 
 
 class TestGroupCommit:
@@ -157,7 +157,7 @@ class TestGroupCommit:
     def test_group_equals_one_at_a_time_with_fewer_batch_puts(self):
         account, protocol = self._logged()
         daemon = protocol.commit_daemon
-        daemon.poll_once()
+        protocol.finalize()
         assert daemon.committed_count() == self.FILES
         sizes = account.telemetry.metrics.histograms_named("daemon.group_size")
         assert [h.summary()["max"] for h in sizes if h.count] == [self.FILES]
@@ -166,8 +166,8 @@ class TestGroupCommit:
         twin = twin_protocol.commit_daemon
         txn_ids = self._receive_into(twin, twin_account, twin_protocol)
         assert len(txn_ids) == self.FILES
-        for txn_id in txn_ids:
-            twin.commit(txn_id)
+        for txn_id in txn_ids:  # a group of one a round
+            run_plan_phased(twin_account, twin.commit_plan([txn_id]))
         assert twin.committed_count() == self.FILES
 
         assert self._requests(
@@ -179,14 +179,14 @@ class TestGroupCommit:
 
     def test_mid_commit_crash_leaves_the_whole_group_in_the_wal(self):
         ref_account, ref_protocol = self._logged()
-        ref_protocol.commit_daemon.drain()
+        ref_protocol.finalize()
         reference = self._settled_fingerprint(ref_account, ref_protocol)
 
         account, protocol = self._logged()
         logged = account.sqs.pending_count(protocol.queue_url)
         account.faults.arm_crash("p3.mid_commit")
         with pytest.raises(ClientCrashError):
-            protocol.commit_daemon.poll_once()
+            protocol.finalize()
         account.faults.disarm_all()
         # The group's provenance is put, nothing is copied, and not one
         # WAL message of any of its transactions is gone.
@@ -194,8 +194,7 @@ class TestGroupCommit:
         assert not account.s3.peek_keys(protocol.bucket, "files/")
 
         account.settle(60.0)  # the dead daemon's lease lapses
-        stats = self._daemon(account, protocol).drain()
-        assert stats.transactions_committed == self.FILES
+        assert drain(self._daemon(account, protocol))[0] == self.FILES
         assert self._settled_fingerprint(account, protocol) == reference
         assert not account.s3.peek_keys(protocol.bucket, "tmp/")
 
@@ -209,7 +208,7 @@ class TestGroupCommit:
         self._hold_invisible(account, protocol, straggler_key, 1.5 * COPY_RETRY_S)
 
         daemon = protocol.commit_daemon
-        daemon.poll_once()
+        protocol.finalize()
         log = daemon.commit_log
         assert len(log) == self.FILES
         assert log[-1].txn_id in straggler_key
@@ -234,7 +233,7 @@ class TestGroupCommit:
         self._hold_invisible(account, protocol, first_tmp, 1.5 * COPY_RETRY_S)
 
         daemon = protocol.commit_daemon
-        daemon.poll_once()
+        protocol.finalize()
         # Both flushes copy to one final key: the second version's copy
         # is not issued until the first has landed, so they commit in
         # log order and the final object is the latest version.
@@ -255,12 +254,12 @@ class TestGroupCommit:
         stalled = self._daemon(account, protocol)
         assert len(self._receive_into(stalled, account, protocol)) == self.FILES
         account.settle(60.0)
-        assert protocol.commit_daemon.drain().transactions_committed == self.FILES
+        assert drain(protocol.commit_daemon)[0] == self.FILES
         return account, protocol, stalled
 
     def _reference_fingerprint(self):
         account, protocol = self._logged()
-        protocol.commit_daemon.drain()
+        protocol.finalize()
         return self._settled_fingerprint(account, protocol)
 
     def test_duplicate_delivery_right_after_commit_recopies_idempotently(self):
@@ -268,7 +267,7 @@ class TestGroupCommit:
         # The stalled daemon wakes up while the temp objects' tombstones
         # are still propagating: its COPYs find their sources and rewrite
         # the same final objects.
-        run_plan_phased(account, stalled.commit_plan(), advance_clock=False)
+        run_plan_phased(account, stalled.commit_plan())
         assert stalled.committed_count() == self.FILES
         assert self._settled_fingerprint(account, protocol) == self._reference_fingerprint()
 
@@ -280,7 +279,7 @@ class TestGroupCommit:
         # Every COPY round finds no source; the final objects already
         # carry the group's uuids and versions, so the stale delivery is
         # finished without copying anything.
-        run_plan_phased(account, stalled.commit_plan(), advance_clock=False)
+        run_plan_phased(account, stalled.commit_plan())
         assert stalled.pending_transactions() == []
         assert stalled.committed_count() == self.FILES
         assert self._requests(account, "s3", "COPY") == copies
@@ -293,7 +292,7 @@ class TestGroupCommit:
         self._hold_invisible(account, protocol, tmp_keys[0], 10_000.0)
         daemon = protocol.commit_daemon
         with pytest.raises(NoSuchKeyError):
-            daemon.poll_once()
+            protocol.finalize()
         # The others committed; the straggler keeps its WAL message.
         assert daemon.committed_count() == self.FILES - 1
         assert len(daemon.pending_transactions()) == 1
@@ -315,9 +314,7 @@ class TestCleanerDaemonGC:
 
     def test_incomplete_transaction_is_never_committed(self):
         account, protocol = self._crash_mid_log()
-        stats = protocol.commit_daemon.drain()
-        assert stats.transactions_committed == 0
-        assert stats.transactions_pending == 1
+        assert drain(protocol.commit_daemon) == (0, 1)  # committed, pending
         # The orphaned temporaries are still sitting under tmp/.
         assert account.s3.list_keys(protocol.bucket, "tmp/")
 
@@ -340,9 +337,7 @@ class TestCleanerDaemonGC:
             bucket=protocol.bucket,
             domain=protocol.domain,
         )
-        stats = fresh.drain()
-        assert stats.transactions_committed == 0
-        assert stats.transactions_pending == 0
+        assert drain(fresh) == (0, 0)
         # The never-committed data must not exist at its final key.
         assert not account.s3.list_keys(protocol.bucket, "files/mnt/s3/wide/")
 
@@ -690,9 +685,8 @@ class _CopyCountingDaemon(_RecordingDaemon):
 
 class TestHeldTransactions:
     """A transaction whose temp object is not visible yet is *held*: its
-    copies retry on their own due-times while the kernel-mode daemon
-    goes on receiving and committing, and the phased drivers wait them
-    out."""
+    copies retry on their own due-times while the daemon goes on
+    receiving and committing, and ``commit_plan`` waits them out."""
 
     FILES = 4
 
@@ -898,7 +892,7 @@ class TestHeldTransactions:
     @pytest.mark.xfail(
         strict=True,
         reason="the copy-ordering rule is per daemon: a second daemon does "
-        "not see the first one's hold on a final key (ROADMAP item 11)",
+        "not see the first one's hold on a final key (ROADMAP item 16(e))",
     )
     def test_held_earlier_version_does_not_overwrite_another_daemons_later_one(self):
         account, protocol = self._logged(self._same_path_twice())
@@ -915,45 +909,14 @@ class TestHeldTransactions:
         assert slow.pending_transactions()[0] in first_tmp
         # The daemon with version 1 commits at once; the one holding
         # version 0 lands its copy two retries later — over version 1.
-        run_plan_phased(account, fast.commit_plan(), advance_clock=False)
-        run_plan_phased(account, slow.commit_plan(), advance_clock=False)
+        run_plan_phased(account, fast.commit_plan())
+        run_plan_phased(account, slow.commit_plan())
         assert slow.committed_count() == fast.committed_count() == 1
         account.settle(120.0)
         (final_key,) = account.s3.peek_keys(protocol.bucket, "files/")
         final = account.s3.peek_latest(protocol.bucket, final_key)
         assert final.metadata["version"] == "1"
         assert final.blob.size == 4 * 1024
-
-
-class TestDrainGuard:
-    """Satellite: drain() must fail loudly when its poll budget runs out
-    with the queue still yielding, instead of silently returning."""
-
-    def test_exhausted_drain_raises(self):
-        from repro.errors import DrainExhaustedError
-
-        account = CloudAccount(seed=9)
-        protocol = ProtocolP3(account)
-        fs = PAS3fs(account, protocol)
-        # More WAL messages than one receive can return (≤ 10): a single
-        # poll leaves a genuine backlog.
-        builder = TraceBuilder()
-        writer = builder.spawn("writer", argv=["writer"], exec_path="/bin/w")
-        for index in range(15):
-            builder.write_close(writer, f"{MOUNT}many/f{index:02d}.dat", 4096)
-        builder.exit(writer)
-        fs.run(builder.trace)
-        assert account.sqs.pending_count(protocol.queue_url) > 10
-        with pytest.raises(DrainExhaustedError):
-            protocol.commit_daemon.drain(max_polls=1)
-
-    def test_successful_drain_still_returns_stats(self):
-        account = CloudAccount(seed=9)
-        protocol = ProtocolP3(account)
-        fs = PAS3fs(account, protocol)
-        fs.run(_single_file_trace())
-        stats = protocol.commit_daemon.drain()
-        assert stats.transactions_committed == 1
 
 
 class TestCommitLagBookkeeping:

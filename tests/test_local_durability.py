@@ -11,6 +11,7 @@ left no trace, and the store still fingerprints.
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import textwrap
@@ -76,6 +77,30 @@ def test_batch_put_killed_mid_request_is_all_or_nothing(tmp_path):
         stored = account.simpledb.stored_version_count("d")
         assert stored in (0, 25), f"{stored} of 25 rows survived the kill"
         assert len(account.simpledb.peek_item_names("d")) == stored
+    finally:
+        account.close()
+
+
+def test_full_disk_fails_with_its_own_error_and_the_store_recovers(tmp_path):
+    """sqlite rolls back by itself on SQLITE_FULL: the request must fail
+    with "database or disk is full", not with a second ROLLBACK's "no
+    transaction is active", and the next write after the cap is lifted
+    must land."""
+    account = _open(tmp_path)
+    try:
+        account.simpledb.create_domain("d")
+        conn = account.simpledb._conn
+        (pages,) = conn.execute("PRAGMA page_count").fetchone()
+        conn.execute(f"PRAGMA max_page_count = {pages}")
+        wide = [(name, pairs + [("blob", "x" * 1000)]) for name, pairs in _ITEMS]
+        with pytest.raises(sqlite3.OperationalError, match="full"):
+            account.simpledb.batch_put("d", wide)
+        assert not conn.in_transaction
+        assert account.simpledb.stored_version_count("d") == 0
+
+        conn.execute("PRAGMA max_page_count = 1073741823")
+        account.simpledb.batch_put("d", [("after", [("type", "file")])])
+        assert account.simpledb.stored_version_count("d") == 1
     finally:
         account.close()
 

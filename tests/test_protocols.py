@@ -20,6 +20,8 @@ from repro.provenance.pass_collector import DeleteIntent, FlushIntent
 from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
 from repro.provenance.serialization import decode_records
 
+from daemon_drive import drain
+
 MOUNT = "/mnt/s3/"
 
 
@@ -185,8 +187,8 @@ class TestP3:
         # Before the daemon runs: only the temporary object exists.
         assert account.s3.peek_latest(protocol.bucket, data_key(work.primary.path)) is None
         assert account.sqs.pending_count(protocol.queue_url) >= 1
-        stats = protocol.commit_daemon.drain()
-        assert stats.transactions_committed == 1
+        protocol.finalize()
+        assert protocol.commit_daemon.committed_count() == 1
         # Daemon writes commit at future timestamps (its time is not
         # charged to the client); move past them before reading.
         account.settle(300.0)
@@ -214,9 +216,7 @@ class TestP3:
         account.faults.arm_crash("p3.mid_log")
         with pytest.raises(ClientCrashError):
             protocol.flush(FlushWork(primary=intent, bundles=[bundle]))
-        stats = protocol.commit_daemon.drain()
-        assert stats.transactions_committed == 0
-        assert stats.transactions_pending == 1
+        assert drain(protocol.commit_daemon) == (0, 1)  # committed, pending
         # Neither the data nor the provenance became visible.
         assert account.s3.peek_latest(protocol.bucket, data_key(f"{MOUNT}big")) is None
         assert account.simpledb.peek_item(protocol.domain, "f-big_0") == {}
@@ -229,7 +229,7 @@ class TestP3:
         protocol.flush(work)
         account.faults.arm_crash("p3.mid_commit")
         with pytest.raises(ClientCrashError):
-            protocol.commit_daemon.drain()
+            protocol.finalize()
         account.faults.disarm_all()
         # Another machine starts a fresh daemon against the same queue.
         account.clock.advance(60.0)  # visibility timeout lapses
@@ -239,8 +239,7 @@ class TestP3:
             bucket=protocol.bucket,
             domain=protocol.domain,
         )
-        stats = recovery.drain()
-        assert stats.transactions_committed == 1
+        assert drain(recovery)[0] == 1
         account.settle(300.0)
         blob, _ = account.s3.get(protocol.bucket, data_key(work.primary.path))
         assert blob.size == 1000
@@ -250,7 +249,7 @@ class TestP3:
         account.sqs.duplicate_delivery_rate = 0.5
         for index in range(5):
             protocol.flush(_simple_work(path=f"{MOUNT}f{index}", uuid=f"u{index}"))
-        protocol.commit_daemon.drain()
+        protocol.finalize()
         account.settle(300.0)
         for index in range(5):
             blob, _ = account.s3.get(protocol.bucket, data_key(f"{MOUNT}f{index}"))

@@ -208,7 +208,7 @@ class TestMicrobenchCollector:
 class TestPhasedPlanDriver:
     """run_plan_phased maps effects onto the pre-kernel semantics."""
 
-    def test_delay_advances_clock_and_batch_respects_advance_clock(self):
+    def test_delay_advances_clock_and_uncharged_batch_does_not(self):
         account = CloudAccount()
         account.s3.create_bucket("b")
 
@@ -219,10 +219,11 @@ class TestPhasedPlanDriver:
             yield Batch(
                 [account.s3.put_request("b", "k", Blob.synthetic(512, "k"))],
                 connections=1,
+                charge=False,
             )
             return "done"
 
-        result = run_plan_phased(account, plan(), advance_clock=False)
+        result = run_plan_phased(account, plan())
         assert result == "done"
         # The delay advanced the clock; the uncharged batch did not.
         assert account.now == pytest.approx(3.0)

@@ -338,25 +338,3 @@ class TestReviewRegressions:
         # and whatever shipped before the crash is accounted for.
         assert result.flushes == 6
         assert not gateway._flushing
-
-    def test_drain_that_empties_on_final_poll_is_not_exhaustion(self):
-        from repro.core import PAS3fs, ProtocolP3
-        from repro.provenance.syscalls import TraceBuilder
-        from repro.workloads.base import MOUNT
-
-        account = make_account(seed=9)
-        from repro.core import ProtocolP3 as P3
-
-        protocol = P3(account)
-        fs = PAS3fs(account, protocol)
-        builder = TraceBuilder()
-        writer = builder.spawn("w", argv=["w"], exec_path="/bin/w")
-        builder.write_close(writer, f"{MOUNT}out/a.dat", 4096)
-        builder.exit(writer)
-        fs.run(builder.trace)
-        # Three polls: one that receives+commits everything, then one
-        # empty — budget exhausted without double-empty confirmation,
-        # but the queue is empty, so this is success, not exhaustion.
-        stats = protocol.commit_daemon.drain(max_polls=2)
-        assert stats.transactions_committed == 1
-        assert account.sqs.pending_count(protocol.queue_url) == 0

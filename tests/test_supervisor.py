@@ -18,10 +18,11 @@ from repro.core.commit_daemon import CommitDaemon
 from repro.obs.timeline import chrome_trace
 from repro.provenance.syscalls import TraceBuilder
 from repro.service import IngestGateway, Supervisor, SupervisorConfig
-from repro.sim import Delay, ProcessState, SimKernel
-from repro.sim.compat import run_plan_phased
+from repro.sim import Delay, ProcessState, SimKernel, run_plan_phased
 from repro.workloads.base import MOUNT
 from repro.workloads.fleet import make_fleet
+
+from daemon_drive import drain
 
 
 def _sleeper():
@@ -188,10 +189,27 @@ class TestGracefulRetirement:
         ref_account = CloudAccount(seed=21)
         ref_protocol = ProtocolP3(ref_account)
         PAS3fs(ref_account, ref_protocol).run(_single_file_trace())
-        ref_protocol.commit_daemon.drain()
+        ref_protocol.finalize()
         assert _state_snapshot(account, protocol) == _state_snapshot(
             ref_account, ref_protocol
         )
+
+    def test_a_daemon_asked_to_stop_retires_when_drained(self):
+        # process() returns once it has retired; the drain must hand
+        # that return back rather than fail on the finished loop.
+        account = CloudAccount(seed=21)
+        protocol = ProtocolP3(account)
+        PAS3fs(account, protocol).run(_single_file_trace())
+        daemon = _fresh_daemon(account, protocol)
+        for message in account.sqs.receive_messages(
+            protocol.queue_url, max_messages=10
+        ):
+            daemon._ingest(message)
+
+        daemon.request_stop()
+        assert drain(daemon) == (1, 0)  # committed, pending
+        assert daemon.retired
+        assert account.sqs.pending_count(protocol.queue_url) == 0
 
     def test_retirement_hands_an_incomplete_transaction_back_immediately(self):
         account = CloudAccount(seed=13)
@@ -215,13 +233,11 @@ class TestGracefulRetirement:
         assert account.sqs.pending_count(protocol.queue_url) == total
 
         # ChangeMessageVisibility 0: the handed-back message is receivable
-        # right now.  The phased drain below never advances the clock, so
-        # without the handback the leased message would stay invisible
-        # forever and the transaction could never complete.
+        # right now.  The drain below stops at its first round that
+        # receives nothing, so without the handback the leased message
+        # would be missed and the transaction could not complete.
         second = _fresh_daemon(account, protocol)
-        stats = second.drain()
-        assert stats.transactions_committed == 1
-        assert stats.transactions_pending == 0
+        assert drain(second) == (1, 0)  # committed, pending
         assert account.now - stopped_at < DEFAULT_VISIBILITY_TIMEOUT
 
     def test_kernel_retirement_hands_over_byte_identically(self):
@@ -233,7 +249,7 @@ class TestGracefulRetirement:
         ref_account = CloudAccount(seed=13)
         ref_protocol = ProtocolP3(ref_account, mode=UploadMode.CAUSAL)
         PAS3fs(ref_account, ref_protocol).run(_wide_provenance_trace(256))
-        ref_protocol.commit_daemon.drain()
+        ref_protocol.finalize()
         reference = _state_snapshot(ref_account, ref_protocol)
 
         account = CloudAccount(seed=13)
