@@ -82,10 +82,6 @@ class S3Service:
         self._consistency = consistency or ConsistencyEngine()
         self._buckets: Dict[str, Dict[str, VersionedRegister[S3ObjectRecord]]] = {}
 
-    @property
-    def profile(self) -> ServiceProfile:
-        return self._profile
-
     # -- bucket management --------------------------------------------------
 
     def create_bucket(self, bucket: str) -> None:

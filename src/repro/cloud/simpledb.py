@@ -1515,10 +1515,6 @@ class SimpleDBService:
         self._select_snapshots: Dict[int, _SelectSnapshot] = {}
         self._snapshot_seq = 0
 
-    @property
-    def profile(self) -> ServiceProfile:
-        return self._profile
-
     def create_domain(self, domain: str) -> None:
         """Create a domain (idempotent, free)."""
         if domain not in self._domains:

@@ -164,10 +164,6 @@ class SQSService:
         for name, queue in self._store.stored():
             self._gauge(name, queue)
 
-    @property
-    def profile(self) -> ServiceProfile:
-        return self._profile
-
     def create_queue(self, name: str) -> str:
         """Create a queue; returns its URL (idempotent)."""
         url = f"sqs://queues/{name}"

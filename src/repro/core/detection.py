@@ -8,12 +8,9 @@ for both provenance backends, plus the Merkle-style ancestry hash the
 paper suggests for verifying multi-object causal ordering under eventual
 consistency (§4.3.1).
 
-Two access styles per backend:
-
-- ``read_*`` — timed, visibility-respecting requests (what a real client
-  sees; subject to eventual consistency),
-- ``peek_*`` — omniscient final state, used only by the property checkers
-  in :mod:`repro.core.properties`.
+The readers see the omniscient final state (``peek_*``): they serve the
+property checkers in :mod:`repro.core.properties` and the tests, and
+issue no timed or billed request.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.cloud.account import CloudAccount
-from repro.errors import NoSuchKeyError
 from repro.provenance.graph import NodeRef
 from repro.provenance.serialization import decode_records
 from repro.query.ancestry import XREF_ATTRIBUTES
@@ -51,11 +47,6 @@ class CouplingStatus(enum.Enum):
 
 class ProvenanceReader(ABC):
     """Uniform access to stored provenance, whichever backend holds it."""
-
-    @abstractmethod
-    def read_attributes(self, ref: NodeRef) -> Dict[str, List[str]]:
-        """Timed fetch of one node-version's attributes (may be stale or
-        empty under eventual consistency)."""
 
     @abstractmethod
     def peek_attributes(self, ref: NodeRef) -> Dict[str, List[str]]:
@@ -90,33 +81,17 @@ class S3ProvenanceReader(ProvenanceReader):
         self.account = account
         self.bucket = bucket
 
-    def _attributes_from_text(
-        self, text: str, ref: NodeRef
-    ) -> Dict[str, List[str]]:
-        attributes: Dict[str, List[str]] = {}
-        for record in decode_records(text):
-            if record.subject == ref:
-                attributes.setdefault(record.attribute, []).append(
-                    record.value_text()
-                )
-        return attributes
-
-    def read_attributes(self, ref: NodeRef) -> Dict[str, List[str]]:
-        try:
-            blob, _ = self.account.s3.get(
-                self.bucket, provenance_object_key(ref.uuid)
-            )
-        except NoSuchKeyError:
-            return {}
-        return self._attributes_from_text(blob.text(), ref)
-
     def peek_attributes(self, ref: NodeRef) -> Dict[str, List[str]]:
         record = self.account.s3.peek_latest(
             self.bucket, provenance_object_key(ref.uuid)
         )
         if record is None or record.blob.data is None:
             return {}
-        return self._attributes_from_text(record.blob.text(), ref)
+        attributes: Dict[str, List[str]] = {}
+        for rec in decode_records(record.blob.text()):
+            if rec.subject == ref:
+                attributes.setdefault(rec.attribute, []).append(rec.value_text())
+        return attributes
 
     def peek_refs(self) -> List[NodeRef]:
         refs: Set[NodeRef] = set()
@@ -137,71 +112,18 @@ class SimpleDBProvenanceReader(ProvenanceReader):
         self.domain = domain
         self.bucket = bucket
 
-    def _fetch_spill_text(self, key: str, timed: bool) -> Optional[str]:
-        if timed:
-            try:
-                blob, _ = self.account.s3.get(self.bucket, key)
-            except NoSuchKeyError:
-                return None
-        else:
-            record = self.account.s3.peek_latest(self.bucket, key)
-            if record is None:
-                return None
-            blob = record.blob
-        return blob.text() if blob.data is not None else None
-
-    def _resolve_spills(
-        self, attributes: Dict[str, List[str]], timed: bool
-    ) -> Dict[str, List[str]]:
-        resolved: Dict[str, List[str]] = {}
-        for attribute, values in attributes.items():
-            if attribute == sdb_items.OVERFLOW_ATTRIBUTE:
-                # Records beyond the 256-pair item limit live in an S3
-                # overflow object; merge them back in.
-                for value in values:
-                    if not sdb_items.is_spill_pointer(value):
-                        continue
-                    text = self._fetch_spill_text(
-                        sdb_items.spill_pointer_key(value), timed
-                    )
-                    if text is None:
-                        continue
-                    for record in decode_records(text):
-                        resolved.setdefault(record.attribute, []).append(
-                            record.value_text()
-                        )
-                continue
-            out: List[str] = []
-            for value in values:
-                if sdb_items.is_spill_pointer(value):
-                    key = sdb_items.spill_pointer_key(value)
-                    if timed:
-                        try:
-                            blob, _ = self.account.s3.get(self.bucket, key)
-                        except NoSuchKeyError:
-                            out.append(value)
-                            continue
-                    else:
-                        record = self.account.s3.peek_latest(self.bucket, key)
-                        if record is None:
-                            out.append(value)
-                            continue
-                        blob = record.blob
-                    out.append(blob.text() if blob.data is not None else value)
-                else:
-                    out.append(value)
-            # extend, not assign: overflow may already have merged values
-            # for this attribute.
-            resolved.setdefault(attribute, []).extend(out)
-        return resolved
-
-    def read_attributes(self, ref: NodeRef) -> Dict[str, List[str]]:
-        attributes = self.account.simpledb.get_attributes(self.domain, str(ref))
-        return self._resolve_spills(attributes, timed=True)
+    def _peek_text(self, key: str) -> Optional[str]:
+        record = self.account.s3.peek_latest(self.bucket, key)
+        if record is None or record.blob.data is None:
+            return None
+        return record.blob.text()
 
     def peek_attributes(self, ref: NodeRef) -> Dict[str, List[str]]:
         attributes = self.account.simpledb.peek_item(self.domain, str(ref))
-        return self._resolve_spills(attributes, timed=False)
+        texts = {
+            key: self._peek_text(key) for key in sdb_items.spill_keys(attributes)
+        }
+        return sdb_items.resolve_attributes(attributes, texts)
 
     def peek_refs(self) -> List[NodeRef]:
         refs = []
@@ -237,7 +159,6 @@ def check_coupling(
     bucket: str,
     path: str,
     reader: ProvenanceReader,
-    timed: bool = True,
 ) -> CouplingCheck:
     """Does the stored data at ``path`` match its stored provenance?
 
@@ -245,18 +166,10 @@ def check_coupling(
     carries against the ``sha1`` record in the provenance of that
     version, as §3's detection discussion prescribes.
     """
-    key = data_key(path)
-    if timed:
-        try:
-            head = account.s3.head(bucket, key)
-            metadata = head.metadata
-        except NoSuchKeyError:
-            return CouplingCheck(path, CouplingStatus.MISSING_DATA)
-    else:
-        record = account.s3.peek_latest(bucket, key)
-        if record is None:
-            return CouplingCheck(path, CouplingStatus.MISSING_DATA)
-        metadata = record.metadata
+    record = account.s3.peek_latest(bucket, data_key(path))
+    if record is None:
+        return CouplingCheck(path, CouplingStatus.MISSING_DATA)
+    metadata = record.metadata
 
     uuid = metadata.get("prov-uuid", "")
     version = int(metadata.get("version", "-1"))
@@ -266,9 +179,7 @@ def check_coupling(
             path, CouplingStatus.MISSING_PROVENANCE, detail="no provenance link"
         )
     ref = NodeRef(uuid, version)
-    attributes = (
-        reader.read_attributes(ref) if timed else reader.peek_attributes(ref)
-    )
+    attributes = reader.peek_attributes(ref)
     if not attributes:
         return CouplingCheck(
             path,
@@ -308,7 +219,7 @@ def check_coupling(
 # --------------------------------------------------------------------------
 
 def find_dangling_ancestors(
-    reader: ProvenanceReader, ref: NodeRef, timed: bool = False
+    reader: ProvenanceReader, ref: NodeRef
 ) -> List[NodeRef]:
     """Ancestor references that resolve to no stored provenance — the
     dangling pointers a multi-object causal-ordering violation leaves."""
@@ -320,11 +231,7 @@ def find_dangling_ancestors(
         if current in seen:
             continue
         seen.add(current)
-        attributes = (
-            reader.read_attributes(current)
-            if timed
-            else reader.peek_attributes(current)
-        )
+        attributes = reader.peek_attributes(current)
         if not attributes:
             if current != ref:
                 dangling.append(current)

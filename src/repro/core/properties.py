@@ -71,7 +71,7 @@ def check_data_coupling(
     expected_uuids = expected_uuids or {}
     deleted = set(deleted_paths)
     for path in paths:
-        check = check_coupling(account, bucket, path, reader, timed=False)
+        check = check_coupling(account, bucket, path, reader)
         if check.status is CouplingStatus.MISSING_DATA:
             if path in deleted:
                 continue

@@ -132,11 +132,6 @@ def provenance_object_key(uuid: str) -> str:
     return f"prov/{uuid}"
 
 
-def spill_key(ref: NodeRef, attribute: str, index: int) -> str:
-    """S3 key for a provenance value too large for SimpleDB's 1 KB limit."""
-    return f"spill/{ref}/{attribute}/{index}"
-
-
 def temp_key(txn_id: str, ref: NodeRef) -> str:
     """S3 key of a P3 temporary data object."""
     return f"tmp/{txn_id}/{ref}"

@@ -83,13 +83,6 @@ class ProvenanceBundle:
         ancestors that multi-object causal ordering must persist first)."""
         return [r.value for r in self.records if isinstance(r.value, NodeRef)]
 
-    def wire_size(self) -> int:
-        """Total encoded bytes of the bundle."""
-        return sum(record.wire_size() for record in self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 def merge_bundles(bundles: Iterable[ProvenanceBundle]) -> Dict[str, ProvenanceBundle]:
     """Merge bundles by uuid, preserving record order within each uuid."""

@@ -40,7 +40,7 @@ from repro.core.protocol_base import (
     data_key,
     provenance_object_key,
 )
-from repro.core.sdb_items import OVERFLOW_ATTRIBUTE, is_spill_pointer, spill_pointer_key
+from repro.core.sdb_items import resolve_attributes, spill_keys
 from repro.query.ancestry import ProvenanceIndex
 
 #: Values per ``IN (...)`` list in the itemName- and attribute-rooted
@@ -295,43 +295,21 @@ class SimpleDBQueryPlans:
         )
         return batch.results[0].metadata.get("prov-uuid", "")
 
-    def _spill_plan(self, pointer: str) -> Generator:
-        """GET one spilled value back from S3; returns the blob, or None
-        when the object is gone."""
-        try:
-            batch = yield Batch(
-                [self.account.s3.get_request(self.bucket, spill_pointer_key(pointer))],
-                connections=1,
-            )
-        except NoSuchKeyError:
-            return None
-        blob, _metadata = batch.results[0]
-        return blob
-
     def _resolve_plan(self, attributes: Dict[str, List[str]]) -> Generator:
-        """Fetch spilled values / overflow records back from S3."""
-        resolved: Dict[str, List[str]] = {}
-        for attribute, values in attributes.items():
-            if attribute == OVERFLOW_ATTRIBUTE:
-                for value in values:
-                    if not is_spill_pointer(value):
-                        continue
-                    blob = yield from self._spill_plan(value)
-                    if blob is not None and blob.data is not None:
-                        for record in decode_records(blob.text()):
-                            resolved.setdefault(record.attribute, []).append(
-                                record.value_text()
-                            )
+        """GET each object the item points at, one request at a time,
+        and put the spilled values and overflow records back."""
+        texts: Dict[str, Optional[str]] = {}
+        for key in spill_keys(attributes):
+            try:
+                batch = yield Batch(
+                    [self.account.s3.get_request(self.bucket, key)], connections=1
+                )
+            except NoSuchKeyError:
+                texts[key] = None
                 continue
-            out = []
-            for value in values:
-                if is_spill_pointer(value):
-                    blob = yield from self._spill_plan(value)
-                    if blob is not None and blob.data is not None:
-                        value = blob.text()
-                out.append(value)
-            resolved.setdefault(attribute, []).extend(out)
-        return resolved
+            blob, _metadata = batch.results[0]
+            texts[key] = blob.text() if blob.data is not None else None
+        return resolve_attributes(attributes, texts)
 
     def _merged_plan(self, rows) -> Generator:
         """Every row's resolved attributes merged into one map."""

@@ -58,9 +58,8 @@ def make_linux_compile_records(
     The stream interleaves compilation units: each unit is a ``gcc``
     process node (argv + a few env records) plus an object-file node that
     depends on the process, its source file, and a handful of shared
-    headers.  Returns the record list; use
-    :func:`repro.provenance.records.ProvenanceBundle.wire_size`-style
-    accounting (``sum(r.wire_size())``) to confirm the volume.
+    headers.  Returns the record list; ``sum(r.wire_size() for r in
+    records)`` confirms the volume.
     """
     rng = random.Random(seed)
     records: List[ProvenanceRecord] = []

@@ -61,7 +61,7 @@ class TestCouplingDetection:
     def test_healthy_run_is_coupled(self):
         account, protocol, fs, reader = _run(ProtocolP1, _two_file_trace())
         for path in (f"{MOUNT}a", f"{MOUNT}b"):
-            check = check_coupling(account, protocol.bucket, path, reader, timed=False)
+            check = check_coupling(account, protocol.bucket, path, reader)
             assert check.coupled, check
 
     def test_crash_between_writes_detected(self):
@@ -69,7 +69,7 @@ class TestCouplingDetection:
             ProtocolP1, _two_file_trace(), mode=UploadMode.CAUSAL,
             crash_at="p1.after_prov_put", skip=1,
         )
-        check = check_coupling(account, protocol.bucket, f"{MOUNT}b", reader, timed=False)
+        check = check_coupling(account, protocol.bucket, f"{MOUNT}b", reader)
         assert check.status is CouplingStatus.MISSING_DATA
 
     def test_stale_data_detected(self):
@@ -91,7 +91,7 @@ class TestCouplingDetection:
             {"prov-uuid": record.metadata["prov-uuid"], "version": "0"},
         )
         account.settle(300.0)
-        check = check_coupling(account, protocol.bucket, f"{MOUNT}b", reader, timed=False)
+        check = check_coupling(account, protocol.bucket, f"{MOUNT}b", reader)
         assert check.status is CouplingStatus.STALE_DATA
         assert check.provenance_version == 1
 
@@ -105,7 +105,7 @@ class TestCouplingDetection:
             {**record.metadata, "digest": tampered.digest},
         )
         account.settle(300.0)
-        check = check_coupling(account, protocol.bucket, f"{MOUNT}b", reader, timed=False)
+        check = check_coupling(account, protocol.bucket, f"{MOUNT}b", reader)
         assert check.status is CouplingStatus.HASH_MISMATCH
 
 

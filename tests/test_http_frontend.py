@@ -152,6 +152,43 @@ class TestIngestAndQuery:
         item, attributes = rows[0]
         assert attributes["name"] == ["blastall"]
 
+    def test_values_shaped_like_the_item_format_read_back_literally(
+        self, frontend
+    ):
+        """A client value that looks like a spill pointer, or an attribute
+        named like the overflow pointer, is stored and answered as given:
+        it is neither followed to another object's data nor parsed as an
+        overflow blob."""
+        front, base = frontend
+        _post(base, "/v1/ingest", {
+            "client_id": "a",
+            "path": "/mnt/pass/secret",
+            "uuid": "secret",
+            "data": "TOP SECRET DATA",
+            "attributes": {"type": ["file"]},
+        })
+        _post(base, "/v1/ingest", {
+            "client_id": "b",
+            "path": "/mnt/pass/pub",
+            "uuid": "pub",
+            "data": "public",
+            "attributes": {
+                "type": ["file"],
+                "note": ["s3-spill:files/mnt/pass/secret"],
+                "overflow": ["not|a record"],
+            },
+        })
+        _post(base, "/v1/flush", {})
+        _post(base, "/v1/settle", {"seconds": 120.0})
+
+        q2 = _post(base, "/v1/query", {"query": "q2", "arg": "/mnt/pass/pub"})
+        assert q2["answer"]["note"] == ["s3-spill:files/mnt/pass/secret"]
+        assert q2["answer"]["overflow"] == ["not|a record"]
+        q1 = _post(base, "/v1/query", {"query": "q1"})
+        assert q1["answer"]["pub_0"]["note"] == ["s3-spill:files/mnt/pass/secret"]
+        assert q1["answer"]["pub_0"]["overflow"] == ["not|a record"]
+        assert "TOP SECRET DATA" not in json.dumps(q1["answer"])
+
     def test_answers_identical_across_backends(self):
         """The differential property, through the HTTP surface itself."""
         answers = {}

@@ -169,3 +169,62 @@ class TestSearchRanking:
         index, note, _, _ = self._index()
         with pytest.raises(ValueError):
             provenance_ranked_search(index, {note: 1.0}, iterations=-1)
+
+
+@pytest.mark.parametrize("backend", ["sim", "local"])
+class TestSimpleDBSpillRead:
+    """Q2 over an item that points at S3: one value spilled for size and
+    the records past the item's pair limit in an overflow object."""
+
+    def test_q2_fetches_every_spill_and_matches_the_reader(self, backend):
+        from repro.cloud.blob import Blob
+        from repro.core.detection import SimpleDBProvenanceReader
+        from repro.core.protocol_base import FlushWork
+        from repro.core.sdb_items import spill_keys
+        from repro.provenance.pass_collector import FlushIntent
+        from repro.provenance.records import ProvenanceBundle
+
+        account = CloudAccount(
+            consistency=ConsistencyModel.STRICT, seed=4, backend=backend
+        )
+        try:
+            protocol = ProtocolP2(account)
+            ref = NodeRef("f-2", 0)
+            big = "E" * 2048
+            bundle = ProvenanceBundle(uuid="f-2")
+            bundle.add(ProvenanceRecord(ref, "env", big))
+            for index in range(300):
+                bundle.add(ProvenanceRecord(ref, "input", NodeRef(f"p-{index}", 0)))
+            path = f"{MOUNT}z"
+            protocol.flush(FlushWork(
+                primary=FlushIntent(
+                    path=path, uuid="f-2", ref=ref, blob=Blob.synthetic(10, "z@0")
+                ),
+                bundles=[bundle],
+            ))
+            account.settle(300.0)
+            keys = spill_keys(account.simpledb.peek_item(protocol.domain, str(ref)))
+            assert len(keys) == 2  # the 2 KB value and the overflow object
+
+            before = account.billing.snapshot()
+            answer, stats = SimpleDBQueryEngine(account).q2_object_provenance(path)
+            after = account.billing.snapshot()
+
+            reader = SimpleDBProvenanceReader(account, protocol.domain, protocol.bucket)
+            assert answer == reader.peek_attributes(ref)
+            assert answer["env"] == [big]
+            assert answer["input"] == [f"p-{index}_0" for index in range(300)]
+            issued = {
+                (service, op): count - before.get(service, {}).get(op, 0)
+                for service, ops in after.items()
+                for op, count in ops.items()
+                if count != before.get(service, {}).get(op, 0)
+            }
+            assert issued == {
+                ("s3", "HEAD"): 1,
+                ("simpledb", "Select"): 1,
+                ("s3", "GET"): len(keys),
+            }
+            assert stats.operations == 1 + 1 + len(keys)
+        finally:
+            account.close()

@@ -1,16 +1,20 @@
 """Seeded property-based round-trips for the wire formats.
 
-The WAL messages and the provenance-record encoding are the two formats
-that cross a process boundary (SQS bodies, S3 provenance objects); until
-now only end-to-end paths exercised them, on friendly inputs.  These
-tests generate adversarial records from fixed seeds — pipes, backslashes,
-newlines, carriage returns, unicode, empty values — and pin the two
-properties serialization must hold:
+The WAL messages, the provenance-record encoding and the SimpleDB item
+format are the formats that cross a process boundary (SQS bodies, S3
+provenance objects, SimpleDB items with their S3 spills); until now only
+end-to-end paths exercised them, on friendly inputs.  These tests
+generate adversarial records from fixed seeds — pipes, backslashes,
+newlines, carriage returns, unicode, empty values — and pin the
+properties the formats must hold:
 
 - decode(encode(x)) reconstructs x exactly (values, xref-ness, order),
 - encode(decode(encode(x))) is byte-identical to encode(x) — the
   canonical-form property the differential matrix leans on when it
-  compares store fingerprints across backends.
+  compares store fingerprints across backends,
+- an item plan read back through the spills it PUTs gives every
+  record's value under its attribute, in record order, whatever the
+  values look like.
 """
 
 import random
@@ -18,6 +22,8 @@ import string
 
 import pytest
 
+from repro.cloud.account import CloudAccount
+from repro.core.sdb_items import build_item_plan, resolve_attributes, spill_keys
 from repro.core.wal_messages import (
     HEADER_RESERVE,
     DataManifestEntry,
@@ -25,7 +31,7 @@ from repro.core.wal_messages import (
     parse_message,
 )
 from repro.provenance.graph import NodeRef
-from repro.provenance.records import ProvenanceRecord
+from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
 from repro.provenance.serialization import (
     decode_record,
     decode_records,
@@ -150,3 +156,59 @@ class TestWalMessageRoundTrip:
     def test_header_reserve_is_positive(self, seed):
         del seed
         assert HEADER_RESERVE > 0
+
+
+def _random_value(rng: random.Random):
+    """A record value of one of the shapes the item format treats apart:
+    short text, text of 1-3 KB (spilled inline, or encoded into the
+    overflow object), text that looks like a spill pointer, a node
+    reference."""
+    shape = rng.random()
+    if shape < 0.15:
+        return "".join(rng.choice(NASTY) for _ in range(rng.randrange(1000, 3000)))
+    if shape < 0.3:
+        return "s3-spill:" + rng.choice(["", "files/secret", _random_text(rng)])
+    if shape < 0.45:
+        return _random_ref(rng)
+    return _random_text(rng)
+
+
+def _random_item_bundle(seed: int) -> ProvenanceBundle:
+    """One object's bundle over one to three versions, each of up to 300
+    records (past the 255 pairs an item keeps inline)."""
+    rng = random.Random(seed)
+    uuid = _random_ref(rng).uuid
+    bundle = ProvenanceBundle(uuid=uuid)
+    attributes = ["input", "type", "note", "overflow", "env"]
+    for version in range(rng.randrange(1, 4)):
+        count = rng.choice([1, rng.randrange(2, 40), 300])
+        for _ in range(count):
+            bundle.add(ProvenanceRecord(
+                NodeRef(uuid, version), rng.choice(attributes), _random_value(rng)
+            ))
+    return bundle
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_item_plan_resolves_back_to_the_bundle(seed):
+    bundle = _random_item_bundle(seed)
+    account = CloudAccount(seed=seed)
+    account.s3.create_bucket("b")
+    plan = build_item_plan([bundle], account.s3, "b")
+    for request in plan.spill_requests:
+        request.apply(0.0, 0.0)
+    expected = {}
+    for record in bundle.records:
+        values = expected.setdefault(str(record.subject), {})
+        values.setdefault(record.attribute, []).append(record.value_text())
+    assert [name for name, _ in plan.items] == sorted(expected, key=NodeRef.parse)
+    for name, pairs in plan.items:
+        assert len(pairs) <= 256
+        attributes = {}
+        for attribute, value in pairs:
+            attributes.setdefault(attribute, []).append(value)
+        texts = {
+            key: account.s3.peek_latest("b", key).blob.text()
+            for key in spill_keys(attributes)
+        }
+        assert resolve_attributes(attributes, texts) == expected[name]
