@@ -50,3 +50,13 @@ def test_table5_queries(once, benchmark, golden):
     assert _by(result, "Q4", "simpledb").operations >= _by(
         result, "Q3", "simpledb"
     ).operations
+
+    # Both engines give the same answers, sequentially and in parallel.
+    s3, sdb = result.answers["s3"], result.answers["simpledb"]
+    assert s3["Q1"] == sdb["Q1"] == 4489
+    assert s3["Q2"] == sdb["Q2"]
+    for query, refs in (("Q3", 140), ("Q4", 238)):
+        assert len(s3[query]) == refs, query
+        assert s3[query] == sdb[query], query
+        for answers in (s3, sdb):
+            assert answers[f"{query} parallel"] == answers[query], query

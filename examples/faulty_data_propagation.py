@@ -11,7 +11,7 @@ Run:  python examples/faulty_data_propagation.py
 """
 
 from repro.cloud import CloudAccount
-from repro.core import PAS3fs, ProtocolP3
+from repro.core import PAS3fs, ProtocolP3, collect
 from repro.provenance.syscalls import TraceBuilder
 from repro.query import SimpleDBQueryEngine
 
@@ -66,7 +66,7 @@ def main() -> None:
     trace.write_close(report, f"{MOUNT}pipeline/report.pdf", 256 * 1024)
     trace.exit(report)
 
-    fs.run(trace.trace)
+    fs.run(collect(trace.trace))
     fs.finalize()
     account.settle()
 

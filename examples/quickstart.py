@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.cloud import CloudAccount
-from repro.core import PAS3fs, ProtocolP3
+from repro.core import PAS3fs, ProtocolP3, collect
 from repro.provenance.syscalls import TraceBuilder
 from repro.query import SimpleDBQueryEngine
 
@@ -37,7 +37,7 @@ def main() -> None:
     # 3. Run it through PA-S3fs over protocol P3.
     protocol = ProtocolP3(account)
     fs = PAS3fs(account, protocol)
-    result = fs.run(trace.trace)
+    result = fs.run(collect(trace.trace))
     fs.finalize()  # commit daemon drains the WAL asynchronously
     account.settle()  # let eventual consistency quiesce
 

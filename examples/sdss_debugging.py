@@ -10,7 +10,7 @@ Run:  python examples/sdss_debugging.py
 """
 
 from repro.cloud import CloudAccount
-from repro.core import PAS3fs, ProtocolP2
+from repro.core import PAS3fs, ProtocolP2, collect
 from repro.provenance.syscalls import TraceBuilder
 from repro.query import SimpleDBQueryEngine
 
@@ -46,7 +46,7 @@ def main() -> None:
     # Run 2: the flawed output, on the silently upgraded JVM.
     bad = run_pipeline(trace, 2, "/opt/jvm-1.6.0_03")
 
-    fs.run(trace.trace)
+    fs.run(collect(trace.trace))
     fs.finalize()
     account.settle()
 

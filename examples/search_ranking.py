@@ -12,7 +12,7 @@ Run:  python examples/search_ranking.py
 """
 
 from repro.cloud import CloudAccount
-from repro.core import PAS3fs, ProtocolP2
+from repro.core import PAS3fs, ProtocolP2, collect
 from repro.provenance.syscalls import TraceBuilder
 from repro.query import SimpleDBQueryEngine, provenance_ranked_search
 
@@ -52,7 +52,7 @@ def main() -> None:
         trace.write_close(misc, f"{MOUNT}misc/photo-{index}.png", 512 * 1024)
     trace.exit(misc)
 
-    fs.run(trace.trace)
+    fs.run(collect(trace.trace))
     fs.finalize()
     account.settle()
 

@@ -29,14 +29,7 @@ from repro.cloud.profiles import (
     UML_ENV,
     SimulationProfile,
 )
-from repro.core import (
-    PAS3fs,
-    PlainS3fs,
-    ProtocolP1,
-    ProtocolP2,
-    ProtocolP3,
-    UploadMode,
-)
+from repro.core import PROTOCOLS, PAS3fs, PlainS3fs, UploadMode
 from repro.core.detection import S3ProvenanceReader, SimpleDBProvenanceReader
 from repro.core.pas3fs import RunResult, stage_inputs
 from repro.core.properties import (
@@ -65,12 +58,9 @@ from repro.workloads import (
 )
 from repro.workloads.base import MOUNT, Workload
 from repro.workloads.fleet import FLEET_PROGRAM, FleetOutcome, P3FleetRun
-from repro.workloads.microbench import MicrobenchResult
+from repro.workloads.microbench import CONFIGURATIONS
 
 from repro.bench.reporting import render_series, render_table
-
-PROTOCOLS = {"p1": ProtocolP1, "p2": ProtocolP2, "p3": ProtocolP3}
-CONFIGURATIONS = ("s3fs", "p1", "p2", "p3")
 
 
 def _workload_by_name(name: str, scale: float = 1.0) -> Workload:
@@ -104,7 +94,7 @@ def _run_workload(
         return result, account
     protocol = PROTOCOLS[configuration](account)
     fs = PAS3fs(account, protocol)
-    result = fs.run(workload.trace)
+    result = fs.run(workload.replay)
     if finalize:
         fs.finalize()
     return result, account
@@ -163,8 +153,8 @@ def table1_properties(seed: int = 0) -> Table1Result:
         "p2": "p2.after_prov_put",
         "p3": "p3.mid_log",
     }
+    workload = _property_trace()
     for name, protocol_cls in PROTOCOLS.items():
-        workload = _property_trace()
         account = CloudAccount(seed=seed)
         protocol = protocol_cls(account, mode=UploadMode.CAUSAL)
         fs = PAS3fs(account, protocol)
@@ -172,7 +162,7 @@ def table1_properties(seed: int = 0) -> Table1Result:
         # full ancestor chain) is already persistent.
         account.faults.arm_crash(crash_points[name], skip=1)
         try:
-            fs.run(workload.trace)
+            fs.run(workload.replay)
         except ClientCrashError:
             pass
         # The client is dead; whatever recovery exists runs elsewhere:
@@ -187,7 +177,7 @@ def table1_properties(seed: int = 0) -> Table1Result:
                 account, protocol.domain, protocol.bucket
             )
         paths = [f"{MOUNT}exp/stage1.out", f"{MOUNT}exp/stage2.out"]
-        expected = {path: fs.collector.file_uuid(path) for path in paths}
+        expected = {path: workload.replay.file_uuids[path] for path in paths}
         coupling = check_data_coupling(
             account, protocol.bucket, reader, paths, expected_uuids=expected
         )
@@ -308,7 +298,7 @@ def table2_service_throughput(
 @dataclass
 class Fig3Result:
     #: environment name -> configuration -> result
-    results: Dict[str, Dict[str, MicrobenchResult]]
+    results: Dict[str, Dict[str, RunResult]]
     #: environment name -> final metrics snapshot of the P3 upload run
     #: (billing gauges and service counters for the headline protocol).
     telemetry: Dict[str, Dict[str, object]] = field(default_factory=dict)
@@ -367,11 +357,11 @@ def fig3_microbenchmark(
     """
     workload = _workload_by_name("blast", scale)
     envs = {"ec2": EC2_ENV, "uml": UML_ENV, "local": LOCAL_ENV}
-    results: Dict[str, Dict[str, MicrobenchResult]] = {}
+    results: Dict[str, Dict[str, RunResult]] = {}
     telemetry: Dict[str, Dict[str, object]] = {}
     for env_name in environments:
         profile = SimulationProfile().with_environment(envs[env_name])
-        per_config: Dict[str, MicrobenchResult] = {}
+        per_config: Dict[str, RunResult] = {}
         for config in CONFIGURATIONS:
             account = CloudAccount(profile=profile, seed=seed, backend=backend)
             per_config[config] = run_microbenchmark(
@@ -390,7 +380,7 @@ class Table3Result:
     (commit daemon excluded, as in the paper), read off Figure 3's EC2
     results."""
 
-    results: Dict[str, MicrobenchResult]
+    results: Dict[str, RunResult]
     paper_mb: Dict[str, float] = field(
         default_factory=lambda: {
             "s3fs": 713.09, "p1": 715.31, "p2": 716.11, "p3": 716.32,
@@ -501,29 +491,21 @@ def fig4_workloads(
     """
     env_map = {"ec2": EC2_ENV, "uml": UML_ENV, "local": LOCAL_ENV}
     period_map = {"sep09": SEP09, "dec09": DEC09}
+    built = {name: _workload_by_name(name, scale) for name in workloads}
     cells: Dict[Tuple[str, str, str], Dict[str, Fig4Cell]] = {}
     for period_name in periods:
-        for workload_name in workloads:
-            workload = _workload_by_name(workload_name, scale)
+        for workload_name, workload in built.items():
             for env_name in environments:
                 profile = SimulationProfile(
                     environment=env_map[env_name], period=period_map[period_name]
                 )
                 per_config: Dict[str, Fig4Cell] = {}
-                base: Optional[RunResult] = None
                 for config in CONFIGURATIONS:
                     result, _account = _run_workload(
                         workload, config, profile, seed=seed
                     )
-                    if config == "s3fs":
-                        base = result
-                        per_config[config] = Fig4Cell(result, 0.0)
-                    else:
-                        assert base is not None
-                        overhead = (
-                            result.elapsed_seconds / base.elapsed_seconds - 1.0
-                        )
-                        per_config[config] = Fig4Cell(result, overhead)
+                    base = per_config["s3fs"].result if per_config else result
+                    per_config[config] = Fig4Cell(result, result.overhead_vs(base))
                 cells[(period_name, env_name, workload_name)] = per_config
     return Fig4Result(cells=cells)
 
@@ -599,6 +581,9 @@ class Table5Row:
 @dataclass
 class Table5Result:
     rows: List[Table5Row]
+    #: backend -> query -> answer, kept out of ``rows`` (the table):
+    #: "Q1" is its entry count, "Q3 parallel" the parallel run's refs.
+    answers: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
     def render(self) -> str:
         table_rows = []
@@ -633,6 +618,7 @@ def table5_queries(scale: float = 1.0, seed: int = 0) -> Table5Result:
     workload = _workload_by_name("blast", scale)
     target = f"{MOUNT}blast/job-000/raw.hits"
     rows: List[Table5Row] = []
+    answers: Dict[str, Dict[str, object]] = {}
 
     for backend_name, config in (("s3", "p1"), ("simpledb", "p2")):
         account = CloudAccount(seed=seed)
@@ -643,15 +629,19 @@ def table5_queries(scale: float = 1.0, seed: int = 0) -> Table5Result:
         else:
             engine = SimpleDBQueryEngine(account)
 
-        _, q1_seq = engine.q1_all_provenance(parallel=False)
+        q1, q1_seq = engine.q1_all_provenance(parallel=False)
         q1_par: Optional[QueryStats] = None
         if backend_name == "s3":
             _, q1_par = engine.q1_all_provenance(parallel=True)
-        _, q2 = engine.q2_object_provenance(target)
-        _, q3_seq = engine.q3_direct_outputs("blastall", parallel=False)
-        _, q3_par = engine.q3_direct_outputs("blastall", parallel=True)
-        _, q4_seq = engine.q4_all_descendants("blastall", parallel=False)
-        _, q4_par = engine.q4_all_descendants("blastall", parallel=True)
+        q2_answer, q2 = engine.q2_object_provenance(target)
+        q3, q3_seq = engine.q3_direct_outputs("blastall", parallel=False)
+        q3_parallel, q3_par = engine.q3_direct_outputs("blastall", parallel=True)
+        q4, q4_seq = engine.q4_all_descendants("blastall", parallel=False)
+        q4_parallel, q4_par = engine.q4_all_descendants("blastall", parallel=True)
+        answers[backend_name] = {
+            "Q1": len(q1.refs()), "Q2": q2_answer, "Q3": q3, "Q4": q4,
+            "Q3 parallel": q3_parallel, "Q4 parallel": q4_parallel,
+        }
 
         rows.extend(
             [
@@ -676,7 +666,7 @@ def table5_queries(scale: float = 1.0, seed: int = 0) -> Table5Result:
                 ),
             ]
         )
-    return Table5Result(rows=rows)
+    return Table5Result(rows=rows, answers=answers)
 
 
 # ==========================================================================

@@ -17,8 +17,8 @@
   ancestry hash),
 - :mod:`repro.core.properties` — the four provenance-system properties
   (§3) as executable checkers,
-- :mod:`repro.core.pas3fs` — PA-S3fs (the provenance-aware FUSE layer)
-  and the plain S3fs baseline.
+- :mod:`repro.core.pas3fs` — PA-S3fs (the provenance-aware FUSE layer),
+  the one collection pass it replays, and the plain S3fs baseline.
 """
 
 from repro.core.commit_daemon import CommitDaemon
@@ -26,14 +26,18 @@ from repro.core.cleaner_daemon import CleanerDaemon
 from repro.core.p1_store_only import ProtocolP1
 from repro.core.p2_store_db import ProtocolP2
 from repro.core.p3_wal import ProtocolP3
-from repro.core.pas3fs import PAS3fs, PlainS3fs, RunResult
+from repro.core.pas3fs import PAS3fs, PlainS3fs, RunResult, collect
 from repro.core.protocol_base import FlushWork, StorageProtocol, UploadMode
+
+#: The paper's three protocols by configuration name.
+PROTOCOLS = {"p1": ProtocolP1, "p2": ProtocolP2, "p3": ProtocolP3}
 
 __all__ = [
     "CleanerDaemon",
     "CommitDaemon",
     "FlushWork",
     "PAS3fs",
+    "PROTOCOLS",
     "PlainS3fs",
     "ProtocolP1",
     "ProtocolP2",
@@ -41,4 +45,5 @@ __all__ = [
     "RunResult",
     "StorageProtocol",
     "UploadMode",
+    "collect",
 ]

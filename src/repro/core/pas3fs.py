@@ -13,6 +13,11 @@ pending provenance of the object's full ancestor closure, plus the data
 of any ancestor file version that has not reached the cloud yet —
 multi-object causal ordering's requirement.
 
+Collection depends on the trace alone, so it runs once: :func:`collect`
+turns a trace into a :class:`Replay`, which ``PAS3fs.run`` replays
+through any protocol, choosing at replay time which ancestors' data is
+not yet stored.
+
 Only paths under the *mount prefix* live on the cloud; other paths are
 local files that PASS still tracks (their provenance rides along in
 ancestor closures) but whose data never leaves the machine.
@@ -25,8 +30,8 @@ the paper's §5.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass, replace
+from typing import Dict, List, Mapping, Set, Tuple, Union
 
 from repro.cloud.account import CloudAccount
 from repro.cloud.blob import Blob
@@ -48,10 +53,10 @@ from repro.provenance.syscalls import (
     WriteEvent,
 )
 
-from repro.core.protocol_base import FlushWork, StorageProtocol, data_key
+from repro.core.protocol_base import DATA_BUCKET, FlushWork, StorageProtocol, data_key
 
-#: Paths under this prefix live on the S3-backed mount.
-DEFAULT_MOUNT_PREFIX = "/mnt/s3/"
+#: The S3fs mount point: only paths under it live on the cloud.
+MOUNT = "/mnt/s3/"
 
 
 @dataclass
@@ -70,6 +75,83 @@ class RunResult:
     @property
     def mb_transmitted(self) -> float:
         return self.bytes_transmitted / (1024.0 * 1024.0)
+
+    def overhead_vs(self, baseline: "RunResult") -> float:
+        """Fractional elapsed-time overhead relative to a baseline run."""
+        if baseline.elapsed_seconds == 0:
+            return 0.0
+        return self.elapsed_seconds / baseline.elapsed_seconds - 1.0
+
+
+#: One replay step: compute time, or a mount read, delete or flush.
+Step = Union[ComputeIntent, ReadIntent, DeleteIntent, FlushWork]
+
+
+@dataclass(frozen=True)
+class Replay:
+    """A trace's collection, replayable through any protocol.
+
+    ``steps`` are in trace order.  Each flush is a :class:`FlushWork`
+    with the closure it popped; its ``ancestor_data`` is every mount
+    file ancestor in that closure (current version, last written size),
+    stored or not.  ``file_uuids`` maps every path touched to its uuid.
+    """
+
+    steps: Tuple[Step, ...]
+    file_uuids: Mapping[str, str]
+
+
+def collect(trace: SyscallTrace) -> Replay:
+    """Run the PASS collector over ``trace`` once (§4.2)."""
+    collector = PassCollector()
+    steps: List[Step] = []
+    for event in trace:
+        for intent in collector.feed(event):
+            if isinstance(intent, ComputeIntent):
+                steps.append(intent)
+            elif not intent.path.startswith(MOUNT):
+                continue
+            elif isinstance(intent, FlushIntent):
+                bundles = collector.pop_pending_closure(intent.uuid)
+                steps.append(
+                    FlushWork(
+                        primary=intent,
+                        bundles=bundles,
+                        ancestor_data=_ancestor_data(collector, intent, bundles),
+                    )
+                )
+            else:
+                steps.append(intent)
+    return Replay(steps=tuple(steps), file_uuids=collector.file_uuids())
+
+
+def _ancestor_data(
+    collector: PassCollector, primary: FlushIntent, bundles
+) -> List[FlushIntent]:
+    """Mount file ancestors in a flush's closure, as of that flush: each
+    one's data must ride along if no earlier flush stored it (written but
+    not closed when a reader consumed it).  Local (off-mount) files
+    contribute provenance only."""
+    extra: List[FlushIntent] = []
+    for bundle in bundles:
+        if bundle.uuid == primary.uuid:
+            continue
+        path = collector.path_of(bundle.uuid)
+        if path is None or not path.startswith(MOUNT):
+            continue
+        size = collector.file_size(path)
+        if size is None:
+            continue
+        ref = collector.versions.current(bundle.uuid)
+        extra.append(
+            FlushIntent(
+                path=path,
+                uuid=bundle.uuid,
+                ref=ref,
+                blob=Blob.synthetic(size, f"{path}@{ref.version}"),
+            )
+        )
+    return extra
 
 
 def stage_inputs(
@@ -122,52 +204,47 @@ class _MeterWindow:
         )
 
 
+def _charge_compute(
+    account: CloudAccount, compute: Union[ComputeEvent, ComputeIntent]
+) -> float:
+    """Advance the clock by application compute, scaled by the
+    environment; returns the seconds charged."""
+    env = account.profile.environment
+    dt = compute.seconds * env.cpu_factor
+    if compute.memory_bound:
+        dt *= env.memory_penalty
+    account.clock.advance(dt)
+    return dt
+
+
 class PlainS3fs:
     """The S3fs baseline: data only, no provenance."""
 
-    def __init__(
-        self,
-        account: CloudAccount,
-        bucket: str = "pass-data",
-        connections: int = 32,
-        mount_prefix: str = DEFAULT_MOUNT_PREFIX,
-    ):
+    def __init__(self, account: CloudAccount):
         self.account = account
-        self.bucket = bucket
-        self.connections = connections
-        self.mount_prefix = mount_prefix
-        account.s3.create_bucket(bucket)
+        account.s3.create_bucket(DATA_BUCKET)
         self._cache: Set[str] = set()
         self._sizes: Dict[str, int] = {}
-
-    def on_mount(self, path: str) -> bool:
-        return path.startswith(self.mount_prefix)
 
     def run(self, trace: SyscallTrace, configuration: str = "s3fs") -> RunResult:
         """Execute a trace against S3, returning measurements."""
         window = _MeterWindow(self.account)
         compute = 0.0
-        env = self.account.profile.environment
-
         for event in trace:
             if isinstance(event, ComputeEvent):
-                dt = event.seconds * env.cpu_factor
-                if event.memory_bound:
-                    dt *= env.memory_penalty
-                compute += dt
-                self.account.clock.advance(dt)
+                compute += _charge_compute(self.account, event)
             elif isinstance(event, ReadEvent):
-                if self.on_mount(event.path):
+                if event.path.startswith(MOUNT):
                     self._read(event.path)
             elif isinstance(event, WriteEvent):
                 self._sizes[event.path] = event.size
                 self._cache.add(event.path)
             elif isinstance(event, (CloseEvent, FlushEvent)):
-                if self.on_mount(event.path):
+                if event.path.startswith(MOUNT):
                     self._flush(event.path)
             elif isinstance(event, UnlinkEvent):
-                if self.on_mount(event.path):
-                    self.account.s3.delete(self.bucket, data_key(event.path))
+                if event.path.startswith(MOUNT):
+                    self.account.s3.delete(DATA_BUCKET, data_key(event.path))
                 self._cache.discard(event.path)
                 self._sizes.pop(event.path, None)
 
@@ -178,8 +255,8 @@ class PlainS3fs:
             return
         # FUSE lookup: getattr (HEAD) precedes the data read.
         try:
-            self.account.s3.head(self.bucket, data_key(path))
-            self.account.s3.get(self.bucket, data_key(path))
+            self.account.s3.head(DATA_BUCKET, data_key(path))
+            self.account.s3.get(DATA_BUCKET, data_key(path))
         except NoSuchKeyError:
             # Not visible yet or never staged; requests were still billed.
             return
@@ -192,61 +269,40 @@ class PlainS3fs:
         blob = Blob.synthetic(size, f"{path}@plain")
         # getattr before the upload, as the FUSE path does.
         try:
-            self.account.s3.head(self.bucket, data_key(path))
+            self.account.s3.head(DATA_BUCKET, data_key(path))
         except NoSuchKeyError:
             pass
-        self.account.s3.put(self.bucket, data_key(path), blob)
+        self.account.s3.put(DATA_BUCKET, data_key(path), blob)
 
 
 class PAS3fs:
-    """Provenance-Aware S3fs: PASS collection + protocol flushes."""
+    """Provenance-Aware S3fs: replays a collected trace through a protocol."""
 
-    def __init__(
-        self,
-        account: CloudAccount,
-        protocol: StorageProtocol,
-        collector: Optional[PassCollector] = None,
-        mount_prefix: str = DEFAULT_MOUNT_PREFIX,
-    ):
+    def __init__(self, account: CloudAccount, protocol: StorageProtocol):
         self.account = account
         self.protocol = protocol
-        self.collector = collector or PassCollector()
-        self.mount_prefix = mount_prefix
         self._cache: Set[str] = set()
         #: mount paths deleted during the run (for persistence checks).
         self.deleted_paths: List[str] = []
 
-    def on_mount(self, path: str) -> bool:
-        return path.startswith(self.mount_prefix)
-
-    def run(self, trace: SyscallTrace, configuration: str = "") -> RunResult:
-        """Execute a trace, collecting provenance and flushing through the
-        protocol.  The protocol's asynchronous work (P3's commit daemon)
-        runs in :meth:`finalize`, which callers invoke separately so the
-        elapsed time matches the paper's accounting."""
+    def run(self, replay: Replay, configuration: str = "") -> RunResult:
+        """Replay a collected trace, flushing through the protocol.  The
+        protocol's asynchronous work (P3's commit daemon) runs in
+        :meth:`finalize`, which callers invoke separately so the elapsed
+        time matches the paper's accounting."""
         window = _MeterWindow(self.account)
         compute = 0.0
-        env = self.account.profile.environment
-
-        for event in trace:
-            for intent in self.collector.feed(event):
-                if isinstance(intent, ComputeIntent):
-                    dt = intent.seconds * env.cpu_factor
-                    if intent.memory_bound:
-                        dt *= env.memory_penalty
-                    compute += dt
-                    self.account.clock.advance(dt)
-                elif isinstance(intent, ReadIntent):
-                    if self.on_mount(intent.path):
-                        self._read(intent)
-                elif isinstance(intent, FlushIntent):
-                    if self.on_mount(intent.path):
-                        self._flush(intent)
-                elif isinstance(intent, DeleteIntent):
-                    if self.on_mount(intent.path):
-                        self.protocol.delete(intent)
-                        self.deleted_paths.append(intent.path)
-                    self._cache.discard(intent.path)
+        for step in replay.steps:
+            if isinstance(step, ComputeIntent):
+                compute += _charge_compute(self.account, step)
+            elif isinstance(step, ReadIntent):
+                self._read(step)
+            elif isinstance(step, FlushWork):
+                self._flush(step)
+            else:
+                self.protocol.delete(step)
+                self.deleted_paths.append(step.path)
+                self._cache.discard(step.path)
 
         return window.result(configuration or self.protocol.name, compute)
 
@@ -254,7 +310,7 @@ class PAS3fs:
         """Drain asynchronous protocol work (P3's commit daemon)."""
         self.protocol.finalize()
 
-    # -- intent handlers -----------------------------------------------------
+    # -- step handlers -------------------------------------------------------
 
     def _read(self, intent: ReadIntent) -> None:
         if intent.path in self._cache:
@@ -268,49 +324,17 @@ class PAS3fs:
             return
         self._cache.add(intent.path)
 
-    def _flush(self, intent: FlushIntent) -> None:
-        self._cache.add(intent.path)
-        bundles = self.collector.pop_pending_closure(intent.uuid)
+    def _flush(self, work: FlushWork) -> None:
+        path = work.primary.path
+        self._cache.add(path)
         # getattr before the upload, matching the FUSE write-back path.
         try:
-            self.account.s3.head(self.protocol.bucket, data_key(intent.path))
+            self.account.s3.head(self.protocol.bucket, data_key(path))
         except NoSuchKeyError:
             pass
-        work = FlushWork(
-            primary=intent,
-            bundles=bundles,
-            ancestor_data=self._unstored_ancestor_data(intent, bundles),
-        )
-        self.protocol.flush(work)
-
-    def _unstored_ancestor_data(
-        self, primary: FlushIntent, bundles
-    ) -> List[FlushIntent]:
-        """Ancestor *file* versions referenced by this flush whose data
-        should be on the cloud but is not yet (written but not closed when
-        a reader consumed them).  Their data rides along for causal
-        ordering.  Local (off-mount) files contribute provenance only."""
-        extra: List[FlushIntent] = []
-        for bundle in bundles:
-            if bundle.uuid == primary.uuid:
-                continue
-            if not self.collector.is_file_uuid(bundle.uuid):
-                continue
-            path = self.collector.path_of(bundle.uuid)
-            if path is None or not self.on_mount(path):
-                continue
-            size = self.collector.file_size(path)
-            if size is None:
-                continue
-            if self.protocol.data_stored_version(bundle.uuid) is not None:
-                continue
-            ref = self.collector.versions.current(bundle.uuid)
-            extra.append(
-                FlushIntent(
-                    path=path,
-                    uuid=bundle.uuid,
-                    ref=ref,
-                    blob=Blob.synthetic(size, f"{path}@{ref.version}"),
-                )
-            )
-        return extra
+        unstored = [
+            intent
+            for intent in work.ancestor_data
+            if self.protocol.data_stored_version(intent.uuid) is None
+        ]
+        self.protocol.flush(replace(work, ancestor_data=unstored))

@@ -15,8 +15,9 @@ PA-S3fs must do against the cloud:
 - :class:`ComputeIntent` — pure application time to charge to the clock.
 
 The collector also keeps per-object *pending bundles*: provenance records
-generated but not yet flushed to the cloud.  PA-S3fs drains them (with
-their ancestor closure, for multi-object causal ordering) at flush time.
+generated but not yet flushed to the cloud.  ``repro.core.pas3fs.collect``
+(the one caller of ``feed`` besides ``feed_trace``) drains them, with
+their ancestor closure for multi-object causal ordering, at each flush.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ class PassCollector:
         """Last written size of a path, or ``None`` if never written."""
         return self._file_sizes.get(path)
 
-    def is_file_uuid(self, uuid: str) -> bool:
-        return uuid in self._uuid_to_path
+    def file_uuids(self) -> Dict[str, str]:
+        """Path -> uuid of every file touched so far (a copy)."""
+        return dict(self._path_to_uuid)
 
     # -- pending bundle management ----------------------------------------------
 

@@ -29,13 +29,12 @@ from repro.workloads.fleet import (
     run_fleet,
 )
 from repro.workloads.linux_compile import make_linux_compile_records
-from repro.workloads.microbench import MicrobenchResult, run_microbenchmark
+from repro.workloads.microbench import run_microbenchmark
 from repro.workloads.nightly import make_nightly_workload
 
 __all__ = [
     "FleetClient",
     "FleetRunResult",
-    "MicrobenchResult",
     "Workload",
     "make_blast_workload",
     "make_challenge_workload",

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict
 
+from repro.core.pas3fs import MOUNT, Replay, collect  # noqa: F401 - workloads import MOUNT here
 from repro.provenance.syscalls import SyscallTrace
-
-#: The S3fs mount point used by all workloads.
-MOUNT = "/mnt/s3/"
 
 
 @dataclass
@@ -27,3 +26,9 @@ class Workload:
     trace: SyscallTrace
     staged_inputs: Dict[str, int] = field(default_factory=dict)
     description: str = ""
+
+    @cached_property
+    def replay(self) -> Replay:
+        """The trace collected once; every run of this workload object
+        replays it."""
+        return collect(self.trace)

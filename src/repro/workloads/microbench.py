@@ -6,8 +6,9 @@ provenance, and then replays the upload through each protocol — "the
 operation count ... reduced as we only upload the final results of the
 computation".
 
-This module does the same: a dry collector pass over the trace gathers
-every flush's provenance closure; the upload phase then replays each
+This module does the same: it reads every flush's provenance closure off
+the workload's one collection pass (``Workload.replay``, shared by every
+run of that workload object); the upload phase then replays each
 flush's provenance (so P1's append pattern and P2/P3's per-version item
 counts are faithful) but uploads each data object only once, at its final
 version.  All requests go out in one large parallel batch — the
@@ -16,71 +17,40 @@ version.  All requests go out in one large parallel batch — the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from dataclasses import replace
+from typing import Generator, List, Optional, Tuple
 
 from repro.cloud.account import CloudAccount
 from repro.cloud.consistency import ConsistencyModel
 from repro.cloud.network import Request
 from repro.cloud.profiles import SimulationProfile
-from repro.core.p1_store_only import ProtocolP1
-from repro.core.p2_store_db import ProtocolP2
-from repro.core.p3_wal import ProtocolP3
-from repro.core.pas3fs import stage_inputs
+from repro.core import PROTOCOLS
+from repro.core.pas3fs import RunResult, stage_inputs
 from repro.core.protocol_base import (
     FlushWork,
     UploadMode,
     data_key,
     tolerate_missing,
 )
-from repro.provenance.pass_collector import FlushIntent, PassCollector
 from repro.sim.events import Delay
-from repro.workloads.base import MOUNT, Workload
+from repro.workloads.base import Workload
 
-PROTOCOL_NAMES = ("s3fs", "p1", "p2", "p3")
-
-
-@dataclass
-class MicrobenchResult:
-    """One microbenchmark configuration's measurements."""
-
-    configuration: str
-    elapsed_seconds: float
-    operations: int
-    bytes_transmitted: int
-    cost_usd: float = 0.0
-
-    @property
-    def mb_transmitted(self) -> float:
-        return self.bytes_transmitted / (1024.0 * 1024.0)
-
-    def overhead_vs(self, baseline: "MicrobenchResult") -> float:
-        """Fractional elapsed-time overhead relative to a baseline run."""
-        if baseline.elapsed_seconds == 0:
-            return 0.0
-        return self.elapsed_seconds / baseline.elapsed_seconds - 1.0
+#: The plain S3fs baseline, then the paper's three protocols.
+CONFIGURATIONS = ("s3fs", *PROTOCOLS)
 
 
 def capture_flush_works(workload: Workload) -> List[FlushWork]:
-    """Dry collector pass: return every mount flush with its provenance
+    """Every mount flush of the workload's replay with its provenance
     closure, marking only the final flush of each object as
-    data-carrying."""
-    collector = PassCollector()
-    works: List[FlushWork] = []
-    last_data_index: Dict[str, int] = {}
-    for event in workload.trace:
-        for intent in collector.feed(event):
-            if not isinstance(intent, FlushIntent):
-                continue
-            if not intent.path.startswith(MOUNT):
-                continue
-            bundles = collector.pop_pending_closure(intent.uuid)
-            works.append(FlushWork(primary=intent, bundles=bundles))
-            last_data_index[intent.uuid] = len(works) - 1
-    finals = set(last_data_index.values())
-    for index, work in enumerate(works):
-        work.include_data = index in finals
-    return works
+    data-carrying (and no ancestor data: each object's data goes up
+    once, with its own final flush)."""
+    works = [step for step in workload.replay.steps if isinstance(step, FlushWork)]
+    last = {work.primary.uuid: index for index, work in enumerate(works)}
+    finals = set(last.values())
+    return [
+        replace(work, ancestor_data=[], include_data=index in finals)
+        for index, work in enumerate(works)
+    ]
 
 
 def run_microbenchmark(
@@ -90,7 +60,7 @@ def run_microbenchmark(
     connections: int = 150,
     seed: int = 0,
     account: Optional[CloudAccount] = None,
-) -> MicrobenchResult:
+) -> RunResult:
     """Upload a captured workload through one configuration.
 
     Args:
@@ -106,11 +76,12 @@ def run_microbenchmark(
     stopwatch = account.stopwatch()
     requests = _upload_requests(account, works, configuration, connections)
     account.scheduler.execute_batch(requests, connections)
-    return MicrobenchResult(
+    return RunResult(
         configuration=configuration,
         elapsed_seconds=stopwatch.elapsed(),
         operations=account.billing.operation_count(),
         bytes_transmitted=account.billing.bytes_transmitted(),
+        bytes_received=account.billing.bytes_received(),
         cost_usd=account.billing.cost(),
     )
 
@@ -123,9 +94,9 @@ def _prepare_run(
     account: Optional[CloudAccount],
 ) -> Tuple[CloudAccount, List[FlushWork]]:
     """Validate, build the account, stage inputs, capture the flushes."""
-    if configuration not in PROTOCOL_NAMES:
+    if configuration not in CONFIGURATIONS:
         raise ValueError(
-            f"unknown configuration {configuration!r}; pick from {PROTOCOL_NAMES}"
+            f"unknown configuration {configuration!r}; pick from {CONFIGURATIONS}"
         )
     if account is None:
         account = CloudAccount(
@@ -158,10 +129,7 @@ def _upload_requests(
                 account.s3.put_request("pass-data", key, work.primary.blob)
             )
     else:
-        protocol_cls = {"p1": ProtocolP1, "p2": ProtocolP2, "p3": ProtocolP3}[
-            configuration
-        ]
-        protocol = protocol_cls(
+        protocol = PROTOCOLS[configuration](
             account, mode=UploadMode.PARALLEL, connections=connections
         )
         flushed: List[Request] = []

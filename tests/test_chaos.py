@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.cloud.account import CloudAccount
-from repro.core import PAS3fs, ProtocolP1, ProtocolP2, ProtocolP3
+from repro.core import PAS3fs, ProtocolP1, ProtocolP2, ProtocolP3, collect
 from repro.core.commit_daemon import CommitDaemon
 from repro.errors import ClientCrashError
 from repro.provenance.syscalls import TraceBuilder
@@ -176,7 +176,7 @@ class TestRespawnAfterMidBacklogCrash:
         for index in range(15):
             builder.write_close(writer, f"{MOUNT}many/f{index:02d}.dat", 4096)
         builder.exit(writer)
-        fs.run(builder.trace)
+        fs.run(collect(builder.trace))
         total = account.sqs.pending_count(protocol.queue_url)
         assert total > 10
 
@@ -218,7 +218,7 @@ class TestDuplicateDeliveryIdempotence:
         for index in range(4):
             builder.write_close(writer, f"{MOUNT}dup/f{index}.dat", 8192)
         builder.exit(writer)
-        fs.run(builder.trace)
+        fs.run(collect(builder.trace))
         protocol.finalize()
         assert protocol.commit_daemon.committed_count() == 4
         account.settle(120.0)

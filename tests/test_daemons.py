@@ -8,7 +8,7 @@ import pytest
 
 from repro.backends.parity import store_fingerprint
 from repro.cloud.account import CloudAccount
-from repro.core import PAS3fs, ProtocolP3, UploadMode
+from repro.core import PAS3fs, ProtocolP3, UploadMode, collect
 from repro.core.commit_daemon import COPY_RETRY_S, CommitDaemon
 from repro.core.cleaner_daemon import DEFAULT_MAX_AGE_SECONDS
 from repro.errors import (
@@ -65,7 +65,7 @@ class TestCommitDaemonRecovery:
         account = CloudAccount(seed=9)
         protocol = ProtocolP3(account)
         fs = PAS3fs(account, protocol)
-        fs.run(_single_file_trace())
+        fs.run(collect(_single_file_trace()))
 
         # The first daemon machine dies between the SimpleDB writes and
         # the temp->final COPY.
@@ -117,7 +117,7 @@ class TestGroupCommit:
     def _logged(self, seed=5):
         account = CloudAccount(seed=seed)
         protocol = ProtocolP3(account)
-        PAS3fs(account, protocol).run(_many_files_trace(self.FILES))
+        PAS3fs(account, protocol).run(collect(_many_files_trace(self.FILES)))
         account.settle(60.0)  # every temp object visible to its COPY
         return account, protocol
 
@@ -227,7 +227,7 @@ class TestGroupCommit:
         builder.write_close(writer, f"{MOUNT}group/same.dat", 8 * 1024)
         builder.write_close(writer, f"{MOUNT}group/same.dat", 4 * 1024)
         builder.exit(writer)
-        PAS3fs(account, protocol).run(builder.trace)
+        PAS3fs(account, protocol).run(collect(builder.trace))
         account.settle(60.0)
         first_tmp, second_tmp = account.s3.peek_keys(protocol.bucket, "tmp/")
         self._hold_invisible(account, protocol, first_tmp, 1.5 * COPY_RETRY_S)
@@ -308,7 +308,7 @@ class TestCleanerDaemonGC:
         fs = PAS3fs(account, protocol)
         account.faults.arm_crash("p3.mid_log")
         with pytest.raises(ClientCrashError):
-            fs.run(_wide_provenance_trace())
+            fs.run(collect(_wide_provenance_trace()))
         account.faults.disarm_all()
         return account, protocol
 
@@ -377,7 +377,7 @@ class TestKernelTakeover:
         account = CloudAccount(seed=seed)
         protocol = ProtocolP3(account)
         fs = PAS3fs(account, protocol)
-        fs.run(trace())
+        fs.run(collect(trace()))
         return account, protocol
 
     @staticmethod
@@ -491,7 +491,7 @@ class TestReceiveFanout:
         object visible, no daemon running yet."""
         account = CloudAccount(seed=seed)
         protocol = ProtocolP3(account)
-        PAS3fs(account, protocol).run(_many_files_trace(transactions))
+        PAS3fs(account, protocol).run(collect(_many_files_trace(transactions)))
         account.settle(60.0)
         assert account.sqs.pending_count(protocol.queue_url) == transactions
         return account, protocol
@@ -696,7 +696,7 @@ class TestHeldTransactions:
     def _logged(self, trace=None, seed=5):
         account = CloudAccount(seed=seed)
         protocol = ProtocolP3(account)
-        PAS3fs(account, protocol).run(trace or _many_files_trace(self.FILES))
+        PAS3fs(account, protocol).run(collect(trace or _many_files_trace(self.FILES)))
         account.settle(60.0)  # every temp object visible unless held below
         return account, protocol
 
@@ -850,7 +850,7 @@ class TestHeldTransactions:
             protocol = ProtocolP3(account)
             # No settle: the last flushes' temp objects are still
             # propagating when the daemons start.
-            PAS3fs(account, protocol).run(_many_files_trace(transactions))
+            PAS3fs(account, protocol).run(collect(_many_files_trace(transactions)))
             kernel, first = self._spawn(account, protocol)
             _, second = self._spawn(account, protocol, name="d1", kernel=kernel)
             guard = 0
@@ -984,7 +984,7 @@ class TestCleanerProcess:
         fs = PAS3fs(account, protocol)
         account.faults.arm_crash("p3.mid_log")
         with pytest.raises(ClientCrashError):
-            fs.run(_wide_provenance_trace())
+            fs.run(collect(_wide_provenance_trace()))
         account.faults.disarm_all()
         assert account.s3.list_keys(protocol.bucket, "tmp/")
 

@@ -5,7 +5,7 @@ import pytest
 from repro.cloud.account import CloudAccount
 from repro.cloud.blob import Blob
 from repro.cloud.consistency import ConsistencyModel
-from repro.core import PAS3fs, ProtocolP1, ProtocolP2, UploadMode
+from repro.core import PAS3fs, ProtocolP1, ProtocolP2, UploadMode, collect
 from repro.core.detection import (
     CouplingStatus,
     S3ProvenanceReader,
@@ -32,10 +32,11 @@ def _run(protocol_cls, trace, mode=UploadMode.PARALLEL, crash_at=None, skip=0):
     account = CloudAccount(consistency=ConsistencyModel.STRICT, seed=2)
     protocol = protocol_cls(account, mode=mode)
     fs = PAS3fs(account, protocol)
+    replay = collect(trace)
     if crash_at:
         account.faults.arm_crash(crash_at, skip=skip)
     try:
-        fs.run(trace)
+        fs.run(replay)
     except ClientCrashError:
         pass
     protocol.finalize()
@@ -44,7 +45,7 @@ def _run(protocol_cls, trace, mode=UploadMode.PARALLEL, crash_at=None, skip=0):
         reader = S3ProvenanceReader(account, protocol.bucket)
     else:
         reader = SimpleDBProvenanceReader(account, protocol.domain, protocol.bucket)
-    return account, protocol, fs, reader
+    return account, protocol, replay, reader
 
 
 def _two_file_trace():
@@ -59,13 +60,13 @@ def _two_file_trace():
 
 class TestCouplingDetection:
     def test_healthy_run_is_coupled(self):
-        account, protocol, fs, reader = _run(ProtocolP1, _two_file_trace())
+        account, protocol, replay, reader = _run(ProtocolP1, _two_file_trace())
         for path in (f"{MOUNT}a", f"{MOUNT}b"):
             check = check_coupling(account, protocol.bucket, path, reader)
             assert check.coupled, check
 
     def test_crash_between_writes_detected(self):
-        account, protocol, fs, reader = _run(
+        account, protocol, replay, reader = _run(
             ProtocolP1, _two_file_trace(), mode=UploadMode.CAUSAL,
             crash_at="p1.after_prov_put", skip=1,
         )
@@ -80,7 +81,7 @@ class TestCouplingDetection:
         builder.close(pid, f"{MOUNT}b")          # version 0 persisted
         builder.write(pid, f"{MOUNT}b", 2000)    # freeze -> version 1
         builder.close(pid, f"{MOUNT}b")
-        account, protocol, fs, reader = _run(ProtocolP2, builder.trace)
+        account, protocol, replay, reader = _run(ProtocolP2, builder.trace)
         # Simulate a lost data update: roll the data object's metadata
         # back to version 0 (digest cleared so the version check, not the
         # hash check, fires).
@@ -96,7 +97,7 @@ class TestCouplingDetection:
         assert check.provenance_version == 1
 
     def test_hash_mismatch_detected(self):
-        account, protocol, fs, reader = _run(ProtocolP2, _two_file_trace())
+        account, protocol, replay, reader = _run(ProtocolP2, _two_file_trace())
         key = data_key(f"{MOUNT}b")
         record = account.s3.peek_latest(protocol.bucket, key)
         tampered = Blob.synthetic(record.blob.size, "tampered-content")
@@ -111,31 +112,31 @@ class TestCouplingDetection:
 
 class TestAncestry:
     def test_no_dangling_in_healthy_run(self):
-        account, protocol, fs, reader = _run(ProtocolP2, _two_file_trace())
-        ref = NodeRef(fs.collector.file_uuid(f"{MOUNT}b"), 0)
+        account, protocol, replay, reader = _run(ProtocolP2, _two_file_trace())
+        ref = NodeRef(replay.file_uuids[f"{MOUNT}b"], 0)
         assert find_dangling_ancestors(reader, ref) == []
 
     def test_ancestry_hash_stable_and_sensitive(self):
-        account1, protocol1, fs1, reader1 = _run(ProtocolP2, _two_file_trace())
-        account2, protocol2, fs2, reader2 = _run(ProtocolP2, _two_file_trace())
-        ref1 = NodeRef(fs1.collector.file_uuid(f"{MOUNT}b"), 0)
-        ref2 = NodeRef(fs2.collector.file_uuid(f"{MOUNT}b"), 0)
+        account1, protocol1, replay1, reader1 = _run(ProtocolP2, _two_file_trace())
+        account2, protocol2, replay2, reader2 = _run(ProtocolP2, _two_file_trace())
+        ref1 = NodeRef(replay1.file_uuids[f"{MOUNT}b"], 0)
+        ref2 = NodeRef(replay2.file_uuids[f"{MOUNT}b"], 0)
         # Identical runs agree on the Merkle ancestry hash.
         assert ancestry_hash(reader1, ref1) == ancestry_hash(reader2, ref2)
         # Different node: different hash.
-        other = NodeRef(fs1.collector.file_uuid(f"{MOUNT}a"), 0)
+        other = NodeRef(replay1.file_uuids[f"{MOUNT}a"], 0)
         assert ancestry_hash(reader1, ref1) != ancestry_hash(reader1, other)
 
     def test_ancestry_hash_changes_when_ancestor_missing(self):
-        account, protocol, fs, reader = _run(ProtocolP2, _two_file_trace())
-        ref = NodeRef(fs.collector.file_uuid(f"{MOUNT}b"), 0)
+        account, protocol, replay, reader = _run(ProtocolP2, _two_file_trace())
+        ref = NodeRef(replay.file_uuids[f"{MOUNT}b"], 0)
         healthy = ancestry_hash(reader, ref)
 
-        account2, protocol2, fs2, reader2 = _run(
+        account2, protocol2, replay2, reader2 = _run(
             ProtocolP2, _two_file_trace(), mode=UploadMode.CAUSAL,
             crash_at="p2.after_prov_put", skip=0,
         )
-        ref2 = NodeRef(fs2.collector.file_uuid(f"{MOUNT}b"), 0)
+        ref2 = NodeRef(replay2.file_uuids[f"{MOUNT}b"], 0)
         assert ancestry_hash(reader2, ref2) != healthy
 
 
@@ -145,13 +146,13 @@ class TestPropertyCheckers:
         pid = builder.spawn("t")
         builder.write_close(pid, f"{MOUNT}victim", 100)
         builder.unlink(pid, f"{MOUNT}victim")
-        account, protocol, fs, reader = _run(ProtocolP2, builder.trace)
-        ref = NodeRef(fs.collector.file_uuid(f"{MOUNT}victim"), 0)
+        account, protocol, replay, reader = _run(ProtocolP2, builder.trace)
+        ref = NodeRef(replay.file_uuids[f"{MOUNT}victim"], 0)
         report = check_persistence(account, protocol.bucket, reader, [ref])
         assert report.holds
 
     def test_causal_ordering_checker_flags_dangling(self):
-        account, protocol, fs, reader = _run(ProtocolP2, _two_file_trace())
+        account, protocol, replay, reader = _run(ProtocolP2, _two_file_trace())
         # Manufacture a dangling pointer: an item referencing a ghost.
         account.simpledb.put_attributes(
             protocol.domain, "zz-fake_0", [("input", "ghost_7"), ("type", "file")]
@@ -162,12 +163,12 @@ class TestPropertyCheckers:
         assert any("ghost_7" in v for v in report.violations)
 
     def test_coupling_checker_counts_stranded_provenance(self):
-        account, protocol, fs, reader = _run(
+        account, protocol, replay, reader = _run(
             ProtocolP1, _two_file_trace(), mode=UploadMode.CAUSAL,
             crash_at="p1.after_prov_put", skip=1,
         )
         paths = [f"{MOUNT}a", f"{MOUNT}b"]
-        expected = {p: fs.collector.file_uuid(p) for p in paths}
+        expected = {p: replay.file_uuids[p] for p in paths}
         report = check_data_coupling(
             account, protocol.bucket, reader, paths, expected_uuids=expected
         )

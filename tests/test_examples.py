@@ -1,5 +1,5 @@
-"""Smoke runs of the chaos-family examples: each ``main()`` runs to the
-end in a fresh working directory and prints what it promises."""
+"""Smoke runs of the examples: each ``main()`` runs to the end in a fresh
+working directory and prints what it promises."""
 
 import importlib.util
 import os
@@ -34,3 +34,27 @@ def test_timeline_export_writes_both_artifacts(monkeypatch, tmp_path, capsys):
         path = tmp_path / "bench-results" / artifact
         assert path.stat().st_size > 0
 
+
+
+# The four examples that replay a collected trace through PA-S3fs: each
+# test pins one line of the example's deterministic output.
+
+
+def test_quickstart(monkeypatch, tmp_path, capsys):
+    out = _run_example("quickstart", monkeypatch, tmp_path, capsys)
+    assert "files directly output by 'sort': ['f-000004_0']" in out
+
+
+def test_faulty_data_propagation(monkeypatch, tmp_path, capsys):
+    out = _run_example("faulty_data_propagation", monkeypatch, tmp_path, capsys)
+    assert "  f-000028_0  ->  /mnt/s3/pipeline/report.pdf" in out
+
+
+def test_sdss_debugging(monkeypatch, tmp_path, capsys):
+    out = _run_example("sdss_debugging", monkeypatch, tmp_path, capsys)
+    assert "    + java -jar reduce.jar --run=2" in out
+
+
+def test_search_ranking(monkeypatch, tmp_path, capsys):
+    out = _run_example("search_ranking", monkeypatch, tmp_path, capsys)
+    assert "   2.620  /mnt/s3/proj/kinetics.ipynb" in out

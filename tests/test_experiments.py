@@ -8,13 +8,16 @@ import pytest
 
 from repro.bench.experiments import (
     ablation_chunk_size,
+    fig3_microbenchmark,
     fig4_workloads,
     table1_properties,
     table2_service_throughput,
     table4_cost,
+    table5_queries,
 )
 from repro.bench.harness import Aggregate, aggregate, repeat_with_seeds
 from repro.bench.reporting import render_series, render_table
+from repro.provenance.pass_collector import PassCollector
 
 
 class TestHarness:
@@ -85,3 +88,35 @@ class TestExperimentsSmoke:
         sizes = [chunk for chunk, _, _ in result.points]
         assert sizes == sorted(sizes)
         assert "8192" in result.render()
+
+
+@pytest.fixture
+def collectors_built(monkeypatch):
+    """A list that grows by one per ``PassCollector`` constructed."""
+    built = []
+    init = PassCollector.__init__
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(PassCollector, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize(
+    "experiment, kwargs, traces",
+    [
+        (fig3_microbenchmark, {"scale": 0.02}, 1),
+        (fig4_workloads, {"scale": 0.02}, 3),
+        (table4_cost, {"scale": 0.02}, 3),
+        (table5_queries, {"scale": 0.02}, 1),
+        (table1_properties, {}, 1),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_each_trace_is_collected_once(collectors_built, experiment, kwargs, traces):
+    """However many configurations, environments and periods replay a
+    trace, an experiment collects it once."""
+    experiment(**kwargs)
+    assert len(collectors_built) == traces

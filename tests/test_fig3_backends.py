@@ -1,7 +1,7 @@
 """Fig. 3's Blast replay on both backends, every configuration.
 
 The local sqlite/filesystem backend swaps only the storage substrate, so
-each configuration's ``MicrobenchResult`` (virtual seconds, operations,
+each configuration's ``RunResult`` (virtual seconds, operations,
 bytes, dollars), every settled domain's rows and the canonical store
 fingerprint must be byte-identical to the simulator's.  The EC2 cases
 run in tier-1.  The UML cases carry the ``backend`` mark and run with

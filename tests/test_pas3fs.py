@@ -1,13 +1,26 @@
 """Tests for PA-S3fs and the plain S3fs baseline (integration)."""
 
+import hashlib
+
 import pytest
 
+from repro.backends.parity import store_fingerprint
 from repro.cloud.account import CloudAccount
 from repro.cloud.consistency import ConsistencyModel
 from repro.cloud.profiles import SimulationProfile, UML_ENV
-from repro.core import PAS3fs, PlainS3fs, ProtocolP1, ProtocolP2, ProtocolP3
+from repro.core import (
+    PROTOCOLS,
+    FlushWork,
+    PAS3fs,
+    PlainS3fs,
+    ProtocolP1,
+    ProtocolP2,
+    ProtocolP3,
+    collect,
+)
 from repro.core.pas3fs import stage_inputs
 from repro.core.protocol_base import data_key
+from repro.provenance.serialization import encode_records
 from repro.provenance.syscalls import TraceBuilder
 
 MOUNT = "/mnt/s3/"
@@ -71,7 +84,7 @@ class TestPAS3fs:
         account = CloudAccount(consistency=ConsistencyModel.STRICT)
         protocol = protocol_cls(account)
         fs = PAS3fs(account, protocol)
-        result = fs.run(_pipeline_trace())
+        result = fs.run(collect(_pipeline_trace()))
         fs.finalize()
         account.settle(300.0)
         blob, metadata = protocol.read_data(f"{MOUNT}out/b")
@@ -83,8 +96,9 @@ class TestPAS3fs:
         account = CloudAccount(consistency=ConsistencyModel.STRICT)
         protocol = ProtocolP1(account)
         fs = PAS3fs(account, protocol)
-        fs.run(_pipeline_trace())
-        uuid_a = fs.collector.file_uuid(f"{MOUNT}out/a")
+        replay = collect(_pipeline_trace())
+        fs.run(replay)
+        uuid_a = replay.file_uuids[f"{MOUNT}out/a"]
         from repro.core.protocol_base import provenance_object_key
 
         assert account.s3.peek_latest("pass-data", data_key(f"{MOUNT}out/a")) is None
@@ -98,11 +112,12 @@ class TestPAS3fs:
         account = CloudAccount(consistency=ConsistencyModel.STRICT)
         protocol = ProtocolP2(account)
         fs = PAS3fs(account, protocol)
-        fs.run(_pipeline_trace())
+        replay = collect(_pipeline_trace())
+        fs.run(replay)
         # No data object for the local input...
         assert account.s3.peek_latest("pass-data", data_key("/local/in.dat")) is None
         # ...but its provenance item exists (ancestor closure).
-        uuid = fs.collector.file_uuid("/local/in.dat")
+        uuid = replay.file_uuids["/local/in.dat"]
         assert account.simpledb.peek_item(protocol.domain, f"{uuid}_0")
 
     def test_protocol_costs_more_than_baseline(self):
@@ -110,6 +125,90 @@ class TestPAS3fs:
         baseline = PlainS3fs(baseline_account).run(_pipeline_trace())
         protocol_account = CloudAccount(consistency=ConsistencyModel.STRICT)
         fs = PAS3fs(protocol_account, ProtocolP1(protocol_account))
-        result = fs.run(_pipeline_trace())
+        result = fs.run(collect(_pipeline_trace()))
         assert result.operations > baseline.operations
         assert result.elapsed_seconds >= baseline.elapsed_seconds
+
+
+def _unclosed_read_trace():
+    """Readers consume a mount file that is written but not yet closed:
+    the first reader's output flush carries the log's data, the second's
+    finds it stored and leaves it out."""
+    builder = TraceBuilder()
+    writer = builder.spawn("writer", exec_path="/bin/writer")
+    builder.write(writer, f"{MOUNT}shared/log", 4000)
+    first = builder.spawn("reader", exec_path="/bin/reader")
+    builder.read(first, f"{MOUNT}shared/log", 4000)
+    builder.write_close(first, f"{MOUNT}shared/out1", 1000)
+    appender = builder.spawn("appender", exec_path="/bin/appender")
+    builder.write(appender, f"{MOUNT}shared/log", 6000)
+    second = builder.spawn("reader", exec_path="/bin/reader")
+    builder.read(second, f"{MOUNT}shared/log", 6000)
+    builder.write_close(second, f"{MOUNT}shared/out2", 1000)
+    builder.close(appender, f"{MOUNT}shared/log")
+    return builder.trace
+
+
+def _replay_digest(replay):
+    """sha256 over every step, each flush's bundles as encoded records."""
+    digest = hashlib.sha256()
+    for step in replay.steps:
+        if isinstance(step, FlushWork):
+            digest.update(
+                repr((step.primary, step.ancestor_data, step.include_data)).encode()
+            )
+            for bundle in step.bundles:
+                digest.update(encode_records(bundle.records).encode())
+        else:
+            digest.update(repr(step).encode())
+    digest.update(repr(sorted(replay.file_uuids.items())).encode())
+    return digest.hexdigest()
+
+
+def _replay_run(name, replay):
+    account = CloudAccount(consistency=ConsistencyModel.STRICT, seed=3)
+    fs = PAS3fs(account, PROTOCOLS[name](account))
+    result = fs.run(replay)
+    fs.finalize()
+    account.settle(300.0)
+    return result, store_fingerprint(account)
+
+
+class TestReplay:
+    def test_ancestor_data_is_every_unclosed_mount_ancestor(self):
+        replay = collect(_unclosed_read_trace())
+        log = replay.file_uuids[f"{MOUNT}shared/log"]
+        flushes = [s for s in replay.steps if isinstance(s, FlushWork)]
+        assert [w.primary.path for w in flushes] == [
+            f"{MOUNT}shared/out1", f"{MOUNT}shared/out2", f"{MOUNT}shared/log",
+        ]
+        # Both readers' flushes name the log, at its size as of that flush;
+        # whether its data ships is the protocol's call at replay time.
+        assert [
+            [(a.uuid, a.blob.size) for a in w.ancestor_data] for w in flushes
+        ] == [[(log, 4000)], [(log, 6000)], []]
+
+    def test_replay_ships_unstored_ancestor_data_once(self):
+        replay = collect(_unclosed_read_trace())
+        account = CloudAccount(consistency=ConsistencyModel.STRICT)
+        protocol = ProtocolP1(account)
+        shipped = []
+        flush = protocol.flush
+
+        def spy(work):
+            shipped.append([a.path for a in work.ancestor_data])
+            flush(work)
+
+        protocol.flush = spy
+        PAS3fs(account, protocol).run(replay)
+        assert shipped == [[f"{MOUNT}shared/log"], [], []]
+
+    def test_one_replay_serves_every_protocol(self):
+        """A shared replay gives each protocol what a fresh collection
+        gives it, and no run changes the replay."""
+        trace = _unclosed_read_trace()
+        replay = collect(trace)
+        digest = _replay_digest(replay)
+        for name in ("p1", "p2", "p3", "p3"):
+            assert _replay_run(name, replay) == _replay_run(name, collect(trace))
+            assert _replay_digest(replay) == digest

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud.account import CloudAccount
 from repro.cloud.consistency import ConsistencyModel
-from repro.core import PAS3fs, ProtocolP1, ProtocolP2
+from repro.core import PAS3fs, ProtocolP1, ProtocolP2, collect
 from repro.provenance.graph import NodeRef
 from repro.provenance.records import ProvenanceRecord
 from repro.provenance.syscalls import TraceBuilder
@@ -30,10 +30,11 @@ def _pipeline_account(protocol_cls):
     sort = builder.spawn("sort", exec_path="/bin/sort")
     builder.read(sort, f"{MOUNT}hits", 5000)
     builder.write_close(sort, f"{MOUNT}sorted", 5000)
-    fs.run(builder.trace)
+    replay = collect(builder.trace)
+    fs.run(replay)
     fs.finalize()
     account.settle(300.0)
-    return account, fs
+    return account, replay
 
 
 class TestProvenanceIndex:
@@ -78,7 +79,7 @@ class TestProvenanceIndex:
 )
 class TestQueriesBothBackends:
     def test_q1_returns_all_nodes(self, protocol_cls, engine_cls):
-        account, fs = _pipeline_account(protocol_cls)
+        account, replay = _pipeline_account(protocol_cls)
         engine = engine_cls(account)
         index, stats = engine.q1_all_provenance()
         # Both processes and both mount files (plus the local input and
@@ -90,7 +91,7 @@ class TestQueriesBothBackends:
         assert stats.operations > 0
 
     def test_q2_returns_object_provenance(self, protocol_cls, engine_cls):
-        account, fs = _pipeline_account(protocol_cls)
+        account, replay = _pipeline_account(protocol_cls)
         engine = engine_cls(account)
         attributes, stats = engine.q2_object_provenance(f"{MOUNT}hits")
         assert "sha1" in attributes
@@ -98,23 +99,23 @@ class TestQueriesBothBackends:
         assert stats.operations >= 2  # HEAD + at least one lookup
 
     def test_q3_finds_direct_outputs(self, protocol_cls, engine_cls):
-        account, fs = _pipeline_account(protocol_cls)
+        account, replay = _pipeline_account(protocol_cls)
         engine = engine_cls(account)
         outputs, _ = engine.q3_direct_outputs("blastall")
         uuids = {ref.uuid for ref in outputs}
-        assert fs.collector.file_uuid(f"{MOUNT}hits") in uuids
-        assert fs.collector.file_uuid(f"{MOUNT}sorted") not in uuids
+        assert replay.file_uuids[f"{MOUNT}hits"] in uuids
+        assert replay.file_uuids[f"{MOUNT}sorted"] not in uuids
 
     def test_q4_finds_transitive_descendants(self, protocol_cls, engine_cls):
-        account, fs = _pipeline_account(protocol_cls)
+        account, replay = _pipeline_account(protocol_cls)
         engine = engine_cls(account)
         descendants, _ = engine.q4_all_descendants("blastall")
         uuids = {ref.uuid for ref in descendants}
-        assert fs.collector.file_uuid(f"{MOUNT}hits") in uuids
-        assert fs.collector.file_uuid(f"{MOUNT}sorted") in uuids
+        assert replay.file_uuids[f"{MOUNT}hits"] in uuids
+        assert replay.file_uuids[f"{MOUNT}sorted"] in uuids
 
     def test_parallel_matches_sequential(self, protocol_cls, engine_cls):
-        account, fs = _pipeline_account(protocol_cls)
+        account, replay = _pipeline_account(protocol_cls)
         engine = engine_cls(account)
         seq, _ = engine.q4_all_descendants("blastall", parallel=False)
         par, _ = engine.q4_all_descendants("blastall", parallel=True)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cloud.account import CloudAccount
-from repro.core import PAS3fs, ProtocolP2, ProtocolP3
+from repro.core import PAS3fs, ProtocolP2, ProtocolP3, collect
 from repro.core.protocol_base import PROVENANCE_DOMAIN, DomainRouter, UploadMode
 from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
 from repro.provenance.graph import NodeRef
@@ -369,7 +369,7 @@ class TestRoutedProtocols:
         account = CloudAccount(seed=seed)
         protocol = protocol_cls(account, router=router, **kwargs)
         fs = PAS3fs(account, protocol)
-        fs.run(_pipeline_trace())
+        fs.run(collect(_pipeline_trace()))
         fs.finalize()
         account.settle(120.0)
         engine = SimpleDBQueryEngine(account, router=router)
@@ -392,7 +392,7 @@ class TestRoutedProtocols:
         router = ShardRouter(shards=3)
         protocol = ProtocolP3(account, router=router)
         fs = PAS3fs(account, protocol)
-        fs.run(_pipeline_trace())
+        fs.run(collect(_pipeline_trace()))
         fs.finalize()
         populated = [
             domain

@@ -15,10 +15,9 @@ import pytest
 from repro.backends.parity import store_fingerprint
 from repro.cloud.account import CloudAccount
 from repro.cloud.profiles import SimulationProfile
-from repro.core import ProtocolP1, ProtocolP2, ProtocolP3, UploadMode
+from repro.core import PROTOCOLS, RunResult, UploadMode, collect
 from repro.core.protocol_base import FlushWork
 from repro.obs.tracing import CLIENT_EMIT, WAL_LOGGED
-from repro.provenance.pass_collector import FlushIntent, PassCollector
 from repro.provenance.syscalls import TraceBuilder
 from repro.service import IngestGateway, ShardRouter
 from repro.sim import Delay, SimKernel, run_plan_phased
@@ -27,13 +26,10 @@ from repro.workloads import make_blast_workload
 from repro.workloads.base import MOUNT
 from repro.workloads.fleet import make_fleet, run_fleet
 from repro.workloads.microbench import (
-    MicrobenchResult,
     _prepare_run,
     _upload_requests,
     run_microbenchmark,
 )
-
-PROTOCOLS = {"p1": ProtocolP1, "p2": ProtocolP2, "p3": ProtocolP3}
 
 
 def _capture_works():
@@ -45,19 +41,8 @@ def _capture_works():
     for index in range(3):
         builder.write_close(proc, f"{MOUNT}eq/f{index}.dat", 48 * 1024)
     builder.exit(proc)
-
-    collector = PassCollector()
-    works = []
-    for event in builder.trace:
-        for intent in collector.feed(event):
-            if isinstance(intent, FlushIntent) and intent.path.startswith(MOUNT):
-                works.append(
-                    FlushWork(
-                        primary=intent,
-                        bundles=collector.pop_pending_closure(intent.uuid),
-                    )
-                )
-    return works
+    steps = collect(builder.trace).steps
+    return [step for step in steps if isinstance(step, FlushWork)]
 
 
 def _snapshot(account, domains, bucket):
@@ -182,11 +167,12 @@ class TestMicrobenchmarkEquivalence:
             yield Batch(requests, connections)
 
         _run_alone(account, uploader())
-        kernel = MicrobenchResult(
+        kernel = RunResult(
             configuration=configuration,
             elapsed_seconds=stopwatch.elapsed(),
             operations=account.billing.operation_count(),
             bytes_transmitted=account.billing.bytes_transmitted(),
+            bytes_received=account.billing.bytes_received(),
             cost_usd=account.billing.cost(),
         )
         assert kernel == phased  # every field, including elapsed seconds

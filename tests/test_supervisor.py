@@ -13,7 +13,7 @@ import pytest
 
 from repro.cloud.account import CloudAccount
 from repro.cloud.sqs import DEFAULT_VISIBILITY_TIMEOUT
-from repro.core import PAS3fs, ProtocolP3, UploadMode
+from repro.core import PAS3fs, ProtocolP3, UploadMode, collect
 from repro.core.commit_daemon import CommitDaemon
 from repro.obs.timeline import chrome_trace
 from repro.provenance.syscalls import TraceBuilder
@@ -170,7 +170,7 @@ class TestGracefulRetirement:
     def test_retirement_commits_a_complete_pending_transaction(self):
         account = CloudAccount(seed=21)
         protocol = ProtocolP3(account)
-        PAS3fs(account, protocol).run(_single_file_trace())
+        PAS3fs(account, protocol).run(collect(_single_file_trace()))
         daemon = _fresh_daemon(account, protocol)
         for message in account.sqs.receive_messages(
             protocol.queue_url, max_messages=10
@@ -188,7 +188,7 @@ class TestGracefulRetirement:
         # Byte-identical to a daemon that was never asked to stop.
         ref_account = CloudAccount(seed=21)
         ref_protocol = ProtocolP3(ref_account)
-        PAS3fs(ref_account, ref_protocol).run(_single_file_trace())
+        PAS3fs(ref_account, ref_protocol).run(collect(_single_file_trace()))
         ref_protocol.finalize()
         assert _state_snapshot(account, protocol) == _state_snapshot(
             ref_account, ref_protocol
@@ -199,7 +199,7 @@ class TestGracefulRetirement:
         # that return back rather than fail on the finished loop.
         account = CloudAccount(seed=21)
         protocol = ProtocolP3(account)
-        PAS3fs(account, protocol).run(_single_file_trace())
+        PAS3fs(account, protocol).run(collect(_single_file_trace()))
         daemon = _fresh_daemon(account, protocol)
         for message in account.sqs.receive_messages(
             protocol.queue_url, max_messages=10
@@ -214,7 +214,7 @@ class TestGracefulRetirement:
     def test_retirement_hands_an_incomplete_transaction_back_immediately(self):
         account = CloudAccount(seed=13)
         protocol = ProtocolP3(account, mode=UploadMode.CAUSAL)
-        PAS3fs(account, protocol).run(_wide_provenance_trace())
+        PAS3fs(account, protocol).run(collect(_wide_provenance_trace()))
         total = account.sqs.pending_count(protocol.queue_url)
         assert total > 1
 
@@ -248,13 +248,13 @@ class TestGracefulRetirement:
         # the stop request cannot complete the transaction by itself.
         ref_account = CloudAccount(seed=13)
         ref_protocol = ProtocolP3(ref_account, mode=UploadMode.CAUSAL)
-        PAS3fs(ref_account, ref_protocol).run(_wide_provenance_trace(256))
+        PAS3fs(ref_account, ref_protocol).run(collect(_wide_provenance_trace(256)))
         ref_protocol.finalize()
         reference = _state_snapshot(ref_account, ref_protocol)
 
         account = CloudAccount(seed=13)
         protocol = ProtocolP3(account, mode=UploadMode.CAUSAL)
-        PAS3fs(account, protocol).run(_wide_provenance_trace(256))
+        PAS3fs(account, protocol).run(collect(_wide_provenance_trace(256)))
         kernel = SimKernel(account)
         daemon_a = _fresh_daemon(account, protocol)
         kernel.spawn(
@@ -299,7 +299,7 @@ def _supervised_run(seed=5, files=24, crash_at=None):
     everything the control-loop assertions need."""
     account = CloudAccount(seed=seed)
     protocol = ProtocolP3(account)
-    PAS3fs(account, protocol).run(_many_files_trace(files))
+    PAS3fs(account, protocol).run(collect(_many_files_trace(files)))
     kernel = SimKernel(account)
     config = SupervisorConfig(
         control_interval_s=1.0,
