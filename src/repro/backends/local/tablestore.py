@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from repro.backends.local.transaction import atomic
 from repro.cloud.billing import BillingMeter
@@ -182,14 +182,18 @@ class SqliteRegistry:
         del default
         return SqliteRegister(self._conn, self._domain, item)
 
-    def items(self) -> Iterator[Tuple[str, SqliteRegister]]:
+    def __getitem__(self, item: str) -> SqliteRegister:
+        # For a name this registry listed: like ``setdefault``, it costs
+        # no query, and the register reads as empty if no row exists.
+        return SqliteRegister(self._conn, self._domain, item)
+
+    def __iter__(self) -> Iterator[str]:
         rows = self._conn.execute(
-            "SELECT item FROM sdb_versions WHERE domain = ?"
-            " GROUP BY item ORDER BY MIN(seq)",
+            "SELECT DISTINCT item FROM sdb_versions WHERE domain = ?",
             (self._domain,),
         ).fetchall()
         for (item,) in rows:
-            yield item, SqliteRegister(self._conn, self._domain, item)
+            yield item
 
 
 class LocalSimpleDBService(SimpleDBService):

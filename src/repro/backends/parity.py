@@ -10,55 +10,62 @@ and the chaos harness assert exactly that.
 Fingerprints use the services' omniscient ``peek_*`` APIs, so they see
 through eventual-consistency visibility delays: they compare what the
 stores *hold*, not what a client could observe mid-propagation.
+
+The rendering streams: each line goes into the hash as it is made, and
+``peek_items`` / ``peek_objects`` read each item's and key's latest
+version once.  What a fingerprint holds is one sorted list of item names
+or keys and one line, whatever the store's size.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Optional
+from typing import Iterable, Iterator, Optional
 
 
-def _sha1(text: str) -> str:
-    return hashlib.sha1(text.encode("utf-8")).hexdigest()
+def _sha1_lines(lines: Iterable[str]) -> str:
+    """SHA-1 of ``"\n".join(lines)`` in UTF-8, fed one line at a time."""
+    digest = hashlib.sha1()
+    separator = b""
+    for line in lines:
+        digest.update(separator)
+        digest.update(line.encode("utf-8"))
+        separator = b"\n"
+    return digest.hexdigest()
 
 
 def simpledb_fingerprint(simpledb, domains: Optional[Iterable[str]] = None) -> str:
     """Canonical digest of every domain's fully-propagated items."""
-    if domains is None:
-        domains = sorted(simpledb._domains)
-    parts: List[str] = []
-    for domain in sorted(domains):
-        parts.append(f"domain={domain}")
-        for name in simpledb.peek_item_names(domain):
-            attrs = simpledb.peek_item(domain, name)
-            bag = sorted((a, tuple(sorted(vs))) for a, vs in attrs.items())
-            parts.append(f"  item={name} attrs={bag!r}")
-    return _sha1("\n".join(parts))
+
+    def lines() -> Iterator[str]:
+        for domain in sorted(simpledb._domains if domains is None else domains):
+            yield f"domain={domain}"
+            for name, attrs in simpledb.peek_items(domain):
+                bag = sorted((a, tuple(sorted(vs))) for a, vs in attrs.items())
+                yield f"  item={name} attrs={bag!r}"
+
+    return _sha1_lines(lines())
 
 
 def s3_fingerprint(s3, buckets: Optional[Iterable[str]] = None) -> str:
     """Canonical digest of every bucket's fully-propagated objects."""
-    if buckets is None:
-        buckets = sorted(s3._buckets)
-    parts: List[str] = []
-    for bucket in sorted(buckets):
-        parts.append(f"bucket={bucket}")
-        for key in s3.peek_keys(bucket):
-            record = s3.peek_latest(bucket, key)
-            if record is None:
-                continue
-            blob = record.blob
-            meta = sorted(record.metadata.items())
-            parts.append(
-                f"  key={key} size={blob.size} digest={blob.digest} meta={meta!r}"
-            )
-    return _sha1("\n".join(parts))
+
+    def lines() -> Iterator[str]:
+        for bucket in sorted(s3._buckets if buckets is None else buckets):
+            yield f"bucket={bucket}"
+            for key, record in s3.peek_objects(bucket):
+                blob = record.blob
+                meta = sorted(record.metadata.items())
+                yield f"  key={key} size={blob.size} digest={blob.digest} meta={meta!r}"
+
+    return _sha1_lines(lines())
 
 
 def sqs_fingerprint(sqs, urls: Iterable[str]) -> str:
     """Canonical digest of the named queues' pending depths."""
-    parts = [f"queue={url} pending={sqs.pending_count(url)}" for url in sorted(urls)]
-    return _sha1("\n".join(parts))
+    return _sha1_lines(
+        f"queue={url} pending={sqs.pending_count(url)}" for url in sorted(urls)
+    )
 
 
 def store_fingerprint(
@@ -70,12 +77,10 @@ def store_fingerprint(
     """One digest over an account's SimpleDB + S3 (+ optionally SQS)
     state.  With ``domains``/``buckets`` omitted, every domain and
     bucket the account holds is covered."""
-    return _sha1(
-        "\n".join(
-            (
-                simpledb_fingerprint(account.simpledb, domains),
-                s3_fingerprint(account.s3, buckets),
-                sqs_fingerprint(account.sqs, queue_urls),
-            )
+    return _sha1_lines(
+        (
+            simpledb_fingerprint(account.simpledb, domains),
+            s3_fingerprint(account.s3, buckets),
+            sqs_fingerprint(account.sqs, queue_urls),
         )
     )

@@ -19,7 +19,7 @@ the plain method executes sequentially against the virtual clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cloud.billing import BillingMeter
 from repro.cloud.blob import Blob
@@ -333,13 +333,18 @@ class S3Service:
             return None
         return version.value
 
+    def peek_objects(
+        self, bucket: str, prefix: str = ""
+    ) -> Iterator[Tuple[str, S3ObjectRecord]]:
+        """Every non-deleted object under ``prefix`` as ``(key, record)``,
+        in key order, ignoring visibility (tests & fingerprints only).
+        Reads each key's history once and holds only the sorted keys."""
+        objects = self._buckets.get(bucket, {})
+        for key in sorted(key for key in objects if key.startswith(prefix)):
+            version = objects[key].read_latest_committed(float("inf"))
+            if version is not None and not version.deleted:
+                yield key, version.value
+
     def peek_keys(self, bucket: str, prefix: str = "") -> List[str]:
         """All non-deleted keys, ignoring visibility (tests only)."""
-        result = []
-        for key, register in self._buckets.get(bucket, {}).items():
-            if not key.startswith(prefix):
-                continue
-            version = register.read_latest_committed(float("inf"))
-            if version is not None and not version.deleted:
-                result.append(key)
-        return sorted(result)
+        return [key for key, _ in self.peek_objects(bucket, prefix)]

@@ -52,7 +52,17 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Collection,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.cloud.billing import BillingMeter
 from repro.cloud.consistency import (
@@ -2080,17 +2090,23 @@ class SimpleDBService:
             return {}
         return _unpack(version.value)
 
-    def peek_item_names(self, domain: str) -> List[str]:
-        """All item names with visible-eventually state (tests only)."""
+    def peek_items(self, domain: str) -> Iterator[Tuple[str, ItemAttributes]]:
+        """Every live item as ``(name, attributes)``, in name order,
+        fully propagated (tests & fingerprints only).  An item is live
+        when its latest committed version holds an attribute.  Reads
+        each register once and holds only the sorted names."""
         state = self._domains.get(domain)
         if state is None:
-            return []
-        names = []
-        for name, register in state.registry.items():
-            version = register.read_latest_committed(float("inf"))
+            return
+        registry = state.registry
+        for name in sorted(registry):
+            version = registry[name].read_latest_committed(float("inf"))
             if version is not None and not version.deleted and version.value:
-                names.append(name)
-        return sorted(names)
+                yield name, _unpack(version.value)
+
+    def peek_item_names(self, domain: str) -> List[str]:
+        """All item names with visible-eventually state (tests only)."""
+        return [name for name, _ in self.peek_items(domain)]
 
     def index_cardinality(self, domain: str, attribute: str, value: str) -> int:
         """How many item names the secondary index holds for

@@ -95,9 +95,8 @@ class S3ProvenanceReader(ProvenanceReader):
 
     def peek_refs(self) -> List[NodeRef]:
         refs: Set[NodeRef] = set()
-        for key in self.account.s3.peek_keys(self.bucket, "prov/"):
-            record = self.account.s3.peek_latest(self.bucket, key)
-            if record is None or record.blob.data is None:
+        for _, record in self.account.s3.peek_objects(self.bucket, "prov/"):
+            if record.blob.data is None:
                 continue
             for rec in decode_records(record.blob.text()):
                 refs.add(rec.subject)
