@@ -594,6 +594,7 @@ class CommitDaemon:
             self._tracer.mark_if_traced(
                 txn.txn_id, COMMIT_DONE, record.committed_at
             )
+            self._tracer.close(txn.txn_id)
 
     @staticmethod
     def _bundles_from_records(records) -> List[ProvenanceBundle]:

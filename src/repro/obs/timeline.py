@@ -18,7 +18,9 @@ directly):
   lanes they created;
 * record-lifecycle traces become nestable async spans (``b``/``n``/
   ``e``) so a transaction's client-emit → visibility arc reads as one
-  horizontal bar with stage ticks;
+  horizontal bar with stage ticks — the open traces and the tracer's
+  ring of retained closed ones (:data:`~repro.obs.tracing.RETAINED_TRACES`);
+  evicted traces are gone;
 * scalar metric series from the scraper become ``C`` (counter) tracks.
 
 Virtual seconds map to trace microseconds (``ts = t * 1e6``).  All

@@ -21,10 +21,19 @@ Commit lag and read-your-writes staleness then *fall out* as span
 queries (``wal.logged → commit.done`` and ``wal.logged → read.first``)
 instead of bespoke bookkeeping — and the test suite pins that the span
 answers equal the legacy ``CommitRecord`` numbers exactly.
+
+Retention: a trace is *open* until the component that owns its last
+stage closes it (the commit daemon after ``commit.done``, the ingest
+gateway after ``gateway.coalesce``).  A closed trace waits in a ring of
+the last :data:`RETAINED_TRACES` closed ones, where late marks (a
+reader's ``read.first``, a duplicate delivery's second ``commit.done``)
+still land; when the ring pushes it out it is *evicted* with its
+aliases, and marks on it are dropped like marks on any unknown key.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 CLIENT_EMIT = "client.emit"
@@ -48,6 +57,9 @@ STAGES = (
     READ_FIRST,
 )
 
+#: How many closed traces the tracer keeps for late marks and queries.
+RETAINED_TRACES = 256
+
 
 class RecordTrace:
     """The lifecycle of one provenance batch (one WAL transaction)."""
@@ -62,6 +74,8 @@ class RecordTrace:
         #: Last time each stage was reached (``sdb.visible`` differs per
         #: item, so "the txn is visible" is the *max* over its items).
         self.last: Dict[str, float] = {}
+        #: Alias keys routed here, deleted with the trace on eviction.
+        self.aliases: List[str] = []
 
     def mark(self, stage: str, t: float) -> None:
         self.marks.append((stage, t))
@@ -90,43 +104,68 @@ class RecordTrace:
 class Tracer:
     """Registry of record traces with alias resolution.
 
-    ``mark`` creates the trace if needed; ``mark_if_traced`` is the
-    hot-path variant used by shared services (SimpleDB, readers): a
-    single dict probe when the key was never registered, so bulk
-    workloads that don't trace pay nothing.
+    Only :meth:`begin` creates a trace; every mark lands on the trace
+    its key or alias resolves to, or is dropped — a single dict probe
+    when the key was never registered, so bulk workloads that don't
+    trace pay nothing.  Shared services (SimpleDB, readers) call
+    ``mark_if_traced``, which also says whether the mark landed.
+
+    ``_traces`` holds the open traces and the retained closed ones in
+    creation order; ``_closed`` is the ring of retained keys, oldest
+    first.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._traces: Dict[str, RecordTrace] = {}
         self._aliases: Dict[str, str] = {}
+        self._closed: "OrderedDict[str, None]" = OrderedDict()
 
     def begin(self, key: str, **attrs: Any) -> Optional[RecordTrace]:
+        """Open the trace at ``key``; a retained closed one reopens."""
         if not self.enabled:
             return None
-        if key not in self._traces:
-            self._traces[key] = RecordTrace(key, attrs)
+        trace = self._traces.get(key)
+        if trace is None:
+            trace = self._traces[key] = RecordTrace(key, attrs)
         else:
-            self._traces[key].attrs.update(attrs)
-        return self._traces[key]
+            trace.attrs.update(attrs)
+            self._closed.pop(key, None)
+        return trace
 
     def alias(self, alias: str, key: str) -> None:
         """Route future marks on ``alias`` to the trace at ``key``."""
-        if not self.enabled:
+        if not self.enabled or self._aliases.get(alias) == key:
             return
         self._aliases[alias] = key
+        trace = self._traces.get(key)
+        if trace is not None:
+            trace.aliases.append(alias)
+
+    def close(self, key: str) -> None:
+        """The owner of the trace's last stage is done with it: retain it
+        in the ring, evicting the oldest retained trace and its aliases
+        when the ring is full.  Closing a closed or unknown key does
+        nothing."""
+        trace = self.resolve(key)
+        if trace is None or trace.key in self._closed:
+            return
+        self._closed[trace.key] = None
+        if len(self._closed) > RETAINED_TRACES:
+            evicted = self._traces.pop(self._closed.popitem(last=False)[0])
+            for alias in evicted.aliases:
+                # A uuid re-aliased by a later flush belongs to that one.
+                if self._aliases.get(alias) == evicted.key:
+                    del self._aliases[alias]
 
     def resolve(self, key: str) -> Optional[RecordTrace]:
         canonical = self._aliases.get(key, key)
         return self._traces.get(canonical)
 
     def mark(self, key: str, stage: str, t: float) -> None:
-        if not self.enabled:
-            return
-        trace = self.resolve(key)
-        if trace is None:
-            trace = self.begin(key)
-        trace.mark(stage, t)
+        """Mark the trace ``key`` resolves to — the owners' call, on a
+        trace they began."""
+        self.mark_if_traced(key, stage, t)
 
     def mark_if_traced(self, key: str, stage: str, t: float) -> bool:
         """Mark only when ``key`` already maps to a trace; never creates
@@ -152,6 +191,7 @@ class Tracer:
         return True
 
     def traces(self) -> List[RecordTrace]:
+        """Open and retained traces, in creation order."""
         return list(self._traces.values())
 
     def get(self, key: str) -> Optional[RecordTrace]:
@@ -160,7 +200,8 @@ class Tracer:
     # -- lifecycle queries ------------------------------------------------
 
     def spans(self, start: str, end: str) -> List[Tuple[str, float]]:
-        """(key, seconds) for every trace that reached both stages."""
+        """(key, seconds) for every open or retained trace that reached
+        both stages; evicted traces are gone."""
         out = []
         for trace in self._traces.values():
             span = trace.span(start, end)
@@ -169,12 +210,15 @@ class Tracer:
         return out
 
     def commit_lags(self) -> List[Tuple[str, float]]:
-        """Per-transaction commit lag, derived purely from trace marks."""
+        """Per-transaction commit lag, derived purely from trace marks
+        (open and retained traces)."""
         return self.spans(WAL_LOGGED, COMMIT_DONE)
 
     def staleness(self) -> List[Tuple[str, float]]:
-        """Read-your-writes staleness: log acceptance → first read."""
+        """Read-your-writes staleness: log acceptance → first read (open
+        and retained traces)."""
         return self.spans(WAL_LOGGED, READ_FIRST)
 
     def as_dict(self) -> Dict[str, Any]:
+        """Open and retained traces by key."""
         return {key: self._traces[key].as_dict() for key in sorted(self._traces)}

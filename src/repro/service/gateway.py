@@ -230,6 +230,7 @@ class IngestGateway:
                 self._tracer.mark_if_traced(
                     work.primary.uuid, GATEWAY_COALESCE, self.account.now
                 )
+                self._tracer.close(work.primary.uuid)
         return len(prov_requests) + len(data_requests)
 
     def process(self, window_s: float = 0.25) -> Generator:

@@ -13,22 +13,36 @@ Two contracts anchor everything here:
 The tracing tests also pin the tentpole's redundancy argument: commit
 lag derived from ``wal.logged -> commit.done`` spans equals the commit
 daemons' own ``CommitRecord`` bookkeeping exactly, float for float.
+
+A third contract is **bounded memory**: a closed trace waits in a ring
+of :data:`~repro.obs.tracing.RETAINED_TRACES` and is then dropped with
+its aliases, so telemetry does not grow with the number of ingests.
 """
 
 import gc
+import hashlib
+import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import weakref
 
 import pytest
 
+import repro
 from repro.cloud.account import CloudAccount
+from repro.cloud.blob import Blob
 from repro.core import ProtocolP3
 from repro.core.commit_daemon import CommitDaemon
+from repro.core.protocol_base import FlushWork
 from repro.obs import (
     CLIENT_EMIT,
     COMMIT_DONE,
     DAEMON_DEQUEUE,
+    GATEWAY_COALESCE,
     READ_FIRST,
     SDB_PUT,
     SDB_VISIBLE,
@@ -42,6 +56,10 @@ from repro.obs import (
     metric_key,
     write_chrome_trace,
 )
+from repro.obs.tracing import RETAINED_TRACES
+from repro.provenance.graph import NodeRef
+from repro.provenance.pass_collector import FlushIntent
+from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
 from repro.query.engine import SimpleDBQueryEngine
 from repro.service import IngestGateway
 from repro.sim import Delay, SimKernel
@@ -267,6 +285,223 @@ class TestTracer:
         tracer.mark("txn-1", WAL_LOGGED, 1.0)
         assert tracer.traces() == []
         assert tracer.as_dict() == {}
+
+
+def _closed_trace(tracer, index):
+    """Begin, alias, commit and close transaction ``txn-<index>``."""
+    key = f"txn-{index}"
+    tracer.begin(key)
+    tracer.alias(f"uuid-{index}", key)
+    tracer.mark(key, WAL_LOGGED, float(index))
+    tracer.mark(key, COMMIT_DONE, index + 2.0)
+    tracer.close(key)
+    return key
+
+
+def _one_record_work(index):
+    """A gateway flush of one file version with one provenance record."""
+    uuid = f"u{index:07d}"
+    ref = NodeRef(uuid, 0)
+    return FlushWork(
+        primary=FlushIntent(
+            path=f"/mnt/pass/f{index:06d}", uuid=uuid, ref=ref,
+            blob=Blob.from_text("x"),
+        ),
+        bundles=[
+            ProvenanceBundle(
+                uuid=uuid, records=[ProvenanceRecord(ref, "type", "file")]
+            )
+        ],
+    )
+
+
+class TestRetention:
+    """Open traces live until their owner closes them; closed ones wait
+    in a ring of ``RETAINED_TRACES``; evicted ones are gone."""
+
+    def test_late_marks_land_on_a_retained_trace(self):
+        tracer = Tracer()
+        _closed_trace(tracer, 1)
+        # A fleet reader first sees the uuid after the commit...
+        assert tracer.mark_first("uuid-1", READ_FIRST, 7.0)
+        # ...and a duplicate delivery commits the transaction again.
+        assert tracer.mark_if_traced("txn-1", COMMIT_DONE, 9.0)
+        trace = tracer.get("txn-1")
+        assert trace.first[COMMIT_DONE] == 3.0 and trace.last[COMMIT_DONE] == 9.0
+        assert tracer.commit_lags() == [("txn-1", 2.0)]
+        assert tracer.staleness() == [("txn-1", 6.0)]
+
+    def test_eviction_drops_the_trace_its_aliases_and_late_marks(self):
+        tracer = Tracer()
+        for index in range(RETAINED_TRACES + 1):
+            _closed_trace(tracer, index)
+        assert tracer.get("txn-0") is None
+        assert "uuid-0" not in tracer._aliases
+        assert not tracer.mark_if_traced("txn-0", COMMIT_DONE, 99.0)
+        assert not tracer.mark_first("uuid-0", READ_FIRST, 99.0)
+        # No mark reopens an evicted trace, by key or by alias.
+        tracer.mark("txn-0", COMMIT_DONE, 99.0)
+        tracer.mark("uuid-0", READ_FIRST, 99.0)
+        assert tracer.get("txn-0") is None
+        assert [trace.key for trace in tracer.traces()] == [
+            f"txn-{index}" for index in range(1, RETAINED_TRACES + 1)
+        ]
+        assert len(tracer.as_dict()) == len(tracer.commit_lags()) == RETAINED_TRACES
+
+    def test_open_traces_stay_and_keep_their_order(self):
+        tracer = Tracer()
+        tracer.begin("open")
+        for index in range(2 * RETAINED_TRACES):
+            _closed_trace(tracer, index)
+        keys = [trace.key for trace in tracer.traces()]
+        assert keys[0] == "open" and len(keys) == RETAINED_TRACES + 1
+
+    def test_begin_reopens_a_retained_trace(self):
+        """The gateway keys a trace by file uuid, so a file's next flush
+        begins the trace its last flush closed."""
+        tracer = Tracer()
+        _closed_trace(tracer, 0)
+        tracer.begin("txn-0")
+        for index in range(1, 2 * RETAINED_TRACES):
+            _closed_trace(tracer, index)
+        assert tracer.get("uuid-0") is tracer.get("txn-0") is not None
+
+    def test_a_reused_alias_outlives_its_first_owner(self):
+        """A file's uuid aliases onto each flush that carries it; evicting
+        an older flush must leave the alias with the newer one."""
+        tracer = Tracer()
+        tracer.begin("txn-old")
+        tracer.alias("uuid-shared", "txn-old")
+        tracer.close("txn-old")
+        tracer.begin("txn-new")
+        tracer.alias("uuid-shared", "txn-new")
+        for index in range(RETAINED_TRACES):
+            _closed_trace(tracer, index)
+        assert tracer.get("txn-old") is None
+        assert tracer.get("uuid-shared") is tracer.get("txn-new")
+
+    def test_closing_twice_or_an_unknown_key_does_nothing(self):
+        tracer = Tracer()
+        tracer.close("never-begun")
+        _closed_trace(tracer, 0)
+        tracer.close("uuid-0")
+        assert list(tracer._closed) == ["txn-0"]
+
+    def test_gateway_windows_keep_the_tracer_bounded(self):
+        account = CloudAccount(seed=0)
+        gateway = IngestGateway(account)
+        tracer = account.telemetry.tracer
+        for window in range(10 * RETAINED_TRACES):
+            gateway.submit("c0", _one_record_work(window))
+            gateway.flush_pending()
+            # One trace per flush, aliased by its uuid and its item name.
+            assert len(tracer.traces()) <= RETAINED_TRACES
+            assert len(tracer._aliases) <= 2 * RETAINED_TRACES
+        newest = tracer.get(f"u{10 * RETAINED_TRACES - 1:07d}")
+        assert {CLIENT_EMIT, GATEWAY_COALESCE, SDB_VISIBLE} <= set(newest.first)
+
+    def test_commit_daemons_close_what_they_commit(self):
+        account, _, daemon_objs, _, _ = _fleet_run(seed=0)
+        tracer = account.telemetry.tracer
+        committed = {r.txn_id for d in daemon_objs for r in d.commit_log}
+        assert committed and set(tracer._closed) == committed
+
+    def test_the_largest_chaos_sweep_run_fits_in_the_ring(self):
+        """``chaos_slo``'s per-transaction trace lags equal the commit
+        logs only while every transaction of a run is retained."""
+        golden = os.path.join(
+            os.path.dirname(__file__), os.pardir, "benchmarks", "golden",
+            "chaos_slo.json",
+        )
+        with open(golden) as handle:
+            points = json.load(handle)["points"]
+        assert all(point["trace_lags_match"] for point in points)
+        assert max(point["flushes"] for point in points) <= RETAINED_TRACES
+
+
+#: The directory ``repro`` is imported from, for child interpreters.
+_SRC = os.path.dirname(os.path.abspath(list(repro.__path__)[0]))
+_SOAK = os.path.join(
+    os.path.dirname(__file__), os.pardir, "tools", "telemetry_soak.py"
+)
+
+
+class TestBoundedMemory:
+    def test_telemetry_overhead_does_not_grow_with_ingests(self):
+        """``tools/telemetry_soak.py`` at 2 000 and 8 000 ingests, each
+        mode in a fresh interpreter with a fixed hash seed, side by side.
+        Telemetry costs a constant: the ring, the metrics registry.  A
+        tracer that kept every trace added about 1.1 KB per ingest."""
+        env = dict(os.environ, PYTHONPATH=_SRC, PYTHONHASHSEED="0")
+        runs = {
+            mode: subprocess.Popen(
+                [sys.executable, _SOAK, mode, "2000", "8000"],
+                env=env, stdout=subprocess.PIPE, text=True,
+            )
+            for mode in ("on", "off")
+        }
+        heap = {}
+        for mode, run in runs.items():
+            out, _ = run.communicate(timeout=300)
+            assert run.returncode == 0
+            heap[mode] = [int(n) for n in out.split()]
+        gap_2000, gap_8000 = (on - off for on, off in zip(heap["on"], heap["off"]))
+        assert abs(gap_8000 - gap_2000) <= 64 * 1024, (gap_2000, gap_8000)
+        assert gap_8000 < 1024 * 1024, gap_8000
+
+
+def _portable_timeline(doc):
+    """A Chrome trace as sorted-key JSON, less the counter tracks of
+    interpreter gauges (``sdb.index.memory_bytes`` sums ``sys.getsizeof``,
+    which differs between CPython versions)."""
+    events = [
+        event for event in doc["traceEvents"]
+        if not (
+            event["ph"] == "C"
+            and event["name"].split("{", 1)[0] == "sdb.index.memory_bytes"
+        )
+    ]
+    return json.dumps(dict(doc, traceEvents=events), sort_keys=True, indent=1)
+
+
+class TestFrozenExports:
+    """Retention changes when a trace is dropped, never what a retained
+    trace holds: these digests were taken before the tracer had a ring."""
+
+    def test_crash_run_timeline_and_traces(self):
+        account = _fleet_run(schedule="crashes", seed=0)[0]
+        timeline = _portable_timeline(chrome_trace(account.telemetry))
+        traces = json.dumps(account.telemetry.tracer.as_dict(), sort_keys=True)
+        assert hashlib.sha256(timeline.encode()).hexdigest() == (
+            "13e54bd32f50ca17b61072e2b7544696c7c8317c754199b0495df24fbdbe2c3a"
+        )
+        assert hashlib.sha256(traces.encode()).hexdigest() == (
+            "d744df1b3b6ec7bb909c9a018685c48616cb437325dc7d2e92f8c1d9b13d4ccd"
+        )
+
+    def test_timeline_export_example_artifacts(self, monkeypatch, tmp_path, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "timeline_export",
+            os.path.join(
+                os.path.dirname(__file__), os.pardir, "examples",
+                "timeline_export.py",
+            ),
+        )
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+        monkeypatch.chdir(tmp_path)
+        example.main()
+        capsys.readouterr()
+        with open(example.TRACE_PATH) as handle:
+            timeline = _portable_timeline(json.load(handle))
+        with open(example.EVENTS_PATH, "rb") as handle:
+            events = handle.read()
+        assert hashlib.sha1(timeline.encode()).hexdigest() == (
+            "e7f8d805c677b9b22a413433fdccb11f35d9bdea"
+        )
+        assert hashlib.sha1(events).hexdigest() == (
+            "cf7bbaa119196658601b5808e9d56f36eaeeb192"
+        )
 
 
 class TestEventLog:

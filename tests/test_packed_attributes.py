@@ -11,12 +11,17 @@ be.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+import repro
 from repro.cloud import CloudAccount
 from repro.cloud.consistency import ConsistencyModel, WriteVersion
 from repro.cloud.simpledb import _attributes_size, _pack, _unpack
@@ -152,7 +157,12 @@ def test_stored_versions_footprint_per_item():
     """A tracemalloc delta over a 5 000-item build whose strings the
     test built (and holds) beforehand, so what is counted is the
     service's own structures; subtracting ``index_memory_bytes()``
-    leaves the per-version layout."""
+    leaves the per-version layout.
+
+    The service ``sys.intern``s every attribute name and value; the
+    test interns them first, so the interpreter's interned-string table
+    cannot grow (and, depending on how many strings earlier tests
+    interned, resize) inside the window."""
     items_n = 5000
     rng = random.Random(7)
     items = []
@@ -165,6 +175,7 @@ def test_stored_versions_footprint_per_item():
             ("mtime", f"{1_000_000 + i:09d}"),
             ("input", f"u{max(0, obj - 1 - rng.randrange(8)):07d}_{version}"),
         ]
+        pairs = [(sys.intern(a), sys.intern(v)) for a, v in pairs]
         items.append((f"u{obj:07d}_{version}", pairs))
     account = CloudAccount(seed=1)
     sdb = account.simpledb
@@ -179,3 +190,33 @@ def test_stored_versions_footprint_per_item():
         tracemalloc.stop()
     per_item = (after - before - sdb.index_memory_bytes()) / items_n
     assert 0 < per_item < _VERSION_BYTES_PER_ITEM, f"{per_item:.0f} B/item"
+
+
+#: The directory ``repro`` is imported from, for the child interpreter.
+_SRC = os.path.dirname(os.path.abspath(list(repro.__path__)[0]))
+
+
+def test_footprint_window_ignores_strings_interned_before_it():
+    """The footprint test in a fresh interpreter (fixed hash seed) after
+    10 000 unrelated strings were interned — as earlier tests in one
+    tier-1 process do.  At that count the interned-string table resized
+    inside the window when the test left its strings to the service to
+    intern, and the test read 576 B/item."""
+    script = textwrap.dedent(
+        """
+        import sys
+        padding = [sys.intern(f"pad-{i}") for i in range(int(sys.argv[2]))]
+        sys.path.insert(0, sys.argv[1])
+        from test_packed_attributes import test_stored_versions_footprint_per_item
+        test_stored_versions_footprint_per_item()
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, os.path.dirname(__file__), "10000"],
+        env=dict(os.environ, PYTHONPATH=_SRC, PYTHONHASHSEED="0"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
