@@ -1,7 +1,9 @@
 """Smoke runs of the examples: each ``main()`` runs to the end in a fresh
 working directory and prints what it promises."""
 
+import hashlib
 import importlib.util
+import json
 import os
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
@@ -25,14 +27,25 @@ def test_chaos_recovery_invariant_holds(monkeypatch, tmp_path, capsys):
     assert "byte-identical to the uncrashed run: True" in out
 
 
-def test_timeline_export_writes_both_artifacts(monkeypatch, tmp_path, capsys):
+def test_timeline_export_writes_both_artifacts(
+    monkeypatch, tmp_path, capsys, portable_timeline
+):
+    """Both artifacts are pinned by sha1 (the timeline less its
+    interpreter-gauge track); the digests predate the tracer's ring."""
     out = _run_example("timeline_export", monkeypatch, tmp_path, capsys)
     assert "chaos: 3 kills, 3 respawns" in out
     assert "pool-0#1" in out
-    for artifact in ("TRACE_chaos_crash_respawn.json",
-                     "EVENTS_chaos_crash_respawn.jsonl"):
-        path = tmp_path / "bench-results" / artifact
-        assert path.stat().st_size > 0
+    results = tmp_path / "bench-results"
+    timeline = portable_timeline(
+        json.loads((results / "TRACE_chaos_crash_respawn.json").read_text())
+    )
+    events = (results / "EVENTS_chaos_crash_respawn.jsonl").read_bytes()
+    assert hashlib.sha1(timeline.encode()).hexdigest() == (
+        "e7f8d805c677b9b22a413433fdccb11f35d9bdea"
+    )
+    assert hashlib.sha1(events).hexdigest() == (
+        "cf7bbaa119196658601b5808e9d56f36eaeeb192"
+    )
 
 
 

@@ -21,7 +21,6 @@ its aliases, so telemetry does not grow with the number of ingests.
 
 import gc
 import hashlib
-import importlib.util
 import json
 import os
 import random
@@ -450,57 +449,19 @@ class TestBoundedMemory:
         assert gap_8000 < 1024 * 1024, gap_8000
 
 
-def _portable_timeline(doc):
-    """A Chrome trace as sorted-key JSON, less the counter tracks of
-    interpreter gauges (``sdb.index.memory_bytes`` sums ``sys.getsizeof``,
-    which differs between CPython versions)."""
-    events = [
-        event for event in doc["traceEvents"]
-        if not (
-            event["ph"] == "C"
-            and event["name"].split("{", 1)[0] == "sdb.index.memory_bytes"
-        )
-    ]
-    return json.dumps(dict(doc, traceEvents=events), sort_keys=True, indent=1)
-
-
 class TestFrozenExports:
     """Retention changes when a trace is dropped, never what a retained
     trace holds: these digests were taken before the tracer had a ring."""
 
-    def test_crash_run_timeline_and_traces(self):
+    def test_crash_run_timeline_and_traces(self, portable_timeline):
         account = _fleet_run(schedule="crashes", seed=0)[0]
-        timeline = _portable_timeline(chrome_trace(account.telemetry))
+        timeline = portable_timeline(chrome_trace(account.telemetry))
         traces = json.dumps(account.telemetry.tracer.as_dict(), sort_keys=True)
         assert hashlib.sha256(timeline.encode()).hexdigest() == (
             "13e54bd32f50ca17b61072e2b7544696c7c8317c754199b0495df24fbdbe2c3a"
         )
         assert hashlib.sha256(traces.encode()).hexdigest() == (
             "d744df1b3b6ec7bb909c9a018685c48616cb437325dc7d2e92f8c1d9b13d4ccd"
-        )
-
-    def test_timeline_export_example_artifacts(self, monkeypatch, tmp_path, capsys):
-        spec = importlib.util.spec_from_file_location(
-            "timeline_export",
-            os.path.join(
-                os.path.dirname(__file__), os.pardir, "examples",
-                "timeline_export.py",
-            ),
-        )
-        example = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(example)
-        monkeypatch.chdir(tmp_path)
-        example.main()
-        capsys.readouterr()
-        with open(example.TRACE_PATH) as handle:
-            timeline = _portable_timeline(json.load(handle))
-        with open(example.EVENTS_PATH, "rb") as handle:
-            events = handle.read()
-        assert hashlib.sha1(timeline.encode()).hexdigest() == (
-            "e7f8d805c677b9b22a413433fdccb11f35d9bdea"
-        )
-        assert hashlib.sha1(events).hexdigest() == (
-            "cf7bbaa119196658601b5808e9d56f36eaeeb192"
         )
 
 
