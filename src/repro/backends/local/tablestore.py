@@ -243,16 +243,12 @@ class LocalSimpleDBService(SimpleDBService):
         version ever held, and delete-driven pruning state is not
         reconstructed — which is exactly the invariant the planner
         requires (candidates are a superset; verification decides)."""
-        seen = set()
         rows = self._conn.execute(
             "SELECT item, attrs FROM sdb_versions"
             " WHERE domain = ? AND deleted = 0 ORDER BY seq",
             (domain,),
         ).fetchall()
         for item, attrs_text in rows:
-            if item not in seen:
-                seen.add(item)
-                state.add_name(item)
             texts = iter(json.loads(attrs_text))
             state.note_pairs(item, list(zip(texts, texts)))
 

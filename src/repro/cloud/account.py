@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.backends import build_backend
+# The module, not the function: ``repro.backends`` imports ``repro.cloud``,
+# whose ``__init__`` imports this module while it is still half loaded.
+from repro import backends
 from repro.cloud.billing import BillingMeter, PriceBook
 from repro.cloud.clock import Stopwatch, VirtualClock
 from repro.cloud.consistency import ConsistencyModel
@@ -67,7 +69,7 @@ class CloudAccount:
         self.faults = faults if faults is not None else FaultPlan()
         self.consistency_model = consistency
 
-        self._backend = build_backend(
+        self._backend = backends.build_backend(
             backend,
             scheduler=self.scheduler,
             profile=profile,

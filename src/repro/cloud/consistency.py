@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Generic, List, Optional, Tuple, TypeVar
+from typing import Generic, List, Optional, Tuple, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -72,12 +72,14 @@ class PropagationSampler:
 class VersionedRegister(Generic[T]):
     """Write history of one key under last-writer-wins semantics — an
     immutable tuple each write replaces (one register per stored key:
-    no instance dict, no list over-allocation)."""
+    no instance dict, no list over-allocation).  A key written once,
+    most keys, holds its one version bare; the second write makes the
+    tuple."""
 
     __slots__ = ("_history",)
 
     def __init__(self) -> None:
-        self._history: Tuple[WriteVersion[T], ...] = ()
+        self._history: Union[WriteVersion[T], Tuple[WriteVersion[T], ...]] = ()
 
     def write(self, value: T, committed_at: float, visible_at: float) -> None:
         """Record a write; history is kept sorted by commit time."""
@@ -88,11 +90,16 @@ class VersionedRegister(Generic[T]):
         self._insert(WriteVersion(None, committed_at, visible_at, deleted=True))
 
     def _insert(self, version: WriteVersion[T]) -> None:
-        history = self._history + (version,)
+        history = self._history
+        if not history:
+            self._history = version
+            return
+        if history.__class__ is WriteVersion:
+            history = (history, version)
+        else:
+            history += (version,)
         # Writes usually arrive in commit order; keep the invariant cheap.
-        if len(history) > 1 and (
-            history[-1].committed_at < history[-2].committed_at
-        ):
+        if history[-1].committed_at < history[-2].committed_at:
             history = tuple(sorted(history, key=lambda v: v.committed_at))
         self._history = history
 
@@ -100,14 +107,17 @@ class VersionedRegister(Generic[T]):
         """Latest observable version at time ``at``, or ``None`` if no
         write is visible yet.  Tombstones are returned (callers must check
         ``deleted``) so a visible delete hides earlier values."""
+        strict = model is ConsistencyModel.STRICT
+        history = self._history
+        if history.__class__ is WriteVersion:
+            stamp = history.committed_at if strict else history.visible_at
+            return history if stamp <= at else None
         best: Optional[WriteVersion[T]] = None
-        for version in self._history:
-            observable = (
-                version.committed_at <= at
-                if model is ConsistencyModel.STRICT
-                else version.visible_at <= at
-            )
-            if observable and (best is None or version.committed_at >= best.committed_at):
+        for version in history:
+            stamp = version.committed_at if strict else version.visible_at
+            if stamp <= at and (
+                best is None or version.committed_at >= best.committed_at
+            ):
                 best = version
         return best
 
@@ -118,7 +128,10 @@ class VersionedRegister(Generic[T]):
 
     def history(self) -> List[WriteVersion[T]]:
         """All writes in commit order (for property checkers)."""
-        return sorted(self._history, key=lambda v: v.committed_at)
+        history = self._history
+        if history.__class__ is WriteVersion:
+            return [history]
+        return sorted(history, key=lambda v: v.committed_at)
 
 
 @dataclass

@@ -643,11 +643,13 @@ class _ValueTable(_SortedTable):
     def slot_count(self, slot: int) -> int:
         return 1 if slot < _WIDE else len(self.wide[slot ^ _WIDE])
 
-    def add(self, value: str, ident: int) -> int:
-        """Add ``ident`` to the posting of ``value``; returns the
-        posting's new size, or 0 when the id was already there.  One
-        tail probe and at most one bisect; a new value that sorts after
-        the main run appends without a bisect."""
+    def add(self, value: str, ident: int) -> Tuple[int, str]:
+        """Add ``ident`` to the posting of ``value``.  Returns the
+        posting's new size (0 when the id was already there) and the
+        table's copy of ``value``: the main-run key equal to it, else
+        ``value`` itself (new, or waiting in the tail, whose key a dict
+        does not hand back).  One tail probe and at most one bisect; a
+        new value that sorts after the main run appends without one."""
         tail = self.tail
         slot = tail.get(value) if tail else None
         index = -1
@@ -656,20 +658,21 @@ class _ValueTable(_SortedTable):
             if not keys or value > keys[-1]:
                 keys.append(value)
                 self.slots.append(ident)
-                return 1
+                return 1, value
             index = bisect.bisect_left(keys, value)
             if keys[index] != value:
                 self.put(value, ident)
-                return 1
+                return 1, value
+            value = keys[index]
             slot = self.slots[index]
         if slot >= _WIDE:
             posting = self.wide[slot ^ _WIDE]
             if posting.__class__ is array and ident > posting[-1]:
                 posting.append(ident)
-                return len(posting)
-            return self._insert_wide(slot ^ _WIDE, ident)
+                return len(posting), value
+            return self._insert_wide(slot ^ _WIDE, ident), value
         if slot == ident:
-            return 0
+            return 0, value
         slot = self._park(
             array("I", (slot, ident) if slot < ident else (ident, slot))
         )
@@ -677,7 +680,7 @@ class _ValueTable(_SortedTable):
             tail[value] = slot
         else:
             self.slots[index] = slot
-        return 2
+        return 2, value
 
     def _insert_wide(self, i: int, ident: int) -> int:
         """:meth:`add` for an id that does not append to its array."""
@@ -891,23 +894,33 @@ class _DomainState:
             if queued is None or visible_at > queued:
                 self.pending_unindex[key] = visible_at
 
-    def add_name(self, name: str) -> None:
-        self.names.intern(name)
-
-    def note_pairs(self, name: str, pairs: Sequence[Tuple[str, str]]) -> None:
+    def note_pairs(
+        self, name: str, pairs: Sequence[Tuple[str, str]]
+    ) -> List[Tuple[str, str]]:
+        """Index item ``name``'s ``pairs`` (giving the name its id on
+        first sight, pairs or none).  Returns the pairs as the domain
+        keeps them: each attribute name interned (a bounded schema
+        vocabulary), each value the table's own copy
+        (:meth:`_ValueTable.add`).  A version packed from them shares
+        its strings with the index, and values never enter the
+        interpreter's interned-string table, which only grows."""
         ident = self.names.intern(name)
         tables = self.tables
         pending = self.pending_unindex
+        stored = []
         for attribute, value in pairs:
+            attribute = sys.intern(attribute)
             table = tables.get(attribute)
             if table is None:
                 table = tables[attribute] = _ValueTable()
-            size = table.add(value, ident)
+            size, value = table.add(value, ident)
             if size:
                 self._note_posting_resize(attribute, size - 1, size)
             if pending:
                 # A re-put beats any queued removal: the pair is live again.
                 pending.pop((attribute, value, name), None)
+            stored.append((attribute, value))
+        return stored
 
     def prune_unindexed(self, now: float) -> int:
         """Apply every queued removal whose delete is fully visible at
@@ -1445,10 +1458,6 @@ class AttributeSelectivity:
         return self.postings / self.distinct_values
 
 
-def _pairs_size(pairs: Sequence[Tuple[str, str]]) -> int:
-    return sum(len(a.encode()) + len(v.encode()) for a, v in pairs)
-
-
 def _attributes_size(version: WriteVersion[PackedAttributes]) -> int:
     """Response bytes of one stored version's attributes, computed on
     first use and kept on the version (stored values are immutable
@@ -1553,9 +1562,8 @@ class SimpleDBService:
             raise LimitExceededError(
                 f"BatchPutAttributes limited to {BATCH_PUT_LIMIT} items, got {len(items)}"
             )
-        self._validate_items(items)
+        payload = self._validate_items(items)
         state = self._domain(domain)
-        payload = sum(_pairs_size(pairs) + len(name.encode()) for name, pairs in items)
         item_count = len(items)
         # The service's per-unit cost scales with attribute-value pairs
         # (each one is indexed), not with item count.
@@ -1585,9 +1593,8 @@ class SimpleDBService:
         replace: bool = False,
     ) -> Request:
         """Build a single-item ``PutAttributes`` request."""
-        self._validate_items([(item, pairs)])
+        payload = self._validate_items([(item, pairs)])
         state = self._domain(domain)
-        payload = _pairs_size(pairs) + len(item.encode())
 
         def apply(start: float, finish: float) -> None:
             self._merge_item(state, item, pairs, replace, finish)
@@ -1817,27 +1824,38 @@ class SimpleDBService:
     # -- internals --------------------------------------------------------------
 
     @staticmethod
-    def _validate_items(items: Sequence[ItemPut]) -> None:
+    def _validate_items(items: Sequence[ItemPut]) -> int:
+        """Check a put's items against SimpleDB's limits; returns the
+        request's payload bytes (every item name, attribute name and
+        value, UTF-8 encoded), so each is encoded once."""
+        payload = 0
         for name, pairs in items:
             if not name:
                 raise InvalidRequestError("item name must be non-empty")
-            if len(name.encode()) > ATTRIBUTE_LIMIT_BYTES:
+            size = len(name.encode())
+            if size > ATTRIBUTE_LIMIT_BYTES:
                 raise LimitExceededError(f"item name {name[:32]!r}... exceeds 1 KB")
             if len(pairs) > ITEM_ATTRIBUTE_LIMIT:
                 raise LimitExceededError(
                     f"item {name!r} has {len(pairs)} attribute pairs (limit "
                     f"{ITEM_ATTRIBUTE_LIMIT})"
                 )
+            payload += size
             for attribute, value in pairs:
-                if len(attribute.encode()) > ATTRIBUTE_LIMIT_BYTES:
+                size = len(attribute.encode())
+                if size > ATTRIBUTE_LIMIT_BYTES:
                     raise LimitExceededError(
                         f"attribute name {attribute[:32]!r}... exceeds 1 KB"
                     )
-                if len(value.encode()) > ATTRIBUTE_LIMIT_BYTES:
+                payload += size
+                size = len(value.encode())
+                if size > ATTRIBUTE_LIMIT_BYTES:
                     raise LimitExceededError(
                         f"value of {attribute!r} exceeds 1 KB ({len(value)} bytes); "
                         "spill it to S3"
                     )
+                payload += size
+        return payload
 
     def _merge_item(
         self,
@@ -1847,19 +1865,16 @@ class SimpleDBService:
         replace: bool,
         committed_at: float,
     ) -> None:
-        # Intern attribute names and values: provenance traffic repeats
-        # the same small vocabulary (type/name/input/...) across millions
-        # of items, and the registry and the value tables hold
-        # references to the same pair strings — one canonical object per
-        # distinct string instead of one copy per write
-        # (``index_memory_bytes`` gauges the footprint).
-        pairs = [
-            (sys.intern(attribute), sys.intern(value))
-            for attribute, value in pairs
-        ]
+        # Index the incoming pairs first (set semantics: re-puts are
+        # no-ops; earlier versions' values are already indexed, so the
+        # index stays a superset of what any observation time can see),
+        # and pack the version from the strings the index keeps:
+        # provenance traffic repeats a small vocabulary across millions
+        # of items, and the registry and the value tables then share one
+        # object per distinct value instead of one copy per write.
+        pairs = state.note_pairs(name, pairs)
         register = state.registry.get(name)
         if register is None:
-            state.add_name(name)
             register = state.registry.setdefault(name, VersionedRegister())
         latest = register.read_latest_committed(committed_at)
         current: ItemAttributes = {}
@@ -1875,10 +1890,6 @@ class SimpleDBService:
             values = current.setdefault(attribute, [])
             if value not in values:
                 values.append(value)
-        # Index the incoming pairs (set semantics: re-puts are no-ops;
-        # earlier versions' values are already indexed, so the index stays
-        # a superset of what any observation time can see).
-        state.note_pairs(name, pairs)
         visible = self._consistency.visibility_for(committed_at)
         register.write(_pack(current), committed_at, visible)
         if self._telemetry is not None:
@@ -2068,8 +2079,8 @@ class SimpleDBService:
     def index_memory_bytes(self) -> int:
         """Approximate heap footprint of the secondary indexes across
         all domains (container overhead, posting arrays, one count of
-        each distinct string — interning makes the index share string
-        objects with the registry — plus the pending-unindex queue and
+        each distinct string — stored versions share the value tables'
+        string objects — plus the pending-unindex queue and
         the selectivity statistics, inner containers included).  Feeds
         the ``sdb.index.memory_bytes`` gauge, so benchmarks can chart
         bytes-per-item beside wall clock."""

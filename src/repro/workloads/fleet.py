@@ -22,8 +22,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
-from repro.cloud.account import CloudAccount  # first: repro.backends imports it back
 from repro.backends.parity import store_fingerprint
+from repro.cloud.account import CloudAccount
 from repro.cloud.blob import Blob
 from repro.cloud.simpledb import prepare_select  # noqa: F401 - perf/tracing.py wraps it here
 from repro.obs.tracing import READ_FIRST

@@ -8,6 +8,7 @@ from repro.cloud.consistency import (
     ConsistencyModel,
     PropagationSampler,
     VersionedRegister,
+    WriteVersion,
 )
 
 
@@ -83,6 +84,13 @@ class TestVersionedRegister:
         register.write("a", committed_at=1.0, visible_at=100.0)
         version = register.read_latest_committed(2.0)
         assert version is not None and version.value == "a"
+
+    def test_one_write_is_held_bare_and_the_second_makes_a_tuple(self):
+        register = VersionedRegister()
+        register.write("a", committed_at=1.0, visible_at=1.0)
+        assert register._history.__class__ is WriteVersion
+        register.write("b", committed_at=2.0, visible_at=2.0)
+        assert [v.value for v in register._history] == ["a", "b"]
 
     def test_out_of_order_insert_keeps_history_sorted(self):
         register = VersionedRegister()

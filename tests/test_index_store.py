@@ -175,13 +175,29 @@ class TestPostingLayout:
 
     def test_first_id_is_stored_inline(self):
         table = _ValueTable()
-        assert table.add("v", 7) == 1
+        assert table.add("v", 7)[0] == 1
         assert _posting(table) == 7 and list(table.slots) == [7]
         assert not table.wide
-        assert table.add("v", 7) == 0  # set semantics
+        assert table.add("v", 7)[0] == 0  # set semantics
         assert table.discard("v", 9) == -1
         assert table.discard("v", 7) == 0
         assert _posting(table) is None and not table  # the value leaves
+
+    def test_add_hands_back_the_main_run_copy(self):
+        def fresh(text):  # runtime-built: a new object per call
+            return "".join([text[0], text[1:]])
+
+        table = _ValueTable()
+        first = fresh("val")
+        assert table.add(first, 1)[1] is first  # new: appended
+        assert table.add(fresh("val"), 2)[1] is first  # the main-run key
+        table.add("zz", 3)
+        late = fresh("mid")
+        assert table.add(late, 4)[1] is late  # new: waits in the tail
+        again = fresh("mid")
+        assert table.add(again, 5)[1] is again  # a tail key is not handed back
+        table.ordered()  # folds the tail
+        assert table.add(fresh("mid"), 6)[1] is late
 
     @pytest.mark.parametrize("first,second", [(3, 8), (8, 3)])
     def test_second_distinct_id_promotes_to_an_exact_sorted_array(
@@ -189,13 +205,13 @@ class TestPostingLayout:
     ):
         table = _ValueTable()
         table.add("v", first)
-        assert table.add("v", second) == 2
+        assert table.add("v", second)[0] == 2
         posting = _posting(table)
         assert posting.__class__ is array and list(posting) == [3, 8]
         assert list(table.slots) == [_WIDE | 0]
         # Allocated for exactly two ids: no append slack.
         assert sys.getsizeof(posting) == sys.getsizeof(array("I", (3, 8)))
-        assert table.add("v", first) == 0
+        assert table.add("v", first)[0] == 0
 
     def test_pruning_back_to_one_id_demotes_to_inline(self):
         table = _ValueTable()
@@ -214,14 +230,14 @@ class TestPostingLayout:
     def test_in_order_appends_stay_one_bare_array(self):
         table = _ValueTable()
         for ident in range(5000):
-            assert table.add("v", ident) == ident + 1
+            assert table.add("v", ident)[0] == ident + 1
         assert _posting(table).__class__ is array
         assert list(_posting(table)) == list(range(5000))
 
     def test_out_of_order_into_a_short_array_inserts_in_place(self):
         table = _ValueTable()
         for ident in range(300, 0, -1):  # every insert is out of order
-            assert table.add("v", ident)
+            assert table.add("v", ident)[0]
         assert _posting(table).__class__ is array
         assert list(_posting(table)) == list(range(1, 301))
 
@@ -229,13 +245,13 @@ class TestPostingLayout:
         threshold = simpledb._TAIL_MERGE_THRESHOLD
         base = 10_000_000
         table = _wide_table(range(base, base + threshold))
-        assert table.add("v", 5) == threshold + 1
+        assert table.add("v", 5)[0] == threshold + 1
         run = _posting(table)
         assert run.__class__ is _SortedIdRun and list(run.tail) == [5]
-        assert table.add("v", 5) == 0  # found in the tail
-        assert table.add("v", base + 1) == 0  # found in main
+        assert table.add("v", 5)[0] == 0  # found in the tail
+        assert table.add("v", base + 1)[0] == 0  # found in main
         # In-order ids join the tail too while one is pending.
-        assert table.add("v", base + threshold) == threshold + 2
+        assert table.add("v", base + threshold)[0] == threshold + 2
         assert _posting(table) is run
         for ident in range(6, 6 + threshold - 3):
             table.add("v", ident)
@@ -259,7 +275,7 @@ class TestPostingLayout:
         table = _ValueTable()
         table.add("m", 1)
         table.add("a", 2)  # out of order: waits in the tail
-        assert table.add("a", 3) == 2  # promoted while still in the tail
+        assert table.add("a", 3)[0] == 2  # promoted while still in the tail
         assert table.tail == {"a": _WIDE | 0} and _ids(table, "a") == [2, 3]
         assert table.discard("a", 2) == 1
         assert table.tail == {"a": 3} and table.free == [0]
@@ -280,7 +296,7 @@ class TestPostingLayout:
                 reference.discard(ident)
             else:
                 expected = 0 if ident in reference else len(reference) + 1
-                assert table.add("v", ident) == expected
+                assert table.add("v", ident)[0] == expected
                 reference.add(ident)
             if reference:
                 layouts.add(_posting(table).__class__)
@@ -352,7 +368,7 @@ class TestValueTableOrder:
                 else:
                     assert table.discard(value, step) == -1
             elif value not in reference:
-                assert table.add(value, step) == 1
+                assert table.add(value, step)[0] == 1
                 reference[value] = step
         assert table.ordered() == sorted(reference)
         assert list(table.slots) == [reference[v] for v in sorted(reference)]
@@ -382,7 +398,7 @@ def _algebra_items():
 def _algebra_state(items):
     state = _DomainState()
     for i in (17, 3, 29, 8):  # out-of-order arrivals: ids != rank
-        state.add_name(f"it{i:03d}")
+        state.names.intern(f"it{i:03d}")
     for name, pairs in items.items():
         state.note_pairs(name, pairs)
     return state
@@ -481,7 +497,7 @@ def test_wide_run_with_a_tail_reads_like_any_posting(monkeypatch):
     monkeypatch.setattr(simpledb, "_TAIL_MERGE_THRESHOLD", 8)
     state = _DomainState()
     for i in range(12):
-        state.add_name(f"w{i:02d}")
+        state.names.intern(f"w{i:02d}")
     items = {f"w{i:02d}": [("kind", "wide")] for i in range(2, 12)}
     items["w00"] = [("kind", "wide")]  # out of order
     for name, pairs in items.items():
@@ -667,7 +683,6 @@ def _populate_bare_state(state, items, shape="mixed"):
     promote postings that are still waiting in one."""
     for i in range(items):
         name = f"memprobe-{i:06d}"
-        state.add_name(name)
         if shape == "singletons":
             pairs = (
                 ("mp_kind", f"k{i % 7}"),

@@ -151,8 +151,8 @@ def test_blob_sidecar_killed_before_it_is_written_leaves_no_version(tmp_path):
     printed = _run_killed_child(
         """
         from pathlib import Path
-        from repro.cloud import CloudAccount  # first: repro.backends imports it
         from repro.backends.parity import store_fingerprint
+        from repro.cloud import CloudAccount
         from repro.cloud.blob import Blob
 
         account = CloudAccount(seed=0, backend="local", backend_root=root)

@@ -149,8 +149,11 @@ def test_seeded_writes_match_a_dict_of_lists_model(backend, tmp_path):
 #: gauge prices — the stored versions, their registers and the registry.
 #: Measured on CPython 3.11: 854 B/item with a dataclass-with-dict
 #: version holding a dict of lists in a list history; 238 B/item with a
-#: slotted version holding a packed tuple in a tuple history.
-_VERSION_BYTES_PER_ITEM = 400
+#: slotted version holding a packed tuple in a tuple history; 191 B/item
+#: with values interned process-wide and each register's one version in
+#: a 1-tuple; 143 B/item (156 on 3.10, 164 on 3.12) with the values
+#: shared through the value tables and a one-version register bare.
+_VERSION_BYTES_PER_ITEM = 180
 
 
 def test_stored_versions_footprint_per_item():
@@ -159,10 +162,11 @@ def test_stored_versions_footprint_per_item():
     service's own structures; subtracting ``index_memory_bytes()``
     leaves the per-version layout.
 
-    The service ``sys.intern``s every attribute name and value; the
-    test interns them first, so the interpreter's interned-string table
-    cannot grow (and, depending on how many strings earlier tests
-    interned, resize) inside the window."""
+    The service interns attribute names only (source literals here,
+    interned already) and shares each value through its value table, so
+    the interpreter's interned-string table cannot grow (and, depending
+    on how many strings earlier tests interned, resize) inside the
+    window."""
     items_n = 5000
     rng = random.Random(7)
     items = []
@@ -175,7 +179,6 @@ def test_stored_versions_footprint_per_item():
             ("mtime", f"{1_000_000 + i:09d}"),
             ("input", f"u{max(0, obj - 1 - rng.randrange(8)):07d}_{version}"),
         ]
-        pairs = [(sys.intern(a), sys.intern(v)) for a, v in pairs]
         items.append((f"u{obj:07d}_{version}", pairs))
     account = CloudAccount(seed=1)
     sdb = account.simpledb
@@ -200,8 +203,8 @@ def test_footprint_window_ignores_strings_interned_before_it():
     """The footprint test in a fresh interpreter (fixed hash seed) after
     10 000 unrelated strings were interned — as earlier tests in one
     tier-1 process do.  At that count the interned-string table resized
-    inside the window when the test left its strings to the service to
-    intern, and the test read 576 B/item."""
+    inside the window while the service interned every value it stored,
+    and the test read 576 B/item."""
     script = textwrap.dedent(
         """
         import sys

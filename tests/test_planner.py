@@ -5,11 +5,13 @@ cost model reads (incremental, delete-aware); the planner decisions
 themselves — a range indexed where a quarter-domain cutoff would have
 scanned, without changing a single row against the scan, cheapest-first
 ``AND`` ordering with verify-only skips, and the ``explain()`` plan
-dump; and the riders — attribute interning and the index-memory gauge.
+dump; and the riders — one string object per stored value, and the
+index-memory gauge.
 """
 
 import random
 import sys
+import uuid
 
 from repro.cloud.account import CloudAccount
 from repro.cloud.consistency import ConsistencyModel
@@ -196,21 +198,35 @@ class TestCostPlanner:
 
 
 class TestRiders:
-    def test_attribute_names_and_values_are_interned(self):
+    def test_equal_values_share_one_object_and_are_not_interned(self):
+        """Two puts of equal values built at run time store one string
+        object, held by both versions and the value table; the service
+        interns attribute names only, so the interpreter's
+        interned-string table (which never shrinks) does not grow with
+        the values stored."""
         sdb = _account().simpledb
         sdb.create_domain("d")
         # Runtime-constructed strings (not source literals, so not
-        # auto-interned by the compiler).
+        # auto-interned by the compiler); the value's text is new to
+        # the process even when the test runs again in it.
         attribute = "".join(random.Random(3).choices("abcdef", k=12))
-        value = "-".join(["val", "0042"])
-        sdb.put_attributes("d", "x_0", [(attribute, value)])
+        text = uuid.uuid4().hex
+        first, second = "-".join(["val", text]), "-".join(["val", text])
+        assert first == second and first is not second
+        sdb.put_attributes("d", "x_0", [(attribute, first)])
+        sdb.put_attributes("d", "x_1", [(attribute, second)])
         state = sdb._domains["d"]
         stored_attr = next(a for a in state.tables if a == attribute)
         assert stored_attr is sys.intern(attribute)
-        stored_value = next(
-            v for v in state.tables[stored_attr].ordered() if v == value
+        indexed = next(
+            v for v in state.tables[stored_attr].ordered() if v == first
         )
-        assert stored_value is sys.intern(value)
+        for name in ("x_0", "x_1"):
+            (version,) = state.registry[name].history()
+            assert version.value == (attribute, first)
+            assert version.value[1] is indexed
+        fresh = "-".join(["val", text])
+        assert sys.intern(fresh) is fresh
 
     def test_index_memory_gauge_reports(self):
         account = _account()

@@ -64,6 +64,16 @@ class TestPutGet:
         with pytest.raises(InvalidRequestError):
             strict_account.simpledb.batch_put(domain, [])
 
+    def test_put_payload_is_every_name_and_value_in_utf8(
+        self, strict_account, domain
+    ):
+        sdb = strict_account.simpledb
+        items = [("é1", [("näme", "vàl"), ("a", "")]), ("i2", [("b", "€")])]
+        expected = [2 + 1 + 5 + 4 + 1, 2 + 1 + 3]  # name + pairs, in bytes
+        assert sdb.batch_put_request(domain, items).payload_bytes == sum(expected)
+        for (name, pairs), size in zip(items, expected):
+            assert sdb.put_request(domain, name, pairs).payload_bytes == size
+
     def test_batch_put_stores_all_items(self, strict_account, domain):
         sdb = strict_account.simpledb
         items = [(f"i{n}", [("n", str(n))]) for n in range(25)]
