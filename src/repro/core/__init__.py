@@ -13,8 +13,8 @@
 - :mod:`repro.core.commit_daemon` / :mod:`repro.core.cleaner_daemon` —
   P3's asynchronous halves,
 - :mod:`repro.core.detection` — read-side detection of coupling and
-  causal-ordering violations (version compare, content hash, Merkle
-  ancestry hash),
+  causal-ordering violations (version compare, content hash, dangling
+  ancestors),
 - :mod:`repro.core.properties` — the four provenance-system properties
   (§3) as executable checkers,
 - :mod:`repro.core.pas3fs` — PA-S3fs (the provenance-aware FUSE layer),

@@ -4,9 +4,8 @@ Systems without data-coupling can still *detect* decoupling on access
 (§3): the provenance carries a content hash and the data object's
 metadata carries its version, so a reader can tell when the pieces do not
 match and refresh until they do.  This module implements that detection
-for both provenance backends, plus the Merkle-style ancestry hash the
-paper suggests for verifying multi-object causal ordering under eventual
-consistency (§4.3.1).
+for both provenance backends, plus the dangling-ancestor walk that
+checks multi-object causal ordering (§4.3.1).
 
 The readers see the omniscient final state (``peek_*``): they serve the
 property checkers in :mod:`repro.core.properties` and the tests, and
@@ -16,9 +15,8 @@ issue no timed or billed request.
 from __future__ import annotations
 
 import enum
-import hashlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.cloud.account import CloudAccount
@@ -214,7 +212,7 @@ def check_coupling(
 
 
 # --------------------------------------------------------------------------
-# Causal ordering detection (dangling ancestors, Merkle ancestry hash)
+# Causal ordering detection (dangling ancestors)
 # --------------------------------------------------------------------------
 
 def find_dangling_ancestors(
@@ -237,36 +235,3 @@ def find_dangling_ancestors(
             continue
         stack.extend(reader.xrefs_of(attributes))
     return dangling
-
-
-def ancestry_hash(reader: ProvenanceReader, ref: NodeRef) -> str:
-    """Merkle-style hash over a node's full ancestry.
-
-    Two replicas agree on an object's complete causal history iff their
-    ancestry hashes match — the verification scheme §4.3.1 sketches for
-    readers that must check multi-object causal ordering under eventual
-    consistency.  A missing ancestor hashes as the distinguished string
-    ``MISSING``, so any dangling pointer changes the digest.
-    """
-    memo: Dict[NodeRef, str] = {}
-
-    def visit(current: NodeRef, trail: Set[NodeRef]) -> str:
-        if current in memo:
-            return memo[current]
-        if current in trail:
-            return "CYCLE"
-        attributes = reader.peek_attributes(current)
-        if not attributes:
-            memo[current] = hashlib.sha1(b"MISSING").hexdigest()
-            return memo[current]
-        hasher = hashlib.sha1()
-        for attribute in sorted(attributes):
-            for value in sorted(attributes[attribute]):
-                hasher.update(f"{attribute}={value};".encode("utf-8"))
-        for xref in sorted(reader.xrefs_of(attributes)):
-            child = visit(xref, trail | {current})
-            hasher.update(child.encode("ascii"))
-        memo[current] = hasher.hexdigest()
-        return memo[current]
-
-    return visit(ref, set())

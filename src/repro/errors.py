@@ -63,18 +63,6 @@ class ClientCrashError(ReproError):
 # Provenance substrate errors
 # --------------------------------------------------------------------------
 
-class ProvenanceError(ReproError):
-    """Base class for provenance-graph and collector errors."""
-
-
-class CycleError(ProvenanceError):
-    """Adding an edge would have made an object its own ancestor."""
-
-
-class UnknownNodeError(ProvenanceError):
-    """An edge or query referenced a node absent from the graph."""
-
-
 class TraceError(ReproError):
     """A syscall trace was malformed (e.g. read from a never-opened fd)."""
 

@@ -6,8 +6,10 @@ mechanism, and contributes the protocols that *store* the collected
 provenance in the cloud.  This subpackage reimplements the collection
 side:
 
-- :mod:`repro.provenance.graph` — the provenance DAG (nodes are object
-  versions, edges are dependencies; acyclic by construction),
+- :mod:`repro.provenance.graph` — :class:`NodeRef`, the identity of one
+  object version (provenance edges are the xref records that point at
+  one; :class:`repro.query.ancestry.ProvenanceIndex` is the graph built
+  from them),
 - :mod:`repro.provenance.records` — provenance records and their wire
   sizes (these byte counts drive Tables 2 and 3),
 - :mod:`repro.provenance.versioning` — causality-based versioning
@@ -20,7 +22,7 @@ side:
   records for cloud storage.
 """
 
-from repro.provenance.graph import EdgeType, NodeRef, NodeType, ProvenanceGraph
+from repro.provenance.graph import NodeRef
 from repro.provenance.pass_collector import FlushIntent, PassCollector
 from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
 from repro.provenance.syscalls import (
@@ -38,14 +40,11 @@ from repro.provenance.versioning import VersionManager
 __all__ = [
     "CloseEvent",
     "ComputeEvent",
-    "EdgeType",
     "FlushEvent",
     "FlushIntent",
     "NodeRef",
-    "NodeType",
     "PassCollector",
     "ProvenanceBundle",
-    "ProvenanceGraph",
     "ProvenanceRecord",
     "ReadEvent",
     "SpawnEvent",

@@ -1,10 +1,12 @@
 """The PASS collector.
 
-Consumes a :class:`~repro.provenance.syscalls.SyscallTrace` and maintains
-the provenance DAG exactly the way the PASS kernel does (§2.1 of the
-paper): a ``read`` adds a process→file dependency, a ``write`` adds a
-file→process dependency (transitively linking outputs to inputs), and
-causality-based versioning keeps the graph acyclic.
+Consumes a :class:`~repro.provenance.syscalls.SyscallTrace` and records
+provenance exactly the way the PASS kernel does (§2.1 of the paper): a
+``read`` adds a process→file dependency, a ``write`` adds a file→process
+dependency (transitively linking outputs to inputs), and causality-based
+versioning keeps the provenance acyclic.  The collector keeps no graph:
+the dependencies are the xref records it emits, and the test suite's
+DAG oracle topologically sorts them.
 
 For every event the collector returns zero or more *intents* — the things
 PA-S3fs must do against the cloud:
@@ -22,12 +24,12 @@ their ancestor closure for multi-object causal ordering, at each flush.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Union
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.cloud.blob import Blob
 from repro.errors import TraceError
-from repro.provenance.graph import EdgeType, NodeRef, NodeType, ProvenanceGraph
+from repro.provenance.graph import NodeRef
 from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
 from repro.provenance.syscalls import (
     CloseEvent,
@@ -85,11 +87,14 @@ class PassCollector:
     """Builds provenance from syscall events and stages it for flushing."""
 
     def __init__(self) -> None:
-        self.graph = ProvenanceGraph()
         from repro.provenance.versioning import VersionManager
 
         self.versions = VersionManager()
         self._pending: Dict[str, ProvenanceBundle] = {}
+        #: Name of every node created so far.
+        self._names: Dict[NodeRef, str] = {}
+        #: File version -> process versions it has an ``input`` record for.
+        self._writers: Dict[NodeRef, Set[NodeRef]] = {}
         self._path_to_uuid: Dict[str, str] = {}
         self._uuid_to_path: Dict[str, str] = {}
         self._pid_to_uuid: Dict[int, str] = {}
@@ -151,46 +156,49 @@ class PassCollector:
         itself (§3, §4.3).
         """
         ordered: List[ProvenanceBundle] = []
-        visiting: Set[str] = set()
-
-        def visit(current: str) -> None:
-            if current in visiting:
-                return
-            visiting.add(current)
-            bundle = self._pending.get(current)
-            if bundle is None:
-                return
-            for xref in bundle.xrefs():
-                if xref.uuid != current:
-                    visit(xref.uuid)
-            ordered.append(bundle)
-
-        visit(uuid)
+        visiting: Set[str] = {uuid}
+        # Depth-first with an explicit stack (pipelines run thousands of
+        # stages deep): a bundle is appended once all its xrefs are done.
+        stack: List[Tuple[ProvenanceBundle, Iterator[NodeRef]]] = []
+        bundle = self._pending.get(uuid)
+        if bundle is not None:
+            stack.append((bundle, iter(bundle.xrefs())))
+        while stack:
+            bundle, xrefs = stack[-1]
+            for xref in xrefs:
+                if xref.uuid in visiting:
+                    continue
+                visiting.add(xref.uuid)
+                ancestor = self._pending.get(xref.uuid)
+                if ancestor is not None:
+                    stack.append((ancestor, iter(ancestor.xrefs())))
+                    break
+            else:
+                stack.pop()
+                ordered.append(bundle)
         for bundle in ordered:
             self._pending.pop(bundle.uuid, None)
         return ordered
 
-    # -- node/edge creation -------------------------------------------------------
+    # -- node creation ---------------------------------------------------------------
 
     def _ensure_file_node(self, path: str) -> NodeRef:
         uuid = self.file_uuid(path)
         ref = self.versions.current(uuid)
-        if not self.graph.has_node(ref):
-            self.graph.add_node(ref, NodeType.FILE, name=path)
+        if ref not in self._names:
+            self._names[ref] = path
             self._record(ProvenanceRecord(ref, "type", "file"))
             self._record(ProvenanceRecord(ref, "name", path))
         return ref
 
     def _new_file_version(self, path: str, previous: NodeRef, ref: NodeRef) -> None:
-        self.graph.add_node(ref, NodeType.FILE, name=path)
-        self.graph.add_edge(ref, previous, EdgeType.VERSION)
+        self._names[ref] = path
         self._record(ProvenanceRecord(ref, "type", "file"))
         self._record(ProvenanceRecord(ref, "name", path))
         self._record(ProvenanceRecord(ref, "version-of", previous))
 
     def _new_process_version(self, name: str, previous: NodeRef, ref: NodeRef) -> None:
-        self.graph.add_node(ref, NodeType.PROC, name=name)
-        self.graph.add_edge(ref, previous, EdgeType.VERSION)
+        self._names[ref] = name
         self._record(ProvenanceRecord(ref, "type", "proc"))
         self._record(ProvenanceRecord(ref, "name", name))
         self._record(ProvenanceRecord(ref, "version-of", previous))
@@ -226,7 +234,7 @@ class PassCollector:
         uuid = self._new_uuid("p")
         self._pid_to_uuid[event.pid] = uuid
         ref = self.versions.current(uuid)
-        self.graph.add_node(ref, NodeType.PROC, name=event.name)
+        self._names[ref] = event.name
         self._record(ProvenanceRecord(ref, "type", "proc"))
         self._record(ProvenanceRecord(ref, "name", event.name))
         self._record(ProvenanceRecord(ref, "pid", str(event.pid)))
@@ -237,12 +245,10 @@ class PassCollector:
         if event.parent_pid is not None and event.parent_pid in self._pid_to_uuid:
             parent_uuid = self._pid_to_uuid[event.parent_pid]
             parent_ref = self.versions.current(parent_uuid)
-            self.graph.add_edge(ref, parent_ref, EdgeType.FORKPARENT)
             self._record(ProvenanceRecord(ref, "forkparent", parent_ref))
         if event.exec_path is not None:
             exec_ref = self._ensure_file_node(event.exec_path)
             self.versions.on_read(uuid, self.file_uuid(event.exec_path))
-            self.graph.add_edge(ref, exec_ref, EdgeType.EXEC)
             self._record(ProvenanceRecord(ref, "exec", exec_ref))
         return []
 
@@ -258,11 +264,10 @@ class PassCollector:
         if taint.new_version:
             assert taint.previous is not None
             self._new_process_version(
-                self.graph.node(taint.previous).name, taint.previous, proc_ref
+                self._names[taint.previous], taint.previous, proc_ref
             )
 
         decision = self.versions.on_read(proc_uuid, file_uuid)
-        self.graph.add_edge(proc_ref, decision.ref, EdgeType.INPUT)
         self._record(ProvenanceRecord(proc_ref, "input", decision.ref))
         size = event.size or self._file_sizes.get(event.path, 0)
         return [ReadIntent(event.path, file_uuid, size)]
@@ -270,7 +275,7 @@ class PassCollector:
     def _on_write(self, event: WriteEvent) -> List[Intent]:
         proc_uuid = self.process_uuid(event.pid)
         proc_ref = self.versions.current(proc_uuid)
-        if not self.graph.has_node(proc_ref):  # pragma: no cover - defensive
+        if proc_ref not in self._names:  # pragma: no cover - defensive
             raise TraceError(f"process node {proc_ref} missing")
         self._ensure_file_node(event.path)
         file_uuid = self.file_uuid(event.path)
@@ -280,13 +285,10 @@ class PassCollector:
             assert decision.previous is not None
             self._new_file_version(event.path, decision.previous, decision.ref)
         file_ref = decision.ref
-        # Avoid duplicate input edges for repeated writes into one version.
-        already = any(
-            e.dst == proc_ref and e.edge_type is EdgeType.INPUT
-            for e in self.graph.out_edges(file_ref)
-        )
-        if not already:
-            self.graph.add_edge(file_ref, proc_ref, EdgeType.INPUT)
+        # One input record per writer, however often it writes this version.
+        writers = self._writers.setdefault(file_ref, set())
+        if proc_ref not in writers:
+            writers.add(proc_ref)
             self._record(ProvenanceRecord(file_ref, "input", proc_ref))
         self.versions.mark_process_wrote(proc_uuid)
         self._file_sizes[event.path] = event.size
@@ -309,7 +311,7 @@ class PassCollector:
         if uuid is None:
             return []
         ref = self.versions.current(uuid)
-        if self.graph.has_node(ref):
+        if ref in self._names:
             self._record(ProvenanceRecord(ref, "unlinked", "true"))
         self._file_sizes.pop(event.path, None)
         return [DeleteIntent(event.path, uuid)]

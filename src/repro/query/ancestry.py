@@ -4,13 +4,14 @@ P1 has no server-side query capability: clients download provenance
 objects and process them locally (§5.3: "we implemented these two queries
 in S3 by retrieving all provenance objects and then processing the query
 locally").  :class:`ProvenanceIndex` is that local processing: it ingests
-records and answers attribute lookups and closure queries.
+records and answers attribute lookups and closure queries.  It is the
+package's one provenance graph type: the collector keeps none.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
 from repro.provenance.graph import NodeRef
 from repro.provenance.records import ProvenanceRecord
@@ -72,9 +73,6 @@ class ProvenanceIndex:
             for ref, attrs in self._attributes.items()
             if value in attrs.get(attribute, [])
         )
-
-    def versions_of(self, uuid: str) -> List[NodeRef]:
-        return sorted(ref for ref in self._attributes if ref.uuid == uuid)
 
     # -- closures ---------------------------------------------------------------
 

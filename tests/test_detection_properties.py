@@ -1,4 +1,4 @@
-"""Tests for coupling detection, ancestry hashing, and property checkers."""
+"""Tests for coupling detection, dangling ancestors, and property checkers."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.core.detection import (
     CouplingStatus,
     S3ProvenanceReader,
     SimpleDBProvenanceReader,
-    ancestry_hash,
     check_coupling,
     find_dangling_ancestors,
 )
@@ -115,29 +114,6 @@ class TestAncestry:
         account, protocol, replay, reader = _run(ProtocolP2, _two_file_trace())
         ref = NodeRef(replay.file_uuids[f"{MOUNT}b"], 0)
         assert find_dangling_ancestors(reader, ref) == []
-
-    def test_ancestry_hash_stable_and_sensitive(self):
-        account1, protocol1, replay1, reader1 = _run(ProtocolP2, _two_file_trace())
-        account2, protocol2, replay2, reader2 = _run(ProtocolP2, _two_file_trace())
-        ref1 = NodeRef(replay1.file_uuids[f"{MOUNT}b"], 0)
-        ref2 = NodeRef(replay2.file_uuids[f"{MOUNT}b"], 0)
-        # Identical runs agree on the Merkle ancestry hash.
-        assert ancestry_hash(reader1, ref1) == ancestry_hash(reader2, ref2)
-        # Different node: different hash.
-        other = NodeRef(replay1.file_uuids[f"{MOUNT}a"], 0)
-        assert ancestry_hash(reader1, ref1) != ancestry_hash(reader1, other)
-
-    def test_ancestry_hash_changes_when_ancestor_missing(self):
-        account, protocol, replay, reader = _run(ProtocolP2, _two_file_trace())
-        ref = NodeRef(replay.file_uuids[f"{MOUNT}b"], 0)
-        healthy = ancestry_hash(reader, ref)
-
-        account2, protocol2, replay2, reader2 = _run(
-            ProtocolP2, _two_file_trace(), mode=UploadMode.CAUSAL,
-            crash_at="p2.after_prov_put", skip=0,
-        )
-        ref2 = NodeRef(replay2.file_uuids[f"{MOUNT}b"], 0)
-        assert ancestry_hash(reader2, ref2) != healthy
 
 
 class TestPropertyCheckers:

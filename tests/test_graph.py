@@ -1,17 +1,20 @@
-"""Tests for the provenance DAG."""
+"""Tests for node identity and the DAG oracle over provenance records."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import CycleError, UnknownNodeError
-from repro.provenance.graph import EdgeType, NodeRef, NodeType, ProvenanceGraph
+from repro.provenance.graph import NodeRef
+from repro.query.ancestry import ProvenanceIndex
+
+from dag_oracle import assert_dag, derivation_depth, topological_order
 
 
-def _graph_with(*refs):
-    graph = ProvenanceGraph()
-    for ref in refs:
-        graph.add_node(ref, NodeType.FILE, name=ref.uuid)
-    return graph
+def _index_with(*edges, attribute="input"):
+    """An index holding ``src -> dst`` xref records."""
+    index = ProvenanceIndex()
+    for src, dst in edges:
+        index.add(src, attribute, str(dst))
+    return index
 
 
 A = NodeRef("a", 0)
@@ -44,91 +47,57 @@ class TestNodeRef:
         assert NodeRef.parse(str(ref)) == ref
 
 
-class TestGraphConstruction:
-    def test_add_node_idempotent(self):
-        graph = ProvenanceGraph()
-        first = graph.add_node(A, NodeType.FILE, name="a")
-        second = graph.add_node(A, NodeType.PROC, name="other")
-        assert first is second
-        assert graph.node(A).node_type is NodeType.FILE
+class TestDagOracle:
+    def test_self_cycle_reported(self):
+        with pytest.raises(AssertionError, match=r"cycle: a_0 -> a_0$"):
+            assert_dag(_index_with((A, A)))
 
-    def test_add_edge(self):
-        graph = _graph_with(A, B)
-        graph.add_edge(A, B, EdgeType.INPUT)
-        assert [e.dst for e in graph.out_edges(A)] == [B]
-        assert [e.src for e in graph.in_edges(B)] == [A]
+    def test_two_cycle_reported(self):
+        with pytest.raises(AssertionError, match=r"cycle: a_0 -> b_0 -> a_0$"):
+            assert_dag(_index_with((A, B), (B, A)))
 
-    def test_edge_to_unknown_node(self):
-        graph = _graph_with(A)
-        with pytest.raises(UnknownNodeError):
-            graph.add_edge(A, B, EdgeType.INPUT)
-        with pytest.raises(UnknownNodeError):
-            graph.add_edge(B, A, EdgeType.INPUT)
+    def test_three_cycle_reported(self):
+        with pytest.raises(
+            AssertionError, match=r"cycle: a_0 -> b_0 -> c_0 -> a_0$"
+        ):
+            assert_dag(_index_with((A, B), (B, C), (C, A)))
 
-    def test_self_edge_rejected(self):
-        graph = _graph_with(A)
-        with pytest.raises(CycleError):
-            graph.add_edge(A, A, EdgeType.INPUT)
+    def test_cycle_through_any_xref_attribute(self):
+        index = _index_with((A, B), attribute="forkparent")
+        index.add(B, "version-of", str(A))
+        with pytest.raises(AssertionError, match="cycle"):
+            assert_dag(index)
 
-    def test_two_cycle_rejected(self):
-        graph = _graph_with(A, B)
-        graph.add_edge(A, B, EdgeType.INPUT)
-        with pytest.raises(CycleError):
-            graph.add_edge(B, A, EdgeType.INPUT)
-
-    def test_long_cycle_rejected(self):
-        graph = _graph_with(A, B, C)
-        graph.add_edge(A, B, EdgeType.INPUT)
-        graph.add_edge(B, C, EdgeType.INPUT)
-        with pytest.raises(CycleError):
-            graph.add_edge(C, A, EdgeType.INPUT)
-
-    def test_diamond_allowed(self):
+    def test_diamond_passes(self):
         d = NodeRef("d", 0)
-        graph = _graph_with(A, B, C, d)
-        graph.add_edge(A, B, EdgeType.INPUT)
-        graph.add_edge(A, C, EdgeType.INPUT)
-        graph.add_edge(B, d, EdgeType.INPUT)
-        graph.add_edge(C, d, EdgeType.INPUT)
-        assert graph.ancestors(A) == {B, C, d}
+        index = _index_with((A, B), (A, C), (B, d), (C, d))
+        assert_dag(index)
+        assert index.ancestors(A) == {B, C, d}
+        assert derivation_depth(index) == 2
+
+    def test_dependencies_come_first(self):
+        index = _index_with((A, B), (B, C))
+        assert topological_order(index) == [C, B, A]
+
+    def test_depth_of_a_chain(self):
+        refs = [NodeRef(f"n{i}", 0) for i in range(5)]
+        index = _index_with(*zip(refs, refs[1:]))
+        assert derivation_depth(index) == 4
+        assert index.ancestors(refs[0]) == set(refs[1:])
+        assert index.descendants(refs[-1]) == set(refs[:-1])
+
+    def test_depth_skips_version_edges(self):
+        older, newer = NodeRef("f", 0), NodeRef("f", 1)
+        index = _index_with((newer, A), (older, B))
+        index.add(newer, "version-of", str(older))
+        # Through the version-of edge the longest path would be 2.
+        assert derivation_depth(index) == 1
+
+    def test_depth_of_empty_index(self):
+        assert derivation_depth(ProvenanceIndex()) == 0
 
 
-class TestTraversal:
-    def _chain(self, length):
-        refs = [NodeRef(f"n{i}", 0) for i in range(length)]
-        graph = _graph_with(*refs)
-        for src, dst in zip(refs, refs[1:]):
-            graph.add_edge(src, dst, EdgeType.INPUT)
-        return graph, refs
-
-    def test_ancestors_descendants(self):
-        graph, refs = self._chain(5)
-        assert graph.ancestors(refs[0]) == set(refs[1:])
-        assert graph.descendants(refs[-1]) == set(refs[:-1])
-        assert graph.ancestors(refs[-1]) == set()
-
-    def test_max_depth(self):
-        graph, _ = self._chain(5)
-        assert graph.max_depth() == 4
-
-    def test_max_depth_empty(self):
-        assert ProvenanceGraph().max_depth() == 0
-
-    def test_roots(self):
-        graph, refs = self._chain(3)
-        assert graph.roots() == [refs[-1]]
-
-    def test_versions_of(self):
-        graph = _graph_with(NodeRef("x", 2), NodeRef("x", 0), NodeRef("y", 1))
-        assert graph.versions_of("x") == [NodeRef("x", 0), NodeRef("x", 2)]
-
-    def test_counts(self):
-        graph, _ = self._chain(4)
-        assert len(graph) == 4
-        assert graph.edge_count() == 3
-
-
-class TestAcyclicityProperty:
+class TestOracleProperty:
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(
@@ -139,17 +108,21 @@ class TestAcyclicityProperty:
             max_size=60,
         )
     )
-    def test_graph_never_admits_a_cycle(self, edges):
-        """Whatever edge sequence is attempted, accepted edges never form
-        a cycle: every node's ancestor set excludes itself."""
-        graph = ProvenanceGraph()
+    def test_sorts_a_dag_and_names_a_real_cycle(self, edges):
+        """On any edge set the oracle either orders every node after
+        its dependencies, or names a cycle made of real edges."""
         refs = [NodeRef(f"n{i}", 0) for i in range(16)]
-        for ref in refs:
-            graph.add_node(ref, NodeType.FILE)
-        for src_index, dst_index in edges:
-            try:
-                graph.add_edge(refs[src_index], refs[dst_index], EdgeType.INPUT)
-            except CycleError:
-                continue
-        for ref in refs:
-            assert ref not in graph.ancestors(ref)
+        pairs = {(refs[src], refs[dst]) for src, dst in edges}
+        index = _index_with(*sorted(pairs))
+        try:
+            order = topological_order(index)
+        except AssertionError as error:
+            names = str(error).split("cycle: ", 1)[1].split(" -> ")
+            cycle = [NodeRef.parse(name) for name in names]
+            assert cycle[0] == cycle[-1]
+            assert all(step in pairs for step in zip(cycle, cycle[1:]))
+            return
+        position = {ref: i for i, ref in enumerate(order)}
+        assert all(position[dst] < position[src] for src, dst in pairs)
+        for ref in order:
+            assert ref not in index.ancestors(ref)

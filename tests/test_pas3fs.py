@@ -22,6 +22,11 @@ from repro.core.pas3fs import stage_inputs
 from repro.core.protocol_base import data_key
 from repro.provenance.serialization import encode_records
 from repro.provenance.syscalls import TraceBuilder
+from repro.workloads import (
+    make_blast_workload,
+    make_challenge_workload,
+    make_nightly_workload,
+)
 
 MOUNT = "/mnt/s3/"
 
@@ -165,6 +170,44 @@ def _replay_digest(replay):
     return digest.hexdigest()
 
 
+def _repeated_write_trace():
+    """One writer writes a mount file five times, re-versioning itself
+    with a read halfway: one ``input`` record per writer version."""
+    builder = TraceBuilder()
+    pid = builder.spawn("logger", exec_path="/bin/logger")
+    for size in (100, 200, 300):
+        builder.write(pid, f"{MOUNT}logs/run.log", size)
+    builder.read(pid, "/etc/logger.conf", 10)
+    for size in (400, 500):
+        builder.write(pid, f"{MOUNT}logs/run.log", size)
+    builder.close(pid, f"{MOUNT}logs/run.log")
+    return builder.trace
+
+
+#: ``_replay_digest(collect(trace))``, recorded before the collector's
+#: graph was deleted.  Dropping the collector's dedupe of repeated
+#: writes' ``input`` records changes ``repeated-write``; visiting a
+#: closure's xrefs in another order changes all four.
+COLLECT_SHA256 = {
+    "nightly": (
+        lambda: make_nightly_workload(nights=5).trace,
+        "87af37fc3fa8ed0bd7520074f97c326ee4c472f5059eda97809cbc37bdc1dda9",
+    ),
+    "blast": (
+        lambda: make_blast_workload(jobs=2, queries_per_job=30).trace,
+        "2fee89f3499379e5e7591873ca150b8daa0c3dd65047b7d128f43427a64366ff",
+    ),
+    "challenge": (
+        lambda: make_challenge_workload(sessions=2).trace,
+        "dc14e6f26fcaa18e85a80812f483d169c8d8cc210acc52689406b9648144feef",
+    ),
+    "repeated-write": (
+        _repeated_write_trace,
+        "3e4b5b226a7be0e22dfe4e57c5a9c283363327b36a8499892ac66ac579619cd8",
+    ),
+}
+
+
 def _replay_run(name, replay):
     account = CloudAccount(consistency=ConsistencyModel.STRICT, seed=3)
     fs = PAS3fs(account, PROTOCOLS[name](account))
@@ -175,6 +218,11 @@ def _replay_run(name, replay):
 
 
 class TestReplay:
+    @pytest.mark.parametrize("name", sorted(COLLECT_SHA256))
+    def test_collect_digest_is_frozen(self, name):
+        make_trace, expected = COLLECT_SHA256[name]
+        assert _replay_digest(collect(make_trace())) == expected
+
     def test_ancestor_data_is_every_unclosed_mount_ancestor(self):
         replay = collect(_unclosed_read_trace())
         log = replay.file_uuids[f"{MOUNT}shared/log"]

@@ -66,12 +66,6 @@ class TestProvenanceIndex:
         index.add(NodeRef("x", 0), "name", "a_1")  # looks like a ref
         assert index.ancestors(NodeRef("x", 0)) == set()
 
-    def test_versions_of(self):
-        index = ProvenanceIndex()
-        index.add(NodeRef("u", 2), "type", "file")
-        index.add(NodeRef("u", 0), "type", "file")
-        assert index.versions_of("u") == [NodeRef("u", 0), NodeRef("u", 2)]
-
 
 @pytest.mark.parametrize(
     "protocol_cls,engine_cls",

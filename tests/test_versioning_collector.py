@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TraceError
-from repro.provenance.graph import EdgeType, NodeRef
+from repro.provenance.graph import NodeRef
 from repro.provenance.pass_collector import (
     ComputeIntent,
     DeleteIntent,
@@ -14,6 +14,10 @@ from repro.provenance.pass_collector import (
 )
 from repro.provenance.syscalls import TraceBuilder
 from repro.provenance.versioning import VersionManager
+
+from dag_oracle import assert_dag, emitted_index
+
+MOUNT = "/mnt/s3/"
 
 
 class TestVersionManager:
@@ -87,10 +91,10 @@ class TestCollectorBasics:
         collector = PassCollector()
         collector.feed_trace(builder.trace)
         uuid = collector.process_uuid(pid)
-        node = collector.graph.node(NodeRef(uuid, 0))
+        node = emitted_index(builder.trace).attributes(NodeRef(uuid, 0))
         bundle = collector.pending_bundle(uuid)
         attributes = {r.attribute for r in bundle.records}
-        assert node.name == "tool"
+        assert node["name"] == ["tool"]
         assert {"type", "name", "pid", "argv", "env", "exec"} <= attributes
 
     def test_read_creates_input_edge(self):
@@ -102,10 +106,9 @@ class TestCollectorBasics:
         assert isinstance(intents[0], ReadIntent)
         proc = collector.versions.current(collector.process_uuid(pid))
         file_ref = collector.versions.current(collector.file_uuid("/in"))
-        assert any(
-            e.dst == file_ref and e.edge_type is EdgeType.INPUT
-            for e in collector.graph.out_edges(proc)
-        )
+        index = emitted_index(builder.trace)
+        assert str(file_ref) in index.attributes(proc)["input"]
+        assert file_ref in index.ancestors_direct(proc)
 
     def test_write_close_emits_flush_intent(self):
         builder = TraceBuilder()
@@ -160,7 +163,9 @@ class TestCollectorVersioning:
         uuid = collector.process_uuid(pid)
         assert collector.versions.current(uuid).version == 1
         # The new process version carries a version-of edge.
-        assert collector.graph.has_node(NodeRef(uuid, 1))
+        index = emitted_index(builder.trace)
+        assert NodeRef(uuid, 1) in index.refs()
+        assert index.attributes(NodeRef(uuid, 1))["version-of"] == [f"{uuid}_0"]
 
     def test_flush_freezes_file_version(self):
         builder = TraceBuilder()
@@ -188,7 +193,7 @@ class TestCollectorVersioning:
         collector = PassCollector()
         collector.feed_trace(builder.trace)
         c_ref = collector.versions.current(collector.file_uuid("/c"))
-        ancestors = collector.graph.ancestors(c_ref)
+        ancestors = emitted_index(builder.trace).ancestors(c_ref)
         assert collector.versions.current(collector.file_uuid("/a")) in ancestors
 
     def test_pending_closure_is_ancestors_first(self):
@@ -220,31 +225,82 @@ class TestCollectorVersioning:
         assert collector.file_uuid("/b") not in uuids
         assert collector.process_uuid(p2) not in uuids
 
+    def test_repeated_writes_record_one_input_per_writer(self):
+        builder = TraceBuilder()
+        pid = builder.spawn("logger")
+        for size in (10, 20, 30):
+            builder.write(pid, "/log", size)
+        other = builder.spawn("other")
+        builder.write(other, "/log", 40)
+        builder.write(other, "/log", 50)
+        collector = PassCollector()
+        collector.feed_trace(builder.trace)
+        index = emitted_index(builder.trace)
+        log = collector.file_uuid("/log")
+        assert index.attributes(NodeRef(log, 0))["input"] == [
+            f"{collector.process_uuid(pid)}_0"
+        ]
+        assert index.attributes(NodeRef(log, 1))["input"] == [
+            f"{collector.process_uuid(other)}_0"
+        ]
+
+    def test_deep_pending_closure(self):
+        """A 5 000-stage pipeline of local files stays pending until one
+        mount flush pops it whole, ancestors first, without recursing."""
+        stages = 5_000
+        builder = TraceBuilder()
+        first = builder.spawn("stage-0")
+        builder.write_close(first, "/tmp/stage-0", 10)
+        for stage in range(1, stages + 1):
+            pid = builder.spawn(f"stage-{stage}")
+            builder.read(pid, f"/tmp/stage-{stage - 1}", 10)
+            builder.write_close(pid, f"/tmp/stage-{stage}", 10)
+        pid = builder.spawn("publish")
+        builder.read(pid, f"/tmp/stage-{stages}", 10)
+        builder.write_close(pid, f"{MOUNT}result", 10)
+        collector = PassCollector()
+        collector.feed_trace(builder.trace)
+        bundles = collector.pop_pending_closure(collector.file_uuid(f"{MOUNT}result"))
+        # Every stage's process and file, the publisher, and the result.
+        assert len(bundles) == 2 * (stages + 1) + 2
+        order = [b.uuid for b in bundles]
+        assert order[:2] == [
+            collector.process_uuid(first), collector.file_uuid("/tmp/stage-0"),
+        ]
+        assert order[-1] == collector.file_uuid(f"{MOUNT}result")
+        position = {uuid: i for i, uuid in enumerate(order)}
+        for bundle in bundles:
+            for xref in bundle.xrefs():
+                assert position[xref.uuid] <= position[bundle.uuid]
+        assert collector.pending_bundle(order[0]) is None
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(
             st.tuples(
                 st.sampled_from(["read", "write", "flush"]),
+                st.integers(min_value=0, max_value=1),
                 st.integers(min_value=0, max_value=3),
             ),
             max_size=40,
         )
     )
     def test_collector_graph_always_acyclic(self, operations):
-        """Whatever interleaving of reads/writes/flushes a process
-        performs over a few files, the provenance graph stays acyclic
-        (the versioning rules' core guarantee)."""
+        """Whatever interleaving of reads/writes/flushes two processes
+        perform over a few files, the provenance stays acyclic (the
+        versioning rules' core guarantee): the DAG oracle sorts every
+        record the collection emitted, flushed or still pending."""
         builder = TraceBuilder()
-        pid = builder.spawn("fuzz")
-        paths = [f"/f{i}" for i in range(4)]
-        for op, index in operations:
+        pids = [builder.spawn("fuzz-a"), builder.spawn("fuzz-b")]
+        paths = [f"{MOUNT}f0", f"{MOUNT}f1", "/local/f2", "/local/f3"]
+        for op, proc, index in operations:
             if op == "read":
-                builder.read(pid, paths[index], 1)
+                builder.read(pids[proc], paths[index], 1)
             elif op == "write":
-                builder.write(pid, paths[index], 10)
+                builder.write(pids[proc], paths[index], 10)
             else:
-                builder.flush(pid, paths[index])
-        collector = PassCollector()
-        collector.feed_trace(builder.trace)  # CycleError would propagate
-        for node in collector.graph.nodes():
-            assert node.ref not in collector.graph.ancestors(node.ref)
+                builder.flush(pids[proc], paths[index])
+        index = emitted_index(builder.trace)
+        assert_dag(index)
+        for ref in index.refs():
+            assert ref not in index.ancestors(ref)

@@ -1,8 +1,9 @@
 """Tests for the workload generators and the microbenchmark tool."""
 
+import os
+
 import pytest
 
-from repro.provenance.pass_collector import PassCollector
 from repro.workloads import (
     make_blast_workload,
     make_challenge_workload,
@@ -14,16 +15,41 @@ from repro.workloads.base import MOUNT
 from repro.workloads.linux_compile import records_total_bytes
 from repro.workloads.microbench import capture_flush_works
 
+from dag_oracle import assert_dag, derivation_depth, emitted_index
+
 MB = 1024 * 1024
+
+#: Workload traces the DAG oracle sorts.  ``REPRO_DAG_ORACLE_SIZE=full``
+#: selects the generators' full sizes (Blast: 28 jobs x 600 queries,
+#: 51 858 events), as the nightly CI job does; the default is the sizes
+#: the depth tests below pin.
+DAG_ORACLE_TRACES = {
+    "tier1": {
+        "nightly": lambda: make_nightly_workload(nights=5),
+        "blast": lambda: make_blast_workload(jobs=2, queries_per_job=30),
+        "challenge": lambda: make_challenge_workload(sessions=2),
+    },
+    "full": {
+        "nightly": make_nightly_workload,
+        "blast": make_blast_workload,
+        "challenge": make_challenge_workload,
+    },
+}[os.environ.get("REPRO_DAG_ORACLE_SIZE", "tier1")]
+
+
+@pytest.mark.parametrize("name", sorted(DAG_ORACLE_TRACES))
+def test_dag_oracle_sorts_workload_provenance(name):
+    """Everything collecting a workload trace emits forms a DAG."""
+    assert_dag(emitted_index(DAG_ORACLE_TRACES[name]().trace))
 
 
 class TestNightly:
     def test_shape(self):
         workload = make_nightly_workload(nights=5, tarball_bytes=10 * MB)
-        collector = PassCollector()
-        collector.feed_trace(workload.trace)
+        depth = derivation_depth(emitted_index(workload.trace))
         # Nearly flat provenance: the paper's defining characteristic.
-        assert collector.graph.max_depth(include_versions=False) <= 6
+        assert depth <= 6
+        assert depth == 5
         # One tarball + checksum + log per night.
         mount_paths = [
             p for p in workload.trace.file_paths() if p.startswith(MOUNT)
@@ -46,16 +72,14 @@ class TestNightly:
 class TestBlast:
     def test_shape(self):
         workload = make_blast_workload(jobs=2, queries_per_job=30)
-        collector = PassCollector()
-        collector.feed_trace(workload.trace)
+        index = emitted_index(workload.trace)
         # Depth ~5 pipeline (deeper than nightly, shallower than
         # challenge) once version chains are factored out.
-        depth = collector.graph.max_depth(include_versions=False)
+        depth = derivation_depth(index)
         assert 4 <= depth <= 12
+        assert depth == 8
         # The query loop generates many process versions (P2's burden).
-        proc_versions = sum(
-            1 for node in collector.graph.nodes() if node.ref.uuid.startswith("p-")
-        )
+        proc_versions = sum(1 for ref in index.refs() if ref.uuid.startswith("p-"))
         assert proc_versions > 50
 
     def test_compute_is_mostly_memory_bound(self):
@@ -78,11 +102,10 @@ class TestBlast:
 class TestChallenge:
     def test_depth_matches_paper(self):
         workload = make_challenge_workload(sessions=2)
-        collector = PassCollector()
-        collector.feed_trace(workload.trace)
         # The paper: maximum path length of eleven.
-        depth = collector.graph.max_depth(include_versions=False)
+        depth = derivation_depth(emitted_index(workload.trace))
         assert 9 <= depth <= 13
+        assert depth == 11
 
     def test_outputs_per_session(self):
         workload = make_challenge_workload(sessions=3)
