@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.backends.local.transaction import atomic
 from repro.cloud.billing import BillingMeter
@@ -64,136 +64,70 @@ def ensure_schema(conn: sqlite3.Connection) -> None:
     conn.executescript(f"BEGIN;{_SCHEMA}COMMIT;")
 
 
-def _decode_attrs(text: Optional[str]) -> Optional[PackedAttributes]:
-    """A row's JSON array, as the packed tuple the service stores."""
-    if text is None:
-        return None
-    return tuple(json.loads(text))
+def _version(
+    attrs: Optional[str], committed_at: float, visible_at: float, deleted: int
+) -> WriteVersion[PackedAttributes]:
+    """One row as the version the service stores: the JSON array as the
+    packed tuple, and a tombstone's flag as ``value=None``."""
+    value = None if deleted else tuple(json.loads(attrs))
+    return WriteVersion(value, committed_at, visible_at)
 
 
-class SqliteRegister:
-    """One item's version history, stored as sqlite rows.
+class SqliteHistories:
+    """One domain's item histories, stored as sqlite rows.
 
-    Implements the :class:`~repro.cloud.consistency.VersionedRegister`
-    interface the service reads and writes through.  ``read`` resolves
-    the same version the in-memory register would: among rows observable
-    at ``at`` (``visible_at <= at`` under EVENTUAL, ``committed_at <=
-    at`` under STRICT), the one with the greatest commit time, ties
-    broken toward the latest insertion (``seq``)."""
+    The service reads and writes it by item id, as it does the
+    in-memory list (``write``/``read``/``versions``); the id's name is
+    ``names[ident]``, the domain's id -> name list.  ``read`` resolves
+    the version :func:`~repro.cloud.consistency.read_version` would:
+    among rows observable at ``at`` (``visible_at <= at`` under
+    EVENTUAL, ``committed_at <= at`` under STRICT), the one with the
+    greatest commit time, ties broken toward the latest insertion
+    (``seq``).  A row's ``deleted`` flag reads back as ``value=None``."""
 
-    __slots__ = ("_conn", "_domain", "_item")
+    __slots__ = ("_conn", "_domain", "_names")
 
-    def __init__(self, conn: sqlite3.Connection, domain: str, item: str):
+    def __init__(self, conn: sqlite3.Connection, domain: str, names: List[str]):
         self._conn = conn
         self._domain = domain
-        self._item = item
-
-    # -- writes ---------------------------------------------------------------
+        self._names = names
 
     def write(
-        self, value: PackedAttributes, committed_at: float, visible_at: float
+        self, ident: int, version: WriteVersion[PackedAttributes]
     ) -> None:
-        attrs = json.dumps(value, separators=(",", ":"))
+        value = version.value
         self._conn.execute(
             "INSERT INTO sdb_versions(domain, item, committed_at, visible_at,"
-            " deleted, attrs) VALUES (?, ?, ?, ?, 0, ?)",
-            (self._domain, self._item, committed_at, visible_at, attrs),
+            " deleted, attrs) VALUES (?, ?, ?, ?, ?, ?)",
+            (
+                self._domain,
+                self._names[ident],
+                version.committed_at,
+                version.visible_at,
+                int(value is None),
+                None if value is None else json.dumps(value, separators=(",", ":")),
+            ),
         )
 
-    def delete(self, committed_at: float, visible_at: float) -> None:
-        self._conn.execute(
-            "INSERT INTO sdb_versions(domain, item, committed_at, visible_at,"
-            " deleted, attrs) VALUES (?, ?, ?, ?, 1, NULL)",
-            (self._domain, self._item, committed_at, visible_at),
-        )
-
-    # -- reads ----------------------------------------------------------------
-
-    def _best_row(self, column: str, at: float):
-        return self._conn.execute(
+    def read(
+        self, ident: int, at: float, model: ConsistencyModel
+    ) -> Optional[WriteVersion[PackedAttributes]]:
+        column = "committed_at" if model is ConsistencyModel.STRICT else "visible_at"
+        row = self._conn.execute(
             f"SELECT attrs, committed_at, visible_at, deleted FROM sdb_versions"
             f" WHERE domain = ? AND item = ? AND {column} <= ?"
             f" ORDER BY committed_at DESC, seq DESC LIMIT 1",
-            (self._domain, self._item, at),
+            (self._domain, self._names[ident], at),
         ).fetchone()
+        return None if row is None else _version(*row)
 
-    def read(
-        self, at: float, model: ConsistencyModel
-    ) -> Optional[WriteVersion[PackedAttributes]]:
-        column = "committed_at" if model is ConsistencyModel.STRICT else "visible_at"
-        row = self._best_row(column, at)
-        if row is None:
-            return None
-        attrs, committed_at, visible_at, deleted = row
-        return WriteVersion(
-            value=_decode_attrs(attrs),
-            committed_at=committed_at,
-            visible_at=visible_at,
-            deleted=bool(deleted),
-        )
-
-    def read_latest_committed(
-        self, at: float
-    ) -> Optional[WriteVersion[PackedAttributes]]:
-        return self.read(at, ConsistencyModel.STRICT)
-
-    def history(self) -> List[WriteVersion[PackedAttributes]]:
+    def versions(self, ident: int) -> List[WriteVersion[PackedAttributes]]:
         rows = self._conn.execute(
             "SELECT attrs, committed_at, visible_at, deleted FROM sdb_versions"
             " WHERE domain = ? AND item = ? ORDER BY committed_at, seq",
-            (self._domain, self._item),
+            (self._domain, self._names[ident]),
         ).fetchall()
-        return [
-            WriteVersion(_decode_attrs(a), c, v, bool(d)) for a, c, v, d in rows
-        ]
-
-
-class SqliteRegistry:
-    """The dict-of-registers view one domain's service code sees,
-    backed by the shared sqlite connection."""
-
-    __slots__ = ("_conn", "_domain")
-
-    def __init__(self, conn: sqlite3.Connection, domain: str):
-        self._conn = conn
-        self._domain = domain
-
-    def _exists(self, item: str) -> bool:
-        return (
-            self._conn.execute(
-                "SELECT 1 FROM sdb_versions WHERE domain = ? AND item = ? LIMIT 1",
-                (self._domain, item),
-            ).fetchone()
-            is not None
-        )
-
-    def __contains__(self, item: str) -> bool:
-        return self._exists(item)
-
-    def get(self, item: str, default=None):
-        if not self._exists(item):
-            return default
-        return SqliteRegister(self._conn, self._domain, item)
-
-    def setdefault(self, item: str, default=None) -> SqliteRegister:
-        # Registers materialize lazily: no row is written until the
-        # service commits a version, mirroring the dict semantics where
-        # an empty register is indistinguishable from none.
-        del default
-        return SqliteRegister(self._conn, self._domain, item)
-
-    def __getitem__(self, item: str) -> SqliteRegister:
-        # For a name this registry listed: like ``setdefault``, it costs
-        # no query, and the register reads as empty if no row exists.
-        return SqliteRegister(self._conn, self._domain, item)
-
-    def __iter__(self) -> Iterator[str]:
-        rows = self._conn.execute(
-            "SELECT DISTINCT item FROM sdb_versions WHERE domain = ?",
-            (self._domain,),
-        ).fetchall()
-        for (item,) in rows:
-            yield item
+        return [_version(*row) for row in rows]
 
 
 class LocalSimpleDBService(SimpleDBService):
@@ -229,7 +163,7 @@ class LocalSimpleDBService(SimpleDBService):
         if domain in self._domains:
             return
         state = _DomainState()
-        state.registry = SqliteRegistry(self._conn, domain)
+        state.histories = SqliteHistories(self._conn, domain, state.names.by_id)
         self._domains[domain] = state
         self._conn.execute(
             "INSERT OR IGNORE INTO sdb_domains(name) VALUES (?)", (domain,)

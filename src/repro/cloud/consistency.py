@@ -6,10 +6,12 @@ is served by a replica that has not yet received the update; concurrent
 PUTs resolve last-writer-wins, but for a window either value may be
 returned.
 
-We model each key as a :class:`VersionedRegister` holding the full write
-history.  Every write is stamped with its commit time and a *visibility
-time* — commit time plus a propagation delay drawn from a seeded
-exponential distribution.  A read at time ``t`` observes the latest write
+We keep each key's full write :data:`History`, read and written by the
+functions below; a service stores the histories where it likes (S3 in
+one :class:`VersionedRegister` per key, SimpleDB in a list indexed by
+item id).  Every write is stamped with its commit time and a
+*visibility time* — commit time plus a propagation delay drawn from a
+seeded exponential distribution.  A read at time ``t`` observes the latest write
 whose visibility time is ``<= t``; writes still propagating are invisible,
 which yields exactly the paper's stale-read behaviour deterministically
 (given the seed).
@@ -36,18 +38,72 @@ class ConsistencyModel(enum.Enum):
 
 @dataclass(slots=True)
 class WriteVersion(Generic[T]):
-    """One committed write: the value, when it committed, when it is
-    visible everywhere, and whether it is a deletion tombstone."""
+    """One committed write: the value, when it committed, and when it is
+    visible everywhere.  A deletion tombstone is a version whose value
+    is ``None``."""
 
     value: Optional[T]
     committed_at: float
     visible_at: float
-    deleted: bool = False
     #: Response bytes of ``value``: a cache the owning service fills in
     #: on first use (``None`` = not computed yet), not part of the write.
     size: Optional[int] = field(
         default=None, init=False, compare=False, repr=False
     )
+
+    @property
+    def deleted(self) -> bool:
+        """Whether this version is a deletion tombstone."""
+        return self.value is None
+
+
+#: One key's write history, sorted by commit time: ``()`` before the
+#: first write, the one version bare after it (most keys are written
+#: once), and a tuple from the second write.  Immutable: each write
+#: makes a new value (no list over-allocation, nothing to share).
+History = Union[Tuple[()], WriteVersion[T], Tuple[WriteVersion[T], ...]]
+
+
+def add_version(history: History, version: WriteVersion[T]) -> History:
+    """``history`` with ``version`` inserted in commit order (a later
+    write that commits at the same time sorts after the earlier one)."""
+    if not history:
+        return version
+    if history.__class__ is WriteVersion:
+        history = (history, version)
+    else:
+        history += (version,)
+    # Writes usually arrive in commit order; keep the invariant cheap.
+    if history[-1].committed_at < history[-2].committed_at:
+        history = tuple(sorted(history, key=lambda v: v.committed_at))
+    return history
+
+
+def read_version(
+    history: History, at: float, model: ConsistencyModel
+) -> Optional[WriteVersion[T]]:
+    """Latest observable version at time ``at``, or ``None`` if no write
+    is visible yet: among the versions committed (STRICT) or visible
+    (EVENTUAL) by ``at``, the one that committed last, ties going to the
+    later write.  Tombstones are returned (callers must check
+    ``deleted``) so a visible delete hides earlier values."""
+    strict = model is ConsistencyModel.STRICT
+    if history.__class__ is WriteVersion:
+        stamp = history.committed_at if strict else history.visible_at
+        return history if stamp <= at else None
+    # Newest commit first: the first observable version is the answer.
+    for version in reversed(history):
+        stamp = version.committed_at if strict else version.visible_at
+        if stamp <= at:
+            return version
+    return None
+
+
+def history_versions(history: History) -> List[WriteVersion[T]]:
+    """All writes of ``history`` in commit order."""
+    if history.__class__ is WriteVersion:
+        return [history]
+    return list(history)
 
 
 class PropagationSampler:
@@ -70,68 +126,38 @@ class PropagationSampler:
 
 
 class VersionedRegister(Generic[T]):
-    """Write history of one key under last-writer-wins semantics — an
-    immutable tuple each write replaces (one register per stored key:
-    no instance dict, no list over-allocation).  A key written once,
-    most keys, holds its one version bare; the second write makes the
-    tuple."""
+    """A mutable holder of one key's :data:`History` (an S3 object's),
+    reading and writing it through the module's history functions."""
 
     __slots__ = ("_history",)
 
     def __init__(self) -> None:
-        self._history: Union[WriteVersion[T], Tuple[WriteVersion[T], ...]] = ()
+        self._history: History = ()
 
     def write(self, value: T, committed_at: float, visible_at: float) -> None:
         """Record a write; history is kept sorted by commit time."""
-        self._insert(WriteVersion(value, committed_at, visible_at, deleted=False))
+        self._history = add_version(
+            self._history, WriteVersion(value, committed_at, visible_at)
+        )
 
     def delete(self, committed_at: float, visible_at: float) -> None:
         """Record a deletion tombstone."""
-        self._insert(WriteVersion(None, committed_at, visible_at, deleted=True))
-
-    def _insert(self, version: WriteVersion[T]) -> None:
-        history = self._history
-        if not history:
-            self._history = version
-            return
-        if history.__class__ is WriteVersion:
-            history = (history, version)
-        else:
-            history += (version,)
-        # Writes usually arrive in commit order; keep the invariant cheap.
-        if history[-1].committed_at < history[-2].committed_at:
-            history = tuple(sorted(history, key=lambda v: v.committed_at))
-        self._history = history
+        self._history = add_version(
+            self._history, WriteVersion(None, committed_at, visible_at)
+        )
 
     def read(self, at: float, model: ConsistencyModel) -> Optional[WriteVersion[T]]:
-        """Latest observable version at time ``at``, or ``None`` if no
-        write is visible yet.  Tombstones are returned (callers must check
-        ``deleted``) so a visible delete hides earlier values."""
-        strict = model is ConsistencyModel.STRICT
-        history = self._history
-        if history.__class__ is WriteVersion:
-            stamp = history.committed_at if strict else history.visible_at
-            return history if stamp <= at else None
-        best: Optional[WriteVersion[T]] = None
-        for version in history:
-            stamp = version.committed_at if strict else version.visible_at
-            if stamp <= at and (
-                best is None or version.committed_at >= best.committed_at
-            ):
-                best = version
-        return best
+        """See :func:`read_version`."""
+        return read_version(self._history, at, model)
 
     def read_latest_committed(self, at: float) -> Optional[WriteVersion[T]]:
         """The true last-writer-wins value (what a fully propagated read
         would see), ignoring visibility delays."""
-        return self.read(at, ConsistencyModel.STRICT)
+        return read_version(self._history, at, ConsistencyModel.STRICT)
 
     def history(self) -> List[WriteVersion[T]]:
         """All writes in commit order (for property checkers)."""
-        history = self._history
-        if history.__class__ is WriteVersion:
-            return [history]
-        return sorted(history, key=lambda v: v.committed_at)
+        return history_versions(self._history)
 
 
 @dataclass

@@ -303,7 +303,7 @@ class S3Service:
         if register is None:
             raise NoSuchKeyError(f"no such key {key!r}")
         version = register.read(at, self._consistency.model)
-        if version is None or version.deleted or version.value is None:
+        if version is None or version.deleted:
             raise NoSuchKeyError(f"no such key {key!r} (not visible at t={at:.2f})")
         return version.value
 
@@ -314,7 +314,7 @@ class S3Service:
         if register is None:
             return 0
         latest = register.read_latest_committed(float("inf"))
-        if latest is None or latest.deleted or latest.value is None:
+        if latest is None or latest.deleted:
             return 0
         return latest.value.blob.size
 

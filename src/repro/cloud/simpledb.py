@@ -46,6 +46,7 @@ page and could; a token whose snapshot the TTL collected still does).
 from __future__ import annotations
 
 import bisect
+import heapq
 import re
 import sys
 from array import array
@@ -67,8 +68,11 @@ from typing import (
 from repro.cloud.billing import BillingMeter
 from repro.cloud.consistency import (
     ConsistencyEngine,
-    VersionedRegister,
+    ConsistencyModel,
     WriteVersion,
+    add_version,
+    history_versions,
+    read_version,
 )
 from repro.cloud.network import ParallelScheduler, Request
 from repro.cloud.profiles import ServiceProfile
@@ -397,7 +401,7 @@ def prepare_select(expression: str) -> PreparedSelect:
 
 
 # --------------------------------------------------------------------------
-# Per-domain state: the registry plus incrementally maintained indexes
+# Per-domain state: item histories plus incrementally maintained indexes
 # --------------------------------------------------------------------------
 
 #: Tail size at which a two-tier run folds its pending tail into the
@@ -517,6 +521,15 @@ class _SortedTable:
             self._fold_tail()
         return self.slots
 
+    def sorted_items(self) -> Iterator[Tuple[str, int]]:
+        """Every ``(key, slot)`` in key order, leaving any tail where it
+        is: an inspection that must not change the table's layout (nor
+        so the index gauge)."""
+        main = zip(self.keys, self.slots)
+        if not self.tail:
+            return main
+        return heapq.merge(main, sorted(self.tail.items()))
+
     def memory_bytes(self) -> int:
         # The table, both runs, and the tail with its boxed slots; the
         # owner prices the key strings, since it knows where they live.
@@ -534,7 +547,7 @@ class _NameTable(_SortedTable):
     ranges) is the table's keys, with each name's id in the slot beside
     it.  That 4-byte slot is the id's only home: ``id_of`` is a bisect,
     where a ``name -> id`` dict would pay a hash slot and a boxed int
-    per item beside the registry already keyed by the same names."""
+    per item, and the item histories are a list indexed by the id."""
 
     __slots__ = ("by_id",)
 
@@ -560,8 +573,7 @@ class _NameTable(_SortedTable):
         return ident
 
     def memory_bytes(self) -> int:
-        # The id -> name list and one count of each name string (shared
-        # with the registry keys).
+        # The id -> name list and one count of each name string.
         total = super().memory_bytes() + sys.getsizeof(self.by_id)
         return total + sum(map(sys.getsizeof, self.by_id))
 
@@ -765,8 +777,34 @@ class _ValueTable(_SortedTable):
         return total
 
 
+class _Histories(list):
+    """One domain's item histories, indexed by item id: entry ``i`` is
+    item ``i``'s :data:`~repro.cloud.consistency.History` (its one
+    version bare, or a tuple once it was written twice).  Every id the
+    name table assigns is written at once, so a fresh item's id is the
+    list's length and its first version appends."""
+
+    __slots__ = ()
+
+    def write(self, ident: int, version: WriteVersion[PackedAttributes]) -> None:
+        if ident == len(self):
+            self.append(version)
+        else:
+            self[ident] = add_version(self[ident], version)
+
+    def read(
+        self, ident: int, at: float, model: ConsistencyModel
+    ) -> Optional[WriteVersion[PackedAttributes]]:
+        """See :func:`~repro.cloud.consistency.read_version`."""
+        return read_version(self[ident], at, model)
+
+    def versions(self, ident: int) -> List[WriteVersion[PackedAttributes]]:
+        """Item ``ident``'s writes in commit order (tests only)."""
+        return history_versions(self[ident])
+
+
 class _DomainState:
-    """One domain's item registry, secondary indexes, and selectivity
+    """One domain's item histories, secondary indexes, and selectivity
     bookkeeping.
 
     The indexes are *over-approximations* maintained on every write: they
@@ -797,7 +835,7 @@ class _DomainState:
     """
 
     __slots__ = (
-        "registry",
+        "histories",
         "pending_unindex",
         "attr_postings",
         "set_size_hist",
@@ -806,7 +844,9 @@ class _DomainState:
     )
 
     def __init__(self) -> None:
-        self.registry: Dict[str, VersionedRegister[PackedAttributes]] = {}
+        #: Item id -> its write history (the local backend swaps in a
+        #: sqlite-backed store with the same ``write``/``read``/``versions``).
+        self.histories = _Histories()
         #: (attribute, value, item name) -> virtual time at which the
         #: entry may be pruned (the deleting write's visibility time).
         self.pending_unindex: Dict[Tuple[str, str, str], float] = {}
@@ -896,11 +936,11 @@ class _DomainState:
 
     def note_pairs(
         self, name: str, pairs: Sequence[Tuple[str, str]]
-    ) -> List[Tuple[str, str]]:
+    ) -> Tuple[int, List[Tuple[str, str]]]:
         """Index item ``name``'s ``pairs`` (giving the name its id on
-        first sight, pairs or none).  Returns the pairs as the domain
-        keeps them: each attribute name interned (a bounded schema
-        vocabulary), each value the table's own copy
+        first sight, pairs or none).  Returns the item's id and the
+        pairs as the domain keeps them: each attribute name interned (a
+        bounded schema vocabulary), each value the table's own copy
         (:meth:`_ValueTable.add`).  A version packed from them shares
         its strings with the index, and values never enter the
         interpreter's interned-string table, which only grows."""
@@ -920,7 +960,7 @@ class _DomainState:
                 # A re-put beats any queued removal: the pair is live again.
                 pending.pop((attribute, value, name), None)
             stored.append((attribute, value))
-        return stored
+        return ident, stored
 
     def prune_unindexed(self, now: float) -> int:
         """Apply every queued removal whose delete is fully visible at
@@ -955,9 +995,9 @@ class _DomainState:
 
     # The index reads below return *candidate keys*: item ids (ints, id
     # arrays, id slices) the planner only intersects, unions and
-    # measures, and hands back to ``names_of`` once, at the end.
-    # Collections may be live index structures — callers never mutate
-    # them.
+    # measures; the select walk sorts them by name once, at the end
+    # (``names_of`` is the same order as names).  Collections may be
+    # live index structures — callers never mutate them.
 
     def keys_of(self, names: Sequence[str]) -> Collection:
         """Candidate keys of the given item names (``itemName() =``
@@ -1645,11 +1685,13 @@ class SimpleDBService:
                     payload += len(spec[0].encode()) + len(spec[1].encode())
 
         def apply(start: float, finish: float) -> None:
-            register = state.registry.get(item)
-            if register is not None:
-                latest = register.read_latest_committed(finish)
+            ident = state.names.id_of(item)
+            if ident is not None:
+                latest = state.histories.read(
+                    ident, finish, ConsistencyModel.STRICT
+                )
                 current: ItemAttributes = {}
-                if latest is not None and not latest.deleted and latest.value:
+                if latest is not None and latest.value:
                     current = _unpack(latest.value)
                 visible = self._consistency.visibility_for(finish)
                 removed: List[Tuple[str, str]] = []
@@ -1674,10 +1716,11 @@ class SimpleDBService:
                                 removed.append((attr, value))
                             if not values:
                                 current.pop(attr, None)
-                if current:
-                    register.write(_pack(current), finish, visible)
-                else:
-                    register.delete(finish, visible)
+                # No attribute left: the version is a tombstone.
+                packed = _pack(current) if current else None
+                state.histories.write(
+                    ident, WriteVersion(packed, finish, visible)
+                )
                 state.schedule_unindex(item, removed, visible)
             # Deleting an absent item is a billable no-op (idempotent).
             self._billing.record("simpledb", "DeleteAttributes", bytes_in=payload)
@@ -1695,7 +1738,10 @@ class SimpleDBService:
         state = self._domain(domain)
 
         def apply(start: float, finish: float) -> ItemAttributes:
-            version = self._observe(state.registry, item, start)
+            ident = state.names.id_of(item)
+            version = (
+                None if ident is None else self._observe(state, ident, start)
+            )
             if version is None:
                 size, packed = 0, ()
             else:
@@ -1870,16 +1916,17 @@ class SimpleDBService:
         # index stays a superset of what any observation time can see),
         # and pack the version from the strings the index keeps:
         # provenance traffic repeats a small vocabulary across millions
-        # of items, and the registry and the value tables then share one
+        # of items, and the histories and the value tables then share one
         # object per distinct value instead of one copy per write.
-        pairs = state.note_pairs(name, pairs)
-        register = state.registry.get(name)
-        if register is None:
-            register = state.registry.setdefault(name, VersionedRegister())
-        latest = register.read_latest_committed(committed_at)
+        fresh = len(state.names)
+        ident, pairs = state.note_pairs(name, pairs)
+        histories = state.histories
         current: ItemAttributes = {}
-        if latest is not None and not latest.deleted and latest.value:
-            current = _unpack(latest.value)
+        if ident != fresh:
+            # Written before (a fresh item has no history to read).
+            latest = histories.read(ident, committed_at, ConsistencyModel.STRICT)
+            if latest is not None and latest.value:
+                current = _unpack(latest.value)
         if replace:
             for attribute, _ in pairs:
                 current.pop(attribute, None)
@@ -1891,7 +1938,7 @@ class SimpleDBService:
             if value not in values:
                 values.append(value)
         visible = self._consistency.visibility_for(committed_at)
-        register.write(_pack(current), committed_at, visible)
+        histories.write(ident, WriteVersion(_pack(current), committed_at, visible))
         if self._telemetry is not None:
             # O(1) dict probe: only items pre-registered as trace aliases
             # (P3 txn items) land a mark; bulk workloads pay nothing.
@@ -1936,15 +1983,17 @@ class SimpleDBService:
                     self.select_stats.indexed += 1
         elif count_stats:
             self.select_stats.scanned += 1
-        names: Sequence[str] = (
-            state.ordered_names()
-            if candidates is None
-            else state.names_of(candidates)
-        )
+        # Walk (name, id) in page order; each history is read by its id.
+        if candidates is None:
+            rows = zip(state.ordered_names(), state.names.ordered_slots())
+        else:
+            by_id = state.names.by_id
+            idents = sorted(candidates, key=by_id.__getitem__)
+            rows = zip(map(by_id.__getitem__, idents), idents)
         matches: List[Tuple[str, ItemAttributes]] = []
         sizes: List[int] = []
-        for name in names:
-            version = self._observe(state.registry, name, start)
+        for name, ident in rows:
+            version = self._observe(state, ident, start)
             if version is None:
                 continue
             packed = version.value
@@ -2003,19 +2052,13 @@ class SimpleDBService:
         self.select_stats.snapshots_expired += len(stale)
 
     def _observe(
-        self,
-        registry: Dict[str, VersionedRegister[PackedAttributes]],
-        name: str,
-        at: float,
+        self, state: _DomainState, ident: int, at: float
     ) -> Optional[WriteVersion[PackedAttributes]]:
-        """The version of ``name`` observable at ``at`` when it holds
-        attributes — ``None`` for an absent, not yet visible or deleted
+        """The version of item ``ident`` observable at ``at`` when it
+        holds attributes — ``None`` for a not yet visible or deleted
         item."""
-        register = registry.get(name)
-        if register is None:
-            return None
-        version = register.read(at, self._consistency.model)
-        if version is None or version.deleted or not version.value:
+        version = state.histories.read(ident, at, self._consistency.model)
+        if version is None or not version.value:
             return None
         return version
 
@@ -2093,11 +2136,13 @@ class SimpleDBService:
     def peek_item(self, domain: str, item: str) -> ItemAttributes:
         """Fully propagated item state (tests only)."""
         state = self._domains.get(domain)
-        register = state.registry.get(item) if state is not None else None
-        if register is None:
+        ident = None if state is None else state.names.id_of(item)
+        if ident is None:
             return {}
-        version = register.read_latest_committed(float("inf"))
-        if version is None or version.deleted or version.value is None:
+        version = state.histories.read(
+            ident, float("inf"), ConsistencyModel.STRICT
+        )
+        if version is None or version.value is None:
             return {}
         return _unpack(version.value)
 
@@ -2105,14 +2150,14 @@ class SimpleDBService:
         """Every live item as ``(name, attributes)``, in name order,
         fully propagated (tests & fingerprints only).  An item is live
         when its latest committed version holds an attribute.  Reads
-        each register once and holds only the sorted names."""
+        each history once, in the name table's sorted order."""
         state = self._domains.get(domain)
         if state is None:
             return
-        registry = state.registry
-        for name in sorted(registry):
-            version = registry[name].read_latest_committed(float("inf"))
-            if version is not None and not version.deleted and version.value:
+        histories = state.histories
+        for name, ident in state.names.sorted_items():
+            version = histories.read(ident, float("inf"), ConsistencyModel.STRICT)
+            if version is not None and version.value:
                 yield name, _unpack(version.value)
 
     def peek_item_names(self, domain: str) -> List[str]:

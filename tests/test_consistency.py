@@ -9,6 +9,9 @@ from repro.cloud.consistency import (
     PropagationSampler,
     VersionedRegister,
     WriteVersion,
+    add_version,
+    history_versions,
+    read_version,
 )
 
 
@@ -32,72 +35,90 @@ class TestPropagationSampler:
             PropagationSampler(-1.0)
 
 
+def _history(*writes):
+    """A history built through ``add_version``: each write is ``(value,
+    committed_at, visible_at)``, a ``None`` value a tombstone."""
+    history = ()
+    for value, committed_at, visible_at in writes:
+        history = add_version(history, WriteVersion(value, committed_at, visible_at))
+    return history
+
+
 class TestVersionedRegister:
+    """The history functions every store reads and writes through (the
+    SimpleDB item lists, S3's one-slot ``VersionedRegister``)."""
+
     def test_read_before_any_write(self):
+        assert read_version((), 10.0, ConsistencyModel.EVENTUAL) is None
+        assert history_versions(()) == []
         register = VersionedRegister()
         assert register.read(10.0, ConsistencyModel.EVENTUAL) is None
         assert register.history() == []
 
     def test_strict_read_sees_commit_immediately(self):
-        register = VersionedRegister()
-        register.write("v1", committed_at=1.0, visible_at=5.0)
-        version = register.read(1.0, ConsistencyModel.STRICT)
+        history = _history(("v1", 1.0, 5.0))
+        version = read_version(history, 1.0, ConsistencyModel.STRICT)
         assert version is not None and version.value == "v1"
 
     def test_eventual_read_waits_for_visibility(self):
-        register = VersionedRegister()
-        register.write("v1", committed_at=1.0, visible_at=5.0)
-        assert register.read(2.0, ConsistencyModel.EVENTUAL) is None
-        version = register.read(5.0, ConsistencyModel.EVENTUAL)
+        history = _history(("v1", 1.0, 5.0))
+        assert read_version(history, 2.0, ConsistencyModel.EVENTUAL) is None
+        version = read_version(history, 5.0, ConsistencyModel.EVENTUAL)
         assert version is not None and version.value == "v1"
 
     def test_stale_read_returns_previous_version(self):
-        register = VersionedRegister()
-        register.write("old", committed_at=1.0, visible_at=1.0)
-        register.write("new", committed_at=10.0, visible_at=20.0)
-        version = register.read(15.0, ConsistencyModel.EVENTUAL)
+        history = _history(("old", 1.0, 1.0), ("new", 10.0, 20.0))
+        version = read_version(history, 15.0, ConsistencyModel.EVENTUAL)
         assert version is not None and version.value == "old"
 
     def test_last_writer_wins(self):
-        register = VersionedRegister()
-        register.write("a", committed_at=1.0, visible_at=1.0)
-        register.write("b", committed_at=2.0, visible_at=2.0)
-        version = register.read(3.0, ConsistencyModel.EVENTUAL)
+        history = _history(("a", 1.0, 1.0), ("b", 2.0, 2.0))
+        version = read_version(history, 3.0, ConsistencyModel.EVENTUAL)
         assert version is not None and version.value == "b"
 
+    def test_same_commit_time_goes_to_the_later_write(self):
+        history = _history(("a", 2.0, 2.0), ("b", 2.0, 2.0), ("c", 1.0, 1.0))
+        for model in ConsistencyModel:
+            version = read_version(history, 3.0, model)
+            assert version is not None and version.value == "b"
+
     def test_visible_delete_hides_value(self):
-        register = VersionedRegister()
-        register.write("a", committed_at=1.0, visible_at=1.0)
-        register.delete(committed_at=2.0, visible_at=2.0)
-        version = register.read(3.0, ConsistencyModel.EVENTUAL)
+        history = _history(("a", 1.0, 1.0), (None, 2.0, 2.0))
+        version = read_version(history, 3.0, ConsistencyModel.EVENTUAL)
         assert version is not None and version.deleted
 
     def test_pending_delete_still_shows_value(self):
-        register = VersionedRegister()
-        register.write("a", committed_at=1.0, visible_at=1.0)
-        register.delete(committed_at=2.0, visible_at=50.0)
-        version = register.read(3.0, ConsistencyModel.EVENTUAL)
+        history = _history(("a", 1.0, 1.0), (None, 2.0, 50.0))
+        version = read_version(history, 3.0, ConsistencyModel.EVENTUAL)
         assert version is not None and not version.deleted
 
     def test_read_latest_committed_ignores_visibility(self):
+        history = _history(("a", 1.0, 100.0))
+        version = read_version(history, 2.0, ConsistencyModel.STRICT)
+        assert version is not None and version.value == "a"
         register = VersionedRegister()
         register.write("a", committed_at=1.0, visible_at=100.0)
-        version = register.read_latest_committed(2.0)
-        assert version is not None and version.value == "a"
+        assert register.read_latest_committed(2.0) == version
 
     def test_one_write_is_held_bare_and_the_second_makes_a_tuple(self):
+        history = _history(("a", 1.0, 1.0))
+        assert history.__class__ is WriteVersion
+        history = add_version(history, WriteVersion("b", 2.0, 2.0))
+        assert [v.value for v in history] == ["a", "b"]
         register = VersionedRegister()
         register.write("a", committed_at=1.0, visible_at=1.0)
         assert register._history.__class__ is WriteVersion
-        register.write("b", committed_at=2.0, visible_at=2.0)
-        assert [v.value for v in register._history] == ["a", "b"]
 
     def test_out_of_order_insert_keeps_history_sorted(self):
+        history = _history(("late", 10.0, 10.0), ("early", 1.0, 1.0))
+        assert [v.value for v in history_versions(history)] == ["early", "late"]
+
+    def test_a_tombstone_is_a_none_value(self):
         register = VersionedRegister()
-        register.write("late", committed_at=10.0, visible_at=10.0)
-        register.write("early", committed_at=1.0, visible_at=1.0)
-        history = register.history()
-        assert [v.value for v in history] == ["early", "late"]
+        register.delete(committed_at=1.0, visible_at=1.0)
+        (version,) = register.history()
+        assert version.value is None and version.deleted
+        assert not WriteVersion((), 1.0, 1.0).deleted
 
     @given(
         st.lists(
@@ -109,12 +130,15 @@ class TestVersionedRegister:
     def test_reads_never_travel_backwards(self, writes):
         """Later reads observe a commit time >= earlier reads (monotonic
         staleness for a single client watching one key)."""
-        register = VersionedRegister()
-        for index, (commit, delay) in enumerate(sorted(writes)):
-            register.write(f"v{index}", commit, commit + delay)
+        history = _history(
+            *(
+                (f"v{index}", commit, commit + delay)
+                for index, (commit, delay) in enumerate(sorted(writes))
+            )
+        )
         last_commit = -1.0
         for t in range(0, 200, 10):
-            version = register.read(float(t), ConsistencyModel.EVENTUAL)
+            version = read_version(history, float(t), ConsistencyModel.EVENTUAL)
             if version is not None:
                 assert version.committed_at >= last_commit
                 last_commit = version.committed_at

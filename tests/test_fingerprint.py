@@ -15,6 +15,7 @@ from repro.backends.parity import store_fingerprint
 from repro.cloud.account import CloudAccount
 from repro.cloud.blob import Blob
 from repro.cloud.consistency import VersionedRegister
+from repro.cloud.simpledb import _Histories
 from repro.core import PAS3fs, ProtocolP3, collect
 from repro.provenance.syscalls import TraceBuilder
 from repro.service import IngestGateway, ShardRouter
@@ -184,18 +185,24 @@ class TestOneReadPerItem:
         account = _gateway_store(CloudAccount(seed=3))
         calls = []
         read = VersionedRegister.read_latest_committed
+        read_item = _Histories.read
 
         def counted(register, at):
-            calls.append(register)
+            calls.append(id(register))
             return read(register, at)
 
+        def counted_item(histories, ident, at, model):
+            calls.append((id(histories), ident))
+            return read_item(histories, ident, at, model)
+
         monkeypatch.setattr(VersionedRegister, "read_latest_committed", counted)
+        monkeypatch.setattr(_Histories, "read", counted_item)
         store_fingerprint(account)
-        registers = sum(
-            len(state.registry) for state in account.simpledb._domains.values()
+        stored = sum(
+            len(state.histories) for state in account.simpledb._domains.values()
         ) + sum(len(objects) for objects in account.s3._buckets.values())
-        assert len(calls) == registers
-        assert len(set(map(id, calls))) == registers
+        assert len(calls) == stored
+        assert len(set(calls)) == stored
 
     def test_local_issues_one_statement_per_item(self, tmp_path, monkeypatch):
         from repro.backends.local.blobstore import FsObjectRegister

@@ -55,11 +55,11 @@ def test_batch_put_killed_mid_request_is_all_or_nothing(tmp_path):
     _run_killed_child(
         f"""
         from repro.cloud import CloudAccount
-        from repro.backends.local.tablestore import SqliteRegister
+        from repro.backends.local.tablestore import SqliteHistories
 
         account = CloudAccount(seed=0, backend="local", backend_root=root)
         account.simpledb.create_domain("d")
-        original, rows = SqliteRegister.write, []
+        original, rows = SqliteHistories.write, []
 
         def write(self, *args):
             rows.append(self)
@@ -67,7 +67,7 @@ def test_batch_put_killed_mid_request_is_all_or_nothing(tmp_path):
                 os.kill(os.getpid(), signal.SIGKILL)
             original(self, *args)
 
-        SqliteRegister.write = write
+        SqliteHistories.write = write
         account.simpledb.batch_put("d", {_ITEMS!r})
         """,
         tmp_path,
@@ -267,9 +267,9 @@ def test_rows_store_the_packed_tuple_and_reopen_restores_the_plan(tmp_path):
     assert text == (
         '["type","file","name","prog-12","input","u0011","input","u0010"]'
     )
-    assert tuple(json.loads(text)) == sdb._domains["d"].registry.get(
-        "u0012"
-    ).read_latest_committed(float("inf")).value
+    state = sdb._domains["d"]
+    (version,) = state.histories.versions(state.names.id_of("u0012"))
+    assert tuple(json.loads(text)) == version.value
     expressions = [
         "select * from d where type = 'proc'",
         "select * from d where name = 'prog-03' and input > 'u0100'",

@@ -60,7 +60,7 @@ from repro.provenance.graph import NodeRef
 from repro.provenance.pass_collector import FlushIntent
 from repro.provenance.records import ProvenanceBundle, ProvenanceRecord
 from repro.query.engine import SimpleDBQueryEngine
-from repro.service import IngestGateway
+from repro.service import IngestGateway, ProvenanceFrontend
 from repro.sim import Delay, SimKernel
 from repro.workloads.base import MOUNT
 from repro.workloads.fleet import (
@@ -385,6 +385,31 @@ class TestRetention:
         _closed_trace(tracer, 0)
         tracer.close("uuid-0")
         assert list(tracer._closed) == ["txn-0"]
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the gateway keys a flush's trace by the file uuid, so a file "
+        "written again and again reopens one trace that is never evicted "
+        "(ROADMAP item 6)",
+    )
+    def test_a_hot_uuid_keeps_its_trace_bounded(self):
+        """2 000 versions of one file through the HTTP front end's ingest
+        and flush handlers, one flush each.  The trace the uuid resolves
+        to holds 6 000 marks and 2 001 aliases today."""
+        front = ProvenanceFrontend(account=CloudAccount(seed=0))
+        for version in range(2000):
+            front._handle_post("/v1/ingest", {
+                "client_id": "c0",
+                "path": "/mnt/pass/hot",
+                "uuid": "hot",
+                "version": version,
+                "attributes": {"type": ["file"]},
+            })
+            front._handle_post("/v1/flush", {})
+        trace = front.account.telemetry.tracer.get("hot")
+        assert len(trace.marks) <= RETAINED_TRACES
+        assert len(trace.aliases) <= RETAINED_TRACES
 
     def test_gateway_windows_keep_the_tracer_bounded(self):
         account = CloudAccount(seed=0)

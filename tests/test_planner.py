@@ -222,7 +222,7 @@ class TestRiders:
             v for v in state.tables[stored_attr].ordered() if v == first
         )
         for name in ("x_0", "x_1"):
-            (version,) = state.registry[name].history()
+            (version,) = state.histories.versions(state.names.id_of(name))
             assert version.value == (attribute, first)
             assert version.value[1] is indexed
         fresh = "-".join(["val", text])
