@@ -40,7 +40,12 @@ from repro.cloud.consistency import (
 )
 from repro.cloud.network import ParallelScheduler, Request
 from repro.cloud.profiles import ServiceProfile
-from repro.cloud.simpledb import PackedAttributes, SimpleDBService, _DomainState
+from repro.cloud.simpledb import (
+    PackedAttributes,
+    SimpleDBService,
+    _attributes_size,
+    _DomainState,
+)
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS sdb_domains (
@@ -77,10 +82,10 @@ class SqliteHistories:
     """One domain's item histories, stored as sqlite rows.
 
     The service reads and writes it by item id, as it does the
-    in-memory list (``write``/``read``/``versions``); the id's name is
-    ``names[ident]``, the domain's id -> name list.  ``read`` resolves
-    the version :func:`~repro.cloud.consistency.read_version` would:
-    among rows observable at ``at`` (``visible_at <= at`` under
+    in-memory columns (``write``/``read``/``versions``); the id's name
+    is ``names[ident]``, the domain's id -> name list.  ``read``
+    resolves the version :func:`~repro.cloud.consistency.read_version`
+    would: among rows observable at ``at`` (``visible_at <= at`` under
     EVENTUAL, ``committed_at <= at`` under STRICT), the one with the
     greatest commit time, ties broken toward the latest insertion
     (``seq``).  A row's ``deleted`` flag reads back as ``value=None``."""
@@ -93,17 +98,20 @@ class SqliteHistories:
         self._names = names
 
     def write(
-        self, ident: int, version: WriteVersion[PackedAttributes]
+        self,
+        ident: int,
+        value: Optional[PackedAttributes],
+        committed_at: float,
+        visible_at: float,
     ) -> None:
-        value = version.value
         self._conn.execute(
             "INSERT INTO sdb_versions(domain, item, committed_at, visible_at,"
             " deleted, attrs) VALUES (?, ?, ?, ?, ?, ?)",
             (
                 self._domain,
                 self._names[ident],
-                version.committed_at,
-                version.visible_at,
+                committed_at,
+                visible_at,
                 int(value is None),
                 None if value is None else json.dumps(value, separators=(",", ":")),
             ),
@@ -111,15 +119,19 @@ class SqliteHistories:
 
     def read(
         self, ident: int, at: float, model: ConsistencyModel
-    ) -> Optional[WriteVersion[PackedAttributes]]:
+    ) -> Optional[PackedAttributes]:
         column = "committed_at" if model is ConsistencyModel.STRICT else "visible_at"
         row = self._conn.execute(
-            f"SELECT attrs, committed_at, visible_at, deleted FROM sdb_versions"
+            f"SELECT attrs, deleted FROM sdb_versions"
             f" WHERE domain = ? AND item = ? AND {column} <= ?"
             f" ORDER BY committed_at DESC, seq DESC LIMIT 1",
             (self._domain, self._names[ident], at),
         ).fetchone()
-        return None if row is None else _version(*row)
+        return None if row is None or row[1] else tuple(json.loads(row[0]))
+
+    @staticmethod
+    def attributes_size(ident: int, packed: PackedAttributes) -> int:
+        return _attributes_size(packed)
 
     def versions(self, ident: int) -> List[WriteVersion[PackedAttributes]]:
         rows = self._conn.execute(
@@ -128,6 +140,11 @@ class SqliteHistories:
             (self._domain, self._names[ident]),
         ).fetchall()
         return [_version(*row) for row in rows]
+
+    @staticmethod
+    def memory_bytes() -> int:
+        """Nothing: the versions live in sqlite rows, not the heap."""
+        return 0
 
 
 class LocalSimpleDBService(SimpleDBService):

@@ -69,6 +69,7 @@ from repro.cloud.billing import BillingMeter
 from repro.cloud.consistency import (
     ConsistencyEngine,
     ConsistencyModel,
+    History,
     WriteVersion,
     add_version,
     history_versions,
@@ -405,13 +406,11 @@ def prepare_select(expression: str) -> PreparedSelect:
 # --------------------------------------------------------------------------
 
 #: Tail size at which a two-tier run folds its pending tail into the
-#: sorted main run.  Small enough that an out-of-order insert into the
-#: tail stays cheap, large enough that merges amortize; a sorted table
-#: also waits for an eighth of its main run, so its folds re-lay O(n)
-#: keys in total however the keys arrive.  In-order arrivals (the
-#: common provenance pattern — item names and interned ids are both
-#: assigned in increasing order) bypass the tail entirely and append
-#: straight to the main run.
+#: sorted main run.  The tail is itself a sorted run, so an out-of-order
+#: insert shifts at most this many entries, and merges amortize over as
+#: many arrivals.  In-order arrivals (the common provenance pattern —
+#: item names and interned ids are both assigned in increasing order)
+#: bypass the tail entirely and append straight to the main run.
 _TAIL_MERGE_THRESHOLD = 2048
 
 #: A value-table slot at or above this holds ``_WIDE | i`` and points
@@ -457,47 +456,49 @@ class _SortedTable:
     ``keys`` is a sorted list and ``slots`` a parallel ``array('I')``:
     a slot costs 4 bytes and is found by one bisect.  A key that sorts
     after the main run appends to both.  Any other new key waits in a
-    small ``key -> slot`` tail dict (disjoint from the main run), folded
-    in once it holds :data:`_TAIL_MERGE_THRESHOLD` keys or an eighth of
-    the main run, or by the next ordered read."""
+    tail of the same shape (``tail`` and ``tail_slots``, disjoint from
+    the main run, every key below the main run's last), folded in once
+    it holds :data:`_TAIL_MERGE_THRESHOLD` keys, or by the next ordered
+    read."""
 
-    __slots__ = ("keys", "slots", "tail")
+    __slots__ = ("keys", "slots", "tail", "tail_slots")
 
     def __init__(self) -> None:
         self.keys: List[str] = []
         self.slots = array("I")
-        self.tail: Dict[str, int] = {}
+        self.tail: List[str] = []
+        self.tail_slots = array("I")
 
     def __len__(self) -> int:
         return len(self.keys) + len(self.tail)
 
     def slot_of(self, key: str) -> Optional[int]:
-        slot = self.tail.get(key) if self.tail else None
-        if slot is None:
-            index = _sorted_index(self.keys, key)
-            if index >= 0:
-                slot = self.slots[index]
-        return slot
-
-    def put(self, key: str, slot: int) -> None:
-        """Add ``key``, which the table does not hold, with ``slot``."""
         keys = self.keys
-        if not keys or key > keys[-1]:
-            keys.append(key)
-            self.slots.append(slot)
-            return
-        self.tail[key] = slot
-        if len(self.tail) >= max(_TAIL_MERGE_THRESHOLD, len(keys) >> 3):
+        index = bisect.bisect_left(keys, key)
+        if index == len(keys):
+            return None  # past the main run, so past the tail too
+        if keys[index] == key:
+            return self.slots[index]
+        index = _sorted_index(self.tail, key)
+        return self.tail_slots[index] if index >= 0 else None
+
+    def _insert_tail(self, index: int, key: str, slot: int) -> None:
+        """Insert a new ``key`` at ``index`` of the tail run, and fold
+        the tail in once it holds :data:`_TAIL_MERGE_THRESHOLD` keys."""
+        tail = self.tail
+        tail.insert(index, key)
+        self.tail_slots.insert(index, slot)
+        if len(tail) >= _TAIL_MERGE_THRESHOLD:
             self._fold_tail()
 
     def _fold_tail(self) -> None:
-        """Splice the sorted tail into the main run: one bisect per
-        tail key, and slice copies of the main run between them."""
+        """Splice the tail run into the main run: one bisect per tail
+        key, and slice copies of the main run between them."""
         keys, slots = self.keys, self.slots
         merged_keys: List[str] = []
         merged_slots = array("I")
         done = 0
-        for key, slot in sorted(self.tail.items()):
+        for key, slot in zip(self.tail, self.tail_slots):
             at = bisect.bisect_left(keys, key, done)
             merged_keys += keys[done:at]
             merged_keys.append(key)
@@ -506,7 +507,8 @@ class _SortedTable:
             done = at
         merged_keys += keys[done:]
         merged_slots += slots[done:]
-        self.keys, self.slots, self.tail = merged_keys, merged_slots, {}
+        self.keys, self.slots = merged_keys, merged_slots
+        self.tail, self.tail_slots = [], array("I")
 
     def ordered(self) -> List[str]:
         """Every key in sorted order (folds any tail in first).
@@ -528,14 +530,14 @@ class _SortedTable:
         main = zip(self.keys, self.slots)
         if not self.tail:
             return main
-        return heapq.merge(main, sorted(self.tail.items()))
+        return heapq.merge(main, zip(self.tail, self.tail_slots))
 
     def memory_bytes(self) -> int:
-        # The table, both runs, and the tail with its boxed slots; the
-        # owner prices the key strings, since it knows where they live.
+        # The table and both runs; the owner prices the key strings,
+        # since it knows where they live.
         total = sys.getsizeof(self) + sys.getsizeof(self.keys)
         total += sys.getsizeof(self.slots) + sys.getsizeof(self.tail)
-        return total + sum(map(sys.getsizeof, self.tail.values()))
+        return total + sys.getsizeof(self.tail_slots)
 
 
 class _NameTable(_SortedTable):
@@ -559,17 +561,25 @@ class _NameTable(_SortedTable):
 
     def intern(self, name: str) -> int:
         """The id of ``name``, assigning the next one on first sight."""
-        keys = self.keys
-        if keys and name == keys[-1]:
+        keys, by_id = self.keys, self.by_id
+        if not keys or name > keys[-1]:
+            ident = len(by_id)
+            by_id.append(name)
+            keys.append(name)
+            self.slots.append(ident)
+            return ident
+        if name == keys[-1]:
             return self.slots[-1]  # the newest item, written again
-        if keys and name < keys[-1]:
-            ident = self.slot_of(name)
-        else:
-            ident = self.tail.get(name) if self.tail else None
-        if ident is None:
-            ident = len(self.by_id)
-            self.by_id.append(name)
-            self.put(name, ident)
+        index = bisect.bisect_left(keys, name)
+        if keys[index] == name:
+            return self.slots[index]
+        tail = self.tail
+        index = bisect.bisect_left(tail, name)
+        if index < len(tail) and tail[index] == name:
+            return self.tail_slots[index]
+        ident = len(by_id)
+        by_id.append(name)
+        self._insert_tail(index, name, ident)
         return ident
 
     def memory_bytes(self) -> int:
@@ -658,25 +668,26 @@ class _ValueTable(_SortedTable):
     def add(self, value: str, ident: int) -> Tuple[int, str]:
         """Add ``ident`` to the posting of ``value``.  Returns the
         posting's new size (0 when the id was already there) and the
-        table's copy of ``value``: the main-run key equal to it, else
-        ``value`` itself (new, or waiting in the tail, whose key a dict
-        does not hand back).  One tail probe and at most one bisect; a
-        new value that sorts after the main run appends without one."""
-        tail = self.tail
-        slot = tail.get(value) if tail else None
-        index = -1
-        if slot is None:
-            keys = self.keys
-            if not keys or value > keys[-1]:
-                keys.append(value)
-                self.slots.append(ident)
+        table's copy of ``value``: the key equal to it in either run,
+        else ``value`` itself (new).  At most one bisect per run; a new
+        value that sorts after the main run appends without one."""
+        keys = self.keys
+        if not keys or value > keys[-1]:
+            keys.append(value)
+            self.slots.append(ident)
+            return 1, value
+        index = bisect.bisect_left(keys, value)
+        if keys[index] == value:
+            slots = self.slots
+        else:
+            keys = self.tail
+            index = bisect.bisect_left(keys, value) if keys else 0
+            if index == len(keys) or keys[index] != value:
+                self._insert_tail(index, value, ident)
                 return 1, value
-            index = bisect.bisect_left(keys, value)
-            if keys[index] != value:
-                self.put(value, ident)
-                return 1, value
-            value = keys[index]
-            slot = self.slots[index]
+            slots = self.tail_slots
+        value = keys[index]
+        slot = slots[index]
         if slot >= _WIDE:
             posting = self.wide[slot ^ _WIDE]
             if posting.__class__ is array and ident > posting[-1]:
@@ -685,13 +696,9 @@ class _ValueTable(_SortedTable):
             return self._insert_wide(slot ^ _WIDE, ident), value
         if slot == ident:
             return 0, value
-        slot = self._park(
+        slots[index] = self._park(
             array("I", (slot, ident) if slot < ident else (ident, slot))
         )
-        if index < 0:
-            tail[value] = slot
-        else:
-            self.slots[index] = slot
         return 2, value
 
     def _insert_wide(self, i: int, ident: int) -> int:
@@ -725,22 +732,23 @@ class _ValueTable(_SortedTable):
     def discard(self, value: str, ident: int) -> int:
         """Remove ``ident`` from the posting of ``value``; returns the
         new size, or -1 when the id was not there."""
-        tail = self.tail
-        slot = tail.get(value) if tail else None
-        index = -1
-        if slot is None:
-            index = _sorted_index(self.keys, value)
+        keys, slots = self.keys, self.slots
+        index = _sorted_index(keys, value)
+        if index < 0:
+            keys, slots = self.tail, self.tail_slots
+            index = _sorted_index(keys, value)
             if index < 0:
                 return -1
-            slot = self.slots[index]
+        slot = slots[index]
         if slot < _WIDE:
             if slot != ident:
                 return -1
-            if index < 0:
-                del tail[value]
-            else:
-                del self.keys[index]
-                del self.slots[index]
+            del keys[index]
+            del slots[index]
+            tail = self.tail
+            if tail and (not self.keys or tail[-1] > self.keys[-1]):
+                # The main run lost its last key: keep the tail below it.
+                self._fold_tail()
             return 0
         i = slot ^ _WIDE
         posting = self.wide[i]
@@ -755,10 +763,7 @@ class _ValueTable(_SortedTable):
             return len(posting)
         self.wide[i] = None
         self.free.append(i)
-        if index < 0:
-            tail[value] = posting[0]
-        else:
-            self.slots[index] = posting[0]
+        slots[index] = posting[0]
         return 1
 
     def memory_bytes(self) -> int:
@@ -777,30 +782,108 @@ class _ValueTable(_SortedTable):
         return total
 
 
-class _Histories(list):
-    """One domain's item histories, indexed by item id: entry ``i`` is
-    item ``i``'s :data:`~repro.cloud.consistency.History` (its one
-    version bare, or a tuple once it was written twice).  Every id the
-    name table assigns is written at once, so a fresh item's id is the
-    list's length and its first version appends."""
+class _Histories:
+    """One domain's item histories, in columns indexed by item id.
 
-    __slots__ = ()
+    Item ``i``'s last-committed version is ``values[i]`` (its packed
+    attributes, ``None`` for a tombstone), ``committed[i]`` and
+    ``visible[i]``; ``sizes[i]`` caches that version's response bytes
+    (0 = not computed yet).  An item written more than once keeps
+    its earlier versions in ``earlier[i]``, a
+    :data:`~repro.cloud.consistency.History` of
+    :class:`~repro.cloud.consistency.WriteVersion`.  The order and the
+    reads are ``add_version``'s and ``read_version``'s: commit order, a
+    write that commits at the same time as an earlier one sorting after
+    it.  Every id the name table assigns is written at once, so a fresh
+    item's id is the columns' length and its first version appends."""
 
-    def write(self, ident: int, version: WriteVersion[PackedAttributes]) -> None:
-        if ident == len(self):
-            self.append(version)
+    __slots__ = ("values", "committed", "visible", "sizes", "earlier")
+
+    def __init__(self) -> None:
+        self.values: List[Optional[PackedAttributes]] = []
+        self.committed = array("d")
+        self.visible = array("d")
+        self.sizes = array("I")
+        self.earlier: Dict[int, History] = {}
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def write(
+        self,
+        ident: int,
+        value: Optional[PackedAttributes],
+        committed_at: float,
+        visible_at: float,
+    ) -> None:
+        """Record a write of item ``ident`` (``value=None``: a
+        tombstone)."""
+        values = self.values
+        if ident == len(values):
+            values.append(value)
+            self.committed.append(committed_at)
+            self.visible.append(visible_at)
+            self.sizes.append(0)
+            return
+        latest_at = self.committed[ident]
+        if committed_at >= latest_at:
+            # The usual case: the write commits last, and the version in
+            # the columns moves to the earlier ones.
+            version = WriteVersion(values[ident], latest_at, self.visible[ident])
+            values[ident] = value
+            self.committed[ident] = committed_at
+            self.visible[ident] = visible_at
+            self.sizes[ident] = 0
         else:
-            self[ident] = add_version(self[ident], version)
+            version = WriteVersion(value, committed_at, visible_at)
+        self.earlier[ident] = add_version(self.earlier.get(ident, ()), version)
 
     def read(
         self, ident: int, at: float, model: ConsistencyModel
-    ) -> Optional[WriteVersion[PackedAttributes]]:
-        """See :func:`~repro.cloud.consistency.read_version`."""
-        return read_version(self[ident], at, model)
+    ) -> Optional[PackedAttributes]:
+        """The attributes of the version
+        :func:`~repro.cloud.consistency.read_version` observes at
+        ``at``, or ``None`` when that is none or a tombstone."""
+        strict = model is ConsistencyModel.STRICT
+        if (self.committed if strict else self.visible)[ident] <= at:
+            return self.values[ident]
+        version = read_version(self.earlier.get(ident, ()), at, model)
+        return None if version is None else version.value
+
+    def attributes_size(self, ident: int, packed: PackedAttributes) -> int:
+        """:func:`_attributes_size` of ``packed``, which item ``ident``
+        stores; computed once per last-committed version."""
+        if packed is not self.values[ident]:
+            return _attributes_size(packed)
+        size = self.sizes[ident]
+        if not size:
+            size = self.sizes[ident] = _attributes_size(packed)
+        return size
 
     def versions(self, ident: int) -> List[WriteVersion[PackedAttributes]]:
         """Item ``ident``'s writes in commit order (tests only)."""
-        return history_versions(self[ident])
+        latest = WriteVersion(
+            self.values[ident], self.committed[ident], self.visible[ident]
+        )
+        return history_versions(self.earlier.get(ident, ())) + [latest]
+
+    def memory_bytes(self) -> int:
+        """The columns, the earlier versions with their stamps, and one
+        count of each packed tuple; its strings are the value tables'
+        (attribute names are interned), which the index gauge prices."""
+        total = sys.getsizeof(self) + sys.getsizeof(self.values)
+        total += sys.getsizeof(self.committed) + sys.getsizeof(self.visible)
+        total += sys.getsizeof(self.sizes) + sys.getsizeof(self.earlier)
+        total += sum(sys.getsizeof(value) for value in self.values if value)
+        for ident, earlier in self.earlier.items():
+            total += sys.getsizeof(ident)
+            if earlier.__class__ is tuple:
+                total += sys.getsizeof(earlier)
+            for version in history_versions(earlier):
+                total += sys.getsizeof(version) + 2 * sys.getsizeof(0.0)
+                if version.value:
+                    total += sys.getsizeof(version.value)
+        return total
 
 
 class _DomainState:
@@ -913,7 +996,7 @@ class _DomainState:
         postings: Dict[str, int] = {}
         hist: Dict[str, Dict[int, int]] = {}
         for attribute, table in self.tables.items():
-            for slot in chain(table.slots, table.tail.values()):
+            for slot in chain(table.slots, table.tail_slots):
                 size = table.slot_count(slot)
                 postings[attribute] = postings.get(attribute, 0) + size
                 inner = hist.setdefault(attribute, {})
@@ -1498,18 +1581,11 @@ class AttributeSelectivity:
         return self.postings / self.distinct_values
 
 
-def _attributes_size(version: WriteVersion[PackedAttributes]) -> int:
-    """Response bytes of one stored version's attributes, computed on
-    first use and kept on the version (stored values are immutable
-    tuples).  An attribute's name counts once, however many values it
-    holds; a name occurs in one group of the packed tuple only."""
-    size = version.size
-    if size is None:
-        packed = version.value
-        size = version.size = sum(map(len, set(packed[::2]))) + sum(
-            map(len, packed[1::2])
-        )
-    return size
+def _attributes_size(packed: PackedAttributes) -> int:
+    """Response bytes of one stored version's attributes.  An
+    attribute's name counts once, however many values it holds; a name
+    occurs in one group of the packed tuple only."""
+    return sum(map(len, set(packed[::2]))) + sum(map(len, packed[1::2]))
 
 
 @dataclass
@@ -1690,9 +1766,7 @@ class SimpleDBService:
                 latest = state.histories.read(
                     ident, finish, ConsistencyModel.STRICT
                 )
-                current: ItemAttributes = {}
-                if latest is not None and latest.value:
-                    current = _unpack(latest.value)
+                current = _unpack(latest) if latest else {}
                 visible = self._consistency.visibility_for(finish)
                 removed: List[Tuple[str, str]] = []
                 # Truthiness, not an is-None check, so an empty spec
@@ -1718,9 +1792,7 @@ class SimpleDBService:
                                 current.pop(attr, None)
                 # No attribute left: the version is a tombstone.
                 packed = _pack(current) if current else None
-                state.histories.write(
-                    ident, WriteVersion(packed, finish, visible)
-                )
+                state.histories.write(ident, packed, finish, visible)
                 state.schedule_unindex(item, removed, visible)
             # Deleting an absent item is a billable no-op (idempotent).
             self._billing.record("simpledb", "DeleteAttributes", bytes_in=payload)
@@ -1739,13 +1811,11 @@ class SimpleDBService:
 
         def apply(start: float, finish: float) -> ItemAttributes:
             ident = state.names.id_of(item)
-            version = (
-                None if ident is None else self._observe(state, ident, start)
-            )
-            if version is None:
+            packed = None if ident is None else self._observe(state, ident, start)
+            if packed is None:
                 size, packed = 0, ()
             else:
-                size, packed = _attributes_size(version), version.value
+                size = state.histories.attributes_size(ident, packed)
             self._billing.record("simpledb", "GetAttributes", bytes_out=size)
             return _unpack(packed)
 
@@ -1925,8 +1995,8 @@ class SimpleDBService:
         if ident != fresh:
             # Written before (a fresh item has no history to read).
             latest = histories.read(ident, committed_at, ConsistencyModel.STRICT)
-            if latest is not None and latest.value:
-                current = _unpack(latest.value)
+            if latest:
+                current = _unpack(latest)
         if replace:
             for attribute, _ in pairs:
                 current.pop(attribute, None)
@@ -1938,7 +2008,7 @@ class SimpleDBService:
             if value not in values:
                 values.append(value)
         visible = self._consistency.visibility_for(committed_at)
-        histories.write(ident, WriteVersion(_pack(current), committed_at, visible))
+        histories.write(ident, _pack(current), committed_at, visible)
         if self._telemetry is not None:
             # O(1) dict probe: only items pre-registered as trace aliases
             # (P3 txn items) land a mark; bulk workloads pay nothing.
@@ -1992,14 +2062,14 @@ class SimpleDBService:
             rows = zip(map(by_id.__getitem__, idents), idents)
         matches: List[Tuple[str, ItemAttributes]] = []
         sizes: List[int] = []
+        size_of = state.histories.attributes_size
         for name, ident in rows:
-            version = self._observe(state, ident, start)
-            if version is None:
+            packed = self._observe(state, ident, start)
+            if packed is None:
                 continue
-            packed = version.value
             if condition is None or condition.matches(name, packed):
                 matches.append((name, _unpack(packed)))
-                sizes.append(len(name) + _attributes_size(version))
+                sizes.append(len(name) + size_of(ident, packed))
         return matches, sizes
 
     def _resume_select(
@@ -2053,14 +2123,10 @@ class SimpleDBService:
 
     def _observe(
         self, state: _DomainState, ident: int, at: float
-    ) -> Optional[WriteVersion[PackedAttributes]]:
-        """The version of item ``ident`` observable at ``at`` when it
-        holds attributes — ``None`` for a not yet visible or deleted
-        item."""
-        version = state.histories.read(ident, at, self._consistency.model)
-        if version is None or not version.value:
-            return None
-        return version
+    ) -> Optional[PackedAttributes]:
+        """The attributes of item ``ident`` observable at ``at`` when it
+        holds any — ``None`` for a not yet visible or deleted item."""
+        return state.histories.read(ident, at, self._consistency.model) or None
 
     # -- planner diagnostics -----------------------------------------------------
 
@@ -2131,6 +2197,16 @@ class SimpleDBService:
             state.memory_bytes() for state in self._domains.values()
         )
 
+    def store_memory_bytes(self) -> int:
+        """Approximate heap footprint of the stored versions across all
+        domains, apart from the index: the version columns, the earlier
+        versions of items written more than once, and the packed tuples
+        (whose strings :meth:`index_memory_bytes` prices).  0 on the
+        local backend, whose versions are sqlite rows."""
+        return sum(
+            state.histories.memory_bytes() for state in self._domains.values()
+        )
+
     # -- omniscient inspection (tests & property checkers only) -----------------
 
     def peek_item(self, domain: str, item: str) -> ItemAttributes:
@@ -2139,12 +2215,8 @@ class SimpleDBService:
         ident = None if state is None else state.names.id_of(item)
         if ident is None:
             return {}
-        version = state.histories.read(
-            ident, float("inf"), ConsistencyModel.STRICT
-        )
-        if version is None or version.value is None:
-            return {}
-        return _unpack(version.value)
+        packed = state.histories.read(ident, float("inf"), ConsistencyModel.STRICT)
+        return _unpack(packed) if packed else {}
 
     def peek_items(self, domain: str) -> Iterator[Tuple[str, ItemAttributes]]:
         """Every live item as ``(name, attributes)``, in name order,
@@ -2156,9 +2228,9 @@ class SimpleDBService:
             return
         histories = state.histories
         for name, ident in state.names.sorted_items():
-            version = histories.read(ident, float("inf"), ConsistencyModel.STRICT)
-            if version is not None and version.value:
-                yield name, _unpack(version.value)
+            packed = histories.read(ident, float("inf"), ConsistencyModel.STRICT)
+            if packed:
+                yield name, _unpack(packed)
 
     def peek_item_names(self, domain: str) -> List[str]:
         """All item names with visible-eventually state (tests only)."""

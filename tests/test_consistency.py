@@ -1,7 +1,7 @@
 """Tests for the eventual-consistency engine."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.cloud.consistency import (
     ConsistencyEngine,
@@ -13,6 +13,7 @@ from repro.cloud.consistency import (
     history_versions,
     read_version,
 )
+from repro.cloud.simpledb import _attributes_size, _Histories
 
 
 class TestPropagationSampler:
@@ -156,3 +157,58 @@ class TestConsistencyEngine:
         samples = [engine.visibility_for(10.0) for _ in range(50)]
         assert all(s >= 10.0 for s in samples)
         assert any(s > 10.0 for s in samples)
+
+
+#: One write: (item, tombstone?, commit time, propagation delay).  Few
+#: items and integer times, so that rewrites, out-of-order commits and
+#: same-time ties are common.
+_ITEM_WRITES = st.lists(
+    st.tuples(
+        st.integers(0, 3), st.booleans(), st.integers(0, 6), st.integers(0, 4)
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestColumnarHistories:
+    """SimpleDB's ``_Histories`` keeps each item's last-committed version
+    in columns and its earlier ones aside; every write sequence must
+    read as the same items built through ``add_version`` and read
+    through ``read_version``."""
+
+    @given(_ITEM_WRITES)
+    # Item 0: a rewrite into the earlier versions, one committing before
+    # the columns' version, a same-time tie and a tombstone.
+    @example([(0, False, 5, 1), (1, False, 2, 0), (0, False, 3, 4),
+              (0, False, 5, 0), (0, True, 6, 2), (0, False, 6, 0)])
+    def test_matches_add_version_and_read_version(self, writes):
+        histories = _Histories()
+        ids = {}
+        reference = {}
+        for index, (item, tombstone, commit, delay) in enumerate(writes):
+            ident = ids.setdefault(item, len(ids))
+            value = None if tombstone else ("attr", f"v{index}")
+            committed_at, visible_at = float(commit), float(commit + delay)
+            histories.write(ident, value, committed_at, visible_at)
+            reference[ident] = add_version(
+                reference.get(ident, ()),
+                WriteVersion(value, committed_at, visible_at),
+            )
+        stamps = {t for _, _, c, d in writes for t in (c, c + d)}
+        times = sorted({t + dt for t in stamps for dt in (-0.5, 0.0)})
+        for ident, history in reference.items():
+            expected = history_versions(history)
+            got = histories.versions(ident)
+            assert [
+                (v.value, v.committed_at, v.visible_at) for v in got
+            ] == [(v.value, v.committed_at, v.visible_at) for v in expected]
+            for model in ConsistencyModel:
+                for at in times + [float("inf")]:
+                    version = read_version(history, at, model)
+                    packed = histories.read(ident, at, model)
+                    assert packed is (None if version is None else version.value)
+                    if packed:
+                        assert histories.attributes_size(
+                            ident, packed
+                        ) == _attributes_size(packed)

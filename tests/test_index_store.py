@@ -125,27 +125,35 @@ class TestNameTable:
             assert table.by_id[ident] == name
         assert [table.by_id[i] for i in table.ordered_slots()] == sorted(reference)
 
-    def test_random_order_folds_relay_linear_work(self, monkeypatch):
-        """Folds wait for an eighth of the main run once that passes
-        the threshold, so 100 000 names in random order re-lay under
-        12 elements per name in total (a fold every 2048 arrivals
-        re-laid about 24 per name here, and grows linearly with n)."""
-        relaid = []
+    def test_random_order_folds_bound_each_insert(self, monkeypatch):
+        """The tail is a sorted run, so an out-of-order insert shifts
+        its entries: it folds at the threshold, and no insert shifts
+        more than the threshold, however large the table.  The price is
+        a fold per threshold of out-of-order arrivals: 100 000 names in
+        random order re-lay about n / 2T = 25 elements per name in total
+        (folding at an eighth of the main run re-laid under 12, but one
+        insert could shift an eighth of the table)."""
+        relaid, tails = [], []
         fold = simpledb._SortedTable._fold_tail
 
         def counting_fold(table):
             relaid.append(len(table.keys) + len(table.tail))
+            tails.append(len(table.tail))
             fold(table)
 
         monkeypatch.setattr(simpledb._SortedTable, "_fold_tail", counting_fold)
+        threshold = simpledb._TAIL_MERGE_THRESHOLD
         n = 100_000
         rng = random.Random(5)
         table = _NameTable()
         for _ in range(n):
             table.intern(f"{rng.getrandbits(128):032x}")
+            assert len(table.tail) < threshold
+        assert len(relaid) > 1 and set(tails) == {threshold}
         assert table.ordered() == sorted(table.by_id)
-        assert len(relaid) > 1
-        assert sum(relaid) <= 12 * n, (len(relaid), sum(relaid))
+        assert sum(relaid) <= n * n // (2 * threshold) + n, (
+            len(relaid), sum(relaid)
+        )
 
 
 def _posting(table, value="v"):
@@ -194,8 +202,9 @@ class TestPostingLayout:
         table.add("zz", 3)
         late = fresh("mid")
         assert table.add(late, 4)[1] is late  # new: waits in the tail
+        assert table.tail == ["mid"]
         again = fresh("mid")
-        assert table.add(again, 5)[1] is again  # a tail key is not handed back
+        assert table.add(again, 5)[1] is late  # the tail-run key
         table.ordered()  # folds the tail
         assert table.add(fresh("mid"), 6)[1] is late
 
@@ -276,9 +285,11 @@ class TestPostingLayout:
         table.add("m", 1)
         table.add("a", 2)  # out of order: waits in the tail
         assert table.add("a", 3)[0] == 2  # promoted while still in the tail
-        assert table.tail == {"a": _WIDE | 0} and _ids(table, "a") == [2, 3]
+        assert table.tail == ["a"] and list(table.tail_slots) == [_WIDE | 0]
+        assert _ids(table, "a") == [2, 3]
         assert table.discard("a", 2) == 1
-        assert table.tail == {"a": 3} and table.free == [0]
+        assert table.tail == ["a"] and list(table.tail_slots) == [3]
+        assert table.free == [0]
         assert table.ordered() == ["a", "m"] and list(table.slots) == [3, 1]
 
     def test_fuzz_against_set_reference(self, monkeypatch):
@@ -323,7 +334,7 @@ class TestValueTableOrder:
         table = _ValueTable()
         for ident, value in enumerate(("m", "z", "a", "k")):
             table.add(value, ident)  # a, k arrive out of order
-        assert table.tail == {"a": 2, "k": 3}
+        assert table.tail == ["a", "k"] and list(table.tail_slots) == [2, 3]
         assert _ids(table, "k") == [3]  # found while still in the tail
         assert table.ordered() == ["a", "k", "m", "z"]
         assert list(table.slots) == [2, 3, 0, 1]
@@ -356,6 +367,18 @@ class TestValueTableOrder:
         assert len(table) == 2
         assert table.ordered() == ["a", "c"] and list(table.slots) == [2, 0]
 
+    def test_discarding_the_main_runs_last_key_keeps_the_tail_below_it(self):
+        table = _ValueTable()
+        for ident, value in enumerate(("m", "c", "a")):
+            table.add(value, ident)
+        assert table.keys == ["m"] and table.tail == ["a", "c"]
+        assert table.discard("m", 0) == 0  # the tail is folded in
+        assert table.keys == ["a", "c"] and not table.tail
+        assert table.add("b", 3) == (1, "b") and table.tail == ["b"]
+        assert table.discard("c", 1) == 0
+        assert table.keys == ["a", "b"] and not table.tail
+        assert table.add("c", 4)[0] == 1 and table.keys == ["a", "b", "c"]
+
     def test_fuzz_against_sorted_reference(self):
         rng = random.Random(777)
         table = _ValueTable()
@@ -372,6 +395,45 @@ class TestValueTableOrder:
                 reference[value] = step
         assert table.ordered() == sorted(reference)
         assert list(table.slots) == [reference[v] for v in sorted(reference)]
+
+
+def test_versions_share_each_value_with_its_table():
+    """A tail hit hands back the table's own key, so after a 5 000-item
+    build shaped like the select-read-sim workload, whose ``name``
+    values arrive out of order and many wait in the tail, the stored
+    versions hold one string object per distinct ``name``: the one the
+    table keeps."""
+    rng = random.Random(7)
+    items = []
+    for i in range(5000):
+        obj, version = divmod(i, 4)
+        pairs = [
+            ("type", "proc" if rng.random() < 0.04 else "file"),
+            ("name", f"prog-{rng.randrange(50):05d}"),
+            ("version", f"{version:04d}"),
+            ("mtime", f"{1_000_000 + i:09d}"),
+            ("input", f"u{max(0, obj - 1 - rng.randrange(8)):07d}_{version}"),
+        ]
+        items.append((f"u{obj:07d}_{version}", pairs))
+    account = CloudAccount(seed=1)
+    sdb = account.simpledb
+    sdb.create_domain("d")
+    for start in range(0, len(items), 25):
+        sdb.batch_put("d", items[start : start + 25])
+    state = sdb._domains["d"]
+    table = state.tables["name"]
+    assert len(table.tail) > len(table.keys)
+    kept = {value: value for value in [*table.keys, *table.tail]}
+    held = {}
+    for ident in range(len(state.histories)):
+        (version,) = state.histories.versions(ident)
+        texts = iter(version.value)
+        for attribute, value in zip(texts, texts):
+            if attribute == "name":
+                assert value is kept[value]
+                held.setdefault(value, set()).add(id(value))
+    assert len(held) == 50
+    assert all(len(objects) == 1 for objects in held.values())
 
 
 # --------------------------------------------------------------------------

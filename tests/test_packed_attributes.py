@@ -23,7 +23,7 @@ from hypothesis import given, strategies as st
 
 import repro
 from repro.cloud import CloudAccount
-from repro.cloud.consistency import ConsistencyModel, WriteVersion
+from repro.cloud.consistency import ConsistencyModel
 from repro.cloud.simpledb import _attributes_size, _pack, _unpack
 
 _ATTRIBUTES = st.dictionaries(
@@ -43,8 +43,7 @@ def _dict_size(attributes):
 def test_pack_round_trip_keeps_attribute_and_value_order(attributes):
     packed = _pack(attributes)
     assert list(_unpack(packed).items()) == list(attributes.items())
-    version = WriteVersion(packed, 0.0, 0.0)
-    assert _attributes_size(version) == _dict_size(attributes)
+    assert _attributes_size(packed) == _dict_size(attributes)
 
 
 def _apply_put(model, item, pairs, replace):
@@ -155,33 +154,27 @@ def test_seeded_writes_match_a_dict_of_lists_model(backend, tmp_path):
         account.close()
 
 
-#: Bytes per item a 5-pair domain build may hold beyond what the index
-#: gauge prices — the stored versions and the histories holding them.
-#: Measured on CPython 3.11: 854 B/item with a dataclass-with-dict
-#: version holding a dict of lists in a list history; 238 B/item with a
-#: slotted version holding a packed tuple in a tuple history; 191 B/item
-#: with values interned process-wide and each register's one version in
-#: a 1-tuple; 143 B/item (156 on 3.10, 164 on 3.12) with the values
-#: shared through the value tables and a one-version register bare;
-#: 143 → 83 B/item (3.10: 156 → 86, 3.12: 164 → 104) with each item's
-#: history in a list indexed by its id, no register and no name-keyed
-#: registry, and no ``deleted`` slot.  The bound keeps the 16 B of
-#: headroom it had over the largest reading.
-_VERSION_BYTES_PER_ITEM = 120
+#: Bytes per item the stored versions of a 5-pair domain build may
+#: hold.  Measured on CPython 3.11 as the window's build less the index
+#: gauge: 854 B/item with a dataclass-with-dict version holding a dict
+#: of lists in a list history; 238 B/item with a slotted version holding
+#: a packed tuple in a tuple history; 191 B/item with values interned
+#: process-wide and each register's one version in a 1-tuple; 143 B/item
+#: (156 on 3.10, 164 on 3.12) with the values shared through the value
+#: tables and a one-version register bare; 143 → 83 B/item (3.10: 156 →
+#: 86, 3.12: 164 → 104) with each item's history in a list indexed by
+#: its id.  That reading subtracted strings the test built before its
+#: window, which the gauge prices, so it read low.  What dropping the
+#: histories frees counts the stored versions alone: 217 B/item with a
+#: ``WriteVersion`` and its ``visible_at`` float per item, 149 B/item
+#: with the last-committed version in id-indexed columns, 120 of them
+#: the 10-slot packed tuple (3.10, 3.11 and 3.12 alike).  The bound
+#: keeps the 16 B of headroom.
+_VERSION_BYTES_PER_ITEM = 165
 
 
-def test_stored_versions_footprint_per_item():
-    """A tracemalloc delta over a 5 000-item build whose strings the
-    test built (and holds) beforehand, so what is counted is the
-    service's own structures; subtracting ``index_memory_bytes()``
-    leaves the per-version layout.
-
-    The service interns attribute names only (source literals here,
-    interned already) and shares each value through its value table, so
-    the interpreter's interned-string table cannot grow (and, depending
-    on how many strings earlier tests interned, resize) inside the
-    window."""
-    items_n = 5000
+def _footprint_items(items_n):
+    """``items_n`` items shaped like the select-read-sim workload's."""
     rng = random.Random(7)
     items = []
     for i in range(items_n):
@@ -194,23 +187,81 @@ def test_stored_versions_footprint_per_item():
             ("input", f"u{max(0, obj - 1 - rng.randrange(8)):07d}_{version}"),
         ]
         items.append((f"u{obj:07d}_{version}", pairs))
+    return items
+
+
+def _free_list_fodder():
+    """2 000 tuples of each size CPython keeps free lists of (1-19) and
+    200 floats.  Held across a ``tracemalloc`` window, they keep those
+    lists empty, so that nothing the window counts comes off one;
+    dropped inside it, they fill them, so that the tuples and floats
+    freed next return their memory where ``tracemalloc`` sees it."""
+    return [tuple(range(i % 19 + 1)) for i in range(19 * 2000)] + [
+        float(i) + 0.5 for i in range(200)
+    ]
+
+
+def _stored_versions_bytes(items, rewrites=()):
+    """Build a domain from ``items``, then put ``rewrites``; returns
+    ``store_memory_bytes()`` and the bytes ``tracemalloc`` saw freed when
+    the domain's histories were dropped after it: the stored versions
+    alone.  Their strings stay alive (the caller and the index hold
+    them), and nothing else lets go of anything."""
     account = CloudAccount(seed=1)
     sdb = account.simpledb
     sdb.create_domain("d")
+    state = sdb._domains["d"]
+    held = _free_list_fodder()
     tracemalloc.start()
     try:
-        before, _ = tracemalloc.get_traced_memory()
-        for start in range(0, items_n, 25):
+        for start in range(0, len(items), 25):
             sdb.batch_put("d", items[start : start + 25])
-        after, _ = tracemalloc.get_traced_memory()
+        for start in range(0, len(rewrites), 25):
+            sdb.batch_put("d", rewrites[start : start + 25])
+        gauge = sdb.store_memory_bytes()
+        _free_list_fodder()
+        built, _ = tracemalloc.get_traced_memory()
+        state.histories = None
+        dropped, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    per_item = (after - before - sdb.index_memory_bytes()) / items_n
+    del held
+    return gauge, built - dropped
+
+
+def test_stored_versions_footprint_per_item():
+    """A ``tracemalloc`` window over a 5 000-item build whose strings
+    the test built (and holds) beforehand, measuring what dropping the
+    histories frees.
+
+    The service interns attribute names only (source literals here,
+    interned already) and shares each value through its value table, so
+    the interpreter's interned-string table cannot grow (and, depending
+    on how many strings earlier tests interned, resize) inside the
+    window."""
+    items_n = 5000
+    _, stored = _stored_versions_bytes(_footprint_items(items_n))
+    per_item = stored / items_n
     assert 0 < per_item < _VERSION_BYTES_PER_ITEM, f"{per_item:.0f} B/item"
 
 
 #: The directory ``repro`` is imported from, for the child interpreter.
 _SRC = os.path.dirname(os.path.abspath(list(repro.__path__)[0]))
+
+
+def _run_fresh(body, *argv):
+    """Run ``body`` in a fresh interpreter with a fixed hash seed;
+    ``sys.argv[1]`` is this directory, then ``argv``."""
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(body), os.path.dirname(__file__),
+         *argv],
+        env=dict(os.environ, PYTHONPATH=_SRC, PYTHONHASHSEED="0"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_footprint_window_ignores_strings_interned_before_it():
@@ -219,21 +270,34 @@ def test_footprint_window_ignores_strings_interned_before_it():
     tier-1 process do.  At that count the interned-string table resized
     inside the window while the service interned every value it stored,
     and the test read 576 B/item."""
-    script = textwrap.dedent(
+    _run_fresh(
         """
         import sys
         padding = [sys.intern(f"pad-{i}") for i in range(int(sys.argv[2]))]
         sys.path.insert(0, sys.argv[1])
         from test_packed_attributes import test_stored_versions_footprint_per_item
         test_stored_versions_footprint_per_item()
+        """,
+        "10000",
+    )
+
+
+def check_store_gauge():
+    """``store_memory_bytes()`` within 0.85-1.15x of what dropping the
+    histories frees, every tenth item rewritten so that the earlier
+    versions are priced too (it reads 1.001 on CPython 3.10-3.12)."""
+    items = _footprint_items(5000)
+    rewrites = [(name, [("seen", "1")]) for name, _ in items[::10]]
+    gauge, measured = _stored_versions_bytes(items, rewrites)
+    assert 0.85 * measured < gauge < 1.15 * measured, (gauge, measured)
+
+
+def test_store_gauge_tracks_tracemalloc():
+    _run_fresh(
+        """
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from test_packed_attributes import check_store_gauge
+        check_store_gauge()
         """
     )
-    done = subprocess.run(
-        [sys.executable, "-c", script, os.path.dirname(__file__), "10000"],
-        env=dict(os.environ, PYTHONPATH=_SRC, PYTHONHASHSEED="0"),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        timeout=300,
-    )
-    assert done.returncode == 0, done.stderr[-2000:]
