@@ -45,11 +45,6 @@ class WriteVersion(Generic[T]):
     value: Optional[T]
     committed_at: float
     visible_at: float
-    #: Response bytes of ``value``: a cache the owning service fills in
-    #: on first use (``None`` = not computed yet), not part of the write.
-    size: Optional[int] = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     @property
     def deleted(self) -> bool:

@@ -53,6 +53,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import (
     Collection,
     Dict,
@@ -405,12 +406,13 @@ def prepare_select(expression: str) -> PreparedSelect:
 # Per-domain state: item histories plus incrementally maintained indexes
 # --------------------------------------------------------------------------
 
-#: Tail size at which a two-tier run folds its pending tail into the
-#: sorted main run.  The tail is itself a sorted run, so an out-of-order
-#: insert shifts at most this many entries, and merges amortize over as
-#: many arrivals.  In-order arrivals (the common provenance pattern —
-#: item names and interned ids are both assigned in increasing order)
-#: bypass the tail entirely and append straight to the main run.
+#: Bound on a pending tail's sorted runs: an out-of-order insert shifts
+#: at most this many entries.  A sorted table's tail chunk splits at it
+#: (the tail folds into the main run instead once it holds an eighth of
+#: that run), and a wide id run merges its tail at it.  In-order
+#: arrivals (the common provenance pattern — item names and interned
+#: ids are both assigned in increasing order) bypass the tail entirely
+#: and append straight to the main run.
 _TAIL_MERGE_THRESHOLD = 2048
 
 #: A value-table slot at or above this holds ``_WIDE | i`` and points
@@ -450,27 +452,41 @@ def _sorted_index(run: Sequence, key) -> int:
     return index if index < len(run) and run[index] == key else -1
 
 
+_first = itemgetter(0)
+
+
+def _tail_chunk(tail: List[List[str]], key: str) -> int:
+    """Index of the tail chunk whose key range takes ``key``: the last
+    chunk starting at or below it, else the first."""
+    if len(tail) == 1:
+        return 0
+    return max(0, bisect.bisect_right(tail, key, key=_first) - 1)
+
+
 class _SortedTable:
     """Sorted unique strings, each with a uint32 slot beside it.
 
     ``keys`` is a sorted list and ``slots`` a parallel ``array('I')``:
     a slot costs 4 bytes and is found by one bisect.  A key that sorts
-    after the main run appends to both.  Any other new key waits in a
-    tail of the same shape (``tail`` and ``tail_slots``, disjoint from
-    the main run, every key below the main run's last), folded in once
-    it holds :data:`_TAIL_MERGE_THRESHOLD` keys, or by the next ordered
-    read."""
+    after the main run appends to both.  Any other new key waits in the
+    tail: sorted chunks of the same shape (``tail[c]`` beside
+    ``tail_slots[c]``), disjoint, in key order, none empty, every key
+    below the main run's last.  A chunk holds fewer than
+    :data:`_TAIL_MERGE_THRESHOLD` keys, so an insert shifts at most
+    that many; a chunk that fills splits in two, or, once the tail
+    holds an eighth of the main run, the whole tail folds in, so folds
+    re-lay linear work.  The next ordered read also folds it."""
 
     __slots__ = ("keys", "slots", "tail", "tail_slots")
 
     def __init__(self) -> None:
         self.keys: List[str] = []
         self.slots = array("I")
-        self.tail: List[str] = []
-        self.tail_slots = array("I")
+        self.tail: List[List[str]] = []
+        self.tail_slots: List[array] = []
 
     def __len__(self) -> int:
-        return len(self.keys) + len(self.tail)
+        return len(self.keys) + sum(map(len, self.tail))
 
     def slot_of(self, key: str) -> Optional[int]:
         keys = self.keys
@@ -479,26 +495,43 @@ class _SortedTable:
             return None  # past the main run, so past the tail too
         if keys[index] == key:
             return self.slots[index]
-        index = _sorted_index(self.tail, key)
-        return self.tail_slots[index] if index >= 0 else None
-
-    def _insert_tail(self, index: int, key: str, slot: int) -> None:
-        """Insert a new ``key`` at ``index`` of the tail run, and fold
-        the tail in once it holds :data:`_TAIL_MERGE_THRESHOLD` keys."""
         tail = self.tail
-        tail.insert(index, key)
-        self.tail_slots.insert(index, slot)
-        if len(tail) >= _TAIL_MERGE_THRESHOLD:
+        if not tail:
+            return None
+        c = _tail_chunk(tail, key)
+        index = _sorted_index(tail[c], key)
+        return self.tail_slots[c][index] if index >= 0 else None
+
+    def _insert_tail(self, c: int, index: int, key: str, slot: int) -> None:
+        """Insert a new ``key`` at ``index`` of tail chunk ``c`` (the
+        first chunk of an empty tail).  A chunk that fills splits in
+        two, or folds the whole tail in once it holds an eighth of the
+        main run."""
+        tail = self.tail
+        if not tail:
+            tail.append([key])
+            self.tail_slots.append(array("I", (slot,)))
+            return
+        chunk, slots = tail[c], self.tail_slots[c]
+        chunk.insert(index, key)
+        slots.insert(index, slot)
+        if len(chunk) < _TAIL_MERGE_THRESHOLD:
+            return
+        if sum(map(len, tail)) >= len(self.keys) >> 3:
             self._fold_tail()
+            return
+        half = len(chunk) >> 1
+        tail[c : c + 1] = chunk[:half], chunk[half:]
+        self.tail_slots[c : c + 1] = slots[:half], slots[half:]
 
     def _fold_tail(self) -> None:
-        """Splice the tail run into the main run: one bisect per tail
-        key, and slice copies of the main run between them."""
+        """Splice the tail into the main run: one bisect per tail key,
+        and slice copies of the main run between them."""
         keys, slots = self.keys, self.slots
         merged_keys: List[str] = []
         merged_slots = array("I")
         done = 0
-        for key, slot in zip(self.tail, self.tail_slots):
+        for key, slot in self._tail_items():
             at = bisect.bisect_left(keys, key, done)
             merged_keys += keys[done:at]
             merged_keys.append(key)
@@ -508,7 +541,13 @@ class _SortedTable:
         merged_keys += keys[done:]
         merged_slots += slots[done:]
         self.keys, self.slots = merged_keys, merged_slots
-        self.tail, self.tail_slots = [], array("I")
+        self.tail, self.tail_slots = [], []
+
+    def _tail_items(self) -> Iterator[Tuple[str, int]]:
+        """Every tail ``(key, slot)`` in key order."""
+        return zip(
+            chain.from_iterable(self.tail), chain.from_iterable(self.tail_slots)
+        )
 
     def ordered(self) -> List[str]:
         """Every key in sorted order (folds any tail in first).
@@ -530,14 +569,16 @@ class _SortedTable:
         main = zip(self.keys, self.slots)
         if not self.tail:
             return main
-        return heapq.merge(main, zip(self.tail, self.tail_slots))
+        return heapq.merge(main, self._tail_items())
 
     def memory_bytes(self) -> int:
-        # The table and both runs; the owner prices the key strings,
-        # since it knows where they live.
+        # The table, the main run and every tail chunk; the owner
+        # prices the key strings, since it knows where they live.
         total = sys.getsizeof(self) + sys.getsizeof(self.keys)
         total += sys.getsizeof(self.slots) + sys.getsizeof(self.tail)
-        return total + sys.getsizeof(self.tail_slots)
+        total += sys.getsizeof(self.tail_slots)
+        total += sum(map(sys.getsizeof, self.tail))
+        return total + sum(map(sys.getsizeof, self.tail_slots))
 
 
 class _NameTable(_SortedTable):
@@ -574,12 +615,16 @@ class _NameTable(_SortedTable):
         if keys[index] == name:
             return self.slots[index]
         tail = self.tail
-        index = bisect.bisect_left(tail, name)
-        if index < len(tail) and tail[index] == name:
-            return self.tail_slots[index]
+        c = index = 0
+        if tail:
+            c = 0 if len(tail) == 1 else _tail_chunk(tail, name)
+            chunk = tail[c]
+            index = bisect.bisect_left(chunk, name)
+            if index < len(chunk) and chunk[index] == name:
+                return self.tail_slots[c][index]
         ident = len(by_id)
         by_id.append(name)
-        self._insert_tail(index, name, ident)
+        self._insert_tail(c, index, name, ident)
         return ident
 
     def memory_bytes(self) -> int:
@@ -668,9 +713,11 @@ class _ValueTable(_SortedTable):
     def add(self, value: str, ident: int) -> Tuple[int, str]:
         """Add ``ident`` to the posting of ``value``.  Returns the
         posting's new size (0 when the id was already there) and the
-        table's copy of ``value``: the key equal to it in either run,
-        else ``value`` itself (new).  At most one bisect per run; a new
-        value that sorts after the main run appends without one."""
+        table's copy of ``value``: the key equal to it in the main run
+        or a tail chunk, else ``value`` itself (new).  A bisect of the
+        main run, then, when it misses, of the one tail chunk the value
+        can be in; a new value that sorts after the main run appends
+        without one."""
         keys = self.keys
         if not keys or value > keys[-1]:
             keys.append(value)
@@ -680,12 +727,17 @@ class _ValueTable(_SortedTable):
         if keys[index] == value:
             slots = self.slots
         else:
-            keys = self.tail
-            index = bisect.bisect_left(keys, value) if keys else 0
-            if index == len(keys) or keys[index] != value:
-                self._insert_tail(index, value, ident)
+            tail = self.tail
+            if not tail:
+                self._insert_tail(0, 0, value, ident)
                 return 1, value
-            slots = self.tail_slots
+            c = 0 if len(tail) == 1 else _tail_chunk(tail, value)
+            keys = tail[c]
+            index = bisect.bisect_left(keys, value)
+            if index == len(keys) or keys[index] != value:
+                self._insert_tail(c, index, value, ident)
+                return 1, value
+            slots = self.tail_slots[c]
         value = keys[index]
         slot = slots[index]
         if slot >= _WIDE:
@@ -734,8 +786,13 @@ class _ValueTable(_SortedTable):
         new size, or -1 when the id was not there."""
         keys, slots = self.keys, self.slots
         index = _sorted_index(keys, value)
+        tail = self.tail
+        c = -1
         if index < 0:
-            keys, slots = self.tail, self.tail_slots
+            if not tail:
+                return -1
+            c = _tail_chunk(tail, value)
+            keys, slots = tail[c], self.tail_slots[c]
             index = _sorted_index(keys, value)
             if index < 0:
                 return -1
@@ -745,8 +802,10 @@ class _ValueTable(_SortedTable):
                 return -1
             del keys[index]
             del slots[index]
-            tail = self.tail
-            if tail and (not self.keys or tail[-1] > self.keys[-1]):
+            if not keys and c >= 0:
+                del tail[c]
+                del self.tail_slots[c]
+            if tail and (not self.keys or tail[-1][-1] > self.keys[-1]):
                 # The main run lost its last key: keep the tail below it.
                 self._fold_tail()
             return 0
@@ -771,7 +830,7 @@ class _ValueTable(_SortedTable):
         # form it is stored in, allocated slack included.
         total = super().memory_bytes()
         total += sum(map(sys.getsizeof, self.keys))
-        total += sum(map(sys.getsizeof, self.tail))
+        total += sum(map(sys.getsizeof, chain.from_iterable(self.tail)))
         total += sys.getsizeof(self.wide) + sys.getsizeof(self.free)
         total += sum(map(sys.getsizeof, self.free))
         for posting in self.wide:
@@ -996,7 +1055,7 @@ class _DomainState:
         postings: Dict[str, int] = {}
         hist: Dict[str, Dict[int, int]] = {}
         for attribute, table in self.tables.items():
-            for slot in chain(table.slots, table.tail_slots):
+            for slot in chain(table.slots, *table.tail_slots):
                 size = table.slot_count(slot)
                 postings[attribute] = postings.get(attribute, 0) + size
                 inner = hist.setdefault(attribute, {})

@@ -67,6 +67,24 @@ from test_select_fuzz import (
 # Substrate units
 # --------------------------------------------------------------------------
 
+def _tail_keys(table):
+    """Every key waiting in ``table``'s tail chunks, in chunk order."""
+    return [key for chunk in table.tail for key in chunk]
+
+
+def _check_tail(table):
+    """The tail's invariants: chunks non-empty, under the threshold,
+    each sorted beside its slots, disjoint and in key order, and every
+    key below the main run's last."""
+    threshold = simpledb._TAIL_MERGE_THRESHOLD
+    assert len(table.tail) == len(table.tail_slots)
+    for chunk, slots in zip(table.tail, table.tail_slots):
+        assert 0 < len(chunk) < threshold and len(slots) == len(chunk)
+    keys = _tail_keys(table)
+    assert keys == sorted(set(keys))
+    assert not keys or keys[-1] < table.keys[-1]
+
+
 class TestNameTable:
     def test_ids_assigned_in_first_seen_order(self):
         table = _NameTable()
@@ -91,7 +109,7 @@ class TestNameTable:
         table = _NameTable()
         for name in ("m", "z", "a", "k"):  # a, k arrive out of order
             table.intern(name)
-        assert set(table.tail) == {"a", "k"}
+        assert _tail_keys(table) == ["a", "k"]
         assert table.id_of("k") == 3  # found while still in the tail
         assert table.ordered() == ["a", "k", "m", "z"]
         assert list(table.ordered_slots()) == [2, 3, 0, 1]
@@ -104,7 +122,7 @@ class TestNameTable:
         threshold = simpledb._TAIL_MERGE_THRESHOLD
         for i in range(threshold - 1):
             table.intern(f"a{i:06d}")
-        assert len(table.tail) == threshold - 1
+        assert len(_tail_keys(table)) == threshold - 1
         table.intern("a999999")
         assert not table.tail
         assert table.keys == sorted(table.by_id)
@@ -125,20 +143,18 @@ class TestNameTable:
             assert table.by_id[ident] == name
         assert [table.by_id[i] for i in table.ordered_slots()] == sorted(reference)
 
-    def test_random_order_folds_bound_each_insert(self, monkeypatch):
-        """The tail is a sorted run, so an out-of-order insert shifts
-        its entries: it folds at the threshold, and no insert shifts
-        more than the threshold, however large the table.  The price is
-        a fold per threshold of out-of-order arrivals: 100 000 names in
-        random order re-lay about n / 2T = 25 elements per name in total
-        (folding at an eighth of the main run re-laid under 12, but one
-        insert could shift an eighth of the table)."""
-        relaid, tails = [], []
+    def test_random_order_folds_relay_linear_work(self, monkeypatch):
+        """Folds wait for an eighth of the main run once that passes
+        the threshold, so 100 000 names in random order re-lay under
+        12 elements per name in total (a fold every 2048 arrivals
+        re-laid about 24 per name here, and grows linearly with n).
+        Meanwhile the tail's chunks split below the threshold, so no
+        insert shifts more than that however large the table."""
+        relaid = []
         fold = simpledb._SortedTable._fold_tail
 
         def counting_fold(table):
-            relaid.append(len(table.keys) + len(table.tail))
-            tails.append(len(table.tail))
+            relaid.append(len(table.keys) + len(_tail_keys(table)))
             fold(table)
 
         monkeypatch.setattr(simpledb._SortedTable, "_fold_tail", counting_fold)
@@ -146,14 +162,40 @@ class TestNameTable:
         n = 100_000
         rng = random.Random(5)
         table = _NameTable()
+        longest = chunks = 0
         for _ in range(n):
             table.intern(f"{rng.getrandbits(128):032x}")
-            assert len(table.tail) < threshold
-        assert len(relaid) > 1 and set(tails) == {threshold}
+            longest = max(longest, max(map(len, table.tail), default=0))
+            chunks = max(chunks, len(table.tail))
+        assert longest == threshold - 1 and chunks > 1
         assert table.ordered() == sorted(table.by_id)
-        assert sum(relaid) <= n * n // (2 * threshold) + n, (
-            len(relaid), sum(relaid)
-        )
+        assert len(relaid) > 1
+        assert sum(relaid) <= 12 * n, (len(relaid), sum(relaid))
+
+    def test_a_full_chunk_splits_until_the_tail_is_an_eighth_of_the_run(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(simpledb, "_TAIL_MERGE_THRESHOLD", 8)
+        table = _NameTable()
+        for i in range(400):
+            table.intern(f"k{2 * i:04d}")  # in order: the main run
+        odd = [f"k{2 * i + 1:04d}" for i in range(400)]
+        random.Random(3).shuffle(odd)
+        for step, name in enumerate(odd[:49]):
+            table.intern(name)
+            _check_tail(table)
+            assert len(table.keys) == 400  # under an eighth: no fold
+        assert len(table.tail) > 1
+        assert _tail_keys(table) == sorted(odd[:49])
+        for name in odd[49:]:
+            table.intern(name)
+            _check_tail(table)
+            if len(table.keys) > 400:
+                break
+        # The fold came at a chunk's fill, the tail an eighth of the run.
+        assert not table.tail and len(table.keys) >= 400 + 50
+        assert table.keys == sorted(table.by_id)
+        assert [table.by_id[i] for i in table.slots] == table.keys
 
 
 def _posting(table, value="v"):
@@ -202,7 +244,7 @@ class TestPostingLayout:
         table.add("zz", 3)
         late = fresh("mid")
         assert table.add(late, 4)[1] is late  # new: waits in the tail
-        assert table.tail == ["mid"]
+        assert table.tail == [["mid"]]
         again = fresh("mid")
         assert table.add(again, 5)[1] is late  # the tail-run key
         table.ordered()  # folds the tail
@@ -285,10 +327,10 @@ class TestPostingLayout:
         table.add("m", 1)
         table.add("a", 2)  # out of order: waits in the tail
         assert table.add("a", 3)[0] == 2  # promoted while still in the tail
-        assert table.tail == ["a"] and list(table.tail_slots) == [_WIDE | 0]
+        assert table.tail == [["a"]] and list(table.tail_slots[0]) == [_WIDE | 0]
         assert _ids(table, "a") == [2, 3]
         assert table.discard("a", 2) == 1
-        assert table.tail == ["a"] and list(table.tail_slots) == [3]
+        assert table.tail == [["a"]] and list(table.tail_slots[0]) == [3]
         assert table.free == [0]
         assert table.ordered() == ["a", "m"] and list(table.slots) == [3, 1]
 
@@ -334,7 +376,7 @@ class TestValueTableOrder:
         table = _ValueTable()
         for ident, value in enumerate(("m", "z", "a", "k")):
             table.add(value, ident)  # a, k arrive out of order
-        assert table.tail == ["a", "k"] and list(table.tail_slots) == [2, 3]
+        assert table.tail == [["a", "k"]] and list(table.tail_slots[0]) == [2, 3]
         assert _ids(table, "k") == [3]  # found while still in the tail
         assert table.ordered() == ["a", "k", "m", "z"]
         assert list(table.slots) == [2, 3, 0, 1]
@@ -346,7 +388,7 @@ class TestValueTableOrder:
         threshold = simpledb._TAIL_MERGE_THRESHOLD
         for i in range(threshold - 1):
             table.add(f"a{i:06d}", i + 1)
-        assert len(table.tail) == threshold - 1
+        assert len(_tail_keys(table)) == threshold - 1
         table.add("a999999", threshold)  # folded without a read
         assert not table.tail
         assert table.keys == sorted(table.keys) and len(table) == threshold + 1
@@ -359,7 +401,7 @@ class TestValueTableOrder:
         table = _ValueTable()
         for ident, value in enumerate(("c", "d", "a", "b")):
             table.add(value, ident)
-        assert set(table.tail) == {"a", "b"}
+        assert _tail_keys(table) == ["a", "b"]
         assert table.discard("b", 3) == 0  # from the tail
         assert table.discard("b", 3) == -1
         assert table.discard("d", 1) == 0  # from the main run
@@ -371,10 +413,10 @@ class TestValueTableOrder:
         table = _ValueTable()
         for ident, value in enumerate(("m", "c", "a")):
             table.add(value, ident)
-        assert table.keys == ["m"] and table.tail == ["a", "c"]
+        assert table.keys == ["m"] and table.tail == [["a", "c"]]
         assert table.discard("m", 0) == 0  # the tail is folded in
         assert table.keys == ["a", "c"] and not table.tail
-        assert table.add("b", 3) == (1, "b") and table.tail == ["b"]
+        assert table.add("b", 3) == (1, "b") and table.tail == [["b"]]
         assert table.discard("c", 1) == 0
         assert table.keys == ["a", "b"] and not table.tail
         assert table.add("c", 4)[0] == 1 and table.keys == ["a", "b", "c"]
@@ -393,6 +435,39 @@ class TestValueTableOrder:
             elif value not in reference:
                 assert table.add(value, step)[0] == 1
                 reference[value] = step
+        assert table.ordered() == sorted(reference)
+        assert list(table.slots) == [reference[v] for v in sorted(reference)]
+
+    def test_fuzz_chunked_tail_against_sorted_reference(self, monkeypatch):
+        # A small threshold, and a main run laid first, so the tail
+        # splits into many chunks, empties some and folds.
+        monkeypatch.setattr(simpledb, "_TAIL_MERGE_THRESHOLD", 6)
+        rng = random.Random(31)
+        table = _ValueTable()
+        reference = {}
+        for ident in range(300):
+            value = f"s{3 * ident:04d}"
+            table.add(value, ident)
+            reference[value] = ident
+        chunks = set()
+        for step in range(300, 6000):
+            value = f"s{rng.randrange(900):04d}"
+            if rng.random() < 0.35:
+                if value in reference:
+                    assert table.discard(value, reference.pop(value)) == 0
+                else:
+                    assert table.discard(value, step) == -1
+            elif value not in reference:
+                assert table.add(value, step)[0] == 1
+                reference[value] = step
+            else:
+                assert table.slot_of(value) == reference[value]
+            _check_tail(table)
+            chunks.add(len(table.tail))
+            assert len(table) == len(reference)
+            if step % 700 == 0:
+                assert dict(table.sorted_items()) == reference
+        assert max(chunks) > 3
         assert table.ordered() == sorted(reference)
         assert list(table.slots) == [reference[v] for v in sorted(reference)]
 
@@ -422,8 +497,8 @@ def test_versions_share_each_value_with_its_table():
         sdb.batch_put("d", items[start : start + 25])
     state = sdb._domains["d"]
     table = state.tables["name"]
-    assert len(table.tail) > len(table.keys)
-    kept = {value: value for value in [*table.keys, *table.tail]}
+    assert len(_tail_keys(table)) > len(table.keys)
+    kept = {value: value for value in [*table.keys, *_tail_keys(table)]}
     held = {}
     for ident in range(len(state.histories)):
         (version,) = state.histories.versions(ident)
