@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Blob:
     """An immutable content value: ``size`` bytes with digest ``digest``."""
 

@@ -35,7 +35,7 @@ from repro.cloud.clock import VirtualClock
 from repro.cloud.profiles import EnvironmentProfile, ServiceProfile
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One cloud request, prepared but not yet executed.
 
@@ -83,7 +83,7 @@ class Request:
         return self.payload_bytes + self.response_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class BatchResult:
     """Outcome of a scheduled batch: results plus timing."""
 

@@ -44,7 +44,7 @@ METADATA_LIMIT_BYTES = 2 * 1024
 LIST_PAGE_SIZE = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class S3ObjectRecord:
     """Stored value of one object version: content plus user metadata."""
 
@@ -52,7 +52,7 @@ class S3ObjectRecord:
     metadata: Dict[str, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeadResult:
     """Result of a HEAD request: metadata and content length."""
 

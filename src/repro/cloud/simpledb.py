@@ -1568,7 +1568,7 @@ def _plan_candidates_cost(
 # The service
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectPage:
     """One page of Select results."""
 

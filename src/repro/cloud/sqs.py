@@ -41,7 +41,7 @@ RECEIVE_BATCH_LIMIT = 10
 DEFAULT_VISIBILITY_TIMEOUT = 30.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A message as seen by a consumer."""
 
@@ -51,7 +51,7 @@ class Message:
     sent_at: float
 
 
-@dataclass
+@dataclass(slots=True)
 class _StoredMessage:
     message_id: str
     body: str

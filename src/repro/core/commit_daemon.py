@@ -126,7 +126,7 @@ COPY_RETRY_S = 4.0
 COPY_ATTEMPTS = 16
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingTransaction:
     """Packets collected so far for one transaction."""
 
@@ -159,7 +159,7 @@ class _PendingTransaction:
         ]
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitRecord:
     """One committed transaction's timeline."""
 

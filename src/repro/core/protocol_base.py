@@ -107,7 +107,7 @@ class UploadMode(enum.Enum):
     PARALLEL = "parallel"
 
 
-@dataclass
+@dataclass(slots=True)
 class FlushWork:
     """Everything one close/flush must persist."""
 

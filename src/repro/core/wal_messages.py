@@ -33,7 +33,7 @@ from repro.provenance.serialization import decode_record, encode_record
 HEADER_RESERVE = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataManifestEntry:
     """One data object carried by a transaction."""
 
@@ -72,7 +72,7 @@ class DataManifestEntry:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ParsedMessage:
     """A WAL message after parsing."""
 

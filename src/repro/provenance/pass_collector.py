@@ -45,7 +45,7 @@ from repro.provenance.syscalls import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadIntent:
     """Application read: PA-S3fs serves it from cache or via GET."""
 
@@ -54,7 +54,7 @@ class ReadIntent:
     size: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlushIntent:
     """Close/flush: upload this object's data and pending provenance."""
 
@@ -64,7 +64,7 @@ class FlushIntent:
     blob: Blob
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteIntent:
     """Unlink: remove the data object; provenance must survive."""
 
@@ -72,7 +72,7 @@ class DeleteIntent:
     uuid: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComputeIntent:
     """Pure application compute time."""
 

@@ -21,7 +21,7 @@ from repro.provenance.graph import NodeRef
 Value = Union[str, NodeRef]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvenanceRecord:
     """One provenance fact: ``subject.attribute = value``."""
 
@@ -46,7 +46,7 @@ class ProvenanceRecord:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ProvenanceBundle:
     """All pending provenance for one object, grouped by version.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpawnEvent:
     """A process starts (fork+exec)."""
 
@@ -25,7 +25,7 @@ class SpawnEvent:
     exec_path: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadEvent:
     """A process reads from a file."""
 
@@ -34,7 +34,7 @@ class ReadEvent:
     size: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteEvent:
     """A process writes to a file; ``size`` is the file size after the
     write (S3fs uploads whole objects, so the close-time size is what
@@ -45,7 +45,7 @@ class WriteEvent:
     size: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CloseEvent:
     """A process closes a file it had open for writing — the moment
     PA-S3fs pushes data + provenance to the cloud."""
@@ -54,7 +54,7 @@ class CloseEvent:
     path: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlushEvent:
     """An explicit flush (fsync); same cloud behaviour as close, but the
     file stays open."""
@@ -63,7 +63,7 @@ class FlushEvent:
     path: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnlinkEvent:
     """A file is deleted (exercises data-independent persistence)."""
 
@@ -71,14 +71,14 @@ class UnlinkEvent:
     path: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExitEvent:
     """A process exits."""
 
     pid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComputeEvent:
     """Pure application compute time.
 

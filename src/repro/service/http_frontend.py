@@ -19,8 +19,8 @@ Endpoints
   the gateway's batching window.
 - ``POST /v1/flush`` — coalesce and issue the pending window.
 - ``POST /v1/settle`` — advance the virtual clock (``{"seconds": s}``,
-  finite and non-negative) so eventually-consistent writes become
-  visible to queries.
+  0 <= s <= :data:`MAX_SETTLE_SECONDS`) so eventually-consistent writes
+  become visible to queries.
 - ``POST /v1/query`` — ``{"query": "q1"|"q2"|"q3"|"q4", "arg": ...}``.
 - ``POST /v1/select`` — ``{"expression": "select * from ..."}``.
 - ``GET  /v1/stats`` — gateway/billing counters.
@@ -55,6 +55,11 @@ MAX_BODY_BYTES = 1 << 20
 #: server handles one request at a time, so without a limit one stalled
 #: client would block every other.
 REQUEST_TIMEOUT_S = 10.0
+
+#: Longest virtual-clock step one ``/v1/settle`` takes: a day, far past
+#: any consistency window.  An unbounded step such as ``1e308`` leaves a
+#: clock whose float no longer resolves a second.
+MAX_SETTLE_SECONDS = 86_400.0
 
 
 def _jsonable(value):
@@ -148,7 +153,9 @@ class ProvenanceFrontend:
                     return
                 try:
                     body = json.loads(raw.decode("utf-8")) if raw else {}
-                except ValueError as exc:  # bad UTF-8 or bad JSON
+                except (ValueError, RecursionError) as exc:
+                    # Bad UTF-8, bad JSON, or arrays and objects nested
+                    # past the decoder's recursion limit.
                     self._reply(400, {"error": f"invalid JSON body: {exc}"})
                     return
                 if not isinstance(body, dict):
@@ -219,6 +226,10 @@ class ProvenanceFrontend:
             return {"requests": self.gateway.flush_pending()}
         if path == "/v1/settle":
             seconds = float(body.get("seconds", 120.0))
+            if not 0 <= seconds <= MAX_SETTLE_SECONDS:
+                raise ValueError(
+                    f"seconds must be in [0, {MAX_SETTLE_SECONDS:g}] (got {seconds})"
+                )
             self.account.settle(seconds)
             return {"virtual_now": self.account.now}
         if path == "/v1/query":
@@ -235,6 +246,8 @@ class ProvenanceFrontend:
         if isinstance(version, bool) or not isinstance(version, (int, str)):
             raise ValueError(f"version must be an integer (got {version!r})")
         ref = NodeRef(uuid, int(version))
+        if ref.version < 0:
+            raise ValueError(f"version must be non-negative (got {ref.version})")
         attributes = body.get("attributes", {})
         if not isinstance(attributes, dict) or not all(
             isinstance(values, list)

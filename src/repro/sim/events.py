@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cloud.network import Request
 
 
-@dataclass
+@dataclass(slots=True)
 class Delay:
     """Suspend the process for ``seconds`` of virtual time.
 
@@ -41,7 +41,7 @@ class Delay:
             raise ValueError(f"cannot delay by negative seconds={self.seconds}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Batch:
     """Execute a request batch; the process resumes with its
     :class:`~repro.cloud.network.BatchResult`.

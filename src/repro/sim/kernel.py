@@ -101,7 +101,7 @@ class Process:
         return f"Process({self.name!r}, {self.state.value})"
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class _Event:
     """One heap entry: activate ``process``, fire a timed crash, or run
     a schedule action (recurring crash, window edge, respawn)."""

@@ -17,6 +17,7 @@ import urllib.request
 
 import pytest
 
+from repro.backends.parity import store_fingerprint
 from repro.cloud.account import CloudAccount
 from repro.query.ancestry import XREF_ATTRIBUTES
 from repro.service import ProvenanceFrontend, ShardRouter, http_frontend
@@ -407,6 +408,70 @@ class TestInputLimits:
         finally:
             front.stop()
             front.account.close()
+
+
+def _send(address, path, raw):
+    """POST ``raw`` bytes to ``path`` on a fresh connection; returns the
+    status and the decoded reply (a dropped connection raises)."""
+    connection = http.client.HTTPConnection(*address, timeout=10)
+    try:
+        connection.request(
+            "POST", path, body=raw, headers={"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestHostileBodies:
+    """Bodies the front end must refuse: each answers 400 and leaves the
+    store, the gateway window and the clock as they were."""
+
+    @pytest.mark.parametrize(
+        "path, raw",
+        [
+            # The decoder recurses once per nesting level, so this
+            # raises RecursionError, not ValueError.
+            ("/v1/ingest", b"[" * 200_000),
+            ("/v1/settle", b'{"seconds": 1e308}'),
+            ("/v1/settle", b'{"seconds": -1}'),
+            ("/v1/ingest", json.dumps({
+                "client_id": "c0", "path": "/mnt/pass/a", "uuid": "u-1",
+                "version": -1, "attributes": {"type": ["file"]},
+            }).encode("utf-8")),
+            ("/v1/ingest", json.dumps({
+                "client_id": "c0", "path": "/mnt/pass/a", "uuid": "u-1",
+                "version": "-3",
+            }).encode("utf-8")),
+        ],
+        ids=[
+            "nested-brackets", "settle-1e308", "settle-negative",
+            "negative-version", "negative-version-text",
+        ],
+    )
+    def test_is_400_and_changes_nothing(self, frontend, path, raw):
+        front, base = frontend
+        _ingest_small_graph(base)
+        account = front.account
+        before = (
+            store_fingerprint(account), front.gateway.pending_count(), account.now
+        )
+        status, body = _send(front.address, path, raw)
+        assert status == 400, body
+        after = (
+            store_fingerprint(account), front.gateway.pending_count(), account.now
+        )
+        assert after == before
+        assert _get(base, "/healthz")["status"] == "ok"
+
+    def test_settle_up_to_the_cap_is_taken(self, frontend):
+        front, base = frontend
+        before = front.account.now
+        settled = _post(
+            base, "/v1/settle", {"seconds": http_frontend.MAX_SETTLE_SECONDS}
+        )
+        assert settled["virtual_now"] == before + http_frontend.MAX_SETTLE_SECONDS
 
 
 class TestShardedRestart:
