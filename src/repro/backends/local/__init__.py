@@ -2,9 +2,14 @@
 
 Three substrates, one directory:
 
-- ``tables.sqlite`` — :class:`LocalSimpleDBService` (attribute table),
-- ``queue.sqlite`` — :class:`LocalSQSService` (durable queue),
-- ``s3/`` — :class:`LocalS3Service` (versioned filesystem blob store).
+- ``tables.sqlite`` — :class:`LocalSimpleDBService` (attribute table:
+  one row per item version, the domain and each attribute name stored
+  as integer ids, the names in a per-domain dictionary table),
+- ``queue.sqlite`` — :class:`LocalSQSService` (durable queue; its
+  tables are created with the first queue, so the file stays empty
+  until something queues),
+- ``s3/`` — :class:`LocalS3Service` (versioned filesystem blob store,
+  one compact JSON sidecar per version).
 
 :func:`build_local_services` is the factory
 :func:`repro.backends.build_backend` delegates to.  It owns resource

@@ -2,11 +2,12 @@
 
 Objects live on disk.  Every key maps to a directory (percent-encoded,
 so slashes in keys are safe), and every write appends a numbered
-*version*: a ``v-<n>.json`` sidecar carrying the version's commit and
-visibility timestamps, tombstone flag, user metadata, and content
-digest — plus a ``v-<n>.bin`` payload file when the blob carries real
-bytes (synthetic workload blobs store size+digest only, exactly like
-the simulator's :class:`~repro.cloud.blob.Blob`).
+*version*: a ``v-<n>.json`` sidecar (compact JSON) carrying the
+version's commit and visibility timestamps, tombstone flag, user
+metadata, and content digest — plus a ``v-<n>.bin`` payload file when
+the blob carries real bytes (synthetic workload blobs store
+size+digest only, exactly like the simulator's
+:class:`~repro.cloud.blob.Blob`).
 
 The service logic — request pricing, eventual-consistency observation,
 LIST pagination, billing — is inherited unchanged from
@@ -55,7 +56,9 @@ class FsObjectRegister:
         # whole or absent, never torn (``v-*.tmp`` is no version).
         self._dir.mkdir(parents=True, exist_ok=True)
         staged = self._dir / f"v-{seq:08d}.tmp"
-        staged.write_text(json.dumps(meta), encoding="utf-8")
+        staged.write_text(
+            json.dumps(meta, separators=(",", ":")), encoding="utf-8"
+        )
         os.replace(staged, staged.with_suffix(".json"))
 
     def write(

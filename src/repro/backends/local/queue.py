@@ -11,6 +11,8 @@ handles, the expired-lease no-op and retention — is
 instead of the in-memory one, so both backends deliver alike by
 construction.
 
+The tables are created with the first queue: an account that never
+queues (a gateway or HTTP deployment) leaves ``queue.sqlite`` empty.
 Every request is one sqlite transaction: a send's counter bump and
 insert, a receive's leases and receipts, land together or not at all.
 A deleted or expired message is a tombstone (``deleted = 1``); its
@@ -154,25 +156,39 @@ class SqliteQueue:
 
 
 class SqliteQueues:
-    """The queue store over one sqlite connection."""
+    """The queue store over one sqlite connection.  Its tables are
+    created with the first queue, so a store that never queues leaves
+    its database empty."""
 
     def __init__(self, conn: sqlite3.Connection):
         self._conn = conn
-        conn.executescript(f"BEGIN;{_SCHEMA}COMMIT;")
+        self._created = (
+            conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE name = 'sqs_queues'"
+            ).fetchone()
+            is not None
+        )
 
     def create(self, url: str, name: str) -> SqliteQueue:
+        if not self._created:
+            self._conn.executescript(f"BEGIN;{_SCHEMA}COMMIT;")
+            self._created = True
         self._conn.execute(
             "INSERT INTO sqs_queues(url, name) VALUES (?, ?)", (url, name)
         )
         return SqliteQueue(self._conn, url)
 
     def get(self, url: str) -> Optional[SqliteQueue]:
+        if not self._created:
+            return None
         row = self._conn.execute(
             "SELECT 1 FROM sqs_queues WHERE url = ?", (url,)
         ).fetchone()
         return None if row is None else SqliteQueue(self._conn, url)
 
     def stored(self) -> List[Tuple[str, SqliteQueue]]:
+        if not self._created:
+            return []
         rows = self._conn.execute("SELECT url, name FROM sqs_queues").fetchall()
         return [(name, SqliteQueue(self._conn, url)) for url, name in rows]
 

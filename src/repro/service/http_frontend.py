@@ -225,7 +225,12 @@ class ProvenanceFrontend:
         if path == "/v1/flush":
             return {"requests": self.gateway.flush_pending()}
         if path == "/v1/settle":
-            seconds = float(body.get("seconds", 120.0))
+            seconds = body.get("seconds", 120.0)
+            if isinstance(seconds, bool) or not isinstance(
+                seconds, (int, float, str)
+            ):
+                raise ValueError(f"seconds must be a number (got {seconds!r})")
+            seconds = float(seconds)
             if not 0 <= seconds <= MAX_SETTLE_SECONDS:
                 raise ValueError(
                     f"seconds must be in [0, {MAX_SETTLE_SECONDS:g}] (got {seconds})"

@@ -436,6 +436,10 @@ class TestHostileBodies:
             ("/v1/ingest", b"[" * 200_000),
             ("/v1/settle", b'{"seconds": 1e308}'),
             ("/v1/settle", b'{"seconds": -1}'),
+            # float() raises TypeError, not ValueError, on these.
+            ("/v1/settle", b'{"seconds": [1]}'),
+            ("/v1/settle", b'{"seconds": {}}'),
+            ("/v1/settle", b'{"seconds": null}'),
             ("/v1/ingest", json.dumps({
                 "client_id": "c0", "path": "/mnt/pass/a", "uuid": "u-1",
                 "version": -1, "attributes": {"type": ["file"]},
@@ -447,6 +451,7 @@ class TestHostileBodies:
         ],
         ids=[
             "nested-brackets", "settle-1e308", "settle-negative",
+            "settle-list", "settle-object", "settle-null",
             "negative-version", "negative-version-text",
         ],
     )

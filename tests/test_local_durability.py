@@ -22,6 +22,7 @@ import repro
 from repro.backends.parity import store_fingerprint
 from repro.cloud import CloudAccount
 from repro.cloud.blob import Blob
+from repro.errors import NoSuchQueueError
 
 #: The directory ``repro`` is imported from, for the child processes.
 _SRC = os.path.dirname(os.path.abspath(list(repro.__path__)[0]))
@@ -211,6 +212,14 @@ def test_batch_put_and_receive_are_one_transaction_each(tmp_path):
         sdb, sqs = account.simpledb, account.sqs
         sdb.create_domain("d")
         statements = _traced(sdb._conn, lambda: sdb.batch_put("d", _ITEMS))
+        # A row per item, and the two attribute names ("type", "n")
+        # entering the domain's dictionary with their first rows.
+        _assert_one_transaction(statements, writes=25 + 2)
+        assert sum(
+            s.startswith("INSERT INTO sdb_attribute_names") for s in statements
+        ) == 2
+        # Names already in the dictionary: a row per item and nothing else.
+        statements = _traced(sdb._conn, lambda: sdb.batch_put("d", _ITEMS))
         _assert_one_transaction(statements, writes=25)
         url = sqs.create_queue("wal")
         statements = _traced(sqs._conn, lambda: sqs.send_message(url, "m0"))
@@ -239,9 +248,11 @@ def test_batch_put_and_receive_are_one_transaction_each(tmp_path):
 
 
 def test_rows_store_the_packed_tuple_and_reopen_restores_the_plan(tmp_path):
-    """Each row's text is the compact JSON of the stored tuple; closing
-    and reopening rebuilds an index whose plans and footprint are the
-    ones the live service had."""
+    """Each row's text is the compact JSON of the stored tuple with each
+    attribute name replaced by its id in the domain's dictionary, and
+    decodes to exactly the stored version; closing and reopening
+    rebuilds an index whose plans and footprint are the ones the live
+    service had."""
     account = _open(tmp_path)
     sdb = account.simpledb
     sdb.create_domain("d")
@@ -264,12 +275,21 @@ def test_rows_store_the_packed_tuple_and_reopen_restores_the_plan(tmp_path):
     (text,) = sdb._conn.execute(
         "SELECT attrs FROM sdb_versions WHERE item = 'u0012'"
     ).fetchone()
-    assert text == (
-        '["type","file","name","prog-12","input","u0011","input","u0010"]'
+    assert text == '[0,"file",1,"prog-12",2,"u0011",2,"u0010"]'
+    names = dict(
+        sdb._conn.execute(
+            "SELECT n.id, n.name FROM sdb_attribute_names n"
+            " JOIN sdb_domains d ON n.domain = d.id WHERE d.name = 'd'"
+        )
     )
+    assert names == {0: "type", 1: "name", 2: "input"}
+    coded = json.loads(text)
+    decoded = tuple(names[c] if i % 2 == 0 else c for i, c in enumerate(coded))
     state = sdb._domains["d"]
     (version,) = state.histories.versions(state.names.id_of("u0012"))
-    assert tuple(json.loads(text)) == version.value
+    assert decoded == version.value == (
+        "type", "file", "name", "prog-12", "input", "u0011", "input", "u0010"
+    )
     expressions = [
         "select * from d where type = 'proc'",
         "select * from d where name = 'prog-03' and input > 'u0100'",
@@ -311,5 +331,34 @@ def test_a_failed_apply_rolls_back_the_whole_request(tmp_path):
             account.scheduler.execute_one(request)
         assert sdb.stored_version_count("d") == 0
         assert not sdb._conn.in_transaction
+    finally:
+        account.close()
+
+
+def test_queue_tables_are_created_with_the_first_queue(tmp_path):
+    """A root that never queues leaves ``queue.sqlite`` empty, through a
+    reopen; the first queue creates the tables, and its messages survive
+    the next reopen.  Blob sidecars are compact JSON."""
+    account = _open(tmp_path)
+    account.s3.create_bucket("b")
+    account.s3.put("b", "k", Blob.from_text("one"), {"v": "1"})
+    with pytest.raises(NoSuchQueueError):
+        account.sqs.send_message("sqs://queues/wal", "m0")
+    account.close()
+    account = _open(tmp_path)
+    account.close()
+    assert (tmp_path / "queue.sqlite").stat().st_size == 0
+    (sidecar,) = account.s3.stored_object_dir("b", "k").glob("v-*.json")
+    text = sidecar.read_text(encoding="utf-8")
+    assert json.dumps(json.loads(text), separators=(",", ":")) == text
+
+    account = _open(tmp_path)
+    url = account.sqs.create_queue("wal")
+    account.sqs.send_message(url, "m0")
+    account.close()
+    assert (tmp_path / "queue.sqlite").stat().st_size > 0
+    account = _open(tmp_path)
+    try:
+        assert account.sqs.pending_bodies(url) == ["m0"]
     finally:
         account.close()

@@ -3,7 +3,8 @@
 Every stored version keeps its attributes as one flat ``(name, value,
 name, value, ...)`` tuple; dicts of lists are built only at the API
 boundary (select rows, GetAttributes, ``peek_item``).  The local
-backend stores the same tuple, as a compact JSON array per row.  These
+backend stores the same tuple, as a compact JSON array per row with
+each attribute name as its id in the domain's dictionary.  These
 tests pin that the layout is invisible from outside — the same rows,
 value order and response bytes as a plain dict-of-lists model, and the
 packed model's text on disk — and that it is as small as it was made to
@@ -68,13 +69,25 @@ def _apply_delete(model, item, attribute, value):
         model.pop(item, None)
 
 
-def _stored_attrs_text(sdb, domain, item):
-    (text,) = sdb._conn.execute(
+def _stored_row(sdb, domain, item):
+    """The item's latest row text, and the domain's attribute-name
+    dictionary (id -> name) it is coded against."""
+    conn = sdb._conn
+    ((domain_id,),) = conn.execute(
+        "SELECT id FROM sdb_domains WHERE name = ?", (domain,)
+    )
+    (text,) = conn.execute(
         "SELECT attrs FROM sdb_versions WHERE domain = ? AND item = ?"
         " ORDER BY seq DESC LIMIT 1",
-        (domain, item),
+        (domain_id, item),
     ).fetchone()
-    return text
+    names = dict(
+        conn.execute(
+            "SELECT id, name FROM sdb_attribute_names WHERE domain = ?",
+            (domain_id,),
+        )
+    )
+    return text, names
 
 
 @pytest.mark.parametrize("backend", ["sim", "local"])
@@ -82,7 +95,9 @@ def test_seeded_writes_match_a_dict_of_lists_model(backend, tmp_path):
     """Seeded put / ``replace=True`` put / delete-``(attr, value)`` /
     re-put / same-item-twice batch put sequences: every read equals the
     model — value order included — and bills the model's bytes; on
-    local, the row on disk is the compact JSON of the packed model."""
+    local, the row on disk is the compact JSON of the packed model with
+    each attribute name as its dictionary id, and decodes to exactly the
+    packed model."""
     account = CloudAccount(
         consistency=ConsistencyModel.STRICT,
         seed=11,
@@ -131,9 +146,16 @@ def test_seeded_writes_match_a_dict_of_lists_model(backend, tmp_path):
                 sdb.put_attributes("d", item, pairs, replace=replace)
                 _apply_put(model, item, pairs, replace)
             if backend == "local" and item in model:
-                assert _stored_attrs_text(sdb, "d", item) == json.dumps(
-                    _pack(model[item]), separators=(",", ":")
-                )
+                text, names = _stored_row(sdb, "d", item)
+                codes = {name: code for code, name in names.items()}
+                packed = _pack(model[item])
+                coded = [
+                    codes[t] if i % 2 == 0 else t for i, t in enumerate(packed)
+                ]
+                assert text == json.dumps(coded, separators=(",", ":"))
+                decoded = json.loads(text)
+                decoded[::2] = [names[code] for code in decoded[::2]]
+                assert tuple(decoded) == packed
             before = usage.bytes_out
             got = sdb.get_attributes("d", item)
             assert list(got.items()) == list(model.get(item, {}).items())
@@ -250,12 +272,17 @@ _SRC = os.path.dirname(os.path.abspath(list(repro.__path__)[0]))
 
 
 def _run_fresh(body, *argv):
-    """Run ``body`` in a fresh interpreter with a fixed hash seed;
-    ``sys.argv[1]`` is this directory, then ``argv``."""
+    """Run ``body`` in a fresh interpreter with a fixed hash seed: the
+    caller's ``PYTHONHASHSEED``, else 0; ``sys.argv[1]`` is this
+    directory, then ``argv``."""
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(body), os.path.dirname(__file__),
          *argv],
-        env=dict(os.environ, PYTHONPATH=_SRC, PYTHONHASHSEED="0"),
+        env=dict(
+            os.environ,
+            PYTHONPATH=_SRC,
+            PYTHONHASHSEED=os.environ.get("PYTHONHASHSEED", "0"),
+        ),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
